@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -97,12 +97,35 @@ def optimal_coefficients(mean_prev: float, var_prev: float,
     return coeffs
 
 
-def optimal_coefficients_elementwise(mean_prev, var_prev, mean_curr, var_curr):
+class CoefficientBuffers(NamedTuple):
+    """Preallocated arrays for :func:`optimal_coefficients_elementwise`.
+
+    ``p`` and ``q`` receive the mixing pair; ``work`` and the three boolean
+    masks are scratch. Every array has the statistics' (broadcast) shape.
+    """
+
+    p: np.ndarray
+    q: np.ndarray
+    work: np.ndarray
+    fallback: np.ndarray
+    both_zero: np.ndarray
+    mask: np.ndarray
+
+    @classmethod
+    def empty(cls, shape) -> "CoefficientBuffers":
+        return cls(*(np.empty(shape) for _ in range(3)),
+                   *(np.empty(shape, dtype=bool) for _ in range(3)))
+
+
+def optimal_coefficients_elementwise(mean_prev, var_prev, mean_curr, var_curr,
+                                     out: Optional[CoefficientBuffers] = None):
     """Vectorized mixing pairs for parameter-shaped statistics.
 
     Applies exactly the branch logic of :func:`optimal_coefficients` to
     every element and returns (p, q, n_fallback) where n_fallback counts
-    the elements that fell back to the pure fresh draw.
+    the elements that fell back to the pure fresh draw. Pass `out` to run
+    without allocating: p and q are then ``out.p`` and ``out.q``, and the
+    arithmetic is the same whether or not `out` is given.
     """
     mean_prev, var_prev, mean_curr, var_curr = np.broadcast_arrays(
         np.asarray(mean_prev, dtype=np.float64),
@@ -110,27 +133,55 @@ def optimal_coefficients_elementwise(mean_prev, var_prev, mean_curr, var_curr):
         np.asarray(mean_curr, dtype=np.float64),
         np.asarray(var_curr, dtype=np.float64),
     )
-    if np.any(var_prev < 0) or np.any(var_curr < 0):
+    if out is None:
+        out = CoefficientBuffers.empty(mean_prev.shape)
+    p, q, work, fallback, both_zero, mask = out
+    np.less(var_prev, 0.0, out=mask)
+    np.less(var_curr, 0.0, out=fallback)
+    if mask.any() or fallback.any():
         raise ValueError("variances must be non-negative")
-    cc = mean_curr * mean_curr * var_prev
-    pp = mean_prev * mean_prev * var_curr
-    den = cc + pp
-    eps = DENOMINATOR_GUARD * np.maximum(1.0, np.maximum(cc, pp))
-    both_zero = (mean_curr == 0.0) & (mean_prev == 0.0) & (var_curr > 0.0)
-    unsatisfiable = (mean_prev == 0.0) & (mean_curr != 0.0)
-    guarded = ~both_zero & (unsatisfiable | (den < eps))
+    # q holds cc and p holds pp until the divisions below; work holds den.
+    np.multiply(mean_curr, mean_curr, out=q)
+    q *= var_prev
+    np.multiply(mean_prev, mean_prev, out=p)
+    p *= var_curr
+    np.add(q, p, out=work)
+    np.maximum(q, p, out=p)
+    np.maximum(1.0, p, out=p)
+    np.multiply(DENOMINATOR_GUARD, p, out=p)
+    np.less(work, p, out=fallback)  # den < eps
+    np.equal(mean_prev, 0.0, out=mask)
+    np.not_equal(mean_curr, 0.0, out=both_zero)
+    both_zero &= mask  # unsatisfiable mean ratio
+    fallback |= both_zero
+    np.equal(mean_curr, 0.0, out=both_zero)
+    both_zero &= mask
+    np.greater(var_curr, 0.0, out=mask)
+    both_zero &= mask
+    np.invert(both_zero, out=mask)
+    fallback &= mask  # the guarded branch
     with np.errstate(divide="ignore", invalid="ignore"):
-        total = var_prev + var_curr
-        p = np.where(both_zero, var_curr / np.where(total > 0, total, 1.0),
-                     np.where(guarded, 0.0, mean_curr * mean_prev * var_curr
-                              / np.where(den > 0, den, 1.0)))
-        q = np.where(both_zero, var_prev / np.where(total > 0, total, 1.0),
-                     np.where(guarded, 1.0, cc / np.where(den > 0, den, 1.0)))
-    blowup = np.abs(p) >= 1.0
-    p = np.where(blowup, 0.0, p)
-    q = np.where(blowup, 1.0, q)
-    n_fallback = int(np.count_nonzero(guarded | blowup))
-    return p, q, n_fallback
+        np.greater(work, 0.0, out=mask)
+        np.invert(mask, out=mask)
+        np.copyto(work, 1.0, where=mask)
+        np.divide(q, work, out=q)
+        np.multiply(mean_curr, mean_prev, out=p)
+        p *= var_curr
+        p /= work
+        np.copyto(p, 0.0, where=fallback)
+        np.copyto(q, 1.0, where=fallback)
+        np.add(var_prev, var_curr, out=work)
+        np.greater(work, 0.0, out=mask)
+        np.invert(mask, out=mask)
+        np.copyto(work, 1.0, where=mask)
+        np.divide(var_curr, work, out=p, where=both_zero)
+        np.divide(var_prev, work, out=q, where=both_zero)
+    np.abs(p, out=work)
+    np.greater_equal(work, 1.0, out=mask)  # blend with |p| >= 1
+    np.copyto(p, 0.0, where=mask)
+    np.copyto(q, 1.0, where=mask)
+    fallback |= mask
+    return p, q, int(np.count_nonzero(fallback))
 
 
 def unbiased_condition_holds(c: Coefficients, mean_prev: float, mean_curr: float,

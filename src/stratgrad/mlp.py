@@ -5,10 +5,13 @@ penalty of (weight_decay / 2) * sum(W**2) on the weight matrices only.
 Weights initialize from N(0, 1 / fan_in); biases start at zero. Everything
 runs in float64.
 
-Besides the usual batch loss/gradient, the module exposes per-sample
-gradients (one full parameter-shaped gradient per sample, weight-decay term
-included) and a recorder for the per-sample gradient history of one chosen
-weight across a sequence of parameter snapshots.
+Besides the usual batch loss/gradient, the module exposes the forward and
+backward pass itself (``forward_backward``): every layer's input
+activations and per-sample deltas. A per-sample weight gradient is the
+outer product of the two, so callers get sums, class-weighted sums and sums
+of squares of per-sample gradients as matrix products without ever forming
+an (n, fan_in, fan_out) tensor. A recorder gives the per-sample gradient
+history of one chosen weight across a sequence of parameter snapshots.
 """
 
 from __future__ import annotations
@@ -93,12 +96,18 @@ def init_params(shape, seed) -> MlpParams:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """Logistic function, branch-free and overflow-free: exp only sees -|z|.
+
+    Bit-identical to the two-branch form, 1 / (1 + exp(-z)) for z >= 0 and
+    exp(z) / (1 + exp(z)) otherwise. -|z| is formed as min(z, -z) because
+    numpy's minimum returns a NaN operand unchanged, so a NaN keeps its sign
+    bit just as in the two-branch form.
+    """
+    e = np.negative(z)
+    np.minimum(z, e, out=e)
+    np.exp(e, out=e)
+    den = e + 1.0
+    return np.where(z >= 0, np.divide(1.0, den), np.divide(e, den, out=e))
 
 
 def _forward_cached(params: MlpParams, features: np.ndarray):
@@ -165,57 +174,51 @@ def loss(params: MlpParams, features, labels, weight_decay: float = 0.0) -> floa
     return data + reg
 
 
-def loss_and_grad(params: MlpParams, features, labels, weight_decay: float = 0.0):
-    """Batch loss and its exact gradient, shaped like the parameters."""
-    features = _check_features(params, features)
-    labels = _check_labels(params, labels, features.shape[0])
-    n = features.shape[0]
-    if n == 0:
-        raise ValueError("batch must be non-empty")
-    acts, logits = _forward_cached(params, features)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1))
-    data = float(np.mean(log_z - shifted[np.arange(n), labels]))
-    reg = 0.5 * weight_decay * sum(float(np.sum(w * w)) for w in params.weights)
+def forward_backward(params: MlpParams, features, labels, batch_mean: bool = False):
+    """One forward and backward pass that stops short of forming gradients.
 
-    delta = acts[-1].copy()
-    delta[np.arange(n), labels] -= 1.0
-    delta /= n
-    grad_w: list[Optional[np.ndarray]] = [None] * params.n_layers
-    grad_b: list[Optional[np.ndarray]] = [None] * params.n_layers
-    for l in range(params.n_layers - 1, -1, -1):
-        grad_w[l] = acts[l].T @ delta + weight_decay * params.weights[l]
-        grad_b[l] = delta.sum(axis=0)
-        if l > 0:
-            delta = (delta @ params.weights[l].T) * acts[l] * (1.0 - acts[l])
-    return data + reg, MlpParams(grad_w, grad_b)
-
-
-def per_sample_grads(params: MlpParams, features, labels, weight_decay: float = 0.0):
-    """One full gradient per sample.
-
-    Returns a list with one (dw, db) pair per layer where dw has shape
-    (n, fan_in, fan_out) and db has shape (n, fan_out). Every sample's
-    gradient carries the weight-decay term, so the mean over samples equals
-    the batch gradient of :func:`loss_and_grad`.
+    Returns (acts, logits, deltas). acts[l] is the input of layer l
+    (acts[0] the features, acts[-1] the class probabilities); deltas[l]
+    holds, one row per sample, the loss derivative with respect to layer
+    l's pre-activation. Sample i's gradient for layer l is therefore
+    outer(acts[l][i], deltas[l][i]) for the weights (plus the decay term
+    weight_decay * W) and deltas[l][i] for the bias, so sums and sums of
+    squares of per-sample gradients are matrix products, never
+    (n, fan_in, fan_out) tensors. With `batch_mean` the output delta is
+    divided by the batch size before it is propagated, which makes the
+    deltas those of the mean loss.
     """
     features = _check_features(params, features)
     labels = _check_labels(params, labels, features.shape[0])
     n = features.shape[0]
     if n == 0:
         raise ValueError("batch must be non-empty")
-    acts, _ = _forward_cached(params, features)
+    acts, logits = _forward_cached(params, features)
     delta = acts[-1].copy()
     delta[np.arange(n), labels] -= 1.0
-    out: list = [None] * params.n_layers
-    for l in range(params.n_layers - 1, -1, -1):
-        dw = np.einsum("bi,bo->bio", acts[l], delta)
-        if weight_decay:
-            dw += weight_decay * params.weights[l]
-        out[l] = (dw, delta.copy())
-        if l > 0:
-            delta = (delta @ params.weights[l].T) * acts[l] * (1.0 - acts[l])
-    return out
+    if batch_mean:
+        delta /= n
+    deltas = [delta]
+    for l in range(params.n_layers - 1, 0, -1):
+        delta = (delta @ params.weights[l].T) * acts[l] * (1.0 - acts[l])
+        deltas.append(delta)
+    deltas.reverse()
+    return acts, logits, deltas
+
+
+def loss_and_grad(params: MlpParams, features, labels, weight_decay: float = 0.0):
+    """Batch loss and its exact gradient, shaped like the parameters."""
+    features = _check_features(params, features)
+    labels = _check_labels(params, labels, features.shape[0])
+    acts, logits, deltas = forward_backward(params, features, labels, batch_mean=True)
+    n = features.shape[0]
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_z = np.log(np.exp(shifted).sum(axis=1))
+    data = float(np.mean(log_z - shifted[np.arange(n), labels]))
+    reg = 0.5 * weight_decay * sum(float(np.sum(w * w)) for w in params.weights)
+    grad_w = [a.T @ d + weight_decay * w for a, d, w in zip(acts, deltas, params.weights)]
+    grad_b = [d.sum(axis=0) for d in deltas]
+    return data + reg, MlpParams(grad_w, grad_b)
 
 
 def full_gradient_train(params: MlpParams, features, labels, steps: int,

@@ -12,6 +12,17 @@ The parameter update then follows the weighted sum of (G_c + pilot_mean_c)
 over classes, scaled by step_size / n_classes by default (the extra 1 / C
 factor folds into the step size; ``UpdateScale.WEIGHTS_ONLY`` drops it).
 
+One iteration makes one forward/backward pass over all C * (n + 1) pilot
+and fresh rows. Pilot means and variances come from the per-class sums
+A^T D and (A*A)^T (D*D) of that pass (one-pass variance, clamped at zero;
+weight decay shifts the mean only), never from per-sample gradient tensors.
+Each layer is streamed in row blocks of W: a block's stats, mixing pair,
+blend and update are finished before the next block is formed, so besides
+the parameters the only persistent state is three stacked (C, ...) arrays
+per layer (memory, previous mean, previous variance; about 180 MB at the
+784-500-500-200-10 shape) and the rest is block-sized scratch allocated
+once per run.
+
 Baselines: single-sample steps (optionally with an iteration multiplier),
 pooled mini-batches, and the memoryless one-sample-per-class stratified
 direction.
@@ -21,6 +32,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
@@ -28,7 +40,7 @@ import numpy as np
 
 from . import mlp
 from .dataio import LabeledDataset
-from .estimators import optimal_coefficients_elementwise
+from .estimators import CoefficientBuffers, optimal_coefficients_elementwise
 from .rng import spawn_rng
 
 
@@ -84,16 +96,27 @@ class AccuracyReport:
                 raise ValueError(f"accuracy {value} outside [0, 1]")
 
 
-Shaped = list[tuple[np.ndarray, np.ndarray]]  # one (w, b) array pair per layer
+# Weight entries per class in one block of the mssg kernel. Large enough that
+# numpy's per-call cost is small next to a block's work, small enough that the
+# block's scratch (ten arrays of n_classes * BLOCK_ENTRIES) stays a few MB.
+# At the 784-500-500-200-10 shape on 2 cores, 1024 ran about 25% slower per
+# iteration and 8192 no faster.
+BLOCK_ENTRIES = 4096
 
 
 @dataclass
 class ClassMemory:
-    """Per-class blended-gradient memory plus the previous pilot stats."""
+    """The mssg class state after a run, plus the coefficient-fallback count.
 
-    memory: list[Shaped]
-    prev_mean: Optional[list[Shaped]] = None
-    prev_var: Optional[list[Shaped]] = None
+    ``memory``, ``prev_mean`` and ``prev_var`` hold one entry per class, each
+    a list of (w, b) array pairs, one per layer. The arrays are views into
+    the trainer's stacked per-layer state: the blended-gradient memory and
+    the last iteration's pilot mean and variance.
+    """
+
+    memory: list
+    prev_mean: Optional[list] = None
+    prev_var: Optional[list] = None
     fallbacks: int = 0
 
 
@@ -107,21 +130,6 @@ def accuracy(params: mlp.MlpParams, data: LabeledDataset) -> float:
     probs = mlp.forward_batch(params, data.features)
     predictions = np.argmax(probs, axis=1)
     return float(np.mean(predictions == data.labels))
-
-
-def _zeros_like(params: mlp.MlpParams) -> Shaped:
-    return [(np.zeros_like(w), np.zeros_like(b))
-            for w, b in zip(params.weights, params.biases)]
-
-
-def _pilot_stats(grads) -> tuple[Shaped, Shaped]:
-    """Elementwise sample mean and n-1 variance of per-sample gradients."""
-    means: Shaped = []
-    variances: Shaped = []
-    for dw, db in grads:
-        means.append((dw.mean(axis=0), db.mean(axis=0)))
-        variances.append((dw.var(axis=0, ddof=1), db.var(axis=0, ddof=1)))
-    return means, variances
 
 
 def _assert_finite(params: mlp.MlpParams, iteration: int, algorithm: str) -> None:
@@ -140,6 +148,75 @@ def _checkpoint(reports, params, data, test_data, iteration, algorithm, config):
     ))
 
 
+class _BlockScratch:
+    """Block-sized scratch for the mssg kernel, allocated once per run.
+
+    :meth:`views` hands out arrays of a block's (C, rows, cols) shape from
+    flat buffers, so every block, ragged or not, gets contiguous scratch.
+    """
+
+    def __init__(self, n_classes: int, entries: int):
+        self.floats = np.empty((4, n_classes * entries))
+        self.coef = CoefficientBuffers.empty(n_classes * entries)
+        self.vectors = np.empty((2, entries))
+
+    def views(self, shape):
+        """(sums, sq_sums, resid, tmp, coef, direction, decay) for one block."""
+        size = math.prod(shape)
+        sums, sq_sums, resid, tmp = (f[:size].reshape(shape) for f in self.floats)
+        coef = CoefficientBuffers(*(f[:size].reshape(shape) for f in self.coef))
+        direction, decay = (v[:size // shape[0]] for v in self.vectors)
+        return sums, sq_sums, resid, tmp, coef, direction, decay.reshape(shape[1:])
+
+
+def _blend_block(scratch, param, memory, prev_mean, prev_var, class_w, pilot_size,
+                 weight_decay, scale, first) -> int:
+    """Advance one parameter block of the mssg update in place.
+
+    On entry the scratch's sums / sq_sums hold each class's pilot sum and
+    sum of squares of the per-sample gradients without the decay term, and
+    resid the fresh sample's gradient, also without it. `param` is the
+    (rows, cols) parameter block; memory, prev_mean and prev_var are the
+    matching (C, rows, cols) slices of the class state. Forms the pilot
+    mean and one-pass variance, the mixing pair, the memory blend and the
+    class-weighted direction, steps `param`, stores this iteration's stats
+    as the previous ones, and returns the block's fallback count.
+    """
+    mean, var, resid, tmp, coef, direction, decay = scratch
+    n = pilot_size
+    np.divide(mean, n, out=mean)
+    np.subtract(mean, resid, out=resid)  # mean - fresh: the decay terms cancel
+    np.multiply(mean, mean, out=tmp)
+    tmp *= n
+    var -= tmp
+    var /= n - 1
+    np.maximum(var, 0.0, out=var)  # the one-pass form can round below zero
+    if weight_decay:
+        # Decay shifts every sample's gradient by the same amount: mean only.
+        np.multiply(weight_decay, param, out=decay)
+        mean += decay
+    fallbacks = 0
+    if first:
+        memory[...] = resid  # no previous stats: the pure fresh residual
+    else:
+        p, q, fallbacks = optimal_coefficients_elementwise(prev_mean, prev_var, mean, var,
+                                                           out=coef)
+        memory *= p
+        resid *= q
+        memory += resid
+    np.add(memory, mean, out=tmp)
+    np.matmul(class_w, tmp.reshape(class_w.size, -1), out=direction)
+    direction *= scale
+    param -= direction.reshape(param.shape)
+    prev_mean[...] = mean
+    prev_var[...] = var
+    return fallbacks
+
+
+def _class_views(state, n_classes: int) -> list:
+    return [[(w[c], b[c]) for w, b in state] for c in range(n_classes)]
+
+
 def mssg_train(params: mlp.MlpParams, data: LabeledDataset, config: TrainConfig,
                test_data: LabeledDataset,
                memory_out: Optional[ClassMemory] = None):
@@ -151,8 +228,14 @@ def mssg_train(params: mlp.MlpParams, data: LabeledDataset, config: TrainConfig,
     from the weighted (memory + pilot mean) directions. Reports accuracy
     every ``checkpoint_every`` iterations and at the end.
 
-    Pass a ClassMemory as `memory_out` to receive the final memory and the
-    fallback count.
+    All classes' pilot and fresh rows go through one forward/backward pass.
+    Each layer is then streamed in row blocks of W (and one block for b):
+    the block's per-class pilot sums A^T D and sums of squares
+    (A*A)^T (D*D) come from batched matrix products, and the block is
+    blended and updated before the next one is formed.
+
+    Pass a ClassMemory as `memory_out` to receive the final memory, the
+    last pilot stats and the fallback count.
     """
     n_classes = data.n_classes
     if n_classes < 2:
@@ -164,60 +247,64 @@ def mssg_train(params: mlp.MlpParams, data: LabeledDataset, config: TrainConfig,
             raise ValueError(f"class {c} has {idx.size} samples, pilot needs "
                              f"{config.pilot_size}")
     params = params.copy()
+    n, wd = config.pilot_size, config.weight_decay
+    n_pilot = n_classes * n
     class_w = data.class_weights()
+    layers = list(zip(params.weights, params.biases))
+    memory, prev_mean, prev_var = (
+        [(np.zeros((n_classes,) + w.shape), np.zeros((n_classes,) + b.shape))
+         for w, b in layers] for _ in range(3))
     mem = memory_out if memory_out is not None else ClassMemory([])
-    mem.memory = [_zeros_like(params) for _ in range(n_classes)]
+    mem.memory = _class_views(memory, n_classes)
     mem.prev_mean = None
     mem.prev_var = None
     mem.fallbacks = 0
+    block_rows = [max(1, min(w.shape[0], BLOCK_ENTRIES // w.shape[1])) for w, _ in layers]
+    scratch = _BlockScratch(n_classes,
+                            max(r * w.shape[1] for r, (w, _) in zip(block_rows, layers)))
     scale = config.step_size / n_classes \
         if config.update_scale is UpdateScale.ALGORITHM_VERBATIM else config.step_size
     reports: list[AccuracyReport] = []
 
+    pilot = np.empty((n_classes, n), dtype=np.int64)
+    fresh = np.empty(n_classes, dtype=np.int64)
     for it in range(1, config.iterations + 1):
-        direction = _zeros_like(params)
-        new_means: list[Shaped] = []
-        new_vars: list[Shaped] = []
-        for c in range(n_classes):
+        for c, idx in enumerate(data.class_index):
             rng = spawn_rng(config.seed, it, c)
-            idx = data.class_index[c]
-            pilot_rows = rng.choice(idx, size=config.pilot_size, replace=False)
-            pilot = mlp.per_sample_grads(params, data.features[pilot_rows],
-                                         data.labels[pilot_rows], config.weight_decay)
-            mean_c, var_c = _pilot_stats(pilot)
-            fresh_row = int(rng.choice(idx))
-            fresh = mlp.per_sample_grads(params, data.features[[fresh_row]],
-                                         data.labels[[fresh_row]], config.weight_decay)
-            g_c = mem.memory[c]
-            for l in range(params.n_layers):
-                gw, gb = g_c[l]
-                mw, mb = mean_c[l]
-                fw, fb = fresh[l][0][0], fresh[l][1][0]
-                if mem.prev_mean is None:
-                    # First iteration: no previous stats, pure fresh residual.
-                    gw[...] = mw - fw
-                    gb[...] = mb - fb
-                else:
-                    pmw, pmb = mem.prev_mean[c][l]
-                    pvw, pvb = mem.prev_var[c][l]
-                    vw, vb = var_c[l]
-                    pw, qw, nfw = optimal_coefficients_elementwise(pmw, pvw, mw, vw)
-                    pb, qb, nfb = optimal_coefficients_elementwise(pmb, pvb, mb, vb)
-                    mem.fallbacks += nfw + nfb
-                    gw[...] = pw * gw + qw * (mw - fw)
-                    gb[...] = pb * gb + qb * (mb - fb)
-                direction[l][0][...] += class_w[c] * (gw + mw)
-                direction[l][1][...] += class_w[c] * (gb + mb)
-            new_means.append(mean_c)
-            new_vars.append(var_c)
-        for l in range(params.n_layers):
-            params.weights[l] -= scale * direction[l][0]
-            params.biases[l] -= scale * direction[l][1]
+            pilot[c] = rng.choice(idx, size=n, replace=False)
+            fresh[c] = rng.choice(idx)
+        rows = np.concatenate([pilot.ravel(), fresh])  # class-major pilots, then fresh
+        acts, _, deltas = mlp.forward_backward(params, data.features[rows], data.labels[rows])
+        first = it == 1
+        for l, (w, b) in enumerate(layers):
+            fan_in, fan_out = w.shape
+            a_t = np.ascontiguousarray(
+                acts[l][:n_pilot].reshape(n_classes, n, fan_in).transpose(0, 2, 1))
+            a_t2 = a_t * a_t
+            d = deltas[l][:n_pilot].reshape(n_classes, n, fan_out)
+            d2 = d * d
+            a_fresh, d_fresh = acts[l][n_pilot:], deltas[l][n_pilot:]
+            (mem_w, mem_b), (mean_w, mean_b), (var_w, var_b) = \
+                memory[l], prev_mean[l], prev_var[l]
+            for r0 in range(0, fan_in, block_rows[l]):
+                blk = slice(r0, r0 + block_rows[l])
+                views = scratch.views((n_classes, min(block_rows[l], fan_in - r0), fan_out))
+                np.matmul(a_t[:, blk], d, out=views[0])
+                np.matmul(a_t2[:, blk], d2, out=views[1])
+                np.multiply(a_fresh[:, blk, None], d_fresh[:, None, :], out=views[2])
+                mem.fallbacks += _blend_block(views, w[blk], mem_w[:, blk], mean_w[:, blk],
+                                              var_w[:, blk], class_w, n, wd, scale, first)
+            views = scratch.views((n_classes, 1, fan_out))
+            d.sum(axis=1, keepdims=True, out=views[0])
+            d2.sum(axis=1, keepdims=True, out=views[1])
+            views[2][:, 0] = d_fresh
+            mem.fallbacks += _blend_block(views, b[None], mem_b[:, None], mean_b[:, None],
+                                          var_b[:, None], class_w, n, 0.0, scale, first)
         _assert_finite(params, it, "mssg")
-        mem.prev_mean = new_means
-        mem.prev_var = new_vars
         if it % config.checkpoint_every == 0 or it == config.iterations:
             _checkpoint(reports, params, data, test_data, it, "mssg", config)
+    mem.prev_mean = _class_views(prev_mean, n_classes)
+    mem.prev_var = _class_views(prev_var, n_classes)
     return params, reports
 
 
@@ -266,11 +353,12 @@ def baseline_train(params: mlp.MlpParams, data: LabeledDataset, config: TrainCon
             _, grad = mlp.loss_and_grad(params, feats, labels, config.weight_decay)
         else:
             rows = np.array([int(rng.choice(idx)) for idx in data.class_index])
-            per = mlp.per_sample_grads(params, data.features[rows], data.labels[rows],
-                                       config.weight_decay)
+            acts, _, deltas = mlp.forward_backward(params, data.features[rows],
+                                                   data.labels[rows])
             grad = mlp.MlpParams(
-                [np.einsum("c,cio->io", class_w, dw) for dw, _ in per],
-                [np.einsum("c,co->o", class_w, db) for _, db in per],
+                [a.T @ (class_w[:, None] * d) + config.weight_decay * w
+                 for a, d, w in zip(acts, deltas, params.weights)],
+                [class_w @ d for d in deltas],
             )
         for l in range(params.n_layers):
             params.weights[l] -= config.step_size * grad.weights[l]

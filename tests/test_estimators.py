@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from stratgrad.estimators import (
+    CoefficientBuffers,
     Coefficients,
     Degenerate,
     EstimateTrace,
@@ -138,6 +139,29 @@ def test_elementwise_agrees_with_scalar():
         assert q[i] == pytest.approx(c.q, abs=1e-15), i
         fallbacks += c.is_fallback
     assert n_fallback == fallbacks
+
+
+def test_elementwise_out_buffers_give_the_allocating_bits():
+    rng = spawn_rng(3)
+    shape = (3, 5, 40)
+    # gradient-sized and unit-sized statistics, so both the guard and the
+    # plain formula fire, salted with the zero-mean special cases
+    scale = np.where(rng.random(shape) < 0.5, 1e-3, 1.0)
+    mp, mc = rng.normal(0, 1, shape) * scale, rng.normal(0, 1, shape) * scale
+    vp, vc = rng.exponential(1, shape) * scale ** 2, rng.exponential(1, shape) * scale ** 2
+    mp[0, 0] = 0.0
+    mc[0, :2] = 0.0
+    vc[1, 0] = 0.0
+    p, q, n_fallback = optimal_coefficients_elementwise(mp, vp, mc, vc)
+    out = CoefficientBuffers.empty(shape)
+    for arr in out:
+        arr.fill(1)  # stale contents must not leak into the result
+    p_out, q_out, n_out = optimal_coefficients_elementwise(mp, vp, mc, vc, out=out)
+    assert p_out is out.p and q_out is out.q
+    assert np.array_equal(p_out.view(np.int64), p.view(np.int64))
+    assert np.array_equal(q_out.view(np.int64), q.view(np.int64))
+    assert n_out == n_fallback
+    assert 0 < n_fallback < p.size
 
 
 # ------------------------------------------------------------ condition check

@@ -7,7 +7,7 @@ import pytest
 from stratgrad import mlp
 from stratgrad.rng import spawn_rng
 
-from oracles import max_relative_error, numeric_gradient
+from oracles import max_relative_error, numeric_gradient, per_sample_grads
 
 
 def random_batch(params, n, seed):
@@ -92,6 +92,27 @@ def test_forward_shape_mismatch_rejected():
         mlp.forward(params, np.ones(5))
 
 
+def _two_branch_sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_is_bit_identical_to_two_branch_form():
+    rng = spawn_rng(41)
+    tiny = np.finfo(np.float64).tiny
+    special = np.array([np.inf, -np.inf, np.nan, -np.nan, 0.0, -0.0, 745.0, -745.0,
+                        746.0, -746.0, 5e-324, -5e-324, tiny, -tiny, 1e-310, -1e-310])
+    for z in (rng.normal(0, 10, (300, 50)), rng.uniform(-800, 800, 2000), special):
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = _two_branch_sigmoid(z)
+            got = mlp._sigmoid(z)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
 # ---------------------------------------------------------------- loss / gradient
 
 def test_zero_params_loss_is_log_class_count():
@@ -129,7 +150,7 @@ def test_gradient_matches_finite_differences(shape):
 def test_per_sample_grads_average_to_batch_gradient():
     params = mlp.init_params((5, 4, 3), seed=13)
     features, labels = random_batch(params, 7, seed=14)
-    per = mlp.per_sample_grads(params, features, labels, 0.01)
+    per = per_sample_grads(params, features, labels, 0.01)
     _, batch = mlp.loss_and_grad(params, features, labels, 0.01)
     for l in range(params.n_layers):
         assert np.allclose(per[l][0].mean(axis=0), batch.weights[l], atol=1e-13)

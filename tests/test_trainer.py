@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from stratgrad import mlp, trainer
+from stratgrad.cli import DESK_SHAPE
 from stratgrad.dataio import LabeledDataset
 from stratgrad.rng import spawn_rng
 from stratgrad.trainer import (
@@ -17,6 +18,8 @@ from stratgrad.trainer import (
     grid_search,
     mssg_train,
 )
+
+from oracles import mssg_reference, per_sample_grads
 
 
 def blob_dataset(n_per_class, n_classes=3, n_features=6, seed=0, spread=0.08):
@@ -170,11 +173,10 @@ def test_mssg_first_iteration_direction_is_unbiased():
         for c in range(3):
             idx = data.class_index[c]
             pilot = rng.choice(idx, size=4, replace=False)
-            per = mlp.per_sample_grads(params, data.features[pilot],
-                                       data.labels[pilot], wd)
+            per = per_sample_grads(params, data.features[pilot], data.labels[pilot], wd)
             fresh_row = int(rng.choice(idx))
-            fresh = mlp.per_sample_grads(params, data.features[[fresh_row]],
-                                         data.labels[[fresh_row]], wd)
+            fresh = per_sample_grads(params, data.features[[fresh_row]],
+                                     data.labels[[fresh_row]], wd)
             for t, (l, i, o) in enumerate(tracked):
                 mean_t = per[l][0][:, i, o].mean()
                 fresh_t = fresh[l][0][0, i, o]
@@ -229,6 +231,58 @@ def test_mssg_divergence_reports_iteration():
         mssg_train(params, data, config, data)
 
 
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
+@pytest.mark.parametrize("shape", [(6, 4, 3), DESK_SHAPE])
+def test_mssg_matches_two_pass_reference(shape, weight_decay):
+    # The trainer's one batched pass, one-pass moments and row-block
+    # streaming against the per-class loop over materialised per-sample
+    # gradients. DESK_SHAPE's first layer spans several row blocks plus a
+    # ragged last one. The arithmetic differs in order only, so parameters
+    # must agree to 1e-10 relative and every coefficient branch must match.
+    data = blob_dataset(12, n_classes=shape[-1], n_features=shape[0], seed=41)
+    params = mlp.init_params(shape, seed=42)
+    config = small_config(iterations=6, step_size=1.0, weight_decay=weight_decay)
+    mem = ClassMemory([])
+    trained, _ = mssg_train(params, data, config, data, memory_out=mem)
+    expected, ref = mssg_reference(params, data, config)
+    for got, want in zip(trained.weights + trained.biases,
+                         expected.weights + expected.biases):
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+    decisions = (config.iterations - 1) * shape[-1] * sum(
+        w.size + b.size for w, b in zip(params.weights, params.biases))
+    assert 0 < ref.fallbacks < decisions  # both the guard and the formula ran
+    assert mem.fallbacks == ref.fallbacks
+
+
+def test_mssg_one_pass_variance_on_ill_conditioned_pilots():
+    # Each class is one prototype plus 1e-7 jitter, so per-sample gradients
+    # have |mean| far above their spread and the one-pass s2 - n*m^2 cancels
+    # most digits. The result must stay non-negative and within a few ulps
+    # of the sum of squares of the two-pass value: with S = (n-1)*v + n*m^2,
+    # |v_one_pass - v_two_pass| <= 2 * (n + 3) * eps * S / (n - 1).
+    rng = spawn_rng(43)
+    protos = rng.uniform(0.2, 0.8, (3, 6))
+    feats = np.repeat(protos, 10, axis=0) + rng.uniform(0, 1e-7, (30, 6))
+    data = LabeledDataset(feats, np.repeat(np.arange(3), 10))
+    params = mlp.init_params((6, 4, 3), seed=44)
+    config = small_config(iterations=1, pilot_size=8, weight_decay=0.0)
+    mem = ClassMemory([])
+    mssg_train(params, data, config, data, memory_out=mem)
+    _, ref = mssg_reference(params, data, config)
+    n = config.pilot_size
+    eps = np.finfo(np.float64).eps
+    worst_ratio = 0.0
+    for got_c, mean_c, var_c in zip(mem.prev_var, ref.prev_mean, ref.prev_var):
+        for got_l, mean_l, var_l in zip(got_c, mean_c, var_c):
+            for got, m, v in zip(got_l, mean_l, var_l):
+                assert np.all(got >= 0.0)
+                sq_sum = (n - 1) * v + n * m * m
+                assert np.all(np.abs(got - v) <= 2 * (n + 3) * eps * sq_sum / (n - 1))
+                spread = np.sqrt(v[v > 0])
+                worst_ratio = max(worst_ratio, float(np.max(np.abs(m[v > 0]) / spread)))
+    assert worst_ratio > 1e4
+
+
 # ---------------------------------------------------------------- baselines
 
 def test_batch_equal_to_full_gradient_when_batch_is_everything():
@@ -277,7 +331,7 @@ def test_stratified_direction_is_unbiased():
     values = np.empty(reps)
     for r in range(reps):
         rows = np.array([int(rng.choice(idx)) for idx in data.class_index])
-        per = mlp.per_sample_grads(params, data.features[rows], data.labels[rows], wd)
+        per = per_sample_grads(params, data.features[rows], data.labels[rows], wd)
         l, i, o = tracked
         values[r] = float(np.dot(class_w, per[l][0][:, i, o]))
     se = values.std(ddof=1) / math.sqrt(reps)

@@ -3,8 +3,9 @@
 One subcommand per experiment: synthetic estimator races, Monte-Carlo
 verification of the variance prediction, the tracked-weight gradient-matrix
 replay, single training runs, and the hyperparameter grid search. Every
-run is deterministic given (seed, config, dataset), emits CSV/SVG files
-into --out-dir, and finishes by writing a run manifest listing them.
+run is byte-deterministic given (seed, config, dataset) and a fixed BLAS
+thread count, emits CSV/SVG files into --out-dir, and finishes by writing
+a run manifest listing them.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ _FAMILY_CHOICES = tuple(t.value for t in Trend)
 _POP_STREAM, _INIT_STREAM, _REP_STREAM, _TEST_STREAM = 1, 2, 3, 4
 _TRACE_STREAM = 7000
 _TUPLE_STREAM, _MC_STREAM = 31, 37
+_ALGORITHMS = ("mssg", *(k.value for k in trainer.BaselineKind))
 
 
 class _Run:
@@ -317,7 +319,6 @@ def _make_config(args, step_size=None, weight_decay=None, iterations=None,
         weight_decay=weight_decay if weight_decay is not None else args.weight_decay,
         seed=args.seed,
         pilot_size=args.pilot_size,
-        update_scale=trainer.UpdateScale(args.update_scale),
         checkpoint_every=checkpoint_every if checkpoint_every is not None
         else args.checkpoint_every,
     )
@@ -330,19 +331,6 @@ def _run_algorithm(algorithm: str, params, train, test, config, sgd_multiplier: 
         params, reports = trainer.mssg_train(params, train, config, test,
                                              memory_out=memory)
         return params, reports, memory.fallbacks
-    if algorithm == "fullgrad":
-        reports = []
-        done = 0
-        while done < config.iterations:
-            segment = min(config.checkpoint_every, config.iterations - done)
-            params, _ = mlp.full_gradient_train(params, train.features, train.labels,
-                                                segment, config.step_size,
-                                                config.weight_decay)
-            done += segment
-            reports.append(trainer.AccuracyReport(
-                done, trainer.accuracy(params, train), trainer.accuracy(params, test),
-                "fullgrad", config.step_size, config.weight_decay))
-        return params, reports, 0
     kind = trainer.BaselineKind(algorithm)
     params, reports = trainer.baseline_train(params, train, config, kind, test,
                                              sgd_multiplier=sgd_multiplier)
@@ -420,9 +408,6 @@ def _add_train_flags(p: argparse.ArgumentParser, alpha: float, iterations: int) 
                    help="iterations between accuracy checkpoints")
     p.add_argument("--sgd-multiplier", type=int, default=1,
                    help="extra iteration multiplier applied to the sgd baseline")
-    p.add_argument("--update-scale", choices=[s.value for s in trainer.UpdateScale],
-                   default=trainer.UpdateScale.ALGORITHM_VERBATIM.value,
-                   help="whether the memory update keeps the 1/n_classes factor")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -474,8 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train one algorithm and checkpoint accuracy",
                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    p.add_argument("--algorithm", required=True,
-                   choices=["mssg", "sgd", "batch", "gst", "fullgrad"])
+    p.add_argument("--algorithm", required=True, choices=_ALGORITHMS)
     _add_data_flags(p)
     _add_train_flags(p, alpha=0.2, iterations=1000)
     _add_common(p)
@@ -483,8 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gridsearch", help="grid-search step size and weight decay",
                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    p.add_argument("--algorithm", default="mssg",
-                   choices=["mssg", "sgd", "batch", "gst", "fullgrad"])
+    p.add_argument("--algorithm", default="mssg", choices=_ALGORITHMS)
     _add_data_flags(p)
     _add_train_flags(p, alpha=0.2, iterations=1000)
     p.add_argument("--alphas", default="0.01,1,0.001", help="comma-separated step sizes")

@@ -16,15 +16,12 @@ history of one chosen weight across a sequence of parameter snapshots.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .rng import spawn_rng
-
-PARAMS_MAGIC = b"MLP1"
 
 
 @dataclass(frozen=True)
@@ -160,6 +157,16 @@ def forward_batch(params: MlpParams, features) -> np.ndarray:
     return acts[-1]
 
 
+def _objective(params: MlpParams, logits: np.ndarray, labels: np.ndarray,
+               weight_decay: float) -> float:
+    """Mean cross-entropy of the logits plus the L2 weight penalty."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_z = np.log(np.exp(shifted).sum(axis=1))
+    data = float(np.mean(log_z - shifted[np.arange(labels.size), labels]))
+    reg = 0.5 * weight_decay * sum(float(np.sum(w * w)) for w in params.weights)
+    return data + reg
+
+
 def loss(params: MlpParams, features, labels, weight_decay: float = 0.0) -> float:
     """Mean cross-entropy plus the L2 weight penalty."""
     features = _check_features(params, features)
@@ -167,11 +174,7 @@ def loss(params: MlpParams, features, labels, weight_decay: float = 0.0) -> floa
     if features.shape[0] == 0:
         raise ValueError("batch must be non-empty")
     _, logits = _forward_cached(params, features)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1))
-    data = float(np.mean(log_z - shifted[np.arange(labels.size), labels]))
-    reg = 0.5 * weight_decay * sum(float(np.sum(w * w)) for w in params.weights)
-    return data + reg
+    return _objective(params, logits, labels, weight_decay)
 
 
 def forward_backward(params: MlpParams, features, labels, batch_mean: bool = False):
@@ -211,14 +214,9 @@ def loss_and_grad(params: MlpParams, features, labels, weight_decay: float = 0.0
     features = _check_features(params, features)
     labels = _check_labels(params, labels, features.shape[0])
     acts, logits, deltas = forward_backward(params, features, labels, batch_mean=True)
-    n = features.shape[0]
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1))
-    data = float(np.mean(log_z - shifted[np.arange(n), labels]))
-    reg = 0.5 * weight_decay * sum(float(np.sum(w * w)) for w in params.weights)
     grad_w = [a.T @ d + weight_decay * w for a, d, w in zip(acts, deltas, params.weights)]
     grad_b = [d.sum(axis=0) for d in deltas]
-    return data + reg, MlpParams(grad_w, grad_b)
+    return _objective(params, logits, labels, weight_decay), MlpParams(grad_w, grad_b)
 
 
 def full_gradient_train(params: MlpParams, features, labels, steps: int,
@@ -245,15 +243,6 @@ def full_gradient_train(params: MlpParams, features, labels, steps: int,
             params.biases[l] -= step_size * grad.biases[l]
     losses.append(loss(params, features, labels, weight_decay))
     return params, losses
-
-
-@dataclass(frozen=True)
-class GradRecord:
-    """One cell of a tracked-weight gradient matrix."""
-
-    sample_index: int
-    iteration: int
-    grad_value: float
 
 
 def record_weight_gradient(params_sequence: Sequence[MlpParams], features, labels,
@@ -292,47 +281,3 @@ def record_weight_gradient(params_sequence: Sequence[MlpParams], features, label
             + weight_decay * prm.weights[layer][in_idx, out_idx]
     return matrix
 
-
-def grad_records(matrix: np.ndarray) -> list[GradRecord]:
-    """Explode a gradient matrix into (sample, iteration, value) records."""
-    n, t = matrix.shape
-    return [GradRecord(i, j, float(matrix[i, j])) for i in range(n) for j in range(t)]
-
-
-def save_params(params: MlpParams, path) -> None:
-    """Write parameters in the flat binary layout.
-
-    Header: magic MLP1, layer count and layer sizes as little-endian
-    uint32; then per layer the row-major float64 weights followed by the
-    biases, all little-endian.
-    """
-    sizes = params.shape.layer_sizes
-    with open(path, "wb") as f:
-        f.write(PARAMS_MAGIC)
-        f.write(struct.pack("<I", len(sizes)))
-        f.write(struct.pack(f"<{len(sizes)}I", *sizes))
-        for w, b in zip(params.weights, params.biases):
-            f.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-            f.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
-
-
-def load_params(path) -> MlpParams:
-    """Read parameters written by :func:`save_params`."""
-    with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != PARAMS_MAGIC:
-            raise ValueError(f"bad parameter-file magic {magic!r}, expected {PARAMS_MAGIC!r}")
-        (n_sizes,) = struct.unpack("<I", f.read(4))
-        sizes = struct.unpack(f"<{n_sizes}I", f.read(4 * n_sizes))
-        weights, biases = [], []
-        for fan_in, fan_out in zip(sizes, sizes[1:]):
-            w = np.frombuffer(f.read(8 * fan_in * fan_out), dtype="<f8").reshape(fan_in, fan_out)
-            b = np.frombuffer(f.read(8 * fan_out), dtype="<f8")
-            weights.append(w.astype(np.float64))
-            biases.append(b.astype(np.float64))
-        if f.read(1):
-            raise ValueError("trailing bytes after parameter payload")
-    params = MlpParams(weights, biases)
-    if not params.all_finite():
-        raise ValueError("loaded parameters contain non-finite entries")
-    return params

@@ -14,12 +14,12 @@ n - 1).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .rng import as_rng, spawn_rng
+from .rng import spawn_rng
 
 # One interval per round for the two uniform drift families; midpoints move
 # from 10 down to 1.5 (and the reverse for the increasing family).
@@ -196,11 +196,24 @@ def draw_stratified(p: StratifiedPopulation, per_stratum: int, seed) -> list[tup
     return pairs
 
 
-def _build_rounds(value_blocks: list[np.ndarray], n_strata: int) -> list[StratifiedPopulation]:
+def _draw_rounds(draw, params: list[tuple[float, float]], n_per_round: int, seed,
+                 n_strata: int) -> list[StratifiedPopulation]:
+    """One population per parameter pair, in equal strata of fresh draws.
+
+    Stratum j of round k holds n_per_round / n_strata values of
+    draw(rng, a_k, b_k, size) from the stream (seed, k, j), where draw is
+    a Generator method such as ``np.random.Generator.uniform``.
+    """
+    if not params:
+        raise ValueError("need at least one round of distribution parameters")
+    if n_per_round <= 0 or n_per_round % n_strata != 0:
+        raise ValueError(
+            f"n_per_round={n_per_round} must be a positive multiple of n_strata={n_strata}"
+        )
+    per = n_per_round // n_strata
     pops = []
-    for block in value_blocks:
-        per = block.size // n_strata
-        strata = [Stratum(block[j * per:(j + 1) * per], j) for j in range(n_strata)]
+    for k, (a, b) in enumerate(params):
+        strata = [Stratum(draw(spawn_rng(seed, k, j), a, b, per), j) for j in range(n_strata)]
         pops.append(StratifiedPopulation.from_strata(strata))
     return pops
 
@@ -218,24 +231,13 @@ def gen_uniform_rounds(
     midpoints: non-increasing midpoints mean the decreasing-mean family.
     """
     intervals = [(float(lo), float(hi)) for lo, hi in intervals]
-    if not intervals:
-        raise ValueError("need at least one interval")
     for lo, hi in intervals:
         if lo > hi:
             raise ValueError(f"interval ({lo}, {hi}) has lo > hi")
-    if n_per_round <= 0 or n_per_round % n_strata != 0:
-        raise ValueError(
-            f"n_per_round={n_per_round} must be a positive multiple of n_strata={n_strata}"
-        )
-    per = n_per_round // n_strata
-    blocks = []
-    for k, (lo, hi) in enumerate(intervals):
-        parts = [spawn_rng(seed, k, j).uniform(lo, hi, size=per) for j in range(n_strata)]
-        blocks.append(np.concatenate(parts))
+    pops = _draw_rounds(np.random.Generator.uniform, intervals, n_per_round, seed, n_strata)
     mids = [0.5 * (lo + hi) for lo, hi in intervals]
     decreasing = all(b <= a for a, b in zip(mids, mids[1:]))
-    trend = Trend.UNIFORM_DEC if decreasing else Trend.UNIFORM_INC
-    return PopulationRound(_build_rounds(blocks, n_strata), trend)
+    return PopulationRound(pops, Trend.UNIFORM_DEC if decreasing else Trend.UNIFORM_INC)
 
 
 def trend_schedules(family: Trend, n_rounds: int = DEFAULT_N_ROUNDS) -> list[tuple[float, float]]:
@@ -282,21 +284,11 @@ def gen_normal_rounds(
         else:
             params = trend_schedules(family, n_rounds)
     params = [(float(mu), float(sg)) for mu, sg in params]
-    if not params:
-        raise ValueError("need at least one (mu, sigma) pair")
     for mu, sg in params:
         if sg <= 0:
             raise ValueError(f"sigma must be positive, got {sg}")
-    if n_per_round <= 0 or n_per_round % n_strata != 0:
-        raise ValueError(
-            f"n_per_round={n_per_round} must be a positive multiple of n_strata={n_strata}"
-        )
-    per = n_per_round // n_strata
-    blocks = []
-    for k, (mu, sg) in enumerate(params):
-        parts = [spawn_rng(seed, k, j).normal(mu, sg, size=per) for j in range(n_strata)]
-        blocks.append(np.concatenate(parts))
-    return PopulationRound(_build_rounds(blocks, n_strata), family)
+    return PopulationRound(
+        _draw_rounds(np.random.Generator.normal, params, n_per_round, seed, n_strata), family)
 
 
 def generate_family(family: Trend, seed, n_per_round: int = 40,
@@ -308,15 +300,3 @@ def generate_family(family: Trend, seed, n_per_round: int = 40,
         return gen_uniform_rounds(INCREASING_MEAN_INTERVALS[:n_rounds], n_per_round, seed)
     return gen_normal_rounds(None, n_per_round, seed, family, n_rounds=n_rounds)
 
-
-def rounds_to_columns(rounds: PopulationRound) -> dict[str, list]:
-    """Flatten rounds into the round/stratum/value column triple for CSV."""
-    col_round: list[int] = []
-    col_stratum: list[int] = []
-    col_value: list[float] = []
-    for k, pop in enumerate(rounds.rounds, start=1):
-        for s in pop.strata:
-            col_round.extend([k] * s.size)
-            col_stratum.extend([s.label] * s.size)
-            col_value.extend(float(v) for v in s.values)
-    return {"round": col_round, "stratum": col_stratum, "value": col_value}

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-SeedLike = "int | tuple[int, ...] | np.random.Generator"
-
 
 def _flatten(seed) -> list[int]:
     if isinstance(seed, (tuple, list)):
@@ -34,9 +32,3 @@ def spawn_rng(seed, *path: int) -> np.random.Generator:
     entropy = _flatten(seed) + _flatten(path)
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
-
-def as_rng(seed_or_rng) -> np.random.Generator:
-    """Accept either a seed (int/tuple) or an existing Generator."""
-    if isinstance(seed_or_rng, np.random.Generator):
-        return seed_or_rng
-    return spawn_rng(seed_or_rng)

@@ -9,8 +9,8 @@ blends the class memory with the zero-mean residual of one fresh sample:
     G_c <- p * G_c + q * (pilot_mean_c - fresh_grad_c)
 
 The parameter update then follows the weighted sum of (G_c + pilot_mean_c)
-over classes, scaled by step_size / n_classes by default (the extra 1 / C
-factor folds into the step size; ``UpdateScale.WEIGHTS_ONLY`` drops it).
+over classes, scaled by step_size / n_classes (the extra 1 / C factor
+folds into the step size).
 
 One iteration makes one forward/backward pass over all C * (n + 1) pilot
 and fresh rows. Pilot means and variances come from the per-class sums
@@ -24,8 +24,8 @@ per layer (memory, previous mean, previous variance; about 180 MB at the
 once per run.
 
 Baselines: single-sample steps (optionally with an iteration multiplier),
-pooled mini-batches, and the memoryless one-sample-per-class stratified
-direction.
+pooled mini-batches, full-batch descent, and the memoryless
+one-sample-per-class stratified direction.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -44,17 +44,11 @@ from .estimators import CoefficientBuffers, optimal_coefficients_elementwise
 from .rng import spawn_rng
 
 
-class UpdateScale(enum.Enum):
-    """Whether the memory update carries the extra 1 / n_classes factor."""
-
-    ALGORITHM_VERBATIM = "verbatim"
-    WEIGHTS_ONLY = "weights-only"
-
-
 class BaselineKind(enum.Enum):
     SGD = "sgd"
     BATCH = "batch"
     STRATIFIED = "gst"
+    FULL = "fullgrad"
 
 
 @dataclass
@@ -65,7 +59,6 @@ class TrainConfig:
     weight_decay: float
     seed: int
     pilot_size: int = 8
-    update_scale: UpdateScale = UpdateScale.ALGORITHM_VERBATIM
     checkpoint_every: int = 1000
 
     def __post_init__(self):
@@ -262,8 +255,7 @@ def mssg_train(params: mlp.MlpParams, data: LabeledDataset, config: TrainConfig,
     block_rows = [max(1, min(w.shape[0], BLOCK_ENTRIES // w.shape[1])) for w, _ in layers]
     scratch = _BlockScratch(n_classes,
                             max(r * w.shape[1] for r, (w, _) in zip(block_rows, layers)))
-    scale = config.step_size / n_classes \
-        if config.update_scale is UpdateScale.ALGORITHM_VERBATIM else config.step_size
+    scale = config.step_size / n_classes
     reports: list[AccuracyReport] = []
 
     pilot = np.empty((n_classes, n), dtype=np.int64)
@@ -308,20 +300,22 @@ def mssg_train(params: mlp.MlpParams, data: LabeledDataset, config: TrainConfig,
     return params, reports
 
 
-_BASELINE_STREAM = {BaselineKind.SGD: 11, BaselineKind.BATCH: 12, BaselineKind.STRATIFIED: 13}
+_BASELINE_STREAM = {BaselineKind.SGD: 11, BaselineKind.BATCH: 12, BaselineKind.STRATIFIED: 13,
+                    BaselineKind.FULL: 14}
 
 
 def baseline_train(params: mlp.MlpParams, data: LabeledDataset, config: TrainConfig,
                    kind: BaselineKind, test_data: LabeledDataset,
                    sgd_multiplier: int = 1):
-    """Single-sample, pooled-batch, or memoryless stratified training.
+    """Single-sample, pooled-batch, full-batch or memoryless stratified training.
 
     SGD draws one pooled sample per step and may run ``sgd_multiplier``
     times the configured iterations (checkpoint cadence stretches with it).
     Batch draws ``batch_size`` pooled samples without replacement, except
-    that batch_size == n reuses the dataset verbatim so the trajectory
-    matches full-gradient descent bit for bit. The stratified baseline
-    weights one fresh sample per class by the class shares.
+    that batch_size == n uses the whole dataset, as FULL does every step:
+    the trajectory is then full-gradient descent bit for bit. The
+    stratified baseline weights one fresh sample per class by the class
+    shares.
     """
     if sgd_multiplier < 1:
         raise ValueError("sgd_multiplier must be at least 1")
@@ -331,6 +325,9 @@ def baseline_train(params: mlp.MlpParams, data: LabeledDataset, config: TrainCon
     n = data.n_samples
     if n == 0:
         raise ValueError("cannot train on an empty dataset")
+    if kind is BaselineKind.BATCH and config.batch_size > n:
+        raise ValueError(f"batch_size {config.batch_size} exceeds dataset size {n}")
+    full = kind is BaselineKind.FULL or (kind is BaselineKind.BATCH and config.batch_size == n)
     class_w = data.class_weights()
     rng = spawn_rng(config.seed, _BASELINE_STREAM[kind])
     total = config.iterations * sgd_multiplier
@@ -338,20 +335,7 @@ def baseline_train(params: mlp.MlpParams, data: LabeledDataset, config: TrainCon
     algorithm = kind.value if sgd_multiplier == 1 else f"{kind.value}(x{sgd_multiplier})"
     reports: list[AccuracyReport] = []
     for it in range(1, total + 1):
-        if kind is BaselineKind.SGD:
-            row = int(rng.integers(n))
-            _, grad = mlp.loss_and_grad(params, data.features[[row]],
-                                        data.labels[[row]], config.weight_decay)
-        elif kind is BaselineKind.BATCH:
-            if config.batch_size > n:
-                raise ValueError(f"batch_size {config.batch_size} exceeds dataset size {n}")
-            if config.batch_size == n:
-                feats, labels = data.features, data.labels
-            else:
-                rows = rng.choice(n, size=config.batch_size, replace=False)
-                feats, labels = data.features[rows], data.labels[rows]
-            _, grad = mlp.loss_and_grad(params, feats, labels, config.weight_decay)
-        else:
+        if kind is BaselineKind.STRATIFIED:
             rows = np.array([int(rng.choice(idx)) for idx in data.class_index])
             acts, _, deltas = mlp.forward_backward(params, data.features[rows],
                                                    data.labels[rows])
@@ -360,6 +344,15 @@ def baseline_train(params: mlp.MlpParams, data: LabeledDataset, config: TrainCon
                  for a, d, w in zip(acts, deltas, params.weights)],
                 [class_w @ d for d in deltas],
             )
+        else:
+            if full:
+                rows = slice(None)
+            elif kind is BaselineKind.SGD:
+                rows = [int(rng.integers(n))]
+            else:
+                rows = rng.choice(n, size=config.batch_size, replace=False)
+            _, grad = mlp.loss_and_grad(params, data.features[rows], data.labels[rows],
+                                        config.weight_decay)
         for l in range(params.n_layers):
             params.weights[l] -= config.step_size * grad.weights[l]
             params.biases[l] -= config.step_size * grad.biases[l]

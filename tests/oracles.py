@@ -92,8 +92,7 @@ def mssg_reference(params, data, config):
                 for w, b in zip(params.weights, params.biases)]
 
     mem = trainer.ClassMemory([zeros() for _ in range(n_classes)])
-    scale = config.step_size / n_classes \
-        if config.update_scale is trainer.UpdateScale.ALGORITHM_VERBATIM else config.step_size
+    scale = config.step_size / n_classes
     for it in range(1, config.iterations + 1):
         direction = zeros()
         new_means, new_vars = [], []

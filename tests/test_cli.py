@@ -165,6 +165,7 @@ def test_train_all_algorithms_produce_reports(tmp_path, fixture_data_dir, algori
                    "--out-dir", out) == 0
     cols = read_csv_columns(out / f"accuracy_{algorithm}.csv")
     assert len(cols["test_accu"]) >= 1
+    assert cols["algorithm"] == [algorithm] * len(cols["test_accu"])
     for v in cols["test_accu"]:
         assert 0.0 <= float(v) <= 1.0
 

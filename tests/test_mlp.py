@@ -236,45 +236,3 @@ def test_desk_scale_matrix_under_time_budget():
     elapsed = time.perf_counter() - start
     assert matrix.shape == (2000, 10)
     assert elapsed < 60.0
-
-
-def test_grad_records_explode_matrix():
-    matrix = np.array([[1.0, 2.0], [3.0, 4.0]])
-    records = mlp.grad_records(matrix)
-    assert len(records) == 4
-    assert records[1] == mlp.GradRecord(0, 1, 2.0)
-    keys = {(r.sample_index, r.iteration) for r in records}
-    assert len(keys) == 4
-
-
-# ---------------------------------------------------------------- serialization
-
-def test_params_binary_round_trip(tmp_path):
-    params = mlp.init_params((7, 4, 3), seed=29)
-    path = tmp_path / "net.mlp"
-    mlp.save_params(params, path)
-    loaded = mlp.load_params(path)
-    assert loaded.shape == params.shape
-    for a, b in zip(loaded.weights, params.weights):
-        assert np.array_equal(a, b)
-    for a, b in zip(loaded.biases, params.biases):
-        assert np.array_equal(a, b)
-
-
-def test_params_header_layout(tmp_path):
-    params = mlp.init_params((3, 2), seed=30)
-    path = tmp_path / "net.mlp"
-    mlp.save_params(params, path)
-    blob = path.read_bytes()
-    assert blob[:4] == b"MLP1"
-    assert int.from_bytes(blob[4:8], "little") == 2
-    assert int.from_bytes(blob[8:12], "little") == 3
-    assert int.from_bytes(blob[12:16], "little") == 2
-    assert len(blob) == 16 + 8 * (3 * 2 + 2)
-
-
-def test_params_bad_magic_rejected(tmp_path):
-    path = tmp_path / "net.mlp"
-    path.write_bytes(b"NOPE" + b"\x00" * 16)
-    with pytest.raises(ValueError, match="magic"):
-        mlp.load_params(path)

@@ -16,7 +16,6 @@ from stratgrad.population import (
     gen_uniform_rounds,
     generate_family,
     population_mean,
-    rounds_to_columns,
     stratum_stats,
     trend_schedules,
 )
@@ -244,14 +243,3 @@ def test_draw_rejects_oversized_request():
     pop = _fixture_population()
     with pytest.raises(ValueError):
         draw_stratified(pop, 11, seed=0)
-
-
-# ---------------------------------------------------------------- serialization
-
-def test_rounds_to_columns_shape():
-    rounds = gen_uniform_rounds(DECREASING_MEAN_INTERVALS[:2], 8, 0)
-    cols = rounds_to_columns(rounds)
-    assert set(cols) == {"round", "stratum", "value"}
-    assert len(cols["value"]) == 16
-    assert cols["round"][:8] == [1] * 8
-    assert sorted(set(cols["stratum"])) == [0, 1, 2, 3]

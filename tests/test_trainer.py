@@ -12,7 +12,6 @@ from stratgrad.trainer import (
     BaselineKind,
     ClassMemory,
     TrainConfig,
-    UpdateScale,
     accuracy,
     baseline_train,
     grid_search,
@@ -202,18 +201,6 @@ def test_mssg_memory_out_and_fallback_counter():
     assert mem.prev_mean is not None
 
 
-def test_mssg_weights_only_scale_matches_rescaled_step():
-    data = blob_dataset(12, seed=17)
-    params = mlp.init_params((6, 4, 3), seed=18)
-    a, _ = mssg_train(params, data,
-                      small_config(iterations=3, step_size=0.9), data)
-    b, _ = mssg_train(params, data,
-                      small_config(iterations=3, step_size=0.3,
-                                   update_scale=UpdateScale.WEIGHTS_ONLY), data)
-    for wa, wb in zip(a.weights, b.weights):
-        assert np.allclose(wa, wb, atol=1e-12)
-
-
 def test_mssg_rejects_empty_or_thin_classes():
     data = blob_dataset(3, seed=19)
     params = mlp.init_params((6, 4, 3), seed=20)
@@ -289,11 +276,32 @@ def test_batch_equal_to_full_gradient_when_batch_is_everything():
     data = blob_dataset(10, seed=23)
     params = mlp.init_params((6, 4, 3), seed=24)
     config = small_config(iterations=4, batch_size=data.n_samples, step_size=0.2)
-    via_batch, _ = baseline_train(params, data, config, BaselineKind.BATCH, data)
     via_full, _ = mlp.full_gradient_train(params, data.features, data.labels, 4,
                                           0.2, config.weight_decay)
-    for wa, wb in zip(via_batch.weights, via_full.weights):
-        assert np.array_equal(wa, wb)
+    for kind in (BaselineKind.BATCH, BaselineKind.FULL):
+        trained, _ = baseline_train(params, data, config, kind, data)
+        for got, want in zip(trained.weights + trained.biases,
+                             via_full.weights + via_full.biases):
+            assert np.array_equal(got, want)
+
+
+def test_full_baseline_ignores_batch_size_and_reports_every_checkpoint():
+    data = blob_dataset(10, seed=23)
+    params = mlp.init_params((6, 4, 3), seed=24)
+    config = small_config(iterations=5, batch_size=1000, checkpoint_every=2)
+    _, reports = baseline_train(params, data, config, BaselineKind.FULL, data)
+    assert [r.iterations for r in reports] == [2, 4, 5]
+    assert all(r.algorithm == "fullgrad" for r in reports)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_full_baseline_divergence_reports_iteration():
+    data = blob_dataset(12, seed=21)
+    params = mlp.init_params((6, 4, 3), seed=22)
+    config = small_config(iterations=50, step_size=1e150, weight_decay=1e150,
+                          checkpoint_every=100)
+    with pytest.raises(RuntimeError, match="fullgrad produced non-finite parameters at iteration"):
+        baseline_train(params, data, config, BaselineKind.FULL, data)
 
 
 def test_sgd_on_single_sample_is_deterministic_descent():

@@ -29,16 +29,13 @@ import numpy as np
 from .population import PopulationRound, StratumStats, draw_stratified, population_mean, stratum_stats
 from .rng import spawn_rng
 
-# Relative scale for the guarded-denominator branch of the mixing formula.
-DENOMINATOR_GUARD = 1e-12
-
 
 class Degenerate(enum.Enum):
     """How a coefficient pair was produced.
 
     NONE: the plain minimum-variance formula.
     ZERO_OVER_ZERO: both means were zero, so the 0/0 := 1 limit form applied.
-    GUARDED_DENOMINATOR: the formula was unusable (vanishing denominator,
+    GUARDED_DENOMINATOR: the formula was unusable (zero denominator,
     a zero previous mean against a nonzero current one, or |p| >= 1) and the
     pair fell back to (0, 1), i.e. the fresh draw alone.
     """
@@ -74,7 +71,7 @@ def optimal_coefficients(mean_prev: float, var_prev: float,
 
     Degenerate inputs fall through to explicit branches: both means zero
     uses the 0/0 := 1 limit p = var_curr / (var_prev + var_curr); a
-    vanishing denominator, an unsatisfiable mean ratio (mean_prev = 0 with
+    zero denominator, an unsatisfiable mean ratio (mean_prev = 0 with
     mean_curr != 0) or a blend with |p| >= 1 all fall back to (0, 1), the
     pure fresh draw, and are flagged as such.
     """
@@ -89,7 +86,7 @@ def optimal_coefficients(mean_prev: float, var_prev: float,
         cc = mean_curr * mean_curr * var_prev
         pp = mean_prev * mean_prev * var_curr
         den = cc + pp
-        if den < DENOMINATOR_GUARD * max(1.0, cc, pp):
+        if den == 0.0:
             return _FALLBACK
         coeffs = Coefficients(mean_curr * mean_prev * var_curr / den, cc / den)
     if abs(coeffs.p) >= 1.0:
@@ -146,10 +143,7 @@ def optimal_coefficients_elementwise(mean_prev, var_prev, mean_curr, var_curr,
     np.multiply(mean_prev, mean_prev, out=p)
     p *= var_curr
     np.add(q, p, out=work)
-    np.maximum(q, p, out=p)
-    np.maximum(1.0, p, out=p)
-    np.multiply(DENOMINATOR_GUARD, p, out=p)
-    np.less(work, p, out=fallback)  # den < eps
+    np.equal(work, 0.0, out=fallback)  # zero denominator
     np.equal(mean_prev, 0.0, out=mask)
     np.not_equal(mean_curr, 0.0, out=both_zero)
     both_zero &= mask  # unsatisfiable mean ratio

@@ -144,8 +144,8 @@ def test_elementwise_agrees_with_scalar():
 def test_elementwise_out_buffers_give_the_allocating_bits():
     rng = spawn_rng(3)
     shape = (3, 5, 40)
-    # gradient-sized and unit-sized statistics, so both the guard and the
-    # plain formula fire, salted with the zero-mean special cases
+    # gradient-sized and unit-sized statistics, so both the fallback and
+    # the plain formula fire, salted with the zero-mean special cases
     scale = np.where(rng.random(shape) < 0.5, 1e-3, 1.0)
     mp, mc = rng.normal(0, 1, shape) * scale, rng.normal(0, 1, shape) * scale
     vp, vc = rng.exponential(1, shape) * scale ** 2, rng.exponential(1, shape) * scale ** 2
@@ -162,6 +162,35 @@ def test_elementwise_out_buffers_give_the_allocating_bits():
     assert np.array_equal(q_out.view(np.int64), q.view(np.int64))
     assert n_out == n_fallback
     assert 0 < n_fallback < p.size
+
+
+# Statistics whose scaled copies stay normal floats for every 2**k below.
+scalable_stats = st.tuples(
+    st.floats(1e-3, 10.0), st.floats(1e-6, 10.0),
+    st.floats(1e-3, 10.0), st.floats(1e-6, 10.0),
+    st.sampled_from([1.0, -1.0]), st.sampled_from([1.0, -1.0]),
+).map(lambda t: (t[4] * t[0], t[1], t[5] * t[2], t[3]))
+
+
+@given(scalable_stats, st.integers(-27, 27))
+def test_coefficients_invariant_under_power_of_two_rescaling(stats, k):
+    # (m, V) -> (s*m, s^2*V) scales every product in the formula by an
+    # exact power of two, so the mixing pair and the fallback decision must
+    # not change by a single bit, whatever the magnitude of the gradients.
+    mp, vp, mc, vc = stats
+    s = 2.0 ** k
+    scaled = (s * mp, s * s * vp, s * mc, s * s * vc)
+
+    def bits(p, q):
+        return np.array([p, q], dtype=np.float64).view(np.int64).tolist()
+
+    base, moved = optimal_coefficients(*stats), optimal_coefficients(*scaled)
+    assert bits(moved.p, moved.q) == bits(base.p, base.q)
+    assert moved.degenerate is base.degenerate
+    p, q, n_fallback = optimal_coefficients_elementwise(*([v] for v in stats))
+    p_s, q_s, n_scaled = optimal_coefficients_elementwise(*([v] for v in scaled))
+    assert bits(p_s[0], q_s[0]) == bits(p[0], q[0])
+    assert n_scaled == n_fallback
 
 
 # ------------------------------------------------------------ condition check

@@ -194,18 +194,6 @@ def unbiased_condition_holds(c: Coefficients, mean_prev: float, mean_curr: float
     return abs(c.p / (1.0 - c.q) - ratio) <= tol * abs(ratio)
 
 
-def _stratum_means(samples: Sequence, n: int) -> np.ndarray:
-    if len(samples) != n:
-        raise ValueError(f"got samples for {len(samples)} strata, expected {n}")
-    out = np.empty(n)
-    for j, block in enumerate(samples):
-        block = np.atleast_1d(np.asarray(block, dtype=np.float64))
-        if block.size == 0:
-            raise ValueError(f"stratum {j} has no samples")
-        out[j] = block.mean()
-    return out
-
-
 def gst_estimate(samples: Sequence, weights) -> float:
     """Weighted mean of per-stratum sample means: sum_j w_j * mean(samples_j)."""
     weights = np.asarray(weights, dtype=np.float64)
@@ -245,6 +233,18 @@ class MemoryState:
             raise ValueError("one memory entry and one stats entry per stratum")
         if self.iteration < 1:
             raise ValueError("iteration counts from 1")
+
+
+def _stratum_means(samples: Sequence, n: int) -> np.ndarray:
+    if len(samples) != n:
+        raise ValueError(f"got samples for {len(samples)} strata, expected {n}")
+    out = np.empty(n)
+    for j, block in enumerate(samples):
+        block = np.atleast_1d(np.asarray(block, dtype=np.float64))
+        if block.size == 0:
+            raise ValueError(f"stratum {j} has no samples")
+        out[j] = block.mean()
+    return out
 
 
 def gmst_init(first_samples: Sequence, stats: Sequence[StratumStats], weights):

@@ -280,4 +280,3 @@ def record_weight_gradient(params_sequence: Sequence[MlpParams], features, label
         matrix[:, t] = acts[layer][:, in_idx] * delta[:, out_idx] \
             + weight_decay * prm.weights[layer][in_idx, out_idx]
     return matrix
-

@@ -299,4 +299,3 @@ def generate_family(family: Trend, seed, n_per_round: int = 40,
     if family is Trend.UNIFORM_INC:
         return gen_uniform_rounds(INCREASING_MEAN_INTERVALS[:n_rounds], n_per_round, seed)
     return gen_normal_rounds(None, n_per_round, seed, family, n_rounds=n_rounds)
-

@@ -31,4 +31,3 @@ def spawn_rng(seed, *path: int) -> np.random.Generator:
     """
     entropy = _flatten(seed) + _flatten(path)
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
-

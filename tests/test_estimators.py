@@ -34,13 +34,19 @@ from stratgrad.population import (
 )
 from stratgrad.rng import spawn_rng
 
+
+def signed_stats(abs_mean, var):
+    """(mean_prev, var_prev, mean_curr, var_curr) with |means| and variances
+    drawn from the given (lo, hi) ranges and independent mean signs."""
+    return st.tuples(
+        st.floats(*abs_mean), st.floats(*var), st.floats(*abs_mean), st.floats(*var),
+        st.sampled_from([1.0, -1.0]), st.sampled_from([1.0, -1.0]),
+    ).map(lambda t: (t[4] * t[0], t[1], t[5] * t[2], t[3]))
+
+
 # Strategy for inputs guaranteed to take the plain formula branch: means
 # bounded away from zero and a variance ratio below the |p| >= 1 threshold.
-nondegenerate_stats = st.tuples(
-    st.floats(0.1, 10.0), st.floats(0.5, 1.9),
-    st.floats(0.1, 10.0), st.floats(0.5, 1.9),
-    st.sampled_from([1.0, -1.0]), st.sampled_from([1.0, -1.0]),
-).map(lambda t: (t[4] * t[0], t[1], t[5] * t[2], t[3]))
+nondegenerate_stats = signed_stats((0.1, 10.0), (0.5, 1.9))
 
 
 # ------------------------------------------------------------ coefficients
@@ -165,14 +171,7 @@ def test_elementwise_out_buffers_give_the_allocating_bits():
 
 
 # Statistics whose scaled copies stay normal floats for every 2**k below.
-scalable_stats = st.tuples(
-    st.floats(1e-3, 10.0), st.floats(1e-6, 10.0),
-    st.floats(1e-3, 10.0), st.floats(1e-6, 10.0),
-    st.sampled_from([1.0, -1.0]), st.sampled_from([1.0, -1.0]),
-).map(lambda t: (t[4] * t[0], t[1], t[5] * t[2], t[3]))
-
-
-@given(scalable_stats, st.integers(-27, 27))
+@given(signed_stats((1e-3, 10.0), (1e-6, 10.0)), st.integers(-27, 27))
 def test_coefficients_invariant_under_power_of_two_rescaling(stats, k):
     # (m, V) -> (s*m, s^2*V) scales every product in the formula by an
     # exact power of two, so the mixing pair and the fallback decision must

@@ -11,6 +11,7 @@ a run manifest listing them.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from pathlib import Path
@@ -65,6 +66,10 @@ class _Run:
             entries[f"config.{key}"] = getattr(args, key)
         if extra:
             entries.update(extra)
+        # BLAS splits its sums by thread count, so these decide the output bits
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            entries[f"env.{var}"] = os.environ.get(var, "unset")
+        entries["env.numpy"] = np.__version__
         entries["wall_time_s"] = f"{time.perf_counter() - self.started:.3f}"
         entries["output"] = [str(p) for p in self.outputs]
         write_manifest(self.manifest_path, entries)
@@ -149,16 +154,16 @@ def _parse_stats_spec(spec: str):
     strata = []
     for part in spec.split(";"):
         fields = [float(x) for x in part.split(",")]
-        if len(fields) == 4:
-            fields.append(-1.0)  # placeholder: equal weights
-        if len(fields) != 5:
+        if len(fields) not in (4, 5):
             raise ValueError(
                 f"stats spec needs 'mean_prev,var_prev,mean_curr,var_curr[,weight]', got {part!r}")
-        strata.append(tuple(fields))
-    raw_w = np.array([s[4] for s in strata])
-    if np.all(raw_w < 0):
-        raw_w = np.ones(len(strata))
-    elif np.any(raw_w <= 0):
+        strata.append(fields)
+    given = [s[4] for s in strata if len(s) == 5]
+    if not given:
+        raw_w = np.ones(len(strata))  # all omitted: equal weights
+    elif len(given) == len(strata) and all(w > 0 for w in given):
+        raw_w = np.array(given)
+    else:
         raise ValueError("stratum weights must all be given (positive) or all omitted")
     weights = raw_w / raw_w.sum()
     return [(s[0], s[1], s[2], s[3], float(w)) for s, w in zip(strata, weights)]
@@ -254,13 +259,9 @@ def cmd_gradmatrix(args, run: _Run) -> None:
     shape = DESK_SHAPE if args.desk else FULL_SHAPE
     iterations = args.iterations if args.iterations else (10 if args.desk else 60)
     params = mlp.init_params(shape, (args.seed, _INIT_STREAM))
-    snapshots: list = []
-    params, losses = mlp.full_gradient_train(
+    params, losses, matrix = mlp.full_gradient_train(
         params, train.features, train.labels, iterations, args.alpha,
-        args.weight_decay, snapshots=snapshots)
-    tracked = (params.n_layers - 1, 0, 0)
-    matrix = mlp.record_weight_gradient(snapshots, train.features, train.labels,
-                                        tracked, args.weight_decay)
+        args.weight_decay, tracked=(params.n_layers - 1, 0, 0))
 
     n, t = matrix.shape
     write_csv(run.path("grad_matrix.csv"), {

@@ -10,41 +10,19 @@ backward pass itself (``forward_backward``): every layer's input
 activations and per-sample deltas. A per-sample weight gradient is the
 outer product of the two, so callers get sums, class-weighted sums and sums
 of squares of per-sample gradients as matrix products without ever forming
-an (n, fan_in, fan_out) tensor. A recorder gives the per-sample gradient
-history of one chosen weight across a sequence of parameter snapshots.
+an (n, fan_in, fan_out) tensor. Full-batch descent can record, from the
+pass each step already makes, every sample's gradient for one tracked
+weight at every step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .rng import spawn_rng
-
-
-@dataclass(frozen=True)
-class MlpShape:
-    """Layer widths, input first, class count last."""
-
-    layer_sizes: tuple[int, ...]
-
-    def __post_init__(self):
-        sizes = tuple(int(s) for s in self.layer_sizes)
-        object.__setattr__(self, "layer_sizes", sizes)
-        if len(sizes) < 2:
-            raise ValueError("need at least an input and an output layer")
-        if any(s < 1 for s in sizes):
-            raise ValueError(f"layer sizes must be positive, got {sizes}")
-
-    @property
-    def n_classes(self) -> int:
-        return self.layer_sizes[-1]
-
-
-def _as_shape(shape) -> MlpShape:
-    return shape if isinstance(shape, MlpShape) else MlpShape(tuple(shape))
 
 
 @dataclass
@@ -64,11 +42,6 @@ class MlpParams:
                 raise ValueError(f"layer {l} fan-in does not chain with layer {l - 1}")
 
     @property
-    def shape(self) -> MlpShape:
-        sizes = [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
-        return MlpShape(tuple(sizes))
-
-    @property
     def n_layers(self) -> int:
         return len(self.weights)
 
@@ -81,9 +54,15 @@ class MlpParams:
 
 
 def init_params(shape, seed) -> MlpParams:
-    """Fresh parameters: weights ~ N(0, 1/fan_in), biases zero."""
-    shape = _as_shape(shape)
-    sizes = shape.layer_sizes
+    """Fresh parameters: weights ~ N(0, 1/fan_in), biases zero.
+
+    `shape` lists the layer widths, input first, class count last.
+    """
+    sizes = tuple(int(s) for s in shape)
+    if len(sizes) < 2:
+        raise ValueError("need at least an input and an output layer")
+    if any(s < 1 for s in sizes):
+        raise ValueError(f"layer sizes must be positive, got {sizes}")
     weights, biases = [], []
     for l, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
         rng = spawn_rng(seed, l)
@@ -140,15 +119,6 @@ def _check_labels(params: MlpParams, labels: np.ndarray, n: int) -> np.ndarray:
     if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
         raise ValueError(f"labels must lie in 0..{n_classes - 1}")
     return labels.astype(np.int64)
-
-
-def forward(params: MlpParams, x) -> np.ndarray:
-    """Class probabilities for a single feature vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"forward expects a single vector, got shape {x.shape}")
-    acts, _ = _forward_cached(params, _check_features(params, x[None, :]))
-    return acts[-1][0]
 
 
 def forward_batch(params: MlpParams, features) -> np.ndarray:
@@ -209,74 +179,60 @@ def forward_backward(params: MlpParams, features, labels, batch_mean: bool = Fal
     return acts, logits, deltas
 
 
+def _loss_grad_pass(params: MlpParams, features, labels, weight_decay: float):
+    """loss_and_grad's (loss, gradient), plus the acts and deltas they came from."""
+    acts, logits, deltas = forward_backward(params, features, labels, batch_mean=True)
+    value = _objective(params, logits, np.asarray(labels, dtype=np.int64), weight_decay)
+    grad_w = [a.T @ d + weight_decay * w for a, d, w in zip(acts, deltas, params.weights)]
+    return value, MlpParams(grad_w, [d.sum(axis=0) for d in deltas]), acts, deltas
+
+
 def loss_and_grad(params: MlpParams, features, labels, weight_decay: float = 0.0):
     """Batch loss and its exact gradient, shaped like the parameters."""
-    features = _check_features(params, features)
-    labels = _check_labels(params, labels, features.shape[0])
-    acts, logits, deltas = forward_backward(params, features, labels, batch_mean=True)
-    grad_w = [a.T @ d + weight_decay * w for a, d, w in zip(acts, deltas, params.weights)]
-    grad_b = [d.sum(axis=0) for d in deltas]
-    return _objective(params, logits, labels, weight_decay), MlpParams(grad_w, grad_b)
+    return _loss_grad_pass(params, features, labels, weight_decay)[:2]
 
 
 def full_gradient_train(params: MlpParams, features, labels, steps: int,
                         step_size: float, weight_decay: float = 0.0,
-                        snapshots: Optional[list] = None):
+                        tracked: Optional[tuple[int, int, int]] = None):
     """Full-batch gradient descent.
 
-    Returns the final parameters and the loss history of length steps + 1
-    (loss before any update through loss after the last one). When a list
-    is passed as `snapshots`, the parameters in force at each step are
-    appended to it, one copy per step.
+    Returns (params, losses, matrix): the final parameters, the loss
+    history of length steps + 1 (loss before any update through loss after
+    the last one), and the per-sample gradient history of the weight
+    `tracked` = (layer, out_index, in_index). matrix is an
+    (n_samples, steps) array whose column t holds every sample's loss
+    gradient for that weight under the parameters in force at step t,
+    weight-decay term included, so column means equal the full-batch
+    gradient's tracked entry. Without `tracked`, matrix is None.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
     params = params.copy()
+    features = _check_features(params, features)
+    labels = _check_labels(params, labels, features.shape[0])
+    n = features.shape[0]
+    matrix = None
+    if tracked is not None:
+        layer, out_idx, in_idx = (int(v) for v in tracked)
+        if layer < 0:
+            layer += params.n_layers
+        if not 0 <= layer < params.n_layers:
+            raise ValueError(f"tracked layer {layer} out of range")
+        fan_in, fan_out = params.weights[layer].shape
+        if not (0 <= in_idx < fan_in and 0 <= out_idx < fan_out):
+            raise ValueError(f"tracked indices ({out_idx}, {in_idx}) outside {fan_in}x{fan_out}")
+        matrix = np.empty((n, steps))
     losses = []
-    for _ in range(steps):
-        if snapshots is not None:
-            snapshots.append(params.copy())
-        value, grad = loss_and_grad(params, features, labels, weight_decay)
+    for t in range(steps):
+        value, grad, acts, deltas = _loss_grad_pass(params, features, labels, weight_decay)
         losses.append(value)
+        if matrix is not None:
+            # the deltas are the mean loss's: n times them are the per-sample ones
+            matrix[:, t] = acts[layer][:, in_idx] * (n * deltas[layer][:, out_idx]) \
+                + weight_decay * params.weights[layer][in_idx, out_idx]
         for l in range(params.n_layers):
             params.weights[l] -= step_size * grad.weights[l]
             params.biases[l] -= step_size * grad.biases[l]
     losses.append(loss(params, features, labels, weight_decay))
-    return params, losses
-
-
-def record_weight_gradient(params_sequence: Sequence[MlpParams], features, labels,
-                           tracked: tuple[int, int, int],
-                           weight_decay: float = 0.0) -> np.ndarray:
-    """Per-sample gradient history of one weight across parameter snapshots.
-
-    `tracked` is (layer, out_index, in_index); the result is an
-    (n_samples, n_snapshots) matrix whose column t holds every sample's
-    loss gradient for that weight under params_sequence[t], weight-decay
-    term included. Column means therefore equal the full-batch gradient's
-    tracked entry.
-    """
-    if not params_sequence:
-        raise ValueError("need at least one parameter snapshot")
-    layer, out_idx, in_idx = (int(v) for v in tracked)
-    first = params_sequence[0]
-    if layer < 0:
-        layer += first.n_layers
-    if not 0 <= layer < first.n_layers:
-        raise ValueError(f"tracked layer {layer} out of range")
-    fan_in, fan_out = first.weights[layer].shape
-    if not (0 <= in_idx < fan_in and 0 <= out_idx < fan_out):
-        raise ValueError(f"tracked indices ({out_idx}, {in_idx}) outside {fan_in}x{fan_out}")
-    features = _check_features(first, features)
-    labels = _check_labels(first, labels, features.shape[0])
-    n = features.shape[0]
-    matrix = np.empty((n, len(params_sequence)))
-    for t, prm in enumerate(params_sequence):
-        acts, _ = _forward_cached(prm, features)
-        delta = acts[-1].copy()
-        delta[np.arange(n), labels] -= 1.0
-        for l in range(prm.n_layers - 1, layer, -1):
-            delta = (delta @ prm.weights[l].T) * acts[l] * (1.0 - acts[l])
-        matrix[:, t] = acts[layer][:, in_idx] * delta[:, out_idx] \
-            + weight_decay * prm.weights[layer][in_idx, out_idx]
-    return matrix
+    return params, losses, matrix

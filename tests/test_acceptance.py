@@ -14,7 +14,7 @@ import pytest
 
 from stratgrad import mlp
 from stratgrad.cli import main as cli_main
-from stratgrad.dataio import load_mnist_split, read_csv_columns, subsample
+from stratgrad.dataio import load_mnist_split, read_csv_columns
 from stratgrad.estimators import (
     Degenerate,
     gmst_init,
@@ -241,8 +241,8 @@ def test_criterion_10_full_mnist_headline(real_mnist_dir):
     train = load_mnist_split(real_mnist_dir, "train")
     test = load_mnist_split(real_mnist_dir, "test")
     params = mlp.init_params((784, 500, 500, 200, 10), seed=1010)
-    params, _ = mlp.full_gradient_train(params, train.features, train.labels,
-                                        60, 0.2, 0.001)
+    params, _, _ = mlp.full_gradient_train(params, train.features, train.labels,
+                                           60, 0.2, 0.001)
     acc = accuracy(params, test) * 100.0
     verdict(10, abs(acc - 87.73) <= 2.0,
             f"full-gradient 60-iteration test accuracy {acc:.2f}% vs 87.73 +/- 2.0")

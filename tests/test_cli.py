@@ -101,6 +101,26 @@ def test_variance_oracle_random_tuples(tmp_path):
     assert all(abs(float(z)) < 4 for z in cols["z"])
 
 
+@pytest.mark.parametrize("stats", ["2,1,1,1,-2;1,1,1,1,-3", "2,1,1,1,1;1,1,1,1,0",
+                                   "2,1,1,1,1;1,1,1,1"])
+def test_variance_oracle_rejects_nonpositive_or_partial_weights(tmp_path, capsys, stats):
+    assert run_cli("variance-oracle", "--stats", stats, "--replications", 10_000,
+                   "--out-dir", tmp_path / "vo") == 1
+    assert "weights" in capsys.readouterr().err
+
+
+def test_manifest_records_blas_threads_and_numpy(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    out = tmp_path / "vo"
+    assert run_cli("variance-oracle", "--stats", "2,1,1,1", "--replications", 10_000,
+                   "--out-dir", out) == 0
+    lines = (out / "manifest.txt").read_text().splitlines()
+    assert "env.OPENBLAS_NUM_THREADS=3" in lines
+    assert "env.OMP_NUM_THREADS=unset" in lines
+    assert f"env.numpy={np.__version__}" in lines
+
+
 def test_variance_oracle_rejects_thin_replications(tmp_path, capsys):
     assert run_cli("variance-oracle", "--replications", 100,
                    "--out-dir", tmp_path / "vo") == 1

@@ -12,9 +12,8 @@ from oracles import max_relative_error, numeric_gradient, per_sample_grads
 
 def random_batch(params, n, seed):
     rng = spawn_rng(seed)
-    shape = params.shape.layer_sizes
-    features = rng.uniform(0, 1, (n, shape[0]))
-    labels = rng.integers(0, shape[-1], n)
+    features = rng.uniform(0, 1, (n, params.weights[0].shape[0]))
+    labels = rng.integers(0, params.weights[-1].shape[1], n)
     return features, labels
 
 
@@ -22,10 +21,10 @@ def random_batch(params, n, seed):
 
 def test_shape_validation():
     with pytest.raises(ValueError):
-        mlp.MlpShape((5,))
+        mlp.init_params((5,), seed=0)
     with pytest.raises(ValueError):
-        mlp.MlpShape((5, 0, 2))
-    assert mlp.MlpShape((784, 500, 500, 200, 10)).n_classes == 10
+        mlp.init_params((5, 0, 2), seed=0)
+    assert mlp.init_params((784, 500, 500, 200, 10), seed=0).weights[-1].shape[1] == 10
 
 
 def test_init_minimal_shape():
@@ -57,7 +56,7 @@ def test_params_shape_chain_validated():
 def test_zero_params_give_uniform_probabilities():
     params = mlp.MlpParams([np.zeros((4, 3)), np.zeros((3, 5))],
                            [np.zeros(3), np.zeros(5)])
-    probs = mlp.forward(params, np.ones(4))
+    probs = mlp.forward_batch(params, np.ones(4)[None])[0]
     assert np.allclose(probs, 0.2)
 
 
@@ -65,7 +64,7 @@ def test_forward_output_in_simplex():
     params = mlp.init_params((6, 5, 4), seed=2)
     rng = spawn_rng(3)
     for _ in range(50):
-        probs = mlp.forward(params, rng.uniform(-20, 20, 6))
+        probs = mlp.forward_batch(params, rng.uniform(-20, 20, 6)[None])[0]
         assert np.all(probs >= 0)
         assert abs(probs.sum() - 1.0) <= 1e-9
 
@@ -83,13 +82,13 @@ def test_forward_matches_hand_arithmetic():
     z2 = [a1[0] * 0.7 + a1[1] * 0.2 - 0.3, a1[0] * (-0.1) + a1[1] * 0.6 + 0.2]
     ez = [math.exp(z) for z in z2]
     expected = [e / sum(ez) for e in ez]
-    assert np.allclose(mlp.forward(params, x), expected, atol=1e-12)
+    assert np.allclose(mlp.forward_batch(params, x[None])[0], expected, atol=1e-12)
 
 
 def test_forward_shape_mismatch_rejected():
     params = mlp.init_params((4, 2), seed=0)
     with pytest.raises(ValueError):
-        mlp.forward(params, np.ones(5))
+        mlp.forward_batch(params, np.ones(5)[None])
 
 
 def _two_branch_sigmoid(z):
@@ -127,7 +126,7 @@ def test_zero_params_loss_is_log_class_count():
 def test_single_sample_loss_is_neg_log_prob():
     params = mlp.init_params((5, 4, 3), seed=6)
     x = spawn_rng(7).uniform(0, 1, 5)
-    probs = mlp.forward(params, x)
+    probs = mlp.forward_batch(params, x[None])[0]
     value = mlp.loss(params, x[None, :], np.array([2]), 0.0)
     assert value == pytest.approx(-math.log(probs[2]), abs=1e-12)
 
@@ -163,9 +162,10 @@ def test_full_gradient_single_step_decreases_loss():
     params = mlp.init_params((4, 3, 2), seed=15)
     features, _ = random_batch(params, 12, seed=16)
     labels = np.zeros(12, dtype=np.int64)
-    _, losses = mlp.full_gradient_train(params, features, labels, 1, 0.2, 0.001)
+    _, losses, matrix = mlp.full_gradient_train(params, features, labels, 1, 0.2, 0.001)
     assert len(losses) == 2
     assert losses[1] <= losses[0]
+    assert matrix is None  # nothing tracked
     with pytest.raises(ValueError):
         mlp.full_gradient_train(params, features, labels, 0, 0.2)
 
@@ -173,31 +173,45 @@ def test_full_gradient_single_step_decreases_loss():
 def test_full_gradient_loss_nonincreasing_small_step():
     params = mlp.init_params((6, 5, 3), seed=17)
     features, labels = random_batch(params, 30, seed=18)
-    _, losses = mlp.full_gradient_train(params, features, labels, 5, 0.01, 0.001)
+    _, losses, _ = mlp.full_gradient_train(params, features, labels, 5, 0.01, 0.001)
     assert all(b <= a for a, b in zip(losses, losses[1:]))
     assert all(np.isfinite(losses))
 
 
-def test_full_gradient_snapshots():
-    params = mlp.init_params((4, 3, 2), seed=19)
-    features, labels = random_batch(params, 6, seed=20)
-    snaps = []
-    mlp.full_gradient_train(params, features, labels, 3, 0.1, snapshots=snaps)
-    assert len(snaps) == 3
-    for wa, wb in zip(snaps[0].weights, params.weights):
-        assert np.array_equal(wa, wb)  # first snapshot is the starting point
-
-
 # ---------------------------------------------------------------- tracked weight
+
+def _params_per_step(params, features, labels, steps, step_size, weight_decay):
+    """The parameters in force at each of `steps` full-batch steps."""
+    return [params] + [mlp.full_gradient_train(params, features, labels, t, step_size,
+                                               weight_decay)[0] for t in range(1, steps)]
+
+
+@pytest.mark.parametrize("tracked", [(1, 2, 3), (-1, 1, 2)])
+def test_tracked_column_equals_per_sample_oracle_at_every_step(tracked):
+    params = mlp.init_params((6, 5, 4, 3), seed=19)
+    features, labels = random_batch(params, 9, seed=20)
+    _, _, matrix = mlp.full_gradient_train(params, features, labels, 4, 0.3, 0.01,
+                                           tracked=tracked)
+    layer, out_idx, in_idx = tracked
+    steps = _params_per_step(params, features, labels, 4, 0.3, 0.01)
+    assert matrix.shape == (9, 4)
+    for wa, wb in zip(steps[-1].weights, params.weights):
+        assert not np.array_equal(wa, wb)  # the descent moved
+    for t, prm in enumerate(steps):
+        expected = per_sample_grads(prm, features, labels, 0.01)[layer][0][:, in_idx, out_idx]
+        assert np.allclose(matrix[:, t], expected, rtol=1e-12, atol=1e-15)
+    # column 0 is taken at the initial parameters
+    start = per_sample_grads(params, features, labels, 0.01)[layer][0][:, in_idx, out_idx]
+    assert np.allclose(matrix[:, 0], start, rtol=1e-12, atol=1e-15)
+
 
 def test_single_sample_matrix_equals_batch_gradient():
     params = mlp.init_params((4, 3, 2), seed=21)
     features, labels = random_batch(params, 1, seed=22)
-    snaps = []
-    mlp.full_gradient_train(params, features, labels, 4, 0.1, 0.001, snapshots=snaps)
-    matrix = mlp.record_weight_gradient(snaps, features, labels, (1, 0, 0), 0.001)
+    _, _, matrix = mlp.full_gradient_train(params, features, labels, 4, 0.1, 0.001,
+                                           tracked=(1, 0, 0))
     assert matrix.shape == (1, 4)
-    for t, prm in enumerate(snaps):
+    for t, prm in enumerate(_params_per_step(params, features, labels, 4, 0.1, 0.001)):
         _, grad = mlp.loss_and_grad(prm, features, labels, 0.001)
         assert matrix[0, t] == pytest.approx(grad.weights[1][0, 0], abs=1e-12)
 
@@ -205,11 +219,10 @@ def test_single_sample_matrix_equals_batch_gradient():
 def test_column_means_equal_full_batch_gradient():
     params = mlp.init_params((6, 5, 4, 3), seed=23)
     features, labels = random_batch(params, 40, seed=24)
-    snaps = []
-    mlp.full_gradient_train(params, features, labels, 5, 0.1, 0.002, snapshots=snaps)
     tracked = (2, 1, 3)
-    matrix = mlp.record_weight_gradient(snaps, features, labels, tracked, 0.002)
-    for t, prm in enumerate(snaps):
+    _, _, matrix = mlp.full_gradient_train(params, features, labels, 5, 0.1, 0.002,
+                                           tracked=tracked)
+    for t, prm in enumerate(_params_per_step(params, features, labels, 5, 0.1, 0.002)):
         _, grad = mlp.loss_and_grad(prm, features, labels, 0.002)
         assert matrix[:, t].mean() == pytest.approx(grad.weights[2][3, 1], abs=1e-10)
 
@@ -218,9 +231,9 @@ def test_tracked_indices_validated():
     params = mlp.init_params((4, 3, 2), seed=25)
     features, labels = random_batch(params, 2, seed=26)
     with pytest.raises(ValueError):
-        mlp.record_weight_gradient([params], features, labels, (1, 5, 0))
+        mlp.full_gradient_train(params, features, labels, 1, 0.1, tracked=(1, 5, 0))
     with pytest.raises(ValueError):
-        mlp.record_weight_gradient([params], features, labels, (7, 0, 0))
+        mlp.full_gradient_train(params, features, labels, 1, 0.1, tracked=(7, 0, 0))
 
 
 def test_desk_scale_matrix_under_time_budget():
@@ -229,10 +242,8 @@ def test_desk_scale_matrix_under_time_budget():
     features = rng.uniform(0, 1, (2000, 784))
     labels = rng.integers(0, 10, 2000)
     start = time.perf_counter()
-    snaps = []
-    mlp.full_gradient_train(params, features, labels, 10, 0.2, 0.001, snapshots=snaps)
-    matrix = mlp.record_weight_gradient(snaps, features, labels,
-                                        (3, 0, 0), 0.001)
+    _, _, matrix = mlp.full_gradient_train(params, features, labels, 10, 0.2, 0.001,
+                                           tracked=(3, 0, 0))
     elapsed = time.perf_counter() - start
     assert matrix.shape == (2000, 10)
     assert elapsed < 60.0

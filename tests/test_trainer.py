@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from stratgrad import mlp, trainer
+from stratgrad import mlp
 from stratgrad.cli import DESK_SHAPE
 from stratgrad.dataio import LabeledDataset
 from stratgrad.rng import spawn_rng
@@ -276,8 +276,8 @@ def test_batch_equal_to_full_gradient_when_batch_is_everything():
     data = blob_dataset(10, seed=23)
     params = mlp.init_params((6, 4, 3), seed=24)
     config = small_config(iterations=4, batch_size=data.n_samples, step_size=0.2)
-    via_full, _ = mlp.full_gradient_train(params, data.features, data.labels, 4,
-                                          0.2, config.weight_decay)
+    via_full, _, _ = mlp.full_gradient_train(params, data.features, data.labels, 4,
+                                             0.2, config.weight_decay)
     for kind in (BaselineKind.BATCH, BaselineKind.FULL):
         trained, _ = baseline_train(params, data, config, kind, data)
         for got, want in zip(trained.weights + trained.biases,
@@ -311,8 +311,8 @@ def test_sgd_on_single_sample_is_deterministic_descent():
     params = mlp.init_params((3, 2), seed=25)
     config = small_config(iterations=6, step_size=0.5, batch_size=1)
     trained, _ = baseline_train(params, data, config, BaselineKind.SGD, data)
-    full, _ = mlp.full_gradient_train(params, feats, labels, 6, 0.5,
-                                      config.weight_decay)
+    full, _, _ = mlp.full_gradient_train(params, feats, labels, 6, 0.5,
+                                         config.weight_decay)
     for wa, wb in zip(trained.weights, full.weights):
         assert np.array_equal(wa, wb)
 
@@ -364,8 +364,8 @@ def test_grid_search_cell_count_and_table():
 
     def train_fn(h, lam, iters):
         params = mlp.init_params((6, 4, 3), seed=34)
-        trained, _ = mlp.full_gradient_train(params, data.features, data.labels,
-                                             iters, h, lam)
+        trained, _, _ = mlp.full_gradient_train(params, data.features, data.labels,
+                                                iters, h, lam)
         return trained
 
     best, cells = grid_search(train_fn, [0.01, 1, 0.001], [0.001, 0.0001], 3, data)

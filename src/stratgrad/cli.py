@@ -258,10 +258,12 @@ def cmd_gradmatrix(args, run: _Run) -> None:
     train, test = _load_split_pair(args)
     shape = DESK_SHAPE if args.desk else FULL_SHAPE
     iterations = args.iterations if args.iterations else (10 if args.desk else 60)
+    marks = [time.perf_counter()]
     params = mlp.init_params(shape, (args.seed, _INIT_STREAM))
     params, losses, matrix = mlp.full_gradient_train(
         params, train.features, train.labels, iterations, args.alpha,
         args.weight_decay, tracked=(params.n_layers - 1, 0, 0))
+    marks.append(time.perf_counter())
 
     n, t = matrix.shape
     write_csv(run.path("grad_matrix.csv"), {
@@ -269,6 +271,7 @@ def cmd_gradmatrix(args, run: _Run) -> None:
         "iteration": np.tile(np.arange(t), n),
         "grad": matrix.reshape(-1),
     })
+    marks.append(time.perf_counter())
 
     rounds = _matrix_rounds(matrix, train.class_index)
     counters: dict = {}
@@ -291,11 +294,19 @@ def cmd_gradmatrix(args, run: _Run) -> None:
             {"population": truth, name: [tr.estimate for tr in reps[0][name]]},
             x=range(1, t + 1), title=f"{name} vs population gradient",
             x_label="iteration", y_label="tracked-weight gradient")
+    marks.append(time.perf_counter())
+
+    train_accuracy = trainer.accuracy(params, train)
+    test_accuracy = trainer.accuracy(params, test)
+    marks.append(time.perf_counter())
+    phases = {f"phase.{name}_s": f"{end - start:.3f}" for name, start, end in
+              zip(("descent", "matrix_csv", "replay", "score"), marks, marks[1:])}
     run.finish(args, {
         "final_loss": losses[-1],
-        "train_accuracy": trainer.accuracy(params, train),
-        "test_accuracy": trainer.accuracy(params, test),
+        "train_accuracy": train_accuracy,
+        "test_accuracy": test_accuracy,
         "gmst_fallbacks": counters.get("gmst_fallbacks", 0),
+        **phases,
     })
 
 

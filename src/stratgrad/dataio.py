@@ -1,7 +1,10 @@
 """Dataset ingestion (IDX files), class partitioning, and report emission.
 
-CSV output uses 17 significant digits so float64 values round-trip exactly;
-SVG output is a minimal standalone line chart. IDX files may be gzipped;
+CSV output uses 17 significant digits so float64 values round-trip exactly.
+The CSV writer works column by column over fixed blocks of rows: 1-D numeric
+arrays go through `tolist()` and one `str.format` call per block, other
+columns through `_format_cell`, with the same bytes either way. SVG output is
+a minimal standalone line chart. IDX files may be gzipped;
 the reader sniffs the gzip magic.
 """
 
@@ -191,8 +194,33 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+# Rows per formatted block: large enough to amortise the per-block calls,
+# small enough that a block's cells stay a small share of peak memory.
+_CSV_BLOCK_ROWS = 512
+
+
+def _column_spec(col) -> Optional[str]:
+    """The `str.format` field for a 1-D numeric ndarray column, else None.
+
+    Such a column is written from `tolist()` values, which are Python floats,
+    ints and bools, so the field formats them exactly as `_format_cell` does.
+    """
+    if type(col) is np.ndarray and col.ndim == 1:
+        kind = col.dtype.kind
+        if kind == "f" and col.dtype.itemsize <= 8:  # longdouble takes the slow path
+            return "{:.17g}"
+        if kind in "iub":  # Python ints: uint64 above 2**63 does not wrap
+            return "{:d}"
+    return None
+
+
 def write_csv(path, columns: Mapping[str, Sequence]) -> None:
-    """Write named equal-length series as CSV with stable formatting."""
+    """Write named equal-length series as CSV with stable formatting.
+
+    The rows go out in blocks of `_CSV_BLOCK_ROWS`, each formatted column by
+    column and written as one string, byte for byte what formatting every
+    cell with `_format_cell` gives.
+    """
     if not columns:
         raise ValueError("need at least one column")
     names = list(columns)
@@ -202,27 +230,19 @@ def write_csv(path, columns: Mapping[str, Sequence]) -> None:
     n = lengths[names[0]]
     if n == 0:
         raise ValueError(f"refusing to write empty series to {path}")
+    series = [columns[name] for name in names]
+    specs = [_column_spec(col) for col in series]
+    row_fmt = ",".join(spec or "{}" for spec in specs) + "\n"
+    k = len(series)
     with open(path, "w", newline="") as f:
         f.write(",".join(names) + "\n")
-        series = [columns[name] for name in names]
-        for i in range(n):
-            f.write(",".join(_format_cell(col[i]) for col in series) + "\n")
-
-
-def read_csv_columns(path) -> dict[str, list[str]]:
-    """Read a CSV written by :func:`write_csv` back into string columns."""
-    with open(path, "r", newline="") as f:
-        lines = f.read().split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise ValueError(f"{path} is empty")
-    names = lines[0].split(",")
-    out: dict[str, list[str]] = {name: [] for name in names}
-    for line in lines[1:]:
-        for name, cell in zip(names, line.split(",")):
-            out[name].append(cell)
-    return out
+        for lo in range(0, n, _CSV_BLOCK_ROWS):
+            rows = min(_CSV_BLOCK_ROWS, n - lo)
+            cells = [None] * (k * rows)  # row-major: cell (i, j) sits at i * k + j
+            for j, (col, spec) in enumerate(zip(series, specs)):
+                block = col[lo:lo + rows]
+                cells[j::k] = block.tolist() if spec else list(map(_format_cell, block))
+            f.write((row_fmt * rows).format(*cells))
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from stratgrad import mlp, trainer
+from stratgrad.dataio import _format_cell
 from stratgrad.estimators import optimal_coefficients_elementwise
 from stratgrad.rng import spawn_rng
 
@@ -133,3 +134,29 @@ def mssg_reference(params, data, config):
         mem.prev_mean = new_means
         mem.prev_var = new_vars
     return params, mem
+
+
+def write_csv_reference(path, columns) -> None:
+    """The per-row CSV writer: one `_format_cell` call per cell, one join per row."""
+    names = list(columns)
+    series = [columns[name] for name in names]
+    with open(path, "w", newline="") as f:
+        f.write(",".join(names) + "\n")
+        for i in range(len(series[0])):
+            f.write(",".join(_format_cell(col[i]) for col in series) + "\n")
+
+
+def read_csv_columns(path) -> dict[str, list[str]]:
+    """Read a CSV written by `dataio.write_csv` back into string columns."""
+    with open(path, "r", newline="") as f:
+        lines = f.read().split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise ValueError(f"{path} is empty")
+    names = lines[0].split(",")
+    out: dict[str, list[str]] = {name: [] for name in names}
+    for line in lines[1:]:
+        for name, cell in zip(names, line.split(",")):
+            out[name].append(cell)
+    return out

@@ -14,7 +14,7 @@ import pytest
 
 from stratgrad import mlp
 from stratgrad.cli import main as cli_main
-from stratgrad.dataio import load_mnist_split, read_csv_columns
+from stratgrad.dataio import load_mnist_split
 from stratgrad.estimators import (
     Degenerate,
     gmst_init,
@@ -39,7 +39,7 @@ from stratgrad.population import (
 from stratgrad.rng import spawn_rng
 from stratgrad.trainer import TrainConfig, accuracy, grid_search, mssg_train
 
-from oracles import max_relative_error, numeric_gradient, variance_zscore
+from oracles import max_relative_error, numeric_gradient, read_csv_columns, variance_zscore
 
 
 def verdict(criterion: int, ok: bool, detail: str) -> None:

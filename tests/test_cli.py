@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import stratgrad
 from stratgrad.cli import build_parser, main
-from stratgrad.dataio import read_csv_columns
+
+from oracles import read_csv_columns
 
 
 def run_cli(*argv) -> int:
@@ -143,6 +150,26 @@ def test_gradmatrix_desk_outputs(tmp_path, fixture_data_dir):
         assert (out / f"tracking_{name}.svg").exists()
     manifest = (out / "manifest.txt").read_text()
     assert "test_accuracy=" in manifest
+    entries = dict(line.split("=", 1) for line in manifest.splitlines())
+    for phase in ("descent", "matrix_csv", "replay", "score"):
+        assert float(entries[f"phase.{phase}_s"]) >= 0.0
+
+
+def test_gradmatrix_bytes_repeat_at_one_blas_thread(tmp_path, fixture_data_dir):
+    # BLAS splits its sums by thread count, so the thread count is pinned in the child
+    src = str(Path(stratgrad.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        subprocess.run(
+            [sys.executable, "-m", "stratgrad", "gradmatrix", "--data-dir",
+             str(fixture_data_dir), "--desk", "--per-class", "40", "--test-per-class", "10",
+             "--iterations", "5", "--reps", "3", "--seed", "2", "--out-dir", str(out)],
+            env=env, check=True, capture_output=True, timeout=300)
+        assert "env.OPENBLAS_NUM_THREADS=1" in (out / "manifest.txt").read_text().splitlines()
+    for name in ("grad_matrix.csv", "deviation_summary.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_gradmatrix_requires_data(tmp_path, monkeypatch, capsys):

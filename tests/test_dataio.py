@@ -1,14 +1,17 @@
 import gzip
+import math
+import string
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from stratgrad import dataio
 from stratgrad.dataio import (
     IdxFormatError,
     LabeledDataset,
     load_mnist_split,
-    read_csv_columns,
     read_idx_images,
     read_idx_labels,
     subsample,
@@ -19,6 +22,7 @@ from stratgrad.dataio import (
 )
 
 from idxtools import pack_idx_images, pack_idx_labels, synthetic_digits
+from oracles import read_csv_columns, write_csv_reference
 
 
 @pytest.fixture
@@ -169,6 +173,57 @@ def test_csv_round_trip_lossless_for_floats(tmp_path):
     write_csv(path, {"x": values})
     back = np.array([float(s) for s in read_csv_columns(path)["x"]])
     assert np.array_equal(back, values)
+
+
+_BLOCK = dataio._CSV_BLOCK_ROWS
+_F64_SPECIALS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                 2.2250738585072014e-308, 1.7e308, -1.7e308, 1.7976931348623157e308]
+# value strategy and dtype per column kind; a None dtype makes a Python list
+_COLUMN_KINDS = {
+    "float64": (st.floats(), np.float64),
+    "float32": (st.floats(width=32), np.float32),
+    "float16": (st.floats(width=16), np.float16),
+    "int64": (st.integers(-2**63, 2**63 - 1), np.int64),
+    "uint64": (st.integers(2**63, 2**64 - 1) | st.integers(0, 2**64 - 1), np.uint64),
+    "bool": (st.booleans(), np.bool_),
+    "longdouble": (st.floats(), np.longdouble),
+    "complex": (st.complex_numbers(), np.complex128),
+    "str": (st.text(string.ascii_letters, max_size=3), np.str_),
+    "mixed": (st.one_of(
+        st.integers(-10**20, 10**20), st.floats(), st.booleans(),
+        st.text(string.ascii_letters + string.digits + " .-", max_size=4),
+        st.floats().map(np.float64), st.floats(width=32).map(np.float32),
+        st.integers(-2**31, 2**31 - 1).map(np.int32),
+        st.integers(0, 2**64 - 1).map(np.uint64), st.booleans().map(np.bool_)), None),
+}
+
+
+@st.composite
+def csv_tables(draw):
+    """Columns of every fast-path dtype and of mixed Python lists, at row counts
+    on both sides of the writer's block boundary."""
+    n = draw(st.sampled_from([1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7]))
+    kinds = draw(st.lists(st.sampled_from(sorted(_COLUMN_KINDS)), min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = {}
+    for j, kind in enumerate(kinds):
+        values, dtype = _COLUMN_KINDS[kind]
+        pool = draw(st.lists(values, min_size=1, max_size=16))
+        if kind == "float64":
+            pool += _F64_SPECIALS
+        picks = rng.integers(0, len(pool), n)
+        columns[f"{kind}{j}"] = ([pool[i] for i in picks] if dtype is None
+                                 else np.array(pool, dtype=dtype)[picks])
+    return columns
+
+
+@settings(max_examples=60)
+@given(columns=csv_tables())
+def test_csv_bytes_equal_per_row_reference(tmp_path_factory, columns):
+    out = tmp_path_factory.mktemp("csv")
+    write_csv(out / "fast.csv", columns)
+    write_csv_reference(out / "ref.csv", columns)
+    assert (out / "fast.csv").read_bytes() == (out / "ref.csv").read_bytes()
 
 
 def test_csv_empty_series_rejected(tmp_path):

@@ -19,8 +19,8 @@ __version__ = "0.1.0"
 from .estimators import (
     Coefficients,
     Degenerate,
-    EstimateTrace,
     MemoryState,
+    Race,
     batch_estimate,
     gmst_init,
     gmst_step,
@@ -35,26 +35,21 @@ from .estimators import (
 )
 from .population import (
     PopulationRound,
-    StratifiedPopulation,
-    Stratum,
     StratumStats,
     Trend,
-    draw_stratified,
     gen_normal_rounds,
     gen_uniform_rounds,
     generate_family,
-    population_mean,
-    stratum_stats,
+    sample_strata,
 )
 
 __all__ = [
     "__version__",
-    "Coefficients", "Degenerate", "EstimateTrace", "MemoryState",
+    "Coefficients", "Degenerate", "MemoryState", "Race",
     "batch_estimate", "gmst_init", "gmst_step", "gst_estimate",
     "optimal_coefficients", "predicted_variance_vsp", "sgd_estimate",
     "stratified_variance", "trace_estimators", "unbiased_condition_holds",
     "variance_bound",
-    "PopulationRound", "StratifiedPopulation", "Stratum", "StratumStats",
-    "Trend", "draw_stratified", "gen_normal_rounds", "gen_uniform_rounds",
-    "generate_family", "population_mean", "stratum_stats",
+    "PopulationRound", "StratumStats", "Trend", "gen_normal_rounds",
+    "gen_uniform_rounds", "generate_family", "sample_strata",
 ]

@@ -24,9 +24,8 @@ from .dataio import (LabeledDataset, default_data_dir, load_mnist_split, subsamp
 from .estimators import (ESTIMATOR_NAMES, optimal_coefficients, predicted_variance_vsp,
                          summarize_traces, trace_estimators)
 from .population import (DECREASING_MEAN_INTERVALS, INCREASING_MEAN_INTERVALS,
-                         NORMAL_TRENDS, RANDOM_PARAM_RANGE, PopulationRound,
-                         StratifiedPopulation, Stratum, StratumStats, Trend,
-                         generate_family, trend_schedules)
+                         NORMAL_TRENDS, RANDOM_PARAM_RANGE, PopulationRound, StratumStats,
+                         Trend, generate_family, trend_schedules)
 from .rng import spawn_rng
 
 DESK_SHAPE = (784, 50, 50, 20, 10)
@@ -93,48 +92,53 @@ def _load_split_pair(args) -> tuple[LabeledDataset, LabeledDataset]:
     return train, test
 
 
+def _phase_entries(names, marks) -> dict:
+    """Manifest entries phase.<name>_s, the time between consecutive marks."""
+    return {f"phase.{name}_s": f"{end - start:.3f}"
+            for name, start, end in zip(names, marks, marks[1:])}
+
+
 def cmd_synthetic(args, run: _Run) -> None:
     family = Trend(args.family)
-    counters: dict = {}
-    per_seed = []
-    rows = {"estimator": [], "seed": [], "round": [], "estimate": [], "truth": [],
-            "sq_dev": []}
-    for s in range(args.seeds):
-        rounds = generate_family(family, (args.seed, s), n_per_round=args.n_per_round,
-                                 n_rounds=args.rounds)
-        traces = trace_estimators(rounds, per_stratum=args.per_stratum,
-                                  batch_size=args.batch_size,
-                                  seed=(args.seed, s, _TRACE_STREAM), counters=counters)
-        per_seed.append(traces)
-        for name in ESTIMATOR_NAMES:
-            for t in traces[name]:
-                rows["estimator"].append(name)
-                rows["seed"].append(s)
-                rows["round"].append(t.iteration)
-                rows["estimate"].append(t.estimate)
-                rows["truth"].append(t.truth)
-                rows["sq_dev"].append(t.sq_dev)
-    write_csv(run.path(f"{family.value}_traces.csv"), rows)
+    marks = [time.perf_counter()]
+    sequences = [generate_family(family, (args.seed, s), n_per_round=args.n_per_round,
+                                 n_rounds=args.rounds) for s in range(args.seeds)]
+    marks.append(time.perf_counter())
+    races = [trace_estimators(rounds, per_stratum=args.per_stratum,
+                              batch_size=args.batch_size, seed=(args.seed, s, _TRACE_STREAM))
+             for s, rounds in enumerate(sequences)]
+    marks.append(time.perf_counter())
 
-    summary = summarize_traces(per_seed)
+    # (seeds, estimators, rounds), written seed by seed, estimator by estimator
+    sq_dev = np.stack([race.sq_dev for race in races])
+    n_seeds, n_estimators, n_rounds = sq_dev.shape
+    truth = np.stack([race.truth for race in races])[:, None, :]
+    write_csv(run.path(f"{family.value}_traces.csv"), {
+        "estimator": [name for name in ESTIMATOR_NAMES for _ in range(n_rounds)] * n_seeds,
+        "seed": np.repeat(np.arange(n_seeds), n_estimators * n_rounds),
+        "round": np.tile(np.arange(1, n_rounds + 1), n_seeds * n_estimators),
+        "estimate": np.stack([race.estimates for race in races]).reshape(-1),
+        "truth": np.broadcast_to(truth, sq_dev.shape).reshape(-1),
+        "sq_dev": sq_dev.reshape(-1),
+    })
+
+    summary = summarize_traces(sq_dev)
     write_csv(run.path(f"{family.value}_summary.csv"), {
         "estimator": list(ESTIMATOR_NAMES),
         "mean_sq_dev": [summary[n]["mean_sq_dev"] for n in ESTIMATOR_NAMES],
         "std_sq_dev": [summary[n]["std_sq_dev"] for n in ESTIMATOR_NAMES],
-        "n_rounds": [args.rounds] * len(ESTIMATOR_NAMES),
-        "n_seeds": [args.seeds] * len(ESTIMATOR_NAMES),
+        "n_rounds": [n_rounds] * n_estimators,
+        "n_seeds": [n_seeds] * n_estimators,
     })
 
-    n_rounds = len(per_seed[0][ESTIMATOR_NAMES[0]])
-    curves = {}
-    for name in ESTIMATOR_NAMES:
-        devs = np.array([[t.sq_dev for t in traces[name]] for traces in per_seed])
-        curves[name] = devs.mean(axis=0).tolist()
+    curves = {name: sq_dev[:, e].mean(axis=0) for e, name in enumerate(ESTIMATOR_NAMES)}
     write_svg_lineplot(run.path(f"{family.value}_curves.svg"), curves,
                        x=range(1, n_rounds + 1), title=f"squared deviation ({family.value})",
                        x_label="round", y_label="mean squared deviation")
-    run.finish(args, {"gmst_fallbacks": counters.get("gmst_fallbacks", 0),
-                      "schedule": _family_schedule_note(family, args.rounds)})
+    marks.append(time.perf_counter())
+    run.finish(args, {"gmst_fallbacks": sum(race.fallbacks for race in races),
+                      "schedule": _family_schedule_note(family, n_rounds),
+                      **_phase_entries(("generate", "race", "write"), marks)})
 
 
 def _family_schedule_note(family: Trend, n_rounds: int) -> str:
@@ -246,12 +250,9 @@ def cmd_variance_oracle(args, run: _Run) -> None:
 
 
 def _matrix_rounds(matrix: np.ndarray, class_index) -> PopulationRound:
-    """Each matrix column becomes one stratified population, one stratum per class."""
-    pops = []
-    for t in range(matrix.shape[1]):
-        strata = [Stratum(matrix[idx, t], c) for c, idx in enumerate(class_index)]
-        pops.append(StratifiedPopulation.from_strata(strata))
-    return PopulationRound(pops, trend=None)
+    """Each matrix column becomes one round, one (possibly ragged) stratum per class."""
+    return PopulationRound(matrix[np.concatenate(class_index)].T,
+                           [idx.size for idx in class_index])
 
 
 def cmd_gradmatrix(args, run: _Run) -> None:
@@ -274,12 +275,9 @@ def cmd_gradmatrix(args, run: _Run) -> None:
     marks.append(time.perf_counter())
 
     rounds = _matrix_rounds(matrix, train.class_index)
-    counters: dict = {}
-    reps = []
-    for r in range(args.reps):
-        reps.append(trace_estimators(rounds, per_stratum=1, batch_size=args.batch_size,
-                                     seed=(args.seed, _REP_STREAM, r), counters=counters))
-    summary = summarize_traces(reps)
+    races = [trace_estimators(rounds, per_stratum=1, batch_size=args.batch_size,
+                              seed=(args.seed, _REP_STREAM, r)) for r in range(args.reps)]
+    summary = summarize_traces(np.stack([race.sq_dev for race in races]))
     write_csv(run.path("deviation_summary.csv"), {
         "estimator": list(ESTIMATOR_NAMES),
         "mean_sq_dev": [summary[name]["mean_sq_dev"] for name in ESTIMATOR_NAMES],
@@ -287,11 +285,11 @@ def cmd_gradmatrix(args, run: _Run) -> None:
         "n_rounds": [t] * len(ESTIMATOR_NAMES),
         "n_seeds": [args.reps] * len(ESTIMATOR_NAMES),
     })
-    truth = [tr.truth for tr in reps[0]["gmst"]]
-    for name in ESTIMATOR_NAMES:
+    first = races[0]
+    for e, name in enumerate(ESTIMATOR_NAMES):
         write_svg_lineplot(
             run.path(f"tracking_{name}.svg"),
-            {"population": truth, name: [tr.estimate for tr in reps[0][name]]},
+            {"population": first.truth, name: first.estimates[e]},
             x=range(1, t + 1), title=f"{name} vs population gradient",
             x_label="iteration", y_label="tracked-weight gradient")
     marks.append(time.perf_counter())
@@ -299,14 +297,12 @@ def cmd_gradmatrix(args, run: _Run) -> None:
     train_accuracy = trainer.accuracy(params, train)
     test_accuracy = trainer.accuracy(params, test)
     marks.append(time.perf_counter())
-    phases = {f"phase.{name}_s": f"{end - start:.3f}" for name, start, end in
-              zip(("descent", "matrix_csv", "replay", "score"), marks, marks[1:])}
     run.finish(args, {
         "final_loss": losses[-1],
         "train_accuracy": train_accuracy,
         "test_accuracy": test_accuracy,
-        "gmst_fallbacks": counters.get("gmst_fallbacks", 0),
-        **phases,
+        "gmst_fallbacks": sum(race.fallbacks for race in races),
+        **_phase_entries(("descent", "matrix_csv", "replay", "score"), marks),
     })
 
 

@@ -16,17 +16,24 @@ choice the combined estimator's variance is strictly below the memoryless
 stratified one whenever all stratum variances are positive, and the part
 of the variance carried in memory decays geometrically while the means
 stay put.
+
+:func:`trace_estimators` races the four over a :class:`PopulationRound`:
+it draws each estimator's samples for all rounds at once, runs the
+per-round kernels (:func:`gmst_init`/:func:`gmst_step`,
+:func:`gst_estimate`, :func:`batch_estimate`, :func:`sgd_estimate`) on
+per-stratum arrays, and returns (estimator, round) arrays of estimates and
+squared deviations that :func:`summarize_traces` pools.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .population import PopulationRound, StratumStats, draw_stratified, population_mean, stratum_stats
+from .population import PopulationRound, StratumStats, sample_strata
 from .rng import spawn_rng
 
 
@@ -194,10 +201,14 @@ def unbiased_condition_holds(c: Coefficients, mean_prev: float, mean_curr: float
     return abs(c.p / (1.0 - c.q) - ratio) <= tol * abs(ratio)
 
 
-def gst_estimate(samples: Sequence, weights) -> float:
-    """Weighted mean of per-stratum sample means: sum_j w_j * mean(samples_j)."""
+def gst_estimate(sample_means, weights) -> float:
+    """Weighted sum of per-stratum sample means: sum_j w_j * mean(samples_j)."""
     weights = np.asarray(weights, dtype=np.float64)
-    return float(np.dot(weights, _stratum_means(samples, weights.size)))
+    sample_means = np.asarray(sample_means, dtype=np.float64)
+    if sample_means.shape != weights.shape:
+        raise ValueError(f"need one sample mean per stratum for {weights.size} strata, "
+                         f"got shape {sample_means.shape}")
+    return float(np.dot(weights, sample_means))
 
 
 def sgd_estimate(sample: float) -> float:
@@ -217,75 +228,66 @@ def batch_estimate(samples) -> float:
 class MemoryState:
     """Per-stratum memory of the gmst estimator.
 
-    Holds the blended value per stratum, the previous round's exact stats
-    (needed for the next mixing pair), the 1-based round index, and a
-    cumulative count of strata that fell back to the pure fresh draw.
+    Holds the blended value per stratum, the previous round's exact stratum
+    means and variances (needed for the next mixing pair), the 1-based round
+    index, and a cumulative count of strata that fell back to the pure fresh
+    draw.
     """
 
     memory: np.ndarray
-    prev_stats: tuple[StratumStats, ...]
+    prev_means: np.ndarray
+    prev_variances: np.ndarray
     iteration: int
     fallbacks: int = 0
 
     def __post_init__(self):
         self.memory = np.asarray(self.memory, dtype=np.float64)
-        if self.memory.ndim != 1 or self.memory.size != len(self.prev_stats):
-            raise ValueError("one memory entry and one stats entry per stratum")
+        self.prev_means = np.asarray(self.prev_means, dtype=np.float64)
+        self.prev_variances = np.asarray(self.prev_variances, dtype=np.float64)
+        if self.memory.ndim != 1 or not (
+                self.memory.shape == self.prev_means.shape == self.prev_variances.shape):
+            raise ValueError("one memory entry, mean and variance per stratum")
         if self.iteration < 1:
             raise ValueError("iteration counts from 1")
 
 
-def _stratum_means(samples: Sequence, n: int) -> np.ndarray:
-    if len(samples) != n:
-        raise ValueError(f"got samples for {len(samples)} strata, expected {n}")
-    out = np.empty(n)
-    for j, block in enumerate(samples):
-        block = np.atleast_1d(np.asarray(block, dtype=np.float64))
-        if block.size == 0:
-            raise ValueError(f"stratum {j} has no samples")
-        out[j] = block.mean()
-    return out
-
-
-def gmst_init(first_samples: Sequence, stats: Sequence[StratumStats], weights):
-    """Seed the memory from one (or more) draws per stratum.
+def gmst_init(sample_means, means, variances, weights):
+    """Seed the memory from the first round's per-stratum sample means.
 
     The first estimate is exactly the memoryless stratified estimate of the
-    same samples; `stats` are the current round's stats, stored for the
-    next step's mixing pair.
+    same samples; `means` and `variances` are the current round's exact
+    stratum statistics, stored for the next step's mixing pair.
     """
-    weights = np.asarray(weights, dtype=np.float64)
-    memory = _stratum_means(first_samples, weights.size)
-    if len(stats) != weights.size:
-        raise ValueError("need stats for every stratum")
-    estimate = gst_estimate(first_samples, weights)
-    return MemoryState(memory, tuple(stats), iteration=1), estimate
+    estimate = gst_estimate(sample_means, weights)
+    return MemoryState(np.array(sample_means, dtype=np.float64), means, variances,
+                       iteration=1), estimate
 
 
-def gmst_step(state: MemoryState, fresh: Sequence, stats: Sequence[StratumStats], weights):
-    """Advance the memory one round with one fresh draw per stratum.
+def gmst_step(state: MemoryState, sample_means, means, variances, weights):
+    """Advance the memory one round with a fresh sample mean per stratum.
 
     Per stratum: compute the mixing pair from (previous stats, current
-    stats), blend memory and fresh draw, then report the weighted memory
-    mean. Returns the advanced state (the input state is left untouched)
-    and the estimate.
+    stats), blend memory and fresh sample mean, then report the weighted
+    memory mean. Returns the advanced state (the input state is left
+    untouched) and the estimate.
     """
     weights = np.asarray(weights, dtype=np.float64)
-    n = state.memory.size
-    if weights.size != n or len(stats) != n:
+    fresh = np.asarray(sample_means, dtype=np.float64)
+    means = np.asarray(means, dtype=np.float64)
+    variances = np.asarray(variances, dtype=np.float64)
+    shape = state.memory.shape
+    if not (weights.shape == fresh.shape == means.shape == variances.shape == shape):
         raise ValueError("stratum count is fixed over the life of a MemoryState")
-    fresh_means = _stratum_means(fresh, n)
-    new_memory = np.empty(n)
+    new_memory = np.empty(shape)
     fallbacks = 0
-    for j in range(n):
-        prev = state.prev_stats[j]
-        curr = stats[j]
-        c = optimal_coefficients(prev.mean, prev.variance, curr.mean, curr.variance)
-        if c.is_fallback:
-            fallbacks += 1
-        new_memory[j] = c.p * state.memory[j] + c.q * fresh_means[j]
+    for j, (old, new, mp, vp, mc, vc) in enumerate(zip(
+            state.memory.tolist(), fresh.tolist(), state.prev_means.tolist(),
+            state.prev_variances.tolist(), means.tolist(), variances.tolist())):
+        c = optimal_coefficients(mp, vp, mc, vc)
+        fallbacks += c.is_fallback
+        new_memory[j] = c.p * old + c.q * new
     estimate = float(np.dot(weights, new_memory))
-    next_state = MemoryState(new_memory, tuple(stats), state.iteration + 1,
+    next_state = MemoryState(new_memory, means, variances, state.iteration + 1,
                              state.fallbacks + fallbacks)
     return next_state, estimate
 
@@ -353,90 +355,80 @@ def variance_bound(v_mst_k: float, v_st_seq: Sequence[float], p: float, q: float
     return float(bound)
 
 
-@dataclass(frozen=True)
-class EstimateTrace:
-    """One estimator output against the exact population mean."""
-
-    iteration: int
-    estimate: float
-    truth: float
-    sq_dev: float
-
-    @classmethod
-    def from_estimate(cls, iteration: int, estimate: float, truth: float) -> "EstimateTrace":
-        dev = estimate - truth
-        return cls(iteration, float(estimate), float(truth), float(dev * dev))
-
-
 ESTIMATOR_NAMES = ("gmst", "gst", "batch", "sgd")
 
 
-def _stratum_draws(pop, per_stratum: int, rng) -> list[np.ndarray]:
-    pairs = draw_stratified(pop, per_stratum, rng)
-    values = np.array([v for _, v in pairs])
-    return list(values.reshape(pop.n_strata, per_stratum))
+class Race(NamedTuple):
+    """The four estimators' outputs over one round sequence.
+
+    `estimates` and `sq_dev` are (E, K) arrays, one row per name in
+    ESTIMATOR_NAMES and one column per round; `truth` holds each round's
+    exact pooled mean, and `fallbacks` counts the strata-rounds where gmst
+    fell back to the pure fresh draw.
+    """
+
+    estimates: np.ndarray
+    sq_dev: np.ndarray
+    truth: np.ndarray
+    fallbacks: int
 
 
 def trace_estimators(rounds: PopulationRound, per_stratum: int = 1, batch_size: int = 4,
-                     seed=0, counters: Optional[dict] = None) -> dict[str, list[EstimateTrace]]:
+                     seed=0) -> Race:
     """Run all four estimators across the rounds and trace their errors.
 
     Sampling budgets per round: gmst and gst take `per_stratum` draws per
     stratum (without replacement), batch takes `batch_size` pooled draws
     with replacement, sgd takes one. gmst spends round 1 on initialization,
     where its estimate coincides with a gst draw; every estimator reports
-    one trace entry per round. Mixing pairs use the exact per-round stats.
+    one estimate per round. Mixing pairs use the exact per-round stats.
 
     Each estimator gets its own decoupled stream, so adding or removing one
-    never perturbs the others. If `counters` is given, the number of
-    strata-rounds where gmst fell back to the pure fresh draw is added
-    under ``"gmst_fallbacks"``.
+    never perturbs the others; each stream is drawn for all rounds at once,
+    in round order, so the draws equal a round-by-round loop's.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
-    rngs = {name: spawn_rng(seed, idx) for idx, name in enumerate(ESTIMATOR_NAMES)}
-    traces: dict[str, list[EstimateTrace]] = {name: [] for name in ESTIMATOR_NAMES}
+    gmst_rng, gst_rng, batch_rng, sgd_rng = (
+        spawn_rng(seed, idx) for idx in range(len(ESTIMATOR_NAMES)))
+    n_rounds, n_values = rounds.values.shape
+    rows = np.arange(n_rounds)
+    gmst_means = sample_strata(rounds, per_stratum, gmst_rng).mean(axis=2)
+    gst_means = sample_strata(rounds, per_stratum, gst_rng).mean(axis=2)
+    # integers(0, N, size) reads the stream as choice(pooled, size, replace=True)
+    batches = rounds.values[rows[:, None],
+                            batch_rng.integers(0, n_values, size=(n_rounds, batch_size))]
+    picks = rounds.values[rows, sgd_rng.integers(n_values, size=n_rounds)]
+
     weights = rounds.weights
-    state: Optional[MemoryState] = None
-    for k, pop in enumerate(rounds.rounds, start=1):
-        truth = population_mean(pop)
-        stats = [stratum_stats(s) for s in pop.strata]
-        pooled = pop.pooled_values()
-
-        draws = _stratum_draws(pop, per_stratum, rngs["gmst"])
+    estimates = np.empty((len(ESTIMATOR_NAMES), n_rounds))
+    state = None
+    for k in range(n_rounds):
+        stats = rounds.means[k], rounds.variances[k]
         if state is None:
-            state, est = gmst_init(draws, stats, weights)
+            state, estimates[0, k] = gmst_init(gmst_means[k], *stats, weights)
         else:
-            state, est = gmst_step(state, draws, stats, weights)
-        traces["gmst"].append(EstimateTrace.from_estimate(k, est, truth))
-
-        draws = _stratum_draws(pop, per_stratum, rngs["gst"])
-        traces["gst"].append(
-            EstimateTrace.from_estimate(k, gst_estimate(draws, weights), truth))
-
-        picks = rngs["batch"].choice(pooled, size=batch_size, replace=True)
-        traces["batch"].append(
-            EstimateTrace.from_estimate(k, batch_estimate(picks), truth))
-
-        pick = pooled[rngs["sgd"].integers(pooled.size)]
-        traces["sgd"].append(
-            EstimateTrace.from_estimate(k, sgd_estimate(pick), truth))
-    if counters is not None:
-        counters["gmst_fallbacks"] = counters.get("gmst_fallbacks", 0) + state.fallbacks
-    return traces
+            state, estimates[0, k] = gmst_step(state, gmst_means[k], *stats, weights)
+        estimates[1, k] = gst_estimate(gst_means[k], weights)
+        estimates[2, k] = batch_estimate(batches[k])
+        estimates[3, k] = sgd_estimate(picks[k])
+    dev = estimates - rounds.truth
+    return Race(estimates, dev * dev, rounds.truth, state.fallbacks)
 
 
-def summarize_traces(traces_by_seed: Mapping[str, Sequence[EstimateTrace]] | list) -> dict:
+def summarize_traces(sq_dev) -> dict:
     """Pooled mean/std of squared deviation per estimator.
 
-    Accepts either a single trace dict or a list of per-seed trace dicts;
-    the std is the sample standard deviation over all pooled sq_dev values.
+    `sq_dev` stacks the races' (E, K) arrays into (R, E, K). Each
+    estimator's values are pooled replication by replication, and the std
+    is the sample standard deviation over all of them.
     """
-    if isinstance(traces_by_seed, Mapping):
-        traces_by_seed = [traces_by_seed]
+    sq_dev = np.asarray(sq_dev, dtype=np.float64)
+    if sq_dev.ndim != 3 or sq_dev.shape[1] != len(ESTIMATOR_NAMES):
+        raise ValueError(f"need (R, E, K) squared deviations, got shape {sq_dev.shape}")
     summary = {}
-    for name in ESTIMATOR_NAMES:
-        devs = np.array([t.sq_dev for traces in traces_by_seed for t in traces[name]])
+    for e, name in enumerate(ESTIMATOR_NAMES):
+        devs = sq_dev[:, e].reshape(-1)
         std = float(devs.std(ddof=1)) if devs.size > 1 else 0.0
         summary[name] = {"mean_sq_dev": float(devs.mean()), "std_sq_dev": std,
                          "n": int(devs.size)}

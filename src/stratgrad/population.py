@@ -2,9 +2,12 @@
 
 A population is a finite set of scalar values split into C strata; the
 estimators sample from it and are judged against its exact pooled mean. A
-round sequence bundles K populations that share the same stratum layout,
-modelling a quantity whose per-round distribution drifts (mean or spread,
-up or down) between consecutive sampling rounds.
+round sequence (`PopulationRound`) bundles K populations that share the same
+stratum layout, modelling a quantity whose per-round distribution drifts
+(mean or spread, up or down) between consecutive sampling rounds. It is
+stored as one (K, N) array with the strata as contiguous column slices, and
+computes every round's stratum statistics and pooled mean once, when built;
+`sample_strata` draws from all of its rounds at once.
 
 All statistics use the finite-population convention: a stratum's mean and
 variance are exact properties of its values (variance divides by n, not
@@ -14,7 +17,7 @@ n - 1).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -65,24 +68,6 @@ NORMAL_TRENDS = (
 )
 
 
-@dataclass
-class Stratum:
-    """One sub-population: a non-empty block of scalars with an index label."""
-
-    values: np.ndarray
-    label: int
-
-    def __post_init__(self):
-        self.values = np.array(self.values, dtype=np.float64)
-        if self.values.ndim != 1 or self.values.size == 0:
-            raise ValueError(f"stratum {self.label} must hold a non-empty 1-D value block")
-        self.label = int(self.label)
-
-    @property
-    def size(self) -> int:
-        return self.values.size
-
-
 @dataclass(frozen=True)
 class StratumStats:
     """Exact mean and population variance of one stratum."""
@@ -98,107 +83,88 @@ class StratumStats:
 
 
 @dataclass
-class StratifiedPopulation:
-    """C strata plus their share weights w_j = N_j / N."""
-
-    strata: list[Stratum]
-    weights: np.ndarray
-
-    def __post_init__(self):
-        if not self.strata:
-            raise ValueError("population needs at least one stratum")
-        labels = [s.label for s in self.strata]
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"stratum labels must be unique, got {labels}")
-        self.weights = np.array(self.weights, dtype=np.float64)
-        sizes = np.array([s.size for s in self.strata], dtype=np.float64)
-        expected = sizes / sizes.sum()
-        if self.weights.shape != expected.shape or not np.array_equal(self.weights, expected):
-            raise ValueError("weights must equal stratum_size / total_size exactly")
-        if abs(self.weights.sum() - 1.0) > 1e-12:
-            raise ValueError("weights must sum to 1 within 1e-12")
-
-    @classmethod
-    def from_strata(cls, strata: Sequence[Stratum]) -> "StratifiedPopulation":
-        strata = list(strata)
-        sizes = np.array([s.size for s in strata], dtype=np.float64)
-        return cls(strata, sizes / sizes.sum())
-
-    @property
-    def n_strata(self) -> int:
-        return len(self.strata)
-
-    def pooled_values(self) -> np.ndarray:
-        return np.concatenate([s.values for s in self.strata])
-
-
-@dataclass
 class PopulationRound:
     """K populations sharing one stratum layout, in sampling order.
 
-    `trend` names the synthetic family that produced the rounds; it is None
-    for rounds built from recorded data (e.g. gradient-matrix columns).
+    Row k of the (K, N) `values` array is round k's population, stratum by
+    stratum: stratum j is the column slice ``offsets[j]:offsets[j + 1]``,
+    whose length is ``sizes[j]``. The exact statistics are computed once, on
+    construction: `weights` (w_j = N_j / N), the (K, C) stratum `means` and
+    `variances`, and each round's pooled mean `truth`. `trend` names the
+    synthetic family that produced the rounds; it is None for rounds built
+    from recorded data (e.g. gradient-matrix columns).
     """
 
-    rounds: list[StratifiedPopulation]
+    values: np.ndarray
+    sizes: np.ndarray
     trend: Optional[Trend] = None
+    offsets: np.ndarray = field(init=False)
+    weights: np.ndarray = field(init=False)
+    means: np.ndarray = field(init=False)
+    variances: np.ndarray = field(init=False)
+    truth: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if not self.rounds:
-            raise ValueError("round sequence must be non-empty")
-        first = self.rounds[0]
-        for k, pop in enumerate(self.rounds):
-            if pop.n_strata != first.n_strata:
-                raise ValueError(f"round {k} has {pop.n_strata} strata, expected {first.n_strata}")
-            if not np.array_equal(pop.weights, first.weights):
-                raise ValueError(f"round {k} weights differ from round 0")
+        # contiguous rows, so each stratum slice reduces the way a 1-D block does
+        self.values = np.ascontiguousarray(self.values, dtype=np.float64)
+        self.sizes = np.asarray(self.sizes)
+        if self.values.ndim != 2 or self.values.size == 0:
+            raise ValueError("round sequence must be a non-empty (rounds, values) array")
+        if (self.sizes.ndim != 1 or self.sizes.size == 0 or self.sizes.dtype.kind not in "iu"
+                or self.sizes.min() < 1 or self.sizes.sum() != self.values.shape[1]):
+            raise ValueError(f"stratum sizes {self.sizes.tolist()} must be positive and sum "
+                             f"to the {self.values.shape[1]} values of a round")
+        self.offsets = np.concatenate(([0], np.cumsum(self.sizes)))
+        total = self.sizes.astype(np.float64)
+        self.weights = total / total.sum()
+        shape = (self.n_rounds, self.n_strata)
+        self.means, self.variances = np.empty(shape), np.empty(shape)
+        for j in range(self.n_strata):
+            block = self.values[:, self.offsets[j]:self.offsets[j + 1]]
+            self.means[:, j] = block.mean(axis=1)
+            self.variances[:, j] = block.var(axis=1)  # divides by n
+        if not (np.isfinite(self.means).all() and np.isfinite(self.variances).all()):
+            raise ValueError("stratum statistics must be finite")
+        self.truth = np.array([np.dot(self.weights, m) for m in self.means])
 
     @property
     def n_rounds(self) -> int:
-        return len(self.rounds)
+        return self.values.shape[0]
 
     @property
-    def weights(self) -> np.ndarray:
-        return self.rounds[0].weights
+    def n_strata(self) -> int:
+        return self.sizes.size
 
 
-def stratum_stats(s: Stratum) -> StratumStats:
-    """Exact mean and population variance (divide by n) of a stratum."""
-    return StratumStats(float(np.mean(s.values)), float(np.var(s.values)))
+def sample_strata(rounds: PopulationRound, per_stratum: int,
+                  rng: np.random.Generator) -> np.ndarray:
+    """Uniform without-replacement draws, `per_stratum` from every stratum of every round.
 
-
-def population_mean(p: StratifiedPopulation) -> float:
-    """Weighted stratum-mean sum, identical to the pooled mean of all values."""
-    means = np.array([np.mean(s.values) for s in p.strata])
-    return float(np.dot(p.weights, means))
-
-
-def draw_stratified(p: StratifiedPopulation, per_stratum: int, seed) -> list[tuple[int, float]]:
-    """Uniform without-replacement draws, `per_stratum` from every stratum.
-
-    Returns (label, value) pairs grouped stratum by stratum. An int seed
-    derives one decoupled stream per stratum; passing a Generator consumes
-    it sequentially instead (the fast path for replication loops).
+    Returns a (K, C, per_stratum) array. The stream is consumed round by
+    round and stratum by stratum, as one ``rng.choice(N_j, per_stratum,
+    replace=False)`` call per stratum would. A single draw per stratum takes
+    one ``rng.integers`` call over every round instead, which reads the same
+    values from the stream as those choice calls.
     """
     if per_stratum < 1:
         raise ValueError("per_stratum must be at least 1")
-    for s in p.strata:
-        if per_stratum > s.size:
-            raise ValueError(
-                f"cannot draw {per_stratum} values from stratum {s.label} of size {s.size}"
-            )
-    shared = isinstance(seed, np.random.Generator)
-    pairs: list[tuple[int, float]] = []
-    for j, s in enumerate(p.strata):
-        rng = seed if shared else spawn_rng(seed, j)
-        values = rng.choice(s.values, size=per_stratum, replace=False)
-        pairs.extend((s.label, float(v)) for v in values)
-    return pairs
+    smallest = int(rounds.sizes.min())
+    if per_stratum > smallest:
+        raise ValueError(f"cannot draw {per_stratum} values from a stratum of size {smallest}")
+    k = rounds.n_rounds
+    if per_stratum == 1:
+        picks = rng.integers(0, np.tile(rounds.sizes, k)).reshape(k, -1, 1)
+    else:
+        sizes = rounds.sizes.tolist()
+        picks = np.array([[rng.choice(n, size=per_stratum, replace=False) for n in sizes]
+                          for _ in range(k)])
+    columns = rounds.offsets[:-1, None] + picks
+    return rounds.values[np.arange(k)[:, None, None], columns]
 
 
 def _draw_rounds(draw, params: list[tuple[float, float]], n_per_round: int, seed,
-                 n_strata: int) -> list[StratifiedPopulation]:
-    """One population per parameter pair, in equal strata of fresh draws.
+                 n_strata: int, trend: Trend) -> PopulationRound:
+    """One round per parameter pair, in equal strata of fresh draws.
 
     Stratum j of round k holds n_per_round / n_strata values of
     draw(rng, a_k, b_k, size) from the stream (seed, k, j), where draw is
@@ -211,11 +177,11 @@ def _draw_rounds(draw, params: list[tuple[float, float]], n_per_round: int, seed
             f"n_per_round={n_per_round} must be a positive multiple of n_strata={n_strata}"
         )
     per = n_per_round // n_strata
-    pops = []
+    values = np.empty((len(params), n_per_round))
     for k, (a, b) in enumerate(params):
-        strata = [Stratum(draw(spawn_rng(seed, k, j), a, b, per), j) for j in range(n_strata)]
-        pops.append(StratifiedPopulation.from_strata(strata))
-    return pops
+        for j in range(n_strata):
+            values[k, j * per:(j + 1) * per] = draw(spawn_rng(seed, k, j), a, b, per)
+    return PopulationRound(values, np.full(n_strata, per), trend)
 
 
 def gen_uniform_rounds(
@@ -234,10 +200,10 @@ def gen_uniform_rounds(
     for lo, hi in intervals:
         if lo > hi:
             raise ValueError(f"interval ({lo}, {hi}) has lo > hi")
-    pops = _draw_rounds(np.random.Generator.uniform, intervals, n_per_round, seed, n_strata)
     mids = [0.5 * (lo + hi) for lo, hi in intervals]
     decreasing = all(b <= a for a, b in zip(mids, mids[1:]))
-    return PopulationRound(pops, Trend.UNIFORM_DEC if decreasing else Trend.UNIFORM_INC)
+    return _draw_rounds(np.random.Generator.uniform, intervals, n_per_round, seed, n_strata,
+                        Trend.UNIFORM_DEC if decreasing else Trend.UNIFORM_INC)
 
 
 def trend_schedules(family: Trend, n_rounds: int = DEFAULT_N_ROUNDS) -> list[tuple[float, float]]:
@@ -287,15 +253,23 @@ def gen_normal_rounds(
     for mu, sg in params:
         if sg <= 0:
             raise ValueError(f"sigma must be positive, got {sg}")
-    return PopulationRound(
-        _draw_rounds(np.random.Generator.normal, params, n_per_round, seed, n_strata), family)
+    return _draw_rounds(np.random.Generator.normal, params, n_per_round, seed, n_strata, family)
 
 
 def generate_family(family: Trend, seed, n_per_round: int = 40,
                     n_rounds: int = DEFAULT_N_ROUNDS) -> PopulationRound:
-    """Build any of the seven families with its canonical configuration."""
-    if family is Trend.UNIFORM_DEC:
-        return gen_uniform_rounds(DECREASING_MEAN_INTERVALS[:n_rounds], n_per_round, seed)
-    if family is Trend.UNIFORM_INC:
-        return gen_uniform_rounds(INCREASING_MEAN_INTERVALS[:n_rounds], n_per_round, seed)
+    """Build any of the seven families with its canonical configuration.
+
+    The uniform families have one interval per round in a fixed table, so
+    they run at most ``len(DECREASING_MEAN_INTERVALS)`` rounds.
+    """
+    if n_rounds < 1:
+        raise ValueError(f"need at least one round, got {n_rounds}")
+    if family in (Trend.UNIFORM_DEC, Trend.UNIFORM_INC):
+        table = DECREASING_MEAN_INTERVALS if family is Trend.UNIFORM_DEC \
+            else INCREASING_MEAN_INTERVALS
+        if n_rounds > len(table):
+            raise ValueError(f"{family.value} has intervals for {len(table)} rounds, "
+                             f"not {n_rounds}")
+        return gen_uniform_rounds(table[:n_rounds], n_per_round, seed)
     return gen_normal_rounds(None, n_per_round, seed, family, n_rounds=n_rounds)

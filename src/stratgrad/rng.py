@@ -29,5 +29,9 @@ def spawn_rng(seed, *path: int) -> np.random.Generator:
     `seed` may be an int or a tuple of ints; the path extends it, so
     spawn_rng(7, 2, 3) and spawn_rng((7, 2), 3) address the same stream.
     """
-    entropy = _flatten(seed) + _flatten(path)
+    parts = (*seed, *path) if type(seed) is tuple else (seed, *path)
+    if all(type(part) is int and part >= 0 for part in parts):
+        entropy = list(parts)  # already flat: what _flatten would return
+    else:
+        entropy = _flatten(seed) + _flatten(path)
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))

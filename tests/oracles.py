@@ -6,7 +6,8 @@ import numpy as np
 
 from stratgrad import mlp, trainer
 from stratgrad.dataio import _format_cell
-from stratgrad.estimators import optimal_coefficients_elementwise
+from stratgrad.estimators import (ESTIMATOR_NAMES, Race, optimal_coefficients,
+                                  optimal_coefficients_elementwise)
 from stratgrad.rng import spawn_rng
 
 
@@ -134,6 +135,56 @@ def mssg_reference(params, data, config):
         mem.prev_mean = new_means
         mem.prev_var = new_vars
     return params, mem
+
+
+def trace_estimators_reference(rounds, per_stratum: int = 1, batch_size: int = 4,
+                               seed=0) -> Race:
+    """The estimator race as a per-round, per-stratum loop over 1-D blocks.
+
+    Each round is split into one array per stratum. Their exact stats come
+    from `np.mean`/`np.var` one stratum at a time, and every draw is a
+    `Generator.choice` call per stratum and round. The four streams are
+    interleaved round by round, as :func:`estimators.trace_estimators`
+    did before it drew each stream for all rounds at once.
+    """
+    rngs = [spawn_rng(seed, idx) for idx in range(len(ESTIMATOR_NAMES))]
+    sizes = np.array([int(n) for n in rounds.sizes], dtype=np.float64)
+    weights = sizes / sizes.sum()
+    cuts = np.cumsum([int(n) for n in rounds.sizes])[:-1]
+    rows = {name: [] for name in ESTIMATOR_NAMES}
+    truths = []
+    memory = prev = None
+    fallbacks = 0
+    for values in rounds.values:
+        blocks = [b.copy() for b in np.split(values, cuts)]
+        stats = [(float(np.mean(b)), float(np.var(b))) for b in blocks]
+        truth = float(np.dot(weights, np.array([np.mean(b) for b in blocks])))
+        pooled = np.concatenate(blocks)
+
+        def sample_means(rng):
+            return np.array([rng.choice(b, size=per_stratum, replace=False).mean()
+                             for b in blocks])
+
+        fresh = sample_means(rngs[0])
+        if memory is None:
+            memory = fresh
+        else:
+            blended = np.empty(len(blocks))
+            for j, ((mp, vp), (mc, vc)) in enumerate(zip(prev, stats)):
+                c = optimal_coefficients(mp, vp, mc, vc)
+                fallbacks += c.is_fallback
+                blended[j] = c.p * memory[j] + c.q * fresh[j]
+            memory = blended
+        prev = stats
+        rows["gmst"].append(float(np.dot(weights, memory)))
+        rows["gst"].append(float(np.dot(weights, sample_means(rngs[1]))))
+        rows["batch"].append(float(rngs[2].choice(pooled, size=batch_size, replace=True).mean()))
+        rows["sgd"].append(float(pooled[rngs[3].integers(pooled.size)]))
+        truths.append(truth)
+    estimates = np.array([rows[name] for name in ESTIMATOR_NAMES])
+    sq_dev = np.array([[(e - t) * (e - t) for e, t in zip(rows[name], truths)]
+                       for name in ESTIMATOR_NAMES])
+    return Race(estimates, sq_dev, np.array(truths), fallbacks)
 
 
 def write_csv_reference(path, columns) -> None:

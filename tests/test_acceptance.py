@@ -33,8 +33,6 @@ from stratgrad.population import (
     Trend,
     gen_uniform_rounds,
     generate_family,
-    population_mean,
-    stratum_stats,
 )
 from stratgrad.rng import spawn_rng
 from stratgrad.trainer import TrainConfig, accuracy, grid_search, mssg_train
@@ -123,9 +121,9 @@ def test_criterion_4_design_effect():
 
 
 def test_criterion_5_decay_bound():
-    pop = gen_uniform_rounds([(0, 4)], 40, seed=1005).rounds[0]
-    stats = [stratum_stats(s) for s in pop.strata]
-    weights = pop.weights
+    rounds = gen_uniform_rounds([(0, 4)], 40, seed=1005)
+    stats = [StratumStats(m, v) for m, v in zip(rounds.means[0], rounds.variances[0])]
+    weights = rounds.weights
     coeffs = [optimal_coefficients(s.mean, s.variance, s.mean, s.variance)
               for s in stats]
     assert all(0.0 < c.p < 1.0 for c in coeffs)
@@ -135,7 +133,7 @@ def test_criterion_5_decay_bound():
 
     reps = 40_000
     rng = spawn_rng(1055)
-    values = np.stack([s.values for s in pop.strata])
+    values = rounds.values[0].reshape(4, 10)
     memory = values[np.arange(4)[None, :], rng.integers(0, 10, (reps, 4))]
     worst_excess = -math.inf
     ok = True
@@ -156,20 +154,18 @@ def test_criterion_5_decay_bound():
 
 def test_criterion_6_memory_estimator_unbiased():
     rounds = gen_uniform_rounds(DECREASING_MEAN_INTERVALS[:2], 40, seed=1006)
-    pop1, pop2 = rounds.rounds
-    stats1 = [stratum_stats(s) for s in pop1.strata]
-    stats2 = [stratum_stats(s) for s in pop2.strata]
-    truth = population_mean(pop2)
+    stats1 = rounds.means[0], rounds.variances[0]
+    stats2 = rounds.means[1], rounds.variances[1]
+    truth = rounds.truth[1]
     rng = spawn_rng(1066)
     reps = 100_000
-    v1 = np.stack([s.values for s in pop1.strata])
-    v2 = np.stack([s.values for s in pop2.strata])
+    v1, v2 = rounds.values.reshape(2, 4, 10)
     first = v1[np.arange(4)[None, :], rng.integers(0, 10, (reps, 4))]
     fresh = v2[np.arange(4)[None, :], rng.integers(0, 10, (reps, 4))]
     estimates = np.empty(reps)
     for r in range(reps):
-        state, _ = gmst_init(first[r], stats1, pop1.weights)
-        _, estimates[r] = gmst_step(state, fresh[r], stats2, pop2.weights)
+        state, _ = gmst_init(first[r], *stats1, rounds.weights)
+        _, estimates[r] = gmst_step(state, fresh[r], *stats2, rounds.weights)
     se = estimates.std(ddof=1) / math.sqrt(reps)
     gap = abs(float(estimates.mean()) - truth)
     verdict(6, gap <= 3 * se,
@@ -183,11 +179,9 @@ def test_criterion_7_synthetic_ordering():
     lowest_mean = []
     lowest_std = []
     for family in Trend:
-        per_seed = []
-        for s in range(n_seeds):
-            rounds = generate_family(family, (1007, s))
-            per_seed.append(trace_estimators(rounds, seed=(1077, s)))
-        summary = summarize_traces(per_seed)
+        sq_dev = np.stack([trace_estimators(generate_family(family, (1007, s)),
+                                            seed=(1077, s)).sq_dev for s in range(n_seeds)])
+        summary = summarize_traces(sq_dev)
         means = {name: stats["mean_sq_dev"] for name, stats in summary.items()}
         stds = {name: stats["std_sq_dev"] for name, stats in summary.items()}
         lowest_mean.append(min(means, key=means.get) == "gmst"

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 import stratgrad
-from stratgrad.cli import build_parser, main
+from stratgrad.cli import _TRACE_STREAM, build_parser, main
+from stratgrad.estimators import ESTIMATOR_NAMES
+from stratgrad.population import Trend, generate_family
 
-from oracles import read_csv_columns
+from oracles import read_csv_columns, trace_estimators_reference, write_csv_reference
 
 
 def run_cli(*argv) -> int:
@@ -53,6 +55,68 @@ def test_synthetic_single_seed_still_produces_files(tmp_path):
     manifest = (out / "manifest.txt").read_text()
     assert "subcommand=synthetic" in manifest
     assert "gmst_fallbacks=" in manifest
+    entries = dict(line.split("=", 1) for line in manifest.splitlines())
+    for phase in ("generate", "race", "write"):
+        assert float(entries[f"phase.{phase}_s"]) >= 0.0
+
+
+@pytest.mark.parametrize("family", ["uniform-dec", "uniform-inc"])
+def test_uniform_families_refuse_rounds_beyond_their_intervals(tmp_path, capsys, family):
+    out = tmp_path / "syn"
+    assert run_cli("synthetic", "--family", family, "--seeds", 2, "--rounds", 12,
+                   "--out-dir", out) == 1
+    assert "10 rounds" in capsys.readouterr().err
+    assert not list(out.glob("*traces.csv*"))
+
+
+def test_normal_trend_runs_the_requested_rounds(tmp_path):
+    out = tmp_path / "syn"
+    assert run_cli("synthetic", "--family", "normal-mean-inc", "--seeds", 2, "--rounds", 12,
+                   "--out-dir", out) == 0
+    cols = read_csv_columns(out / "normal-mean-inc_traces.csv")
+    assert sorted(set(map(int, cols["round"]))) == list(range(1, 13))
+    assert read_csv_columns(out / "normal-mean-inc_summary.csv")["n_rounds"] == ["12"] * 4
+
+
+@pytest.mark.parametrize("family,flags", [
+    (Trend.UNIFORM_INC, ()),
+    (Trend.NORMAL_VAR_DEC, ("--per-stratum", 2, "--batch-size", 7, "--n-per-round", 24)),
+])
+def test_synthetic_csv_bytes_equal_per_round_reference(tmp_path, family, flags):
+    seeds, master = 6, 3
+    out = tmp_path / "syn"
+    assert run_cli("synthetic", "--family", family.value, "--seeds", seeds, "--seed", master,
+                   *flags, "--out-dir", out) == 0
+    opts = dict(zip(flags[::2], flags[1::2]))
+    rows = {"estimator": [], "seed": [], "round": [], "estimate": [], "truth": [],
+            "sq_dev": []}
+    pooled = {name: [] for name in ESTIMATOR_NAMES}
+    for s in range(seeds):
+        rounds = generate_family(family, (master, s), n_per_round=opts.get("--n-per-round", 40))
+        race = trace_estimators_reference(rounds, opts.get("--per-stratum", 1),
+                                          opts.get("--batch-size", 4),
+                                          seed=(master, s, _TRACE_STREAM))
+        for e, name in enumerate(ESTIMATOR_NAMES):
+            for k in range(rounds.n_rounds):
+                rows["estimator"].append(name)
+                rows["seed"].append(s)
+                rows["round"].append(k + 1)
+                rows["estimate"].append(float(race.estimates[e, k]))
+                rows["truth"].append(float(race.truth[k]))
+                rows["sq_dev"].append(float(race.sq_dev[e, k]))
+                pooled[name].append(float(race.sq_dev[e, k]))
+    write_csv_reference(tmp_path / "traces.csv", rows)
+    devs = {name: np.array(v) for name, v in pooled.items()}
+    write_csv_reference(tmp_path / "summary.csv", {
+        "estimator": list(ESTIMATOR_NAMES),
+        "mean_sq_dev": [float(devs[n].mean()) for n in ESTIMATOR_NAMES],
+        "std_sq_dev": [float(devs[n].std(ddof=1)) for n in ESTIMATOR_NAMES],
+        "n_rounds": [10] * 4,
+        "n_seeds": [seeds] * 4,
+    })
+    for kind in ("traces", "summary"):
+        assert (out / f"{family.value}_{kind}.csv").read_bytes() == \
+            (tmp_path / f"{kind}.csv").read_bytes()
 
 
 def test_synthetic_summary_ranks_memory_estimator_first(tmp_path):

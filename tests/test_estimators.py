@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from stratgrad.cli import _matrix_rounds
 from stratgrad.estimators import (
     CoefficientBuffers,
     Coefficients,
+    ESTIMATOR_NAMES,
     Degenerate,
-    EstimateTrace,
     batch_estimate,
     gmst_init,
     gmst_step,
@@ -25,14 +26,15 @@ from stratgrad.estimators import (
 )
 from stratgrad.population import (
     DECREASING_MEAN_INTERVALS,
-    StratifiedPopulation,
-    Stratum,
+    PopulationRound,
     StratumStats,
+    Trend,
     gen_uniform_rounds,
-    population_mean,
-    stratum_stats,
+    generate_family,
 )
 from stratgrad.rng import spawn_rng
+
+from oracles import trace_estimators_reference
 
 
 def signed_stats(abs_mean, var):
@@ -210,31 +212,29 @@ def test_condition_zero_prev_mean_unsatisfiable():
 # ------------------------------------------------------------ simple estimators
 
 def test_gst_constant_strata():
-    samples = [[1.0], [2.0], [3.0], [4.0]]
-    assert gst_estimate(samples, [0.25] * 4) == 2.5
+    assert gst_estimate([1.0, 2.0, 3.0, 4.0], [0.25] * 4) == 2.5
 
 
 def test_gst_single_samples_weighted_sum():
-    samples = [[2.0], [10.0]]
-    assert gst_estimate(samples, [0.75, 0.25]) == pytest.approx(4.0)
+    assert gst_estimate([2.0, 10.0], [0.75, 0.25]) == pytest.approx(4.0)
 
 
 def test_gst_missing_stratum_rejected():
     with pytest.raises(ValueError):
-        gst_estimate([[1.0]], [0.5, 0.5])
+        gst_estimate([1.0], [0.5, 0.5])
     with pytest.raises(ValueError):
-        gst_estimate([[1.0], []], [0.5, 0.5])
+        gst_estimate([[1.0], [2.0]], [0.5, 0.5])  # one mean per stratum, not blocks
 
 
 def test_gst_monte_carlo_unbiasedness():
-    pop = gen_uniform_rounds(DECREASING_MEAN_INTERVALS[:1], 40, seed=3).rounds[0]
-    truth = population_mean(pop)
+    rounds = gen_uniform_rounds(DECREASING_MEAN_INTERVALS[:1], 40, seed=3)
+    truth = rounds.truth[0]
     rng = spawn_rng(77)
     reps = 10 ** 5
     idx = rng.integers(0, 10, size=(reps, 4))
-    values = np.stack([s.values for s in pop.strata])  # (4, 10)
+    values = rounds.values[0].reshape(4, 10)
     draws = values[np.arange(4)[None, :], idx]
-    estimates = draws @ pop.weights
+    estimates = draws @ rounds.weights
     se = estimates.std(ddof=1) / math.sqrt(reps)
     assert abs(estimates.mean() - truth) <= 3 * se
 
@@ -247,76 +247,78 @@ def test_sgd_and_batch_estimates():
 
 
 def test_batch_over_whole_population_is_exact():
-    pop = gen_uniform_rounds([(0, 5)], 40, seed=1).rounds[0]
-    assert batch_estimate(pop.pooled_values()) == pytest.approx(population_mean(pop), abs=1e-12)
+    rounds = gen_uniform_rounds([(0, 5)], 40, seed=1)
+    assert batch_estimate(rounds.values[0]) == pytest.approx(rounds.truth[0], abs=1e-12)
 
 
 # ------------------------------------------------------------ memory estimator
 
-def _stats_of(pop):
-    return [stratum_stats(s) for s in pop.strata]
+def _stats_of(rounds, k=0):
+    return rounds.means[k], rounds.variances[k]
 
 
 def test_init_estimate_equals_gst():
-    pop = gen_uniform_rounds([(2, 6)], 40, seed=4).rounds[0]
-    samples = [[float(s.values[0])] for s in pop.strata]
-    state, est = gmst_init(samples, _stats_of(pop), pop.weights)
-    assert est == gst_estimate(samples, pop.weights)
+    rounds = gen_uniform_rounds([(2, 6)], 40, seed=4)
+    samples = rounds.values[0, rounds.offsets[:-1]]
+    state, est = gmst_init(samples, *_stats_of(rounds), rounds.weights)
+    assert est == gst_estimate(samples, rounds.weights)
     assert state.iteration == 1
     assert state.fallbacks == 0
 
 
 def test_init_constant_population():
-    strata = [Stratum([4.0] * 10, j) for j in range(4)]
-    pop = StratifiedPopulation.from_strata(strata)
-    _, est = gmst_init([[4.0]] * 4, _stats_of(pop), pop.weights)
+    rounds = PopulationRound(np.full((1, 40), 4.0), [10] * 4)
+    _, est = gmst_init([4.0] * 4, *_stats_of(rounds), rounds.weights)
     assert est == 4.0
 
 
 def test_step_constant_strata_fixed_point():
-    strata = [Stratum([4.0] * 10, j) for j in range(4)]
-    pop = StratifiedPopulation.from_strata(strata)
-    stats = _stats_of(pop)
-    state, est = gmst_init([[4.0]] * 4, stats, pop.weights)
+    rounds = PopulationRound(np.full((1, 40), 4.0), [10] * 4)
+    stats = _stats_of(rounds)
+    state, est = gmst_init([4.0] * 4, *stats, rounds.weights)
     for _ in range(5):
-        state, est = gmst_step(state, [4.0] * 4, stats, pop.weights)
+        state, est = gmst_step(state, [4.0] * 4, *stats, rounds.weights)
         assert est == 4.0
 
 
 def test_step_equal_stats_is_running_average():
-    stats = [StratumStats(2.0, 1.0), StratumStats(3.0, 2.0)]
+    means, variances = [2.0, 3.0], [1.0, 2.0]
     weights = [0.5, 0.5]
-    state, _ = gmst_init([[1.0], [2.0]], stats, weights)
-    new_state, est = gmst_step(state, [5.0, 4.0], stats, weights)
+    state, _ = gmst_init([1.0, 2.0], means, variances, weights)
+    new_state, est = gmst_step(state, [5.0, 4.0], means, variances, weights)
     assert np.allclose(new_state.memory, [3.0, 3.0])  # (old + fresh) / 2
     assert est == pytest.approx(3.0)
     assert new_state.iteration == 2
 
 
 def test_step_does_not_mutate_input_state():
-    stats = [StratumStats(2.0, 1.0)]
-    state, _ = gmst_init([[1.0]], stats, [1.0])
+    state, _ = gmst_init([1.0], [2.0], [1.0], [1.0])
     before = state.memory.copy()
-    gmst_step(state, [9.0], stats, [1.0])
+    gmst_step(state, [9.0], [2.0], [1.0], [1.0])
     assert np.array_equal(state.memory, before)
     assert state.iteration == 1
 
 
+def test_step_rejects_a_changed_stratum_count():
+    state, _ = gmst_init([1.0, 2.0], [2.0, 3.0], [1.0, 2.0], [0.5, 0.5])
+    with pytest.raises(ValueError):
+        gmst_step(state, [5.0], [2.0], [1.0], [1.0])
+    with pytest.raises(ValueError):
+        gmst_step(state, [5.0, 4.0], [2.0, 3.0, 1.0], [1.0, 2.0, 1.0], [0.5, 0.5])
+
+
 def test_step_monte_carlo_unbiasedness_round_two():
     rounds = gen_uniform_rounds(DECREASING_MEAN_INTERVALS[:2], 40, seed=12)
-    pop1, pop2 = rounds.rounds
-    stats1, stats2 = _stats_of(pop1), _stats_of(pop2)
-    truth = population_mean(pop2)
+    truth = rounds.truth[1]
     rng = spawn_rng(55)
     reps = 10 ** 5
-    v1 = np.stack([s.values for s in pop1.strata])
-    v2 = np.stack([s.values for s in pop2.strata])
+    v1, v2 = rounds.values.reshape(2, 4, 10)
     first = v1[np.arange(4)[None, :], rng.integers(0, 10, (reps, 4))]
     fresh = v2[np.arange(4)[None, :], rng.integers(0, 10, (reps, 4))]
     estimates = np.empty(reps)
     for r in range(reps):
-        state, _ = gmst_init(first[r], stats1, pop1.weights)
-        _, estimates[r] = gmst_step(state, fresh[r], stats2, pop2.weights)
+        state, _ = gmst_init(first[r], *_stats_of(rounds, 0), rounds.weights)
+        _, estimates[r] = gmst_step(state, fresh[r], *_stats_of(rounds, 1), rounds.weights)
     se = estimates.std(ddof=1) / math.sqrt(reps)
     assert abs(estimates.mean() - truth) <= 3 * se
 
@@ -391,13 +393,13 @@ def test_variance_bound_validates_inputs():
 
 
 def test_variance_bound_dominates_monte_carlo_stationary():
-    pop = gen_uniform_rounds([(0, 4)], 40, seed=8).rounds[0]
-    stats = _stats_of(pop)
-    weights = pop.weights
+    rounds = gen_uniform_rounds([(0, 4)], 40, seed=8)
+    stats = [StratumStats(m, v) for m, v in zip(*_stats_of(rounds))]
+    weights = rounds.weights
     v_st = stratified_variance(stats, weights)
     reps = 20_000
     rng = spawn_rng(93)
-    values = np.stack([s.values for s in pop.strata])
+    values = rounds.values[0].reshape(4, 10)
     memory = values[np.arange(4)[None, :], rng.integers(0, 10, (reps, 4))]
     coeffs = [optimal_coefficients(s.mean, s.variance, s.mean, s.variance) for s in stats]
     p_max = max(c.p for c in coeffs)
@@ -417,19 +419,19 @@ def test_variance_bound_dominates_monte_carlo_stationary():
 
 def test_stationary_chain_matches_gmst_step():
     # the vectorized chain above must follow the real estimator exactly
-    pop = gen_uniform_rounds([(0, 4)], 40, seed=8).rounds[0]
-    stats = _stats_of(pop)
-    weights = pop.weights
+    rounds = gen_uniform_rounds([(0, 4)], 40, seed=8)
+    stats = _stats_of(rounds)
+    weights = rounds.weights
     rng = spawn_rng(94)
-    values = np.stack([s.values for s in pop.strata])
-    coeffs = [optimal_coefficients(s.mean, s.variance, s.mean, s.variance) for s in stats]
+    values = rounds.values[0].reshape(4, 10)
+    coeffs = [optimal_coefficients(m, v, m, v) for m, v in zip(*stats)]
     for _ in range(50):
         first = values[np.arange(4), rng.integers(0, 10, 4)]
-        state, _ = gmst_init(first, stats, weights)
+        state, _ = gmst_init(first, *stats, weights)
         vec = first.copy()
         for _ in range(5):
             fresh = values[np.arange(4), rng.integers(0, 10, 4)]
-            state, est = gmst_step(state, fresh, stats, weights)
+            state, est = gmst_step(state, fresh, *stats, weights)
             vec = np.array([coeffs[j].p * vec[j] + coeffs[j].q * fresh[j] for j in range(4)])
             assert est == pytest.approx(float(vec @ weights), abs=1e-12)
 
@@ -438,44 +440,130 @@ def test_stationary_chain_matches_gmst_step():
 
 def test_trace_lengths_and_sq_dev_invariant():
     rounds = gen_uniform_rounds(DECREASING_MEAN_INTERVALS, 40, seed=2)
-    traces = trace_estimators(rounds, seed=5)
-    for name, seq in traces.items():
-        assert len(seq) == 10, name
-        for t in seq:
-            assert t.sq_dev == pytest.approx((t.estimate - t.truth) ** 2, abs=1e-12)
+    race = trace_estimators(rounds, seed=5)
+    assert race.estimates.shape == race.sq_dev.shape == (len(ESTIMATOR_NAMES), 10)
+    assert np.array_equal(race.truth, rounds.truth)
+    for est, dev in zip(race.estimates, race.sq_dev):
+        for e, d, t in zip(est.tolist(), dev.tolist(), race.truth.tolist()):
+            assert d == (e - t) * (e - t)
 
 
 def test_trace_constant_population_all_exact():
     rounds = gen_uniform_rounds([(3, 3)] * 4, 40, seed=2)
-    traces = trace_estimators(rounds, seed=5)
-    for seq in traces.values():
-        assert all(t.sq_dev == 0.0 for t in seq)
+    race = trace_estimators(rounds, seed=5)
+    assert not race.sq_dev.any()
 
 
 def test_trace_determinism():
     rounds = gen_uniform_rounds(DECREASING_MEAN_INTERVALS, 40, seed=2)
     a = trace_estimators(rounds, seed=5)
     b = trace_estimators(rounds, seed=5)
-    assert a == b
+    assert np.array_equal(a.estimates, b.estimates)
+    assert np.array_equal(a.sq_dev, b.sq_dev)
+    assert a.fallbacks == b.fallbacks
 
 
 def test_trace_fallback_counter_exposed():
     rounds = gen_uniform_rounds(DECREASING_MEAN_INTERVALS, 40, seed=2)
-    counters = {}
-    trace_estimators(rounds, seed=5, counters=counters)
-    assert counters["gmst_fallbacks"] >= 0
+    assert trace_estimators(rounds, seed=5).fallbacks >= 0
+    # stratum 0 jumps from a zero mean to a nonzero one (1 fallback), then
+    # stays put; the all-zero stratum 1 has a zero denominator (2 fallbacks)
+    values = np.zeros((3, 8))
+    values[1:, :4] = [1.0, 2.0, 3.0, 4.0]
+    race = trace_estimators(PopulationRound(values, [4, 4]), seed=5)
+    assert race.fallbacks == 3
 
 
 def test_trace_ordering_over_many_seeds():
-    per_seed = []
+    sq_dev = []
     for s in range(1000):
         rounds = gen_uniform_rounds(DECREASING_MEAN_INTERVALS, 40, seed=(100, s))
-        per_seed.append(trace_estimators(rounds, seed=(101, s)))
-    summary = summarize_traces(per_seed)
+        sq_dev.append(trace_estimators(rounds, seed=(101, s)).sq_dev)
+    summary = summarize_traces(np.stack(sq_dev))
     means = {name: summary[name]["mean_sq_dev"] for name in summary}
     assert means["gmst"] < means["gst"] < means["batch"]
 
 
-def test_estimate_trace_factory():
-    t = EstimateTrace.from_estimate(3, 1.5, 1.0)
-    assert t.sq_dev == 0.25
+def test_summary_pools_replications_in_order():
+    rng = spawn_rng(3)
+    sq_dev = rng.uniform(0, 1, (5, len(ESTIMATOR_NAMES), 7))
+    summary = summarize_traces(sq_dev)
+    for e, name in enumerate(ESTIMATOR_NAMES):
+        pooled = np.array([x for rep in sq_dev for x in rep[e].tolist()])
+        assert summary[name] == {"mean_sq_dev": float(pooled.mean()),
+                                 "std_sq_dev": float(pooled.std(ddof=1)), "n": 35}
+    assert summarize_traces(sq_dev[:1])["gst"]["std_sq_dev"] == float(sq_dev[0, 1].std(ddof=1))
+    with pytest.raises(ValueError):
+        summarize_traces(sq_dev[:, :3])
+    with pytest.raises(ValueError):
+        summarize_traces(sq_dev[0])
+
+
+def _ragged_gradient_rounds():
+    # gradmatrix's layout: a (samples, iterations) matrix, uneven classes of
+    # shuffled rows, one round per column
+    rng = spawn_rng(8)
+    sizes = [12, 10, 140, 11, 37]
+    matrix = rng.normal(1e-4, 1e-3, (sum(sizes), 6))
+    class_index = np.split(rng.permutation(sum(sizes)), np.cumsum(sizes)[:-1])
+    return _matrix_rounds(matrix, class_index)
+
+
+def _constant_strata_rounds():
+    # constant strata, zero means and a zero-to-nonzero jump reach the
+    # zero-over-zero and fallback branches
+    values = np.zeros((5, 30))
+    values[0, 10:20] = 2.0
+    values[1:3, :10] = 1.5
+    values[2:, 20:] = np.tile([-1.0, 1.0], 5)
+    values[3:, 10:20] = -2.0
+    return PopulationRound(values, [10, 10, 10])
+
+
+ORACLE_CASES = {
+    **{fam.value: (lambda fam=fam: generate_family(fam, (9, 1))) for fam in Trend},
+    "ragged": _ragged_gradient_rounds,
+    "constant": _constant_strata_rounds,
+}
+
+
+@pytest.mark.parametrize("case", list(ORACLE_CASES))
+@pytest.mark.parametrize("per_stratum", [1, 2, 10])
+@pytest.mark.parametrize("batch_size", [1, 4, 40])
+def test_trace_equals_per_stratum_loop_reference(case, per_stratum, batch_size):
+    rounds = ORACLE_CASES[case]()
+    if per_stratum > rounds.sizes.min():
+        with pytest.raises(ValueError):
+            trace_estimators(rounds, per_stratum, batch_size, seed=(4, 2))
+        return
+    for seed in ((4, 2), 11, (0, 3, 7000)):
+        got = trace_estimators(rounds, per_stratum, batch_size, seed=seed)
+        want = trace_estimators_reference(rounds, per_stratum, batch_size, seed=seed)
+        assert got.estimates.tobytes() == want.estimates.tobytes()
+        assert got.sq_dev.tobytes() == want.sq_dev.tobytes()
+        assert got.truth.tobytes() == want.truth.tobytes()
+        assert got.fallbacks == want.fallbacks
+
+
+def test_reference_cases_reach_the_degenerate_branches():
+    rounds = _constant_strata_rounds()
+    flags = {optimal_coefficients(mp, vp, mc, vc).degenerate
+             for k in range(1, rounds.n_rounds)
+             for mp, vp, mc, vc in zip(rounds.means[k - 1], rounds.variances[k - 1],
+                                       rounds.means[k], rounds.variances[k])}
+    assert {Degenerate.ZERO_OVER_ZERO, Degenerate.GUARDED_DENOMINATOR} <= flags
+    assert trace_estimators_reference(rounds, seed=1).fallbacks > 0
+
+
+def test_pooled_draws_follow_choice_and_scalar_integers():
+    # the batch and sgd streams: one integers call over all rounds reads the
+    # stream as a choice(pooled, size, replace=True) or integers(n) call per round
+    for seed in range(300):
+        n, rounds, size = 1 + seed * 7 % 900, 1 + seed % 12, 1 + seed % 41
+        ref_rng, rng = spawn_rng(seed), spawn_rng(seed)
+        pooled = np.arange(n)
+        want = [ref_rng.choice(pooled, size=size, replace=True) for _ in range(rounds)]
+        assert np.array_equal(rng.integers(0, n, size=(rounds, size)), np.array(want))
+        want = [ref_rng.integers(n) for _ in range(rounds)]
+        assert np.array_equal(rng.integers(n, size=rounds), want)
+        assert rng.integers(1 << 62) == ref_rng.integers(1 << 62)

@@ -7,16 +7,12 @@ from stratgrad.population import (
     DECREASING_MEAN_INTERVALS,
     INCREASING_MEAN_INTERVALS,
     PopulationRound,
-    StratifiedPopulation,
-    Stratum,
     StratumStats,
     Trend,
-    draw_stratified,
     gen_normal_rounds,
     gen_uniform_rounds,
     generate_family,
-    population_mean,
-    stratum_stats,
+    sample_strata,
     trend_schedules,
 )
 from stratgrad.rng import spawn_rng
@@ -32,28 +28,33 @@ def two_pass_stats(values):
 
 # ---------------------------------------------------------------- types
 
+def one_round(*strata) -> PopulationRound:
+    """A single-round sequence with the given value blocks as its strata."""
+    return PopulationRound(np.concatenate([np.asarray(s, dtype=np.float64) for s in strata])[None],
+                           [len(s) for s in strata])
+
+
 def test_stratum_rejects_empty():
     with pytest.raises(ValueError):
-        Stratum(np.array([]), 0)
+        PopulationRound(np.zeros((1, 2)), [2, 0])
+    with pytest.raises(ValueError):
+        PopulationRound(np.zeros((0, 2)), [2])
 
 
 def test_weights_must_match_sizes_exactly():
-    strata = [Stratum([1.0, 2.0], 0), Stratum([3.0, 4.0, 5.0], 1)]
-    StratifiedPopulation(strata, np.array([2 / 5, 3 / 5]))
-    with pytest.raises(ValueError):
-        StratifiedPopulation(strata, np.array([0.5, 0.5]))
-
-
-def test_duplicate_labels_rejected():
-    with pytest.raises(ValueError):
-        StratifiedPopulation.from_strata([Stratum([1.0], 0), Stratum([2.0], 0)])
+    rounds = one_round([1.0, 2.0], [3.0, 4.0, 5.0])
+    assert np.array_equal(rounds.weights, np.array([2 / 5, 3 / 5]))
+    assert np.array_equal(rounds.offsets, [0, 2, 5])
 
 
 def test_round_sequence_requires_shared_layout():
-    a = StratifiedPopulation.from_strata([Stratum([1, 2], 0), Stratum([3, 4], 1)])
-    b = StratifiedPopulation.from_strata([Stratum([1], 0), Stratum([2, 3, 4], 1)])
+    # every round is cut by the same sizes, which must cover a round exactly
     with pytest.raises(ValueError):
-        PopulationRound([a, b])
+        PopulationRound(np.zeros((2, 4)), [1, 2])
+    with pytest.raises(ValueError):
+        PopulationRound(np.zeros(4), [4])
+    with pytest.raises(ValueError):
+        PopulationRound(np.zeros((1, 4)), [2.0, 2.0])
 
 
 def test_negative_variance_rejected():
@@ -61,41 +62,60 @@ def test_negative_variance_rejected():
         StratumStats(0.0, -1.0)
 
 
+@pytest.mark.parametrize("block", [[1.0, np.inf], [1.0, np.nan], [1e308, 1e308]])
+def test_nonfinite_statistics_rejected(block):
+    # the last block is finite, but its sum overflows
+    with np.errstate(invalid="ignore", over="ignore"), pytest.raises(ValueError):
+        one_round(block, [2.0])
+
+
 # ---------------------------------------------------------------- stats
 
 def test_stratum_stats_trivial():
-    assert stratum_stats(Stratum([1, 1, 1, 1], 0)) == StratumStats(1.0, 0.0)
-    assert stratum_stats(Stratum([0, 2], 0)) == StratumStats(1.0, 1.0)
+    rounds = one_round([1, 1, 1, 1], [0, 2])
+    assert rounds.means.tolist() == [[1.0, 1.0]]
+    assert rounds.variances.tolist() == [[0.0, 1.0]]
 
 
 def test_stratum_stats_matches_two_pass_oracle():
     values = spawn_rng(11).uniform(-5, 9, 40)
-    got = stratum_stats(Stratum(values, 0))
+    rounds = one_round(values)
     mean, var = two_pass_stats(values)
-    assert got.mean == pytest.approx(mean, abs=1e-12)
-    assert got.variance == pytest.approx(var, abs=1e-12)
+    assert rounds.means[0, 0] == pytest.approx(mean, abs=1e-12)
+    assert rounds.variances[0, 0] == pytest.approx(var, abs=1e-12)
+
+
+def test_stratum_stats_equal_one_block_at_a_time():
+    # row-slice reductions give the bits of a 1-D np.mean / np.var per block
+    rng = spawn_rng(12)
+    sizes = [1, 7, 8, 9, 130, 300]
+    rounds = PopulationRound(rng.normal(3.0, 2.0, (5, sum(sizes))), sizes)
+    for k, values in enumerate(rounds.values):
+        blocks = np.split(values.copy(), np.cumsum(sizes)[:-1])
+        assert rounds.means[k].tolist() == [float(np.mean(b)) for b in blocks]
+        assert rounds.variances[k].tolist() == [float(np.var(b)) for b in blocks]
+        assert rounds.truth[k] == float(np.dot(rounds.weights,
+                                               np.array([np.mean(b) for b in blocks])))
 
 
 def test_population_mean_equal_strata():
-    strata = [Stratum([float(c)] * 5, c - 1) for c in (1, 2, 3, 4)]
-    assert population_mean(StratifiedPopulation.from_strata(strata)) == 2.5
+    rounds = one_round(*([float(c)] * 5 for c in (1, 2, 3, 4)))
+    assert rounds.truth.tolist() == [2.5]
 
 
 def test_population_mean_single_stratum():
-    s = Stratum([2.0, 4.0, 9.0], 0)
-    pop = StratifiedPopulation.from_strata([s])
-    assert population_mean(pop) == stratum_stats(s).mean
+    rounds = one_round([2.0, 4.0, 9.0])
+    assert rounds.truth[0] == rounds.means[0, 0]
 
 
 def test_population_mean_matches_pooled_mean():
     rng = spawn_rng(42)
     for _ in range(20):
         sizes = rng.integers(1, 30, size=rng.integers(2, 6))
-        strata = [Stratum(rng.normal(rng.uniform(-3, 3), 2.0, size=sz), j)
-                  for j, sz in enumerate(sizes)]
-        pop = StratifiedPopulation.from_strata(strata)
-        pooled = pop.pooled_values()
-        assert population_mean(pop) == pytest.approx(float(pooled.mean()), abs=1e-12)
+        rounds = PopulationRound(
+            np.concatenate([rng.normal(rng.uniform(-3, 3), 2.0, size=sz) for sz in sizes])[None],
+            sizes)
+        assert rounds.truth[0] == pytest.approx(float(rounds.values.mean()), abs=1e-12)
 
 
 # ---------------------------------------------------------------- generators
@@ -104,25 +124,24 @@ def test_decreasing_family_shape_and_trend():
     rounds = gen_uniform_rounds(DECREASING_MEAN_INTERVALS, 40, 0)
     assert rounds.n_rounds == 10
     assert rounds.trend is Trend.UNIFORM_DEC
-    for pop in rounds.rounds:
-        assert pop.n_strata == 4
-        assert all(s.size == 10 for s in pop.strata)
+    assert rounds.values.shape == (10, 40)
+    assert rounds.n_strata == 4
+    assert rounds.sizes.tolist() == [10] * 4
     inc = gen_uniform_rounds(INCREASING_MEAN_INTERVALS, 40, 0)
     assert inc.trend is Trend.UNIFORM_INC
 
 
 def test_degenerate_interval_yields_zeros():
     rounds = gen_uniform_rounds([(0, 0)], 4, seed=3)
-    pop = rounds.rounds[0]
-    assert population_mean(pop) == 0.0
-    assert all(stratum_stats(s).variance == 0.0 for s in pop.strata)
+    assert rounds.truth.tolist() == [0.0]
+    assert not rounds.variances.any()
 
 
 def test_uniform_mean_against_large_redraw_oracle():
     # Oracle: a fresh 1e6-draw estimate of the generator's mean on (0, 1);
     # the 40-value round must sit within 3 sigma / sqrt(40) of it.
     rounds = gen_uniform_rounds([(0, 1)], 40, seed=9)
-    sample_mean = float(rounds.rounds[0].pooled_values().mean())
+    sample_mean = float(rounds.values[0].mean())
     oracle = float(spawn_rng(987).uniform(0, 1, 10 ** 6).mean())
     sigma = 1.0 / math.sqrt(12.0)
     assert abs(sample_mean - oracle) <= 3 * sigma / math.sqrt(40)
@@ -141,19 +160,18 @@ def test_normal_random_family_layout():
     rounds = gen_normal_rounds(None, 40, 5, Trend.NORMAL_RANDOM)
     assert rounds.n_rounds == 10
     assert rounds.trend is Trend.NORMAL_RANDOM
-    assert all(pop.n_strata == 4 for pop in rounds.rounds)
+    assert rounds.n_strata == 4
 
 
 def test_normal_near_degenerate_sigma():
     rounds = gen_normal_rounds([(5, 1e-9)], 4, 0, Trend.NORMAL_RANDOM)
-    pop = rounds.rounds[0]
-    assert population_mean(pop) == pytest.approx(5.0, abs=1e-6)
-    assert all(stratum_stats(s).variance < 1e-12 for s in pop.strata)
+    assert rounds.truth[0] == pytest.approx(5.0, abs=1e-6)
+    assert (rounds.variances < 1e-12).all()
 
 
 def test_normal_large_sample_variance():
     rounds = gen_normal_rounds([(0, 1)], 10 ** 5, 1, Trend.NORMAL_RANDOM, n_strata=4)
-    pooled = rounds.rounds[0].pooled_values()
+    pooled = rounds.values[0]
     assert float(pooled.var()) == pytest.approx(1.0, rel=0.02)
 
 
@@ -181,15 +199,39 @@ def test_generate_family_covers_all_trends():
         assert rounds.n_rounds == 10
 
 
+@pytest.mark.parametrize("family", [Trend.UNIFORM_DEC, Trend.UNIFORM_INC])
+def test_uniform_families_run_at_most_their_interval_table(family):
+    assert generate_family(family, seed=1, n_rounds=7).n_rounds == 7
+    with pytest.raises(ValueError, match="10 rounds"):
+        generate_family(family, seed=1, n_rounds=len(DECREASING_MEAN_INTERVALS) + 1)
+    with pytest.raises(ValueError):
+        generate_family(family, seed=1, n_rounds=0)
+
+
+def test_normal_families_take_any_positive_round_count():
+    assert generate_family(Trend.NORMAL_MEAN_INC, seed=1, n_rounds=12).n_rounds == 12
+    assert generate_family(Trend.NORMAL_RANDOM, seed=1, n_rounds=12).n_rounds == 12
+    with pytest.raises(ValueError):
+        generate_family(Trend.NORMAL_VAR_DEC, seed=1, n_rounds=0)
+
+
 def test_generators_are_bit_reproducible():
     a = gen_uniform_rounds(DECREASING_MEAN_INTERVALS, 40, 17)
     b = gen_uniform_rounds(DECREASING_MEAN_INTERVALS, 40, 17)
-    for pa, pb in zip(a.rounds, b.rounds):
-        assert np.array_equal(pa.pooled_values(), pb.pooled_values())
+    assert np.array_equal(a.values, b.values)
     c = gen_normal_rounds(None, 40, 17, Trend.NORMAL_RANDOM)
     d = gen_normal_rounds(None, 40, 17, Trend.NORMAL_RANDOM)
-    for pc, pd in zip(c.rounds, d.rounds):
-        assert np.array_equal(pc.pooled_values(), pd.pooled_values())
+    assert np.array_equal(c.values, d.values)
+
+
+def test_generator_strata_come_from_their_own_streams():
+    # stratum j of round k is the draw from stream (seed, k, j)
+    rounds = gen_normal_rounds([(1.0, 2.0), (3.0, 4.0)], 12, 17, Trend.NORMAL_RANDOM,
+                               n_strata=3)
+    for k, (mu, sigma) in enumerate([(1.0, 2.0), (3.0, 4.0)]):
+        for j in range(3):
+            want = spawn_rng(17, k, j).normal(mu, sigma, 4)
+            assert np.array_equal(rounds.values[k, 4 * j:4 * j + 4], want)
 
 
 def test_decreasing_family_round_means_mostly_ordered():
@@ -199,7 +241,7 @@ def test_decreasing_family_round_means_mostly_ordered():
     total = 0
     for seed in range(100):
         rounds = gen_uniform_rounds(DECREASING_MEAN_INTERVALS, 40, seed)
-        means = [population_mean(pop) for pop in rounds.rounds]
+        means = rounds.truth.tolist()
         for a, b in zip(means, means[1:]):
             total += 1
             ordered += a > b
@@ -208,38 +250,67 @@ def test_decreasing_family_round_means_mostly_ordered():
 
 # ---------------------------------------------------------------- draws
 
-def _fixture_population():
+def _fixture_rounds():
     rng = spawn_rng(5)
-    strata = [Stratum(rng.normal(j, 1.0, 10), j) for j in range(4)]
-    return StratifiedPopulation.from_strata(strata)
+    return PopulationRound(np.concatenate([rng.normal(j, 1.0, (3, 10)) for j in range(4)],
+                                          axis=1), [10] * 4)
+
+
+def _strata(rounds, k):
+    return np.split(rounds.values[k], rounds.offsets[1:-1])
 
 
 def test_draw_one_per_stratum():
-    pop = _fixture_population()
-    pairs = draw_stratified(pop, 1, seed=0)
-    assert [label for label, _ in pairs] == [0, 1, 2, 3]
+    rounds = _fixture_rounds()
+    draws = sample_strata(rounds, 1, spawn_rng(0))
+    assert draws.shape == (3, 4, 1)
+    for k in range(3):
+        assert all(draws[k, j, 0] in block for j, block in enumerate(_strata(rounds, k)))
 
 
 def test_draw_values_belong_to_their_stratum():
-    pop = _fixture_population()
-    for label, value in draw_stratified(pop, 3, seed=8):
-        assert value in pop.strata[label].values
+    rounds = _fixture_rounds()
+    draws = sample_strata(rounds, 3, spawn_rng(8))
+    assert draws.shape == (3, 4, 3)
+    for k in range(3):
+        for j, block in enumerate(_strata(rounds, k)):
+            assert all(v in block for v in draws[k, j])
+            assert len(set(draws[k, j].tolist())) == 3  # without replacement
 
 
 def test_exhaustive_draw_returns_stratum_multiset():
-    pop = _fixture_population()
-    pairs = draw_stratified(pop, 10, seed=1)
-    for j in range(4):
-        got = sorted(v for label, v in pairs if label == j)
-        assert got == sorted(pop.strata[j].values.tolist())
+    rounds = _fixture_rounds()
+    draws = sample_strata(rounds, 10, spawn_rng(1))
+    for k in range(3):
+        for j, block in enumerate(_strata(rounds, k)):
+            assert sorted(draws[k, j].tolist()) == sorted(block.tolist())
 
 
 def test_draw_is_deterministic_per_seed():
-    pop = _fixture_population()
-    assert draw_stratified(pop, 2, seed=4) == draw_stratified(pop, 2, seed=4)
+    rounds = _fixture_rounds()
+    assert np.array_equal(sample_strata(rounds, 2, spawn_rng(4)),
+                          sample_strata(rounds, 2, spawn_rng(4)))
 
 
 def test_draw_rejects_oversized_request():
-    pop = _fixture_population()
+    rounds = _fixture_rounds()
     with pytest.raises(ValueError):
-        draw_stratified(pop, 11, seed=0)
+        sample_strata(rounds, 11, spawn_rng(0))
+    with pytest.raises(ValueError):
+        sample_strata(rounds, 0, spawn_rng(0))
+
+
+@pytest.mark.parametrize("per_stratum", [1, 2, 10])
+def test_draws_follow_one_choice_call_per_stratum_and_round(per_stratum):
+    # the stream is read as per-stratum Generator.choice calls, round by round,
+    # over stratum sizes on both sides of choice's tail-shuffle/Floyd switch
+    layouts = ([10] * 4, [1, 10, 11], [49, 50, 51, 300, 1000], [12, 700])
+    for seed in range(300):
+        sizes = [n for n in layouts[seed % len(layouts)] if n >= per_stratum]
+        rounds = PopulationRound(np.arange(3 * sum(sizes), dtype=np.float64).reshape(3, -1),
+                                 sizes)
+        ref_rng, rng = spawn_rng(seed), spawn_rng(seed)
+        want = [[rounds.values[k, lo:lo + n][ref_rng.choice(n, size=per_stratum, replace=False)]
+                 for lo, n in zip(rounds.offsets, sizes)] for k in range(3)]
+        assert np.array_equal(sample_strata(rounds, per_stratum, rng), np.array(want))
+        assert rng.integers(1 << 62) == ref_rng.integers(1 << 62)  # same stream position

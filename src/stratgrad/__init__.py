@@ -4,8 +4,8 @@ Library layout:
 
 * :mod:`stratgrad.population` - stratified scalar populations and the
   synthetic drift families;
-* :mod:`stratgrad.estimators` - the four estimators, mixing coefficients,
-  and variance predictions/bounds;
+* :mod:`stratgrad.estimators` - the four estimators, the mixing-coefficient
+  kernel, the variance prediction and the estimator race;
 * :mod:`stratgrad.mlp` - a plain-numpy feedforward classifier with exact
   hand-derived gradients;
 * :mod:`stratgrad.trainer` - the memory-type stratified trainer and the
@@ -17,21 +17,12 @@ Library layout:
 __version__ = "0.1.0"
 
 from .estimators import (
-    Coefficients,
-    Degenerate,
-    MemoryState,
     Race,
-    batch_estimate,
-    gmst_init,
     gmst_step,
     gst_estimate,
-    optimal_coefficients,
+    optimal_coefficients_elementwise,
     predicted_variance_vsp,
-    sgd_estimate,
-    stratified_variance,
     trace_estimators,
-    unbiased_condition_holds,
-    variance_bound,
 )
 from .population import (
     PopulationRound,
@@ -45,11 +36,8 @@ from .population import (
 
 __all__ = [
     "__version__",
-    "Coefficients", "Degenerate", "MemoryState", "Race",
-    "batch_estimate", "gmst_init", "gmst_step", "gst_estimate",
-    "optimal_coefficients", "predicted_variance_vsp", "sgd_estimate",
-    "stratified_variance", "trace_estimators", "unbiased_condition_holds",
-    "variance_bound",
+    "Race", "gmst_step", "gst_estimate", "optimal_coefficients_elementwise",
+    "predicted_variance_vsp", "trace_estimators",
     "PopulationRound", "StratumStats", "Trend", "gen_normal_rounds",
     "gen_uniform_rounds", "generate_family", "sample_strata",
 ]

@@ -21,8 +21,8 @@ import numpy as np
 from . import __version__, mlp, trainer
 from .dataio import (LabeledDataset, default_data_dir, load_mnist_split, subsample,
                      write_csv, write_manifest, write_svg_lineplot)
-from .estimators import (ESTIMATOR_NAMES, optimal_coefficients, predicted_variance_vsp,
-                         summarize_traces, trace_estimators)
+from .estimators import (ESTIMATOR_NAMES, optimal_coefficients_elementwise,
+                         predicted_variance_vsp, summarize_traces, trace_estimators)
 from .population import (DECREASING_MEAN_INTERVALS, INCREASING_MEAN_INTERVALS,
                          NORMAL_TRENDS, RANDOM_PARAM_RANGE, PopulationRound, StratumStats,
                          Trend, generate_family, trend_schedules)
@@ -104,21 +104,19 @@ def cmd_synthetic(args, run: _Run) -> None:
     sequences = [generate_family(family, (args.seed, s), n_per_round=args.n_per_round,
                                  n_rounds=args.rounds) for s in range(args.seeds)]
     marks.append(time.perf_counter())
-    races = [trace_estimators(rounds, per_stratum=args.per_stratum,
-                              batch_size=args.batch_size, seed=(args.seed, s, _TRACE_STREAM))
-             for s, rounds in enumerate(sequences)]
+    race = trace_estimators(sequences, [(args.seed, s, _TRACE_STREAM) for s in range(args.seeds)],
+                            per_stratum=args.per_stratum, batch_size=args.batch_size)
     marks.append(time.perf_counter())
 
     # (seeds, estimators, rounds), written seed by seed, estimator by estimator
-    sq_dev = np.stack([race.sq_dev for race in races])
+    sq_dev = race.sq_dev
     n_seeds, n_estimators, n_rounds = sq_dev.shape
-    truth = np.stack([race.truth for race in races])[:, None, :]
     write_csv(run.path(f"{family.value}_traces.csv"), {
-        "estimator": [name for name in ESTIMATOR_NAMES for _ in range(n_rounds)] * n_seeds,
+        "estimator": np.tile(np.repeat(ESTIMATOR_NAMES, n_rounds), n_seeds),
         "seed": np.repeat(np.arange(n_seeds), n_estimators * n_rounds),
         "round": np.tile(np.arange(1, n_rounds + 1), n_seeds * n_estimators),
-        "estimate": np.stack([race.estimates for race in races]).reshape(-1),
-        "truth": np.broadcast_to(truth, sq_dev.shape).reshape(-1),
+        "estimate": race.estimates.reshape(-1),
+        "truth": np.broadcast_to(race.truth[:, None, :], sq_dev.shape).reshape(-1),
         "sq_dev": sq_dev.reshape(-1),
     })
 
@@ -136,7 +134,7 @@ def cmd_synthetic(args, run: _Run) -> None:
                        x=range(1, n_rounds + 1), title=f"squared deviation ({family.value})",
                        x_label="round", y_label="mean squared deviation")
     marks.append(time.perf_counter())
-    run.finish(args, {"gmst_fallbacks": sum(race.fallbacks for race in races),
+    run.finish(args, {"gmst_fallbacks": race.fallbacks,
                       "schedule": _family_schedule_note(family, n_rounds),
                       **_phase_entries(("generate", "race", "write"), marks)})
 
@@ -221,11 +219,11 @@ def cmd_variance_oracle(args, run: _Run) -> None:
             prev_stats.append(StratumStats(mp, vp))
             curr_stats.append(StratumStats(mc, vc))
             weights.append(w)
-            coeffs = optimal_coefficients(mp, vp, mc, vc)
-            n_fallback += coeffs.is_fallback
+            p, q, fell_back = optimal_coefficients_elementwise(mp, vp, mc, vc)
+            n_fallback += fell_back
             memory = rng.normal(mp, np.sqrt(vp), args.replications)
             fresh = rng.normal(mc, np.sqrt(vc), args.replications)
-            combined = coeffs.p * memory + coeffs.q * fresh
+            combined = p * memory + q * fresh
             total += w * combined
             predicted = predicted_variance_vsp([prev_stats[-1]], [curr_stats[-1]], [1.0])
             rows["experiment"].append(e)
@@ -234,7 +232,7 @@ def cmd_variance_oracle(args, run: _Run) -> None:
             rows["predicted"].append(predicted)
             rows["empirical"].append(float(combined.var(ddof=1)))
             rows["z"].append(_variance_zscore(combined, predicted))
-            rows["fallback"].append(int(coeffs.is_fallback))
+            rows["fallback"].append(fell_back)
         # strata that fell back to the pure fresh draw blend away from the
         # predicted optimum, so their z scores flag a real gap
         predicted_total = predicted_variance_vsp(prev_stats, curr_stats, weights)
@@ -275,9 +273,10 @@ def cmd_gradmatrix(args, run: _Run) -> None:
     marks.append(time.perf_counter())
 
     rounds = _matrix_rounds(matrix, train.class_index)
-    races = [trace_estimators(rounds, per_stratum=1, batch_size=args.batch_size,
-                              seed=(args.seed, _REP_STREAM, r)) for r in range(args.reps)]
-    summary = summarize_traces(np.stack([race.sq_dev for race in races]))
+    race = trace_estimators([rounds] * args.reps,
+                            [(args.seed, _REP_STREAM, r) for r in range(args.reps)],
+                            per_stratum=1, batch_size=args.batch_size)
+    summary = summarize_traces(race.sq_dev)
     write_csv(run.path("deviation_summary.csv"), {
         "estimator": list(ESTIMATOR_NAMES),
         "mean_sq_dev": [summary[name]["mean_sq_dev"] for name in ESTIMATOR_NAMES],
@@ -285,11 +284,10 @@ def cmd_gradmatrix(args, run: _Run) -> None:
         "n_rounds": [t] * len(ESTIMATOR_NAMES),
         "n_seeds": [args.reps] * len(ESTIMATOR_NAMES),
     })
-    first = races[0]
     for e, name in enumerate(ESTIMATOR_NAMES):
         write_svg_lineplot(
             run.path(f"tracking_{name}.svg"),
-            {"population": first.truth, name: first.estimates[e]},
+            {"population": race.truth[0], name: race.estimates[0, e]},
             x=range(1, t + 1), title=f"{name} vs population gradient",
             x_label="iteration", y_label="tracked-weight gradient")
     marks.append(time.perf_counter())
@@ -301,7 +299,7 @@ def cmd_gradmatrix(args, run: _Run) -> None:
         "final_loss": losses[-1],
         "train_accuracy": train_accuracy,
         "test_accuracy": test_accuracy,
-        "gmst_fallbacks": sum(race.fallbacks for race in races),
+        "gmst_fallbacks": race.fallbacks,
         **_phase_entries(("descent", "matrix_csv", "replay", "score"), marks),
     })
 

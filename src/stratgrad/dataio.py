@@ -2,10 +2,10 @@
 
 CSV output uses 17 significant digits so float64 values round-trip exactly.
 The CSV writer works column by column over fixed blocks of rows: 1-D numeric
-arrays go through `tolist()` and one `str.format` call per block, other
-columns through `_format_cell`, with the same bytes either way. SVG output is
-a minimal standalone line chart. IDX files may be gzipped;
-the reader sniffs the gzip magic.
+and str arrays go through `tolist()` and one `str.format` call per block,
+other columns through `_format_cell`, with the same bytes either way. SVG
+output is a minimal standalone line chart. IDX files may be gzipped; the
+reader sniffs the gzip magic.
 """
 
 from __future__ import annotations
@@ -200,10 +200,11 @@ _CSV_BLOCK_ROWS = 512
 
 
 def _column_spec(col) -> Optional[str]:
-    """The `str.format` field for a 1-D numeric ndarray column, else None.
+    """The `str.format` field for a 1-D numeric or str ndarray column, else None.
 
     Such a column is written from `tolist()` values, which are Python floats,
-    ints and bools, so the field formats them exactly as `_format_cell` does.
+    ints, bools and strs, so the field formats them exactly as `_format_cell`
+    does.
     """
     if type(col) is np.ndarray and col.ndim == 1:
         kind = col.dtype.kind
@@ -211,6 +212,8 @@ def _column_spec(col) -> Optional[str]:
             return "{:.17g}"
         if kind in "iub":  # Python ints: uint64 above 2**63 does not wrap
             return "{:d}"
+        if kind == "U":
+            return "{}"
     return None
 
 

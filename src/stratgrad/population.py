@@ -7,7 +7,9 @@ stratum layout, modelling a quantity whose per-round distribution drifts
 (mean or spread, up or down) between consecutive sampling rounds. It is
 stored as one (K, N) array with the strata as contiguous column slices, and
 computes every round's stratum statistics and pooled mean once, when built;
-`sample_strata` draws from all of its rounds at once.
+`sample_strata` draws from all of its rounds at once. Sequences with the same
+stratum sizes and round count can be raced together as replications
+(`estimators.trace_estimators`).
 
 All statistics use the finite-population convention: a stratum's mean and
 variance are exact properties of its values (variance divides by n, not
@@ -90,14 +92,11 @@ class PopulationRound:
     stratum: stratum j is the column slice ``offsets[j]:offsets[j + 1]``,
     whose length is ``sizes[j]``. The exact statistics are computed once, on
     construction: `weights` (w_j = N_j / N), the (K, C) stratum `means` and
-    `variances`, and each round's pooled mean `truth`. `trend` names the
-    synthetic family that produced the rounds; it is None for rounds built
-    from recorded data (e.g. gradient-matrix columns).
+    `variances`, and each round's pooled mean `truth`.
     """
 
     values: np.ndarray
     sizes: np.ndarray
-    trend: Optional[Trend] = None
     offsets: np.ndarray = field(init=False)
     weights: np.ndarray = field(init=False)
     means: np.ndarray = field(init=False)
@@ -163,7 +162,7 @@ def sample_strata(rounds: PopulationRound, per_stratum: int,
 
 
 def _draw_rounds(draw, params: list[tuple[float, float]], n_per_round: int, seed,
-                 n_strata: int, trend: Trend) -> PopulationRound:
+                 n_strata: int) -> PopulationRound:
     """One round per parameter pair, in equal strata of fresh draws.
 
     Stratum j of round k holds n_per_round / n_strata values of
@@ -181,7 +180,7 @@ def _draw_rounds(draw, params: list[tuple[float, float]], n_per_round: int, seed
     for k, (a, b) in enumerate(params):
         for j in range(n_strata):
             values[k, j * per:(j + 1) * per] = draw(spawn_rng(seed, k, j), a, b, per)
-    return PopulationRound(values, np.full(n_strata, per), trend)
+    return PopulationRound(values, np.full(n_strata, per))
 
 
 def gen_uniform_rounds(
@@ -193,17 +192,13 @@ def gen_uniform_rounds(
     """One round of uniform draws per interval, cut into contiguous strata.
 
     Round k holds n_per_round draws from U(lo_k, hi_k), partitioned into
-    n_strata equal contiguous blocks. The family tag follows the interval
-    midpoints: non-increasing midpoints mean the decreasing-mean family.
+    n_strata equal contiguous blocks.
     """
     intervals = [(float(lo), float(hi)) for lo, hi in intervals]
     for lo, hi in intervals:
         if lo > hi:
             raise ValueError(f"interval ({lo}, {hi}) has lo > hi")
-    mids = [0.5 * (lo + hi) for lo, hi in intervals]
-    decreasing = all(b <= a for a, b in zip(mids, mids[1:]))
-    return _draw_rounds(np.random.Generator.uniform, intervals, n_per_round, seed, n_strata,
-                        Trend.UNIFORM_DEC if decreasing else Trend.UNIFORM_INC)
+    return _draw_rounds(np.random.Generator.uniform, intervals, n_per_round, seed, n_strata)
 
 
 def trend_schedules(family: Trend, n_rounds: int = DEFAULT_N_ROUNDS) -> list[tuple[float, float]]:
@@ -253,7 +248,7 @@ def gen_normal_rounds(
     for mu, sg in params:
         if sg <= 0:
             raise ValueError(f"sigma must be positive, got {sg}")
-    return _draw_rounds(np.random.Generator.normal, params, n_per_round, seed, n_strata, family)
+    return _draw_rounds(np.random.Generator.normal, params, n_per_round, seed, n_strata)
 
 
 def generate_family(family: Trend, seed, n_per_round: int = 40,

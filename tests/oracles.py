@@ -1,14 +1,130 @@
-"""Shared independent oracles for gradient and variance checks."""
+"""Shared independent oracles for gradient and variance checks.
+
+Also home to the scalar mixing-coefficient reference (`optimal_coefficients`
+with its `Coefficients`/`Degenerate` provenance flags), which the
+vectorised kernel in `stratgrad.estimators` is checked against.
+"""
 
 from __future__ import annotations
+
+import enum
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from stratgrad import mlp, trainer
 from stratgrad.dataio import _format_cell
-from stratgrad.estimators import (ESTIMATOR_NAMES, Race, optimal_coefficients,
-                                  optimal_coefficients_elementwise)
+from stratgrad.estimators import ESTIMATOR_NAMES, Race, optimal_coefficients_elementwise
+from stratgrad.population import StratumStats
 from stratgrad.rng import spawn_rng
+
+
+class Degenerate(enum.Enum):
+    """How a coefficient pair was produced.
+
+    NONE: the plain minimum-variance formula.
+    ZERO_OVER_ZERO: both means were zero, so the 0/0 := 1 limit form applied.
+    GUARDED_DENOMINATOR: the formula was unusable (zero denominator,
+    a zero previous mean against a nonzero current one, or |p| >= 1) and the
+    pair fell back to (0, 1), i.e. the fresh draw alone.
+    """
+
+    NONE = "none"
+    ZERO_OVER_ZERO = "zero-over-zero"
+    GUARDED_DENOMINATOR = "guarded-denominator"
+
+
+@dataclass(frozen=True)
+class Coefficients:
+    """Per-stratum mixing pair with its provenance flag."""
+
+    p: float
+    q: float
+    degenerate: Degenerate = Degenerate.NONE
+
+    @property
+    def is_fallback(self) -> bool:
+        return self.degenerate is Degenerate.GUARDED_DENOMINATOR
+
+
+_FALLBACK = Coefficients(0.0, 1.0, Degenerate.GUARDED_DENOMINATOR)
+
+
+def optimal_coefficients(mean_prev: float, var_prev: float,
+                         mean_curr: float, var_curr: float) -> Coefficients:
+    """Minimum-variance unbiased mixing pair for one stratum.
+
+    p = mean_curr * mean_prev * var_curr / d and
+    q = mean_curr**2 * var_prev / d with
+    d = mean_curr**2 * var_prev + mean_prev**2 * var_curr.
+
+    Degenerate inputs fall through to explicit branches: both means zero
+    uses the 0/0 := 1 limit p = var_curr / (var_prev + var_curr); a
+    zero denominator, an unsatisfiable mean ratio (mean_prev = 0 with
+    mean_curr != 0) or a blend with |p| >= 1 all fall back to (0, 1), the
+    pure fresh draw, and are flagged as such.
+    """
+    if var_prev < 0 or var_curr < 0:
+        raise ValueError(f"variances must be non-negative, got ({var_prev}, {var_curr})")
+    if mean_curr == 0.0 and mean_prev == 0.0 and var_curr > 0.0:
+        total = var_prev + var_curr
+        coeffs = Coefficients(var_curr / total, var_prev / total, Degenerate.ZERO_OVER_ZERO)
+    else:
+        if mean_prev == 0.0 and mean_curr != 0.0:
+            return _FALLBACK
+        cc = mean_curr * mean_curr * var_prev
+        pp = mean_prev * mean_prev * var_curr
+        den = cc + pp
+        if den == 0.0:
+            return _FALLBACK
+        coeffs = Coefficients(mean_curr * mean_prev * var_curr / den, cc / den)
+    if abs(coeffs.p) >= 1.0:
+        return _FALLBACK
+    return coeffs
+
+
+def unbiased_condition_holds(c: Coefficients, mean_prev: float, mean_curr: float,
+                             tol: float = 1e-9) -> bool:
+    """Whether p / (1 - q) matches mean_curr / mean_prev within relative tol.
+
+    Both means zero counts as satisfied (the 0/0 convention); a zero
+    previous mean against a nonzero current one is unsatisfiable and
+    returns False, as does q = 1 (the blend ratio is undefined there).
+    """
+    if mean_prev == 0.0:
+        return mean_curr == 0.0
+    if c.q == 1.0:
+        return False
+    ratio = mean_curr / mean_prev
+    return abs(c.p / (1.0 - c.q) - ratio) <= tol * abs(ratio)
+
+
+def stratified_variance(stats: Sequence[StratumStats], weights) -> float:
+    """Variance of the memoryless stratified estimator: sum_j w_j^2 V_j."""
+    weights = np.asarray(weights, dtype=np.float64)
+    if len(stats) != weights.size:
+        raise ValueError("need stats for every stratum")
+    variances = np.array([s.variance for s in stats])
+    return float(np.dot(weights * weights, variances))
+
+
+def variance_bound(v_mst_k: float, v_st_seq: Sequence[float], p: float, q: float,
+                   t: int) -> float:
+    """Geometric decay envelope for the memory estimator's variance.
+
+    p^(2t) * v_mst_k + sum_{i=1..t} p^(2(t-i)) * q^2 * v_st_seq[i-1],
+    valid for mixing bounds 0 < p, q < 1.
+    """
+    if not (0.0 < p < 1.0) or not (0.0 < q < 1.0):
+        raise ValueError(f"bound requires 0 < p, q < 1, got p={p}, q={q}")
+    v_st_seq = [float(v) for v in v_st_seq]
+    if len(v_st_seq) != t:
+        raise ValueError(f"need exactly t={t} stratified variances, got {len(v_st_seq)}")
+    bound = (p ** (2 * t)) * float(v_mst_k)
+    for i, v_st in enumerate(v_st_seq, start=1):
+        bound += (p ** (2 * (t - i))) * q * q * v_st
+    return float(bound)
 
 
 def numeric_gradient(params, features, labels, weight_decay, step=1e-5):
@@ -137,54 +253,59 @@ def mssg_reference(params, data, config):
     return params, mem
 
 
-def trace_estimators_reference(rounds, per_stratum: int = 1, batch_size: int = 4,
-                               seed=0) -> Race:
-    """The estimator race as a per-round, per-stratum loop over 1-D blocks.
+def trace_estimators_reference(sequences, seeds, per_stratum: int = 1,
+                               batch_size: int = 4) -> Race:
+    """The estimator race as a per-replication, per-round, per-stratum loop.
 
-    Each round is split into one array per stratum. Their exact stats come
-    from `np.mean`/`np.var` one stratum at a time, and every draw is a
-    `Generator.choice` call per stratum and round. The four streams are
-    interleaved round by round, as :func:`estimators.trace_estimators`
-    did before it drew each stream for all rounds at once.
+    Each round is split into one 1-D array per stratum. Their exact stats
+    come from `np.mean`/`np.var` one stratum at a time, every draw is a
+    `Generator.choice` call per stratum and round, and every mixing pair
+    comes from the scalar `optimal_coefficients`. A replication's four
+    streams are interleaved round by round, as
+    :func:`estimators.trace_estimators` did before it drew each stream for
+    all rounds at once and ran the rounds over all replications together.
     """
-    rngs = [spawn_rng(seed, idx) for idx in range(len(ESTIMATOR_NAMES))]
-    sizes = np.array([int(n) for n in rounds.sizes], dtype=np.float64)
-    weights = sizes / sizes.sum()
-    cuts = np.cumsum([int(n) for n in rounds.sizes])[:-1]
-    rows = {name: [] for name in ESTIMATOR_NAMES}
-    truths = []
-    memory = prev = None
+    estimates, sq_dev, truth = [], [], []
     fallbacks = 0
-    for values in rounds.values:
-        blocks = [b.copy() for b in np.split(values, cuts)]
-        stats = [(float(np.mean(b)), float(np.var(b))) for b in blocks]
-        truth = float(np.dot(weights, np.array([np.mean(b) for b in blocks])))
-        pooled = np.concatenate(blocks)
+    for rounds, seed in zip(sequences, seeds):
+        rngs = [spawn_rng(seed, idx) for idx in range(len(ESTIMATOR_NAMES))]
+        sizes = np.array([int(n) for n in rounds.sizes], dtype=np.float64)
+        weights = sizes / sizes.sum()
+        cuts = np.cumsum([int(n) for n in rounds.sizes])[:-1]
+        rows = {name: [] for name in ESTIMATOR_NAMES}
+        truths = []
+        memory = prev = None
+        for values in rounds.values:
+            blocks = [b.copy() for b in np.split(values, cuts)]
+            stats = [(float(np.mean(b)), float(np.var(b))) for b in blocks]
+            pooled = np.concatenate(blocks)
 
-        def sample_means(rng):
-            return np.array([rng.choice(b, size=per_stratum, replace=False).mean()
-                             for b in blocks])
+            def sample_means(rng):
+                return np.array([rng.choice(b, size=per_stratum, replace=False).mean()
+                                 for b in blocks])
 
-        fresh = sample_means(rngs[0])
-        if memory is None:
-            memory = fresh
-        else:
-            blended = np.empty(len(blocks))
-            for j, ((mp, vp), (mc, vc)) in enumerate(zip(prev, stats)):
-                c = optimal_coefficients(mp, vp, mc, vc)
-                fallbacks += c.is_fallback
-                blended[j] = c.p * memory[j] + c.q * fresh[j]
-            memory = blended
-        prev = stats
-        rows["gmst"].append(float(np.dot(weights, memory)))
-        rows["gst"].append(float(np.dot(weights, sample_means(rngs[1]))))
-        rows["batch"].append(float(rngs[2].choice(pooled, size=batch_size, replace=True).mean()))
-        rows["sgd"].append(float(pooled[rngs[3].integers(pooled.size)]))
-        truths.append(truth)
-    estimates = np.array([rows[name] for name in ESTIMATOR_NAMES])
-    sq_dev = np.array([[(e - t) * (e - t) for e, t in zip(rows[name], truths)]
+            fresh = sample_means(rngs[0])
+            if memory is None:
+                memory = fresh
+            else:
+                blended = np.empty(len(blocks))
+                for j, ((mp, vp), (mc, vc)) in enumerate(zip(prev, stats)):
+                    c = optimal_coefficients(mp, vp, mc, vc)
+                    fallbacks += c.is_fallback
+                    blended[j] = c.p * memory[j] + c.q * fresh[j]
+                memory = blended
+            prev = stats
+            rows["gmst"].append(float(np.dot(weights, memory)))
+            rows["gst"].append(float(np.dot(weights, sample_means(rngs[1]))))
+            rows["batch"].append(
+                float(rngs[2].choice(pooled, size=batch_size, replace=True).mean()))
+            rows["sgd"].append(float(pooled[rngs[3].integers(pooled.size)]))
+            truths.append(float(np.dot(weights, np.array([np.mean(b) for b in blocks]))))
+        estimates.append([rows[name] for name in ESTIMATOR_NAMES])
+        sq_dev.append([[(e - t) * (e - t) for e, t in zip(rows[name], truths)]
                        for name in ESTIMATOR_NAMES])
-    return Race(estimates, sq_dev, np.array(truths), fallbacks)
+        truth.append(truths)
+    return Race(np.array(estimates), np.array(sq_dev), np.array(truth), fallbacks)
 
 
 def write_csv_reference(path, columns) -> None:

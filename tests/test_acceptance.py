@@ -16,16 +16,11 @@ from stratgrad import mlp
 from stratgrad.cli import main as cli_main
 from stratgrad.dataio import load_mnist_split
 from stratgrad.estimators import (
-    Degenerate,
-    gmst_init,
     gmst_step,
-    optimal_coefficients,
+    optimal_coefficients_elementwise,
     predicted_variance_vsp,
-    stratified_variance,
     summarize_traces,
     trace_estimators,
-    unbiased_condition_holds,
-    variance_bound,
 )
 from stratgrad.population import (
     DECREASING_MEAN_INTERVALS,
@@ -37,7 +32,9 @@ from stratgrad.population import (
 from stratgrad.rng import spawn_rng
 from stratgrad.trainer import TrainConfig, accuracy, grid_search, mssg_train
 
-from oracles import max_relative_error, numeric_gradient, read_csv_columns, variance_zscore
+from oracles import (Coefficients, max_relative_error, numeric_gradient, read_csv_columns,
+                     stratified_variance, unbiased_condition_holds, variance_bound,
+                     variance_zscore)
 
 
 def verdict(criterion: int, ok: bool, detail: str) -> None:
@@ -57,13 +54,13 @@ def safe_region_tuple(rng):
 def test_criterion_1_coefficient_identity():
     rng = spawn_rng(1001)
     start = time.perf_counter()
-    holds = 0
     n = 10_000
-    for _ in range(n):
-        mp, vp, mc, vc = safe_region_tuple(rng)
-        c = optimal_coefficients(mp, vp, mc, vc)
-        assert c.degenerate is Degenerate.NONE
-        holds += unbiased_condition_holds(c, mp, mc, tol=1e-9)
+    mp, vp, mc, vc = np.array([safe_region_tuple(rng) for _ in range(n)]).T
+    p, q, n_fallback = optimal_coefficients_elementwise(mp, vp, mc, vc)
+    assert n_fallback == 0
+    holds = sum(unbiased_condition_holds(Coefficients(pj, qj), m_prev, m_curr, tol=1e-9)
+                for pj, qj, m_prev, m_curr in zip(p.tolist(), q.tolist(), mp.tolist(),
+                                                  mc.tolist()))
     elapsed = time.perf_counter() - start
     verdict(1, holds == n and elapsed < 1.0,
             f"unbiasedness ratio identity held for {holds}/{n} tuples in {elapsed:.2f}s")
@@ -71,12 +68,11 @@ def test_criterion_1_coefficient_identity():
 
 def test_criterion_2_equal_statistics_symmetry():
     rng = spawn_rng(1002)
-    worst = 0.0
-    for _ in range(1000):
-        mean = rng.choice([-1.0, 1.0]) * rng.uniform(0.01, 50.0)
-        var = rng.uniform(0.001, 50.0)
-        c = optimal_coefficients(mean, var, mean, var)
-        worst = max(worst, abs(c.p - 0.5), abs(c.q - 0.5))
+    draws = np.array([(rng.choice([-1.0, 1.0]) * rng.uniform(0.01, 50.0),
+                       rng.uniform(0.001, 50.0)) for _ in range(1000)])
+    mean, var = draws.T
+    p, q, _ = optimal_coefficients_elementwise(mean, var, mean, var)
+    worst = float(max(np.abs(p - 0.5).max(), np.abs(q - 0.5).max()))
     verdict(2, worst <= 1e-12,
             f"equal statistics give p = q = 1/2, worst deviation {worst:.2e}")
 
@@ -88,10 +84,10 @@ def test_criterion_3_variance_formula_monte_carlo():
     worst = 0.0
     for _ in range(10):
         mp, vp, mc, vc = safe_region_tuple(rng)
-        c = optimal_coefficients(mp, vp, mc, vc)
-        assert not c.is_fallback
-        blend = c.p * rng.normal(mp, math.sqrt(vp), reps) \
-            + c.q * rng.normal(mc, math.sqrt(vc), reps)
+        p, q, n_fallback = optimal_coefficients_elementwise(mp, vp, mc, vc)
+        assert n_fallback == 0
+        blend = p * rng.normal(mp, math.sqrt(vp), reps) \
+            + q * rng.normal(mc, math.sqrt(vc), reps)
         predicted = predicted_variance_vsp([StratumStats(mp, vp)],
                                            [StratumStats(mc, vc)], [1.0])
         worst = max(worst, abs(variance_zscore(blend, predicted)))
@@ -122,14 +118,12 @@ def test_criterion_4_design_effect():
 
 def test_criterion_5_decay_bound():
     rounds = gen_uniform_rounds([(0, 4)], 40, seed=1005)
-    stats = [StratumStats(m, v) for m, v in zip(rounds.means[0], rounds.variances[0])]
+    stats = rounds.means[0], rounds.variances[0]
     weights = rounds.weights
-    coeffs = [optimal_coefficients(s.mean, s.variance, s.mean, s.variance)
-              for s in stats]
-    assert all(0.0 < c.p < 1.0 for c in coeffs)
-    p_max = max(c.p for c in coeffs)
-    q_max = max(c.q for c in coeffs)
-    v_st = stratified_variance(stats, weights)
+    p, q, _ = optimal_coefficients_elementwise(*stats, *stats)
+    assert ((0.0 < p) & (p < 1.0)).all()
+    p_max, q_max = float(p.max()), float(q.max())
+    v_st = stratified_variance([StratumStats(m, v) for m, v in zip(*stats)], weights)
 
     reps = 40_000
     rng = spawn_rng(1055)
@@ -139,8 +133,7 @@ def test_criterion_5_decay_bound():
     ok = True
     for t in range(1, 11):
         fresh = values[np.arange(4)[None, :], rng.integers(0, 10, (reps, 4))]
-        memory = np.stack([coeffs[j].p * memory[:, j] + coeffs[j].q * fresh[:, j]
-                           for j in range(4)], axis=1)
+        memory = p * memory + q * fresh
         estimates = memory @ weights
         emp = float(estimates.var(ddof=1))
         centered = estimates - estimates.mean()
@@ -162,10 +155,7 @@ def test_criterion_6_memory_estimator_unbiased():
     v1, v2 = rounds.values.reshape(2, 4, 10)
     first = v1[np.arange(4)[None, :], rng.integers(0, 10, (reps, 4))]
     fresh = v2[np.arange(4)[None, :], rng.integers(0, 10, (reps, 4))]
-    estimates = np.empty(reps)
-    for r in range(reps):
-        state, _ = gmst_init(first[r], *stats1, rounds.weights)
-        _, estimates[r] = gmst_step(state, fresh[r], *stats2, rounds.weights)
+    _, estimates, _ = gmst_step(first, fresh, *stats1, *stats2, rounds.weights)
     se = estimates.std(ddof=1) / math.sqrt(reps)
     gap = abs(float(estimates.mean()) - truth)
     verdict(6, gap <= 3 * se,
@@ -179,9 +169,9 @@ def test_criterion_7_synthetic_ordering():
     lowest_mean = []
     lowest_std = []
     for family in Trend:
-        sq_dev = np.stack([trace_estimators(generate_family(family, (1007, s)),
-                                            seed=(1077, s)).sq_dev for s in range(n_seeds)])
-        summary = summarize_traces(sq_dev)
+        race = trace_estimators([generate_family(family, (1007, s)) for s in range(n_seeds)],
+                                [(1077, s) for s in range(n_seeds)])
+        summary = summarize_traces(race.sq_dev)
         means = {name: stats["mean_sq_dev"] for name, stats in summary.items()}
         stds = {name: stats["std_sq_dev"] for name, stats in summary.items()}
         lowest_mean.append(min(means, key=means.get) == "gmst"

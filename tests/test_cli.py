@@ -91,20 +91,21 @@ def test_synthetic_csv_bytes_equal_per_round_reference(tmp_path, family, flags):
     rows = {"estimator": [], "seed": [], "round": [], "estimate": [], "truth": [],
             "sq_dev": []}
     pooled = {name: [] for name in ESTIMATOR_NAMES}
+    race = trace_estimators_reference(
+        [generate_family(family, (master, s), n_per_round=opts.get("--n-per-round", 40))
+         for s in range(seeds)],
+        [(master, s, _TRACE_STREAM) for s in range(seeds)],
+        opts.get("--per-stratum", 1), opts.get("--batch-size", 4))
     for s in range(seeds):
-        rounds = generate_family(family, (master, s), n_per_round=opts.get("--n-per-round", 40))
-        race = trace_estimators_reference(rounds, opts.get("--per-stratum", 1),
-                                          opts.get("--batch-size", 4),
-                                          seed=(master, s, _TRACE_STREAM))
         for e, name in enumerate(ESTIMATOR_NAMES):
-            for k in range(rounds.n_rounds):
+            for k in range(race.truth.shape[1]):
                 rows["estimator"].append(name)
                 rows["seed"].append(s)
                 rows["round"].append(k + 1)
-                rows["estimate"].append(float(race.estimates[e, k]))
-                rows["truth"].append(float(race.truth[k]))
-                rows["sq_dev"].append(float(race.sq_dev[e, k]))
-                pooled[name].append(float(race.sq_dev[e, k]))
+                rows["estimate"].append(float(race.estimates[s, e, k]))
+                rows["truth"].append(float(race.truth[s, k]))
+                rows["sq_dev"].append(float(race.sq_dev[s, e, k]))
+                pooled[name].append(float(race.sq_dev[s, e, k]))
     write_csv_reference(tmp_path / "traces.csv", rows)
     devs = {name: np.array(v) for name, v in pooled.items()}
     write_csv_reference(tmp_path / "summary.csv", {

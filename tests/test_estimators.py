@@ -7,22 +7,13 @@ from hypothesis import given, strategies as st
 from stratgrad.cli import _matrix_rounds
 from stratgrad.estimators import (
     CoefficientBuffers,
-    Coefficients,
     ESTIMATOR_NAMES,
-    Degenerate,
-    batch_estimate,
-    gmst_init,
     gmst_step,
     gst_estimate,
-    optimal_coefficients,
     optimal_coefficients_elementwise,
     predicted_variance_vsp,
-    sgd_estimate,
-    stratified_variance,
     summarize_traces,
     trace_estimators,
-    unbiased_condition_holds,
-    variance_bound,
 )
 from stratgrad.population import (
     DECREASING_MEAN_INTERVALS,
@@ -31,10 +22,19 @@ from stratgrad.population import (
     Trend,
     gen_uniform_rounds,
     generate_family,
+    sample_strata,
 )
 from stratgrad.rng import spawn_rng
 
-from oracles import trace_estimators_reference
+from oracles import (
+    Coefficients,
+    Degenerate,
+    optimal_coefficients,
+    stratified_variance,
+    trace_estimators_reference,
+    unbiased_condition_holds,
+    variance_bound,
+)
 
 
 def signed_stats(abs_mean, var):
@@ -53,50 +53,62 @@ nondegenerate_stats = signed_stats((0.1, 10.0), (0.5, 1.9))
 
 # ------------------------------------------------------------ coefficients
 
+def coefficients(mean_prev, var_prev, mean_curr, var_curr) -> Coefficients:
+    """The vector kernel on one stratum, as a pair without a provenance flag."""
+    p, q, _ = optimal_coefficients_elementwise(mean_prev, var_prev, mean_curr, var_curr)
+    return Coefficients(float(p), float(q))
+
+
 def test_equal_statistics_give_half_half():
-    c = optimal_coefficients(1.0, 2.5, 1.0, 2.5)
-    assert (c.p, c.q) == (0.5, 0.5)
-    assert c.degenerate is Degenerate.NONE
+    p, q, n_fallback = optimal_coefficients_elementwise(1.0, 2.5, 1.0, 2.5)
+    assert (p, q) == (0.5, 0.5)
+    assert n_fallback == 0
+    assert optimal_coefficients(1.0, 2.5, 1.0, 2.5).degenerate is Degenerate.NONE
 
 
 def test_hand_substitution_case():
-    c = optimal_coefficients(2, 1, 1, 1)
+    c = coefficients(2, 1, 1, 1)
     assert c.p == pytest.approx(0.4, abs=1e-15)
     assert c.q == pytest.approx(0.2, abs=1e-15)
     assert c.p / (1 - c.q) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_zero_over_zero_limit_branch():
-    c = optimal_coefficients(0, 3, 0, 1)
-    assert c.degenerate is Degenerate.ZERO_OVER_ZERO
-    assert c.p == pytest.approx(0.25, abs=1e-15)
-    assert c.q == pytest.approx(0.75, abs=1e-15)
+    p, q, n_fallback = optimal_coefficients_elementwise(0, 3, 0, 1)
+    assert n_fallback == 0
+    assert optimal_coefficients(0, 3, 0, 1).degenerate is Degenerate.ZERO_OVER_ZERO
+    assert p == pytest.approx(0.25, abs=1e-15)
+    assert q == pytest.approx(0.75, abs=1e-15)
 
 
 def test_guarded_denominator_branch():
+    assert optimal_coefficients_elementwise(0, 0, 0, 0) == (0.0, 1.0, 1)
     c = optimal_coefficients(0, 0, 0, 0)
     assert c == Coefficients(0.0, 1.0, Degenerate.GUARDED_DENOMINATOR)
 
 
 def test_unsatisfiable_mean_ratio_falls_back():
-    c = optimal_coefficients(0.0, 2.0, 3.0, 1.0)
-    assert c.is_fallback
-    assert (c.p, c.q) == (0.0, 1.0)
+    assert optimal_coefficients_elementwise(0.0, 2.0, 3.0, 1.0) == (0.0, 1.0, 1)
+    assert optimal_coefficients(0.0, 2.0, 3.0, 1.0).is_fallback
 
 
 def test_memory_blowup_falls_back():
     # zero previous variance with growing means pushes p to mean ratio > 1
-    c = optimal_coefficients(1.0, 0.0, 5.0, 2.0)
-    assert c.is_fallback
+    assert optimal_coefficients_elementwise(1.0, 0.0, 5.0, 2.0) == (0.0, 1.0, 1)
+    assert optimal_coefficients(1.0, 0.0, 5.0, 2.0).is_fallback
 
 
 def test_negative_variance_rejected():
+    with pytest.raises(ValueError):
+        optimal_coefficients_elementwise(1, -1, 1, 1)
+    with pytest.raises(ValueError):
+        optimal_coefficients_elementwise([1, 1], [1, 1], [1, 1], [1, -1])
     with pytest.raises(ValueError):
         optimal_coefficients(1, -1, 1, 1)
 
 
 def test_negative_p_allowed_for_opposite_signs():
-    c = optimal_coefficients(-2.0, 1.0, 1.0, 1.0)
+    c = coefficients(-2.0, 1.0, 1.0, 1.0)
     assert c.p < 0
     assert unbiased_condition_holds(c, -2.0, 1.0)
 
@@ -104,27 +116,27 @@ def test_negative_p_allowed_for_opposite_signs():
 @given(nondegenerate_stats)
 def test_coefficient_identity_property(stats):
     mp, vp, mc, vc = stats
-    c = optimal_coefficients(mp, vp, mc, vc)
-    assert c.degenerate is Degenerate.NONE
-    assert unbiased_condition_holds(c, mp, mc, tol=1e-9)
+    p, q, n_fallback = optimal_coefficients_elementwise(mp, vp, mc, vc)
+    assert n_fallback == 0
+    assert optimal_coefficients(mp, vp, mc, vc).degenerate is Degenerate.NONE
+    assert unbiased_condition_holds(Coefficients(float(p), float(q)), mp, mc, tol=1e-9)
 
 
 @given(nondegenerate_stats)
 def test_q_below_one_when_current_variance_positive(stats):
-    mp, vp, mc, vc = stats
-    c = optimal_coefficients(mp, vp, mc, vc)
+    c = coefficients(*stats)
     assert 0.0 <= c.q < 1.0
 
 
 def test_decay_prerequisite_p_at_most_one_for_equal_means():
     rng = spawn_rng(1)
-    for _ in range(500):
-        mean = rng.uniform(-4, 4)
-        c = optimal_coefficients(mean, rng.uniform(0, 3), mean, rng.uniform(0, 3))
-        assert c.p <= 1.0
+    draws = np.array([(rng.uniform(-4, 4), rng.uniform(0, 3), rng.uniform(0, 3))
+                      for _ in range(500)])
+    mean, var_prev, var_curr = draws.T
+    p, _, _ = optimal_coefficients_elementwise(mean, var_prev, mean, var_curr)
+    assert (p <= 1.0).all()
     # both means zero with positive variances: strictly below one
-    c = optimal_coefficients(0.0, 1.5, 0.0, 2.5)
-    assert c.p < 1.0
+    assert coefficients(0.0, 1.5, 0.0, 2.5).p < 1.0
 
 
 def test_elementwise_agrees_with_scalar():
@@ -143,8 +155,8 @@ def test_elementwise_agrees_with_scalar():
     fallbacks = 0
     for i in range(400):
         c = optimal_coefficients(mp[i], vp[i], mc[i], vc[i])
-        assert p[i] == pytest.approx(c.p, abs=1e-15), i
-        assert q[i] == pytest.approx(c.q, abs=1e-15), i
+        # the same operations in the same order: equal to the last bit
+        assert (p[i], q[i]) == (c.p, c.q), i
         fallbacks += c.is_fallback
     assert n_fallback == fallbacks
 
@@ -215,6 +227,21 @@ def test_gst_constant_strata():
     assert gst_estimate([1.0, 2.0, 3.0, 4.0], [0.25] * 4) == 2.5
 
 
+@pytest.mark.parametrize("n_strata", [1, 4, 10])
+def test_stacked_gst_has_the_bits_of_one_dot_per_row(n_strata):
+    rng = spawn_rng(5, n_strata)
+    weights = rng.uniform(0.1, 1.0, n_strata)
+    weights /= weights.sum()
+    scale = 10.0 ** rng.integers(-6, 2, (7, 30, 1))  # gradient- and population-sized rows
+    sample_means = rng.normal(0, 1, (7, 30, n_strata)) * scale
+    got = gst_estimate(sample_means, weights)
+    assert got.shape == (7, 30)
+    want = np.array([[np.dot(weights, row) for row in block] for block in sample_means])
+    assert got.tobytes() == want.tobytes()
+    # a non-contiguous stack gives the same bits as its rows
+    assert gst_estimate(sample_means[:, ::3], weights).tobytes() == want[:, ::3].tobytes()
+
+
 def test_gst_single_samples_weighted_sum():
     assert gst_estimate([2.0, 10.0], [0.75, 0.25]) == pytest.approx(4.0)
 
@@ -240,15 +267,15 @@ def test_gst_monte_carlo_unbiasedness():
 
 
 def test_sgd_and_batch_estimates():
-    assert sgd_estimate(3.7) == 3.7
-    assert batch_estimate([1.0, 3.0]) == 2.0
+    # sgd reports one value of the round; a one-draw batch does too
+    rounds = gen_uniform_rounds(DECREASING_MEAN_INTERVALS, 40, seed=6)
+    race = trace_estimators([rounds] * 3, [1, 2, 3], batch_size=1)
+    for r in range(3):
+        for k in range(rounds.n_rounds):
+            assert race.estimates[r, 3, k] in rounds.values[k]
+            assert race.estimates[r, 2, k] in rounds.values[k]
     with pytest.raises(ValueError):
-        batch_estimate([])
-
-
-def test_batch_over_whole_population_is_exact():
-    rounds = gen_uniform_rounds([(0, 5)], 40, seed=1)
-    assert batch_estimate(rounds.values[0]) == pytest.approx(rounds.truth[0], abs=1e-12)
+        trace_estimators([rounds], [1], batch_size=0)
 
 
 # ------------------------------------------------------------ memory estimator
@@ -258,53 +285,55 @@ def _stats_of(rounds, k=0):
 
 
 def test_init_estimate_equals_gst():
+    # round 1 of gmst is the gst estimate of gmst's own draws, without fallbacks
     rounds = gen_uniform_rounds([(2, 6)], 40, seed=4)
-    samples = rounds.values[0, rounds.offsets[:-1]]
-    state, est = gmst_init(samples, *_stats_of(rounds), rounds.weights)
-    assert est == gst_estimate(samples, rounds.weights)
-    assert state.iteration == 1
-    assert state.fallbacks == 0
+    race = trace_estimators([rounds], [7])
+    draws = sample_strata(rounds, 1, spawn_rng(7, 0)).mean(axis=2)
+    assert race.estimates[0, 0, 0] == gst_estimate(draws[0], rounds.weights)
+    assert race.fallbacks == 0
 
 
 def test_init_constant_population():
     rounds = PopulationRound(np.full((1, 40), 4.0), [10] * 4)
-    _, est = gmst_init([4.0] * 4, *_stats_of(rounds), rounds.weights)
-    assert est == 4.0
+    race = trace_estimators([rounds], [0])
+    assert race.estimates[0, 0, 0] == 4.0
 
 
 def test_step_constant_strata_fixed_point():
     rounds = PopulationRound(np.full((1, 40), 4.0), [10] * 4)
     stats = _stats_of(rounds)
-    state, est = gmst_init([4.0] * 4, *stats, rounds.weights)
+    memory = np.full(4, 4.0)
     for _ in range(5):
-        state, est = gmst_step(state, [4.0] * 4, *stats, rounds.weights)
+        memory, est, n_fallback = gmst_step(memory, [4.0] * 4, *stats, *stats, rounds.weights)
         assert est == 4.0
+        assert n_fallback == 4  # every stratum is constant: zero denominators
 
 
 def test_step_equal_stats_is_running_average():
     means, variances = [2.0, 3.0], [1.0, 2.0]
     weights = [0.5, 0.5]
-    state, _ = gmst_init([1.0, 2.0], means, variances, weights)
-    new_state, est = gmst_step(state, [5.0, 4.0], means, variances, weights)
-    assert np.allclose(new_state.memory, [3.0, 3.0])  # (old + fresh) / 2
+    memory, est, n_fallback = gmst_step([1.0, 2.0], [5.0, 4.0], means, variances, means,
+                                        variances, weights)
+    assert np.allclose(memory, [3.0, 3.0])  # (old + fresh) / 2
     assert est == pytest.approx(3.0)
-    assert new_state.iteration == 2
+    assert n_fallback == 0
 
 
 def test_step_does_not_mutate_input_state():
-    state, _ = gmst_init([1.0], [2.0], [1.0], [1.0])
-    before = state.memory.copy()
-    gmst_step(state, [9.0], [2.0], [1.0], [1.0])
-    assert np.array_equal(state.memory, before)
-    assert state.iteration == 1
+    memory = np.array([1.0])
+    gmst_step(memory, [9.0], [2.0], [1.0], [2.0], [1.0], [1.0])
+    assert memory.tolist() == [1.0]
 
 
 def test_step_rejects_a_changed_stratum_count():
-    state, _ = gmst_init([1.0, 2.0], [2.0, 3.0], [1.0, 2.0], [0.5, 0.5])
+    memory = [1.0, 2.0]
+    stats = [2.0, 3.0], [1.0, 2.0]
     with pytest.raises(ValueError):
-        gmst_step(state, [5.0], [2.0], [1.0], [1.0])
+        gmst_step(memory, [5.0], *stats, [2.0], [1.0], [0.5, 0.5])
     with pytest.raises(ValueError):
-        gmst_step(state, [5.0, 4.0], [2.0, 3.0, 1.0], [1.0, 2.0, 1.0], [0.5, 0.5])
+        gmst_step(memory, [5.0, 4.0], *stats, [2.0, 3.0, 1.0], [1.0, 2.0, 1.0], [0.5, 0.5])
+    with pytest.raises(ValueError):
+        gmst_step(memory, [5.0, 4.0], *stats, *stats, [0.2, 0.3, 0.5])
 
 
 def test_step_monte_carlo_unbiasedness_round_two():
@@ -315,10 +344,8 @@ def test_step_monte_carlo_unbiasedness_round_two():
     v1, v2 = rounds.values.reshape(2, 4, 10)
     first = v1[np.arange(4)[None, :], rng.integers(0, 10, (reps, 4))]
     fresh = v2[np.arange(4)[None, :], rng.integers(0, 10, (reps, 4))]
-    estimates = np.empty(reps)
-    for r in range(reps):
-        state, _ = gmst_init(first[r], *_stats_of(rounds, 0), rounds.weights)
-        _, estimates[r] = gmst_step(state, fresh[r], *_stats_of(rounds, 1), rounds.weights)
+    _, estimates, _ = gmst_step(first, fresh, *_stats_of(rounds, 0), *_stats_of(rounds, 1),
+                                rounds.weights)
     se = estimates.std(ddof=1) / math.sqrt(reps)
     assert abs(estimates.mean() - truth) <= 3 * se
 
@@ -364,7 +391,7 @@ def test_variance_of_blend_matches_prediction_per_stratum():
     for _ in range(5):
         mp, mc = rng.uniform(0.5, 3, 2)
         vp, vc = rng.uniform(0.2, 2, 2)
-        c = optimal_coefficients(mp, vp, mc, vc)
+        c = coefficients(mp, vp, mc, vc)
         blend = c.p * rng.normal(mp, math.sqrt(vp), reps) \
             + c.q * rng.normal(mc, math.sqrt(vc), reps)
         predicted = predicted_variance_vsp([StratumStats(mp, vp)], [StratumStats(mc, vc)],
@@ -401,7 +428,7 @@ def test_variance_bound_dominates_monte_carlo_stationary():
     rng = spawn_rng(93)
     values = rounds.values[0].reshape(4, 10)
     memory = values[np.arange(4)[None, :], rng.integers(0, 10, (reps, 4))]
-    coeffs = [optimal_coefficients(s.mean, s.variance, s.mean, s.variance) for s in stats]
+    coeffs = [coefficients(s.mean, s.variance, s.mean, s.variance) for s in stats]
     p_max = max(c.p for c in coeffs)
     q_max = max(c.q for c in coeffs)
     assert all(0 < c.p < 1 for c in coeffs)
@@ -426,12 +453,11 @@ def test_stationary_chain_matches_gmst_step():
     values = rounds.values[0].reshape(4, 10)
     coeffs = [optimal_coefficients(m, v, m, v) for m, v in zip(*stats)]
     for _ in range(50):
-        first = values[np.arange(4), rng.integers(0, 10, 4)]
-        state, _ = gmst_init(first, *stats, weights)
-        vec = first.copy()
+        memory = values[np.arange(4), rng.integers(0, 10, 4)]
+        vec = memory.copy()
         for _ in range(5):
             fresh = values[np.arange(4), rng.integers(0, 10, 4)]
-            state, est = gmst_step(state, fresh, *stats, weights)
+            memory, est, _ = gmst_step(memory, fresh, *stats, *stats, weights)
             vec = np.array([coeffs[j].p * vec[j] + coeffs[j].q * fresh[j] for j in range(4)])
             assert est == pytest.approx(float(vec @ weights), abs=1e-12)
 
@@ -439,47 +465,66 @@ def test_stationary_chain_matches_gmst_step():
 # ------------------------------------------------------------ traces
 
 def test_trace_lengths_and_sq_dev_invariant():
-    rounds = gen_uniform_rounds(DECREASING_MEAN_INTERVALS, 40, seed=2)
-    race = trace_estimators(rounds, seed=5)
-    assert race.estimates.shape == race.sq_dev.shape == (len(ESTIMATOR_NAMES), 10)
-    assert np.array_equal(race.truth, rounds.truth)
-    for est, dev in zip(race.estimates, race.sq_dev):
-        for e, d, t in zip(est.tolist(), dev.tolist(), race.truth.tolist()):
-            assert d == (e - t) * (e - t)
+    sequences = [gen_uniform_rounds(DECREASING_MEAN_INTERVALS, 40, seed=s) for s in (2, 3)]
+    race = trace_estimators(sequences, [5, 6])
+    assert race.estimates.shape == race.sq_dev.shape == (2, len(ESTIMATOR_NAMES), 10)
+    assert race.truth.shape == (2, 10)
+    for r, rounds in enumerate(sequences):
+        assert np.array_equal(race.truth[r], rounds.truth)
+        for est, dev in zip(race.estimates[r], race.sq_dev[r]):
+            for e, d, t in zip(est.tolist(), dev.tolist(), race.truth[r].tolist()):
+                assert d == (e - t) * (e - t)
 
 
 def test_trace_constant_population_all_exact():
     rounds = gen_uniform_rounds([(3, 3)] * 4, 40, seed=2)
-    race = trace_estimators(rounds, seed=5)
+    race = trace_estimators([rounds], [5])
     assert not race.sq_dev.any()
 
 
 def test_trace_determinism():
     rounds = gen_uniform_rounds(DECREASING_MEAN_INTERVALS, 40, seed=2)
-    a = trace_estimators(rounds, seed=5)
-    b = trace_estimators(rounds, seed=5)
+    a = trace_estimators([rounds], [5])
+    b = trace_estimators([rounds], [5])
     assert np.array_equal(a.estimates, b.estimates)
     assert np.array_equal(a.sq_dev, b.sq_dev)
     assert a.fallbacks == b.fallbacks
 
 
+def test_trace_rejects_sequences_that_do_not_share_a_layout():
+    rounds = generate_family(Trend.UNIFORM_DEC, 1)
+    with pytest.raises(ValueError, match="stratum sizes and round count"):
+        trace_estimators([rounds, generate_family(Trend.UNIFORM_DEC, 2, n_rounds=9)], [1, 2])
+    with pytest.raises(ValueError, match="stratum sizes and round count"):
+        trace_estimators([rounds, generate_family(Trend.UNIFORM_DEC, 2, n_per_round=80)],
+                         [1, 2])
+    ragged = PopulationRound(rounds.values, [5, 15, 10, 10])
+    with pytest.raises(ValueError, match="stratum sizes and round count"):
+        trace_estimators([rounds, ragged], [1, 2])
+    with pytest.raises(ValueError, match="one seed per round sequence"):
+        trace_estimators([rounds, rounds], [1])
+    with pytest.raises(ValueError, match="one seed per round sequence"):
+        trace_estimators([], [])
+
+
 def test_trace_fallback_counter_exposed():
     rounds = gen_uniform_rounds(DECREASING_MEAN_INTERVALS, 40, seed=2)
-    assert trace_estimators(rounds, seed=5).fallbacks >= 0
+    assert trace_estimators([rounds], [5]).fallbacks >= 0
     # stratum 0 jumps from a zero mean to a nonzero one (1 fallback), then
     # stays put; the all-zero stratum 1 has a zero denominator (2 fallbacks)
     values = np.zeros((3, 8))
     values[1:, :4] = [1.0, 2.0, 3.0, 4.0]
-    race = trace_estimators(PopulationRound(values, [4, 4]), seed=5)
+    race = trace_estimators([PopulationRound(values, [4, 4])], [5])
     assert race.fallbacks == 3
+    # the count is summed over replications
+    assert trace_estimators([PopulationRound(values, [4, 4])] * 3, [5, 6, 7]).fallbacks == 9
 
 
 def test_trace_ordering_over_many_seeds():
-    sq_dev = []
-    for s in range(1000):
-        rounds = gen_uniform_rounds(DECREASING_MEAN_INTERVALS, 40, seed=(100, s))
-        sq_dev.append(trace_estimators(rounds, seed=(101, s)).sq_dev)
-    summary = summarize_traces(np.stack(sq_dev))
+    sequences = [gen_uniform_rounds(DECREASING_MEAN_INTERVALS, 40, seed=(100, s))
+                 for s in range(1000)]
+    race = trace_estimators(sequences, [(101, s) for s in range(1000)])
+    summary = summarize_traces(race.sq_dev)
     means = {name: summary[name]["mean_sq_dev"] for name in summary}
     assert means["gmst"] < means["gst"] < means["batch"]
 
@@ -499,29 +544,30 @@ def test_summary_pools_replications_in_order():
         summarize_traces(sq_dev[0])
 
 
-def _ragged_gradient_rounds():
+def _ragged_gradient_rounds(variant=0):
     # gradmatrix's layout: a (samples, iterations) matrix, uneven classes of
     # shuffled rows, one round per column
-    rng = spawn_rng(8)
+    rng = spawn_rng(8, variant)
     sizes = [12, 10, 140, 11, 37]
     matrix = rng.normal(1e-4, 1e-3, (sum(sizes), 6))
     class_index = np.split(rng.permutation(sum(sizes)), np.cumsum(sizes)[:-1])
     return _matrix_rounds(matrix, class_index)
 
 
-def _constant_strata_rounds():
+def _constant_strata_rounds(variant=0):
     # constant strata, zero means and a zero-to-nonzero jump reach the
-    # zero-over-zero and fallback branches
+    # zero-over-zero and fallback branches; variants scale and shift rounds
     values = np.zeros((5, 30))
     values[0, 10:20] = 2.0
     values[1:3, :10] = 1.5
     values[2:, 20:] = np.tile([-1.0, 1.0], 5)
     values[3:, 10:20] = -2.0
-    return PopulationRound(values, [10, 10, 10])
+    return PopulationRound(np.roll(values, variant, axis=0) * (1 + variant), [10, 10, 10])
 
 
 ORACLE_CASES = {
-    **{fam.value: (lambda fam=fam: generate_family(fam, (9, 1))) for fam in Trend},
+    **{fam.value: (lambda variant, fam=fam: generate_family(fam, (9, 1 + variant)))
+       for fam in Trend},
     "ragged": _ragged_gradient_rounds,
     "constant": _constant_strata_rounds,
 }
@@ -531,18 +577,23 @@ ORACLE_CASES = {
 @pytest.mark.parametrize("per_stratum", [1, 2, 10])
 @pytest.mark.parametrize("batch_size", [1, 4, 40])
 def test_trace_equals_per_stratum_loop_reference(case, per_stratum, batch_size):
-    rounds = ORACLE_CASES[case]()
-    if per_stratum > rounds.sizes.min():
+    # three different sequences of one layout, raced in one call
+    sequences = [ORACLE_CASES[case](variant) for variant in range(3)]
+    seeds = [(4, 2), 11, (0, 3, 7000)]
+    if per_stratum > sequences[0].sizes.min():
         with pytest.raises(ValueError):
-            trace_estimators(rounds, per_stratum, batch_size, seed=(4, 2))
+            trace_estimators(sequences, seeds, per_stratum, batch_size)
         return
-    for seed in ((4, 2), 11, (0, 3, 7000)):
-        got = trace_estimators(rounds, per_stratum, batch_size, seed=seed)
-        want = trace_estimators_reference(rounds, per_stratum, batch_size, seed=seed)
-        assert got.estimates.tobytes() == want.estimates.tobytes()
-        assert got.sq_dev.tobytes() == want.sq_dev.tobytes()
-        assert got.truth.tobytes() == want.truth.tobytes()
-        assert got.fallbacks == want.fallbacks
+    got = trace_estimators(sequences, seeds, per_stratum, batch_size)
+    assert got.estimates.shape == (3, len(ESTIMATOR_NAMES), sequences[0].n_rounds)
+    fallbacks = 0
+    for r, (rounds, seed) in enumerate(zip(sequences, seeds)):
+        want = trace_estimators_reference([rounds], [seed], per_stratum, batch_size)
+        assert got.estimates[r].tobytes() == want.estimates[0].tobytes()
+        assert got.sq_dev[r].tobytes() == want.sq_dev[0].tobytes()
+        assert got.truth[r].tobytes() == want.truth[0].tobytes()
+        fallbacks += want.fallbacks
+    assert got.fallbacks == fallbacks
 
 
 def test_reference_cases_reach_the_degenerate_branches():
@@ -552,7 +603,7 @@ def test_reference_cases_reach_the_degenerate_branches():
              for mp, vp, mc, vc in zip(rounds.means[k - 1], rounds.variances[k - 1],
                                        rounds.means[k], rounds.variances[k])}
     assert {Degenerate.ZERO_OVER_ZERO, Degenerate.GUARDED_DENOMINATOR} <= flags
-    assert trace_estimators_reference(rounds, seed=1).fallbacks > 0
+    assert trace_estimators_reference([rounds], [1]).fallbacks > 0
 
 
 def test_pooled_draws_follow_choice_and_scalar_integers():

@@ -1,9 +1,13 @@
-"""Every module in src/stratgrad and tests uses every name it imports.
+"""Every module in src/stratgrad and tests uses every name it imports, and
+every function or class that src/stratgrad defines has a caller in src.
 
 A stand-in for a linter's unused-import rule: each module is parsed with
 ``ast`` and every name an import binds must appear as a name somewhere in
 the module. ``from __future__`` imports and names re-exported through
 ``__all__`` are exempt.
+
+The second check keeps helpers that only tests call out of the package:
+such a helper belongs in ``tests/oracles.py``.
 """
 
 import ast
@@ -12,7 +16,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted([*(ROOT / "src" / "stratgrad").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+SRC_MODULES = sorted((ROOT / "src" / "stratgrad").glob("*.py"))
+MODULES = sorted([*SRC_MODULES, *(ROOT / "tests").glob("*.py")])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -40,3 +45,43 @@ def test_checker_flags_only_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
+    """Module-level functions and classes that nothing else in `sources` names.
+
+    `sources` maps file names to module source. A definition is referenced
+    when its name appears as a name or an attribute in any other top-level
+    statement of any module; its own body, imports and ``__all__`` strings
+    do not count. Definitions in ``__init__.py`` are not checked.
+    """
+    statements = []  # (module, top-level node, names it mentions)
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+            statements.append((module, node, names))
+    unreferenced = []
+    for module, node, _ in statements:
+        if module == "__init__.py" or not isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if not any(node.name in names for _, other, names in statements if other is not node):
+            unreferenced.append(f"{module[:-3]}.{node.name}")
+    return sorted(unreferenced)
+
+
+def test_reference_checker_flags_only_unreferenced_definitions():
+    sources = {
+        "a.py": "def used():\n    return 1\n\n\ndef recursive(n):\n    return recursive(n)\n"
+                "\n\nclass Unused:\n    pass\n\n\nclass Base:\n    pass\n",
+        "b.py": "from a import Unused, used\nimport a\n__all__ = ['Unused']\n"
+                "x = used()\n\n\ndef f():\n    return a.Base\n",
+        "__init__.py": "def exported():\n    pass\n",
+    }
+    assert unreferenced_definitions(sources) == ["a.Unused", "a.recursive", "b.f"]
+
+
+def test_every_src_definition_has_a_src_caller():
+    sources = {path.name: path.read_text() for path in SRC_MODULES}
+    assert unreferenced_definitions(sources) == []

@@ -123,12 +123,11 @@ def test_population_mean_matches_pooled_mean():
 def test_decreasing_family_shape_and_trend():
     rounds = gen_uniform_rounds(DECREASING_MEAN_INTERVALS, 40, 0)
     assert rounds.n_rounds == 10
-    assert rounds.trend is Trend.UNIFORM_DEC
     assert rounds.values.shape == (10, 40)
     assert rounds.n_strata == 4
     assert rounds.sizes.tolist() == [10] * 4
     inc = gen_uniform_rounds(INCREASING_MEAN_INTERVALS, 40, 0)
-    assert inc.trend is Trend.UNIFORM_INC
+    assert inc.truth[0] < inc.truth[-1] and rounds.truth[0] > rounds.truth[-1]
 
 
 def test_degenerate_interval_yields_zeros():
@@ -159,7 +158,6 @@ def test_uniform_rejects_bad_shapes():
 def test_normal_random_family_layout():
     rounds = gen_normal_rounds(None, 40, 5, Trend.NORMAL_RANDOM)
     assert rounds.n_rounds == 10
-    assert rounds.trend is Trend.NORMAL_RANDOM
     assert rounds.n_strata == 4
 
 
@@ -195,7 +193,6 @@ def test_trend_schedules_cover_four_families():
 def test_generate_family_covers_all_trends():
     for fam in Trend:
         rounds = generate_family(fam, seed=1)
-        assert rounds.trend is fam
         assert rounds.n_rounds == 10
 
 

@@ -28,8 +28,6 @@ from .population import (
     PopulationRound,
     StratumStats,
     Trend,
-    gen_normal_rounds,
-    gen_uniform_rounds,
     generate_family,
     sample_strata,
 )
@@ -38,6 +36,5 @@ __all__ = [
     "__version__",
     "Race", "gmst_step", "gst_estimate", "optimal_coefficients_elementwise",
     "predicted_variance_vsp", "trace_estimators",
-    "PopulationRound", "StratumStats", "Trend", "gen_normal_rounds",
-    "gen_uniform_rounds", "generate_family", "sample_strata",
+    "PopulationRound", "StratumStats", "Trend", "generate_family", "sample_strata",
 ]

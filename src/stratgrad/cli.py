@@ -98,6 +98,19 @@ def _phase_entries(names, marks) -> dict:
             for name, start, end in zip(names, marks, marks[1:])}
 
 
+def _write_summary(path: Path, sq_dev: np.ndarray) -> None:
+    """Per-estimator mean and spread of a race's (seeds, estimators, rounds) squared deviations."""
+    n_seeds, n_estimators, n_rounds = sq_dev.shape
+    summary = summarize_traces(sq_dev)
+    write_csv(path, {
+        "estimator": list(ESTIMATOR_NAMES),
+        "mean_sq_dev": [summary[n]["mean_sq_dev"] for n in ESTIMATOR_NAMES],
+        "std_sq_dev": [summary[n]["std_sq_dev"] for n in ESTIMATOR_NAMES],
+        "n_rounds": [n_rounds] * n_estimators,
+        "n_seeds": [n_seeds] * n_estimators,
+    })
+
+
 def cmd_synthetic(args, run: _Run) -> None:
     family = Trend(args.family)
     marks = [time.perf_counter()]
@@ -120,14 +133,7 @@ def cmd_synthetic(args, run: _Run) -> None:
         "sq_dev": sq_dev.reshape(-1),
     })
 
-    summary = summarize_traces(sq_dev)
-    write_csv(run.path(f"{family.value}_summary.csv"), {
-        "estimator": list(ESTIMATOR_NAMES),
-        "mean_sq_dev": [summary[n]["mean_sq_dev"] for n in ESTIMATOR_NAMES],
-        "std_sq_dev": [summary[n]["std_sq_dev"] for n in ESTIMATOR_NAMES],
-        "n_rounds": [n_rounds] * n_estimators,
-        "n_seeds": [n_seeds] * n_estimators,
-    })
+    _write_summary(run.path(f"{family.value}_summary.csv"), sq_dev)
 
     curves = {name: sq_dev[:, e].mean(axis=0) for e, name in enumerate(ESTIMATOR_NAMES)}
     write_svg_lineplot(run.path(f"{family.value}_curves.svg"), curves,
@@ -276,14 +282,7 @@ def cmd_gradmatrix(args, run: _Run) -> None:
     race = trace_estimators([rounds] * args.reps,
                             [(args.seed, _REP_STREAM, r) for r in range(args.reps)],
                             per_stratum=1, batch_size=args.batch_size)
-    summary = summarize_traces(race.sq_dev)
-    write_csv(run.path("deviation_summary.csv"), {
-        "estimator": list(ESTIMATOR_NAMES),
-        "mean_sq_dev": [summary[name]["mean_sq_dev"] for name in ESTIMATOR_NAMES],
-        "std_sq_dev": [summary[name]["std_sq_dev"] for name in ESTIMATOR_NAMES],
-        "n_rounds": [t] * len(ESTIMATOR_NAMES),
-        "n_seeds": [args.reps] * len(ESTIMATOR_NAMES),
-    })
+    _write_summary(run.path("deviation_summary.csv"), race.sq_dev)
     for e, name in enumerate(ESTIMATOR_NAMES):
         write_svg_lineplot(
             run.path(f"tracking_{name}.svg"),
@@ -333,10 +332,7 @@ def _make_config(args, step_size=None, weight_decay=None, iterations=None,
 def _run_algorithm(algorithm: str, params, train, test, config, sgd_multiplier: int):
     """Returns (trained params, reports, coefficient-fallback count)."""
     if algorithm == "mssg":
-        memory = trainer.ClassMemory([])
-        params, reports = trainer.mssg_train(params, train, config, test,
-                                             memory_out=memory)
-        return params, reports, memory.fallbacks
+        return trainer.mssg_train(params, train, config, test)
     kind = trainer.BaselineKind(algorithm)
     params, reports = trainer.baseline_train(params, train, config, kind, test,
                                              sgd_multiplier=sgd_multiplier)

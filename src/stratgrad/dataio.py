@@ -100,11 +100,15 @@ def read_idx_labels(path) -> np.ndarray:
 
 @dataclass
 class LabeledDataset:
-    """Features in [0, 1], integer labels, and per-class row indices."""
+    """Features in [0, 1], non-negative integer labels, and per-class row indices.
+
+    ``class_index[c]`` lists the rows labelled c, for c up to the largest
+    label, and is always derived from the labels.
+    """
 
     features: np.ndarray
     labels: np.ndarray
-    class_index: list[np.ndarray] = field(default_factory=list)
+    class_index: list[np.ndarray] = field(init=False)
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -114,16 +118,10 @@ class LabeledDataset:
             raise ValueError("features must be (n, d) with one label per row")
         if n and (self.features.min() < 0.0 or self.features.max() > 1.0):
             raise ValueError("feature values must lie in [0, 1]")
-        if not self.class_index:
-            n_classes = int(self.labels.max()) + 1 if n else 0
-            self.class_index = [np.flatnonzero(self.labels == c) for c in range(n_classes)]
-        covered = np.sort(np.concatenate([idx for idx in self.class_index])) \
-            if self.class_index else np.array([], dtype=np.int64)
-        if covered.size != n or (n and not np.array_equal(covered, np.arange(n))):
-            raise ValueError("class_index must partition the rows exactly")
-        for c, idx in enumerate(self.class_index):
-            if np.any(self.labels[idx] != c):
-                raise ValueError(f"class_index[{c}] points at rows of another label")
+        if n and self.labels.min() < 0:
+            raise ValueError(f"labels must be non-negative, got {self.labels.min()}")
+        n_classes = int(self.labels.max()) + 1 if n else 0
+        self.class_index = [np.flatnonzero(self.labels == c) for c in range(n_classes)]
 
     @property
     def n_samples(self) -> int:

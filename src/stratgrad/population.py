@@ -7,8 +7,9 @@ stratum layout, modelling a quantity whose per-round distribution drifts
 (mean or spread, up or down) between consecutive sampling rounds. It is
 stored as one (K, N) array with the strata as contiguous column slices, and
 computes every round's stratum statistics and pooled mean once, when built;
-`sample_strata` draws from all of its rounds at once. Sequences with the same
-stratum sizes and round count can be raced together as replications
+`sample_strata` draws from all of its rounds at once, and `generate_family`
+builds each drift family's sequence. Sequences with the same stratum sizes
+and round count can be raced together as replications
 (`estimators.trace_estimators`).
 
 All statistics use the finite-population convention: a stratum's mean and
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,7 +37,7 @@ INCREASING_MEAN_INTERVALS: tuple[tuple[float, float], ...] = tuple(
     reversed(DECREASING_MEAN_INTERVALS)
 )
 
-DEFAULT_N_STRATA = 4
+N_STRATA = 4
 DEFAULT_N_ROUNDS = 10
 
 # Normal-family parameter ranges: the "random" family draws (mu, sigma)
@@ -161,44 +162,23 @@ def sample_strata(rounds: PopulationRound, per_stratum: int,
     return rounds.values[np.arange(k)[:, None, None], columns]
 
 
-def _draw_rounds(draw, params: list[tuple[float, float]], n_per_round: int, seed,
-                 n_strata: int) -> PopulationRound:
-    """One round per parameter pair, in equal strata of fresh draws.
+def _draw_rounds(draw, params: Sequence[tuple[float, float]], n_per_round: int,
+                 seed) -> PopulationRound:
+    """One round per parameter pair, in N_STRATA equal strata of fresh draws.
 
-    Stratum j of round k holds n_per_round / n_strata values of
+    Stratum j of round k holds n_per_round / N_STRATA values of
     draw(rng, a_k, b_k, size) from the stream (seed, k, j), where draw is
     a Generator method such as ``np.random.Generator.uniform``.
     """
-    if not params:
-        raise ValueError("need at least one round of distribution parameters")
-    if n_per_round <= 0 or n_per_round % n_strata != 0:
-        raise ValueError(
-            f"n_per_round={n_per_round} must be a positive multiple of n_strata={n_strata}"
-        )
-    per = n_per_round // n_strata
+    if n_per_round <= 0 or n_per_round % N_STRATA != 0:
+        raise ValueError(f"n_per_round={n_per_round} must be a positive multiple of "
+                         f"{N_STRATA} strata")
+    per = n_per_round // N_STRATA
     values = np.empty((len(params), n_per_round))
     for k, (a, b) in enumerate(params):
-        for j in range(n_strata):
+        for j in range(N_STRATA):
             values[k, j * per:(j + 1) * per] = draw(spawn_rng(seed, k, j), a, b, per)
-    return PopulationRound(values, np.full(n_strata, per))
-
-
-def gen_uniform_rounds(
-    intervals: Sequence[tuple[float, float]],
-    n_per_round: int,
-    seed,
-    n_strata: int = DEFAULT_N_STRATA,
-) -> PopulationRound:
-    """One round of uniform draws per interval, cut into contiguous strata.
-
-    Round k holds n_per_round draws from U(lo_k, hi_k), partitioned into
-    n_strata equal contiguous blocks.
-    """
-    intervals = [(float(lo), float(hi)) for lo, hi in intervals]
-    for lo, hi in intervals:
-        if lo > hi:
-            raise ValueError(f"interval ({lo}, {hi}) has lo > hi")
-    return _draw_rounds(np.random.Generator.uniform, intervals, n_per_round, seed, n_strata)
+    return PopulationRound(values, np.full(N_STRATA, per))
 
 
 def trend_schedules(family: Trend, n_rounds: int = DEFAULT_N_ROUNDS) -> list[tuple[float, float]]:
@@ -221,42 +201,16 @@ def trend_schedules(family: Trend, n_rounds: int = DEFAULT_N_ROUNDS) -> list[tup
     raise ValueError(f"{family} has no deterministic schedule")
 
 
-def gen_normal_rounds(
-    params: Optional[Sequence[tuple[float, float]]],
-    n_per_round: int,
-    seed,
-    family: Trend,
-    n_strata: int = DEFAULT_N_STRATA,
-    n_rounds: int = DEFAULT_N_ROUNDS,
-) -> PopulationRound:
-    """One round of N(mu, sigma) draws per (mu, sigma) pair.
-
-    With params=None the pairs come from the family: the random family
-    draws both parameters uniformly from RANDOM_PARAM_RANGE per round, the
-    trend families use their linear schedules.
-    """
-    if family not in (Trend.NORMAL_RANDOM, *NORMAL_TRENDS):
-        raise ValueError(f"{family} is not a normal family")
-    if params is None:
-        if family is Trend.NORMAL_RANDOM:
-            prng = spawn_rng(seed, _PARAM_STREAM_TAG)
-            lo, hi = RANDOM_PARAM_RANGE
-            params = [(prng.uniform(lo, hi), prng.uniform(lo, hi)) for _ in range(n_rounds)]
-        else:
-            params = trend_schedules(family, n_rounds)
-    params = [(float(mu), float(sg)) for mu, sg in params]
-    for mu, sg in params:
-        if sg <= 0:
-            raise ValueError(f"sigma must be positive, got {sg}")
-    return _draw_rounds(np.random.Generator.normal, params, n_per_round, seed, n_strata)
-
-
 def generate_family(family: Trend, seed, n_per_round: int = 40,
                     n_rounds: int = DEFAULT_N_ROUNDS) -> PopulationRound:
     """Build any of the seven families with its canonical configuration.
 
-    The uniform families have one interval per round in a fixed table, so
-    they run at most ``len(DECREASING_MEAN_INTERVALS)`` rounds.
+    The uniform families draw round k from U(lo_k, hi_k) over one interval
+    per round in a fixed table, so they run at most
+    ``len(DECREASING_MEAN_INTERVALS)`` rounds. The normal families draw
+    N(mu_k, sigma_k): the random family draws both parameters uniformly
+    from RANDOM_PARAM_RANGE per round, the trend families follow
+    `trend_schedules`.
     """
     if n_rounds < 1:
         raise ValueError(f"need at least one round, got {n_rounds}")
@@ -266,5 +220,11 @@ def generate_family(family: Trend, seed, n_per_round: int = 40,
         if n_rounds > len(table):
             raise ValueError(f"{family.value} has intervals for {len(table)} rounds, "
                              f"not {n_rounds}")
-        return gen_uniform_rounds(table[:n_rounds], n_per_round, seed)
-    return gen_normal_rounds(None, n_per_round, seed, family, n_rounds=n_rounds)
+        return _draw_rounds(np.random.Generator.uniform, table[:n_rounds], n_per_round, seed)
+    if family is Trend.NORMAL_RANDOM:
+        prng = spawn_rng(seed, _PARAM_STREAM_TAG)
+        lo, hi = RANDOM_PARAM_RANGE
+        params = [(prng.uniform(lo, hi), prng.uniform(lo, hi)) for _ in range(n_rounds)]
+    else:
+        params = trend_schedules(family, n_rounds)
+    return _draw_rounds(np.random.Generator.normal, params, n_per_round, seed)

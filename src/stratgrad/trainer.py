@@ -21,7 +21,8 @@ blend and update are finished before the next block is formed, so besides
 the parameters the only persistent state is three stacked (C, ...) arrays
 per layer (memory, previous mean, previous variance; about 180 MB at the
 784-500-500-200-10 shape) and the rest is block-sized scratch allocated
-once per run.
+once per run. That state stays inside the run, which returns the trained
+parameters, the accuracy reports and the coefficient-fallback count.
 
 Baselines: single-sample steps (optionally with an iteration multiplier),
 pooled mini-batches, full-batch descent, and the memoryless
@@ -34,7 +35,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -95,22 +96,6 @@ class AccuracyReport:
 # At the 784-500-500-200-10 shape on 2 cores, 1024 ran about 25% slower per
 # iteration and 8192 no faster.
 BLOCK_ENTRIES = 4096
-
-
-@dataclass
-class ClassMemory:
-    """The mssg class state after a run, plus the coefficient-fallback count.
-
-    ``memory``, ``prev_mean`` and ``prev_var`` hold one entry per class, each
-    a list of (w, b) array pairs, one per layer. The arrays are views into
-    the trainer's stacked per-layer state: the blended-gradient memory and
-    the last iteration's pilot mean and variance.
-    """
-
-    memory: list
-    prev_mean: Optional[list] = None
-    prev_var: Optional[list] = None
-    fallbacks: int = 0
 
 
 def accuracy(params: mlp.MlpParams, data: LabeledDataset) -> float:
@@ -206,13 +191,8 @@ def _blend_block(scratch, param, memory, prev_mean, prev_var, class_w, pilot_siz
     return fallbacks
 
 
-def _class_views(state, n_classes: int) -> list:
-    return [[(w[c], b[c]) for w, b in state] for c in range(n_classes)]
-
-
 def mssg_train(params: mlp.MlpParams, data: LabeledDataset, config: TrainConfig,
-               test_data: LabeledDataset,
-               memory_out: Optional[ClassMemory] = None):
+               test_data: LabeledDataset):
     """Memory-type stratified gradient descent over class-partitioned data.
 
     Per iteration: for every class, pilot-batch gradient stats, elementwise
@@ -227,8 +207,8 @@ def mssg_train(params: mlp.MlpParams, data: LabeledDataset, config: TrainConfig,
     (A*A)^T (D*D) come from batched matrix products, and the block is
     blended and updated before the next one is formed.
 
-    Pass a ClassMemory as `memory_out` to receive the final memory, the
-    last pilot stats and the fallback count.
+    Returns the trained parameters, the accuracy reports and the number of
+    mixing-coefficient fallbacks over the run.
     """
     n_classes = data.n_classes
     if n_classes < 2:
@@ -247,16 +227,12 @@ def mssg_train(params: mlp.MlpParams, data: LabeledDataset, config: TrainConfig,
     memory, prev_mean, prev_var = (
         [(np.zeros((n_classes,) + w.shape), np.zeros((n_classes,) + b.shape))
          for w, b in layers] for _ in range(3))
-    mem = memory_out if memory_out is not None else ClassMemory([])
-    mem.memory = _class_views(memory, n_classes)
-    mem.prev_mean = None
-    mem.prev_var = None
-    mem.fallbacks = 0
     block_rows = [max(1, min(w.shape[0], BLOCK_ENTRIES // w.shape[1])) for w, _ in layers]
     scratch = _BlockScratch(n_classes,
                             max(r * w.shape[1] for r, (w, _) in zip(block_rows, layers)))
     scale = config.step_size / n_classes
     reports: list[AccuracyReport] = []
+    fallbacks = 0
 
     pilot = np.empty((n_classes, n), dtype=np.int64)
     fresh = np.empty(n_classes, dtype=np.int64)
@@ -284,20 +260,18 @@ def mssg_train(params: mlp.MlpParams, data: LabeledDataset, config: TrainConfig,
                 np.matmul(a_t[:, blk], d, out=views[0])
                 np.matmul(a_t2[:, blk], d2, out=views[1])
                 np.multiply(a_fresh[:, blk, None], d_fresh[:, None, :], out=views[2])
-                mem.fallbacks += _blend_block(views, w[blk], mem_w[:, blk], mean_w[:, blk],
-                                              var_w[:, blk], class_w, n, wd, scale, first)
+                fallbacks += _blend_block(views, w[blk], mem_w[:, blk], mean_w[:, blk],
+                                          var_w[:, blk], class_w, n, wd, scale, first)
             views = scratch.views((n_classes, 1, fan_out))
             d.sum(axis=1, keepdims=True, out=views[0])
             d2.sum(axis=1, keepdims=True, out=views[1])
             views[2][:, 0] = d_fresh
-            mem.fallbacks += _blend_block(views, b[None], mem_b[:, None], mean_b[:, None],
-                                          var_b[:, None], class_w, n, 0.0, scale, first)
+            fallbacks += _blend_block(views, b[None], mem_b[:, None], mean_b[:, None],
+                                      var_b[:, None], class_w, n, 0.0, scale, first)
         _assert_finite(params, it, "mssg")
         if it % config.checkpoint_every == 0 or it == config.iterations:
             _checkpoint(reports, params, data, test_data, it, "mssg", config)
-    mem.prev_mean = _class_views(prev_mean, n_classes)
-    mem.prev_var = _class_views(prev_var, n_classes)
-    return params, reports
+    return params, reports, fallbacks
 
 
 _BASELINE_STREAM = {BaselineKind.SGD: 11, BaselineKind.BATCH: 12, BaselineKind.STRATIFIED: 13,

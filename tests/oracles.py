@@ -2,21 +2,24 @@
 
 Also home to the scalar mixing-coefficient reference (`optimal_coefficients`
 with its `Coefficients`/`Degenerate` provenance flags), which the
-vectorised kernel in `stratgrad.estimators` is checked against.
+vectorised kernel in `stratgrad.estimators` is checked against, and of
+`uniform_rounds`/`normal_rounds`, round sequences with caller-chosen
+intervals or (mu, sigma) pairs, which `population.generate_family` fixes
+per family.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from stratgrad import mlp, trainer
+from stratgrad import mlp
 from stratgrad.dataio import _format_cell
 from stratgrad.estimators import ESTIMATOR_NAMES, Race, optimal_coefficients_elementwise
-from stratgrad.population import StratumStats
+from stratgrad.population import PopulationRound, StratumStats, _draw_rounds
 from stratgrad.rng import spawn_rng
 
 
@@ -192,14 +195,29 @@ def _pilot_stats(grads):
     return means, variances
 
 
+@dataclass
+class MssgState:
+    """The mssg class state after a reference run, plus the fallback count.
+
+    ``memory``, ``prev_mean`` and ``prev_var`` hold one entry per class, each
+    a list of (w, b) array pairs, one per layer: the blended-gradient memory
+    and the last iteration's pilot mean and variance.
+    """
+
+    memory: list
+    prev_mean: Optional[list] = None
+    prev_var: Optional[list] = None
+    fallbacks: int = 0
+
+
 def mssg_reference(params, data, config):
     """The mssg iteration as a per-class, per-layer, per-(w, b) loop.
 
     Pilot stats come from materialised per-sample gradients and two-pass
     moments, one class at a time, with the same draws as
-    :func:`trainer.mssg_train`. Returns the final parameters and a
-    :class:`trainer.ClassMemory` with the final memory, the last pilot
-    stats and the fallback count. No checkpoints.
+    :func:`trainer.mssg_train`. Returns the final parameters and an
+    :class:`MssgState` with the final memory, the last pilot stats and the
+    fallback count. No checkpoints.
     """
     n_classes = data.n_classes
     params = params.copy()
@@ -209,7 +227,7 @@ def mssg_reference(params, data, config):
         return [(np.zeros_like(w), np.zeros_like(b))
                 for w, b in zip(params.weights, params.biases)]
 
-    mem = trainer.ClassMemory([zeros() for _ in range(n_classes)])
+    mem = MssgState([zeros() for _ in range(n_classes)])
     scale = config.step_size / n_classes
     for it in range(1, config.iterations + 1):
         direction = zeros()
@@ -251,6 +269,16 @@ def mssg_reference(params, data, config):
         mem.prev_mean = new_means
         mem.prev_var = new_vars
     return params, mem
+
+
+def uniform_rounds(intervals, n_per_round: int, seed) -> PopulationRound:
+    """One round of U(lo, hi) draws per interval, in the four strata the families use."""
+    return _draw_rounds(np.random.Generator.uniform, intervals, n_per_round, seed)
+
+
+def normal_rounds(params, n_per_round: int, seed) -> PopulationRound:
+    """One round of N(mu, sigma) draws per (mu, sigma) pair, in the families' four strata."""
+    return _draw_rounds(np.random.Generator.normal, params, n_per_round, seed)
 
 
 def trace_estimators_reference(sequences, seeds, per_stratum: int = 1,

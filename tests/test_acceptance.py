@@ -26,15 +26,14 @@ from stratgrad.population import (
     DECREASING_MEAN_INTERVALS,
     StratumStats,
     Trend,
-    gen_uniform_rounds,
     generate_family,
 )
 from stratgrad.rng import spawn_rng
 from stratgrad.trainer import TrainConfig, accuracy, grid_search, mssg_train
 
 from oracles import (Coefficients, max_relative_error, numeric_gradient, read_csv_columns,
-                     stratified_variance, unbiased_condition_holds, variance_bound,
-                     variance_zscore)
+                     stratified_variance, unbiased_condition_holds, uniform_rounds,
+                     variance_bound, variance_zscore)
 
 
 def verdict(criterion: int, ok: bool, detail: str) -> None:
@@ -117,7 +116,7 @@ def test_criterion_4_design_effect():
 
 
 def test_criterion_5_decay_bound():
-    rounds = gen_uniform_rounds([(0, 4)], 40, seed=1005)
+    rounds = uniform_rounds([(0, 4)], 40, seed=1005)
     stats = rounds.means[0], rounds.variances[0]
     weights = rounds.weights
     p, q, _ = optimal_coefficients_elementwise(*stats, *stats)
@@ -146,7 +145,7 @@ def test_criterion_5_decay_bound():
 
 
 def test_criterion_6_memory_estimator_unbiased():
-    rounds = gen_uniform_rounds(DECREASING_MEAN_INTERVALS[:2], 40, seed=1006)
+    rounds = uniform_rounds(DECREASING_MEAN_INTERVALS[:2], 40, seed=1006)
     stats1 = rounds.means[0], rounds.variances[0]
     stats2 = rounds.means[1], rounds.variances[1]
     truth = rounds.truth[1]
@@ -243,7 +242,7 @@ def test_criterion_10b_memory_trainer_accuracy_grid(real_mnist_dir):
         config = TrainConfig(step_size=h, batch_size=10, iterations=iterations,
                              weight_decay=lam, seed=1010,
                              checkpoint_every=iterations)
-        trained, _ = mssg_train(params, train, config, test)
+        trained, _, _ = mssg_train(params, train, config, test)
         return trained
 
     best, _ = grid_search(train_fn, [0.01, 1, 0.001], [0.001, 0.0001], 1000, test)

@@ -121,6 +121,11 @@ def test_dataset_rejects_out_of_range_features():
         LabeledDataset(np.array([[1.5]]), np.array([0]))
 
 
+def test_dataset_rejects_negative_labels():
+    with pytest.raises(ValueError, match="non-negative"):
+        LabeledDataset(np.array([[0.5], [0.5]]), np.array([0, -1]))
+
+
 def test_subsample_counts_and_determinism():
     images, labels = synthetic_digits(12, seed=2)
     ds = to_dataset(images, labels)

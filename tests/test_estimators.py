@@ -20,7 +20,6 @@ from stratgrad.population import (
     PopulationRound,
     StratumStats,
     Trend,
-    gen_uniform_rounds,
     generate_family,
     sample_strata,
 )
@@ -33,6 +32,7 @@ from oracles import (
     stratified_variance,
     trace_estimators_reference,
     unbiased_condition_holds,
+    uniform_rounds,
     variance_bound,
 )
 
@@ -254,7 +254,7 @@ def test_gst_missing_stratum_rejected():
 
 
 def test_gst_monte_carlo_unbiasedness():
-    rounds = gen_uniform_rounds(DECREASING_MEAN_INTERVALS[:1], 40, seed=3)
+    rounds = uniform_rounds(DECREASING_MEAN_INTERVALS[:1], 40, seed=3)
     truth = rounds.truth[0]
     rng = spawn_rng(77)
     reps = 10 ** 5
@@ -268,7 +268,7 @@ def test_gst_monte_carlo_unbiasedness():
 
 def test_sgd_and_batch_estimates():
     # sgd reports one value of the round; a one-draw batch does too
-    rounds = gen_uniform_rounds(DECREASING_MEAN_INTERVALS, 40, seed=6)
+    rounds = uniform_rounds(DECREASING_MEAN_INTERVALS, 40, seed=6)
     race = trace_estimators([rounds] * 3, [1, 2, 3], batch_size=1)
     for r in range(3):
         for k in range(rounds.n_rounds):
@@ -286,7 +286,7 @@ def _stats_of(rounds, k=0):
 
 def test_init_estimate_equals_gst():
     # round 1 of gmst is the gst estimate of gmst's own draws, without fallbacks
-    rounds = gen_uniform_rounds([(2, 6)], 40, seed=4)
+    rounds = uniform_rounds([(2, 6)], 40, seed=4)
     race = trace_estimators([rounds], [7])
     draws = sample_strata(rounds, 1, spawn_rng(7, 0)).mean(axis=2)
     assert race.estimates[0, 0, 0] == gst_estimate(draws[0], rounds.weights)
@@ -337,7 +337,7 @@ def test_step_rejects_a_changed_stratum_count():
 
 
 def test_step_monte_carlo_unbiasedness_round_two():
-    rounds = gen_uniform_rounds(DECREASING_MEAN_INTERVALS[:2], 40, seed=12)
+    rounds = uniform_rounds(DECREASING_MEAN_INTERVALS[:2], 40, seed=12)
     truth = rounds.truth[1]
     rng = spawn_rng(55)
     reps = 10 ** 5
@@ -420,7 +420,7 @@ def test_variance_bound_validates_inputs():
 
 
 def test_variance_bound_dominates_monte_carlo_stationary():
-    rounds = gen_uniform_rounds([(0, 4)], 40, seed=8)
+    rounds = uniform_rounds([(0, 4)], 40, seed=8)
     stats = [StratumStats(m, v) for m, v in zip(*_stats_of(rounds))]
     weights = rounds.weights
     v_st = stratified_variance(stats, weights)
@@ -446,7 +446,7 @@ def test_variance_bound_dominates_monte_carlo_stationary():
 
 def test_stationary_chain_matches_gmst_step():
     # the vectorized chain above must follow the real estimator exactly
-    rounds = gen_uniform_rounds([(0, 4)], 40, seed=8)
+    rounds = uniform_rounds([(0, 4)], 40, seed=8)
     stats = _stats_of(rounds)
     weights = rounds.weights
     rng = spawn_rng(94)
@@ -465,7 +465,7 @@ def test_stationary_chain_matches_gmst_step():
 # ------------------------------------------------------------ traces
 
 def test_trace_lengths_and_sq_dev_invariant():
-    sequences = [gen_uniform_rounds(DECREASING_MEAN_INTERVALS, 40, seed=s) for s in (2, 3)]
+    sequences = [uniform_rounds(DECREASING_MEAN_INTERVALS, 40, seed=s) for s in (2, 3)]
     race = trace_estimators(sequences, [5, 6])
     assert race.estimates.shape == race.sq_dev.shape == (2, len(ESTIMATOR_NAMES), 10)
     assert race.truth.shape == (2, 10)
@@ -477,13 +477,13 @@ def test_trace_lengths_and_sq_dev_invariant():
 
 
 def test_trace_constant_population_all_exact():
-    rounds = gen_uniform_rounds([(3, 3)] * 4, 40, seed=2)
+    rounds = uniform_rounds([(3, 3)] * 4, 40, seed=2)
     race = trace_estimators([rounds], [5])
     assert not race.sq_dev.any()
 
 
 def test_trace_determinism():
-    rounds = gen_uniform_rounds(DECREASING_MEAN_INTERVALS, 40, seed=2)
+    rounds = uniform_rounds(DECREASING_MEAN_INTERVALS, 40, seed=2)
     a = trace_estimators([rounds], [5])
     b = trace_estimators([rounds], [5])
     assert np.array_equal(a.estimates, b.estimates)
@@ -508,7 +508,7 @@ def test_trace_rejects_sequences_that_do_not_share_a_layout():
 
 
 def test_trace_fallback_counter_exposed():
-    rounds = gen_uniform_rounds(DECREASING_MEAN_INTERVALS, 40, seed=2)
+    rounds = uniform_rounds(DECREASING_MEAN_INTERVALS, 40, seed=2)
     assert trace_estimators([rounds], [5]).fallbacks >= 0
     # stratum 0 jumps from a zero mean to a nonzero one (1 fallback), then
     # stays put; the all-zero stratum 1 has a zero denominator (2 fallbacks)
@@ -521,7 +521,7 @@ def test_trace_fallback_counter_exposed():
 
 
 def test_trace_ordering_over_many_seeds():
-    sequences = [gen_uniform_rounds(DECREASING_MEAN_INTERVALS, 40, seed=(100, s))
+    sequences = [uniform_rounds(DECREASING_MEAN_INTERVALS, 40, seed=(100, s))
                  for s in range(1000)]
     race = trace_estimators(sequences, [(101, s) for s in range(1000)])
     summary = summarize_traces(race.sq_dev)

@@ -7,10 +7,12 @@ the module. ``from __future__`` imports and names re-exported through
 ``__all__`` are exempt.
 
 The second check keeps helpers that only tests call out of the package:
-such a helper belongs in ``tests/oracles.py``.
+such a helper belongs in ``tests/oracles.py``. The third does the same for
+knobs: a defaulted parameter that no call in src ever sets serves only tests.
 """
 
 import ast
+import math
 from pathlib import Path
 
 import pytest
@@ -85,3 +87,69 @@ def test_reference_checker_flags_only_unreferenced_definitions():
 def test_every_src_definition_has_a_src_caller():
     sources = {path.name: path.read_text() for path in SRC_MODULES}
     assert unreferenced_definitions(sources) == []
+
+
+
+def unset_knobs(sources: dict[str, str]) -> list[str]:
+    """Defaulted parameters of functions in `sources` that no call there sets.
+
+    Calls are matched to functions by name, as a bare name or an attribute;
+    a class name calls its ``__init__``. A call sets a parameter by keyword,
+    or by position when the parameter is positional (``self`` and ``cls``
+    excluded for methods). A call with ``*args`` or ``**kwargs`` counts as
+    setting every parameter it can reach. Results read ``module.param``
+    paths such as ``cli.main.argv``.
+    """
+    functions, calls = [], []  # (path, call name, is method, node); ast.Call nodes
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        owners = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                calls.append(node)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner = owners.get(node)
+                if isinstance(owner, ast.ClassDef):
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                 for d in node.decorator_list)
+                    name = owner.name if node.name == "__init__" else node.name
+                    functions.append((f"{module[:-3]}.{owner.name}.{node.name}", name,
+                                      not static, node))
+                else:
+                    functions.append((f"{module[:-3]}.{node.name}", node.name, False, node))
+    unset = []
+    for path, name, is_method, node in functions:
+        positional = [a.arg for a in node.args.posonlyargs + node.args.args][is_method:]
+        defaulted = positional[len(positional) - len(node.args.defaults):] + [
+            a.arg for a, d in zip(node.args.kwonlyargs, node.args.kw_defaults) if d is not None]
+        for param in defaulted:
+            for call in calls:
+                callee = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+                if callee != name:
+                    continue
+                n_pos = math.inf if any(isinstance(a, ast.Starred) for a in call.args) \
+                    else len(call.args)
+                keywords = {k.arg for k in call.keywords}
+                if (None in keywords or param in keywords
+                        or (param in positional and positional.index(param) < n_pos)):
+                    break
+            else:
+                unset.append(f"{path}.{param}")
+    return sorted(unset)
+
+
+def test_knob_checker_flags_only_unset_defaults():
+    sources = {
+        "a.py": "def f(x, knob=1, used=2, *, kw=3):\n    return x\n\n\n"
+                "class C:\n    def __init__(self, size=4):\n        pass\n\n"
+                "    def m(self, flag=False):\n        return flag\n",
+        "b.py": "import a\na.f(0, 1.0, kw=4)\na.C(5).m()\n\n\ndef main(argv=None):\n    pass\n",
+    }
+    assert unset_knobs(sources) == ["a.C.m.flag", "a.f.used", "b.main.argv"]
+
+
+def test_every_src_default_is_set_by_a_src_call():
+    sources = {path.name: path.read_text() for path in SRC_MODULES}
+    # Exempt: tests drive cli.main in-process with an explicit argv, while
+    # the console script calls it without one.
+    assert unset_knobs(sources) == ["cli.main.argv"]

@@ -5,17 +5,16 @@ import pytest
 
 from stratgrad.population import (
     DECREASING_MEAN_INTERVALS,
-    INCREASING_MEAN_INTERVALS,
     PopulationRound,
     StratumStats,
     Trend,
-    gen_normal_rounds,
-    gen_uniform_rounds,
     generate_family,
     sample_strata,
     trend_schedules,
 )
 from stratgrad.rng import spawn_rng
+
+from oracles import normal_rounds, uniform_rounds
 
 
 def two_pass_stats(values):
@@ -121,17 +120,17 @@ def test_population_mean_matches_pooled_mean():
 # ---------------------------------------------------------------- generators
 
 def test_decreasing_family_shape_and_trend():
-    rounds = gen_uniform_rounds(DECREASING_MEAN_INTERVALS, 40, 0)
+    rounds = generate_family(Trend.UNIFORM_DEC, 0)
     assert rounds.n_rounds == 10
     assert rounds.values.shape == (10, 40)
     assert rounds.n_strata == 4
     assert rounds.sizes.tolist() == [10] * 4
-    inc = gen_uniform_rounds(INCREASING_MEAN_INTERVALS, 40, 0)
+    inc = generate_family(Trend.UNIFORM_INC, 0)
     assert inc.truth[0] < inc.truth[-1] and rounds.truth[0] > rounds.truth[-1]
 
 
 def test_degenerate_interval_yields_zeros():
-    rounds = gen_uniform_rounds([(0, 0)], 4, seed=3)
+    rounds = uniform_rounds([(0, 0)], 4, seed=3)
     assert rounds.truth.tolist() == [0.0]
     assert not rounds.variances.any()
 
@@ -139,7 +138,7 @@ def test_degenerate_interval_yields_zeros():
 def test_uniform_mean_against_large_redraw_oracle():
     # Oracle: a fresh 1e6-draw estimate of the generator's mean on (0, 1);
     # the 40-value round must sit within 3 sigma / sqrt(40) of it.
-    rounds = gen_uniform_rounds([(0, 1)], 40, seed=9)
+    rounds = uniform_rounds([(0, 1)], 40, seed=9)
     sample_mean = float(rounds.values[0].mean())
     oracle = float(spawn_rng(987).uniform(0, 1, 10 ** 6).mean())
     sigma = 1.0 / math.sqrt(12.0)
@@ -148,34 +147,27 @@ def test_uniform_mean_against_large_redraw_oracle():
 
 def test_uniform_rejects_bad_shapes():
     with pytest.raises(ValueError):
-        gen_uniform_rounds([], 40, 0)
+        uniform_rounds([], 40, 0)
     with pytest.raises(ValueError):
-        gen_uniform_rounds([(0, 1)], 42, 0)
-    with pytest.raises(ValueError):
-        gen_uniform_rounds([(2, 1)], 40, 0)
+        uniform_rounds([(0, 1)], 42, 0)
 
 
 def test_normal_random_family_layout():
-    rounds = gen_normal_rounds(None, 40, 5, Trend.NORMAL_RANDOM)
+    rounds = generate_family(Trend.NORMAL_RANDOM, 5)
     assert rounds.n_rounds == 10
     assert rounds.n_strata == 4
 
 
 def test_normal_near_degenerate_sigma():
-    rounds = gen_normal_rounds([(5, 1e-9)], 4, 0, Trend.NORMAL_RANDOM)
+    rounds = normal_rounds([(5, 1e-9)], 4, 0)
     assert rounds.truth[0] == pytest.approx(5.0, abs=1e-6)
     assert (rounds.variances < 1e-12).all()
 
 
 def test_normal_large_sample_variance():
-    rounds = gen_normal_rounds([(0, 1)], 10 ** 5, 1, Trend.NORMAL_RANDOM, n_strata=4)
+    rounds = normal_rounds([(0, 1)], 10 ** 5, 1)
     pooled = rounds.values[0]
     assert float(pooled.var()) == pytest.approx(1.0, rel=0.02)
-
-
-def test_normal_rejects_nonpositive_sigma():
-    with pytest.raises(ValueError):
-        gen_normal_rounds([(0, 0.0)], 40, 0, Trend.NORMAL_RANDOM)
 
 
 def test_trend_schedules_cover_four_families():
@@ -213,20 +205,19 @@ def test_normal_families_take_any_positive_round_count():
 
 
 def test_generators_are_bit_reproducible():
-    a = gen_uniform_rounds(DECREASING_MEAN_INTERVALS, 40, 17)
-    b = gen_uniform_rounds(DECREASING_MEAN_INTERVALS, 40, 17)
+    a = generate_family(Trend.UNIFORM_DEC, 17)
+    b = generate_family(Trend.UNIFORM_DEC, 17)
     assert np.array_equal(a.values, b.values)
-    c = gen_normal_rounds(None, 40, 17, Trend.NORMAL_RANDOM)
-    d = gen_normal_rounds(None, 40, 17, Trend.NORMAL_RANDOM)
+    c = generate_family(Trend.NORMAL_RANDOM, 17)
+    d = generate_family(Trend.NORMAL_RANDOM, 17)
     assert np.array_equal(c.values, d.values)
 
 
 def test_generator_strata_come_from_their_own_streams():
     # stratum j of round k is the draw from stream (seed, k, j)
-    rounds = gen_normal_rounds([(1.0, 2.0), (3.0, 4.0)], 12, 17, Trend.NORMAL_RANDOM,
-                               n_strata=3)
+    rounds = normal_rounds([(1.0, 2.0), (3.0, 4.0)], 16, 17)
     for k, (mu, sigma) in enumerate([(1.0, 2.0), (3.0, 4.0)]):
-        for j in range(3):
+        for j in range(4):
             want = spawn_rng(17, k, j).normal(mu, sigma, 4)
             assert np.array_equal(rounds.values[k, 4 * j:4 * j + 4], want)
 
@@ -237,7 +228,7 @@ def test_decreasing_family_round_means_mostly_ordered():
     ordered = 0
     total = 0
     for seed in range(100):
-        rounds = gen_uniform_rounds(DECREASING_MEAN_INTERVALS, 40, seed)
+        rounds = generate_family(Trend.UNIFORM_DEC, seed)
         means = rounds.truth.tolist()
         for a, b in zip(means, means[1:]):
             total += 1

@@ -13,8 +13,8 @@ def flatten_reference(seed) -> list[int]:
 
 @pytest.mark.parametrize("seed,path", [
     (7, ()), (0, (3,)), (7, (2, 3)), ((7, 2), (3,)), ((7, 2, 3), ()), (2 ** 70, (1,)),
-    ([7, 2], (3,)), (((1, (2, 3)), 4), (5,)), (np.int64(7), (2,)),
-    ((np.int64(7), 2), (np.uint8(3),)), (True, (2,)), ((1, [2, (3,)]), ()),
+    (np.uint64(2 ** 63), (1,)), ((0, 0), (0,)), (np.int64(7), (2,)),
+    ((np.int64(7), 2), (np.uint8(3),)), (True, (2,)), ((2 ** 64 + 1, 3), ()),
 ])
 def test_spawn_rng_stream_equals_recursively_flattened_seed(seed, path):
     want = np.random.PCG64(np.random.SeedSequence(
@@ -28,9 +28,18 @@ def test_path_extends_the_seed():
 
 
 @pytest.mark.parametrize("seed,path", [
-    (-1, ()), (1, (-2,)), ((1, -2), ()), (((1, -2), 3), ()), ((1, 2), (-5,)),
+    (-1, ()), (1, (-2,)), ((1, -2), ()), ((1, 2), (3, -4)), ((1, 2), (-5,)),
     (np.int64(-3), ()), ((np.int64(-3), 1), ()),
 ])
 def test_negative_components_rejected(seed, path):
     with pytest.raises(ValueError):
+        spawn_rng(seed, *path)
+
+
+@pytest.mark.parametrize("seed,path", [
+    ([7, 2], (3,)), (((1, (2, 3)), 4), (5,)), ((1, [2, (3,)]), ()), (((1, -2), 3), ()),
+    (7.0, ()), ((7, 2.0), ()), (7, (1.5,)),
+])
+def test_nested_list_or_float_seeds_rejected(seed, path):
+    with pytest.raises(TypeError):
         spawn_rng(seed, *path)

@@ -10,8 +10,9 @@ from stratgrad.rng import spawn_rng
 from stratgrad.trainer import (
     AccuracyReport,
     BaselineKind,
-    ClassMemory,
     TrainConfig,
+    _blend_block,
+    _BlockScratch,
     accuracy,
     baseline_train,
     grid_search,
@@ -97,7 +98,7 @@ def test_mssg_learns_separated_blobs():
     config = small_config(iterations=40, step_size=1.0, pilot_size=6,
                           checkpoint_every=10)
     before = accuracy(params, data)
-    trained, reports = mssg_train(params, data, config, data)
+    trained, reports, _ = mssg_train(params, data, config, data)
     assert len(reports) == 4
     assert reports[-1].iterations == 40
     assert reports[-1].train_accuracy > before
@@ -107,7 +108,7 @@ def test_mssg_reports_at_every_checkpoint():
     data = blob_dataset(12, seed=6)
     params = mlp.init_params((6, 4, 3), seed=7)
     config = small_config(iterations=7, checkpoint_every=3)
-    _, reports = mssg_train(params, data, config, data)
+    _, reports, _ = mssg_train(params, data, config, data)
     assert [r.iterations for r in reports] == [3, 6, 7]
     assert all(r.algorithm == "mssg" for r in reports)
 
@@ -116,8 +117,8 @@ def test_mssg_deterministic():
     data = blob_dataset(12, seed=8)
     params = mlp.init_params((6, 4, 3), seed=9)
     config = small_config(iterations=4)
-    a, _ = mssg_train(params, data, config, data)
-    b, _ = mssg_train(params, data, config, data)
+    a, _, _ = mssg_train(params, data, config, data)
+    b, _, _ = mssg_train(params, data, config, data)
     for wa, wb in zip(a.weights, b.weights):
         assert np.array_equal(wa, wb)
 
@@ -133,7 +134,7 @@ def test_mssg_zero_variance_classes_follow_exact_class_gradient():
     params0 = mlp.init_params((5, 4, 3), seed=11)
     config = small_config(iterations=3, step_size=0.3, pilot_size=3,
                           weight_decay=0.01)
-    trained, _ = mssg_train(params0, data, config, data)
+    trained, _, _ = mssg_train(params0, data, config, data)
 
     manual = params0.copy()
     class_w = data.class_weights()
@@ -191,16 +192,6 @@ def test_mssg_first_iteration_direction_is_unbiased():
         assert abs(means[t] - target) <= 3 * ses[t] + 1e-12, tracked[t]
 
 
-def test_mssg_memory_out_and_fallback_counter():
-    data = blob_dataset(12, seed=15)
-    params = mlp.init_params((6, 4, 3), seed=16)
-    mem = ClassMemory([])
-    mssg_train(params, data, small_config(iterations=4), data, memory_out=mem)
-    assert len(mem.memory) == 3
-    assert mem.fallbacks >= 0
-    assert mem.prev_mean is not None
-
-
 def test_mssg_rejects_empty_or_thin_classes():
     data = blob_dataset(3, seed=19)
     params = mlp.init_params((6, 4, 3), seed=20)
@@ -229,8 +220,7 @@ def test_mssg_matches_two_pass_reference(shape, weight_decay):
     data = blob_dataset(12, n_classes=shape[-1], n_features=shape[0], seed=41)
     params = mlp.init_params(shape, seed=42)
     config = small_config(iterations=6, step_size=1.0, weight_decay=weight_decay)
-    mem = ClassMemory([])
-    trained, _ = mssg_train(params, data, config, data, memory_out=mem)
+    trained, _, fallbacks = mssg_train(params, data, config, data)
     expected, ref = mssg_reference(params, data, config)
     for got, want in zip(trained.weights + trained.biases,
                          expected.weights + expected.biases):
@@ -238,35 +228,48 @@ def test_mssg_matches_two_pass_reference(shape, weight_decay):
     decisions = (config.iterations - 1) * shape[-1] * sum(
         w.size + b.size for w, b in zip(params.weights, params.biases))
     assert 0 < ref.fallbacks < decisions  # both the guard and the formula ran
-    assert mem.fallbacks == ref.fallbacks
+    assert fallbacks == ref.fallbacks
 
 
 def test_mssg_one_pass_variance_on_ill_conditioned_pilots():
     # Each class is one prototype plus 1e-7 jitter, so per-sample gradients
     # have |mean| far above their spread and the one-pass s2 - n*m^2 cancels
-    # most digits. The result must stay non-negative and within a few ulps
-    # of the sum of squares of the two-pass value: with S = (n-1)*v + n*m^2,
-    # |v_one_pass - v_two_pass| <= 2 * (n + 3) * eps * S / (n - 1).
+    # most digits. The trainer's block kernel, fed pilot sums formed as the
+    # trainer forms them, must store a variance that is non-negative and
+    # within a few ulps of the sum of squares of the two-pass value: with
+    # S = (n-1)*v + n*m^2, |v_one_pass - v_two_pass| <= 2 * (n + 3) * eps * S / (n - 1).
     rng = spawn_rng(43)
     protos = rng.uniform(0.2, 0.8, (3, 6))
     feats = np.repeat(protos, 10, axis=0) + rng.uniform(0, 1e-7, (30, 6))
     data = LabeledDataset(feats, np.repeat(np.arange(3), 10))
     params = mlp.init_params((6, 4, 3), seed=44)
-    config = small_config(iterations=1, pilot_size=8, weight_decay=0.0)
-    mem = ClassMemory([])
-    mssg_train(params, data, config, data, memory_out=mem)
-    _, ref = mssg_reference(params, data, config)
-    n = config.pilot_size
+    n, n_classes = 8, data.n_classes
+    # the first iteration's class-major pilot rows under seed 0
+    rows = np.concatenate([spawn_rng(0, 1, c).choice(idx, size=n, replace=False)
+                           for c, idx in enumerate(data.class_index)])
+    acts, _, deltas = mlp.forward_backward(params, data.features[rows], data.labels[rows])
+    per = per_sample_grads(params, data.features[rows], data.labels[rows])
     eps = np.finfo(np.float64).eps
     worst_ratio = 0.0
-    for got_c, mean_c, var_c in zip(mem.prev_var, ref.prev_mean, ref.prev_var):
-        for got_l, mean_l, var_l in zip(got_c, mean_c, var_c):
-            for got, m, v in zip(got_l, mean_l, var_l):
-                assert np.all(got >= 0.0)
-                sq_sum = (n - 1) * v + n * m * m
-                assert np.all(np.abs(got - v) <= 2 * (n + 3) * eps * sq_sum / (n - 1))
-                spread = np.sqrt(v[v > 0])
-                worst_ratio = max(worst_ratio, float(np.max(np.abs(m[v > 0]) / spread)))
+    for l, (w, b) in enumerate(zip(params.weights, params.biases)):
+        a_t = np.ascontiguousarray(acts[l].reshape(n_classes, n, -1).transpose(0, 2, 1))
+        d = deltas[l].reshape(n_classes, n, -1)
+        pilot_sums = [(np.matmul(a_t, d), np.matmul(a_t * a_t, d * d)),
+                      (d.sum(axis=1, keepdims=True), (d * d).sum(axis=1, keepdims=True))]
+        for param, (sums, sq_sums), grads in zip((w, b[None]), pilot_sums, per[l]):
+            shape = sums.shape
+            views = _BlockScratch(n_classes, math.prod(shape[1:])).views(shape)
+            views[0][...], views[1][...], views[2][...] = sums, sq_sums, 0.0
+            memory, got_mean, got = (np.zeros(shape) for _ in range(3))
+            _blend_block(views, param.copy(), memory, got_mean, got, data.class_weights(),
+                         n, 0.0, 1.0, first=True)
+            grads = grads.reshape((n_classes, n) + shape[1:])
+            m, v = grads.mean(axis=1), grads.var(axis=1, ddof=1)
+            assert np.all(got >= 0.0)
+            sq_sum = (n - 1) * v + n * m * m
+            assert np.all(np.abs(got - v) <= 2 * (n + 3) * eps * sq_sum / (n - 1))
+            spread = np.sqrt(v[v > 0])
+            worst_ratio = max(worst_ratio, float(np.max(np.abs(m[v > 0]) / spread)))
     assert worst_ratio > 1e4
 
 
@@ -307,7 +310,7 @@ def test_full_baseline_divergence_reports_iteration():
 def test_sgd_on_single_sample_is_deterministic_descent():
     feats = np.array([[0.2, 0.8, 0.4]])
     labels = np.array([1])
-    data = LabeledDataset(feats, labels, [np.array([], dtype=int), np.array([0])])
+    data = LabeledDataset(feats, labels)
     params = mlp.init_params((3, 2), seed=25)
     config = small_config(iterations=6, step_size=0.5, batch_size=1)
     trained, _ = baseline_train(params, data, config, BaselineKind.SGD, data)
@@ -403,7 +406,7 @@ def test_grid_search_deterministic():
         params = mlp.init_params((6, 4, 3), seed=40)
         config = small_config(step_size=h, weight_decay=lam, iterations=iters,
                               checkpoint_every=iters)
-        trained, _ = mssg_train(params, data, config, data)
+        trained, _, _ = mssg_train(params, data, config, data)
         return trained
 
     first = grid_search(train_fn, [0.5, 0.1], [0.001], 2, data)

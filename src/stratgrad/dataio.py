@@ -15,7 +15,6 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -142,7 +141,8 @@ def to_dataset(images: np.ndarray, labels: np.ndarray) -> LabeledDataset:
     labels = np.asarray(labels)
     if images.shape[0] != labels.shape[0]:
         raise ValueError(f"{images.shape[0]} images but {labels.shape[0]} labels")
-    features = images.reshape(images.shape[0], -1).astype(np.float64) / 255.0
+    features = images.reshape(images.shape[0], -1).astype(np.float64)
+    features /= 255.0  # in place, whether or not numpy elides the temporary
     return LabeledDataset(features, labels.astype(np.int64))
 
 
@@ -249,6 +249,15 @@ def write_csv(path, columns: Mapping[str, Sequence]) -> None:
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")
 
 
+def _xml_escape(text: str) -> str:
+    """Escape &, < and > for XML character data, & first.
+
+    The same replacements as ``xml.sax.saxutils.escape``, whose import
+    pulls in urllib, http and email.
+    """
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def write_svg_lineplot(path, series: Mapping[str, Sequence[float]],
                        x: Optional[Sequence[float]] = None, title: str = "",
                        x_label: str = "", y_label: str = "") -> None:
@@ -298,15 +307,15 @@ def write_svg_lineplot(path, series: Mapping[str, Sequence[float]],
     ]
     if title:
         parts.append(f'<text x="{width / 2:.1f}" y="18" text-anchor="middle" '
-                     f'font-size="14">{escape(title)}</text>')
+                     f'font-size="14">{_xml_escape(title)}</text>')
     if x_label:
         parts.append(f'<text x="{(left + width - right) / 2:.1f}" y="{height - 8}" '
-                     f'text-anchor="middle" font-size="12">{escape(x_label)}</text>')
+                     f'text-anchor="middle" font-size="12">{_xml_escape(x_label)}</text>')
     if y_label:
         parts.append(f'<text x="14" y="{(top + height - bottom) / 2:.1f}" font-size="12" '
                      f'text-anchor="middle" '
                      f'transform="rotate(-90 14 {(top + height - bottom) / 2:.1f})">'
-                     f'{escape(y_label)}</text>')
+                     f'{_xml_escape(y_label)}</text>')
     for val, anchor, pos in ((x_min, "middle", sx(x_min)), (x_max, "middle", sx(x_max))):
         parts.append(f'<text x="{pos:.1f}" y="{height - bottom + 16}" text-anchor="{anchor}" '
                      f'font-size="11">{val:.4g}</text>')
@@ -322,7 +331,7 @@ def write_svg_lineplot(path, series: Mapping[str, Sequence[float]],
         ly = top + 14 + 16 * i
         parts.append(f'<line x1="{width - 150}" y1="{ly - 4}" x2="{width - 130}" '
                      f'y2="{ly - 4}" stroke="{color}" stroke-width="3"/>')
-        parts.append(f'<text x="{width - 124}" y="{ly}" font-size="12">{escape(name)}</text>')
+        parts.append(f'<text x="{width - 124}" y="{ly}" font-size="12">{_xml_escape(name)}</text>')
     parts.append("</svg>")
     with open(path, "w", newline="") as f:
         f.write("\n".join(parts) + "\n")

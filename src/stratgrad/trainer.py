@@ -27,6 +27,11 @@ parameters, the accuracy reports and the coefficient-fallback count.
 Baselines: single-sample steps (optionally with an iteration multiplier),
 pooled mini-batches, full-batch descent, and the memoryless
 one-sample-per-class stratified direction.
+
+Checkpoint accuracy and full-batch gradients go through ``mlp``'s
+whole-batch passes, which stream the dataset in fixed blocks of
+``mlp.BLOCK_ROWS`` rows, so a checkpoint or a full-batch step costs the
+features plus O(block) memory however many rows there are.
 """
 
 from __future__ import annotations
@@ -101,7 +106,8 @@ BLOCK_ENTRIES = 4096
 def accuracy(params: mlp.MlpParams, data: LabeledDataset) -> float:
     """Fraction of samples whose argmax probability hits the label.
 
-    Ties resolve to the lowest class index.
+    Ties resolve to the lowest class index. The probabilities come from
+    ``mlp.forward_batch``, one block of ``mlp.BLOCK_ROWS`` rows at a time.
     """
     if data.n_samples == 0:
         raise ValueError("cannot score an empty dataset")

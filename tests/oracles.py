@@ -5,7 +5,9 @@ with its `Coefficients`/`Degenerate` provenance flags), which the
 vectorised kernel in `stratgrad.estimators` is checked against, and of
 `uniform_rounds`/`normal_rounds`, round sequences with caller-chosen
 intervals or (mu, sigma) pairs, which `population.generate_family` fixes
-per family.
+per family, and of the unstreamed whole-batch passes (`unstreamed_*`), which
+hold every row's activations at once, as `mlp` did before it streamed row
+blocks.
 """
 
 from __future__ import annotations
@@ -166,6 +168,77 @@ def variance_zscore(samples: np.ndarray, predicted: float) -> float:
     if se == 0.0:
         return 0.0 if emp == predicted else float("inf")
     return (emp - predicted) / se
+
+
+def unstreamed_forward(params, features):
+    """Class probabilities from one forward pass over every row at once."""
+    return mlp._forward_cached(params, np.asarray(features, dtype=np.float64))[0][-1]
+
+
+def _unstreamed_objective(params, logits, labels, weight_decay):
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_z = np.log(np.exp(shifted).sum(axis=1))
+    data = float(np.mean(log_z - shifted[np.arange(labels.size), labels]))
+    reg = 0.5 * weight_decay * sum(float(np.sum(w * w)) for w in params.weights)
+    return data + reg
+
+
+def unstreamed_loss(params, features, labels, weight_decay):
+    """Mean loss from one forward pass over every row at once."""
+    logits = mlp._forward_cached(params, np.asarray(features, dtype=np.float64))[1]
+    return _unstreamed_objective(params, logits, np.asarray(labels, dtype=np.int64),
+                                 weight_decay)
+
+
+def unstreamed_loss_grad(params, features, labels, weight_decay):
+    """Whole-batch (loss, gradient, acts, deltas) from one pass over every row.
+
+    The pass `mlp.loss_and_grad` made before it streamed row blocks: every
+    layer's activations and deltas for all n rows are held at once, the
+    output delta is divided by n before it is propagated, and the gradient
+    is A^T D + weight_decay * W with D summed over rows for the biases.
+    """
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    n = labels.size
+    acts, logits = mlp._forward_cached(params, features)
+    delta = acts[-1].copy()
+    delta[np.arange(n), labels] -= 1.0
+    delta /= n
+    deltas = [delta]
+    for l in range(params.n_layers - 1, 0, -1):
+        delta = (delta @ params.weights[l].T) * acts[l] * (1.0 - acts[l])
+        deltas.append(delta)
+    deltas.reverse()
+    value = _unstreamed_objective(params, logits, labels, weight_decay)
+    grad_w = [a.T @ d + weight_decay * w for a, d, w in zip(acts, deltas, params.weights)]
+    return value, mlp.MlpParams(grad_w, [d.sum(axis=0) for d in deltas]), acts, deltas
+
+
+def unstreamed_full_gradient_train(params, features, labels, steps, step_size,
+                                   weight_decay, tracked):
+    """`mlp.full_gradient_train` on :func:`unstreamed_loss_grad`.
+
+    `tracked` is None or a (layer, out_index, in_index) triple with a
+    non-negative layer. Returns (params, losses, matrix) as the trainer does.
+    """
+    params = params.copy()
+    n = len(labels)
+    matrix = None if tracked is None else np.empty((n, steps))
+    losses = []
+    for t in range(steps):
+        value, grad, acts, deltas = unstreamed_loss_grad(params, features, labels,
+                                                         weight_decay)
+        losses.append(value)
+        if matrix is not None:
+            layer, out_idx, in_idx = tracked
+            matrix[:, t] = acts[layer][:, in_idx] * (n * deltas[layer][:, out_idx]) \
+                + weight_decay * params.weights[layer][in_idx, out_idx]
+        for l in range(params.n_layers):
+            params.weights[l] -= step_size * grad.weights[l]
+            params.biases[l] -= step_size * grad.biases[l]
+    losses.append(unstreamed_loss(params, features, labels, weight_decay))
+    return params, losses, matrix
 
 
 def per_sample_grads(params, features, labels, weight_decay: float = 0.0):

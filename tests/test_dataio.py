@@ -1,7 +1,12 @@
 import gzip
 import math
+import os
 import string
 import struct
+import subprocess
+import sys
+from pathlib import Path
+from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
@@ -100,6 +105,13 @@ def test_to_dataset_layout(tiny_idx):
 def test_to_dataset_zero_image_row():
     ds = to_dataset(np.zeros((1, 4, 4), np.uint8), np.array([0]))
     assert np.array_equal(ds.features[0], np.zeros(16))
+
+
+def test_to_dataset_scales_every_byte_value_like_a_division():
+    images = np.arange(256, dtype=np.uint8).reshape(1, 16, 16)
+    ds = to_dataset(images, np.array([0]))
+    expected = images.reshape(1, -1).astype(np.float64) / 255.0
+    assert np.array_equal(ds.features.view(np.int64), expected.view(np.int64))
 
 
 def test_to_dataset_count_mismatch():
@@ -260,6 +272,22 @@ def test_svg_contains_series_and_legend(tmp_path):
     assert text.startswith("<?xml")
     assert text.count("<polyline") == 2
     assert "alpha" in text and "beta" in text and "demo" in text
+
+
+@pytest.mark.parametrize("text", ["", "plain", "a & b", "<tag>", "x > y < z", "&amp;",
+                                  "\"quoted\" & 'single'", "&<>\"'&&<<>>"])
+def test_svg_escape_matches_saxutils(text):
+    assert dataio._xml_escape(text) == escape(text)
+
+
+def test_cli_import_leaves_out_urllib_request():
+    src = str(Path(dataio.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, stratgrad.cli; print('urllib.request' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 def test_svg_empty_series_rejected(tmp_path):

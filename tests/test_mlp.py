@@ -4,10 +4,19 @@ import time
 import numpy as np
 import pytest
 
-from stratgrad import mlp
+from stratgrad import mlp, trainer
+from stratgrad.dataio import LabeledDataset
 from stratgrad.rng import spawn_rng
 
-from oracles import max_relative_error, numeric_gradient, per_sample_grads
+from oracles import (
+    max_relative_error,
+    numeric_gradient,
+    per_sample_grads,
+    unstreamed_forward,
+    unstreamed_full_gradient_train,
+    unstreamed_loss,
+    unstreamed_loss_grad,
+)
 
 
 def random_batch(params, n, seed):
@@ -247,3 +256,87 @@ def test_desk_scale_matrix_under_time_budget():
     elapsed = time.perf_counter() - start
     assert matrix.shape == (2000, 10)
     assert elapsed < 60.0
+
+
+# ---------------------------------------------------------------- streamed passes
+
+# A small block, so that few rows span several blocks. Row counts around it:
+# one row, B - 1, B, B + 1 and 2B + 3.
+SMALL_BLOCK = 7
+STREAM_ROWS = [1, SMALL_BLOCK - 1, SMALL_BLOCK, SMALL_BLOCK + 1, 2 * SMALL_BLOCK + 3]
+# Several blocks sum the loss and A^T D in another order than one pass does;
+# the results may differ from the unstreamed oracle in the last bits only.
+STREAM_RTOL, STREAM_ATOL = 1e-12, 1e-15
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    monkeypatch.setattr(mlp, "BLOCK_ROWS", SMALL_BLOCK)
+
+
+def _bits(values):
+    return [np.asarray(v, dtype=np.float64).tobytes() for v in values]
+
+
+def _assert_streamed_equal(got, want, n):
+    """Byte-identical within one block, within the stated tolerance beyond it."""
+    if n <= SMALL_BLOCK:
+        assert _bits(got) == _bits(want)
+    else:
+        for g, w in zip(got, want):
+            assert np.allclose(g, w, rtol=STREAM_RTOL, atol=STREAM_ATOL)
+
+
+@pytest.mark.parametrize("n", STREAM_ROWS)
+def test_streamed_accuracy_and_probabilities_match_unstreamed_pass(small_blocks, n):
+    params = mlp.init_params((6, 5, 4, 3), seed=50)
+    features, labels = random_batch(params, n, seed=51)
+    probs = mlp.forward_batch(params, features)
+    want = unstreamed_forward(params, features)
+    _assert_streamed_equal([probs], [want], n)
+    expected = float(np.mean(np.argmax(want, axis=1) == labels))
+    assert trainer.accuracy(params, LabeledDataset(features, labels)) == expected
+
+
+@pytest.mark.parametrize("n", STREAM_ROWS)
+def test_streamed_loss_and_gradient_match_unstreamed_pass(small_blocks, n):
+    params = mlp.init_params((6, 5, 4, 3), seed=52)
+    features, labels = random_batch(params, n, seed=53)
+    value, grad = mlp.loss_and_grad(params, features, labels, 0.01)
+    want_value, want_grad, _, _ = unstreamed_loss_grad(params, features, labels, 0.01)
+    _assert_streamed_equal([value, *grad.weights, *grad.biases],
+                           [want_value, *want_grad.weights, *want_grad.biases], n)
+    _assert_streamed_equal([mlp.loss(params, features, labels, 0.01)],
+                           [unstreamed_loss(params, features, labels, 0.01)], n)
+
+
+@pytest.mark.parametrize("n", STREAM_ROWS)
+def test_streamed_descent_and_tracked_column_match_unstreamed_pass(small_blocks, n):
+    params = mlp.init_params((6, 5, 4, 3), seed=54)
+    features, labels = random_batch(params, n, seed=55)
+    got, losses, matrix = mlp.full_gradient_train(params, features, labels, 3, 0.3, 0.01,
+                                                  tracked=(1, 2, 3))
+    want, want_losses, want_matrix = unstreamed_full_gradient_train(
+        params, features, labels, 3, 0.3, 0.01, (1, 2, 3))
+    _assert_streamed_equal([*got.weights, *got.biases, losses, matrix],
+                           [*want.weights, *want.biases, want_losses, want_matrix], n)
+
+
+def test_whole_batch_passes_never_see_more_than_a_block(small_blocks, monkeypatch):
+    seen = []
+    forward = mlp._forward_cached
+
+    def spy(params, features):
+        seen.append(features.shape[0])
+        return forward(params, features)
+
+    monkeypatch.setattr(mlp, "_forward_cached", spy)
+    n = 2 * SMALL_BLOCK + 3
+    params = mlp.init_params((6, 5, 4, 3), seed=56)
+    features, labels = random_batch(params, n, seed=57)
+    trainer.accuracy(params, LabeledDataset(features, labels))
+    assert seen == [SMALL_BLOCK, SMALL_BLOCK, 3]
+    seen.clear()
+    mlp.full_gradient_train(params, features, labels, 2, 0.1, 0.01, tracked=(0, 1, 2))
+    assert max(seen) == SMALL_BLOCK
+    assert sum(seen) == 3 * n  # two descent steps and the final loss

@@ -11,6 +11,7 @@ Library layout:
 * :mod:`stratgrad.trainer` - the memory-type stratified trainer and the
   baseline trainers;
 * :mod:`stratgrad.dataio` - IDX ingestion and CSV/SVG/manifest emission;
+* :mod:`stratgrad.rng` - the seeded PCG64 streams, built in batches;
 * :mod:`stratgrad.cli` - the ``stratgrad`` experiment subcommands.
 """
 

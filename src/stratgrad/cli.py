@@ -19,14 +19,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, mlp, trainer
-from .dataio import (LabeledDataset, default_data_dir, load_mnist_split, subsample,
-                     write_csv, write_manifest, write_svg_lineplot)
+from .dataio import (LabeledDataset, default_data_dir, read_mnist_split, subsample_rows,
+                     to_dataset, write_csv, write_manifest, write_svg_lineplot)
 from .estimators import (ESTIMATOR_NAMES, optimal_coefficients_elementwise,
                          predicted_variance_vsp, summarize_traces, trace_estimators)
 from .population import (DECREASING_MEAN_INTERVALS, INCREASING_MEAN_INTERVALS,
                          NORMAL_TRENDS, RANDOM_PARAM_RANGE, PopulationRound, StratumStats,
                          Trend, generate_family, trend_schedules)
-from .rng import spawn_rng
+from .rng import spawn_rng, spawn_rngs
 
 DESK_SHAPE = (784, 50, 50, 20, 10)
 FULL_SHAPE = (784, 500, 500, 200, 10)
@@ -84,12 +84,15 @@ def _load_split_pair(args) -> tuple[LabeledDataset, LabeledDataset]:
     if not data_dir:
         raise FileNotFoundError(
             "no dataset directory: pass --data-dir or set MNIST_DIR")
-    train = load_mnist_split(data_dir, "train")
-    test = load_mnist_split(data_dir, "test")
-    if args.desk:
-        train = subsample(train, args.per_class, (args.seed, _POP_STREAM))
-        test = subsample(test, args.test_per_class, (args.seed, _TEST_STREAM))
-    return train, test
+    splits = []
+    for split, per_class, stream in (("train", args.per_class, _POP_STREAM),
+                                     ("test", args.test_per_class, _TEST_STREAM)):
+        images, labels = read_mnist_split(data_dir, split)
+        if args.desk:  # pick the rows from the labels, then convert only those
+            rows = subsample_rows(labels, per_class, (args.seed, stream))
+            images, labels = images[rows], labels[rows]
+        splits.append(to_dataset(images, labels))
+    return tuple(splits)
 
 
 def _phase_entries(names, marks) -> dict:
@@ -216,8 +219,8 @@ def cmd_variance_oracle(args, run: _Run) -> None:
 
     rows = {"experiment": [], "stratum": [], "weight": [], "predicted": [],
             "empirical": [], "z": [], "fallback": []}
-    for e, strata in enumerate(experiments):
-        rng = spawn_rng(args.seed, _MC_STREAM, e)
+    streams = spawn_rngs([(args.seed, _MC_STREAM, e) for e in range(len(experiments))])
+    for e, (strata, rng) in enumerate(zip(experiments, streams)):
         total = np.zeros(args.replications)
         prev_stats, curr_stats, weights = [], [], []
         n_fallback = 0

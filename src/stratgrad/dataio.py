@@ -18,7 +18,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .rng import spawn_rng
+from .rng import spawn_rngs
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -97,6 +97,12 @@ def read_idx_labels(path) -> np.ndarray:
     return np.frombuffer(payload, dtype=np.uint8)
 
 
+def _class_index(labels: np.ndarray) -> list[np.ndarray]:
+    """Rows labelled c, for every c up to the largest label."""
+    n_classes = int(labels.max()) + 1 if labels.size else 0
+    return [np.flatnonzero(labels == c) for c in range(n_classes)]
+
+
 @dataclass
 class LabeledDataset:
     """Features in [0, 1], non-negative integer labels, and per-class row indices.
@@ -119,8 +125,7 @@ class LabeledDataset:
             raise ValueError("feature values must lie in [0, 1]")
         if n and self.labels.min() < 0:
             raise ValueError(f"labels must be non-negative, got {self.labels.min()}")
-        n_classes = int(self.labels.max()) + 1 if n else 0
-        self.class_index = [np.flatnonzero(self.labels == c) for c in range(n_classes)]
+        self.class_index = _class_index(self.labels)
 
     @property
     def n_samples(self) -> int:
@@ -146,24 +151,29 @@ def to_dataset(images: np.ndarray, labels: np.ndarray) -> LabeledDataset:
     return LabeledDataset(features, labels.astype(np.int64))
 
 
-def subsample(dataset: LabeledDataset, per_class: int, seed) -> LabeledDataset:
-    """Stratified without-replacement subsample, per_class rows per class."""
+def subsample_rows(labels: np.ndarray, per_class: int, seed) -> np.ndarray:
+    """Rows of a stratified without-replacement subsample, per_class per class.
+
+    Class c's rows come from the stream (seed, c), sorted; the classes
+    follow one another in label order. Taking the rows from the labels
+    alone lets a caller convert only the rows it keeps.
+    """
     if per_class < 1:
         raise ValueError("per_class must be at least 1")
-    keep = []
-    for c, idx in enumerate(dataset.class_index):
+    class_index = _class_index(np.asarray(labels))
+    for c, idx in enumerate(class_index):
         if per_class > idx.size:
             raise ValueError(f"class {c} has {idx.size} rows, cannot take {per_class}")
-        rng = spawn_rng(seed, c)
-        keep.append(np.sort(rng.choice(idx, size=per_class, replace=False)))
-    rows = np.concatenate(keep)
-    return LabeledDataset(dataset.features[rows], dataset.labels[rows])
+    streams = spawn_rngs([(seed, c) for c in range(len(class_index))])
+    return np.concatenate([np.sort(rng.choice(idx, size=per_class, replace=False))
+                           for idx, rng in zip(class_index, streams)])
 
 
-def load_mnist_split(data_dir, split: str) -> LabeledDataset:
-    """Load one MNIST-style split ('train' or 'test') from a directory.
+def read_mnist_split(data_dir, split: str) -> tuple[np.ndarray, np.ndarray]:
+    """Raw uint8 images and labels of one MNIST-style split ('train' or 'test').
 
-    Accepts plain or .gz IDX files under the conventional names.
+    Accepts plain or .gz IDX files under the conventional names. `to_dataset`
+    turns them, or a subset of their rows, into a LabeledDataset.
     """
     img_name, lbl_name = MNIST_FILES[split]
     data_dir = Path(data_dir)
@@ -175,7 +185,10 @@ def load_mnist_split(data_dir, split: str) -> LabeledDataset:
                 break
         else:
             raise FileNotFoundError(f"missing {name}[.gz] under {data_dir}")
-    return to_dataset(read_idx_images(paths[0]), read_idx_labels(paths[1]))
+    images, labels = read_idx_images(paths[0]), read_idx_labels(paths[1])
+    if images.shape[0] != labels.shape[0]:
+        raise ValueError(f"{images.shape[0]} images but {labels.shape[0]} labels")
+    return images, labels
 
 
 def default_data_dir() -> Optional[str]:

@@ -36,7 +36,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .population import PopulationRound, StratumStats, sample_strata
-from .rng import spawn_rng
+from .rng import spawn_rngs
 
 
 class CoefficientBuffers(NamedTuple):
@@ -252,10 +252,11 @@ def trace_estimators(sequences: Sequence[PopulationRound], seeds, per_stratum: i
     n_rounds, n_values = first.values.shape
     rows = np.arange(n_rounds)
     gmst_means, gst_means = (np.empty((n_reps, n_rounds, first.n_strata)) for _ in range(2))
-    estimates = np.empty((n_reps, len(ESTIMATOR_NAMES), n_rounds))
-    for r, (rounds, seed) in enumerate(zip(sequences, seeds)):
-        gmst_rng, gst_rng, batch_rng, sgd_rng = (
-            spawn_rng(seed, idx) for idx in range(len(ESTIMATOR_NAMES)))
+    n_est = len(ESTIMATOR_NAMES)
+    estimates = np.empty((n_reps, n_est, n_rounds))
+    streams = spawn_rngs([(seed, idx) for seed in seeds for idx in range(n_est)])
+    for r, rounds in enumerate(sequences):
+        gmst_rng, gst_rng, batch_rng, sgd_rng = streams[r * n_est:(r + 1) * n_est]
         gmst_means[r] = sample_strata(rounds, per_stratum, gmst_rng).mean(axis=2)
         gst_means[r] = sample_strata(rounds, per_stratum, gst_rng).mean(axis=2)
         # integers(0, N, size) reads the stream as choice(pooled, size, replace=True)

@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .rng import spawn_rng
+from .rng import spawn_rngs
 
 # Rows per block of a whole-batch pass. At the 784-500-500-200-10 shape a
 # gradient pass holds about 50 KB a row of activations, deltas and
@@ -83,8 +83,8 @@ def init_params(shape, seed) -> MlpParams:
     if any(s < 1 for s in sizes):
         raise ValueError(f"layer sizes must be positive, got {sizes}")
     weights, biases = [], []
-    for l, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
-        rng = spawn_rng(seed, l)
+    streams = spawn_rngs([(seed, l) for l in range(len(sizes) - 1)])
+    for rng, fan_in, fan_out in zip(streams, sizes, sizes[1:]):
         weights.append(rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
     return MlpParams(weights, biases)

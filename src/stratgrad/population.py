@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .rng import spawn_rng
+from .rng import spawn_rng, spawn_rngs
 
 # One interval per round for the two uniform drift families; midpoints move
 # from 10 down to 1.5 (and the reverse for the increasing family).
@@ -175,9 +175,11 @@ def _draw_rounds(draw, params: Sequence[tuple[float, float]], n_per_round: int,
                          f"{N_STRATA} strata")
     per = n_per_round // N_STRATA
     values = np.empty((len(params), n_per_round))
+    streams = iter(spawn_rngs([(seed, k, j) for k in range(len(params))
+                               for j in range(N_STRATA)]))
     for k, (a, b) in enumerate(params):
         for j in range(N_STRATA):
-            values[k, j * per:(j + 1) * per] = draw(spawn_rng(seed, k, j), a, b, per)
+            values[k, j * per:(j + 1) * per] = draw(next(streams), a, b, per)
     return PopulationRound(values, np.full(N_STRATA, per))
 
 

@@ -47,7 +47,7 @@ import numpy as np
 from . import mlp
 from .dataio import LabeledDataset
 from .estimators import CoefficientBuffers, optimal_coefficients_elementwise
-from .rng import spawn_rng
+from .rng import spawn_rng, spawn_rngs
 
 
 class BaselineKind(enum.Enum):
@@ -243,8 +243,8 @@ def mssg_train(params: mlp.MlpParams, data: LabeledDataset, config: TrainConfig,
     pilot = np.empty((n_classes, n), dtype=np.int64)
     fresh = np.empty(n_classes, dtype=np.int64)
     for it in range(1, config.iterations + 1):
-        for c, idx in enumerate(data.class_index):
-            rng = spawn_rng(config.seed, it, c)
+        streams = spawn_rngs([(config.seed, it, c) for c in range(n_classes)])
+        for c, (idx, rng) in enumerate(zip(data.class_index, streams)):
             pilot[c] = rng.choice(idx, size=n, replace=False)
             fresh[c] = rng.choice(idx)
         rows = np.concatenate([pilot.ravel(), fresh])  # class-major pilots, then fresh

@@ -7,7 +7,9 @@ vectorised kernel in `stratgrad.estimators` is checked against, and of
 intervals or (mu, sigma) pairs, which `population.generate_family` fixes
 per family, and of the unstreamed whole-batch passes (`unstreamed_*`), which
 hold every row's activations at once, as `mlp` did before it streamed row
-blocks.
+blocks. Every oracle draws from `numpy_stream`, numpy's own seeding, and
+`subsample_reference` is the desk subsample taken after converting the
+whole split.
 """
 
 from __future__ import annotations
@@ -19,10 +21,28 @@ from typing import Optional, Sequence
 import numpy as np
 
 from stratgrad import mlp
-from stratgrad.dataio import _format_cell
+from stratgrad.dataio import LabeledDataset, _format_cell
 from stratgrad.estimators import ESTIMATOR_NAMES, Race, optimal_coefficients_elementwise
 from stratgrad.population import PopulationRound, StratumStats, _draw_rounds
-from stratgrad.rng import spawn_rng
+
+
+def numpy_stream(seed, *path: int) -> np.random.Generator:
+    """numpy's own PCG64(SeedSequence(entropy)) stream for a (seed, *path) key.
+
+    A tuple seed is spliced into the key, as `stratgrad.rng` does; the
+    hashing is numpy's, so oracles seeded here check the batched
+    `stratgrad.rng.spawn_rngs` against numpy rather than against itself.
+    """
+    entropy = [*seed, *path] if isinstance(seed, tuple) else [seed, *path]
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+
+
+def subsample_reference(dataset: LabeledDataset, per_class: int, seed) -> LabeledDataset:
+    """Stratified subsample of a converted dataset: class c's sorted rows from (seed, c)."""
+    rows = np.concatenate([
+        np.sort(numpy_stream(seed, c).choice(idx, size=per_class, replace=False))
+        for c, idx in enumerate(dataset.class_index)])
+    return LabeledDataset(dataset.features[rows], dataset.labels[rows])
 
 
 class Degenerate(enum.Enum):
@@ -306,7 +326,7 @@ def mssg_reference(params, data, config):
         direction = zeros()
         new_means, new_vars = [], []
         for c in range(n_classes):
-            rng = spawn_rng(config.seed, it, c)
+            rng = numpy_stream(config.seed, it, c)
             idx = data.class_index[c]
             pilot_rows = rng.choice(idx, size=config.pilot_size, replace=False)
             pilot = per_sample_grads(params, data.features[pilot_rows],
@@ -369,7 +389,7 @@ def trace_estimators_reference(sequences, seeds, per_stratum: int = 1,
     estimates, sq_dev, truth = [], [], []
     fallbacks = 0
     for rounds, seed in zip(sequences, seeds):
-        rngs = [spawn_rng(seed, idx) for idx in range(len(ESTIMATOR_NAMES))]
+        rngs = [numpy_stream(seed, idx) for idx in range(len(ESTIMATOR_NAMES))]
         sizes = np.array([int(n) for n in rounds.sizes], dtype=np.float64)
         weights = sizes / sizes.sum()
         cuts = np.cumsum([int(n) for n in rounds.sizes])[:-1]

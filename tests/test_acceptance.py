@@ -14,7 +14,7 @@ import pytest
 
 from stratgrad import mlp
 from stratgrad.cli import main as cli_main
-from stratgrad.dataio import load_mnist_split
+from stratgrad.dataio import read_mnist_split, to_dataset
 from stratgrad.estimators import (
     gmst_step,
     optimal_coefficients_elementwise,
@@ -221,8 +221,8 @@ def test_criterion_9_desk_scale_gradient_matrix(tmp_path, data_dir):
 
 @pytest.mark.slow
 def test_criterion_10_full_mnist_headline(real_mnist_dir):
-    train = load_mnist_split(real_mnist_dir, "train")
-    test = load_mnist_split(real_mnist_dir, "test")
+    train = to_dataset(*read_mnist_split(real_mnist_dir, "train"))
+    test = to_dataset(*read_mnist_split(real_mnist_dir, "test"))
     params = mlp.init_params((784, 500, 500, 200, 10), seed=1010)
     params, _, _ = mlp.full_gradient_train(params, train.features, train.labels,
                                            60, 0.2, 0.001)
@@ -234,8 +234,8 @@ def test_criterion_10_full_mnist_headline(real_mnist_dir):
 @pytest.mark.slow
 def test_criterion_10b_memory_trainer_accuracy_grid(real_mnist_dir):
     # long-run reproduction of the 1k-iteration accuracy row; takes hours
-    train = load_mnist_split(real_mnist_dir, "train")
-    test = load_mnist_split(real_mnist_dir, "test")
+    train = to_dataset(*read_mnist_split(real_mnist_dir, "train"))
+    test = to_dataset(*read_mnist_split(real_mnist_dir, "test"))
 
     def train_fn(h, lam, iterations):
         params = mlp.init_params((784, 500, 500, 200, 10), seed=1010)

@@ -7,11 +7,14 @@ import numpy as np
 import pytest
 
 import stratgrad
+from stratgrad import cli
 from stratgrad.cli import _TRACE_STREAM, build_parser, main
+from stratgrad.dataio import read_mnist_split, to_dataset
 from stratgrad.estimators import ESTIMATOR_NAMES
 from stratgrad.population import Trend, generate_family
 
-from oracles import read_csv_columns, trace_estimators_reference, write_csv_reference
+from oracles import (read_csv_columns, subsample_reference, trace_estimators_reference,
+                     write_csv_reference)
 
 
 def run_cli(*argv) -> int:
@@ -241,6 +244,28 @@ def test_gradmatrix_requires_data(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("MNIST_DIR", raising=False)
     assert run_cli("gradmatrix", "--desk", "--out-dir", tmp_path / "gm") == 1
     assert "data" in capsys.readouterr().err.lower()
+
+
+@pytest.mark.parametrize("desk", [True, False])
+def test_desk_converts_only_the_sampled_rows(fixture_data_dir, monkeypatch, desk):
+    converted = []
+
+    def spy(images, labels):
+        converted.append(images.shape[0])
+        return to_dataset(images, labels)
+
+    monkeypatch.setattr(cli, "to_dataset", spy)
+    argv = ["train", "--algorithm", "gst", "--out-dir", "unused", "--data-dir",
+            str(fixture_data_dir), "--per-class", "7", "--test-per-class", "3", "--seed", "5"]
+    train, test = cli._load_split_pair(build_parser().parse_args(argv + ["--desk"] * desk))
+    assert converted == ([70, 30] if desk else [3000, 600])
+    for got, split, per_class, stream in ((train, "train", 7, cli._POP_STREAM),
+                                          (test, "test", 3, cli._TEST_STREAM)):
+        want = to_dataset(*read_mnist_split(fixture_data_dir, split))
+        if desk:  # the old path: convert the whole split, then subsample it
+            want = subsample_reference(want, per_class, (5, stream))
+        assert got.features.tobytes() == want.features.tobytes()
+        assert got.labels.tobytes() == want.labels.tobytes()
 
 
 def test_failed_run_marks_partial_outputs(tmp_path, fixture_data_dir, capsys):

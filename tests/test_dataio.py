@@ -16,10 +16,10 @@ from stratgrad import dataio
 from stratgrad.dataio import (
     IdxFormatError,
     LabeledDataset,
-    load_mnist_split,
     read_idx_images,
     read_idx_labels,
-    subsample,
+    read_mnist_split,
+    subsample_rows,
     to_dataset,
     write_csv,
     write_manifest,
@@ -27,7 +27,7 @@ from stratgrad.dataio import (
 )
 
 from idxtools import pack_idx_images, pack_idx_labels, synthetic_digits
-from oracles import read_csv_columns, write_csv_reference
+from oracles import read_csv_columns, subsample_reference, write_csv_reference
 
 
 @pytest.fixture
@@ -140,35 +140,54 @@ def test_dataset_rejects_negative_labels():
 
 def test_subsample_counts_and_determinism():
     images, labels = synthetic_digits(12, seed=2)
-    ds = to_dataset(images, labels)
-    sub_a = subsample(ds, 4, seed=3)
-    sub_b = subsample(ds, 4, seed=3)
-    assert sub_a.n_samples == 40
-    assert all(idx.size == 4 for idx in sub_a.class_index)
-    assert np.array_equal(sub_a.features, sub_b.features)
+    rows_a = subsample_rows(labels, 4, seed=3)
+    rows_b = subsample_rows(labels, 4, seed=3)
+    sub = to_dataset(images[rows_a], labels[rows_a])
+    assert sub.n_samples == 40
+    assert all(idx.size == 4 for idx in sub.class_index)
+    assert np.array_equal(rows_a, rows_b)
     with pytest.raises(ValueError):
-        subsample(ds, 13, seed=0)
+        subsample_rows(labels, 13, seed=0)
+    with pytest.raises(ValueError):
+        subsample_rows(labels, 0, seed=0)
 
 
 def test_subsample_full_size_is_identity_up_to_order():
-    images, labels = synthetic_digits(6, seed=4)
-    ds = to_dataset(images, labels)
-    sub = subsample(ds, 6, seed=5)
-    key = np.lexsort(ds.features.T)
-    key_sub = np.lexsort(sub.features.T)
-    assert np.array_equal(ds.features[key], sub.features[key_sub])
+    _, labels = synthetic_digits(6, seed=4)
+    rows = subsample_rows(labels, 6, seed=5)
+    assert np.array_equal(np.sort(rows), np.arange(labels.size))
+
+
+@pytest.mark.parametrize("seed", [0, 7, (3, 1), 2 ** 40])
+def test_subsample_rows_equal_the_converted_dataset_subsample(seed):
+    # ragged classes, one of them exactly per_class rows, labels out of order
+    labels = np.random.default_rng(11).permutation(np.repeat(np.arange(5), [9, 3, 17, 4, 30]))
+    images = np.random.default_rng(12).integers(0, 256, (labels.size, 2, 3), dtype=np.uint8)
+    rows = subsample_rows(labels, 3, seed)
+    got = to_dataset(images[rows], labels[rows])
+    want = subsample_reference(to_dataset(images, labels), 3, seed)
+    assert got.features.tobytes() == want.features.tobytes()
+    assert got.labels.tobytes() == want.labels.tobytes()
 
 
 def test_load_mnist_split_roundtrip(tmp_path):
     from idxtools import write_mnist_style_dir
     root = write_mnist_style_dir(tmp_path / "d", 3, 2, seed=9)
-    train = load_mnist_split(root, "train")
-    test = load_mnist_split(root, "test")
+    train = to_dataset(*read_mnist_split(root, "train"))
+    test = to_dataset(*read_mnist_split(root, "test"))
     assert train.n_samples == 30
     assert test.n_samples == 20
     assert train.n_classes == test.n_classes == 10
     with pytest.raises(FileNotFoundError):
-        load_mnist_split(tmp_path, "train")
+        read_mnist_split(tmp_path, "train")
+
+
+def test_read_mnist_split_rejects_count_mismatch(tmp_path):
+    images, labels = synthetic_digits(2, seed=1)
+    (tmp_path / "train-images-idx3-ubyte").write_bytes(pack_idx_images(images))
+    (tmp_path / "train-labels-idx1-ubyte").write_bytes(pack_idx_labels(labels[:-1]))
+    with pytest.raises(ValueError, match="images but"):
+        read_mnist_split(tmp_path, "train")
 
 
 # ---------------------------------------------------------------- csv / svg

@@ -14,7 +14,7 @@ from stratgrad.population import (
 )
 from stratgrad.rng import spawn_rng
 
-from oracles import normal_rounds, uniform_rounds
+from oracles import normal_rounds, numpy_stream, uniform_rounds
 
 
 def two_pass_stats(values):
@@ -218,7 +218,7 @@ def test_generator_strata_come_from_their_own_streams():
     rounds = normal_rounds([(1.0, 2.0), (3.0, 4.0)], 16, 17)
     for k, (mu, sigma) in enumerate([(1.0, 2.0), (3.0, 4.0)]):
         for j in range(4):
-            want = spawn_rng(17, k, j).normal(mu, sigma, 4)
+            want = numpy_stream(17, k, j).normal(mu, sigma, 4)
             assert np.array_equal(rounds.values[k, 4 * j:4 * j + 4], want)
 
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from stratgrad.rng import spawn_rng
+from stratgrad import rng
+from stratgrad.rng import spawn_rng, spawn_rngs
 
 
 def flatten_reference(seed) -> list[int]:
@@ -43,3 +45,73 @@ def test_negative_components_rejected(seed, path):
 def test_nested_list_or_float_seeds_rejected(seed, path):
     with pytest.raises(TypeError):
         spawn_rng(seed, *path)
+
+
+_COMPONENTS = st.one_of(
+    st.sampled_from([0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 1, True]),
+    st.integers(0, 2 ** 80),
+    st.integers(0, 2 ** 32 - 1).map(np.uint32),
+    st.integers(0, 2 ** 63 - 1).map(np.int64),
+    st.integers(0, 2 ** 64 - 1).map(np.uint64),
+    st.integers(0, 255).map(np.uint8),
+)
+# (seed, *path) keys of 0 to 8 components, some with a flat tuple seed
+_KEYS = st.one_of(
+    st.lists(_COMPONENTS, max_size=8).map(tuple),
+    st.tuples(st.lists(_COMPONENTS, max_size=4).map(tuple),
+              st.lists(_COMPONENTS, max_size=4)).map(lambda kp: (kp[0], *kp[1])),
+)
+
+
+@given(st.lists(_KEYS, max_size=12))
+def test_spawn_rngs_streams_equal_numpy_seed_sequences_in_key_order(keys):
+    got = spawn_rngs(keys)
+    assert len(got) == len(keys)
+    for gen, key in zip(got, keys):
+        want = np.random.PCG64(np.random.SeedSequence(flatten_reference(key)))
+        assert gen.bit_generator.state == want.state
+
+
+def test_spawn_rngs_of_no_keys_is_empty():
+    assert spawn_rngs([]) == []
+
+
+@pytest.mark.parametrize("key,state,inc", [
+    ((0,), 35399562948360463058890781895381311971, 87136372517582989555478159403783844777),
+    ((7, 2, 3), 32274101161218434494518728101904377167,
+     248001600037947974177124676638637024447),
+    (((2 ** 64 + 1, 5), 9, 2 ** 32 - 1, 4, 0, 1), 207617049047623324694381394158463180634,
+     118468058219354280525525972371668041301),
+])
+def test_spawn_rngs_pinned_pcg64_states(key, state, inc):
+    # SeedSequence and PCG64 seeding are frozen by numpy's stream policy
+    (gen,) = spawn_rngs([key])
+    assert gen.bit_generator.state["state"] == {"state": state, "inc": inc}
+
+
+@pytest.mark.parametrize("keys,error", [
+    ([(1, 2), (3,), (-1,)], ValueError),
+    ([(1, 2), ((4, -2), 3)], ValueError),
+    ([(1, 2), (3, 1.5)], TypeError),
+    ([(1, 2), ((1, (2, 3)), 4)], TypeError),
+    ([(1, 2), [3, 4]], TypeError),
+    ([(1, 2), 7], TypeError),
+])
+def test_spawn_rngs_rejects_bad_keys_before_building_any_stream(monkeypatch, keys, error):
+    def never(*_):
+        raise AssertionError("a stream was hashed or built before every key was checked")
+
+    monkeypatch.setattr(rng, "_seed_words", never)
+    monkeypatch.setattr(rng, "_HashedSeed", never)
+    with pytest.raises(error):
+        spawn_rngs(keys)
+
+
+def test_hashed_seed_serves_only_the_words_it_holds():
+    seed = rng._HashedSeed(rng._seed_words(np.array([[5]], dtype=np.uint32))[0])
+    assert seed.generate_state(4, np.uint64).tobytes() == \
+        np.random.SeedSequence(5).generate_state(4, np.uint64).tobytes()
+    with pytest.raises(ValueError):
+        seed.generate_state(2, np.uint64)
+    with pytest.raises(ValueError):
+        seed.generate_state(4, np.uint32)

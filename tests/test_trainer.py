@@ -19,7 +19,7 @@ from stratgrad.trainer import (
     mssg_train,
 )
 
-from oracles import mssg_reference, per_sample_grads
+from oracles import mssg_reference, numpy_stream, per_sample_grads
 
 
 def blob_dataset(n_per_class, n_classes=3, n_features=6, seed=0, spread=0.08):
@@ -245,7 +245,7 @@ def test_mssg_one_pass_variance_on_ill_conditioned_pilots():
     params = mlp.init_params((6, 4, 3), seed=44)
     n, n_classes = 8, data.n_classes
     # the first iteration's class-major pilot rows under seed 0
-    rows = np.concatenate([spawn_rng(0, 1, c).choice(idx, size=n, replace=False)
+    rows = np.concatenate([numpy_stream(0, 1, c).choice(idx, size=n, replace=False)
                            for c, idx in enumerate(data.class_index)])
     acts, _, deltas = mlp.forward_backward(params, data.features[rows], data.labels[rows])
     per = per_sample_grads(params, data.features[rows], data.labels[rows])

@@ -5,7 +5,7 @@ Library layout:
 * :mod:`stratgrad.population` - stratified scalar populations and the
   synthetic drift families;
 * :mod:`stratgrad.estimators` - the four estimators, the mixing-coefficient
-  kernel, the variance prediction and the estimator race;
+  kernel, the blended variance of the optimal mix and the estimator race;
 * :mod:`stratgrad.mlp` - a plain-numpy feedforward classifier with exact
   hand-derived gradients;
 * :mod:`stratgrad.trainer` - the memory-type stratified trainer and the
@@ -19,15 +19,14 @@ __version__ = "0.1.0"
 
 from .estimators import (
     Race,
+    blended_variance,
     gmst_step,
     gst_estimate,
     optimal_coefficients_elementwise,
-    predicted_variance_vsp,
     trace_estimators,
 )
 from .population import (
     PopulationRound,
-    StratumStats,
     Trend,
     generate_family,
     sample_strata,
@@ -35,7 +34,7 @@ from .population import (
 
 __all__ = [
     "__version__",
-    "Race", "gmst_step", "gst_estimate", "optimal_coefficients_elementwise",
-    "predicted_variance_vsp", "trace_estimators",
-    "PopulationRound", "StratumStats", "Trend", "generate_family", "sample_strata",
+    "Race", "blended_variance", "gmst_step", "gst_estimate",
+    "optimal_coefficients_elementwise", "trace_estimators",
+    "PopulationRound", "Trend", "generate_family", "sample_strata",
 ]

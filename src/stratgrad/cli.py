@@ -21,11 +21,11 @@ import numpy as np
 from . import __version__, mlp, trainer
 from .dataio import (LabeledDataset, default_data_dir, read_mnist_split, subsample_rows,
                      to_dataset, write_csv, write_manifest, write_svg_lineplot)
-from .estimators import (ESTIMATOR_NAMES, optimal_coefficients_elementwise,
-                         predicted_variance_vsp, summarize_traces, trace_estimators)
+from .estimators import (ESTIMATOR_NAMES, CoefficientBuffers, blended_variance,
+                         optimal_coefficients_elementwise, summarize_traces, trace_estimators)
 from .population import (DECREASING_MEAN_INTERVALS, INCREASING_MEAN_INTERVALS,
-                         NORMAL_TRENDS, RANDOM_PARAM_RANGE, PopulationRound, StratumStats,
-                         Trend, generate_family, trend_schedules)
+                         NORMAL_TRENDS, RANDOM_PARAM_RANGE, PopulationRound, Trend,
+                         generate_family, trend_schedules)
 from .rng import spawn_rng, spawn_rngs
 
 DESK_SHAPE = (784, 50, 50, 20, 10)
@@ -168,6 +168,8 @@ def _parse_stats_spec(spec: str):
         if len(fields) not in (4, 5):
             raise ValueError(
                 f"stats spec needs 'mean_prev,var_prev,mean_curr,var_curr[,weight]', got {part!r}")
+        if not np.isfinite(fields).all():
+            raise ValueError(f"stats spec fields must be finite, got {part!r}")
         strata.append(fields)
     given = [s[4] for s in strata if len(s) == 5]
     if not given:
@@ -212,6 +214,8 @@ def cmd_variance_oracle(args, run: _Run) -> None:
         raise ValueError("need at least 10000 replications for a meaningful z-score")
     if args.stats:
         experiments = [_parse_stats_spec(args.stats)]
+    elif args.strata < 1:
+        raise ValueError(f"need at least one stratum per random experiment, got {args.strata}")
     else:
         rng = spawn_rng(args.seed, _TUPLE_STREAM)
         experiments = [_random_stat_tuples(rng, args.strata)
@@ -221,30 +225,27 @@ def cmd_variance_oracle(args, run: _Run) -> None:
             "empirical": [], "z": [], "fallback": []}
     streams = spawn_rngs([(args.seed, _MC_STREAM, e) for e in range(len(experiments))])
     for e, (strata, rng) in enumerate(zip(experiments, streams)):
+        mp, vp, mc, vc, w = np.array(strata).T
+        out = CoefficientBuffers.empty(mp.shape)
+        p, q, n_fallback = optimal_coefficients_elementwise(mp, vp, mc, vc, out=out)
+        predicted = blended_variance(mp, vp, mc, vc)
         total = np.zeros(args.replications)
-        prev_stats, curr_stats, weights = [], [], []
-        n_fallback = 0
-        for j, (mp, vp, mc, vc, w) in enumerate(strata):
-            prev_stats.append(StratumStats(mp, vp))
-            curr_stats.append(StratumStats(mc, vc))
-            weights.append(w)
-            p, q, fell_back = optimal_coefficients_elementwise(mp, vp, mc, vc)
-            n_fallback += fell_back
-            memory = rng.normal(mp, np.sqrt(vp), args.replications)
-            fresh = rng.normal(mc, np.sqrt(vc), args.replications)
-            combined = p * memory + q * fresh
-            total += w * combined
-            predicted = predicted_variance_vsp([prev_stats[-1]], [curr_stats[-1]], [1.0])
+        for j in range(mp.size):
+            memory = rng.normal(mp[j], np.sqrt(vp[j]), args.replications)
+            fresh = rng.normal(mc[j], np.sqrt(vc[j]), args.replications)
+            combined = p[j] * memory + q[j] * fresh
+            total += w[j] * combined
             rows["experiment"].append(e)
             rows["stratum"].append(str(j))
-            rows["weight"].append(w)
-            rows["predicted"].append(predicted)
+            rows["weight"].append(float(w[j]))
+            rows["predicted"].append(float(predicted[j]))
             rows["empirical"].append(float(combined.var(ddof=1)))
-            rows["z"].append(_variance_zscore(combined, predicted))
-            rows["fallback"].append(fell_back)
+            rows["z"].append(_variance_zscore(combined, predicted[j]))
+            rows["fallback"].append(int(out.fallback[j]))
         # strata that fell back to the pure fresh draw blend away from the
-        # predicted optimum, so their z scores flag a real gap
-        predicted_total = predicted_variance_vsp(prev_stats, curr_stats, weights)
+        # predicted optimum, so their z scores flag a real gap; the total
+        # adds the strata in order, as the blend above does
+        predicted_total = float(np.cumsum(w * w * predicted)[-1])
         rows["experiment"].append(e)
         rows["stratum"].append("total")
         rows["weight"].append(1.0)

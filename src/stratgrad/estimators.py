@@ -20,6 +20,9 @@ stay put.
 One kernel, :func:`optimal_coefficients_elementwise`, forms the mixing
 pairs for every caller: the trainer's parameter-shaped statistics, the
 race's (replication, stratum) arrays and the variance oracle's strata.
+:func:`blended_variance` gives the variance of the optimal blend on the
+same element-wise statistics, which the variance oracle checks against
+Monte Carlo.
 
 :func:`trace_estimators` races the four on R round sequences that share a
 stratum layout: it draws each replication's samples for all rounds at
@@ -35,7 +38,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .population import PopulationRound, StratumStats, sample_strata
+from .population import PopulationRound, sample_strata
 from .rng import spawn_rngs
 
 
@@ -165,40 +168,37 @@ def gmst_step(memory, fresh, mean_prev, var_prev, mean_curr, var_curr, weights):
     return memory, gst_estimate(memory, weights), fallbacks
 
 
-def _blended_variance_term(mean_prev: float, var_prev: float,
-                           mean_curr: float, var_curr: float) -> float:
-    """One stratum's minimum blended variance (without its weight factor)."""
-    if mean_prev == 0.0 and mean_curr == 0.0:
-        total = var_prev + var_curr
-        return 0.0 if total == 0.0 else var_prev * var_curr / total
-    den = mean_curr * mean_curr * var_prev + mean_prev * mean_prev * var_curr
-    if den > 0.0:
-        return mean_curr * mean_curr * var_prev * var_curr / den
-    # den == 0 with means not both zero: the blend is exact (a zero-variance
-    # side covers the target) except when no unbiased blend exists at all.
-    if mean_prev == 0.0 and mean_curr != 0.0 and var_curr > 0.0:
-        raise ValueError(
-            "variance prediction undefined: previous mean 0 with a nonzero current mean"
-        )
-    return 0.0
+def blended_variance(mean_prev, var_prev, mean_curr, var_curr) -> np.ndarray:
+    """Variance of the optimal blend ``p * old + q * fresh``, element by element.
 
-
-def predicted_variance_vsp(stats_prev: Sequence[StratumStats],
-                           stats_curr: Sequence[StratumStats], weights) -> float:
-    """Predicted variance of the memory estimator under optimal mixing.
-
-    sum_j w_j^2 * m_c^2 V_p V_c / (m_c^2 V_p + m_p^2 V_c), with the 0/0
-    limit handled per stratum.
+    m_c**2 V_p V_c / (m_c**2 V_p + m_p**2 V_c) on the broadcast shape of the
+    four statistics. Both means zero takes the 0/0 limit V_p V_c / (V_p +
+    V_c), or 0 when both variances are 0; any other zero denominator means
+    a zero-variance side covers the target exactly, so the variance is 0.
+    This is the optimum even where `optimal_coefficients_elementwise` falls
+    back to the fresh draw (|p| >= 1). Negative variances raise ValueError,
+    as does a zero denominator from a zero previous mean against a nonzero
+    current one with V_c > 0, where no blend is unbiased.
     """
-    weights = np.asarray(weights, dtype=np.float64)
-    if len(stats_prev) != weights.size or len(stats_curr) != weights.size:
-        raise ValueError("need previous and current stats for every stratum")
-    total = 0.0
-    for j in range(weights.size):
-        term = _blended_variance_term(stats_prev[j].mean, stats_prev[j].variance,
-                                      stats_curr[j].mean, stats_curr[j].variance)
-        total += weights[j] * weights[j] * term
-    return float(total)
+    mean_prev, var_prev, mean_curr, var_curr = np.broadcast_arrays(
+        np.asarray(mean_prev, dtype=np.float64),
+        np.asarray(var_prev, dtype=np.float64),
+        np.asarray(mean_curr, dtype=np.float64),
+        np.asarray(var_curr, dtype=np.float64),
+    )
+    if (var_prev < 0.0).any() or (var_curr < 0.0).any():
+        raise ValueError("variances must be non-negative")
+    cc = mean_curr * mean_curr * var_prev
+    den = cc + mean_prev * mean_prev * var_curr
+    prev_zero = mean_prev == 0.0
+    if (prev_zero & (mean_curr != 0.0) & (var_curr > 0.0) & ~(den > 0.0)).any():
+        raise ValueError(
+            "blended variance undefined: previous mean 0 with a nonzero current mean")
+    both_zero = prev_zero & (mean_curr == 0.0)
+    total = var_prev + var_curr
+    with np.errstate(divide="ignore", invalid="ignore"):
+        formula = np.where(~both_zero & (den > 0.0), cc * var_curr / den, 0.0)
+        return np.where(both_zero & (total != 0.0), var_prev * var_curr / total, formula)
 
 
 ESTIMATOR_NAMES = ("gmst", "gst", "batch", "sgd")

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .rng import spawn_rng, spawn_rngs
+from .rng import spawn_rngs
 
 # One interval per round for the two uniform drift families; midpoints move
 # from 10 down to 1.5 (and the reverse for the increasing family).
@@ -69,20 +69,6 @@ NORMAL_TRENDS = (
     Trend.NORMAL_VAR_DEC,
     Trend.NORMAL_VAR_INC,
 )
-
-
-@dataclass(frozen=True)
-class StratumStats:
-    """Exact mean and population variance of one stratum."""
-
-    mean: float
-    variance: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.mean) or not np.isfinite(self.variance):
-            raise ValueError("stratum statistics must be finite")
-        if self.variance < 0:
-            raise ValueError(f"variance must be non-negative, got {self.variance}")
 
 
 @dataclass
@@ -163,20 +149,20 @@ def sample_strata(rounds: PopulationRound, per_stratum: int,
 
 
 def _draw_rounds(draw, params: Sequence[tuple[float, float]], n_per_round: int,
-                 seed) -> PopulationRound:
+                 streams: Sequence[np.random.Generator]) -> PopulationRound:
     """One round per parameter pair, in N_STRATA equal strata of fresh draws.
 
     Stratum j of round k holds n_per_round / N_STRATA values of
-    draw(rng, a_k, b_k, size) from the stream (seed, k, j), where draw is
-    a Generator method such as ``np.random.Generator.uniform``.
+    draw(rng, a_k, b_k, size) from ``streams[k * N_STRATA + j]``, where draw
+    is a Generator method such as ``np.random.Generator.uniform``; the
+    families pass the streams (seed, k, j).
     """
     if n_per_round <= 0 or n_per_round % N_STRATA != 0:
         raise ValueError(f"n_per_round={n_per_round} must be a positive multiple of "
                          f"{N_STRATA} strata")
     per = n_per_round // N_STRATA
     values = np.empty((len(params), n_per_round))
-    streams = iter(spawn_rngs([(seed, k, j) for k in range(len(params))
-                               for j in range(N_STRATA)]))
+    streams = iter(streams)
     for k, (a, b) in enumerate(params):
         for j in range(N_STRATA):
             values[k, j * per:(j + 1) * per] = draw(next(streams), a, b, per)
@@ -212,21 +198,26 @@ def generate_family(family: Trend, seed, n_per_round: int = 40,
     ``len(DECREASING_MEAN_INTERVALS)`` rounds. The normal families draw
     N(mu_k, sigma_k): the random family draws both parameters uniformly
     from RANDOM_PARAM_RANGE per round, the trend families follow
-    `trend_schedules`.
+    `trend_schedules`. Stratum j of round k draws from the stream
+    (seed, k, j) and the random family's parameters from (seed,
+    _PARAM_STREAM_TAG); one `spawn_rngs` call seeds them all.
     """
     if n_rounds < 1:
         raise ValueError(f"need at least one round, got {n_rounds}")
+    keys = [(seed, k, j) for k in range(n_rounds) for j in range(N_STRATA)]
     if family in (Trend.UNIFORM_DEC, Trend.UNIFORM_INC):
         table = DECREASING_MEAN_INTERVALS if family is Trend.UNIFORM_DEC \
             else INCREASING_MEAN_INTERVALS
         if n_rounds > len(table):
             raise ValueError(f"{family.value} has intervals for {len(table)} rounds, "
                              f"not {n_rounds}")
-        return _draw_rounds(np.random.Generator.uniform, table[:n_rounds], n_per_round, seed)
+        return _draw_rounds(np.random.Generator.uniform, table[:n_rounds], n_per_round,
+                            spawn_rngs(keys))
     if family is Trend.NORMAL_RANDOM:
-        prng = spawn_rng(seed, _PARAM_STREAM_TAG)
+        prng, *streams = spawn_rngs([(seed, _PARAM_STREAM_TAG), *keys])
         lo, hi = RANDOM_PARAM_RANGE
         params = [(prng.uniform(lo, hi), prng.uniform(lo, hi)) for _ in range(n_rounds)]
     else:
+        streams = spawn_rngs(keys)
         params = trend_schedules(family, n_rounds)
-    return _draw_rounds(np.random.Generator.normal, params, n_per_round, seed)
+    return _draw_rounds(np.random.Generator.normal, params, n_per_round, streams)

@@ -1,8 +1,10 @@
 """Shared independent oracles for gradient and variance checks.
 
 Also home to the scalar mixing-coefficient reference (`optimal_coefficients`
-with its `Coefficients`/`Degenerate` provenance flags), which the
-vectorised kernel in `stratgrad.estimators` is checked against, and of
+with its `Coefficients`/`Degenerate` provenance flags) and the scalar
+blended-variance reference (`blended_variance_term`, summed over
+`StratumStats` by `predicted_variance_vsp`), which the vectorised
+`stratgrad.estimators` kernels are checked against, and of
 `uniform_rounds`/`normal_rounds`, round sequences with caller-chosen
 intervals or (mu, sigma) pairs, which `population.generate_family` fixes
 per family, and of the unstreamed whole-batch passes (`unstreamed_*`), which
@@ -23,7 +25,7 @@ import numpy as np
 from stratgrad import mlp
 from stratgrad.dataio import LabeledDataset, _format_cell
 from stratgrad.estimators import ESTIMATOR_NAMES, Race, optimal_coefficients_elementwise
-from stratgrad.population import PopulationRound, StratumStats, _draw_rounds
+from stratgrad.population import N_STRATA, PopulationRound, _draw_rounds
 
 
 def numpy_stream(seed, *path: int) -> np.random.Generator:
@@ -35,6 +37,11 @@ def numpy_stream(seed, *path: int) -> np.random.Generator:
     """
     entropy = [*seed, *path] if isinstance(seed, tuple) else [seed, *path]
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+
+
+def _round_streams(seed, n_rounds: int) -> list[np.random.Generator]:
+    """The streams (seed, k, j) of rounds k < n_rounds and the families' strata j."""
+    return [numpy_stream(seed, k, j) for k in range(n_rounds) for j in range(N_STRATA)]
 
 
 def subsample_reference(dataset: LabeledDataset, per_class: int, seed) -> LabeledDataset:
@@ -125,12 +132,62 @@ def unbiased_condition_holds(c: Coefficients, mean_prev: float, mean_curr: float
     return abs(c.p / (1.0 - c.q) - ratio) <= tol * abs(ratio)
 
 
-def stratified_variance(stats: Sequence[StratumStats], weights) -> float:
+@dataclass(frozen=True)
+class StratumStats:
+    """Exact mean and population variance of one stratum."""
+
+    mean: float
+    variance: float
+
+    def __post_init__(self):
+        if not np.isfinite(self.mean) or not np.isfinite(self.variance):
+            raise ValueError("stratum statistics must be finite")
+        if self.variance < 0:
+            raise ValueError(f"variance must be non-negative, got {self.variance}")
+
+
+def blended_variance_term(mean_prev: float, var_prev: float,
+                          mean_curr: float, var_curr: float) -> float:
+    """One stratum's minimum blended variance (without its weight factor)."""
+    if mean_prev == 0.0 and mean_curr == 0.0:
+        total = var_prev + var_curr
+        return 0.0 if total == 0.0 else var_prev * var_curr / total
+    den = mean_curr * mean_curr * var_prev + mean_prev * mean_prev * var_curr
+    if den > 0.0:
+        return mean_curr * mean_curr * var_prev * var_curr / den
+    # den == 0 with means not both zero: the blend is exact (a zero-variance
+    # side covers the target) except when no unbiased blend exists at all.
+    if mean_prev == 0.0 and mean_curr != 0.0 and var_curr > 0.0:
+        raise ValueError(
+            "variance prediction undefined: previous mean 0 with a nonzero current mean"
+        )
+    return 0.0
+
+
+def predicted_variance_vsp(stats_prev: Sequence[StratumStats],
+                           stats_curr: Sequence[StratumStats], weights) -> float:
+    """Predicted variance of the memory estimator under optimal mixing.
+
+    sum_j w_j^2 * m_c^2 V_p V_c / (m_c^2 V_p + m_p^2 V_c), with the 0/0
+    limit handled per stratum, summed in stratum order.
+    """
+    weights = np.asarray(weights, dtype=np.float64)
+    if len(stats_prev) != weights.size or len(stats_curr) != weights.size:
+        raise ValueError("need previous and current stats for every stratum")
+    total = 0.0
+    for j in range(weights.size):
+        term = blended_variance_term(stats_prev[j].mean, stats_prev[j].variance,
+                                     stats_curr[j].mean, stats_curr[j].variance)
+        total += weights[j] * weights[j] * term
+    return float(total)
+
+
+def stratified_variance(variances, weights) -> float:
     """Variance of the memoryless stratified estimator: sum_j w_j^2 V_j."""
     weights = np.asarray(weights, dtype=np.float64)
-    if len(stats) != weights.size:
-        raise ValueError("need stats for every stratum")
-    variances = np.array([s.variance for s in stats])
+    variances = np.asarray(variances, dtype=np.float64)
+    if variances.shape != weights.shape:
+        raise ValueError("need a variance for every stratum")
     return float(np.dot(weights * weights, variances))
 
 
@@ -366,12 +423,14 @@ def mssg_reference(params, data, config):
 
 def uniform_rounds(intervals, n_per_round: int, seed) -> PopulationRound:
     """One round of U(lo, hi) draws per interval, in the four strata the families use."""
-    return _draw_rounds(np.random.Generator.uniform, intervals, n_per_round, seed)
+    return _draw_rounds(np.random.Generator.uniform, intervals, n_per_round,
+                        _round_streams(seed, len(intervals)))
 
 
 def normal_rounds(params, n_per_round: int, seed) -> PopulationRound:
     """One round of N(mu, sigma) draws per (mu, sigma) pair, in the families' four strata."""
-    return _draw_rounds(np.random.Generator.normal, params, n_per_round, seed)
+    return _draw_rounds(np.random.Generator.normal, params, n_per_round,
+                        _round_streams(seed, len(params)))
 
 
 def trace_estimators_reference(sequences, seeds, per_stratum: int = 1,

@@ -16,15 +16,14 @@ from stratgrad import mlp
 from stratgrad.cli import main as cli_main
 from stratgrad.dataio import read_mnist_split, to_dataset
 from stratgrad.estimators import (
+    blended_variance,
     gmst_step,
     optimal_coefficients_elementwise,
-    predicted_variance_vsp,
     summarize_traces,
     trace_estimators,
 )
 from stratgrad.population import (
     DECREASING_MEAN_INTERVALS,
-    StratumStats,
     Trend,
     generate_family,
 )
@@ -87,8 +86,7 @@ def test_criterion_3_variance_formula_monte_carlo():
         assert n_fallback == 0
         blend = p * rng.normal(mp, math.sqrt(vp), reps) \
             + q * rng.normal(mc, math.sqrt(vc), reps)
-        predicted = predicted_variance_vsp([StratumStats(mp, vp)],
-                                           [StratumStats(mc, vc)], [1.0])
+        predicted = float(blended_variance(mp, vp, mc, vc))
         worst = max(worst, abs(variance_zscore(blend, predicted)))
     elapsed = time.perf_counter() - start
     verdict(3, worst < 4.0 and elapsed < 30.0,
@@ -103,12 +101,12 @@ def test_criterion_4_design_effect():
         n = int(rng.integers(1, 6))
         weights = rng.uniform(0.2, 1.0, n)
         weights /= weights.sum()
-        prev = [StratumStats(rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 10.0),
-                             rng.uniform(0.01, 10.0)) for _ in range(n)]
-        curr = [StratumStats(rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 10.0),
-                             rng.uniform(0.01, 10.0)) for _ in range(n)]
-        if not predicted_variance_vsp(prev, curr, weights) < \
-                stratified_variance(curr, weights):
+        # (means, variances) of the previous and the current strata
+        prev, curr = (np.array([(rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 10.0),
+                                 rng.uniform(0.01, 10.0)) for _ in range(n)]).T
+                      for _ in range(2))
+        predicted = float(np.dot(weights * weights, blended_variance(*prev, *curr)))
+        if not predicted < stratified_variance(curr[1], weights):
             violations += 1
     verdict(4, violations == 0,
             f"memory variance below memoryless variance with {violations} violations "
@@ -122,7 +120,7 @@ def test_criterion_5_decay_bound():
     p, q, _ = optimal_coefficients_elementwise(*stats, *stats)
     assert ((0.0 < p) & (p < 1.0)).all()
     p_max, q_max = float(p.max()), float(q.max())
-    v_st = stratified_variance([StratumStats(m, v) for m, v in zip(*stats)], weights)
+    v_st = stratified_variance(stats[1], weights)
 
     reps = 40_000
     rng = spawn_rng(1055)

@@ -13,8 +13,9 @@ from stratgrad.dataio import read_mnist_split, to_dataset
 from stratgrad.estimators import ESTIMATOR_NAMES
 from stratgrad.population import Trend, generate_family
 
-from oracles import (read_csv_columns, subsample_reference, trace_estimators_reference,
-                     write_csv_reference)
+from oracles import (StratumStats, blended_variance_term, optimal_coefficients,
+                     predicted_variance_vsp, read_csv_columns, subsample_reference,
+                     trace_estimators_reference, write_csv_reference)
 
 
 def run_cli(*argv) -> int:
@@ -184,6 +185,43 @@ def test_variance_oracle_rejects_nonpositive_or_partial_weights(tmp_path, capsys
     assert "weights" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("stats", ["nan,1,1,1", "1,inf,1,1"])
+def test_variance_oracle_rejects_nonfinite_stats(tmp_path, capsys, stats):
+    out = tmp_path / "vo"
+    assert run_cli("variance-oracle", "--stats", stats, "--replications", 10_000,
+                   "--out-dir", out) == 1
+    assert "finite" in capsys.readouterr().err
+    assert not (out / "variance_oracle.csv").exists()
+
+
+def test_variance_oracle_rows_match_the_scalar_reference(tmp_path):
+    rng = np.random.default_rng(0)
+    n = 12
+    strata = np.column_stack([rng.choice([-1.0, 1.0], n) * rng.uniform(0.1, 5.0, n),
+                              rng.uniform(0.1, 3.0, n),
+                              rng.choice([-1.0, 1.0], n) * rng.uniform(0.1, 5.0, n),
+                              rng.uniform(0.1, 3.0, n), rng.uniform(0.1, 1.0, n)])
+    strata[3, :4] = (1.0, 0.1, 5.0, 4.0)  # |p| >= 1: falls back, off the optimum
+    strata[7, :4] = (0.0, 2.0, 0.0, 1.0)  # both means zero
+    out = tmp_path / "vo"
+    spec = ";".join(",".join(repr(float(x)) for x in row) for row in strata)
+    assert run_cli("variance-oracle", "--stats", spec, "--replications", 10_000,
+                   "--out-dir", out) == 0
+    cols = read_csv_columns(out / "variance_oracle.csv")
+    assert cols["stratum"] == [*map(str, range(n)), "total"]
+    weights = strata[:, 4] / strata[:, 4].sum()
+    predicted = [float(v) for v in cols["predicted"]]
+    assert predicted[:n] == [blended_variance_term(*row[:4]) for row in strata.tolist()]
+    want = predicted_variance_vsp([StratumStats(*row[:2]) for row in strata],
+                                  [StratumStats(*row[2:4]) for row in strata], weights)
+    terms = weights * weights * np.array(predicted[:n])
+    assert float(np.sum(terms)) != want  # the strata are summed in order, not pairwise
+    assert predicted[n] == want
+    fallbacks = [optimal_coefficients(*row[:4]).is_fallback for row in strata.tolist()]
+    assert cols["fallback"] == [*(str(int(f)) for f in fallbacks), str(sum(fallbacks))]
+    assert fallbacks[3] and not all(fallbacks)
+
+
 def test_manifest_records_blas_threads_and_numpy(tmp_path, monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
@@ -200,6 +238,13 @@ def test_variance_oracle_rejects_thin_replications(tmp_path, capsys):
     assert run_cli("variance-oracle", "--replications", 100,
                    "--out-dir", tmp_path / "vo") == 1
     assert "replications" in capsys.readouterr().err
+
+
+def test_variance_oracle_rejects_empty_random_experiments(tmp_path, capsys):
+    out = tmp_path / "vo"
+    assert run_cli("variance-oracle", "--strata", 0, "--out-dir", out) == 1
+    assert "stratum" in capsys.readouterr().err
+    assert not (out / "variance_oracle.csv").exists()
 
 
 # ---------------------------------------------------------------- gradmatrix

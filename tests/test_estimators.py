@@ -8,17 +8,16 @@ from stratgrad.cli import _matrix_rounds
 from stratgrad.estimators import (
     CoefficientBuffers,
     ESTIMATOR_NAMES,
+    blended_variance,
     gmst_step,
     gst_estimate,
     optimal_coefficients_elementwise,
-    predicted_variance_vsp,
     summarize_traces,
     trace_estimators,
 )
 from stratgrad.population import (
     DECREASING_MEAN_INTERVALS,
     PopulationRound,
-    StratumStats,
     Trend,
     generate_family,
     sample_strata,
@@ -28,6 +27,8 @@ from stratgrad.rng import spawn_rng
 from oracles import (
     Coefficients,
     Degenerate,
+    StratumStats,
+    blended_variance_term,
     optimal_coefficients,
     stratified_variance,
     trace_estimators_reference,
@@ -105,6 +106,12 @@ def test_negative_variance_rejected():
         optimal_coefficients_elementwise([1, 1], [1, 1], [1, 1], [1, -1])
     with pytest.raises(ValueError):
         optimal_coefficients(1, -1, 1, 1)
+    with pytest.raises(ValueError):
+        blended_variance(1, 1, 1, -1)
+    with pytest.raises(ValueError):
+        blended_variance([0, 1], [1, -1], [0, 1], [1, 1])
+    with pytest.raises(ValueError):
+        StratumStats(0.0, -1.0)
 
 
 def test_negative_p_allowed_for_opposite_signs():
@@ -353,19 +360,70 @@ def test_step_monte_carlo_unbiasedness_round_two():
 # ------------------------------------------------------------ variance calculus
 
 def test_predicted_variance_hand_case():
-    v = predicted_variance_vsp([StratumStats(2, 1)], [StratumStats(1, 1)], [1.0])
-    assert v == pytest.approx(0.2, abs=1e-15)
+    assert blended_variance(2, 1, 1, 1) == pytest.approx(0.2, abs=1e-15)
 
 
 def test_predicted_variance_zero_prev_variance():
-    prev = [StratumStats(2.0, 0.0), StratumStats(-1.0, 0.0)]
-    curr = [StratumStats(1.5, 2.0), StratumStats(-0.5, 3.0)]
-    assert predicted_variance_vsp(prev, curr, [0.5, 0.5]) == 0.0
+    v = blended_variance([2.0, -1.0], [0.0, 0.0], [1.5, -0.5], [2.0, 3.0])
+    assert v.tolist() == [0.0, 0.0]
 
 
 def test_predicted_variance_undefined_case_raises():
     with pytest.raises(ValueError):
-        predicted_variance_vsp([StratumStats(0.0, 0.0)], [StratumStats(1.0, 2.0)], [1.0])
+        blended_variance(0.0, 0.0, 1.0, 2.0)
+    with pytest.raises(ValueError):
+        blended_variance([1.0, -0.0], [1.0, 0.0], [1.0, -3.0], [1.0, 0.5])
+    with pytest.raises(ValueError):
+        blended_variance_term(0.0, 0.0, 1.0, 2.0)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+def test_blended_variance_equals_scalar_reference_across_scales():
+    rng = spawn_rng(23)
+    n = 4000
+    # magnitudes from 1e-12 to 1e12, independently per statistic and element
+    mp, mc = (rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-12, 12, n) for _ in range(2))
+    vp, vc = (10.0 ** rng.uniform(-12, 12, n) for _ in range(2))
+    # salt in exact zeros of either sign, alone and together
+    mp[:40] = 0.0
+    mp[40:60] = -0.0
+    mc[20:50] = 0.0
+    mc[50:70] = -0.0
+    vp[60:120:2] = 0.0
+    vc[61:121:2] = 0.0
+    vp[200:220] = vc[200:220] = 0.0
+    ok = ~((mp == 0.0) & (mc != 0.0) & (vc > 0.0) & (mc * mc * vp == 0.0))
+    mp, vp, mc, vc = mp[ok], vp[ok], mc[ok], vc[ok]
+    got = blended_variance(mp, vp, mc, vc)
+    assert got.shape == mp.shape
+    want = [blended_variance_term(*t) for t in zip(mp.tolist(), vp.tolist(), mc.tolist(),
+                                                     vc.tolist())]
+    assert got.tolist() == want
+    assert _bits(got) == _bits(want)
+    # and on one stratum at a time, as a 0-d array
+    for i in range(0, mp.size, 97):
+        assert blended_variance(mp[i], vp[i], mc[i], vc[i]) == want[i]
+
+
+@pytest.mark.parametrize("stats", [
+    (0.0, 0.0, 0.0, 0.0), (-0.0, 0.0, 0.0, 0.0), (0.0, 3.0, -0.0, 1.0),
+    (0.0, 0.0, 0.0, 2.0), (-0.0, 5.0, -0.0, 0.0), (2.0, 0.0, 3.0, 0.0),
+    (-1.0, 0.0, 5.0, 2.0), (1.0, 0.0, 5.0, 2.0), (0.0, 2.0, 3.0, 1.0),
+    (0.0, 0.0, 3.0, 0.0), (-0.0, 0.0, -3.0, 0.0), (4.0, 1.0, 0.0, 1.0),
+    (4.0, 1.0, -0.0, 0.0), (2.0, 1.0, 1.0, 1.0), (1e-200, 1e-200, 1e-200, 1e-200),
+])
+def test_blended_variance_special_values_equal_scalar_reference(stats):
+    want = blended_variance_term(*stats)
+    got = blended_variance(*stats)
+    assert got.shape == ()
+    assert got == want and _bits(got) == _bits(want)
+    # the same element inside a batch of ordinary strata
+    neighbours = ((2.0, -1.0), (1.0, 0.5), (1.0, 3.0), (1.0, 2.0))
+    batch = blended_variance(*([a, s, b] for s, (a, b) in zip(stats, neighbours)))
+    assert batch[1] == want and _bits(batch[1]) == _bits(want)
 
 
 def test_design_effect_against_independent_oracle():
@@ -374,15 +432,13 @@ def test_design_effect_against_independent_oracle():
         n = int(rng.integers(1, 6))
         w = rng.uniform(0.2, 1.0, n)
         w = w / w.sum()
-        prev = [StratumStats(rng.uniform(0.1, 5) * rng.choice([-1, 1]),
-                             rng.uniform(0.01, 10)) for _ in range(n)]
-        curr = [StratumStats(rng.uniform(0.1, 5) * rng.choice([-1, 1]),
-                             rng.uniform(0.01, 10)) for _ in range(n)]
-        vsp = predicted_variance_vsp(prev, curr, w)
+        mp, mc = (rng.uniform(0.1, 5, n) * rng.choice([-1, 1], n) for _ in range(2))
+        vp, vc = (rng.uniform(0.01, 10, n) for _ in range(2))
+        vsp = math.fsum(w * w * blended_variance(mp, vp, mc, vc))
         # independent oracle for the memoryless variance
-        oracle = math.fsum(float(wj) ** 2 * s.variance for wj, s in zip(w, curr))
+        oracle = math.fsum(float(wj) ** 2 * v for wj, v in zip(w, vc))
         assert vsp < oracle
-        assert stratified_variance(curr, w) == pytest.approx(oracle, rel=1e-12)
+        assert stratified_variance(vc, w) == pytest.approx(oracle, rel=1e-12)
 
 
 def test_variance_of_blend_matches_prediction_per_stratum():
@@ -394,8 +450,7 @@ def test_variance_of_blend_matches_prediction_per_stratum():
         c = coefficients(mp, vp, mc, vc)
         blend = c.p * rng.normal(mp, math.sqrt(vp), reps) \
             + c.q * rng.normal(mc, math.sqrt(vc), reps)
-        predicted = predicted_variance_vsp([StratumStats(mp, vp)], [StratumStats(mc, vc)],
-                                           [1.0])
+        predicted = float(blended_variance(mp, vp, mc, vc))
         emp = blend.var(ddof=1)
         centered = blend - blend.mean()
         se = math.sqrt(max(float(np.mean(centered ** 4)) - emp * emp, 0.0) / reps)
@@ -421,14 +476,14 @@ def test_variance_bound_validates_inputs():
 
 def test_variance_bound_dominates_monte_carlo_stationary():
     rounds = uniform_rounds([(0, 4)], 40, seed=8)
-    stats = [StratumStats(m, v) for m, v in zip(*_stats_of(rounds))]
+    means, variances = _stats_of(rounds)
     weights = rounds.weights
-    v_st = stratified_variance(stats, weights)
+    v_st = stratified_variance(variances, weights)
     reps = 20_000
     rng = spawn_rng(93)
     values = rounds.values[0].reshape(4, 10)
     memory = values[np.arange(4)[None, :], rng.integers(0, 10, (reps, 4))]
-    coeffs = [coefficients(s.mean, s.variance, s.mean, s.variance) for s in stats]
+    coeffs = [coefficients(m, v, m, v) for m, v in zip(means, variances)]
     p_max = max(c.p for c in coeffs)
     q_max = max(c.q for c in coeffs)
     assert all(0 < c.p < 1 for c in coeffs)

@@ -1,5 +1,6 @@
-"""Every module in src/stratgrad and tests uses every name it imports, and
-every function or class that src/stratgrad defines has a caller in src.
+"""Every module in src/stratgrad and tests uses every name it imports,
+every function or class that src/stratgrad defines has a caller in src,
+and every name in ``stratgrad.__all__`` resolves on the package.
 
 A stand-in for a linter's unused-import rule: each module is parsed with
 ``ast`` and every name an import binds must appear as a name somewhere in
@@ -16,6 +17,8 @@ import math
 from pathlib import Path
 
 import pytest
+
+import stratgrad
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC_MODULES = sorted((ROOT / "src" / "stratgrad").glob("*.py"))
@@ -47,6 +50,10 @@ def test_checker_flags_only_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in stratgrad.__all__ if not hasattr(stratgrad, name)] == []
 
 
 def unreferenced_definitions(sources: dict[str, str]) -> list[str]:

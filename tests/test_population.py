@@ -6,7 +6,7 @@ import pytest
 from stratgrad.population import (
     DECREASING_MEAN_INTERVALS,
     PopulationRound,
-    StratumStats,
+    RANDOM_PARAM_RANGE,
     Trend,
     generate_family,
     sample_strata,
@@ -54,11 +54,6 @@ def test_round_sequence_requires_shared_layout():
         PopulationRound(np.zeros(4), [4])
     with pytest.raises(ValueError):
         PopulationRound(np.zeros((1, 4)), [2.0, 2.0])
-
-
-def test_negative_variance_rejected():
-    with pytest.raises(ValueError):
-        StratumStats(0.0, -1.0)
 
 
 @pytest.mark.parametrize("block", [[1.0, np.inf], [1.0, np.nan], [1e308, 1e308]])
@@ -220,6 +215,23 @@ def test_generator_strata_come_from_their_own_streams():
         for j in range(4):
             want = numpy_stream(17, k, j).normal(mu, sigma, 4)
             assert np.array_equal(rounds.values[k, 4 * j:4 * j + 4], want)
+
+
+@pytest.mark.parametrize("seed, n_per_round, n_rounds",
+                         [(0, 40, 10), (17, 8, 12), ((3, 5), 4, 1), (2 ** 40, 40, 10)])
+def test_normal_random_family_follows_its_streams(seed, n_per_round, n_rounds):
+    # (mu, sigma) pairs from the stream (seed, 104729), then stratum j of
+    # round k from (seed, k, j), each seeded by numpy itself
+    prng = numpy_stream(seed, 104729)
+    lo, hi = RANDOM_PARAM_RANGE
+    params = [(prng.uniform(lo, hi), prng.uniform(lo, hi)) for _ in range(n_rounds)]
+    per = n_per_round // 4
+    want = np.array([np.concatenate([numpy_stream(seed, k, j).normal(mu, sigma, per)
+                                     for j in range(4)])
+                     for k, (mu, sigma) in enumerate(params)])
+    rounds = generate_family(Trend.NORMAL_RANDOM, seed, n_per_round=n_per_round,
+                             n_rounds=n_rounds)
+    assert rounds.values.tobytes() == want.tobytes()
 
 
 def test_decreasing_family_round_means_mostly_ordered():

@@ -27,7 +27,6 @@ from stratgrad.rng import spawn_rng
 from oracles import (
     Coefficients,
     Degenerate,
-    StratumStats,
     blended_variance_term,
     optimal_coefficients,
     stratified_variance,
@@ -110,8 +109,6 @@ def test_negative_variance_rejected():
         blended_variance(1, 1, 1, -1)
     with pytest.raises(ValueError):
         blended_variance([0, 1], [1, -1], [0, 1], [1, 1])
-    with pytest.raises(ValueError):
-        StratumStats(0.0, -1.0)
 
 
 def test_negative_p_allowed_for_opposite_signs():

@@ -14,7 +14,7 @@ from stratgrad.population import (
 )
 from stratgrad.rng import spawn_rng
 
-from oracles import normal_rounds, numpy_stream, uniform_rounds
+from oracles import StratumStats, normal_rounds, numpy_stream, uniform_rounds
 
 
 def two_pass_stats(values):
@@ -54,6 +54,11 @@ def test_round_sequence_requires_shared_layout():
         PopulationRound(np.zeros(4), [4])
     with pytest.raises(ValueError):
         PopulationRound(np.zeros((1, 4)), [2.0, 2.0])
+
+
+def test_negative_variance_rejected():
+    with pytest.raises(ValueError):
+        StratumStats(0.0, -1.0)
 
 
 @pytest.mark.parametrize("block", [[1.0, np.inf], [1.0, np.nan], [1e308, 1e308]])

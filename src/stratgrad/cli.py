@@ -21,8 +21,8 @@ import numpy as np
 from . import __version__, mlp, trainer
 from .dataio import (LabeledDataset, default_data_dir, read_mnist_split, subsample_rows,
                      to_dataset, write_csv, write_manifest, write_svg_lineplot)
-from .estimators import (ESTIMATOR_NAMES, CoefficientBuffers, blended_variance,
-                         optimal_coefficients_elementwise, summarize_traces, trace_estimators)
+from .estimators import (ESTIMATOR_NAMES, blended_variance, optimal_coefficients_elementwise,
+                         summarize_traces, trace_estimators)
 from .population import (DECREASING_MEAN_INTERVALS, INCREASING_MEAN_INTERVALS,
                          NORMAL_TRENDS, RANDOM_PARAM_RANGE, PopulationRound, Trend,
                          generate_family, trend_schedules)
@@ -170,6 +170,11 @@ def _parse_stats_spec(spec: str):
                 f"stats spec needs 'mean_prev,var_prev,mean_curr,var_curr[,weight]', got {part!r}")
         if not np.isfinite(fields).all():
             raise ValueError(f"stats spec fields must be finite, got {part!r}")
+        for i in (1, 3):
+            if fields[i] == 0.0:
+                # -0 is a zero variance, but np.sqrt(-0.0) is -0.0, a scale
+                # that Generator.normal rejects as negative
+                fields[i] = 0.0
         strata.append(fields)
     given = [s[4] for s in strata if len(s) == 5]
     if not given:
@@ -226,14 +231,15 @@ def cmd_variance_oracle(args, run: _Run) -> None:
     streams = spawn_rngs([(args.seed, _MC_STREAM, e) for e in range(len(experiments))])
     for e, (strata, rng) in enumerate(zip(experiments, streams)):
         mp, vp, mc, vc, w = np.array(strata).T
-        out = CoefficientBuffers.empty(mp.shape)
-        p, q, n_fallback = optimal_coefficients_elementwise(mp, vp, mc, vc, out=out)
         predicted = blended_variance(mp, vp, mc, vc)
         total = np.zeros(args.replications)
+        n_fallback = 0
         for j in range(mp.size):
+            p, q, fallback = optimal_coefficients_elementwise(mp[j], vp[j], mc[j], vc[j])
+            n_fallback += fallback
             memory = rng.normal(mp[j], np.sqrt(vp[j]), args.replications)
             fresh = rng.normal(mc[j], np.sqrt(vc[j]), args.replications)
-            combined = p[j] * memory + q[j] * fresh
+            combined = p * memory + q * fresh
             total += w[j] * combined
             rows["experiment"].append(e)
             rows["stratum"].append(str(j))
@@ -241,7 +247,7 @@ def cmd_variance_oracle(args, run: _Run) -> None:
             rows["predicted"].append(float(predicted[j]))
             rows["empirical"].append(float(combined.var(ddof=1)))
             rows["z"].append(_variance_zscore(combined, predicted[j]))
-            rows["fallback"].append(int(out.fallback[j]))
+            rows["fallback"].append(fallback)
         # strata that fell back to the pure fresh draw blend away from the
         # predicted optimum, so their z scores flag a real gap; the total
         # adds the strata in order, as the blend above does

@@ -34,7 +34,7 @@ estimator, round) arrays of estimates and squared deviations that
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,28 +42,7 @@ from .population import PopulationRound, sample_strata
 from .rng import spawn_rngs
 
 
-class CoefficientBuffers(NamedTuple):
-    """Preallocated arrays for :func:`optimal_coefficients_elementwise`.
-
-    ``p`` and ``q`` receive the mixing pair; ``work`` and the three boolean
-    masks are scratch. Every array has the statistics' (broadcast) shape.
-    """
-
-    p: np.ndarray
-    q: np.ndarray
-    work: np.ndarray
-    fallback: np.ndarray
-    both_zero: np.ndarray
-    mask: np.ndarray
-
-    @classmethod
-    def empty(cls, shape) -> "CoefficientBuffers":
-        return cls(*(np.empty(shape) for _ in range(3)),
-                   *(np.empty(shape, dtype=bool) for _ in range(3)))
-
-
-def optimal_coefficients_elementwise(mean_prev, var_prev, mean_curr, var_curr,
-                                     out: Optional[CoefficientBuffers] = None):
+def optimal_coefficients_elementwise(mean_prev, var_prev, mean_curr, var_curr):
     """Minimum-variance unbiased mixing pairs, element by element.
 
     p = mean_curr * mean_prev * var_curr / d and
@@ -77,9 +56,8 @@ def optimal_coefficients_elementwise(mean_prev, var_prev, mean_curr, var_curr,
     (mean_prev = 0 with mean_curr != 0) or a blend with |p| >= 1 all fall
     back to (0, 1), the pure fresh draw. Returns (p, q, n_fallback) where
     n_fallback counts the elements that fell back; negative variances raise
-    ValueError. Pass `out` to run without allocating: p and q are then
-    ``out.p`` and ``out.q``, and the arithmetic is the same whether or not
-    `out` is given.
+    ValueError. Each call allocates p, q, one float work array and three
+    boolean masks of the broadcast shape, and works in place on them.
     """
     mean_prev, var_prev, mean_curr, var_curr = np.broadcast_arrays(
         np.asarray(mean_prev, dtype=np.float64),
@@ -87,9 +65,9 @@ def optimal_coefficients_elementwise(mean_prev, var_prev, mean_curr, var_curr,
         np.asarray(mean_curr, dtype=np.float64),
         np.asarray(var_curr, dtype=np.float64),
     )
-    if out is None:
-        out = CoefficientBuffers.empty(mean_prev.shape)
-    p, q, work, fallback, both_zero, mask = out
+    shape = mean_prev.shape
+    p, q, work = (np.empty(shape) for _ in range(3))
+    fallback, both_zero, mask = (np.empty(shape, dtype=bool) for _ in range(3))
     np.less(var_prev, 0.0, out=mask)
     np.less(var_curr, 0.0, out=fallback)
     if mask.any() or fallback.any():

@@ -20,9 +20,9 @@ Each layer is streamed in row blocks of W: a block's stats, mixing pair,
 blend and update are finished before the next block is formed, so besides
 the parameters the only persistent state is three stacked (C, ...) arrays
 per layer (memory, previous mean, previous variance; about 180 MB at the
-784-500-500-200-10 shape) and the rest is block-sized scratch allocated
-once per run. That state stays inside the run, which returns the trained
-parameters, the accuracy reports and the coefficient-fallback count.
+784-500-500-200-10 shape) and the rest is block-sized temporaries. That
+state stays inside the run, which returns the trained parameters, the
+accuracy reports and the coefficient-fallback count.
 
 Baselines: single-sample steps (optionally with an iteration multiplier),
 pooled mini-batches, full-batch descent, and the memoryless
@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -46,7 +45,7 @@ import numpy as np
 
 from . import mlp
 from .dataio import LabeledDataset
-from .estimators import CoefficientBuffers, optimal_coefficients_elementwise
+from .estimators import optimal_coefficients_elementwise
 from .rng import spawn_rng, spawn_rngs
 
 
@@ -97,7 +96,8 @@ class AccuracyReport:
 
 # Weight entries per class in one block of the mssg kernel. Large enough that
 # numpy's per-call cost is small next to a block's work, small enough that the
-# block's scratch (ten arrays of n_classes * BLOCK_ENTRIES) stays a few MB.
+# block's temporaries (about a dozen arrays of n_classes * BLOCK_ENTRIES) stay
+# a few MB.
 # At the 784-500-500-200-10 shape on 2 cores, 1024 ran about 25% slower per
 # iteration and 8192 no faster.
 BLOCK_ENTRIES = 4096
@@ -132,66 +132,37 @@ def _checkpoint(reports, params, data, test_data, iteration, algorithm, config):
     ))
 
 
-class _BlockScratch:
-    """Block-sized scratch for the mssg kernel, allocated once per run.
-
-    :meth:`views` hands out arrays of a block's (C, rows, cols) shape from
-    flat buffers, so every block, ragged or not, gets contiguous scratch.
-    """
-
-    def __init__(self, n_classes: int, entries: int):
-        self.floats = np.empty((4, n_classes * entries))
-        self.coef = CoefficientBuffers.empty(n_classes * entries)
-        self.vectors = np.empty((2, entries))
-
-    def views(self, shape):
-        """(sums, sq_sums, resid, tmp, coef, direction, decay) for one block."""
-        size = math.prod(shape)
-        sums, sq_sums, resid, tmp = (f[:size].reshape(shape) for f in self.floats)
-        coef = CoefficientBuffers(*(f[:size].reshape(shape) for f in self.coef))
-        direction, decay = (v[:size // shape[0]] for v in self.vectors)
-        return sums, sq_sums, resid, tmp, coef, direction, decay.reshape(shape[1:])
-
-
-def _blend_block(scratch, param, memory, prev_mean, prev_var, class_w, pilot_size,
-                 weight_decay, scale, first) -> int:
+def _blend_block(sums, sq_sums, fresh, param, memory, prev_mean, prev_var, class_w,
+                 pilot_size, weight_decay, scale, first) -> int:
     """Advance one parameter block of the mssg update in place.
 
-    On entry the scratch's sums / sq_sums hold each class's pilot sum and
-    sum of squares of the per-sample gradients without the decay term, and
-    resid the fresh sample's gradient, also without it. `param` is the
-    (rows, cols) parameter block; memory, prev_mean and prev_var are the
-    matching (C, rows, cols) slices of the class state. Forms the pilot
-    mean and one-pass variance, the mixing pair, the memory blend and the
-    class-weighted direction, steps `param`, stores this iteration's stats
-    as the previous ones, and returns the block's fallback count.
+    `sums` and `sq_sums` are each class's pilot sum and sum of squares of
+    the per-sample gradients without the decay term, and `fresh` the fresh
+    sample's gradient, also without it; all three are (C, rows, cols).
+    `param` is the (rows, cols) parameter block; memory, prev_mean and
+    prev_var are the matching (C, rows, cols) slices of the class state.
+    Forms the pilot mean and one-pass variance, the mixing pair, the memory
+    blend and the class-weighted direction, steps `param`, stores this
+    iteration's stats as the previous ones, and returns the block's
+    fallback count.
     """
-    mean, var, resid, tmp, coef, direction, decay = scratch
     n = pilot_size
-    np.divide(mean, n, out=mean)
-    np.subtract(mean, resid, out=resid)  # mean - fresh: the decay terms cancel
-    np.multiply(mean, mean, out=tmp)
-    tmp *= n
-    var -= tmp
-    var /= n - 1
+    mean = sums / n
+    resid = mean - fresh  # the decay terms cancel
+    var = (sq_sums - mean * mean * n) / (n - 1)
     np.maximum(var, 0.0, out=var)  # the one-pass form can round below zero
     if weight_decay:
         # Decay shifts every sample's gradient by the same amount: mean only.
-        np.multiply(weight_decay, param, out=decay)
-        mean += decay
+        mean += weight_decay * param
     fallbacks = 0
     if first:
         memory[...] = resid  # no previous stats: the pure fresh residual
     else:
-        p, q, fallbacks = optimal_coefficients_elementwise(prev_mean, prev_var, mean, var,
-                                                           out=coef)
+        p, q, fallbacks = optimal_coefficients_elementwise(prev_mean, prev_var, mean, var)
         memory *= p
-        resid *= q
-        memory += resid
-    np.add(memory, mean, out=tmp)
-    np.matmul(class_w, tmp.reshape(class_w.size, -1), out=direction)
-    direction *= scale
-    param -= direction.reshape(param.shape)
+        memory += resid * q
+    direction = class_w @ (memory + mean).reshape(class_w.size, -1)
+    param -= (direction * scale).reshape(param.shape)
     prev_mean[...] = mean
     prev_var[...] = var
     return fallbacks
@@ -220,8 +191,6 @@ def mssg_train(params: mlp.MlpParams, data: LabeledDataset, config: TrainConfig,
     if n_classes < 2:
         raise ValueError("need at least two classes")
     for c, idx in enumerate(data.class_index):
-        if idx.size == 0:
-            raise ValueError(f"class {c} is empty")
         if idx.size < config.pilot_size:
             raise ValueError(f"class {c} has {idx.size} samples, pilot needs "
                              f"{config.pilot_size}")
@@ -234,8 +203,6 @@ def mssg_train(params: mlp.MlpParams, data: LabeledDataset, config: TrainConfig,
         [(np.zeros((n_classes,) + w.shape), np.zeros((n_classes,) + b.shape))
          for w, b in layers] for _ in range(3))
     block_rows = [max(1, min(w.shape[0], BLOCK_ENTRIES // w.shape[1])) for w, _ in layers]
-    scratch = _BlockScratch(n_classes,
-                            max(r * w.shape[1] for r, (w, _) in zip(block_rows, layers)))
     scale = config.step_size / n_classes
     reports: list[AccuracyReport] = []
     fallbacks = 0
@@ -262,18 +229,14 @@ def mssg_train(params: mlp.MlpParams, data: LabeledDataset, config: TrainConfig,
                 memory[l], prev_mean[l], prev_var[l]
             for r0 in range(0, fan_in, block_rows[l]):
                 blk = slice(r0, r0 + block_rows[l])
-                views = scratch.views((n_classes, min(block_rows[l], fan_in - r0), fan_out))
-                np.matmul(a_t[:, blk], d, out=views[0])
-                np.matmul(a_t2[:, blk], d2, out=views[1])
-                np.multiply(a_fresh[:, blk, None], d_fresh[:, None, :], out=views[2])
-                fallbacks += _blend_block(views, w[blk], mem_w[:, blk], mean_w[:, blk],
-                                          var_w[:, blk], class_w, n, wd, scale, first)
-            views = scratch.views((n_classes, 1, fan_out))
-            d.sum(axis=1, keepdims=True, out=views[0])
-            d2.sum(axis=1, keepdims=True, out=views[1])
-            views[2][:, 0] = d_fresh
-            fallbacks += _blend_block(views, b[None], mem_b[:, None], mean_b[:, None],
-                                      var_b[:, None], class_w, n, 0.0, scale, first)
+                fallbacks += _blend_block(
+                    a_t[:, blk] @ d, a_t2[:, blk] @ d2, a_fresh[:, blk, None] * d_fresh[:, None],
+                    w[blk], mem_w[:, blk], mean_w[:, blk], var_w[:, blk], class_w, n, wd, scale,
+                    first)
+            fallbacks += _blend_block(
+                d.sum(axis=1, keepdims=True), d2.sum(axis=1, keepdims=True), d_fresh[:, None],
+                b[None], mem_b[:, None], mean_b[:, None], var_b[:, None], class_w, n, 0.0, scale,
+                first)
         _assert_finite(params, it, "mssg")
         if it % config.checkpoint_every == 0 or it == config.iterations:
             _checkpoint(reports, params, data, test_data, it, "mssg", config)

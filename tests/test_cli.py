@@ -177,6 +177,15 @@ def test_variance_oracle_random_tuples(tmp_path):
     assert all(abs(float(z)) < 4 for z in cols["z"])
 
 
+def test_variance_oracle_negative_zero_variance_is_zero(tmp_path):
+    # np.sqrt(-0.0) is -0.0, which Generator.normal rejects as a negative scale
+    for name, stats in (("neg", "0,-0,0,1;1,1,2,-0"), ("pos", "0,0,0,1;1,1,2,0")):
+        assert run_cli("variance-oracle", "--stats", stats, "--replications", 10_000,
+                       "--out-dir", tmp_path / name) == 0
+    csv = "variance_oracle.csv"
+    assert (tmp_path / "neg" / csv).read_bytes() == (tmp_path / "pos" / csv).read_bytes()
+
+
 @pytest.mark.parametrize("stats", ["2,1,1,1,-2;1,1,1,1,-3", "2,1,1,1,1;1,1,1,1,0",
                                    "2,1,1,1,1;1,1,1,1"])
 def test_variance_oracle_rejects_nonpositive_or_partial_weights(tmp_path, capsys, stats):

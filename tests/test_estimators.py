@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from stratgrad.cli import _matrix_rounds
 from stratgrad.estimators import (
-    CoefficientBuffers,
     ESTIMATOR_NAMES,
     blended_variance,
     gmst_step,
@@ -143,7 +142,7 @@ def test_decay_prerequisite_p_at_most_one_for_equal_means():
     assert coefficients(0.0, 1.5, 0.0, 2.5).p < 1.0
 
 
-def test_elementwise_agrees_with_scalar():
+def uniform_stats():
     rng = spawn_rng(2)
     mp = rng.uniform(-3, 3, 400)
     vp = rng.uniform(0, 4, 400)
@@ -155,17 +154,10 @@ def test_elementwise_agrees_with_scalar():
     vp[5:8] = 0.0
     vc[8:10] = 0.0
     mp[10] = mc[10] = 0.0
-    p, q, n_fallback = optimal_coefficients_elementwise(mp, vp, mc, vc)
-    fallbacks = 0
-    for i in range(400):
-        c = optimal_coefficients(mp[i], vp[i], mc[i], vc[i])
-        # the same operations in the same order: equal to the last bit
-        assert (p[i], q[i]) == (c.p, c.q), i
-        fallbacks += c.is_fallback
-    assert n_fallback == fallbacks
+    return mp, vp, mc, vc
 
 
-def test_elementwise_out_buffers_give_the_allocating_bits():
+def mixed_scale_stats():
     rng = spawn_rng(3)
     shape = (3, 5, 40)
     # gradient-sized and unit-sized statistics, so both the fallback and
@@ -176,15 +168,24 @@ def test_elementwise_out_buffers_give_the_allocating_bits():
     mp[0, 0] = 0.0
     mc[0, :2] = 0.0
     vc[1, 0] = 0.0
+    return mp, vp, mc, vc
+
+
+@pytest.mark.parametrize("make_stats", [uniform_stats, mixed_scale_stats],
+                         ids=["uniform", "mixed-scale"])
+def test_elementwise_agrees_with_scalar(make_stats):
+    mp, vp, mc, vc = make_stats()
     p, q, n_fallback = optimal_coefficients_elementwise(mp, vp, mc, vc)
-    out = CoefficientBuffers.empty(shape)
-    for arr in out:
-        arr.fill(1)  # stale contents must not leak into the result
-    p_out, q_out, n_out = optimal_coefficients_elementwise(mp, vp, mc, vc, out=out)
-    assert p_out is out.p and q_out is out.q
-    assert np.array_equal(p_out.view(np.int64), p.view(np.int64))
-    assert np.array_equal(q_out.view(np.int64), q.view(np.int64))
-    assert n_out == n_fallback
+    assert p.shape == q.shape == mp.shape
+    fallbacks = 0
+    for i in np.ndindex(mp.shape):
+        c = optimal_coefficients(mp[i], vp[i], mc[i], vc[i])
+        # the same operations in the same order: equal to the last bit
+        got = np.array([p[i], q[i]]).view(np.int64)
+        want = np.array([c.p, c.q], dtype=np.float64).view(np.int64)
+        assert np.array_equal(got, want), i
+        fallbacks += c.is_fallback
+    assert n_fallback == fallbacks
     assert 0 < n_fallback < p.size
 
 

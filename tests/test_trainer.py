@@ -12,7 +12,6 @@ from stratgrad.trainer import (
     BaselineKind,
     TrainConfig,
     _blend_block,
-    _BlockScratch,
     accuracy,
     baseline_train,
     grid_search,
@@ -197,6 +196,12 @@ def test_mssg_rejects_empty_or_thin_classes():
     params = mlp.init_params((6, 4, 3), seed=20)
     with pytest.raises(ValueError):
         mssg_train(params, data, small_config(pilot_size=4), data)
+    # labels {0, 2}: class 1 is empty, which the pilot-size check rejects
+    data = blob_dataset(12, seed=19)
+    gapped = LabeledDataset(data.features, np.where(data.labels == 1, 2, data.labels))
+    assert gapped.class_index[1].size == 0
+    with pytest.raises(ValueError, match="class 1 has 0 samples"):
+        mssg_train(params, gapped, small_config(pilot_size=4), gapped)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -258,11 +263,9 @@ def test_mssg_one_pass_variance_on_ill_conditioned_pilots():
                       (d.sum(axis=1, keepdims=True), (d * d).sum(axis=1, keepdims=True))]
         for param, (sums, sq_sums), grads in zip((w, b[None]), pilot_sums, per[l]):
             shape = sums.shape
-            views = _BlockScratch(n_classes, math.prod(shape[1:])).views(shape)
-            views[0][...], views[1][...], views[2][...] = sums, sq_sums, 0.0
             memory, got_mean, got = (np.zeros(shape) for _ in range(3))
-            _blend_block(views, param.copy(), memory, got_mean, got, data.class_weights(),
-                         n, 0.0, 1.0, first=True)
+            _blend_block(sums, sq_sums, np.zeros(shape), param.copy(), memory, got_mean, got,
+                         data.class_weights(), n, 0.0, 1.0, first=True)
             grads = grads.reshape((n_classes, n) + shape[1:])
             m, v = grads.mean(axis=1), grads.var(axis=1, ddof=1)
             assert np.all(got >= 0.0)

@@ -5,6 +5,13 @@ penalty of (weight_decay / 2) * sum(W**2) on the weight matrices only.
 Weights initialize from N(0, 1 / fan_in); biases start at zero. Everything
 runs in float64.
 
+The passes work in place where the bits allow it: the forward pass adds a
+layer's bias into the product A W and takes the mask-free sigmoid over that
+same array, and the backward pass scales D W^T by a and then by (1 - a)
+where it lies. A hidden layer therefore holds its output plus one temporary
+of the same size, and its values are those of A W + b, the two-branch
+sigmoid and (D W^T) * a * (1 - a), bit for bit.
+
 Besides the usual batch loss/gradient, the module exposes the forward and
 backward pass itself (``forward_backward``): every layer's input
 activations and per-sample deltas. A per-sample weight gradient is the
@@ -91,18 +98,22 @@ def init_params(shape, seed) -> MlpParams:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """Logistic function, branch-free and overflow-free: exp only sees -|z|.
+    """Logistic function of `z`, written over `z` itself and returned.
 
-    Bit-identical to the two-branch form, 1 / (1 + exp(-z)) for z >= 0 and
-    exp(z) / (1 + exp(z)) otherwise. -|z| is formed as min(z, -z) because
-    numpy's minimum returns a NaN operand unchanged, so a NaN keeps its sign
-    bit just as in the two-branch form.
+    exp(min(z, 0)) / (1 + exp(-|z|)) needs no mask and no branch, and
+    neither exp ever sees a positive argument, so nothing overflows. It is
+    bit-identical to the two-branch form, 1 / (1 + exp(-z)) for z >= 0 and
+    exp(z) / (1 + exp(z)) otherwise, NaN included: a NaN numerator keeps
+    its sign bit through the division by the NaN denominator.
     """
-    e = np.negative(z)
-    np.minimum(z, e, out=e)
-    np.exp(e, out=e)
-    den = e + 1.0
-    return np.where(z >= 0, np.divide(1.0, den), np.divide(e, den, out=e))
+    den = np.abs(z)
+    np.negative(den, out=den)
+    np.exp(den, out=den)
+    den += 1.0
+    np.minimum(z, 0.0, out=z)
+    np.exp(z, out=z)
+    z /= den
+    return z
 
 
 def _forward_cached(params: MlpParams, features: np.ndarray):
@@ -111,7 +122,8 @@ def _forward_cached(params: MlpParams, features: np.ndarray):
     logits = None
     last = params.n_layers - 1
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = acts[-1] @ w + b
+        z = acts[-1] @ w
+        z += b
         if l == last:
             logits = z
             shifted = z - z.max(axis=1, keepdims=True)
@@ -197,7 +209,9 @@ def _backward(params: MlpParams, acts, labels: np.ndarray, mean_over: int):
         delta /= mean_over
     deltas = [delta]
     for l in range(params.n_layers - 1, 0, -1):
-        delta = (delta @ params.weights[l].T) * acts[l] * (1.0 - acts[l])
+        delta = delta @ params.weights[l].T
+        delta *= acts[l]
+        delta *= np.subtract(1.0, acts[l])
         deltas.append(delta)
     deltas.reverse()
     return deltas

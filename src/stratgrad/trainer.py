@@ -8,6 +8,12 @@ blends the class memory with the zero-mean residual of one fresh sample:
 
     G_c <- p * G_c + q * (pilot_mean_c - fresh_grad_c)
 
+The pair and the blend are one pass per block: the pair's main branch is
+formed inline, and only the entries it does not settle (|p| >= 1, a zero
+denominator, a zero previous mean, a NaN) go through
+``optimal_coefficients_elementwise``, which counts the fallbacks. Every
+entry gets the kernel's pair bit for bit.
+
 The parameter update then follows the weighted sum of (G_c + pilot_mean_c)
 over classes, scaled by step_size / n_classes (the extra 1 / C factor
 folds into the step size).
@@ -96,8 +102,8 @@ class AccuracyReport:
 
 # Weight entries per class in one block of the mssg kernel. Large enough that
 # numpy's per-call cost is small next to a block's work, small enough that the
-# block's temporaries (about a dozen arrays of n_classes * BLOCK_ENTRIES) stay
-# a few MB.
+# block's temporaries (nine float arrays of n_classes * BLOCK_ENTRIES) stay a
+# few MB.
 # At the 784-500-500-200-10 shape on 2 cores, 1024 ran about 25% slower per
 # iteration and 8192 no faster.
 BLOCK_ENTRIES = 4096
@@ -141,15 +147,28 @@ def _blend_block(sums, sq_sums, fresh, param, memory, prev_mean, prev_var, class
     sample's gradient, also without it; all three are (C, rows, cols).
     `param` is the (rows, cols) parameter block; memory, prev_mean and
     prev_var are the matching (C, rows, cols) slices of the class state.
-    Forms the pilot mean and one-pass variance, the mixing pair, the memory
-    blend and the class-weighted direction, steps `param`, stores this
-    iteration's stats as the previous ones, and returns the block's
-    fallback count.
+    Forms the pilot mean and one-pass variance (n - 1 scale), the mixing
+    pair, the memory blend and the class-weighted direction, steps `param`,
+    stores this iteration's stats as the previous ones, and returns the
+    block's fallback count.
+
+    The mixing pair and the blend are one pass over the block. It forms
+    p = m_c m_p V_c / den and q = m_c^2 V_p / den, with
+    den = m_c^2 V_p + m_p^2 V_c, by the operations
+    ``optimal_coefficients_elementwise`` uses, and then M <- p M + q r.
+    Only the entries where that pair is not final go through the kernel
+    itself: |p| >= 1 (which takes in den == 0 and a NaN) or m_p == 0. The
+    kernel gives them its branches and its fallback count. Every entry
+    therefore gets the kernel's pair bit for bit, at a fraction of the
+    kernel's passes.
     """
     n = pilot_size
     mean = sums / n
     resid = mean - fresh  # the decay terms cancel
-    var = (sq_sums - mean * mean * n) / (n - 1)
+    var = mean * mean
+    var *= n
+    np.subtract(sq_sums, var, out=var)
+    var /= n - 1
     np.maximum(var, 0.0, out=var)  # the one-pass form can round below zero
     if weight_decay:
         # Decay shifts every sample's gradient by the same amount: mean only.
@@ -158,13 +177,32 @@ def _blend_block(sums, sq_sums, fresh, param, memory, prev_mean, prev_var, class
     if first:
         memory[...] = resid  # no previous stats: the pure fresh residual
     else:
-        p, q, fallbacks = optimal_coefficients_elementwise(prev_mean, prev_var, mean, var)
+        if np.less(prev_var, 0.0).any():
+            raise ValueError("variances must be non-negative")
+        q = mean * mean
+        q *= prev_var
+        den = prev_mean * prev_mean
+        den *= var
+        den += q
+        p = mean * prev_mean
+        p *= var
+        with np.errstate(divide="ignore", invalid="ignore"):  # flagged below
+            p /= den
+            q /= den
+        flag = np.abs(p, out=den) < 1.0  # den is spent
+        flag &= prev_mean != 0.0
+        np.logical_not(flag, out=flag)  # den == 0, |p| >= 1, m_p == 0 or a NaN
+        if flag.any():
+            p[flag], q[flag], fallbacks = optimal_coefficients_elementwise(
+                prev_mean[flag], prev_var[flag], mean[flag], var[flag])
         memory *= p
-        memory += resid * q
-    direction = class_w @ (memory + mean).reshape(class_w.size, -1)
-    param -= (direction * scale).reshape(param.shape)
+        q *= resid
+        memory += q
     prev_mean[...] = mean
     prev_var[...] = var
+    mean += memory
+    direction = class_w @ mean.reshape(class_w.size, -1)
+    param -= (direction * scale).reshape(param.shape)
     return fallbacks
 
 

@@ -9,7 +9,11 @@ blended-variance reference (`blended_variance_term`, summed over
 intervals or (mu, sigma) pairs, which `population.generate_family` fixes
 per family, and of the unstreamed whole-batch passes (`unstreamed_*`), which
 hold every row's activations at once, as `mlp` did before it streamed row
-blocks. Every oracle draws from `numpy_stream`, numpy's own seeding, and
+blocks, on their own forward pass (`reference_forward`: `a @ w + b` and the
+two-branch sigmoid, never `mlp`'s in-place one). `blend_block_reference` is
+the mssg block update as the coefficient kernel over the whole block
+followed by the blend, which the trainer's fused pass is checked against.
+Every oracle draws from `numpy_stream`, numpy's own seeding, and
 `subsample_reference` is the desk subsample taken after converting the
 whole split.
 """
@@ -247,9 +251,38 @@ def variance_zscore(samples: np.ndarray, predicted: float) -> float:
     return (emp - predicted) / se
 
 
+def two_branch_sigmoid(z):
+    """1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) otherwise."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def reference_forward(params, features):
+    """(acts, logits) as `mlp._forward_cached` returns them, out of place.
+
+    Each layer is `a @ w + b` in fresh arrays, then the two-branch sigmoid
+    or, at the output, the shifted softmax.
+    """
+    acts = [np.asarray(features, dtype=np.float64)]
+    logits = None
+    for l, (w, b) in enumerate(zip(params.weights, params.biases)):
+        z = acts[-1] @ w + b
+        if l == params.n_layers - 1:
+            logits = z
+            ez = np.exp(z - z.max(axis=1, keepdims=True))
+            acts.append(ez / ez.sum(axis=1, keepdims=True))
+        else:
+            acts.append(two_branch_sigmoid(z))
+    return acts, logits
+
+
 def unstreamed_forward(params, features):
     """Class probabilities from one forward pass over every row at once."""
-    return mlp._forward_cached(params, np.asarray(features, dtype=np.float64))[0][-1]
+    return reference_forward(params, features)[0][-1]
 
 
 def _unstreamed_objective(params, logits, labels, weight_decay):
@@ -262,7 +295,7 @@ def _unstreamed_objective(params, logits, labels, weight_decay):
 
 def unstreamed_loss(params, features, labels, weight_decay):
     """Mean loss from one forward pass over every row at once."""
-    logits = mlp._forward_cached(params, np.asarray(features, dtype=np.float64))[1]
+    logits = reference_forward(params, features)[1]
     return _unstreamed_objective(params, logits, np.asarray(labels, dtype=np.int64),
                                  weight_decay)
 
@@ -278,7 +311,7 @@ def unstreamed_loss_grad(params, features, labels, weight_decay):
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     n = labels.size
-    acts, logits = mlp._forward_cached(params, features)
+    acts, logits = reference_forward(params, features)
     delta = acts[-1].copy()
     delta[np.arange(n), labels] -= 1.0
     delta /= n
@@ -419,6 +452,36 @@ def mssg_reference(params, data, config):
         mem.prev_mean = new_means
         mem.prev_var = new_vars
     return params, mem
+
+
+def blend_block_reference(sums, sq_sums, fresh, param, memory, prev_mean, prev_var, class_w,
+                          pilot_size, weight_decay, scale, first) -> int:
+    """`trainer._blend_block` as the kernel call followed by the blend.
+
+    The whole block goes through ``optimal_coefficients_elementwise``, and
+    the memory is blended as p * M + q * r from the pair it returns. Same
+    arguments, in-place updates and return value as the trainer's fused
+    pass.
+    """
+    n = pilot_size
+    mean = sums / n
+    resid = mean - fresh
+    var = (sq_sums - mean * mean * n) / (n - 1)
+    np.maximum(var, 0.0, out=var)
+    if weight_decay:
+        mean += weight_decay * param
+    fallbacks = 0
+    if first:
+        memory[...] = resid
+    else:
+        p, q, fallbacks = optimal_coefficients_elementwise(prev_mean, prev_var, mean, var)
+        memory *= p
+        memory += resid * q
+    direction = class_w @ (memory + mean).reshape(class_w.size, -1)
+    param -= (direction * scale).reshape(param.shape)
+    prev_mean[...] = mean
+    prev_var[...] = var
+    return fallbacks
 
 
 def uniform_rounds(intervals, n_per_round: int, seed) -> PopulationRound:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from stratgrad import mlp
+from stratgrad import mlp, trainer
 from stratgrad.cli import DESK_SHAPE
 from stratgrad.dataio import LabeledDataset
 from stratgrad.rng import spawn_rng
@@ -18,7 +18,7 @@ from stratgrad.trainer import (
     mssg_train,
 )
 
-from oracles import mssg_reference, numpy_stream, per_sample_grads
+from oracles import blend_block_reference, mssg_reference, numpy_stream, per_sample_grads
 
 
 def blob_dataset(n_per_class, n_classes=3, n_features=6, seed=0, spread=0.08):
@@ -274,6 +274,120 @@ def test_mssg_one_pass_variance_on_ill_conditioned_pilots():
             spread = np.sqrt(v[v > 0])
             worst_ratio = max(worst_ratio, float(np.max(np.abs(m[v > 0]) / spread)))
     assert worst_ratio > 1e4
+
+
+# Values that take the coefficient kernel down each of its branches or
+# through IEEE edge cases: NaN of both signs, infinities, signed zeros, the
+# smallest subnormal, a mid subnormal and the smallest normal.
+SPECIAL_VALUES = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324,
+                           1e-310, -1e-310, np.finfo(np.float64).tiny])
+
+
+def special_value_block(k):
+    """Arguments of one `_blend_block` call, salted with special values.
+
+    Statistics are gradient-sized (1e-3) or unit-sized at random. A tenth
+    of every input is replaced by a special value (non-negative ones in the
+    sums of squares and the previous variance), a tenth of the entries are
+    zero-pixel entries (zero pilot sums, fresh gradient and previous stats),
+    and the first row of class 0 gets m_p = m_c and V_p = V_c * 2**-j for
+    j in 51..55, so that |p| = 1 / (1 + 2**-j) lies within a few ulps of 1.
+    """
+    rng = spawn_rng(61, k)
+    n, shape = 4, (3, 4, 5)
+    scale = np.where(rng.random(shape) < 0.5, 1e-3, 1.0)
+    pilot = rng.normal(rng.normal(0, 1, shape)[:, None], 1, (3, n) + shape[1:])
+    pilot *= scale[:, None]
+    sums, sq_sums = pilot.sum(axis=1), (pilot * pilot).sum(axis=1)
+    fresh, memory, prev_mean = (rng.normal(0, 1, shape) * scale for _ in range(3))
+    prev_var = rng.exponential(1, shape) * scale ** 2
+    param = rng.normal(0, 1, shape[1:])
+    for a in (sums, fresh, memory, prev_mean):
+        hit = rng.random(shape) < 0.1
+        a[hit] = rng.choice(SPECIAL_VALUES, hit.sum())
+    for a in (sq_sums, prev_var):
+        hit = rng.random(shape) < 0.1
+        a[hit] = np.abs(rng.choice(SPECIAL_VALUES, hit.sum()))
+    zero = rng.random(shape) < 0.1
+    for a in (sums, sq_sums, fresh, prev_mean, prev_var):
+        a[zero] = 0.0
+    mean = sums[0, 0] / n + 1e-3 * param[0]
+    var = np.maximum((sq_sums[0, 0] - mean * mean * n) / (n - 1), 0.0)
+    prev_mean[0, 0] = mean
+    prev_var[0, 0] = var * 2.0 ** -rng.integers(51, 56, shape[2])
+    class_w = rng.uniform(0.1, 1.0, 3)
+    return sums, sq_sums, fresh, param, memory, prev_mean, prev_var, class_w / class_w.sum(), n
+
+
+def _same_bits(got, want):
+    """Equal bit patterns, except that any NaN matches any NaN."""
+    got, want = np.asarray(got), np.asarray(want)
+    return bool(np.all((got.view(np.int64) == want.view(np.int64))
+                       | (np.isnan(got) & np.isnan(want))))
+
+
+@pytest.mark.parametrize("first", [False, True])
+def test_fused_blend_equals_kernel_then_blend_on_special_values(first):
+    # The fused pass forms the main branch's pair with the kernel's own
+    # operations and sends only the other entries through the kernel, so
+    # against the kernel-then-blend reference the tolerance is zero: every
+    # output bit and the fallback count must agree. NaN payloads may differ.
+    near_one = fallbacks = 0
+    for k in range(300):
+        sums, sq_sums, fresh, param, memory, prev_mean, prev_var, class_w, n = \
+            special_value_block(k)
+        runs = []
+        for blend in (_blend_block, blend_block_reference):
+            state = [param.copy(), memory.copy(), prev_mean.copy(), prev_var.copy()]
+            with np.errstate(all="ignore"):  # inf * 0 and the like, in both paths
+                count = blend(sums, sq_sums, fresh, *state, class_w, n, 1e-3, 0.5, first)
+            runs.append((count, state))
+        (got_count, got), (want_count, want) = runs
+        assert got_count == want_count, k
+        for g, w in zip(got, want):
+            assert _same_bits(g, w), k
+        fallbacks += want_count
+        if not first:
+            mean, var = got[2], got[3]  # this call's stats, stored for the next
+            with np.errstate(all="ignore"):
+                den = mean * mean * prev_var + prev_mean * prev_mean * var
+                raw = mean * prev_mean * var / den
+            near_one += int(np.count_nonzero(np.abs(np.abs(raw) - 1.0) <= 4 * 2.0 ** -53))
+    if not first:
+        assert fallbacks > 300
+        assert near_one > 100  # the |p| = 1 boundary was exercised
+
+
+def test_fused_blend_rejects_negative_previous_variance():
+    shape = (2, 1, 3)
+    args = [np.ones(shape), np.full(shape, 3.0), np.zeros(shape), np.zeros((1, 3))]
+    prev_var = np.ones(shape)
+    prev_var[1, 0, 2] = -1e-300
+    for blend in (_blend_block, blend_block_reference):
+        with pytest.raises(ValueError, match="non-negative"):
+            blend(*args, np.zeros(shape), np.ones(shape), prev_var.copy(),
+                  np.array([0.5, 0.5]), 2, 0.0, 1.0, first=False)
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
+def test_fused_blend_trains_like_kernel_then_blend(monkeypatch, weight_decay):
+    # Trainer-shaped blocks: DESK_SHAPE, several row blocks per layer, and
+    # input pixels that are zero in every row, whose weight entries have
+    # m = lambda * W and V = 0 on both sides (den == 0, a fallback) on every
+    # iteration. No errstate here: the fused pass must not warn on them.
+    rng = spawn_rng(62)
+    n_classes, per_class = DESK_SHAPE[-1], 12
+    feats = rng.uniform(0, 1, (n_classes * per_class, DESK_SHAPE[0]))
+    feats[:, rng.random(DESK_SHAPE[0]) < 0.2] = 0.0
+    data = LabeledDataset(feats, np.repeat(np.arange(n_classes), per_class))
+    params = mlp.init_params(DESK_SHAPE, seed=63)
+    config = small_config(iterations=4, step_size=1.0, weight_decay=weight_decay)
+    got, _, got_fallbacks = mssg_train(params, data, config, data)
+    monkeypatch.setattr(trainer, "_blend_block", blend_block_reference)
+    want, _, want_fallbacks = mssg_train(params, data, config, data)
+    assert got_fallbacks == want_fallbacks > 0
+    for g, w in zip(got.weights + got.biases, want.weights + want.biases):
+        assert g.tobytes() == w.tobytes()
 
 
 # ---------------------------------------------------------------- baselines

@@ -42,6 +42,55 @@ from .population import PopulationRound, sample_strata
 from .rng import spawn_rngs
 
 
+def _pair_terms(mean_prev, var_prev, mean_curr, var_curr):
+    """The main branch's numerators and denominator: (u, cc, den).
+
+    u = mean_curr * mean_prev * var_curr, cc = mean_curr**2 * var_prev and
+    den = cc + mean_prev**2 * var_curr, in fresh arrays of the (common)
+    shape of the four statistics, so p = u / den and q = cc / den.
+    """
+    u, cc, den = (np.empty(mean_prev.shape) for _ in range(3))
+    np.multiply(mean_curr, mean_curr, out=cc)
+    cc *= var_prev
+    np.multiply(mean_prev, mean_prev, out=den)
+    den *= var_curr
+    np.add(cc, den, out=den)
+    np.multiply(mean_curr, mean_prev, out=u)
+    u *= var_curr
+    return u, cc, den
+
+
+def _degenerate_pairs(mean_prev, var_prev, mean_curr, var_curr):
+    """Every branch of the mixing pair, for elements the main branch does not settle.
+
+    A denominator that is not positive (zero or NaN) is replaced by 1 before
+    the division; a zero denominator or an unsatisfiable mean ratio falls
+    back to (0, 1) unless both means are zero with var_curr > 0, which takes
+    the limit (var_curr, var_prev) / (var_prev + var_curr); any |p| >= 1
+    left then falls back too. Returns (p, q, n_fallback).
+    """
+    p, q, den = _pair_terms(mean_prev, var_prev, mean_curr, var_curr)
+    prev_zero = mean_prev == 0.0
+    fallback = (den == 0.0) | (prev_zero & (mean_curr != 0.0))
+    both_zero = prev_zero & (mean_curr == 0.0) & (var_curr > 0.0)
+    fallback &= ~both_zero
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.copyto(den, 1.0, where=~(den > 0.0))
+        p /= den
+        q /= den
+        p[fallback] = 0.0
+        q[fallback] = 1.0
+        total = var_prev + var_curr
+        np.copyto(total, 1.0, where=~(total > 0.0))
+        np.divide(var_curr, total, out=p, where=both_zero)
+        np.divide(var_prev, total, out=q, where=both_zero)
+    wide = np.abs(p) >= 1.0
+    p[wide] = 0.0
+    q[wide] = 1.0
+    fallback |= wide
+    return p, q, int(np.count_nonzero(fallback))
+
+
 def optimal_coefficients_elementwise(mean_prev, var_prev, mean_curr, var_curr):
     """Minimum-variance unbiased mixing pairs, element by element.
 
@@ -56,8 +105,14 @@ def optimal_coefficients_elementwise(mean_prev, var_prev, mean_curr, var_curr):
     (mean_prev = 0 with mean_curr != 0) or a blend with |p| >= 1 all fall
     back to (0, 1), the pure fresh draw. Returns (p, q, n_fallback) where
     n_fallback counts the elements that fell back; negative variances raise
-    ValueError. Each call allocates p, q, one float work array and three
-    boolean masks of the broadcast shape, and works in place on them.
+    ValueError.
+
+    The main branch is formed over every element. Only the elements it
+    leaves with |p| >= 1 (which takes in a zero denominator and any NaN)
+    or with mean_prev = 0 are gathered and go through the branches, so on
+    trainer-sized blocks, where a few percent are such, a call costs little
+    more than the main branch's passes. Every element gets the same bits
+    as when all of them go through the branches.
     """
     mean_prev, var_prev, mean_curr, var_curr = np.broadcast_arrays(
         np.asarray(mean_prev, dtype=np.float64),
@@ -65,52 +120,23 @@ def optimal_coefficients_elementwise(mean_prev, var_prev, mean_curr, var_curr):
         np.asarray(mean_curr, dtype=np.float64),
         np.asarray(var_curr, dtype=np.float64),
     )
-    shape = mean_prev.shape
-    p, q, work = (np.empty(shape) for _ in range(3))
-    fallback, both_zero, mask = (np.empty(shape, dtype=bool) for _ in range(3))
-    np.less(var_prev, 0.0, out=mask)
-    np.less(var_curr, 0.0, out=fallback)
-    if mask.any() or fallback.any():
+    if np.less(var_prev, 0.0).any() or np.less(var_curr, 0.0).any():
         raise ValueError("variances must be non-negative")
-    # q holds cc and p holds pp until the divisions below; work holds den.
-    np.multiply(mean_curr, mean_curr, out=q)
-    q *= var_prev
-    np.multiply(mean_prev, mean_prev, out=p)
-    p *= var_curr
-    np.add(q, p, out=work)
-    np.equal(work, 0.0, out=fallback)  # zero denominator
-    np.equal(mean_prev, 0.0, out=mask)
-    np.not_equal(mean_curr, 0.0, out=both_zero)
-    both_zero &= mask  # unsatisfiable mean ratio
-    fallback |= both_zero
-    np.equal(mean_curr, 0.0, out=both_zero)
-    both_zero &= mask
-    np.greater(var_curr, 0.0, out=mask)
-    both_zero &= mask
-    np.invert(both_zero, out=mask)
-    fallback &= mask  # the guarded branch
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.greater(work, 0.0, out=mask)
-        np.invert(mask, out=mask)
-        np.copyto(work, 1.0, where=mask)
-        np.divide(q, work, out=q)
-        np.multiply(mean_curr, mean_prev, out=p)
-        p *= var_curr
-        p /= work
-        np.copyto(p, 0.0, where=fallback)
-        np.copyto(q, 1.0, where=fallback)
-        np.add(var_prev, var_curr, out=work)
-        np.greater(work, 0.0, out=mask)
-        np.invert(mask, out=mask)
-        np.copyto(work, 1.0, where=mask)
-        np.divide(var_curr, work, out=p, where=both_zero)
-        np.divide(var_prev, work, out=q, where=both_zero)
-    np.abs(p, out=work)
-    np.greater_equal(work, 1.0, out=mask)  # blend with |p| >= 1
-    np.copyto(p, 0.0, where=mask)
-    np.copyto(q, 1.0, where=mask)
-    fallback |= mask
-    return p, q, int(np.count_nonzero(fallback))
+    p, q, den = _pair_terms(mean_prev, var_prev, mean_curr, var_curr)
+    with np.errstate(divide="ignore", invalid="ignore"):  # unsettled: see below
+        p /= den
+        q /= den
+    settled = np.empty(p.shape, dtype=bool)
+    np.less(np.abs(p, out=den), 1.0, out=settled)  # den is spent; a NaN p is unsettled
+    settled &= mean_prev != 0.0
+    rest = np.flatnonzero(~settled)  # flat indices gather and scatter faster than a mask
+    if not rest.size:
+        return p, q, 0
+    p_rest, q_rest, n_fallback = _degenerate_pairs(
+        *(np.take(a, rest) for a in (mean_prev, var_prev, mean_curr, var_curr)))
+    np.put(p, rest, p_rest)
+    np.put(q, rest, q_rest)
+    return p, q, n_fallback
 
 
 def gst_estimate(sample_means, weights):

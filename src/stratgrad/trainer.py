@@ -8,11 +8,9 @@ blends the class memory with the zero-mean residual of one fresh sample:
 
     G_c <- p * G_c + q * (pilot_mean_c - fresh_grad_c)
 
-The pair and the blend are one pass per block: the pair's main branch is
-formed inline, and only the entries it does not settle (|p| >= 1, a zero
-denominator, a zero previous mean, a NaN) go through
-``optimal_coefficients_elementwise``, which counts the fallbacks. Every
-entry gets the kernel's pair bit for bit.
+The pair comes from ``optimal_coefficients_elementwise`` on the whole
+block, which also counts the fallbacks; the blend then works in place on
+the memory and on the kernel's q.
 
 The parameter update then follows the weighted sum of (G_c + pilot_mean_c)
 over classes, scaled by step_size / n_classes (the extra 1 / C factor
@@ -152,15 +150,10 @@ def _blend_block(sums, sq_sums, fresh, param, memory, prev_mean, prev_var, class
     stores this iteration's stats as the previous ones, and returns the
     block's fallback count.
 
-    The mixing pair and the blend are one pass over the block. It forms
-    p = m_c m_p V_c / den and q = m_c^2 V_p / den, with
-    den = m_c^2 V_p + m_p^2 V_c, by the operations
-    ``optimal_coefficients_elementwise`` uses, and then M <- p M + q r.
-    Only the entries where that pair is not final go through the kernel
-    itself: |p| >= 1 (which takes in den == 0 and a NaN) or m_p == 0. The
-    kernel gives them its branches and its fallback count. Every entry
-    therefore gets the kernel's pair bit for bit, at a fraction of the
-    kernel's passes.
+    The blend M <- p M + q r writes into the memory and into the kernel's
+    q, and the direction sums the classes of mean + M in the mean's own
+    array once the stats are stored, so the block's float temporaries are
+    the mean, variance and residual plus the kernel's p and q.
     """
     n = pilot_size
     mean = sums / n
@@ -177,24 +170,7 @@ def _blend_block(sums, sq_sums, fresh, param, memory, prev_mean, prev_var, class
     if first:
         memory[...] = resid  # no previous stats: the pure fresh residual
     else:
-        if np.less(prev_var, 0.0).any():
-            raise ValueError("variances must be non-negative")
-        q = mean * mean
-        q *= prev_var
-        den = prev_mean * prev_mean
-        den *= var
-        den += q
-        p = mean * prev_mean
-        p *= var
-        with np.errstate(divide="ignore", invalid="ignore"):  # flagged below
-            p /= den
-            q /= den
-        flag = np.abs(p, out=den) < 1.0  # den is spent
-        flag &= prev_mean != 0.0
-        np.logical_not(flag, out=flag)  # den == 0, |p| >= 1, m_p == 0 or a NaN
-        if flag.any():
-            p[flag], q[flag], fallbacks = optimal_coefficients_elementwise(
-                prev_mean[flag], prev_var[flag], mean[flag], var[flag])
+        p, q, fallbacks = optimal_coefficients_elementwise(prev_mean, prev_var, mean, var)
         memory *= p
         q *= resid
         memory += q

@@ -10,9 +10,11 @@ intervals or (mu, sigma) pairs, which `population.generate_family` fixes
 per family, and of the unstreamed whole-batch passes (`unstreamed_*`), which
 hold every row's activations at once, as `mlp` did before it streamed row
 blocks, on their own forward pass (`reference_forward`: `a @ w + b` and the
-two-branch sigmoid, never `mlp`'s in-place one). `blend_block_reference` is
-the mssg block update as the coefficient kernel over the whole block
-followed by the blend, which the trainer's fused pass is checked against.
+two-branch sigmoid, never `mlp`'s in-place one).
+`coefficients_elementwise_reference` is the coefficient kernel with every
+element taken down every branch by mask, and `blend_block_reference` the
+mssg block update as that kernel followed by an out-of-place blend; the
+kernel and `trainer._blend_block` are checked against them bit for bit.
 Every oracle draws from `numpy_stream`, numpy's own seeding, and
 `subsample_reference` is the desk subsample taken after converting the
 whole split.
@@ -454,14 +456,75 @@ def mssg_reference(params, data, config):
     return params, mem
 
 
+def coefficients_elementwise_reference(mean_prev, var_prev, mean_curr, var_curr):
+    """`estimators.optimal_coefficients_elementwise` with every element in every branch.
+
+    The pair's terms, the branch masks and each branch's values are formed
+    over the whole broadcast shape and picked by mask, where the kernel
+    gathers only the elements its main branch leaves unsettled. Same
+    arguments, return value and ValueError.
+    """
+    mean_prev, var_prev, mean_curr, var_curr = np.broadcast_arrays(
+        np.asarray(mean_prev, dtype=np.float64),
+        np.asarray(var_prev, dtype=np.float64),
+        np.asarray(mean_curr, dtype=np.float64),
+        np.asarray(var_curr, dtype=np.float64),
+    )
+    shape = mean_prev.shape
+    p, q, work = (np.empty(shape) for _ in range(3))
+    fallback, both_zero, mask = (np.empty(shape, dtype=bool) for _ in range(3))
+    np.less(var_prev, 0.0, out=mask)
+    np.less(var_curr, 0.0, out=fallback)
+    if mask.any() or fallback.any():
+        raise ValueError("variances must be non-negative")
+    # q holds cc and p holds pp until the divisions below; work holds den.
+    np.multiply(mean_curr, mean_curr, out=q)
+    q *= var_prev
+    np.multiply(mean_prev, mean_prev, out=p)
+    p *= var_curr
+    np.add(q, p, out=work)
+    np.equal(work, 0.0, out=fallback)  # zero denominator
+    np.equal(mean_prev, 0.0, out=mask)
+    np.not_equal(mean_curr, 0.0, out=both_zero)
+    both_zero &= mask  # unsatisfiable mean ratio
+    fallback |= both_zero
+    np.equal(mean_curr, 0.0, out=both_zero)
+    both_zero &= mask
+    np.greater(var_curr, 0.0, out=mask)
+    both_zero &= mask
+    np.invert(both_zero, out=mask)
+    fallback &= mask  # the guarded branch
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.greater(work, 0.0, out=mask)
+        np.invert(mask, out=mask)
+        np.copyto(work, 1.0, where=mask)
+        np.divide(q, work, out=q)
+        np.multiply(mean_curr, mean_prev, out=p)
+        p *= var_curr
+        p /= work
+        np.copyto(p, 0.0, where=fallback)
+        np.copyto(q, 1.0, where=fallback)
+        np.add(var_prev, var_curr, out=work)
+        np.greater(work, 0.0, out=mask)
+        np.invert(mask, out=mask)
+        np.copyto(work, 1.0, where=mask)
+        np.divide(var_curr, work, out=p, where=both_zero)
+        np.divide(var_prev, work, out=q, where=both_zero)
+    np.abs(p, out=work)
+    np.greater_equal(work, 1.0, out=mask)  # blend with |p| >= 1
+    np.copyto(p, 0.0, where=mask)
+    np.copyto(q, 1.0, where=mask)
+    fallback |= mask
+    return p, q, int(np.count_nonzero(fallback))
+
+
 def blend_block_reference(sums, sq_sums, fresh, param, memory, prev_mean, prev_var, class_w,
                           pilot_size, weight_decay, scale, first) -> int:
-    """`trainer._blend_block` as the kernel call followed by the blend.
+    """`trainer._blend_block` out of place, on `coefficients_elementwise_reference`.
 
-    The whole block goes through ``optimal_coefficients_elementwise``, and
-    the memory is blended as p * M + q * r from the pair it returns. Same
-    arguments, in-place updates and return value as the trainer's fused
-    pass.
+    The memory is blended as p * M + q * r from the pair the reference
+    kernel returns for the whole block. Same arguments, in-place updates
+    and return value as the trainer's block update.
     """
     n = pilot_size
     mean = sums / n
@@ -474,7 +537,7 @@ def blend_block_reference(sums, sq_sums, fresh, param, memory, prev_mean, prev_v
     if first:
         memory[...] = resid
     else:
-        p, q, fallbacks = optimal_coefficients_elementwise(prev_mean, prev_var, mean, var)
+        p, q, fallbacks = coefficients_elementwise_reference(prev_mean, prev_var, mean, var)
         memory *= p
         memory += resid * q
     direction = class_w @ (memory + mean).reshape(class_w.size, -1)

@@ -232,8 +232,8 @@ def test_criterion_10_full_mnist_headline(real_mnist_dir):
 @pytest.mark.slow
 def test_criterion_10b_memory_trainer_accuracy_grid(real_mnist_dir):
     # long-run reproduction of the 1k-iteration accuracy row: 6 grid cells x
-    # 1,000 full-shape mssg iterations at about 0.28 s each (in-process, one
-    # BLAS thread, 2-core x86_64), so about half an hour
+    # 1,000 full-shape mssg iterations at about 0.25 s each (in-process, one
+    # BLAS thread, 2-core x86_64), so about 25 minutes
     train = to_dataset(*read_mnist_split(real_mnist_dir, "train"))
     test = to_dataset(*read_mnist_split(real_mnist_dir, "test"))
 

@@ -27,6 +27,7 @@ from oracles import (
     Coefficients,
     Degenerate,
     blended_variance_term,
+    coefficients_elementwise_reference,
     optimal_coefficients,
     stratified_variance,
     trace_estimators_reference,
@@ -186,6 +187,32 @@ def test_elementwise_agrees_with_scalar(make_stats):
         assert np.array_equal(got, want), i
         fallbacks += c.is_fallback
     assert n_fallback == fallbacks
+    assert 0 < n_fallback < p.size
+
+
+# Every combination of these, as (mean_prev, var_prev, mean_curr, var_curr):
+# NaN of both signs, infinities, signed zeros, subnormals, the smallest
+# normal, ordinary values, and magnitudes whose products overflow or
+# underflow. Variances take the ones that are not below zero.
+GRID_MEANS = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-310,
+              np.finfo(np.float64).tiny, 1e-170, 1e-3, 1.0, -2.5, 1e200, -1e200]
+GRID_VARS = [np.nan, np.inf, 0.0, -0.0, 5e-324, 1e-310, np.finfo(np.float64).tiny,
+             1e-6, 1.0, 1e300]
+
+
+@pytest.mark.parametrize("shape", [(16, 10, 16, 10), (25600,), (40, 640)])
+def test_elementwise_equals_whole_shape_reference_on_special_values(shape):
+    # The kernel gathers what its main branch leaves unsettled; the
+    # reference takes every element down every branch by mask. Same bits,
+    # NaN payloads included, and the same fallback count, in any layout.
+    stats = [a.reshape(shape) for a in
+             np.meshgrid(GRID_MEANS, GRID_VARS, GRID_MEANS, GRID_VARS, indexing="ij")]
+    with np.errstate(all="ignore"):  # inf * 0 and the like, on both sides
+        p, q, n_fallback = optimal_coefficients_elementwise(*stats)
+        p_ref, q_ref, n_ref = coefficients_elementwise_reference(*stats)
+    assert p.view(np.int64).tolist() == p_ref.view(np.int64).tolist()
+    assert q.view(np.int64).tolist() == q_ref.view(np.int64).tolist()
+    assert n_fallback == n_ref
     assert 0 < n_fallback < p.size
 
 

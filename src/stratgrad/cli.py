@@ -14,6 +14,7 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -221,6 +222,8 @@ def cmd_variance_oracle(args, run: _Run) -> None:
         experiments = [_parse_stats_spec(args.stats)]
     elif args.strata < 1:
         raise ValueError(f"need at least one stratum per random experiment, got {args.strata}")
+    elif args.random_tuples < 1:
+        raise ValueError(f"--random-tuples must be at least 1, got {args.random_tuples}")
     else:
         rng = spawn_rng(args.seed, _TUPLE_STREAM)
         experiments = [_random_stat_tuples(rng, args.strata)
@@ -272,7 +275,7 @@ def _matrix_rounds(matrix: np.ndarray, class_index) -> PopulationRound:
 def cmd_gradmatrix(args, run: _Run) -> None:
     train, test = _load_split_pair(args)
     shape = DESK_SHAPE if args.desk else FULL_SHAPE
-    iterations = args.iterations if args.iterations else (10 if args.desk else 60)
+    iterations = args.iterations if args.iterations is not None else (10 if args.desk else 60)
     marks = [time.perf_counter()]
     params = mlp.init_params(shape, (args.seed, _INIT_STREAM))
     params, losses, matrix = mlp.full_gradient_train(
@@ -313,50 +316,52 @@ def cmd_gradmatrix(args, run: _Run) -> None:
     })
 
 
-def _report_rows(reports, seed: int) -> dict:
-    return {
-        "iterations_k": [r.iterations / 1000.0 for r in reports],
-        "algorithm": [r.algorithm for r in reports],
-        "test_accu": [r.test_accuracy for r in reports],
-        "train_accu": [r.train_accuracy for r in reports],
-        "h": [r.step_size for r in reports],
-        "lambda": [r.weight_decay for r in reports],
-        "seed": [seed] * len(reports),
-    }
+def _sgd_stretch(args) -> int:
+    """How many times over an sgd run repeats its iterations and checkpoint spacing."""
+    if args.sgd_multiplier < 1:
+        raise ValueError(f"--sgd-multiplier must be at least 1, got {args.sgd_multiplier}")
+    return args.sgd_multiplier if args.algorithm == "sgd" else 1
 
 
-def _make_config(args, step_size=None, weight_decay=None, iterations=None,
-                 checkpoint_every=None) -> trainer.TrainConfig:
-    return trainer.TrainConfig(
-        step_size=step_size if step_size is not None else args.alpha,
-        batch_size=args.batch_size,
-        iterations=iterations if iterations is not None else args.iterations,
-        weight_decay=weight_decay if weight_decay is not None else args.weight_decay,
-        seed=args.seed,
-        pilot_size=args.pilot_size,
-        checkpoint_every=checkpoint_every if checkpoint_every is not None
-        else args.checkpoint_every,
-    )
+def _make_config(args, iterations: int, checkpoint_every: int) -> trainer.TrainConfig:
+    """The run's TrainConfig; sgd runs `_sgd_stretch` times the iterations and spacing."""
+    stretch = _sgd_stretch(args)
+    return trainer.TrainConfig(step_size=args.alpha, batch_size=args.batch_size,
+                               iterations=iterations * stretch, weight_decay=args.weight_decay,
+                               seed=args.seed, pilot_size=args.pilot_size,
+                               checkpoint_every=checkpoint_every * stretch)
 
 
-def _run_algorithm(algorithm: str, params, train, test, config, sgd_multiplier: int):
+def _run_algorithm(algorithm: str, params, train, test, config):
     """Returns (trained params, reports, coefficient-fallback count)."""
     if algorithm == "mssg":
         return trainer.mssg_train(params, train, config, test)
-    kind = trainer.BaselineKind(algorithm)
-    params, reports = trainer.baseline_train(params, train, config, kind, test,
-                                             sgd_multiplier=sgd_multiplier)
+    params, reports = trainer.baseline_train(params, train, config,
+                                             trainer.BaselineKind(algorithm), test)
     return params, reports, 0
+
+
+def _report_rows(reports, args) -> dict:
+    stretch = _sgd_stretch(args)
+    label = args.algorithm if stretch == 1 else f"{args.algorithm}(x{stretch})"
+    return {
+        "iterations_k": [r.iterations / 1000.0 for r in reports],
+        "algorithm": [label] * len(reports),
+        "test_accu": [r.test_accuracy for r in reports],
+        "train_accu": [r.train_accuracy for r in reports],
+        "h": [args.alpha] * len(reports),
+        "lambda": [args.weight_decay] * len(reports),
+        "seed": [args.seed] * len(reports),
+    }
 
 
 def cmd_train(args, run: _Run) -> None:
     train, test = _load_split_pair(args)
     shape = DESK_SHAPE if args.desk else FULL_SHAPE
     params = mlp.init_params(shape, (args.seed, _INIT_STREAM))
-    config = _make_config(args)
-    params, reports, fallbacks = _run_algorithm(args.algorithm, params, train, test,
-                                                config, args.sgd_multiplier)
-    write_csv(run.path(f"accuracy_{args.algorithm}.csv"), _report_rows(reports, args.seed))
+    config = _make_config(args, args.iterations, args.checkpoint_every)
+    params, reports, fallbacks = _run_algorithm(args.algorithm, params, train, test, config)
+    write_csv(run.path(f"accuracy_{args.algorithm}.csv"), _report_rows(reports, args))
     run.finish(args, {"final_test_accuracy": reports[-1].test_accuracy,
                       "coefficient_fallbacks": fallbacks})
 
@@ -369,10 +374,9 @@ def cmd_gridsearch(args, run: _Run) -> None:
 
     def train_fn(h: float, lam: float, iterations: int):
         params = mlp.init_params(shape, (args.seed, _INIT_STREAM))
-        config = _make_config(args, step_size=h, weight_decay=lam,
-                              iterations=iterations, checkpoint_every=iterations)
-        trained, _, _ = _run_algorithm(args.algorithm, params, train, test, config,
-                                       args.sgd_multiplier)
+        config = replace(_make_config(args, iterations, iterations), step_size=h,
+                         weight_decay=lam)
+        trained, _, _ = _run_algorithm(args.algorithm, params, train, test, config)
         return trained
 
     best, cells = trainer.grid_search(train_fn, step_sizes, decays,

@@ -11,6 +11,7 @@ reader sniffs the gzip magic.
 from __future__ import annotations
 
 import gzip
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -46,55 +47,58 @@ def _open_idx(path):
     return open(path, "rb")
 
 
+# Bytes per read of a gzip stream, whose length shows only at its end: a
+# header may claim more than the file holds. MNIST's 47 MB of training pixels
+# still come in one read, so `_read_exact` returns them uncopied.
+_GZIP_CHUNK = 1 << 26
+
+
 def _read_exact(f, n: int, offset: int, what: str) -> bytes:
-    data = f.read(n)
-    if len(data) != n:
+    """The n bytes of `what` at `offset`, never asking for more than the file holds."""
+    step = (_GZIP_CHUNK if isinstance(f, gzip.GzipFile)
+            else os.fstat(f.fileno()).st_size - offset)
+    chunks, got = [], 0
+    while got < n and (chunk := f.read(min(step, n - got))):
+        chunks.append(chunk)
+        got += len(chunk)
+    if got != n:
         raise IdxFormatError(
             f"truncated IDX file: wanted {n} bytes of {what} at offset {offset}, "
-            f"got {len(data)}", kind="truncated")
-    return data
+            f"got {got}", kind="truncated")
+    return b"".join(chunks)
 
 
-def _read_u32(f, offset: int, what: str) -> int:
-    return int.from_bytes(_read_exact(f, 4, offset, what), "big")
+def _read_idx(path, expected_magic: int, what: str) -> np.ndarray:
+    """Parse an IDX file of unsigned bytes; the magic's low byte counts the dimensions."""
+    with _open_idx(path) as f:
+        magic = int.from_bytes(_read_exact(f, 4, 0, "magic"), "big")
+        if magic != expected_magic:
+            raise IdxFormatError(
+                f"bad {what} magic 0x{magic:08x} at offset 0, expected 0x{expected_magic:08x}",
+                kind="magic")
+        header = _read_exact(f, 4 * (magic & 0xFF), 4, "dimensions")
+        dims = [int.from_bytes(header[i:i + 4], "big") for i in range(0, len(header), 4)]
+        shape = "x".join(map(str, dims))
+        offset = 4 + len(header)
+        size = math.prod(dims)
+        if 0 in dims[1:]:  # only the item count may be zero
+            raise IdxFormatError(f"degenerate {what} dimensions {shape} in header",
+                                 kind="dimensions")
+        payload = _read_exact(f, size, offset, f"{what} data")
+        if f.read(1):
+            raise IdxFormatError(f"trailing bytes after {shape} {what} data "
+                                 f"(offset {offset + size})", kind="dimensions")
+    return np.frombuffer(payload, dtype=np.uint8).reshape(dims)
 
 
 def read_idx_images(path) -> np.ndarray:
     """Parse an IDX image file into a (n, rows, cols) uint8 array."""
-    with _open_idx(path) as f:
-        magic = _read_u32(f, 0, "magic")
-        if magic != IDX_IMAGE_MAGIC:
-            raise IdxFormatError(
-                f"bad image magic 0x{magic:08x} at offset 0, expected 0x{IDX_IMAGE_MAGIC:08x}",
-                kind="magic")
-        n = _read_u32(f, 4, "image count")
-        rows = _read_u32(f, 8, "row count")
-        cols = _read_u32(f, 12, "column count")
-        if rows == 0 or cols == 0:
-            raise IdxFormatError(
-                f"degenerate image dimensions {rows}x{cols} in header", kind="dimensions")
-        payload = _read_exact(f, n * rows * cols, 16, "pixel data")
-        if f.read(1):
-            raise IdxFormatError(
-                f"trailing bytes after {n}x{rows}x{cols} pixels (offset {16 + len(payload)})",
-                kind="dimensions")
-    return np.frombuffer(payload, dtype=np.uint8).reshape(n, rows, cols)
+    return _read_idx(path, IDX_IMAGE_MAGIC, "image")
 
 
 def read_idx_labels(path) -> np.ndarray:
     """Parse an IDX label file into a (n,) uint8 array."""
-    with _open_idx(path) as f:
-        magic = _read_u32(f, 0, "magic")
-        if magic != IDX_LABEL_MAGIC:
-            raise IdxFormatError(
-                f"bad label magic 0x{magic:08x} at offset 0, expected 0x{IDX_LABEL_MAGIC:08x}",
-                kind="magic")
-        n = _read_u32(f, 4, "label count")
-        payload = _read_exact(f, n, 8, "label data")
-        if f.read(1):
-            raise IdxFormatError(
-                f"trailing bytes after {n} labels (offset {8 + n})", kind="dimensions")
-    return np.frombuffer(payload, dtype=np.uint8)
+    return _read_idx(path, IDX_LABEL_MAGIC, "label")
 
 
 def _class_index(labels: np.ndarray) -> list[np.ndarray]:

@@ -28,9 +28,10 @@ per layer (memory, previous mean, previous variance; about 180 MB at the
 state stays inside the run, which returns the trained parameters, the
 accuracy reports and the coefficient-fallback count.
 
-Baselines: single-sample steps (optionally with an iteration multiplier),
-pooled mini-batches, full-batch descent, and the memoryless
-one-sample-per-class stratified direction.
+Baselines: single-sample steps, pooled mini-batches, full-batch descent,
+and the memoryless one-sample-per-class stratified direction. Every
+trainer runs the iterations and checkpoint spacing its ``TrainConfig``
+gives; how a run is labelled, stretched and reported is the caller's.
 
 Checkpoint accuracy and full-batch gradients go through ``mlp``'s
 whole-batch passes, which stream the dataset in fixed blocks of
@@ -88,9 +89,6 @@ class AccuracyReport:
     iterations: int
     train_accuracy: float
     test_accuracy: float
-    algorithm: str
-    step_size: float
-    weight_decay: float
 
     def __post_init__(self):
         for value in (self.train_accuracy, self.test_accuracy):
@@ -125,15 +123,8 @@ def _assert_finite(params: mlp.MlpParams, iteration: int, algorithm: str) -> Non
         raise RuntimeError(f"{algorithm} produced non-finite parameters at iteration {iteration}")
 
 
-def _checkpoint(reports, params, data, test_data, iteration, algorithm, config):
-    reports.append(AccuracyReport(
-        iterations=iteration,
-        train_accuracy=accuracy(params, data),
-        test_accuracy=accuracy(params, test_data),
-        algorithm=algorithm,
-        step_size=config.step_size,
-        weight_decay=config.weight_decay,
-    ))
+def _checkpoint(reports, params, data, test_data, iteration):
+    reports.append(AccuracyReport(iteration, accuracy(params, data), accuracy(params, test_data)))
 
 
 def _blend_block(sums, sq_sums, fresh, param, memory, prev_mean, prev_var, class_w,
@@ -253,7 +244,7 @@ def mssg_train(params: mlp.MlpParams, data: LabeledDataset, config: TrainConfig,
                 first)
         _assert_finite(params, it, "mssg")
         if it % config.checkpoint_every == 0 or it == config.iterations:
-            _checkpoint(reports, params, data, test_data, it, "mssg", config)
+            _checkpoint(reports, params, data, test_data, it)
     return params, reports, fallbacks
 
 
@@ -262,22 +253,17 @@ _BASELINE_STREAM = {BaselineKind.SGD: 11, BaselineKind.BATCH: 12, BaselineKind.S
 
 
 def baseline_train(params: mlp.MlpParams, data: LabeledDataset, config: TrainConfig,
-                   kind: BaselineKind, test_data: LabeledDataset,
-                   sgd_multiplier: int = 1):
+                   kind: BaselineKind, test_data: LabeledDataset):
     """Single-sample, pooled-batch, full-batch or memoryless stratified training.
 
-    SGD draws one pooled sample per step and may run ``sgd_multiplier``
-    times the configured iterations (checkpoint cadence stretches with it).
-    Batch draws ``batch_size`` pooled samples without replacement, except
-    that batch_size == n uses the whole dataset, as FULL does every step:
-    the trajectory is then full-gradient descent bit for bit. The
-    stratified baseline weights one fresh sample per class by the class
-    shares.
+    Every kind runs ``config.iterations`` steps and reports accuracy every
+    ``checkpoint_every`` steps and at the end. SGD draws one pooled sample
+    per step. Batch draws ``batch_size`` pooled samples without
+    replacement, except that batch_size == n uses the whole dataset, as
+    FULL does every step: the trajectory is then full-gradient descent bit
+    for bit. The stratified baseline weights one fresh sample per class by
+    the class shares.
     """
-    if sgd_multiplier < 1:
-        raise ValueError("sgd_multiplier must be at least 1")
-    if kind is not BaselineKind.SGD:
-        sgd_multiplier = 1
     params = params.copy()
     n = data.n_samples
     if n == 0:
@@ -287,11 +273,8 @@ def baseline_train(params: mlp.MlpParams, data: LabeledDataset, config: TrainCon
     full = kind is BaselineKind.FULL or (kind is BaselineKind.BATCH and config.batch_size == n)
     class_w = data.class_weights()
     rng = spawn_rng(config.seed, _BASELINE_STREAM[kind])
-    total = config.iterations * sgd_multiplier
-    cadence = config.checkpoint_every * sgd_multiplier
-    algorithm = kind.value if sgd_multiplier == 1 else f"{kind.value}(x{sgd_multiplier})"
     reports: list[AccuracyReport] = []
-    for it in range(1, total + 1):
+    for it in range(1, config.iterations + 1):
         if kind is BaselineKind.STRATIFIED:
             rows = np.array([int(rng.choice(idx)) for idx in data.class_index])
             acts, _, deltas = mlp.forward_backward(params, data.features[rows],
@@ -313,9 +296,9 @@ def baseline_train(params: mlp.MlpParams, data: LabeledDataset, config: TrainCon
         for l in range(params.n_layers):
             params.weights[l] -= config.step_size * grad.weights[l]
             params.biases[l] -= config.step_size * grad.biases[l]
-        _assert_finite(params, it, algorithm)
-        if it % cadence == 0 or it == total:
-            _checkpoint(reports, params, data, test_data, it, algorithm, config)
+        _assert_finite(params, it, kind.value)
+        if it % config.checkpoint_every == 0 or it == config.iterations:
+            _checkpoint(reports, params, data, test_data, it)
     return params, reports
 
 

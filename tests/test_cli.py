@@ -253,6 +253,8 @@ def test_variance_oracle_rejects_empty_random_experiments(tmp_path, capsys):
     out = tmp_path / "vo"
     assert run_cli("variance-oracle", "--strata", 0, "--out-dir", out) == 1
     assert "stratum" in capsys.readouterr().err
+    assert run_cli("variance-oracle", "--random-tuples", 0, "--out-dir", out) == 1
+    assert "--random-tuples" in capsys.readouterr().err
     assert not (out / "variance_oracle.csv").exists()
 
 
@@ -292,6 +294,15 @@ def test_gradmatrix_bytes_repeat_at_one_blas_thread(tmp_path, fixture_data_dir):
         assert "env.OPENBLAS_NUM_THREADS=1" in (out / "manifest.txt").read_text().splitlines()
     for name in ("grad_matrix.csv", "deviation_summary.csv"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_gradmatrix_zero_iterations_is_rejected(tmp_path, fixture_data_dir, capsys):
+    out = tmp_path / "gm"
+    assert run_cli("gradmatrix", "--data-dir", fixture_data_dir, "--desk",
+                   "--per-class", 20, "--test-per-class", 5, "--iterations", 0,
+                   "--out-dir", out) == 1
+    assert "steps must be at least 1" in capsys.readouterr().err
+    assert not (out / "grad_matrix.csv").exists()
 
 
 def test_gradmatrix_requires_data(tmp_path, monkeypatch, capsys):
@@ -362,14 +373,57 @@ def test_train_all_algorithms_produce_reports(tmp_path, fixture_data_dir, algori
 
 
 def test_train_sgd_multiplier_reported(tmp_path, fixture_data_dir):
-    out = tmp_path / "tr20"
-    assert run_cli("train", "--algorithm", "sgd", "--data-dir", fixture_data_dir,
-                   "--desk", "--per-class", 20, "--test-per-class", 5,
-                   "--iterations", 2, "--checkpoint-every", 2, "--sgd-multiplier", 20,
-                   "--out-dir", out) == 0
-    cols = read_csv_columns(out / "accuracy_sgd.csv")
-    assert cols["algorithm"] == ["sgd(x20)"]
-    assert read_floats(out / "accuracy_sgd.csv", "iterations_k") == [0.04]
+    # (iterations, checkpoint spacing, multiplier) -> stretched checkpoints
+    for iterations, every, mult, want in ((2, 2, 20, [0.04]), (3, 1, 4, [0.004, 0.008, 0.012])):
+        out = tmp_path / f"tr{mult}"
+        assert run_cli("train", "--algorithm", "sgd", "--data-dir", fixture_data_dir,
+                       "--desk", "--per-class", 20, "--test-per-class", 5,
+                       "--iterations", iterations, "--checkpoint-every", every,
+                       "--sgd-multiplier", mult, "--out-dir", out) == 0
+        cols = read_csv_columns(out / "accuracy_sgd.csv")
+        assert cols["algorithm"] == [f"sgd(x{mult})"] * len(want)
+        assert read_floats(out / "accuracy_sgd.csv", "iterations_k") == want
+
+
+@pytest.mark.parametrize("argv", [
+    ("train", "--algorithm", "sgd", "--iterations", 2),
+    ("train", "--algorithm", "mssg", "--iterations", 2),
+    ("train", "--algorithm", "gst", "--iterations", 2),
+    ("gridsearch", "--algorithm", "mssg", "--budget-iterations", 2)])
+def test_sgd_multiplier_below_one_is_rejected(tmp_path, fixture_data_dir, capsys, argv):
+    out = tmp_path / "x0"
+    assert run_cli(*argv, "--data-dir", fixture_data_dir, "--desk", "--per-class", 20,
+                   "--test-per-class", 5, "--sgd-multiplier", 0, "--out-dir", out) == 1
+    assert "--sgd-multiplier must be at least 1" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_gridsearch_cell_runs_the_stretched_sgd_of_train(tmp_path, fixture_data_dir,
+                                                        monkeypatch):
+    runs = []
+
+    def spy(params, data, config, kind, test_data):
+        trained, reports = baseline_train(params, data, config, kind, test_data)
+        runs.append((config, trained))
+        return trained, reports
+
+    baseline_train = cli.trainer.baseline_train
+    monkeypatch.setattr(cli.trainer, "baseline_train", spy)
+    desk = ["--algorithm", "sgd", "--data-dir", fixture_data_dir, "--desk", "--per-class", 20,
+            "--test-per-class", 5, "--sgd-multiplier", 3, "--seed", 4]
+    assert run_cli("train", *desk, "--iterations", 2, "--alpha", 0.5,
+                   "--weight-decay", 0.01, "--out-dir", tmp_path / "tr") == 0
+    assert run_cli("gridsearch", *desk, "--budget-iterations", 2, "--alphas", "0.5",
+                   "--lambdas", "0.01", "--out-dir", tmp_path / "gs") == 0
+    final = read_csv_columns(tmp_path / "tr" / "accuracy_sgd.csv")["test_accu"][-1]
+    assert read_csv_columns(tmp_path / "gs" / "grid_results.csv")["test_accuracy"] == [final]
+    (train_config, train_params), (cell_config, cell_params) = runs
+    assert (cell_config.iterations, cell_config.checkpoint_every) == (6, 6)
+    assert (cell_config.step_size, cell_config.weight_decay) == (0.5, 0.01)
+    assert train_config.iterations == 6
+    for got, want in zip(cell_params.weights + cell_params.biases,
+                         train_params.weights + train_params.biases):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_gridsearch_emits_full_table_and_best(tmp_path, fixture_data_dir):

@@ -75,6 +75,17 @@ def test_idx_truncated_payload(tmp_path):
     assert exc.value.kind == "truncated"
 
 
+@pytest.mark.parametrize("gz", [False, True])
+def test_idx_oversized_header_is_truncated(tmp_path, gz):
+    # 2**96 - 1 pixels claimed: more than any read can ask for at once
+    raw = struct.pack(">IIII", 0x803, *[2 ** 32 - 1] * 3) + b"\x00" * 4
+    path = tmp_path / ("huge.gz" if gz else "huge")
+    path.write_bytes(gzip.compress(raw) if gz else raw)
+    with pytest.raises(IdxFormatError, match="offset 16") as exc:
+        read_idx_images(path)
+    assert exc.value.kind == "truncated"
+
+
 def test_idx_trailing_bytes(tmp_path):
     path = tmp_path / "long"
     path.write_bytes(struct.pack(">II", 0x801, 2) + b"\x00" * 3)

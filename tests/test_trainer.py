@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from stratgrad import mlp, trainer
+from stratgrad import cli, mlp, trainer
 from stratgrad.cli import DESK_SHAPE
 from stratgrad.dataio import LabeledDataset
 from stratgrad.rng import spawn_rng
@@ -423,6 +423,19 @@ def test_sgd_on_single_sample_is_deterministic_descent():
                                          config.weight_decay)
     for wa, wb in zip(trained.weights, full.weights):
         assert np.array_equal(wa, wb)
+
+
+def test_sgd_multiplier_stretches_iterations(tmp_path):
+    # The CLI stretches an sgd run's config; the trainer runs it as given.
+    args = cli.build_parser().parse_args([
+        "train", "--algorithm", "sgd", "--iterations", "3", "--checkpoint-every", "1",
+        "--sgd-multiplier", "4", "--out-dir", str(tmp_path)])
+    data = blob_dataset(10, seed=26)
+    params = mlp.init_params((6, 4, 3), seed=27)
+    config = cli._make_config(args, args.iterations, args.checkpoint_every)
+    _, reports = baseline_train(params, data, config, BaselineKind.SGD, data)
+    assert [r.iterations for r in reports] == [4, 8, 12]
+    assert cli._report_rows(reports, args)["algorithm"] == ["sgd(x4)"] * 3
 
 
 def test_stratified_direction_is_unbiased():

@@ -341,9 +341,14 @@ def _run_algorithm(algorithm: str, params, train, test, config):
     return params, reports, 0
 
 
-def _report_rows(reports, args) -> dict:
+def _run_label(args) -> str:
+    """The algorithm column: the name, with `(xN)` when sgd ran N times its budget."""
     stretch = _sgd_stretch(args)
-    label = args.algorithm if stretch == 1 else f"{args.algorithm}(x{stretch})"
+    return args.algorithm if stretch == 1 else f"{args.algorithm}(x{stretch})"
+
+
+def _report_rows(reports, args) -> dict:
+    label = _run_label(args)
     return {
         "iterations_k": [r.iterations / 1000.0 for r in reports],
         "algorithm": [label] * len(reports),
@@ -381,15 +386,16 @@ def cmd_gridsearch(args, run: _Run) -> None:
 
     best, cells = trainer.grid_search(train_fn, step_sizes, decays,
                                       args.budget_iterations, test)
+    label = _run_label(args)
     write_csv(run.path("grid_results.csv"), {
         "h": [c.step_size for c in cells],
         "lambda": [c.weight_decay for c in cells],
         "test_accuracy": [c.test_accuracy for c in cells],
-        "algorithm": [args.algorithm] * len(cells),
+        "algorithm": [label] * len(cells),
     })
     write_csv(run.path("grid_best.csv"), {
         "h": [best.step_size], "lambda": [best.weight_decay],
-        "test_accuracy": [best.test_accuracy], "algorithm": [args.algorithm],
+        "test_accuracy": [best.test_accuracy], "algorithm": [label],
     })
     run.finish(args, {"best_h": best.step_size, "best_lambda": best.weight_decay})
 

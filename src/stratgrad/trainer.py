@@ -21,12 +21,16 @@ and fresh rows. Pilot means and variances come from the per-class sums
 A^T D and (A*A)^T (D*D) of that pass (one-pass variance, clamped at zero;
 weight decay shifts the mean only), never from per-sample gradient tensors.
 Each layer is streamed in row blocks of W: a block's stats, mixing pair,
-blend and update are finished before the next block is formed, so besides
-the parameters the only persistent state is three stacked (C, ...) arrays
-per layer (memory, previous mean, previous variance; about 180 MB at the
-784-500-500-200-10 shape) and the rest is block-sized temporaries. That
-state stays inside the run, which returns the trained parameters, the
-accuracy reports and the coefficient-fallback count.
+blend and update are finished before the next block is formed. The
+previous iteration's pilot stats are not stored but formed again, with the
+same operations and so the same bits, from that pilot's kept factors A and
+D (and their squares) and a snapshot of the weights they were taken at.
+So besides the parameters the persistent state is one (C, ...) memory
+array per layer (about 60 MB at the 784-500-500-200-10 shape), the last
+pilot's factors (about 8 MB) and one weight snapshot (about 6 MB); the
+rest is block-sized temporaries. That state stays inside the run, which
+returns the trained parameters, the accuracy reports and the
+coefficient-fallback count.
 
 Baselines: single-sample steps, pooled mini-batches, full-batch descent,
 and the memoryless one-sample-per-class stratified direction. Every
@@ -98,8 +102,8 @@ class AccuracyReport:
 
 # Weight entries per class in one block of the mssg kernel. Large enough that
 # numpy's per-call cost is small next to a block's work, small enough that the
-# block's temporaries (nine float arrays of n_classes * BLOCK_ENTRIES) stay a
-# few MB.
+# block's temporaries (about a dozen float arrays of n_classes * BLOCK_ENTRIES)
+# stay a few MB.
 # At the 784-500-500-200-10 shape on 2 cores, 1024 ran about 25% slower per
 # iteration and 8192 no faster.
 BLOCK_ENTRIES = 4096
@@ -127,46 +131,53 @@ def _checkpoint(reports, params, data, test_data, iteration):
     reports.append(AccuracyReport(iteration, accuracy(params, data), accuracy(params, test_data)))
 
 
-def _blend_block(sums, sq_sums, fresh, param, memory, prev_mean, prev_var, class_w,
-                 pilot_size, weight_decay, scale, first) -> int:
+def _blend_block(sums, sq_sums, fresh, param, snapshot, memory, class_w, pilot_size,
+                 weight_decay, scale) -> int:
     """Advance one parameter block of the mssg update in place.
 
     `sums` and `sq_sums` are each class's pilot sum and sum of squares of
-    the per-sample gradients without the decay term, and `fresh` the fresh
-    sample's gradient, also without it; all three are (C, rows, cols).
-    `param` is the (rows, cols) parameter block; memory, prev_mean and
-    prev_var are the matching (C, rows, cols) slices of the class state.
-    Forms the pilot mean and one-pass variance (n - 1 scale), the mixing
-    pair, the memory blend and the class-weighted direction, steps `param`,
-    stores this iteration's stats as the previous ones, and returns the
-    block's fallback count.
+    the per-sample gradients without the decay term, (pilots, C, rows,
+    cols): the previous iteration's pilot and then this one's, or this one
+    alone on the first iteration. `fresh` is the fresh sample's gradient,
+    also without it, (C, rows, cols). `param` is the (rows, cols) parameter
+    block, `snapshot` its value when the previous pilot was drawn (read and
+    then overwritten with `param` under weight decay), and memory the
+    matching (C, rows, cols) slice of the class memory. Forms every pilot's
+    mean and one-pass variance (n - 1 scale) with the same operations, so
+    the previous pair has the bits it had when it was current, then the
+    mixing pair, the memory blend and the class-weighted direction; steps
+    `param` and returns the block's fallback count.
 
     The blend M <- p M + q r writes into the memory and into the kernel's
     q, and the direction sums the classes of mean + M in the mean's own
-    array once the stats are stored, so the block's float temporaries are
-    the mean, variance and residual plus the kernel's p and q.
+    array, so the block's float temporaries are the stacked means and
+    variances and the residual plus the kernel's p and q.
     """
     n = pilot_size
-    mean = sums / n
+    means = sums / n
+    variances = means * means
+    variances *= n
+    np.subtract(sq_sums, variances, out=variances)
+    variances /= n - 1
+    np.maximum(variances, 0.0, out=variances)  # the one-pass form can round below zero
+    mean, var = means[-1], variances[-1]
     resid = mean - fresh  # the decay terms cancel
-    var = mean * mean
-    var *= n
-    np.subtract(sq_sums, var, out=var)
-    var /= n - 1
-    np.maximum(var, 0.0, out=var)  # the one-pass form can round below zero
     if weight_decay:
         # Decay shifts every sample's gradient by the same amount: mean only.
         mean += weight_decay * param
     fallbacks = 0
-    if first:
+    if len(means) == 1:
         memory[...] = resid  # no previous stats: the pure fresh residual
     else:
-        p, q, fallbacks = optimal_coefficients_elementwise(prev_mean, prev_var, mean, var)
+        prev_mean = means[0]
+        if weight_decay:
+            prev_mean += weight_decay * snapshot
+        p, q, fallbacks = optimal_coefficients_elementwise(prev_mean, variances[0], mean, var)
         memory *= p
         q *= resid
         memory += q
-    prev_mean[...] = mean
-    prev_var[...] = var
+    if weight_decay:
+        snapshot[...] = param
     mean += memory
     direction = class_w @ mean.reshape(class_w.size, -1)
     param -= (direction * scale).reshape(param.shape)
@@ -184,9 +195,11 @@ def mssg_train(params: mlp.MlpParams, data: LabeledDataset, config: TrainConfig,
     every ``checkpoint_every`` iterations and at the end.
 
     All classes' pilot and fresh rows go through one forward/backward pass.
-    Each layer is then streamed in row blocks of W (and one block for b):
-    the block's per-class pilot sums A^T D and sums of squares
-    (A*A)^T (D*D) come from batched matrix products, and the block is
+    The pilot rows' activations A and deltas D, and their squares, are kept
+    for one more iteration. Each layer is then streamed in row blocks of W
+    (and one block for b): one batched matrix product per moment gives the
+    block's per-class pilot sums A^T D, and one its sums of squares
+    (A*A)^T (D*D), for the previous pilot and this one, and the block is
     blended and updated before the next one is formed.
 
     Returns the trained parameters, the accuracy reports and the number of
@@ -204,9 +217,13 @@ def mssg_train(params: mlp.MlpParams, data: LabeledDataset, config: TrainConfig,
     n_pilot = n_classes * n
     class_w = data.class_weights()
     layers = list(zip(params.weights, params.biases))
-    memory, prev_mean, prev_var = (
-        [(np.zeros((n_classes,) + w.shape), np.zeros((n_classes,) + b.shape))
-         for w, b in layers] for _ in range(3))
+    memory = [(np.zeros((n_classes,) + w.shape), np.zeros((n_classes,) + b.shape))
+              for w, b in layers]
+    # Pilot factors per layer: [A^T, A^T * A^T] and [D, D * D], each for
+    # [the previous iteration, this one], class-major.
+    a_factors = [np.zeros((2, 2, n_classes, w.shape[0], n)) for w, _ in layers]
+    d_factors = [np.zeros((2, 2, n_classes, n, w.shape[1])) for w, _ in layers]
+    snapshots = [np.zeros_like(w) for w, _ in layers]
     block_rows = [max(1, min(w.shape[0], BLOCK_ENTRIES // w.shape[1])) for w, _ in layers]
     scale = config.step_size / n_classes
     reports: list[AccuracyReport] = []
@@ -221,27 +238,27 @@ def mssg_train(params: mlp.MlpParams, data: LabeledDataset, config: TrainConfig,
             fresh[c] = rng.choice(idx)
         rows = np.concatenate([pilot.ravel(), fresh])  # class-major pilots, then fresh
         acts, _, deltas = mlp.forward_backward(params, data.features[rows], data.labels[rows])
-        first = it == 1
+        pilots = slice(1 if it == 1 else 0, 2)  # the previous pilot from iteration 2 on
         for l, (w, b) in enumerate(layers):
             fan_in, fan_out = w.shape
-            a_t = np.ascontiguousarray(
-                acts[l][:n_pilot].reshape(n_classes, n, fan_in).transpose(0, 2, 1))
-            a_t2 = a_t * a_t
-            d = deltas[l][:n_pilot].reshape(n_classes, n, fan_out)
-            d2 = d * d
+            fa, fd = a_factors[l], d_factors[l]
+            fa[:, 0] = fa[:, 1]
+            fd[:, 0] = fd[:, 1]
+            fa[0, 1] = acts[l][:n_pilot].reshape(n_classes, n, fan_in).transpose(0, 2, 1)
+            np.multiply(fa[0, 1], fa[0, 1], out=fa[1, 1])
+            fd[0, 1] = deltas[l][:n_pilot].reshape(n_classes, n, fan_out)
+            np.multiply(fd[0, 1], fd[0, 1], out=fd[1, 1])
             a_fresh, d_fresh = acts[l][n_pilot:], deltas[l][n_pilot:]
-            (mem_w, mem_b), (mean_w, mean_b), (var_w, var_b) = \
-                memory[l], prev_mean[l], prev_var[l]
+            mem_w, mem_b = memory[l]
+            (a, a2), (d, d2) = fa[:, pilots], fd[:, pilots]
             for r0 in range(0, fan_in, block_rows[l]):
                 blk = slice(r0, r0 + block_rows[l])
                 fallbacks += _blend_block(
-                    a_t[:, blk] @ d, a_t2[:, blk] @ d2, a_fresh[:, blk, None] * d_fresh[:, None],
-                    w[blk], mem_w[:, blk], mean_w[:, blk], var_w[:, blk], class_w, n, wd, scale,
-                    first)
+                    a[:, :, blk] @ d, a2[:, :, blk] @ d2, a_fresh[:, blk, None] * d_fresh[:, None],
+                    w[blk], snapshots[l][blk], mem_w[:, blk], class_w, n, wd, scale)
             fallbacks += _blend_block(
-                d.sum(axis=1, keepdims=True), d2.sum(axis=1, keepdims=True), d_fresh[:, None],
-                b[None], mem_b[:, None], mean_b[:, None], var_b[:, None], class_w, n, 0.0, scale,
-                first)
+                d.sum(axis=2, keepdims=True), d2.sum(axis=2, keepdims=True), d_fresh[:, None],
+                b[None], None, mem_b[:, None], class_w, n, 0.0, scale)
         _assert_finite(params, it, "mssg")
         if it % config.checkpoint_every == 0 or it == config.iterations:
             _checkpoint(reports, params, data, test_data, it)

@@ -15,6 +15,9 @@ two-branch sigmoid, never `mlp`'s in-place one).
 element taken down every branch by mask, and `blend_block_reference` the
 mssg block update as that kernel followed by an out-of-place blend; the
 kernel and `trainer._blend_block` are checked against them bit for bit.
+`mssg_stored_state` is the mssg trainer that stores each class's previous
+pilot mean and variance instead of recomputing them, which
+`trainer.mssg_train` must match bit for bit.
 Every oracle draws from `numpy_stream`, numpy's own seeding, and
 `subsample_reference` is the desk subsample taken after converting the
 whole split.
@@ -32,6 +35,7 @@ from stratgrad import mlp
 from stratgrad.dataio import LabeledDataset, _format_cell
 from stratgrad.estimators import ESTIMATOR_NAMES, Race, optimal_coefficients_elementwise
 from stratgrad.population import N_STRATA, PopulationRound, _draw_rounds
+from stratgrad.trainer import BLOCK_ENTRIES
 
 
 def numpy_stream(seed, *path: int) -> np.random.Generator:
@@ -518,21 +522,28 @@ def coefficients_elementwise_reference(mean_prev, var_prev, mean_curr, var_curr)
     return p, q, int(np.count_nonzero(fallback))
 
 
-def blend_block_reference(sums, sq_sums, fresh, param, memory, prev_mean, prev_var, class_w,
-                          pilot_size, weight_decay, scale, first) -> int:
-    """`trainer._blend_block` out of place, on `coefficients_elementwise_reference`.
-
-    The memory is blended as p * M + q * r from the pair the reference
-    kernel returns for the whole block. Same arguments, in-place updates
-    and return value as the trainer's block update.
-    """
+def _pilot_stats_reference(sums, sq_sums, pilot_size, weight_decay, param):
+    """Pilot mean (decay-shifted by `param`) and clamped one-pass n-1 variance, out of place."""
     n = pilot_size
     mean = sums / n
-    resid = mean - fresh
-    var = (sq_sums - mean * mean * n) / (n - 1)
-    np.maximum(var, 0.0, out=var)
+    var = np.maximum((sq_sums - mean * mean * n) / (n - 1), 0.0)
     if weight_decay:
-        mean += weight_decay * param
+        mean = mean + weight_decay * param
+    return mean, var
+
+
+def stored_state_block_reference(sums, sq_sums, fresh, param, memory, prev_mean, prev_var,
+                                 class_w, pilot_size, weight_decay, scale, first) -> int:
+    """One mssg block update that reads and stores the previous pilot stats.
+
+    `sums` and `sq_sums` are this pilot's (C, rows, cols) moments, and
+    `prev_mean`/`prev_var` the stored stats of the last one, which this call
+    overwrites with the new ones. The pair comes from
+    `coefficients_elementwise_reference` and the memory is blended out of
+    place as p * M + q * r. Returns the block's fallback count.
+    """
+    mean, var = _pilot_stats_reference(sums, sq_sums, pilot_size, weight_decay, param)
+    resid = sums / pilot_size - fresh
     fallbacks = 0
     if first:
         memory[...] = resid
@@ -545,6 +556,69 @@ def blend_block_reference(sums, sq_sums, fresh, param, memory, prev_mean, prev_v
     prev_mean[...] = mean
     prev_var[...] = var
     return fallbacks
+
+
+def blend_block_reference(sums, sq_sums, fresh, param, snapshot, memory, class_w, pilot_size,
+                          weight_decay, scale) -> int:
+    """`trainer._blend_block` as the previous pilot's stats, then the stored-state block.
+
+    Same arguments, in-place updates and return value as the trainer's
+    block update.
+    """
+    prev_mean, prev_var = _pilot_stats_reference(sums[0], sq_sums[0], pilot_size,
+                                                 weight_decay, snapshot)
+    if weight_decay:
+        snapshot[...] = param
+    return stored_state_block_reference(sums[-1], sq_sums[-1], fresh, param, memory, prev_mean,
+                                        prev_var, class_w, pilot_size, weight_decay, scale,
+                                        len(sums) == 1)
+
+
+def mssg_stored_state(params, data, config):
+    """The mssg trainer that keeps each class's last pilot mean and variance.
+
+    Holds three (C, fan_in, fan_out) arrays per weight (memory, previous
+    mean, previous variance) and streams each layer in row blocks through
+    `stored_state_block_reference`, with the same draws, single
+    forward/backward pass and batched pilot sums as `trainer.mssg_train`.
+    Returns the final parameters and the fallback count. No checkpoints.
+    """
+    n_classes, n, wd = data.n_classes, config.pilot_size, config.weight_decay
+    n_pilot = n_classes * n
+    params = params.copy()
+    class_w = data.class_weights()
+    layers = list(zip(params.weights, params.biases))
+    memory, prev_mean, prev_var = (
+        [(np.zeros((n_classes,) + w.shape), np.zeros((n_classes,) + b.shape))
+         for w, b in layers] for _ in range(3))
+    scale = config.step_size / n_classes
+    fallbacks = 0
+    for it in range(1, config.iterations + 1):
+        draws = []
+        for c, idx in enumerate(data.class_index):
+            rng = numpy_stream(config.seed, it, c)
+            draws.append((rng.choice(idx, size=n, replace=False), rng.choice(idx)))
+        rows = np.concatenate([pilot for pilot, _ in draws] + [[f for _, f in draws]])
+        acts, _, deltas = mlp.forward_backward(params, data.features[rows], data.labels[rows])
+        for l, (w, b) in enumerate(layers):
+            fan_in, fan_out = w.shape
+            a_t = np.ascontiguousarray(
+                acts[l][:n_pilot].reshape(n_classes, n, fan_in).transpose(0, 2, 1))
+            d = deltas[l][:n_pilot].reshape(n_classes, n, fan_out)
+            a_fresh, d_fresh = acts[l][n_pilot:], deltas[l][n_pilot:]
+            step = max(1, min(fan_in, BLOCK_ENTRIES // fan_out))
+            for r0 in range(0, fan_in, step):
+                blk = slice(r0, r0 + step)
+                fallbacks += stored_state_block_reference(
+                    a_t[:, blk] @ d, (a_t[:, blk] * a_t[:, blk]) @ (d * d),
+                    a_fresh[:, blk, None] * d_fresh[:, None], w[blk], memory[l][0][:, blk],
+                    prev_mean[l][0][:, blk], prev_var[l][0][:, blk], class_w, n, wd, scale,
+                    it == 1)
+            fallbacks += stored_state_block_reference(
+                d.sum(axis=1, keepdims=True), (d * d).sum(axis=1, keepdims=True),
+                d_fresh[:, None], b[None], memory[l][1][:, None], prev_mean[l][1][:, None],
+                prev_var[l][1][:, None], class_w, n, 0.0, scale, it == 1)
+    return params, fallbacks
 
 
 def uniform_rounds(intervals, n_per_round: int, seed) -> PopulationRound:

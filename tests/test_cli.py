@@ -426,6 +426,19 @@ def test_gridsearch_cell_runs_the_stretched_sgd_of_train(tmp_path, fixture_data_
         assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("algorithm, mult, label", [
+    ("sgd", 3, "sgd(x3)"), ("sgd", 1, "sgd"), ("gst", 3, "gst")])
+def test_gridsearch_labels_rows_as_train_does(tmp_path, fixture_data_dir, algorithm, mult,
+                                              label):
+    out = tmp_path / "gs"
+    assert run_cli("gridsearch", "--algorithm", algorithm, "--data-dir", fixture_data_dir,
+                   "--desk", "--per-class", 20, "--test-per-class", 5, "--alphas", "0.5,0.1",
+                   "--lambdas", "0.01", "--budget-iterations", 2, "--sgd-multiplier", mult,
+                   "--out-dir", out) == 0
+    assert read_csv_columns(out / "grid_results.csv")["algorithm"] == [label] * 2
+    assert read_csv_columns(out / "grid_best.csv")["algorithm"] == [label]
+
+
 def test_gridsearch_emits_full_table_and_best(tmp_path, fixture_data_dir):
     out = tmp_path / "gs"
     assert run_cli("gridsearch", "--algorithm", "batch", "--data-dir", fixture_data_dir,

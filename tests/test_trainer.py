@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from stratgrad import cli, mlp, trainer
 from stratgrad.cli import DESK_SHAPE
 from stratgrad.dataio import LabeledDataset
+from stratgrad.estimators import optimal_coefficients_elementwise
 from stratgrad.rng import spawn_rng
 from stratgrad.trainer import (
     AccuracyReport,
@@ -18,7 +20,13 @@ from stratgrad.trainer import (
     mssg_train,
 )
 
-from oracles import blend_block_reference, mssg_reference, numpy_stream, per_sample_grads
+from oracles import (
+    blend_block_reference,
+    mssg_reference,
+    mssg_stored_state,
+    numpy_stream,
+    per_sample_grads,
+)
 
 
 def blob_dataset(n_per_class, n_classes=3, n_features=6, seed=0, spread=0.08):
@@ -235,11 +243,24 @@ def test_mssg_matches_two_pass_reference(shape, weight_decay):
     assert fallbacks == ref.fallbacks
 
 
-def test_mssg_one_pass_variance_on_ill_conditioned_pilots():
+def kernel_spy(monkeypatch):
+    """Record the arguments of every coefficient-kernel call the trainer makes."""
+    calls = []
+
+    def spy(*args):
+        calls.append([np.array(a) for a in args])
+        return optimal_coefficients_elementwise(*args)
+
+    monkeypatch.setattr(trainer, "optimal_coefficients_elementwise", spy)
+    return calls
+
+
+def test_mssg_one_pass_variance_on_ill_conditioned_pilots(monkeypatch):
     # Each class is one prototype plus 1e-7 jitter, so per-sample gradients
     # have |mean| far above their spread and the one-pass s2 - n*m^2 cancels
     # most digits. The trainer's block kernel, fed pilot sums formed as the
-    # trainer forms them, must store a variance that is non-negative and
+    # trainer forms them in both of its pilot slots, must hand the mixing
+    # kernel previous and current variances that are non-negative and
     # within a few ulps of the sum of squares of the two-pass value: with
     # S = (n-1)*v + n*m^2, |v_one_pass - v_two_pass| <= 2 * (n + 3) * eps * S / (n - 1).
     rng = spawn_rng(43)
@@ -253,6 +274,7 @@ def test_mssg_one_pass_variance_on_ill_conditioned_pilots():
                            for c, idx in enumerate(data.class_index)])
     acts, _, deltas = mlp.forward_backward(params, data.features[rows], data.labels[rows])
     per = per_sample_grads(params, data.features[rows], data.labels[rows])
+    calls = kernel_spy(monkeypatch)
     eps = np.finfo(np.float64).eps
     worst_ratio = 0.0
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
@@ -262,14 +284,16 @@ def test_mssg_one_pass_variance_on_ill_conditioned_pilots():
                       (d.sum(axis=1, keepdims=True), (d * d).sum(axis=1, keepdims=True))]
         for param, (sums, sq_sums), grads in zip((w, b[None]), pilot_sums, per[l]):
             shape = sums.shape
-            memory, got_mean, got = (np.zeros(shape) for _ in range(3))
-            _blend_block(sums, sq_sums, np.zeros(shape), param.copy(), memory, got_mean, got,
-                         data.class_weights(), n, 0.0, 1.0, first=True)
+            calls.clear()
+            _blend_block(np.stack([sums, sums]), np.stack([sq_sums, sq_sums]), np.zeros(shape),
+                         param.copy(), None, np.zeros(shape), data.class_weights(), n, 0.0, 1.0)
+            (_, prev_var, _, var), = calls
             grads = grads.reshape((n_classes, n) + shape[1:])
             m, v = grads.mean(axis=1), grads.var(axis=1, ddof=1)
-            assert np.all(got >= 0.0)
             sq_sum = (n - 1) * v + n * m * m
-            assert np.all(np.abs(got - v) <= 2 * (n + 3) * eps * sq_sum / (n - 1))
+            for got in (prev_var, var):
+                assert np.all(got >= 0.0)
+                assert np.all(np.abs(got - v) <= 2 * (n + 3) * eps * sq_sum / (n - 1))
             spread = np.sqrt(v[v > 0])
             worst_ratio = max(worst_ratio, float(np.max(np.abs(m[v > 0]) / spread)))
     assert worst_ratio > 1e4
@@ -285,37 +309,46 @@ SPECIAL_VALUES = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, 
 def special_value_block(k):
     """Arguments of one `_blend_block` call, salted with special values.
 
-    Statistics are gradient-sized (1e-3) or unit-sized at random. A tenth
-    of every input is replaced by a special value (non-negative ones in the
-    sums of squares and the previous variance), a tenth of the entries are
-    zero-pixel entries (zero pilot sums, fresh gradient and previous stats),
-    and the first row of class 0 gets m_p = m_c and V_p = V_c * 2**-j for
-    j in 51..55, so that |p| = 1 / (1 + 2**-j) lies within a few ulps of 1.
+    Both pilots' statistics are gradient-sized (1e-3) or unit-sized at
+    random. A tenth of every input is replaced by a special value
+    (non-negative ones in the sums of squares), a tenth of the parameter
+    and snapshot entries by a signed zero, so that zero and subnormal sums
+    reach the kernel undecayed, and a tenth of the entries are zero-pixel
+    entries (zero pilot sums and fresh gradient in both pilots). The first
+    row of class 0 gets a previous pilot with m_p = m_c and
+    V_p = V_c * 2**-j for j in 51..55, so that |p| = 1 / (1 + 2**-j) lies
+    within a few ulps of 1: its current pilot is centred, so that n*m^2 is
+    far below the variance, and the previous sum of squares adds
+    (n - 1) * V_c * 2**-j to n*m^2.
     """
     rng = spawn_rng(61, k)
     n, shape = 4, (3, 4, 5)
     scale = np.where(rng.random(shape) < 0.5, 1e-3, 1.0)
-    pilot = rng.normal(rng.normal(0, 1, shape)[:, None], 1, (3, n) + shape[1:])
+    pilot = rng.normal(rng.normal(0, 1, (2,) + shape)[:, :, None], 1, (2, 3, n) + shape[1:])
     pilot *= scale[:, None]
-    sums, sq_sums = pilot.sum(axis=1), (pilot * pilot).sum(axis=1)
-    fresh, memory, prev_mean = (rng.normal(0, 1, shape) * scale for _ in range(3))
-    prev_var = rng.exponential(1, shape) * scale ** 2
-    param = rng.normal(0, 1, shape[1:])
-    for a in (sums, fresh, memory, prev_mean):
-        hit = rng.random(shape) < 0.1
+    pilot[1, 0, :, 0] -= pilot[1, 0, :, 0].mean(axis=0)
+    sums, sq_sums = pilot.sum(axis=2), (pilot * pilot).sum(axis=2)
+    fresh, memory = (rng.normal(0, 1, shape) * scale for _ in range(2))
+    param, snapshot = rng.normal(0, 1, (2,) + shape[1:])
+    for a in (sums, fresh, memory):
+        hit = rng.random(a.shape) < 0.1
         a[hit] = rng.choice(SPECIAL_VALUES, hit.sum())
-    for a in (sq_sums, prev_var):
-        hit = rng.random(shape) < 0.1
-        a[hit] = np.abs(rng.choice(SPECIAL_VALUES, hit.sum()))
+    hit = rng.random(sq_sums.shape) < 0.1
+    sq_sums[hit] = np.abs(rng.choice(SPECIAL_VALUES, hit.sum()))
+    for a in (param, snapshot):
+        hit = rng.random(a.shape) < 0.1
+        a[hit] = rng.choice([0.0, -0.0], hit.sum())
     zero = rng.random(shape) < 0.1
-    for a in (sums, sq_sums, fresh, prev_mean, prev_var):
-        a[zero] = 0.0
-    mean = sums[0, 0] / n + 1e-3 * param[0]
-    var = np.maximum((sq_sums[0, 0] - mean * mean * n) / (n - 1), 0.0)
-    prev_mean[0, 0] = mean
-    prev_var[0, 0] = var * 2.0 ** -rng.integers(51, 56, shape[2])
+    for a in (sums, sq_sums):
+        a[:, zero] = 0.0
+    fresh[zero] = 0.0
+    pre = sums[1, 0, 0] / n
+    var = np.maximum((sq_sums[1, 0, 0] - pre * pre * n) / (n - 1), 0.0)
+    sums[0, 0, 0] = sums[1, 0, 0]
+    snapshot[0] = param[0]
+    sq_sums[0, 0, 0] = pre * pre * n + (n - 1) * var * 2.0 ** -rng.integers(51, 56, shape[2])
     class_w = rng.uniform(0.1, 1.0, 3)
-    return sums, sq_sums, fresh, param, memory, prev_mean, prev_var, class_w / class_w.sum(), n
+    return sums, sq_sums, fresh, param, snapshot, memory, class_w / class_w.sum(), n
 
 
 def _same_bits(got, want):
@@ -325,22 +358,37 @@ def _same_bits(got, want):
                        | (np.isnan(got) & np.isnan(want))))
 
 
+def _special_kinds(x):
+    """Which of NaN, +-inf, +-0 and subnormal occur in `x`."""
+    zero, negative = x == 0, np.signbit(x)
+    hits = {"nan": np.isnan(x), "inf": np.isposinf(x), "-inf": np.isneginf(x),
+            "0": zero & ~negative, "-0": zero & negative,
+            "subnormal": (x != 0) & (np.abs(x) < np.finfo(np.float64).tiny)}
+    return {kind for kind, hit in hits.items() if hit.any()}
+
+
 @pytest.mark.parametrize("first", [False, True])
-def test_blend_block_equals_reference_on_special_values(first):
-    # The kernel settles most entries on its main branch and gathers the
-    # rest, and the blend works in place; against the reference, which takes
-    # every entry down every branch and blends out of place, the tolerance
-    # is zero: every output bit and the fallback count must agree. NaN
-    # payloads may differ.
+def test_blend_block_equals_reference_on_special_values(monkeypatch, first):
+    # The block forms both pilots' stats with the same operations, the
+    # kernel settles most entries on its main branch and gathers the rest,
+    # and the blend works in place; against the reference, which forms the
+    # stats out of place, takes every entry down every branch and blends out
+    # of place, the tolerance is zero: every output bit and the fallback
+    # count must agree. NaN payloads may differ. The special values must
+    # reach the kernel through the block on both the previous and the
+    # current side.
+    calls = kernel_spy(monkeypatch)
     near_one = fallbacks = 0
+    seen = [set() for _ in range(4)]
     for k in range(300):
-        sums, sq_sums, fresh, param, memory, prev_mean, prev_var, class_w, n = \
-            special_value_block(k)
+        sums, sq_sums, fresh, param, snapshot, memory, class_w, n = special_value_block(k)
+        if first:  # this pilot alone
+            sums, sq_sums = sums[1:], sq_sums[1:]
         runs = []
         for blend in (_blend_block, blend_block_reference):
-            state = [param.copy(), memory.copy(), prev_mean.copy(), prev_var.copy()]
+            state = [param.copy(), snapshot.copy(), memory.copy()]
             with np.errstate(all="ignore"):  # inf * 0 and the like, in both paths
-                count = blend(sums, sq_sums, fresh, *state, class_w, n, 1e-3, 0.5, first)
+                count = blend(sums, sq_sums, fresh, *state, class_w, n, 1e-3, 0.5)
             runs.append((count, state))
         (got_count, got), (want_count, want) = runs
         assert got_count == want_count, k
@@ -348,14 +396,21 @@ def test_blend_block_equals_reference_on_special_values(first):
             assert _same_bits(g, w), k
         fallbacks += want_count
         if not first:
-            mean, var = got[2], got[3]  # this call's stats, stored for the next
+            (prev_mean, prev_var, mean, var), = calls
+            calls.clear()
+            for kinds, x in zip(seen, (prev_mean, prev_var, mean, var)):
+                kinds |= _special_kinds(x)
             with np.errstate(all="ignore"):
                 den = mean * mean * prev_var + prev_mean * prev_mean * var
                 raw = mean * prev_mean * var / den
             near_one += int(np.count_nonzero(np.abs(np.abs(raw) - 1.0) <= 4 * 2.0 ** -53))
+    assert calls == []
     if not first:
         assert fallbacks > 300
         assert near_one > 100  # the |p| = 1 boundary was exercised
+        means = {"nan", "inf", "-inf", "0", "-0", "subnormal"}
+        variances = {"nan", "inf", "0", "subnormal"}
+        assert seen == [means, variances, means, variances]
 
 
 @pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
@@ -364,19 +419,48 @@ def test_blend_block_trains_like_reference(monkeypatch, weight_decay):
     # input pixels that are zero in every row, whose weight entries have
     # m = lambda * W and V = 0 on both sides (den == 0, a fallback) on every
     # iteration. No errstate here: the block update must not warn on them.
+    # Over 20 iterations the parameters and the fallback count must agree
+    # bit for bit with the trainer on the reference block, and with the
+    # stored-state trainer, which keeps each class's previous pilot mean and
+    # variance in two more (C, ...) arrays per layer instead of recomputing
+    # them from the kept pilot factors and weight snapshot.
     rng = spawn_rng(62)
     n_classes, per_class = DESK_SHAPE[-1], 12
     feats = rng.uniform(0, 1, (n_classes * per_class, DESK_SHAPE[0]))
     feats[:, rng.random(DESK_SHAPE[0]) < 0.2] = 0.0
     data = LabeledDataset(feats, np.repeat(np.arange(n_classes), per_class))
     params = mlp.init_params(DESK_SHAPE, seed=63)
-    config = small_config(iterations=4, step_size=1.0, weight_decay=weight_decay)
+    config = small_config(iterations=20, step_size=1.0, weight_decay=weight_decay,
+                          checkpoint_every=20)
     got, _, got_fallbacks = mssg_train(params, data, config, data)
+    stored, stored_fallbacks = mssg_stored_state(params, data, config)
     monkeypatch.setattr(trainer, "_blend_block", blend_block_reference)
     want, _, want_fallbacks = mssg_train(params, data, config, data)
-    assert got_fallbacks == want_fallbacks > 0
-    for g, w in zip(got.weights + got.biases, want.weights + want.biases):
-        assert g.tobytes() == w.tobytes()
+    assert got_fallbacks == want_fallbacks == stored_fallbacks > 0
+    for g, w, s in zip(got.weights + got.biases, want.weights + want.biases,
+                       stored.weights + stored.biases):
+        assert g.tobytes() == w.tobytes() == s.tobytes()
+
+
+def test_mssg_peak_memory_is_one_state_array_plus_small_change():
+    # The per-class state is one (C, ...) memory array per layer; the
+    # previous pilot's stats are recomputed, not stored. Storing them too
+    # would hold three such arrays and trace well above 3x one of them.
+    shape, per_class = (200, 300, 300, 10), 300
+    rng = spawn_rng(64)
+    feats = rng.uniform(0, 1, (shape[-1] * per_class, shape[0]))
+    data = LabeledDataset(feats, np.repeat(np.arange(shape[-1]), per_class))
+    params = mlp.init_params(shape, seed=65)
+    config = small_config(iterations=3, weight_decay=1e-3, pilot_size=8)
+    state_bytes = shape[-1] * sum(w.nbytes + b.nbytes
+                                  for w, b in zip(params.weights, params.biases))
+    tracemalloc.start()
+    try:
+        mssg_train(params, data, config, data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * state_bytes
 
 
 # ---------------------------------------------------------------- baselines

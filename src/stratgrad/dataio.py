@@ -5,7 +5,12 @@ The CSV writer works column by column over fixed blocks of rows: 1-D numeric
 and str arrays go through `tolist()` and one `str.format` call per block,
 other columns through `_format_cell`, with the same bytes either way. SVG
 output is a minimal standalone line chart. IDX files may be gzipped; the
-reader sniffs the gzip magic.
+reader sniffs the gzip magic. From a plain file, a read that picks rows
+reads only those; a gzip stream is always read whole.
+
+A `LabeledDataset` holds a split as its uint8 pixels, one byte per pixel as
+on disk, and decodes to float64 (each byte over 255) only the rows a caller
+asks for, so a split never has a whole float copy.
 """
 
 from __future__ import annotations
@@ -68,8 +73,15 @@ def _read_exact(f, n: int, offset: int, what: str) -> bytes:
     return b"".join(chunks)
 
 
-def _read_idx(path, expected_magic: int, what: str) -> np.ndarray:
-    """Parse an IDX file of unsigned bytes; the magic's low byte counts the dimensions."""
+def _read_idx(path, expected_magic: int, what: str, rows=None,
+              n_labels: Optional[int] = None) -> np.ndarray:
+    """Parse an IDX file of unsigned bytes; the magic's low byte counts the dimensions.
+
+    Returns every item, or only the items `rows` picks. A plain file then
+    has just those rows read, its length checked against the header's from
+    the file size; a gzip stream is read whole and indexed. A header whose
+    item count differs from `n_labels` is refused before any payload is read.
+    """
     with _open_idx(path) as f:
         magic = int.from_bytes(_read_exact(f, 4, 0, "magic"), "big")
         if magic != expected_magic:
@@ -84,16 +96,38 @@ def _read_idx(path, expected_magic: int, what: str) -> np.ndarray:
         if 0 in dims[1:]:  # only the item count may be zero
             raise IdxFormatError(f"degenerate {what} dimensions {shape} in header",
                                  kind="dimensions")
-        payload = _read_exact(f, size, offset, f"{what} data")
-        if f.read(1):
+        if n_labels is not None and dims[0] != n_labels:
+            raise ValueError(f"{dims[0]} {what}s but {n_labels} labels")
+        if rows is None or isinstance(f, gzip.GzipFile):
+            payload = _read_exact(f, size, offset, f"{what} data")
+            if f.read(1):
+                raise IdxFormatError(f"trailing bytes after {shape} {what} data "
+                                     f"(offset {offset + size})", kind="dimensions")
+            items = np.frombuffer(payload, dtype=np.uint8).reshape(dims)
+            return items if rows is None else items[rows]
+        got = os.fstat(f.fileno()).st_size - offset
+        if got < size:
+            raise IdxFormatError(
+                f"truncated IDX file: wanted {size} bytes of {what} data at offset {offset}, "
+                f"got {got}", kind="truncated")
+        if got > size:
             raise IdxFormatError(f"trailing bytes after {shape} {what} data "
                                  f"(offset {offset + size})", kind="dimensions")
-    return np.frombuffer(payload, dtype=np.uint8).reshape(dims)
+        rows = np.arange(dims[0])[rows]  # numpy's bounds check and negative indices
+        item = math.prod(dims[1:])
+        picked = np.empty((rows.size, *dims[1:]), dtype=np.uint8)
+        for out, r in zip(picked, rows.tolist()):
+            f.seek(offset + r * item)
+            f.readinto(out)
+    return picked
 
 
-def read_idx_images(path) -> np.ndarray:
-    """Parse an IDX image file into a (n, rows, cols) uint8 array."""
-    return _read_idx(path, IDX_IMAGE_MAGIC, "image")
+def read_idx_images(path, rows=None, n_labels: Optional[int] = None) -> np.ndarray:
+    """Parse an IDX image file into a (n, rows, cols) uint8 array, or the images `rows` picks.
+
+    With `n_labels`, a file that does not hold that many images is refused.
+    """
+    return _read_idx(path, IDX_IMAGE_MAGIC, "image", rows, n_labels)
 
 
 def read_idx_labels(path) -> np.ndarray:
@@ -109,31 +143,37 @@ def _class_index(labels: np.ndarray) -> list[np.ndarray]:
 
 @dataclass
 class LabeledDataset:
-    """Features in [0, 1], non-negative integer labels, and per-class row indices.
+    """Pixel bytes, non-negative integer labels, and per-class row indices.
 
-    ``class_index[c]`` lists the rows labelled c, for c up to the largest
-    label, and is always derived from the labels.
+    ``pixels`` is the (n, d) uint8 array the IDX payload holds; no float
+    copy of it is kept. ``features(rows)`` decodes the rows a caller uses to
+    float64 in [0, 1]. ``class_index[c]`` lists the rows labelled c, for c up
+    to the largest label, and is always derived from the labels.
     """
 
-    features: np.ndarray
+    pixels: np.ndarray
     labels: np.ndarray
     class_index: list[np.ndarray] = field(init=False)
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        n = self.features.shape[0]
-        if self.features.ndim != 2 or self.labels.shape != (n,):
-            raise ValueError("features must be (n, d) with one label per row")
-        if n and (self.features.min() < 0.0 or self.features.max() > 1.0):
-            raise ValueError("feature values must lie in [0, 1]")
-        if n and self.labels.min() < 0:
+        if not (isinstance(self.pixels, np.ndarray) and self.pixels.dtype == np.uint8):
+            raise TypeError(f"pixels must be a uint8 array, got "
+                            f"{getattr(self.pixels, 'dtype', type(self.pixels).__name__)}")
+        if self.pixels.ndim != 2 or self.labels.shape != self.pixels.shape[:1]:
+            raise ValueError(f"pixels must be (n, d) with one label per row, got "
+                             f"{self.pixels.shape} pixels and {self.labels.shape} labels")
+        if self.labels.size and self.labels.min() < 0:
             raise ValueError(f"labels must be non-negative, got {self.labels.min()}")
         self.class_index = _class_index(self.labels)
 
+    def features(self, rows=slice(None)) -> np.ndarray:
+        """The chosen rows' pixels as float64 in [0, 1]: each byte divided by 255."""
+        return self.pixels[rows] / 255.0
+
     @property
     def n_samples(self) -> int:
-        return self.features.shape[0]
+        return self.pixels.shape[0]
 
     @property
     def n_classes(self) -> int:
@@ -145,14 +185,12 @@ class LabeledDataset:
 
 
 def to_dataset(images: np.ndarray, labels: np.ndarray) -> LabeledDataset:
-    """Flatten images, scale bytes to [0, 1], and index the classes."""
+    """Flatten uint8 images to one row each, without copying, and index the classes."""
     images = np.asarray(images)
     labels = np.asarray(labels)
     if images.shape[0] != labels.shape[0]:
         raise ValueError(f"{images.shape[0]} images but {labels.shape[0]} labels")
-    features = images.reshape(images.shape[0], -1).astype(np.float64)
-    features /= 255.0  # in place, whether or not numpy elides the temporary
-    return LabeledDataset(features, labels.astype(np.int64))
+    return LabeledDataset(images.reshape(images.shape[0], -1), labels)
 
 
 def subsample_rows(labels: np.ndarray, per_class: int, seed) -> np.ndarray:
@@ -160,7 +198,7 @@ def subsample_rows(labels: np.ndarray, per_class: int, seed) -> np.ndarray:
 
     Class c's rows come from the stream (seed, c), sorted; the classes
     follow one another in label order. Taking the rows from the labels
-    alone lets a caller convert only the rows it keeps.
+    alone lets a caller read only the image rows it keeps.
     """
     if per_class < 1:
         raise ValueError("per_class must be at least 1")
@@ -173,11 +211,14 @@ def subsample_rows(labels: np.ndarray, per_class: int, seed) -> np.ndarray:
                            for idx, rng in zip(class_index, streams)])
 
 
-def read_mnist_split(data_dir, split: str) -> tuple[np.ndarray, np.ndarray]:
+def read_mnist_split(data_dir, split: str, per_class: Optional[int] = None,
+                     seed=None) -> tuple[np.ndarray, np.ndarray]:
     """Raw uint8 images and labels of one MNIST-style split ('train' or 'test').
 
-    Accepts plain or .gz IDX files under the conventional names. `to_dataset`
-    turns them, or a subset of their rows, into a LabeledDataset.
+    Accepts plain or .gz IDX files under the conventional names. With
+    `per_class`, only the rows `subsample_rows(labels, per_class, seed)`
+    picks are returned, and from a plain image file only those are read.
+    `to_dataset` turns the result into a LabeledDataset.
     """
     img_name, lbl_name = MNIST_FILES[split]
     data_dir = Path(data_dir)
@@ -189,10 +230,10 @@ def read_mnist_split(data_dir, split: str) -> tuple[np.ndarray, np.ndarray]:
                 break
         else:
             raise FileNotFoundError(f"missing {name}[.gz] under {data_dir}")
-    images, labels = read_idx_images(paths[0]), read_idx_labels(paths[1])
-    if images.shape[0] != labels.shape[0]:
-        raise ValueError(f"{images.shape[0]} images but {labels.shape[0]} labels")
-    return images, labels
+    labels = read_idx_labels(paths[1])
+    rows = None if per_class is None else subsample_rows(labels, per_class, seed)
+    images = read_idx_images(paths[0], rows, n_labels=labels.shape[0])
+    return images, labels if rows is None else labels[rows]
 
 
 def default_data_dir() -> Optional[str]:

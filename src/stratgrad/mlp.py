@@ -3,7 +3,9 @@
 Sigmoid hidden layers, softmax output, mean cross-entropy loss plus an L2
 penalty of (weight_decay / 2) * sum(W**2) on the weight matrices only.
 Weights initialize from N(0, 1 / fan_in); biases start at zero. Everything
-runs in float64.
+runs in float64, and feature arrays must already be floating point: an
+integer array (say undecoded uint8 pixels) is refused rather than read as
+values 0..255.
 
 The passes work in place where the bits allow it: the forward pass adds a
 layer's bias into the product A W and takes the mask-free sigmoid over that
@@ -26,11 +28,12 @@ and every step of ``full_gradient_train``) stream it in fixed blocks of
 ``BLOCK_ROWS`` rows: a block's activations and deltas are reduced (into
 the probabilities, the loss sum, the A^T D and bias sums, the tracked
 column) before the next block is formed. Peak memory is therefore the
-features plus O(BLOCK_ROWS x widths), not O(n x widths). A batch that fits
-in one block gets exactly the arithmetic of one unstreamed pass; a longer
-one adds its blocks' loss and gradient sums in a fixed order, so, the
-block size being a constant, its results repeat at a fixed BLAS thread
-count.
+features plus O(BLOCK_ROWS x widths), not O(n x widths); a caller that
+holds only pixels can pass one decoded block at a time, as
+``trainer.accuracy`` does. A batch that fits in one block gets exactly the
+arithmetic of one unstreamed pass; a longer one adds its blocks' loss and
+gradient sums in a fixed order, so, the block size being a constant, its
+results repeat at a fixed BLAS thread count.
 """
 
 from __future__ import annotations
@@ -140,7 +143,11 @@ def _row_blocks(n: int) -> list[slice]:
 
 
 def _check_features(params: MlpParams, features: np.ndarray) -> np.ndarray:
-    features = np.asarray(features, dtype=np.float64)
+    features = np.asarray(features)
+    if features.dtype.kind in "biu":  # undecoded pixels would read as values 0..255
+        raise TypeError(f"features must be floating point, got {features.dtype}; "
+                        "decode pixels with LabeledDataset.features")
+    features = features.astype(np.float64, copy=False)
     expected = params.weights[0].shape[0]
     if features.ndim != 2 or features.shape[1] != expected:
         raise ValueError(f"features must be (n, {expected}), got {features.shape}")

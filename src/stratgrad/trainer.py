@@ -37,10 +37,13 @@ and the memoryless one-sample-per-class stratified direction. Every
 trainer runs the iterations and checkpoint spacing its ``TrainConfig``
 gives; how a run is labelled, stretched and reported is the caller's.
 
-Checkpoint accuracy and full-batch gradients go through ``mlp``'s
-whole-batch passes, which stream the dataset in fixed blocks of
-``mlp.BLOCK_ROWS`` rows, so a checkpoint or a full-batch step costs the
-features plus O(block) memory however many rows there are.
+Datasets hold uint8 pixels, and every trainer decodes to float64 only the
+rows it draws. Checkpoint accuracy decodes and scores one block of
+``mlp.BLOCK_ROWS`` rows at a time, so a checkpoint costs the pixels plus
+O(block) memory however many rows there are. Full-batch steps (``fullgrad``,
+and ``batch`` at batch_size == n) read every row every step, so they decode
+the whole dataset once before their loop and stream it through ``mlp``'s
+whole-batch passes.
 """
 
 from __future__ import annotations
@@ -112,14 +115,19 @@ BLOCK_ENTRIES = 4096
 def accuracy(params: mlp.MlpParams, data: LabeledDataset) -> float:
     """Fraction of samples whose argmax probability hits the label.
 
-    Ties resolve to the lowest class index. The probabilities come from
-    ``mlp.forward_batch``, one block of ``mlp.BLOCK_ROWS`` rows at a time.
+    Ties resolve to the lowest class index. The rows are decoded and scored
+    by ``mlp.forward_batch`` one block of ``mlp.BLOCK_ROWS`` rows at a time,
+    so no float copy of the whole dataset is made.
     """
-    if data.n_samples == 0:
+    n = data.n_samples
+    if n == 0:
         raise ValueError("cannot score an empty dataset")
-    probs = mlp.forward_batch(params, data.features)
-    predictions = np.argmax(probs, axis=1)
-    return float(np.mean(predictions == data.labels))
+    hits = 0
+    for lo in range(0, n, mlp.BLOCK_ROWS):
+        rows = slice(lo, lo + mlp.BLOCK_ROWS)
+        probs = mlp.forward_batch(params, data.features(rows))
+        hits += int(np.count_nonzero(np.argmax(probs, axis=1) == data.labels[rows]))
+    return hits / n
 
 
 def _assert_finite(params: mlp.MlpParams, iteration: int, algorithm: str) -> None:
@@ -237,7 +245,7 @@ def mssg_train(params: mlp.MlpParams, data: LabeledDataset, config: TrainConfig,
             pilot[c] = rng.choice(idx, size=n, replace=False)
             fresh[c] = rng.choice(idx)
         rows = np.concatenate([pilot.ravel(), fresh])  # class-major pilots, then fresh
-        acts, _, deltas = mlp.forward_backward(params, data.features[rows], data.labels[rows])
+        acts, _, deltas = mlp.forward_backward(params, data.features(rows), data.labels[rows])
         pilots = slice(1 if it == 1 else 0, 2)  # the previous pilot from iteration 2 on
         for l, (w, b) in enumerate(layers):
             fan_in, fan_out = w.shape
@@ -278,8 +286,9 @@ def baseline_train(params: mlp.MlpParams, data: LabeledDataset, config: TrainCon
     per step. Batch draws ``batch_size`` pooled samples without
     replacement, except that batch_size == n uses the whole dataset, as
     FULL does every step: the trajectory is then full-gradient descent bit
-    for bit. The stratified baseline weights one fresh sample per class by
-    the class shares.
+    for bit, and the whole dataset is decoded once before the first step.
+    The other kinds decode only the rows they draw. The stratified baseline
+    weights one fresh sample per class by the class shares.
     """
     params = params.copy()
     n = data.n_samples
@@ -289,26 +298,27 @@ def baseline_train(params: mlp.MlpParams, data: LabeledDataset, config: TrainCon
         raise ValueError(f"batch_size {config.batch_size} exceeds dataset size {n}")
     full = kind is BaselineKind.FULL or (kind is BaselineKind.BATCH and config.batch_size == n)
     class_w = data.class_weights()
+    features = data.features() if full else None
     rng = spawn_rng(config.seed, _BASELINE_STREAM[kind])
     reports: list[AccuracyReport] = []
     for it in range(1, config.iterations + 1):
         if kind is BaselineKind.STRATIFIED:
             rows = np.array([int(rng.choice(idx)) for idx in data.class_index])
-            acts, _, deltas = mlp.forward_backward(params, data.features[rows],
+            acts, _, deltas = mlp.forward_backward(params, data.features(rows),
                                                    data.labels[rows])
             grad = mlp.MlpParams(
                 [a.T @ (class_w[:, None] * d) + config.weight_decay * w
                  for a, d, w in zip(acts, deltas, params.weights)],
                 [class_w @ d for d in deltas],
             )
+        elif full:
+            _, grad = mlp.loss_and_grad(params, features, data.labels, config.weight_decay)
         else:
-            if full:
-                rows = slice(None)
-            elif kind is BaselineKind.SGD:
+            if kind is BaselineKind.SGD:
                 rows = [int(rng.integers(n))]
             else:
                 rows = rng.choice(n, size=config.batch_size, replace=False)
-            _, grad = mlp.loss_and_grad(params, data.features[rows], data.labels[rows],
+            _, grad = mlp.loss_and_grad(params, data.features(rows), data.labels[rows],
                                         config.weight_decay)
         for l in range(params.n_layers):
             params.weights[l] -= config.step_size * grad.weights[l]

@@ -19,8 +19,10 @@ kernel and `trainer._blend_block` are checked against them bit for bit.
 pilot mean and variance instead of recomputing them, which
 `trainer.mssg_train` must match bit for bit.
 Every oracle draws from `numpy_stream`, numpy's own seeding, and
-`subsample_reference` is the desk subsample taken after converting the
-whole split.
+`subsample_reference` is the desk subsample taken after indexing the whole
+split. `scaled_features_reference` is the old whole-split conversion of
+pixels to features (a float64 copy, then an in-place division by 255),
+which `LabeledDataset.features` must match bit for bit.
 """
 
 from __future__ import annotations
@@ -55,11 +57,18 @@ def _round_streams(seed, n_rounds: int) -> list[np.random.Generator]:
 
 
 def subsample_reference(dataset: LabeledDataset, per_class: int, seed) -> LabeledDataset:
-    """Stratified subsample of a converted dataset: class c's sorted rows from (seed, c)."""
+    """Stratified subsample of a whole dataset: class c's sorted rows from (seed, c)."""
     rows = np.concatenate([
         np.sort(numpy_stream(seed, c).choice(idx, size=per_class, replace=False))
         for c, idx in enumerate(dataset.class_index)])
-    return LabeledDataset(dataset.features[rows], dataset.labels[rows])
+    return LabeledDataset(dataset.pixels[rows], dataset.labels[rows])
+
+
+def scaled_features_reference(images: np.ndarray) -> np.ndarray:
+    """Images flattened to rows, copied to float64 and divided by 255 in place."""
+    features = images.reshape(images.shape[0], -1).astype(np.float64)
+    features /= 255.0
+    return features
 
 
 class Degenerate(enum.Enum):
@@ -425,11 +434,11 @@ def mssg_reference(params, data, config):
             rng = numpy_stream(config.seed, it, c)
             idx = data.class_index[c]
             pilot_rows = rng.choice(idx, size=config.pilot_size, replace=False)
-            pilot = per_sample_grads(params, data.features[pilot_rows],
+            pilot = per_sample_grads(params, data.features(pilot_rows),
                                      data.labels[pilot_rows], config.weight_decay)
             mean_c, var_c = _pilot_stats(pilot)
             fresh_row = int(rng.choice(idx))
-            fresh = per_sample_grads(params, data.features[[fresh_row]],
+            fresh = per_sample_grads(params, data.features([fresh_row]),
                                      data.labels[[fresh_row]], config.weight_decay)
             g_c = mem.memory[c]
             for l in range(params.n_layers):
@@ -599,7 +608,7 @@ def mssg_stored_state(params, data, config):
             rng = numpy_stream(config.seed, it, c)
             draws.append((rng.choice(idx, size=n, replace=False), rng.choice(idx)))
         rows = np.concatenate([pilot for pilot, _ in draws] + [[f for _, f in draws]])
-        acts, _, deltas = mlp.forward_backward(params, data.features[rows], data.labels[rows])
+        acts, _, deltas = mlp.forward_backward(params, data.features(rows), data.labels[rows])
         for l, (w, b) in enumerate(layers):
             fan_in, fan_out = w.shape
             a_t = np.ascontiguousarray(

@@ -222,7 +222,7 @@ def test_criterion_10_full_mnist_headline(real_mnist_dir):
     train = to_dataset(*read_mnist_split(real_mnist_dir, "train"))
     test = to_dataset(*read_mnist_split(real_mnist_dir, "test"))
     params = mlp.init_params((784, 500, 500, 200, 10), seed=1010)
-    params, _, _ = mlp.full_gradient_train(params, train.features, train.labels,
+    params, _, _ = mlp.full_gradient_train(params, train.features(), train.labels,
                                            60, 0.2, 0.001)
     acc = accuracy(params, test) * 100.0
     verdict(10, abs(acc - 87.73) <= 2.0,

@@ -327,9 +327,9 @@ def test_desk_converts_only_the_sampled_rows(fixture_data_dir, monkeypatch, desk
     for got, split, per_class, stream in ((train, "train", 7, cli._POP_STREAM),
                                           (test, "test", 3, cli._TEST_STREAM)):
         want = to_dataset(*read_mnist_split(fixture_data_dir, split))
-        if desk:  # the old path: convert the whole split, then subsample it
+        if desk:  # the old path: read the whole split, then subsample it
             want = subsample_reference(want, per_class, (5, stream))
-        assert got.features.tobytes() == want.features.tobytes()
+        assert got.pixels.tobytes() == want.pixels.tobytes()
         assert got.labels.tobytes() == want.labels.tobytes()
 
 
@@ -437,6 +437,41 @@ def test_gridsearch_labels_rows_as_train_does(tmp_path, fixture_data_dir, algori
                    "--out-dir", out) == 0
     assert read_csv_columns(out / "grid_results.csv")["algorithm"] == [label] * 2
     assert read_csv_columns(out / "grid_best.csv")["algorithm"] == [label]
+
+
+@pytest.mark.parametrize("flag", ["--weight-decay", "--iterations", "--checkpoint-every"])
+def test_gridsearch_refuses_the_flags_its_grid_replaces(flag, capsys):
+    # each cell's decay and length come from --lambdas and --budget-iterations
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["gridsearch", flag, "0", "--out-dir", "unused"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_gridsearch_cells_take_step_and_decay_from_the_grid(tmp_path, fixture_data_dir,
+                                                            monkeypatch):
+    configs = []
+
+    def spy(params, data, config, kind, test_data):
+        configs.append(config)
+        return baseline_train(params, data, config, kind, test_data)
+
+    baseline_train = cli.trainer.baseline_train
+    monkeypatch.setattr(cli.trainer, "baseline_train", spy)
+    out = tmp_path / "gs"
+    # gridsearch declares no --alpha, so argparse reads it as an abbreviation
+    # of --alphas, which the later --alphas overrides; a declared --alpha 0
+    # used to fail every cell's config check whatever the grid held
+    assert run_cli("gridsearch", "--algorithm", "gst", "--data-dir", fixture_data_dir,
+                   "--desk", "--per-class", 20, "--test-per-class", 5, "--alpha", 0,
+                   "--alphas", "0.5,0.1", "--lambdas", "0,0.01", "--budget-iterations", 3,
+                   "--out-dir", out) == 0
+    assert [(c.step_size, c.weight_decay, c.iterations, c.checkpoint_every)
+            for c in configs] == [(0.5, 0.0, 3, 3), (0.5, 0.01, 3, 3),
+                                  (0.1, 0.0, 3, 3), (0.1, 0.01, 3, 3)]
+    manifest = (out / "manifest.txt").read_text()
+    for key in ("alpha", "weight_decay", "iterations", "checkpoint_every"):
+        assert f"config.{key}=" not in manifest
 
 
 def test_gridsearch_emits_full_table_and_best(tmp_path, fixture_data_dir):

@@ -5,6 +5,7 @@ import string
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from xml.sax.saxutils import escape
 
@@ -27,7 +28,8 @@ from stratgrad.dataio import (
 )
 
 from idxtools import pack_idx_images, pack_idx_labels, synthetic_digits
-from oracles import read_csv_columns, subsample_reference, write_csv_reference
+from oracles import (read_csv_columns, scaled_features_reference, subsample_reference,
+                     write_csv_reference)
 
 
 @pytest.fixture
@@ -94,6 +96,52 @@ def test_idx_trailing_bytes(tmp_path):
     assert exc.value.kind == "dimensions"
 
 
+@pytest.mark.parametrize("gz", [False, True])
+def test_idx_chosen_rows_equal_a_whole_read_then_indexing(tmp_path, gz):
+    images = np.random.default_rng(3).integers(0, 256, (40, 5, 7), dtype=np.uint8)
+    path = tmp_path / ("imgs.gz" if gz else "imgs")
+    raw = pack_idx_images(images)
+    path.write_bytes(gzip.compress(raw) if gz else raw)
+    # out of order, repeated, first and last
+    for rows in ([39, 0, 17, 17, 3], np.array([], dtype=np.int64), np.arange(40)[::-1]):
+        got = read_idx_images(path, rows)
+        want = read_idx_images(path)[rows]
+        assert got.dtype == np.uint8 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    with pytest.raises(IndexError):
+        read_idx_images(path, [40])
+
+
+def test_idx_chosen_rows_of_a_plain_file_leave_the_rest_unread(tmp_path):
+    images = np.random.default_rng(4).integers(0, 256, (5000, 28, 28), dtype=np.uint8)
+    path = tmp_path / "imgs"
+    path.write_bytes(pack_idx_images(images))
+    tracemalloc.start()
+    try:
+        got = read_idx_images(path, [4999, 7, 2500])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == images[[4999, 7, 2500]].tobytes()
+    assert peak < images.nbytes / 20  # a whole read holds all 3.9 MB
+
+
+@pytest.mark.parametrize("raw, kind, match", [
+    (struct.pack(">IIII", 0xDEADBEEF, 2, 2, 2) + b"\x00" * 8, "magic", "0xdeadbeef"),
+    (struct.pack(">IIII", 0x803, 2, 28, 28) + b"\x00" * 100, "truncated", "offset 16, got 100"),
+    (struct.pack(">IIII", 0x803, 2, 0, 28), "dimensions", "degenerate"),
+    (struct.pack(">IIII", 0x803, 2, 2, 2) + b"\x00" * 9, "dimensions", "trailing"),
+    (struct.pack(">II", 0x803, 2), "truncated", "dimensions"),
+])
+def test_idx_chosen_rows_read_keeps_every_format_error(tmp_path, raw, kind, match):
+    path = tmp_path / "bad"
+    path.write_bytes(raw)
+    for rows in (None, [0]):
+        with pytest.raises(IdxFormatError, match=match) as exc:
+            read_idx_images(path, rows)
+        assert exc.value.kind == kind
+
+
 def test_idx_label_magic_checked(tmp_path):
     path = tmp_path / "wrongkind"
     path.write_bytes(struct.pack(">IIII", 0x803, 1, 1, 1) + b"\x00")
@@ -106,23 +154,30 @@ def test_idx_label_magic_checked(tmp_path):
 def test_to_dataset_layout(tiny_idx):
     images, labels, _, _ = tiny_idx
     ds = to_dataset(images, labels)
-    assert ds.features.shape == (2, 784)
+    assert ds.pixels.shape == (2, 784) and ds.pixels.dtype == np.uint8
+    assert np.shares_memory(ds.pixels, images)  # a view, not a copy
+    assert ds.features().shape == (2, 784)
     assert ds.n_classes == 8  # labels 3 and 7, classes 0..7
-    assert float(ds.features.max()) <= 1.0
+    assert float(ds.features().max()) <= 1.0
     sizes = [idx.size for idx in ds.class_index]
     assert sum(sizes) == 2
 
 
 def test_to_dataset_zero_image_row():
     ds = to_dataset(np.zeros((1, 4, 4), np.uint8), np.array([0]))
-    assert np.array_equal(ds.features[0], np.zeros(16))
+    assert np.array_equal(ds.features(0), np.zeros(16))
 
 
 def test_to_dataset_scales_every_byte_value_like_a_division():
-    images = np.arange(256, dtype=np.uint8).reshape(1, 16, 16)
-    ds = to_dataset(images, np.array([0]))
-    expected = images.reshape(1, -1).astype(np.float64) / 255.0
-    assert np.array_equal(ds.features.view(np.int64), expected.view(np.int64))
+    # every byte value in every row, at a different position in each
+    images = (np.arange(256)[None, :] + np.arange(8)[:, None] * 37) % 256
+    images = images.astype(np.uint8).reshape(8, 16, 16)
+    ds = to_dataset(images, np.arange(8))
+    expected = scaled_features_reference(images)
+    assert ds.features().tobytes() == expected.tobytes()
+    rows = np.array([5, 0, 7, 5])
+    assert ds.features(rows).tobytes() == expected[rows].tobytes()
+    assert ds.features(slice(2, 5)).tobytes() == expected[2:5].tobytes()
 
 
 def test_to_dataset_count_mismatch():
@@ -139,14 +194,26 @@ def test_class_index_partitions_rows():
         assert np.all(ds.labels[idx] == c)
 
 
-def test_dataset_rejects_out_of_range_features():
-    with pytest.raises(ValueError):
-        LabeledDataset(np.array([[1.5]]), np.array([0]))
+def test_dataset_rejects_pixels_that_are_not_uint8():
+    for pixels in (np.array([[0.5]]), np.array([[1]], np.int64), np.array([[1]], np.int8),
+                   [[1]]):
+        with pytest.raises(TypeError, match="uint8"):
+            LabeledDataset(pixels, np.array([0]))
+
+
+def test_dataset_rejects_pixels_that_are_not_2d_or_labels_that_do_not_match():
+    for pixels in (np.zeros(3, np.uint8), np.zeros((3, 2, 2), np.uint8),
+                   np.zeros((), np.uint8)):
+        with pytest.raises(ValueError, match=r"\(n, d\)"):
+            LabeledDataset(pixels, np.zeros(3, np.int64))
+    for labels in (np.zeros(2, np.int64), np.zeros(4, np.int64), np.zeros((3, 1), np.int64)):
+        with pytest.raises(ValueError, match="one label per row"):
+            LabeledDataset(np.zeros((3, 2), np.uint8), labels)
 
 
 def test_dataset_rejects_negative_labels():
     with pytest.raises(ValueError, match="non-negative"):
-        LabeledDataset(np.array([[0.5], [0.5]]), np.array([0, -1]))
+        LabeledDataset(np.array([[128], [128]], np.uint8), np.array([0, -1]))
 
 
 def test_subsample_counts_and_determinism():
@@ -177,7 +244,7 @@ def test_subsample_rows_equal_the_converted_dataset_subsample(seed):
     rows = subsample_rows(labels, 3, seed)
     got = to_dataset(images[rows], labels[rows])
     want = subsample_reference(to_dataset(images, labels), 3, seed)
-    assert got.features.tobytes() == want.features.tobytes()
+    assert got.pixels.tobytes() == want.pixels.tobytes()
     assert got.labels.tobytes() == want.labels.tobytes()
 
 
@@ -197,8 +264,20 @@ def test_read_mnist_split_rejects_count_mismatch(tmp_path):
     images, labels = synthetic_digits(2, seed=1)
     (tmp_path / "train-images-idx3-ubyte").write_bytes(pack_idx_images(images))
     (tmp_path / "train-labels-idx1-ubyte").write_bytes(pack_idx_labels(labels[:-1]))
-    with pytest.raises(ValueError, match="images but"):
-        read_mnist_split(tmp_path, "train")
+    for per_class in (None, 1):
+        with pytest.raises(ValueError, match="images but"):
+            read_mnist_split(tmp_path, "train", per_class, seed=0)
+
+
+@pytest.mark.parametrize("split", ["train", "test"])  # plain files, then gzip files
+def test_read_mnist_split_per_class_equals_a_whole_read_then_subsample(tmp_path, split):
+    from idxtools import write_mnist_style_dir
+    root = write_mnist_style_dir(tmp_path / "d", 6, 5, seed=8)
+    images, labels = read_mnist_split(root, split)
+    rows = subsample_rows(labels, 4, (3, 1))
+    got_images, got_labels = read_mnist_split(root, split, 4, (3, 1))
+    assert got_images.tobytes() == images[rows].tobytes()
+    assert got_labels.tobytes() == labels[rows].tobytes()
 
 
 # ---------------------------------------------------------------- csv / svg

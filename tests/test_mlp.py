@@ -27,6 +27,14 @@ def random_batch(params, n, seed):
     return features, labels
 
 
+def random_pixel_batch(params, n, seed):
+    """A random uint8 batch as a dataset, and its decoded features."""
+    rng = spawn_rng(seed)
+    pixels = rng.integers(0, 256, (n, params.weights[0].shape[0]), dtype=np.uint8)
+    data = LabeledDataset(pixels, rng.integers(0, params.weights[-1].shape[1], n))
+    return data, pixels / 255.0
+
+
 # ---------------------------------------------------------------- shapes / init
 
 def test_shape_validation():
@@ -99,6 +107,20 @@ def test_forward_shape_mismatch_rejected():
     params = mlp.init_params((4, 2), seed=0)
     with pytest.raises(ValueError):
         mlp.forward_batch(params, np.ones(5)[None])
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.bool_])
+def test_integer_features_rejected(dtype):
+    # undecoded pixels would otherwise be read as values 0..255
+    params = mlp.init_params((4, 2), seed=0)
+    features = np.ones((3, 4), dtype=dtype)
+    labels = np.zeros(3, dtype=np.int64)
+    with pytest.raises(TypeError, match="floating point"):
+        mlp.forward_batch(params, features)
+    with pytest.raises(TypeError, match="floating point"):
+        mlp.loss_and_grad(params, features, labels)
+    with pytest.raises(TypeError, match="floating point"):
+        mlp.full_gradient_train(params, features, labels, 1, 0.1)
 
 
 def test_sigmoid_is_bit_identical_to_two_branch_form():
@@ -285,12 +307,12 @@ def _assert_streamed_equal(got, want, n):
 @pytest.mark.parametrize("n", STREAM_ROWS)
 def test_streamed_accuracy_and_probabilities_match_unstreamed_pass(small_blocks, n):
     params = mlp.init_params((6, 5, 4, 3), seed=50)
-    features, labels = random_batch(params, n, seed=51)
+    data, features = random_pixel_batch(params, n, seed=51)
     probs = mlp.forward_batch(params, features)
     want = unstreamed_forward(params, features)
     _assert_streamed_equal([probs], [want], n)
-    expected = float(np.mean(np.argmax(want, axis=1) == labels))
-    assert trainer.accuracy(params, LabeledDataset(features, labels)) == expected
+    expected = float(np.mean(np.argmax(want, axis=1) == data.labels))
+    assert trainer.accuracy(params, data) == expected
 
 
 @pytest.mark.parametrize("n", STREAM_ROWS)
@@ -328,10 +350,10 @@ def test_whole_batch_passes_never_see_more_than_a_block(small_blocks, monkeypatc
     monkeypatch.setattr(mlp, "_forward_cached", spy)
     n = 2 * SMALL_BLOCK + 3
     params = mlp.init_params((6, 5, 4, 3), seed=56)
-    features, labels = random_batch(params, n, seed=57)
-    trainer.accuracy(params, LabeledDataset(features, labels))
+    data, features = random_pixel_batch(params, n, seed=57)
+    trainer.accuracy(params, data)
     assert seen == [SMALL_BLOCK, SMALL_BLOCK, 3]
     seen.clear()
-    mlp.full_gradient_train(params, features, labels, 2, 0.1, 0.01, tracked=(0, 1, 2))
+    mlp.full_gradient_train(params, features, data.labels, 2, 0.1, 0.01, tracked=(0, 1, 2))
     assert max(seen) == SMALL_BLOCK
     assert sum(seen) == 3 * n  # two descent steps and the final loss

@@ -6,7 +6,7 @@ import pytest
 
 from stratgrad import cli, mlp, trainer
 from stratgrad.cli import DESK_SHAPE
-from stratgrad.dataio import LabeledDataset
+from stratgrad.dataio import LabeledDataset, to_dataset
 from stratgrad.estimators import optimal_coefficients_elementwise
 from stratgrad.rng import spawn_rng
 from stratgrad.trainer import (
@@ -26,11 +26,17 @@ from oracles import (
     mssg_stored_state,
     numpy_stream,
     per_sample_grads,
+    scaled_features_reference,
 )
 
 
+def to_pixels(feats):
+    """Values in [0, 1] as the nearest uint8 pixels."""
+    return np.rint(np.asarray(feats) * 255.0).astype(np.uint8)
+
+
 def blob_dataset(n_per_class, n_classes=3, n_features=6, seed=0, spread=0.08):
-    """Well-separated class blobs with features in [0, 1]."""
+    """Well-separated class blobs, stored as uint8 pixels."""
     rng = spawn_rng(seed)
     centers = rng.uniform(0.2, 0.8, (n_classes, n_features))
     feats = np.vstack([
@@ -39,7 +45,7 @@ def blob_dataset(n_per_class, n_classes=3, n_features=6, seed=0, spread=0.08):
     ])
     labels = np.repeat(np.arange(n_classes), n_per_class)
     order = rng.permutation(labels.size)
-    return LabeledDataset(feats[order], labels[order])
+    return LabeledDataset(to_pixels(feats[order]), labels[order])
 
 
 def small_config(**overrides):
@@ -76,9 +82,8 @@ def test_accuracy_zero_params_predicts_class_zero():
 
 def test_accuracy_memorizing_params_hit_everything():
     # a one-layer map whose rows point at each sample's own class
-    feats = np.eye(4)
     labels = np.array([0, 1, 2, 0])
-    data = LabeledDataset(feats, labels)
+    data = LabeledDataset(np.eye(4, dtype=np.uint8) * 255, labels)
     w = np.zeros((4, 3))
     for i, c in enumerate(labels):
         w[i, c] = 10.0
@@ -89,12 +94,32 @@ def test_accuracy_memorizing_params_hit_everything():
 def test_accuracy_matches_confusion_matrix_scorer():
     data = blob_dataset(15, seed=2)
     params = mlp.init_params((6, 5, 3), seed=3)
-    probs = mlp.forward_batch(params, data.features)
+    probs = mlp.forward_batch(params, data.features())
     confusion = np.zeros((3, 3), dtype=int)
     for row, label in zip(probs, data.labels):
         confusion[label, int(np.argmax(row))] += 1
     oracle = confusion.trace() / confusion.sum()
     assert accuracy(params, data) == oracle
+
+
+def test_accuracy_never_holds_a_float_copy_of_the_split():
+    # Three and a half blocks of MNIST-sized rows: a float copy of the split
+    # is 8 bytes a pixel (22 MB), one decoded block under a third of that.
+    n = 3 * mlp.BLOCK_ROWS + 500
+    rng = spawn_rng(70)
+    images = rng.integers(0, 256, (n, 28, 28), dtype=np.uint8)
+    labels = rng.integers(0, 10, n)
+    params = mlp.init_params((784, 8, 10), seed=71)
+    tracemalloc.start()
+    try:
+        score = accuracy(params, to_dataset(images, labels))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    float_copy = images.size * 8
+    assert peak < float_copy / 2
+    probs = mlp.forward_batch(params, scaled_features_reference(images))
+    assert score == float(np.mean(np.argmax(probs, axis=1) == labels))
 
 
 # ---------------------------------------------------------------- mssg
@@ -133,10 +158,10 @@ def test_mssg_zero_variance_classes_follow_exact_class_gradient():
     # every class holds one repeated sample: the update must equal the
     # weighted per-class full gradient at every iteration
     rng = spawn_rng(10)
-    protos = np.clip(rng.uniform(0.1, 0.9, (3, 5)), 0, 1)
-    feats = np.repeat(protos, 6, axis=0)
+    pixels = to_pixels(rng.uniform(0.1, 0.9, (3, 5)))
     labels = np.repeat(np.arange(3), 6)
-    data = LabeledDataset(feats, labels)
+    data = LabeledDataset(np.repeat(pixels, 6, axis=0), labels)
+    protos = pixels / 255.0
     params0 = mlp.init_params((5, 4, 3), seed=11)
     config = small_config(iterations=3, step_size=0.3, pilot_size=3,
                           weight_decay=0.01)
@@ -167,7 +192,7 @@ def test_mssg_first_iteration_direction_is_unbiased():
     data = blob_dataset(20, seed=12)
     params = mlp.init_params((6, 4, 3), seed=13)
     wd = 0.001
-    _, full = mlp.loss_and_grad(params, data.features, data.labels, wd)
+    _, full = mlp.loss_and_grad(params, data.features(), data.labels, wd)
     class_w = data.class_weights()
     reps = 10 ** 4
     rng = spawn_rng(14)
@@ -179,9 +204,9 @@ def test_mssg_first_iteration_direction_is_unbiased():
         for c in range(3):
             idx = data.class_index[c]
             pilot = rng.choice(idx, size=4, replace=False)
-            per = per_sample_grads(params, data.features[pilot], data.labels[pilot], wd)
+            per = per_sample_grads(params, data.features(pilot), data.labels[pilot], wd)
             fresh_row = int(rng.choice(idx))
-            fresh = per_sample_grads(params, data.features[[fresh_row]],
+            fresh = per_sample_grads(params, data.features([fresh_row]),
                                      data.labels[[fresh_row]], wd)
             for t, (l, i, o) in enumerate(tracked):
                 mean_t = per[l][0][:, i, o].mean()
@@ -205,7 +230,7 @@ def test_mssg_rejects_empty_or_thin_classes():
         mssg_train(params, data, small_config(pilot_size=4), data)
     # labels {0, 2}: class 1 is empty, which the pilot-size check rejects
     data = blob_dataset(12, seed=19)
-    gapped = LabeledDataset(data.features, np.where(data.labels == 1, 2, data.labels))
+    gapped = LabeledDataset(data.pixels, np.where(data.labels == 1, 2, data.labels))
     assert gapped.class_index[1].size == 0
     with pytest.raises(ValueError, match="class 1 has 0 samples"):
         mssg_train(params, gapped, small_config(pilot_size=4), gapped)
@@ -263,17 +288,19 @@ def test_mssg_one_pass_variance_on_ill_conditioned_pilots(monkeypatch):
     # kernel previous and current variances that are non-negative and
     # within a few ulps of the sum of squares of the two-pass value: with
     # S = (n-1)*v + n*m^2, |v_one_pass - v_two_pass| <= 2 * (n + 3) * eps * S / (n - 1).
+    # The jitter is far below a pixel step, so the features bypass the
+    # dataset, which here only supplies the class index and weights.
     rng = spawn_rng(43)
     protos = rng.uniform(0.2, 0.8, (3, 6))
     feats = np.repeat(protos, 10, axis=0) + rng.uniform(0, 1e-7, (30, 6))
-    data = LabeledDataset(feats, np.repeat(np.arange(3), 10))
+    data = LabeledDataset(np.zeros((30, 1), np.uint8), np.repeat(np.arange(3), 10))
     params = mlp.init_params((6, 4, 3), seed=44)
     n, n_classes = 8, data.n_classes
     # the first iteration's class-major pilot rows under seed 0
     rows = np.concatenate([numpy_stream(0, 1, c).choice(idx, size=n, replace=False)
                            for c, idx in enumerate(data.class_index)])
-    acts, _, deltas = mlp.forward_backward(params, data.features[rows], data.labels[rows])
-    per = per_sample_grads(params, data.features[rows], data.labels[rows])
+    acts, _, deltas = mlp.forward_backward(params, feats[rows], data.labels[rows])
+    per = per_sample_grads(params, feats[rows], data.labels[rows])
     calls = kernel_spy(monkeypatch)
     eps = np.finfo(np.float64).eps
     worst_ratio = 0.0
@@ -426,9 +453,9 @@ def test_blend_block_trains_like_reference(monkeypatch, weight_decay):
     # them from the kept pilot factors and weight snapshot.
     rng = spawn_rng(62)
     n_classes, per_class = DESK_SHAPE[-1], 12
-    feats = rng.uniform(0, 1, (n_classes * per_class, DESK_SHAPE[0]))
-    feats[:, rng.random(DESK_SHAPE[0]) < 0.2] = 0.0
-    data = LabeledDataset(feats, np.repeat(np.arange(n_classes), per_class))
+    pixels = rng.integers(0, 256, (n_classes * per_class, DESK_SHAPE[0]), dtype=np.uint8)
+    pixels[:, rng.random(DESK_SHAPE[0]) < 0.2] = 0
+    data = LabeledDataset(pixels, np.repeat(np.arange(n_classes), per_class))
     params = mlp.init_params(DESK_SHAPE, seed=63)
     config = small_config(iterations=20, step_size=1.0, weight_decay=weight_decay,
                           checkpoint_every=20)
@@ -448,8 +475,8 @@ def test_mssg_peak_memory_is_one_state_array_plus_small_change():
     # would hold three such arrays and trace well above 3x one of them.
     shape, per_class = (200, 300, 300, 10), 300
     rng = spawn_rng(64)
-    feats = rng.uniform(0, 1, (shape[-1] * per_class, shape[0]))
-    data = LabeledDataset(feats, np.repeat(np.arange(shape[-1]), per_class))
+    pixels = rng.integers(0, 256, (shape[-1] * per_class, shape[0]), dtype=np.uint8)
+    data = LabeledDataset(pixels, np.repeat(np.arange(shape[-1]), per_class))
     params = mlp.init_params(shape, seed=65)
     config = small_config(iterations=3, weight_decay=1e-3, pilot_size=8)
     state_bytes = shape[-1] * sum(w.nbytes + b.nbytes
@@ -469,7 +496,7 @@ def test_batch_equal_to_full_gradient_when_batch_is_everything():
     data = blob_dataset(10, seed=23)
     params = mlp.init_params((6, 4, 3), seed=24)
     config = small_config(iterations=4, batch_size=data.n_samples, step_size=0.2)
-    via_full, _, _ = mlp.full_gradient_train(params, data.features, data.labels, 4,
+    via_full, _, _ = mlp.full_gradient_train(params, data.features(), data.labels, 4,
                                              0.2, config.weight_decay)
     for kind in (BaselineKind.BATCH, BaselineKind.FULL):
         trained, _ = baseline_train(params, data, config, kind, data)
@@ -497,13 +524,12 @@ def test_full_baseline_divergence_reports_iteration():
 
 
 def test_sgd_on_single_sample_is_deterministic_descent():
-    feats = np.array([[0.2, 0.8, 0.4]])
     labels = np.array([1])
-    data = LabeledDataset(feats, labels)
+    data = LabeledDataset(np.array([[51, 204, 102]], np.uint8), labels)
     params = mlp.init_params((3, 2), seed=25)
     config = small_config(iterations=6, step_size=0.5, batch_size=1)
     trained, _ = baseline_train(params, data, config, BaselineKind.SGD, data)
-    full, _, _ = mlp.full_gradient_train(params, feats, labels, 6, 0.5,
+    full, _, _ = mlp.full_gradient_train(params, data.features(), labels, 6, 0.5,
                                          config.weight_decay)
     for wa, wb in zip(trained.weights, full.weights):
         assert np.array_equal(wa, wb)
@@ -516,7 +542,8 @@ def test_sgd_multiplier_stretches_iterations(tmp_path):
         "--sgd-multiplier", "4", "--out-dir", str(tmp_path)])
     data = blob_dataset(10, seed=26)
     params = mlp.init_params((6, 4, 3), seed=27)
-    config = cli._make_config(args, args.iterations, args.checkpoint_every)
+    config = cli._make_config(args, args.alpha, args.weight_decay, args.iterations,
+                              args.checkpoint_every)
     _, reports = baseline_train(params, data, config, BaselineKind.SGD, data)
     assert [r.iterations for r in reports] == [4, 8, 12]
     assert cli._report_rows(reports, args)["algorithm"] == ["sgd(x4)"] * 3
@@ -526,7 +553,7 @@ def test_stratified_direction_is_unbiased():
     data = blob_dataset(15, seed=28)
     params = mlp.init_params((6, 4, 3), seed=29)
     wd = 0.001
-    _, full = mlp.loss_and_grad(params, data.features, data.labels, wd)
+    _, full = mlp.loss_and_grad(params, data.features(), data.labels, wd)
     class_w = data.class_weights()
     rng = spawn_rng(30)
     reps = 10 ** 4
@@ -534,7 +561,7 @@ def test_stratified_direction_is_unbiased():
     values = np.empty(reps)
     for r in range(reps):
         rows = np.array([int(rng.choice(idx)) for idx in data.class_index])
-        per = per_sample_grads(params, data.features[rows], data.labels[rows], wd)
+        per = per_sample_grads(params, data.features(rows), data.labels[rows], wd)
         l, i, o = tracked
         values[r] = float(np.dot(class_w, per[l][0][:, i, o]))
     se = values.std(ddof=1) / math.sqrt(reps)
@@ -556,7 +583,7 @@ def test_grid_search_cell_count_and_table():
 
     def train_fn(h, lam, iters):
         params = mlp.init_params((6, 4, 3), seed=34)
-        trained, _, _ = mlp.full_gradient_train(params, data.features, data.labels,
+        trained, _, _ = mlp.full_gradient_train(params, data.features(), data.labels,
                                                 iters, h, lam)
         return trained
 

@@ -44,8 +44,7 @@ class _Run:
     def __init__(self, args):
         self.out_dir = Path(args.out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
-        manifest = getattr(args, "manifest_out", None)
-        self.manifest_path = Path(manifest) if manifest else self.out_dir / "manifest.txt"
+        self.manifest_path = Path(args.manifest_out or self.out_dir / "manifest.txt")
         self.outputs: list[Path] = []
         self.started = time.perf_counter()
 
@@ -59,10 +58,9 @@ class _Run:
         if missing:
             raise RuntimeError(f"declared outputs were never written: {missing}")
         entries: dict = {"subcommand": args.subcommand, "code_version": __version__}
-        for key in sorted(vars(args)):
-            if key in ("func", "subcommand"):
-                continue
-            entries[f"config.{key}"] = getattr(args, key)
+        # vars() reads no attribute, so the manifest does not count as reading a flag
+        entries.update((f"config.{key}", value) for key, value in sorted(vars(args).items())
+                       if key not in ("func", "subcommand"))
         if extra:
             entries.update(extra)
         # BLAS splits its sums by thread count, so these decide the output bits
@@ -79,7 +77,8 @@ class _Run:
                 p.rename(p.with_name(p.name + ".partial"))
 
 
-def _load_split_pair(args) -> tuple[LabeledDataset, LabeledDataset]:
+def _load_split_pair(args) -> tuple[LabeledDataset, LabeledDataset, tuple[int, ...]]:
+    """The train and test splits, and the network shape: DESK_SHAPE under --desk."""
     data_dir = args.data_dir or default_data_dir()
     if not data_dir:
         raise FileNotFoundError(
@@ -90,7 +89,7 @@ def _load_split_pair(args) -> tuple[LabeledDataset, LabeledDataset]:
         # under --desk, pick the rows from the labels and read only those images
         splits.append(to_dataset(*read_mnist_split(
             data_dir, split, per_class if args.desk else None, (args.seed, stream))))
-    return tuple(splits)
+    return (*splits, DESK_SHAPE if args.desk else FULL_SHAPE)
 
 
 def _phase_entries(names, marks) -> dict:
@@ -226,8 +225,7 @@ def cmd_variance_oracle(args, run: _Run) -> None:
         experiments = [_random_stat_tuples(rng, args.strata)
                        for _ in range(args.random_tuples)]
 
-    rows = {"experiment": [], "stratum": [], "weight": [], "predicted": [],
-            "empirical": [], "z": [], "fallback": []}
+    rows = []
     streams = spawn_rngs([(args.seed, _MC_STREAM, e) for e in range(len(experiments))])
     for e, (strata, rng) in enumerate(zip(experiments, streams)):
         mp, vp, mc, vc, w = np.array(strata).T
@@ -241,25 +239,17 @@ def cmd_variance_oracle(args, run: _Run) -> None:
             fresh = rng.normal(mc[j], np.sqrt(vc[j]), args.replications)
             combined = p * memory + q * fresh
             total += w[j] * combined
-            rows["experiment"].append(e)
-            rows["stratum"].append(str(j))
-            rows["weight"].append(float(w[j]))
-            rows["predicted"].append(float(predicted[j]))
-            rows["empirical"].append(float(combined.var(ddof=1)))
-            rows["z"].append(_variance_zscore(combined, predicted[j]))
-            rows["fallback"].append(fallback)
+            rows.append((e, str(j), float(w[j]), float(predicted[j]),
+                         float(combined.var(ddof=1)), _variance_zscore(combined, predicted[j]),
+                         fallback))
         # strata that fell back to the pure fresh draw blend away from the
         # predicted optimum, so their z scores flag a real gap; the total
         # adds the strata in order, as the blend above does
         predicted_total = float(np.cumsum(w * w * predicted)[-1])
-        rows["experiment"].append(e)
-        rows["stratum"].append("total")
-        rows["weight"].append(1.0)
-        rows["predicted"].append(predicted_total)
-        rows["empirical"].append(float(total.var(ddof=1)))
-        rows["z"].append(_variance_zscore(total, predicted_total))
-        rows["fallback"].append(n_fallback)
-    write_csv(run.path("variance_oracle.csv"), rows)
+        rows.append((e, "total", 1.0, predicted_total, float(total.var(ddof=1)),
+                     _variance_zscore(total, predicted_total), n_fallback))
+    columns = ("experiment", "stratum", "weight", "predicted", "empirical", "z", "fallback")
+    write_csv(run.path("variance_oracle.csv"), dict(zip(columns, zip(*rows))))
     run.finish(args)
 
 
@@ -270,8 +260,7 @@ def _matrix_rounds(matrix: np.ndarray, class_index) -> PopulationRound:
 
 
 def cmd_gradmatrix(args, run: _Run) -> None:
-    train, test = _load_split_pair(args)
-    shape = DESK_SHAPE if args.desk else FULL_SHAPE
+    train, test, shape = _load_split_pair(args)
     iterations = args.iterations if args.iterations is not None else (10 if args.desk else 60)
     marks = [time.perf_counter()]
     params = mlp.init_params(shape, (args.seed, _INIT_STREAM))
@@ -359,11 +348,10 @@ def _report_rows(reports, args) -> dict:
 
 
 def cmd_train(args, run: _Run) -> None:
-    train, test = _load_split_pair(args)
-    shape = DESK_SHAPE if args.desk else FULL_SHAPE
-    params = mlp.init_params(shape, (args.seed, _INIT_STREAM))
     config = _make_config(args, args.alpha, args.weight_decay, args.iterations,
                           args.checkpoint_every)
+    train, test, shape = _load_split_pair(args)
+    params = mlp.init_params(shape, (args.seed, _INIT_STREAM))
     params, reports, fallbacks = _run_algorithm(args.algorithm, params, train, test, config)
     write_csv(run.path(f"accuracy_{args.algorithm}.csv"), _report_rows(reports, args))
     run.finish(args, {"final_test_accuracy": reports[-1].test_accuracy,
@@ -371,10 +359,12 @@ def cmd_train(args, run: _Run) -> None:
 
 
 def cmd_gridsearch(args, run: _Run) -> None:
-    train, test = _load_split_pair(args)
-    shape = DESK_SHAPE if args.desk else FULL_SHAPE
     step_sizes = [float(x) for x in args.alphas.split(",")]
     decays = [float(x) for x in args.lambdas.split(",")]
+    for h in step_sizes:  # a bad value late in the grid is refused before any cell trains
+        for lam in decays:
+            mlp.check_step(h, lam)
+    train, test, shape = _load_split_pair(args)
 
     def train_fn(h: float, lam: float, iterations: int):
         params = mlp.init_params(shape, (args.seed, _INIT_STREAM))
@@ -426,14 +416,22 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The `stratgrad` parser; no parser takes a prefix of a flag for the flag."""
     parser = argparse.ArgumentParser(
-        prog="stratgrad",
-        description="Stratified gradient estimator experiments",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        prog="stratgrad", description="Stratified gradient estimator experiments",
+        formatter_class=argparse.ArgumentDefaultsHelpFormatter, allow_abbrev=False)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("synthetic", help="race the four estimators on a drift family",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    def subcommand(name, summary, handler, *flag_groups) -> argparse.ArgumentParser:
+        """Declares `name` with its flag groups and the common flags; returns its parser."""
+        p = sub.add_parser(name, help=summary, allow_abbrev=False,
+                           formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        for add_flags in (*flag_groups, _add_common):
+            add_flags(p)
+        p.set_defaults(func=handler)
+        return p
+
+    p = subcommand("synthetic", "race the four estimators on a drift family", cmd_synthetic)
     p.add_argument("--family", required=True, choices=_FAMILY_CHOICES,
                    help="synthetic drift family")
     p.add_argument("--seeds", type=int, default=1000, help="independent replications")
@@ -442,12 +440,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-stratum", type=int, default=1,
                    help="draws per stratum for the stratified estimators")
     p.add_argument("--batch-size", type=int, default=4, help="pooled draws for batch")
-    _add_common(p)
-    p.set_defaults(func=cmd_synthetic)
 
-    p = sub.add_parser("variance-oracle",
-                       help="compare predicted blend variance against Monte Carlo",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = subcommand("variance-oracle", "compare predicted blend variance against Monte Carlo",
+                   cmd_variance_oracle)
     p.add_argument("--stats", default=None,
                    help="semicolon-separated 'mean_prev,var_prev,mean_curr,var_curr[,weight]' "
                         "strata (default: random tuples)")
@@ -456,47 +451,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strata", type=int, default=1, help="strata per random experiment")
     p.add_argument("--replications", type=int, default=100_000,
                    help="Monte-Carlo replications (>= 10000)")
-    _add_common(p)
-    p.set_defaults(func=cmd_variance_oracle)
 
-    p = sub.add_parser("gradmatrix",
-                       help="record a tracked-weight gradient matrix and replay the estimators",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    _add_data_flags(p)
+    p = subcommand("gradmatrix",
+                   "record a tracked-weight gradient matrix and replay the estimators",
+                   cmd_gradmatrix, _add_data_flags)
     p.add_argument("--iterations", type=int, default=None,
                    help="full-gradient iterations (default: 10 desk / 60 full)")
     p.add_argument("--alpha", type=float, default=0.2, help="full-gradient step size")
     p.add_argument("--weight-decay", type=float, default=0.001, help="L2 penalty")
     p.add_argument("--batch-size", type=int, default=10, help="pooled draws for batch")
     p.add_argument("--reps", type=int, default=10, help="estimator replications")
-    _add_common(p)
-    p.set_defaults(func=cmd_gradmatrix)
 
-    p = sub.add_parser("train", help="train one algorithm and checkpoint accuracy",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = subcommand("train", "train one algorithm and checkpoint accuracy", cmd_train,
+                   _add_data_flags, _add_train_flags)
     p.add_argument("--algorithm", required=True, choices=_ALGORITHMS)
-    _add_data_flags(p)
     p.add_argument("--alpha", type=float, default=0.2, help="step size")
     p.add_argument("--weight-decay", type=float, default=0.001,
                    help="L2 penalty coefficient on weights")
     p.add_argument("--iterations", type=int, default=1000, help="training iterations")
     p.add_argument("--checkpoint-every", type=int, default=1000,
                    help="iterations between accuracy checkpoints")
-    _add_train_flags(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("gridsearch", help="grid-search step size and weight decay",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = subcommand("gridsearch", "grid-search step size and weight decay", cmd_gridsearch,
+                   _add_data_flags, _add_train_flags)
     p.add_argument("--algorithm", default="mssg", choices=_ALGORITHMS)
-    _add_data_flags(p)
-    _add_train_flags(p)
     p.add_argument("--alphas", default="0.01,1,0.001", help="comma-separated step sizes")
     p.add_argument("--lambdas", default="0.001,0.0001", help="comma-separated decays")
     p.add_argument("--budget-iterations", type=int, default=1000,
                    help="iterations per grid cell")
-    _add_common(p)
-    p.set_defaults(func=cmd_gridsearch)
     return parser
 
 

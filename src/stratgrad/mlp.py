@@ -164,6 +164,15 @@ def _check_labels(params: MlpParams, labels: np.ndarray, n: int) -> np.ndarray:
     return labels.astype(np.int64)
 
 
+def check_step(step_size: float, weight_decay: float) -> None:
+    """Refuse a step size that is not positive and finite, or a decay that is
+    negative or not finite, before any descent starts."""
+    if not 0.0 < step_size < np.inf:
+        raise ValueError(f"step_size must be positive and finite, got {step_size}")
+    if not 0.0 <= weight_decay < np.inf:
+        raise ValueError(f"weight_decay must be non-negative and finite, got {weight_decay}")
+
+
 def _check_batch(params: MlpParams, features, labels):
     features = _check_features(params, features)
     labels = _check_labels(params, labels, features.shape[0])
@@ -296,6 +305,7 @@ def full_gradient_train(params: MlpParams, features, labels, steps: int,
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
+    check_step(step_size, weight_decay)
     params = params.copy()
     features, labels = _check_batch(params, features, labels)
     matrix = None

@@ -79,8 +79,7 @@ class TrainConfig:
     checkpoint_every: int = 1000
 
     def __post_init__(self):
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
+        mlp.check_step(self.step_size, self.weight_decay)
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         if self.pilot_size < 2:

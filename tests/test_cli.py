@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -43,6 +44,132 @@ def test_unknown_family_exits_nonzero(tmp_path, capsys):
         run_cli("synthetic", "--family", "sideways", "--out-dir", tmp_path)
     assert exc.value.code != 0
     capsys.readouterr()
+
+
+def subparsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def long_flags(parser: argparse.ArgumentParser) -> list[str]:
+    return [f for a in parser._actions for f in a.option_strings if f.startswith("--")]
+
+
+def required_argv(parser: argparse.ArgumentParser) -> list[str]:
+    """Values for the parser's required flags: the first choice, or a placeholder."""
+    return [arg for a in parser._actions if a.required
+            for arg in (a.option_strings[0], a.choices[0] if a.choices else "unused")]
+
+
+SUBPARSERS = subparsers(build_parser())
+# every long flag whose name less its last letter names no other flag
+UNIQUE_PREFIXES = [(name, flag) for name, p in SUBPARSERS.items() for flag in long_flags(p)
+                   if [f for f in long_flags(p) if f.startswith(flag[:-1])] == [flag]]
+
+
+@pytest.mark.parametrize("name, flag", UNIQUE_PREFIXES,
+                         ids=[f"{name} {flag}" for name, flag in UNIQUE_PREFIXES])
+def test_abbreviated_flags_are_refused(name, flag, capsys):
+    prefix = flag[:-1]
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([name, *required_argv(SUBPARSERS[name]), prefix, "7"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {prefix}" in capsys.readouterr().err
+
+
+def test_abbreviations_cover_every_subcommand_and_the_top_level_refuses_them(capsys):
+    assert {name for name, _ in UNIQUE_PREFIXES} == set(SUBPARSERS)
+    assert ("gridsearch", "--alphas") in UNIQUE_PREFIXES
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["--hel"])  # not taken for --help, which exits 0
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
+FLAG_ACTIONS = [(name, a) for name, p in SUBPARSERS.items() for a in p._actions
+                if a.option_strings and a.dest != "help"]
+
+
+@pytest.mark.parametrize("name, action", FLAG_ACTIONS,
+                         ids=[f"{name} {a.option_strings[0]}" for name, a in FLAG_ACTIONS])
+def test_full_flag_names_parse(name, action):
+    value = [] if action.nargs == 0 else [action.choices[0] if action.choices else "7"]
+    args = build_parser().parse_args(
+        [name, *required_argv(SUBPARSERS[name]), action.option_strings[0], *value])
+    want = action.const if action.nargs == 0 else (action.type or str)(value[0])
+    assert getattr(args, action.dest) == want
+
+
+def recording_namespace():
+    """A Namespace, and the set that each attribute read on it adds the name to.
+
+    vars() reads no attribute, so dumping every setting counts as no read.
+    """
+    reads = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    return Recording(), reads
+
+
+def unread_flags(parser, runs, execute) -> list[str]:
+    """'<subcommand> <flag>' for each flag that a subcommand in `runs` declares
+    and that `execute(args)` reads in none of that subcommand's runs.
+
+    Each argv in `runs` starts with its subcommand. Parsing itself reads every
+    destination, so reads count only from `execute` on.
+    """
+    read: dict[str, set] = {}
+    for argv in runs:
+        args, reads = recording_namespace()
+        parser.parse_args(argv, namespace=args)
+        reads.clear()
+        execute(args)
+        read.setdefault(argv[0], set()).update(reads)
+    return [f"{name} {a.option_strings[0]}" for name, names in read.items()
+            for a in subparsers(parser)[name]._actions
+            if a.option_strings and a.dest != "help" and a.dest not in names]
+
+
+def test_flag_guard_flags_only_unread_flags():
+    parser = argparse.ArgumentParser()
+    p = parser.add_subparsers(dest="subcommand").add_parser("toy")
+    for flag in ("--mode", "--in-one-mode", "--dumped"):
+        p.add_argument(flag)
+
+    def execute(args):
+        vars(args)  # the manifest's dump of every setting
+        if args.mode == "b":
+            args.in_one_mode
+
+    runs = [["toy", "--mode", "a"], ["toy", "--mode", "b"]]
+    assert unread_flags(parser, runs, execute) == ["toy --dumped"]
+    assert unread_flags(parser, runs[:1], execute) == ["toy --in-one-mode", "toy --dumped"]
+
+
+def test_every_declared_flag_is_read(tmp_path, fixture_data_dir):
+    data = ["--data-dir", str(fixture_data_dir)]
+    desk = [*data, "--desk", "--per-class", "10", "--test-per-class", "5"]
+    grid = ["gridsearch", "--algorithm", "gst", "--alphas", "0.5", "--lambdas", "0",
+            "--budget-iterations", "1"]
+    runs = [
+        ["synthetic", "--family", "normal-random", "--seeds", "2", "--rounds", "3"],
+        ["variance-oracle", "--random-tuples", "1", "--replications", "10000"],
+        ["variance-oracle", "--stats", "2,1,1,1", "--replications", "10000"],
+        ["gradmatrix", *desk, "--iterations", "2", "--reps", "2"],
+        ["gradmatrix", *data, "--iterations", "1", "--reps", "1"],
+        ["train", "--algorithm", "gst", *desk, "--iterations", "2", "--checkpoint-every", "2"],
+        ["train", "--algorithm", "gst", *data, "--iterations", "1", "--checkpoint-every", "1"],
+        [*grid, *desk],
+        [*grid, *data],
+    ]
+    runs = [[*argv, "--out-dir", str(tmp_path / str(i))] for i, argv in enumerate(runs)]
+    assert {argv[0] for argv in runs} == set(SUBPARSERS)
+    assert unread_flags(build_parser(), runs,
+                        lambda args: args.func(args, cli._Run(args))) == []
 
 
 # ---------------------------------------------------------------- synthetic
@@ -322,7 +449,9 @@ def test_desk_converts_only_the_sampled_rows(fixture_data_dir, monkeypatch, desk
     monkeypatch.setattr(cli, "to_dataset", spy)
     argv = ["train", "--algorithm", "gst", "--out-dir", "unused", "--data-dir",
             str(fixture_data_dir), "--per-class", "7", "--test-per-class", "3", "--seed", "5"]
-    train, test = cli._load_split_pair(build_parser().parse_args(argv + ["--desk"] * desk))
+    train, test, shape = cli._load_split_pair(
+        build_parser().parse_args(argv + ["--desk"] * desk))
+    assert shape == (cli.DESK_SHAPE if desk else cli.FULL_SHAPE)
     assert converted == ([70, 30] if desk else [3000, 600])
     for got, split, per_class, stream in ((train, "train", 7, cli._POP_STREAM),
                                           (test, "test", 3, cli._TEST_STREAM)):
@@ -331,6 +460,35 @@ def test_desk_converts_only_the_sampled_rows(fixture_data_dir, monkeypatch, desk
             want = subsample_reference(want, per_class, (5, stream))
         assert got.pixels.tobytes() == want.pixels.tobytes()
         assert got.labels.tobytes() == want.labels.tobytes()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("train", "--algorithm", "gst", "--weight-decay", -0.5),
+     "weight_decay must be non-negative and finite, got -0.5"),
+    (("train", "--algorithm", "gst", "--alpha", "nan"),
+     "step_size must be positive and finite, got nan"),
+    (("gradmatrix", "--alpha", "nan"), "step_size must be positive and finite, got nan"),
+], ids=["train-negative-decay", "train-nan-step", "gradmatrix-nan-step"])
+def test_malformed_step_or_decay_is_refused_before_training(tmp_path, fixture_data_dir, capsys,
+                                                            argv, message):
+    out = tmp_path / "run"
+    assert run_cli(*argv, "--data-dir", fixture_data_dir, "--desk", "--per-class", 20,
+                   "--test-per-class", 5, "--iterations", 2, "--out-dir", out) == 1
+    assert message in capsys.readouterr().err
+    assert list(out.iterdir()) == []  # not even a .partial
+
+
+@pytest.mark.parametrize("alphas, lambdas, message", [
+    ("0.5,nan", "0", "step_size must be positive and finite, got nan"),
+    ("0.5", "0,-0.5", "weight_decay must be non-negative and finite, got -0.5")])
+def test_gridsearch_refuses_a_bad_grid_value_before_any_cell_trains(
+        tmp_path, fixture_data_dir, capsys, monkeypatch, alphas, lambdas, message):
+    monkeypatch.setattr(cli, "_run_algorithm", lambda *_: pytest.fail("a cell trained"))
+    assert run_cli("gridsearch", "--algorithm", "gst", "--data-dir", fixture_data_dir, "--desk",
+                   "--per-class", 20, "--test-per-class", 5, "--alphas", alphas,
+                   "--lambdas", lambdas, "--budget-iterations", 2,
+                   "--out-dir", tmp_path / "gs") == 1
+    assert message in capsys.readouterr().err
 
 
 def test_failed_run_marks_partial_outputs(tmp_path, fixture_data_dir, capsys):
@@ -439,9 +597,11 @@ def test_gridsearch_labels_rows_as_train_does(tmp_path, fixture_data_dir, algori
     assert read_csv_columns(out / "grid_best.csv")["algorithm"] == [label]
 
 
-@pytest.mark.parametrize("flag", ["--weight-decay", "--iterations", "--checkpoint-every"])
+@pytest.mark.parametrize("flag", ["--alpha", "--weight-decay", "--iterations",
+                                  "--checkpoint-every"])
 def test_gridsearch_refuses_the_flags_its_grid_replaces(flag, capsys):
-    # each cell's decay and length come from --lambdas and --budget-iterations
+    # each cell's step, decay and length come from --alphas, --lambdas and
+    # --budget-iterations; --alpha is no abbreviation of --alphas
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(["gridsearch", flag, "0", "--out-dir", "unused"])
     assert exc.value.code == 2
@@ -459,12 +619,8 @@ def test_gridsearch_cells_take_step_and_decay_from_the_grid(tmp_path, fixture_da
     baseline_train = cli.trainer.baseline_train
     monkeypatch.setattr(cli.trainer, "baseline_train", spy)
     out = tmp_path / "gs"
-    # gridsearch declares no --alpha, so argparse reads it as an abbreviation
-    # of --alphas, which the later --alphas overrides; a declared --alpha 0
-    # used to fail every cell's config check whatever the grid held
     assert run_cli("gridsearch", "--algorithm", "gst", "--data-dir", fixture_data_dir,
-                   "--desk", "--per-class", 20, "--test-per-class", 5, "--alpha", 0,
-                   "--alphas", "0.5,0.1", "--lambdas", "0,0.01", "--budget-iterations", 3,
+                   "--desk", "--per-class", 20, "--test-per-class", 5, "--alphas", "0.5,0.1", "--lambdas", "0,0.01", "--budget-iterations", 3,
                    "--out-dir", out) == 0
     assert [(c.step_size, c.weight_decay, c.iterations, c.checkpoint_every)
             for c in configs] == [(0.5, 0.0, 3, 3), (0.5, 0.01, 3, 3),

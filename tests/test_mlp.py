@@ -194,6 +194,12 @@ def test_full_gradient_single_step_decreases_loss():
     assert matrix is None  # nothing tracked
     with pytest.raises(ValueError):
         mlp.full_gradient_train(params, features, labels, 0, 0.2)
+    for step_size, weight_decay, field in (
+            (np.nan, 0.0, "step_size"), (np.inf, 0.0, "step_size"), (0.0, 0.0, "step_size"),
+            (0.2, -0.5, "weight_decay"), (0.2, np.nan, "weight_decay"),
+            (0.2, np.inf, "weight_decay")):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            mlp.full_gradient_train(params, features, labels, 1, step_size, weight_decay)
 
 
 def test_full_gradient_loss_nonincreasing_small_step():

@@ -64,6 +64,11 @@ def test_config_validation():
         small_config(pilot_size=1)
     with pytest.raises(ValueError):
         small_config(iterations=0)
+    for field, value in (("step_size", np.nan), ("step_size", np.inf), ("step_size", -0.5),
+                         ("weight_decay", -0.5), ("weight_decay", np.nan),
+                         ("weight_decay", np.inf)):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            small_config(**{field: value})
 
 
 def test_accuracy_report_bounds():

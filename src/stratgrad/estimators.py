@@ -63,31 +63,36 @@ def _pair_terms(mean_prev, var_prev, mean_curr, var_curr):
 def _degenerate_pairs(mean_prev, var_prev, mean_curr, var_curr):
     """Every branch of the mixing pair, for elements the main branch does not settle.
 
-    A denominator that is not positive (zero or NaN) is replaced by 1 before
-    the division; a zero denominator or an unsatisfiable mean ratio falls
-    back to (0, 1) unless both means are zero with var_curr > 0, which takes
-    the limit (var_curr, var_prev) / (var_prev + var_curr); any |p| >= 1
-    left then falls back too. Returns (p, q, n_fallback).
+    A denominator that is not positive (zero or NaN) stands for 1 in the
+    division; a zero denominator or an unsatisfiable mean ratio falls back
+    to (0, 1) unless both means are zero with var_curr > 0, which takes the
+    limit (var_curr, var_prev) / (var_prev + var_curr); any |p| >= 1 left
+    then falls back too. Returns (p, q, n_fallback).
+
+    A trainer block leaves a few hundred elements here, where numpy's
+    per-call cost dominates, so the steps make few calls: non-positive
+    denominators are skipped rather than replaced by 1, the both-zero limit
+    is formed only when some element takes it, and fallbacks are written
+    once. Nothing divides by zero, and the limit meets inf / inf only
+    through an infinite variance, whose products in `_pair_terms` have
+    already raised the invalid-value state, so no errstate is needed.
     """
     p, q, den = _pair_terms(mean_prev, var_prev, mean_curr, var_curr)
     prev_zero = mean_prev == 0.0
     fallback = (den == 0.0) | (prev_zero & (mean_curr != 0.0))
+    positive = den > 0.0
+    np.divide(p, den, out=p, where=positive)  # elsewhere p / 1, bit for bit
+    np.divide(q, den, out=q, where=positive)
     both_zero = prev_zero & (mean_curr == 0.0) & (var_curr > 0.0)
-    fallback &= ~both_zero
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.copyto(den, 1.0, where=~(den > 0.0))
-        p /= den
-        q /= den
-        p[fallback] = 0.0
-        q[fallback] = 1.0
+    if both_zero.any():
+        fallback &= ~both_zero
         total = var_prev + var_curr
         np.copyto(total, 1.0, where=~(total > 0.0))
         np.divide(var_curr, total, out=p, where=both_zero)
         np.divide(var_prev, total, out=q, where=both_zero)
-    wide = np.abs(p) >= 1.0
-    p[wide] = 0.0
-    q[wide] = 1.0
-    fallback |= wide
+    fallback |= np.abs(p) >= 1.0  # a fallback's own p does not matter
+    p[fallback] = 0.0
+    q[fallback] = 1.0
     return p, q, int(np.count_nonzero(fallback))
 
 

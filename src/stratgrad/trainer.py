@@ -23,24 +23,27 @@ weight decay shifts the mean only), never from per-sample gradient tensors.
 Each layer is streamed in row blocks of W: a block's stats, mixing pair,
 blend and update are finished before the next block is formed. The
 previous iteration's pilot stats are not stored but formed again, with the
-same operations and so the same bits, from that pilot's kept factors A and
-D (and their squares) and a snapshot of the weights they were taken at.
-So besides the parameters the persistent state is one (C, ...) memory
-array per layer (about 60 MB at the 784-500-500-200-10 shape), the last
-pilot's factors (about 8 MB) and one weight snapshot (about 6 MB); the
-rest is block-sized temporaries. That state stays inside the run, which
-returns the trained parameters, the accuracy reports and the
-coefficient-fallback count.
+same operations and so the same bits, from that pilot's kept factors A, D
+and D*D (a block squares its own rows of A) and a snapshot of the weights
+they were taken at. So besides the parameters, which it trains in place,
+the persistent state at the 784-500-500-200-10 shape is one (C, ...)
+memory array per layer (about 60 MB), the two pilots' D factors (about
+3.1 MB) and A factors (about 2.5 MB), and one weight snapshot (about 6 MB);
+the rest is block-sized temporaries, and no copy of the parameters is made.
+That state stays inside the run, which returns the parameters, the
+accuracy reports and the coefficient-fallback count.
 
 Baselines: single-sample steps, pooled mini-batches, full-batch descent,
 and the memoryless one-sample-per-class stratified direction. Every
-trainer runs the iterations and checkpoint spacing its ``TrainConfig``
-gives; how a run is labelled, stretched and reported is the caller's.
+trainer trains the parameters it is given in place and returns them, and
+runs the iterations and checkpoint spacing its ``TrainConfig`` gives; how
+a run is labelled, stretched and reported is the caller's.
 
 Datasets hold uint8 pixels, and every trainer decodes to float64 only the
 rows it draws. Checkpoint accuracy decodes and scores one block of
 ``mlp.BLOCK_ROWS`` rows at a time, so a checkpoint costs the pixels plus
-O(block) memory however many rows there are. Full-batch steps (``fullgrad``,
+O(block) memory however many rows there are: the decoded block, one
+layer's output and the sigmoid's temporary. Full-batch steps (``fullgrad``,
 and ``batch`` at batch_size == n) read every row every step, so they decode
 the whole dataset once before their loop and stream it through ``mlp``'s
 whole-batch passes.
@@ -202,15 +205,16 @@ def mssg_train(params: mlp.MlpParams, data: LabeledDataset, config: TrainConfig,
     every ``checkpoint_every`` iterations and at the end.
 
     All classes' pilot and fresh rows go through one forward/backward pass.
-    The pilot rows' activations A and deltas D, and their squares, are kept
-    for one more iteration. Each layer is then streamed in row blocks of W
-    (and one block for b): one batched matrix product per moment gives the
-    block's per-class pilot sums A^T D, and one its sums of squares
-    (A*A)^T (D*D), for the previous pilot and this one, and the block is
-    blended and updated before the next one is formed.
+    The pilot rows' activations A, their deltas D and D*D are kept for one
+    more iteration. Each layer is then streamed in row blocks of W (and one
+    block for b): one batched matrix product per moment gives the block's
+    per-class pilot sums A^T D, and one its sums of squares (A*A)^T (D*D),
+    with A*A formed for the block's rows alone, for the previous pilot and
+    this one, and the block is blended and updated before the next one is
+    formed.
 
-    Returns the trained parameters, the accuracy reports and the number of
-    mixing-coefficient fallbacks over the run.
+    Trains `params` in place and returns it, with the accuracy reports and
+    the number of mixing-coefficient fallbacks over the run.
     """
     n_classes = data.n_classes
     if n_classes < 2:
@@ -219,16 +223,16 @@ def mssg_train(params: mlp.MlpParams, data: LabeledDataset, config: TrainConfig,
         if idx.size < config.pilot_size:
             raise ValueError(f"class {c} has {idx.size} samples, pilot needs "
                              f"{config.pilot_size}")
-    params = params.copy()
     n, wd = config.pilot_size, config.weight_decay
     n_pilot = n_classes * n
     class_w = data.class_weights()
     layers = list(zip(params.weights, params.biases))
     memory = [(np.zeros((n_classes,) + w.shape), np.zeros((n_classes,) + b.shape))
               for w, b in layers]
-    # Pilot factors per layer: [A^T, A^T * A^T] and [D, D * D], each for
-    # [the previous iteration, this one], class-major.
-    a_factors = [np.zeros((2, 2, n_classes, w.shape[0], n)) for w, _ in layers]
+    # Pilot factors per layer, each for [the previous iteration, this one],
+    # class-major: A^T, and [D, D * D]. Every row block of a layer reads all of
+    # D and D * D but only its own rows of A^T, so it squares those itself.
+    a_factors = [np.zeros((2, n_classes, w.shape[0], n)) for w, _ in layers]
     d_factors = [np.zeros((2, 2, n_classes, n, w.shape[1])) for w, _ in layers]
     snapshots = [np.zeros_like(w) for w, _ in layers]
     block_rows = [max(1, min(w.shape[0], BLOCK_ENTRIES // w.shape[1])) for w, _ in layers]
@@ -249,19 +253,19 @@ def mssg_train(params: mlp.MlpParams, data: LabeledDataset, config: TrainConfig,
         for l, (w, b) in enumerate(layers):
             fan_in, fan_out = w.shape
             fa, fd = a_factors[l], d_factors[l]
-            fa[:, 0] = fa[:, 1]
+            fa[0] = fa[1]
             fd[:, 0] = fd[:, 1]
-            fa[0, 1] = acts[l][:n_pilot].reshape(n_classes, n, fan_in).transpose(0, 2, 1)
-            np.multiply(fa[0, 1], fa[0, 1], out=fa[1, 1])
+            fa[1] = acts[l][:n_pilot].reshape(n_classes, n, fan_in).transpose(0, 2, 1)
             fd[0, 1] = deltas[l][:n_pilot].reshape(n_classes, n, fan_out)
             np.multiply(fd[0, 1], fd[0, 1], out=fd[1, 1])
             a_fresh, d_fresh = acts[l][n_pilot:], deltas[l][n_pilot:]
             mem_w, mem_b = memory[l]
-            (a, a2), (d, d2) = fa[:, pilots], fd[:, pilots]
+            a, (d, d2) = fa[pilots], fd[:, pilots]
             for r0 in range(0, fan_in, block_rows[l]):
                 blk = slice(r0, r0 + block_rows[l])
+                a_blk = a[:, :, blk]
                 fallbacks += _blend_block(
-                    a[:, :, blk] @ d, a2[:, :, blk] @ d2, a_fresh[:, blk, None] * d_fresh[:, None],
+                    a_blk @ d, (a_blk * a_blk) @ d2, a_fresh[:, blk, None] * d_fresh[:, None],
                     w[blk], snapshots[l][blk], mem_w[:, blk], class_w, n, wd, scale)
             fallbacks += _blend_block(
                 d.sum(axis=2, keepdims=True), d2.sum(axis=2, keepdims=True), d_fresh[:, None],
@@ -288,8 +292,9 @@ def baseline_train(params: mlp.MlpParams, data: LabeledDataset, config: TrainCon
     for bit, and the whole dataset is decoded once before the first step.
     The other kinds decode only the rows they draw. The stratified baseline
     weights one fresh sample per class by the class shares.
+
+    Trains `params` in place and returns it, with the accuracy reports.
     """
-    params = params.copy()
     n = data.n_samples
     if n == 0:
         raise ValueError("cannot train on an empty dataset")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from stratgrad import cli, mlp, trainer
-from stratgrad.cli import DESK_SHAPE
+from stratgrad.cli import DESK_SHAPE, FULL_SHAPE
 from stratgrad.dataio import LabeledDataset, to_dataset
 from stratgrad.estimators import optimal_coefficients_elementwise
 from stratgrad.rng import spawn_rng
@@ -127,6 +127,34 @@ def test_accuracy_never_holds_a_float_copy_of_the_split():
     assert score == float(np.mean(np.argmax(probs, axis=1) == labels))
 
 
+# Traced bytes beyond the arrays a memory bound names: the probabilities,
+# the argmax and label comparisons, index arrays and Python objects.
+TRACE_SLACK = 2 ** 20
+
+
+def scoring_block_bytes():
+    """At FULL_SHAPE, one decoded block plus two (BLOCK_ROWS, 500) arrays."""
+    return 8 * mlp.BLOCK_ROWS * (FULL_SHAPE[0] + 2 * max(FULL_SHAPE[1:-1]))
+
+
+def test_accuracy_scores_a_block_with_one_layer_output_at_a_time():
+    # A scoring block holds at most its decoded rows, one layer's output and
+    # the sigmoid's temporary (13.9 MiB at FULL_SHAPE); keeping every layer's
+    # output, as a backward pass needs, peaks 4 MiB higher.
+    n = 2 * mlp.BLOCK_ROWS + 100
+    rng = spawn_rng(80)
+    data = LabeledDataset(rng.integers(0, 256, (n, FULL_SHAPE[0]), dtype=np.uint8),
+                          rng.integers(0, FULL_SHAPE[-1], n))
+    params = mlp.init_params(FULL_SHAPE, seed=81)
+    tracemalloc.start()
+    try:
+        accuracy(params, data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < scoring_block_bytes() + TRACE_SLACK
+
+
 # ---------------------------------------------------------------- mssg
 
 def test_mssg_learns_separated_blobs():
@@ -153,8 +181,8 @@ def test_mssg_deterministic():
     data = blob_dataset(12, seed=8)
     params = mlp.init_params((6, 4, 3), seed=9)
     config = small_config(iterations=4)
-    a, _, _ = mssg_train(params, data, config, data)
-    b, _, _ = mssg_train(params, data, config, data)
+    a, _, _ = mssg_train(params.copy(), data, config, data)
+    b, _, _ = mssg_train(params.copy(), data, config, data)
     for wa, wb in zip(a.weights, b.weights):
         assert np.array_equal(wa, wb)
 
@@ -170,7 +198,7 @@ def test_mssg_zero_variance_classes_follow_exact_class_gradient():
     params0 = mlp.init_params((5, 4, 3), seed=11)
     config = small_config(iterations=3, step_size=0.3, pilot_size=3,
                           weight_decay=0.01)
-    trained, _, _ = mssg_train(params0, data, config, data)
+    trained, _, _ = mssg_train(params0.copy(), data, config, data)
 
     manual = params0.copy()
     class_w = data.class_weights()
@@ -262,7 +290,7 @@ def test_mssg_matches_two_pass_reference(shape, weight_decay):
     data = blob_dataset(12, n_classes=shape[-1], n_features=shape[0], seed=41)
     params = mlp.init_params(shape, seed=42)
     config = small_config(iterations=6, step_size=1.0, weight_decay=weight_decay)
-    trained, _, fallbacks = mssg_train(params, data, config, data)
+    trained, _, fallbacks = mssg_train(params.copy(), data, config, data)
     expected, ref = mssg_reference(params, data, config)
     for got, want in zip(trained.weights + trained.biases,
                          expected.weights + expected.biases):
@@ -464,10 +492,10 @@ def test_blend_block_trains_like_reference(monkeypatch, weight_decay):
     params = mlp.init_params(DESK_SHAPE, seed=63)
     config = small_config(iterations=20, step_size=1.0, weight_decay=weight_decay,
                           checkpoint_every=20)
-    got, _, got_fallbacks = mssg_train(params, data, config, data)
+    got, _, got_fallbacks = mssg_train(params.copy(), data, config, data)
     stored, stored_fallbacks = mssg_stored_state(params, data, config)
     monkeypatch.setattr(trainer, "_blend_block", blend_block_reference)
-    want, _, want_fallbacks = mssg_train(params, data, config, data)
+    want, _, want_fallbacks = mssg_train(params.copy(), data, config, data)
     assert got_fallbacks == want_fallbacks == stored_fallbacks > 0
     for g, w, s in zip(got.weights + got.biases, want.weights + want.biases,
                        stored.weights + stored.biases):
@@ -495,16 +523,49 @@ def test_mssg_peak_memory_is_one_state_array_plus_small_change():
     assert peak < 2.5 * state_bytes
 
 
+def test_mssg_at_full_shape_peaks_below_its_state_plus_one_block():
+    # Traced from before the parameters exist: the memory array, both pilots'
+    # A and D factors with D * D, the weight snapshot, the one parameter set
+    # it trains in place, a scoring block and one blend block's temporaries
+    # (a dozen arrays of C x BLOCK_ENTRIES). The pass's activations and
+    # deltas (2.2 MiB) live beside either transient and are smaller than both.
+    per_class, pilot = 110, 8
+    n_classes = FULL_SHAPE[-1]
+    rng = spawn_rng(82)
+    data = LabeledDataset(
+        rng.integers(0, 256, (n_classes * per_class, FULL_SHAPE[0]), dtype=np.uint8),
+        np.repeat(np.arange(n_classes), per_class))
+    config = small_config(iterations=2, checkpoint_every=1, pilot_size=pilot)
+    tracemalloc.start()
+    try:
+        params = mlp.init_params(FULL_SHAPE, seed=83)
+        mssg_train(params, data, config, data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    fan_in, fan_out = sum(FULL_SHAPE[:-1]), sum(FULL_SHAPE[1:])
+    param_bytes = 8 * sum(a * b + b for a, b in zip(FULL_SHAPE, FULL_SHAPE[1:]))
+    weight_bytes = param_bytes - 8 * fan_out
+    bound = (n_classes * param_bytes                    # memory
+             + 8 * 2 * 2 * n_classes * pilot * fan_out  # D, D * D
+             + 8 * 2 * n_classes * fan_in * pilot       # A
+             + weight_bytes                             # snapshot
+             + param_bytes                              # the parameters
+             + scoring_block_bytes()
+             + 8 * 12 * n_classes * trainer.BLOCK_ENTRIES)
+    assert peak < bound + TRACE_SLACK
+
+
 # ---------------------------------------------------------------- baselines
 
 def test_batch_equal_to_full_gradient_when_batch_is_everything():
     data = blob_dataset(10, seed=23)
     params = mlp.init_params((6, 4, 3), seed=24)
     config = small_config(iterations=4, batch_size=data.n_samples, step_size=0.2)
-    via_full, _, _ = mlp.full_gradient_train(params, data.features(), data.labels, 4,
+    via_full, _, _ = mlp.full_gradient_train(params.copy(), data.features(), data.labels, 4,
                                              0.2, config.weight_decay)
     for kind in (BaselineKind.BATCH, BaselineKind.FULL):
-        trained, _ = baseline_train(params, data, config, kind, data)
+        trained, _ = baseline_train(params.copy(), data, config, kind, data)
         for got, want in zip(trained.weights + trained.biases,
                              via_full.weights + via_full.biases):
             assert np.array_equal(got, want)
@@ -533,8 +594,8 @@ def test_sgd_on_single_sample_is_deterministic_descent():
     data = LabeledDataset(np.array([[51, 204, 102]], np.uint8), labels)
     params = mlp.init_params((3, 2), seed=25)
     config = small_config(iterations=6, step_size=0.5, batch_size=1)
-    trained, _ = baseline_train(params, data, config, BaselineKind.SGD, data)
-    full, _, _ = mlp.full_gradient_train(params, data.features(), labels, 6, 0.5,
+    trained, _ = baseline_train(params.copy(), data, config, BaselineKind.SGD, data)
+    full, _, _ = mlp.full_gradient_train(params.copy(), data.features(), labels, 6, 0.5,
                                          config.weight_decay)
     for wa, wb in zip(trained.weights, full.weights):
         assert np.array_equal(wa, wb)
@@ -571,6 +632,23 @@ def test_stratified_direction_is_unbiased():
         values[r] = float(np.dot(class_w, per[l][0][:, i, o]))
     se = values.std(ddof=1) / math.sqrt(reps)
     assert abs(values.mean() - full.weights[0][2, 1]) <= 3 * se
+
+
+@pytest.mark.parametrize("train", [
+    lambda params, data, config: mssg_train(params, data, config, data)[0],
+    lambda params, data, config: baseline_train(params, data, config, BaselineKind.SGD,
+                                                data)[0],
+    lambda params, data, config: mlp.full_gradient_train(
+        params, data.features(), data.labels, config.iterations, config.step_size)[0],
+], ids=["mssg_train", "baseline_train", "full_gradient_train"])
+def test_trainers_train_the_params_they_are_given(train):
+    data = blob_dataset(10, seed=43)
+    params = mlp.init_params((6, 4, 3), seed=44)
+    start = params.copy()
+    trained = train(params, data, small_config(iterations=2, step_size=0.5))
+    assert trained is params
+    for got, old in zip(params.weights + params.biases, start.weights + start.biases):
+        assert not np.array_equal(got, old)
 
 
 def test_baseline_validation():

@@ -114,10 +114,10 @@ def _write_summary(path: Path, sq_dev: np.ndarray) -> None:
 def cmd_synthetic(args, run: _Run) -> None:
     family = Trend(args.family)
     marks = [time.perf_counter()]
-    sequences = [generate_family(family, (args.seed, s), n_per_round=args.n_per_round,
-                                 n_rounds=args.rounds) for s in range(args.seeds)]
+    rounds = generate_family(family, [(args.seed, s) for s in range(args.seeds)],
+                             n_per_round=args.n_per_round, n_rounds=args.rounds)
     marks.append(time.perf_counter())
-    race = trace_estimators(sequences, [(args.seed, s, _TRACE_STREAM) for s in range(args.seeds)],
+    race = trace_estimators(rounds, [(args.seed, s, _TRACE_STREAM) for s in range(args.seeds)],
                             per_stratum=args.per_stratum, batch_size=args.batch_size)
     marks.append(time.perf_counter())
 
@@ -254,8 +254,8 @@ def cmd_variance_oracle(args, run: _Run) -> None:
 
 
 def _matrix_rounds(matrix: np.ndarray, class_index) -> PopulationRound:
-    """Each matrix column becomes one round, one (possibly ragged) stratum per class."""
-    return PopulationRound(matrix[np.concatenate(class_index)].T,
+    """One replication: each matrix column is a round, one (possibly ragged) stratum per class."""
+    return PopulationRound(matrix[np.concatenate(class_index)].T[None],
                            [idx.size for idx in class_index])
 
 
@@ -278,8 +278,8 @@ def cmd_gradmatrix(args, run: _Run) -> None:
     marks.append(time.perf_counter())
 
     rounds = _matrix_rounds(matrix, train.class_index)
-    race = trace_estimators([rounds] * args.reps,
-                            [(args.seed, _REP_STREAM, r) for r in range(args.reps)],
+    # every replication races the one matrix, as a broadcast view
+    race = trace_estimators(rounds, [(args.seed, _REP_STREAM, r) for r in range(args.reps)],
                             per_stratum=1, batch_size=args.batch_size)
     _write_summary(run.path("deviation_summary.csv"), race.sq_dev)
     for e, name in enumerate(ESTIMATOR_NAMES):

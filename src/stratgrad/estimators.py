@@ -24,9 +24,11 @@ race's (replication, stratum) arrays and the variance oracle's strata.
 same element-wise statistics, which the variance oracle checks against
 Monte Carlo.
 
-:func:`trace_estimators` races the four on R round sequences that share a
-stratum layout: it draws each replication's samples for all rounds at
-once, then runs the rounds once over (replication, stratum) arrays
+:func:`trace_estimators` races the four on the R replications of one
+`population.PopulationRound` stack, or on one replication that R seeds
+share as a broadcast view: it draws each replication's samples for all
+rounds at once from its own streams, gathers them once over the stack,
+then runs the rounds once over (replication, stratum) arrays
 (:func:`gmst_step`, :func:`gst_estimate`), and returns (replication,
 estimator, round) arrays of estimates and squared deviations that
 :func:`summarize_traces` pools.
@@ -34,7 +36,7 @@ estimator, round) arrays of estimates and squared deviations that
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -229,54 +231,50 @@ class Race(NamedTuple):
     fallbacks: int
 
 
-def trace_estimators(sequences: Sequence[PopulationRound], seeds, per_stratum: int = 1,
+def trace_estimators(rounds: PopulationRound, seeds, per_stratum: int = 1,
                      batch_size: int = 4) -> Race:
-    """Run all four estimators on R round sequences and trace their errors.
+    """Run all four estimators on R replications of a population stack and trace their errors.
 
-    Replication r races on ``sequences[r]`` with the streams of
-    ``seeds[r]``; the sequences must share their stratum sizes and round
-    count. Sampling budgets per round: gmst and gst take `per_stratum`
-    draws per stratum (without replacement), batch takes `batch_size`
-    pooled draws with replacement, sgd takes one. gmst spends round 1 on
-    initialization, where its estimate is the gst estimate of its own
-    draws; every estimator reports one estimate per round. Mixing pairs use
-    the exact per-round stats.
+    Replication r races on ``rounds.values[r]`` with the streams of
+    ``seeds[r]``; a stack of one replication is raced by every seed, as a
+    broadcast view. Sampling budgets per round: gmst and gst take
+    `per_stratum` draws per stratum (without replacement), batch takes
+    `batch_size` pooled draws with replacement, sgd takes one. gmst spends
+    round 1 on initialization, where its estimate is the gst estimate of
+    its own draws; every estimator reports one estimate per round. Mixing
+    pairs use the exact per-round stats.
 
     Each estimator of a replication gets its own decoupled stream, so
     adding or removing one never perturbs the others; each stream is drawn
     for all rounds at once, in round order, so the draws equal a
-    round-by-round loop's. The rounds then run once over every replication.
+    round-by-round loop's. The draws are gathered once over the stack, and
+    the rounds then run once over every replication.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
-    if not sequences or len(seeds) != len(sequences):
-        raise ValueError(f"need one seed per round sequence, got {len(seeds)} seeds for "
-                         f"{len(sequences)} sequences")
-    first = sequences[0]
-    for rounds in sequences[1:]:
-        if rounds.n_rounds != first.n_rounds or not np.array_equal(rounds.sizes, first.sizes):
-            raise ValueError("round sequences raced together must share stratum sizes "
-                             "and round count")
-    n_reps = len(sequences)
-    n_rounds, n_values = first.values.shape
-    rows = np.arange(n_rounds)
-    gmst_means, gst_means = (np.empty((n_reps, n_rounds, first.n_strata)) for _ in range(2))
+    n_reps = len(seeds)
+    if not n_reps or rounds.n_reps not in (1, n_reps):
+        raise ValueError(f"need one seed per replication, got {n_reps} seeds for "
+                         f"{rounds.n_reps} replications")
     n_est = len(ESTIMATOR_NAMES)
-    estimates = np.empty((n_reps, n_est, n_rounds))
     streams = spawn_rngs([(seed, idx) for seed in seeds for idx in range(n_est)])
-    for r, rounds in enumerate(sequences):
-        gmst_rng, gst_rng, batch_rng, sgd_rng = streams[r * n_est:(r + 1) * n_est]
-        gmst_means[r] = sample_strata(rounds, per_stratum, gmst_rng).mean(axis=2)
-        gst_means[r] = sample_strata(rounds, per_stratum, gst_rng).mean(axis=2)
-        # integers(0, N, size) reads the stream as choice(pooled, size, replace=True)
-        picks = batch_rng.integers(0, n_values, size=(n_rounds, batch_size))
-        estimates[r, 2] = rounds.values[rows[:, None], picks].mean(axis=1)
-        estimates[r, 3] = rounds.values[rows, sgd_rng.integers(n_values, size=n_rounds)]
+    gmst_rngs, gst_rngs, batch_rngs, sgd_rngs = (streams[e::n_est] for e in range(n_est))
+    gmst_means = sample_strata(rounds, per_stratum, gmst_rngs).mean(axis=3)
+    gst_means = sample_strata(rounds, per_stratum, gst_rngs).mean(axis=3)
+    values, means, variances, truth = (
+        np.broadcast_to(a, (n_reps, *a.shape[1:]))
+        for a in (rounds.values, rounds.means, rounds.variances, rounds.truth))
+    n_rounds, n_values = values.shape[1:]
+    # integers(0, N, size) reads the stream as choice(pooled, size, replace=True)
+    batch = np.array([rng.integers(0, n_values, size=(n_rounds, batch_size))
+                      for rng in batch_rngs])
+    sgd = np.array([rng.integers(n_values, size=n_rounds) for rng in sgd_rngs])
+    reps, rows = np.arange(n_reps)[:, None], np.arange(n_rounds)
+    estimates = np.empty((n_reps, n_est, n_rounds))
+    estimates[:, 2] = values[reps[..., None], rows[:, None], batch].mean(axis=2)
+    estimates[:, 3] = values[reps, rows, sgd]
 
-    means = np.stack([rounds.means for rounds in sequences])
-    variances = np.stack([rounds.variances for rounds in sequences])
-    truth = np.stack([rounds.truth for rounds in sequences])
-    weights = first.weights
+    weights = rounds.weights
     memory = gmst_means[:, 0]
     estimates[:, 0, 0] = gst_estimate(memory, weights)
     fallbacks = 0
@@ -287,7 +285,7 @@ def trace_estimators(sequences: Sequence[PopulationRound], seeds, per_stratum: i
         fallbacks += n
     estimates[:, 1] = gst_estimate(gst_means, weights)
     dev = estimates - truth[:, None, :]
-    return Race(estimates, dev * dev, truth, fallbacks)
+    return Race(estimates, dev * dev, np.array(truth), fallbacks)
 
 
 def summarize_traces(sq_dev) -> dict:

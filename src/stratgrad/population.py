@@ -2,15 +2,16 @@
 
 A population is a finite set of scalar values split into C strata; the
 estimators sample from it and are judged against its exact pooled mean. A
-round sequence (`PopulationRound`) bundles K populations that share the same
-stratum layout, modelling a quantity whose per-round distribution drifts
-(mean or spread, up or down) between consecutive sampling rounds. It is
-stored as one (K, N) array with the strata as contiguous column slices, and
-computes every round's stratum statistics and pooled mean once, when built;
-`sample_strata` draws from all of its rounds at once, and `generate_family`
-builds each drift family's sequence. Sequences with the same stratum sizes
-and round count can be raced together as replications
-(`estimators.trace_estimators`).
+round sequence bundles K populations that share the same stratum layout,
+modelling a quantity whose per-round distribution drifts (mean or spread,
+up or down) between consecutive sampling rounds. `PopulationRound` stacks R
+replications of such a sequence as one (R, K, N) array, with the strata as
+contiguous column slices, and computes every round's stratum statistics and
+pooled mean once, over the whole stack, when built. `generate_family`
+builds all R replications of a drift family in one pass, and
+`sample_strata` draws from every round of every replication at once, each
+replication from its own stream. The estimators race the replications
+together (`estimators.trace_estimators`).
 
 All statistics use the finite-population convention: a stratum's mean and
 variance are exact properties of its values (variance divides by n, not
@@ -20,8 +21,9 @@ n - 1).
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -49,6 +51,7 @@ TREND_FIXED_SIGMA = 5.0
 TREND_FIXED_MU = 10.0
 
 _PARAM_STREAM_TAG = 104729  # reserved path component for (mu, sigma) draws
+SEEDING_CHUNK = 256  # stream keys per spawn_rngs call in generate_family
 
 
 class Trend(enum.Enum):
@@ -73,13 +76,14 @@ NORMAL_TRENDS = (
 
 @dataclass
 class PopulationRound:
-    """K populations sharing one stratum layout, in sampling order.
+    """R replications of K populations sharing one stratum layout, in sampling order.
 
-    Row k of the (K, N) `values` array is round k's population, stratum by
-    stratum: stratum j is the column slice ``offsets[j]:offsets[j + 1]``,
-    whose length is ``sizes[j]``. The exact statistics are computed once, on
-    construction: `weights` (w_j = N_j / N), the (K, C) stratum `means` and
-    `variances`, and each round's pooled mean `truth`.
+    Row ``values[r, k]`` of the (R, K, N) `values` array is replication r's
+    round k population, stratum by stratum: stratum j is the column slice
+    ``offsets[j]:offsets[j + 1]``, whose length is ``sizes[j]``. The exact
+    statistics are computed once, on construction, over the whole stack:
+    `weights` (w_j = N_j / N), the (R, K, C) stratum `means` and
+    `variances`, and each round's pooled mean `truth`, (R, K).
     """
 
     values: np.ndarray
@@ -94,28 +98,35 @@ class PopulationRound:
         # contiguous rows, so each stratum slice reduces the way a 1-D block does
         self.values = np.ascontiguousarray(self.values, dtype=np.float64)
         self.sizes = np.asarray(self.sizes)
-        if self.values.ndim != 2 or self.values.size == 0:
-            raise ValueError("round sequence must be a non-empty (rounds, values) array")
+        if self.values.ndim != 3 or self.values.size == 0:
+            raise ValueError("a population stack must be a non-empty "
+                             "(replications, rounds, values) array")
+        n_values = self.values.shape[2]
         if (self.sizes.ndim != 1 or self.sizes.size == 0 or self.sizes.dtype.kind not in "iu"
-                or self.sizes.min() < 1 or self.sizes.sum() != self.values.shape[1]):
+                or self.sizes.min() < 1 or self.sizes.sum() != n_values):
             raise ValueError(f"stratum sizes {self.sizes.tolist()} must be positive and sum "
-                             f"to the {self.values.shape[1]} values of a round")
+                             f"to the {n_values} values of a round")
         self.offsets = np.concatenate(([0], np.cumsum(self.sizes)))
         total = self.sizes.astype(np.float64)
         self.weights = total / total.sum()
-        shape = (self.n_rounds, self.n_strata)
+        shape = (self.n_reps, self.n_rounds, self.n_strata)
         self.means, self.variances = np.empty(shape), np.empty(shape)
         for j in range(self.n_strata):
-            block = self.values[:, self.offsets[j]:self.offsets[j + 1]]
-            self.means[:, j] = block.mean(axis=1)
-            self.variances[:, j] = block.var(axis=1)  # divides by n
+            block = self.values[..., self.offsets[j]:self.offsets[j + 1]]
+            self.means[..., j] = block.mean(axis=2)
+            self.variances[..., j] = block.var(axis=2)  # divides by n
         if not (np.isfinite(self.means).all() and np.isfinite(self.variances).all()):
             raise ValueError("stratum statistics must be finite")
-        self.truth = np.array([np.dot(self.weights, m) for m in self.means])
+        # one 1-D dot product per row, as estimators.gst_estimate forms it
+        self.truth = np.matmul(self.means[..., None, :], self.weights[:, None])[..., 0, 0]
+
+    @property
+    def n_reps(self) -> int:
+        return self.values.shape[0]
 
     @property
     def n_rounds(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[1]
 
     @property
     def n_strata(self) -> int:
@@ -123,50 +134,46 @@ class PopulationRound:
 
 
 def sample_strata(rounds: PopulationRound, per_stratum: int,
-                  rng: np.random.Generator) -> np.ndarray:
+                  rngs: Sequence[np.random.Generator]) -> np.ndarray:
     """Uniform without-replacement draws, `per_stratum` from every stratum of every round.
 
-    Returns a (K, C, per_stratum) array. The stream is consumed round by
+    Replication r draws from ``rngs[r]``; a stack of one replication is
+    shared by every stream, as a broadcast view. Returns an (R, K, C,
+    per_stratum) array for R = len(rngs). Each stream is consumed round by
     round and stratum by stratum, as one ``rng.choice(N_j, per_stratum,
     replace=False)`` call per stratum would. A single draw per stratum takes
     one ``rng.integers`` call over every round instead, which reads the same
-    values from the stream as those choice calls.
+    values from the stream as those choice calls. The values are gathered
+    once, over the whole stack.
     """
     if per_stratum < 1:
         raise ValueError("per_stratum must be at least 1")
     smallest = int(rounds.sizes.min())
     if per_stratum > smallest:
         raise ValueError(f"cannot draw {per_stratum} values from a stratum of size {smallest}")
-    k = rounds.n_rounds
+    n_reps, k = len(rngs), rounds.n_rounds
+    values = np.broadcast_to(rounds.values, (n_reps, *rounds.values.shape[1:]))
+    picks = np.empty((n_reps, k, rounds.n_strata, per_stratum), dtype=np.int64)
     if per_stratum == 1:
-        picks = rng.integers(0, np.tile(rounds.sizes, k)).reshape(k, -1, 1)
+        bounds = np.tile(rounds.sizes, k)
+        for r, rng in enumerate(rngs):
+            picks[r] = rng.integers(0, bounds).reshape(k, -1, 1)
     else:
         sizes = rounds.sizes.tolist()
-        picks = np.array([[rng.choice(n, size=per_stratum, replace=False) for n in sizes]
-                          for _ in range(k)])
-    columns = rounds.offsets[:-1, None] + picks
-    return rounds.values[np.arange(k)[:, None, None], columns]
+        for r, rng in enumerate(rngs):
+            picks[r] = [[rng.choice(n, size=per_stratum, replace=False) for n in sizes]
+                        for _ in range(k)]
+    picks += rounds.offsets[:-1, None]
+    return values[np.arange(n_reps)[:, None, None, None], np.arange(k)[:, None, None], picks]
 
 
-def _draw_rounds(draw, params: Sequence[tuple[float, float]], n_per_round: int,
-                 streams: Sequence[np.random.Generator]) -> PopulationRound:
-    """One round per parameter pair, in N_STRATA equal strata of fresh draws.
+def _chunked_streams(keys: Iterator[tuple]) -> Iterator[np.random.Generator]:
+    """The streams of `keys` in key order, seeded by one `spawn_rngs` call per SEEDING_CHUNK.
 
-    Stratum j of round k holds n_per_round / N_STRATA values of
-    draw(rng, a_k, b_k, size) from ``streams[k * N_STRATA + j]``, where draw
-    is a Generator method such as ``np.random.Generator.uniform``; the
-    families pass the streams (seed, k, j).
+    At most one chunk of generators is alive at a time.
     """
-    if n_per_round <= 0 or n_per_round % N_STRATA != 0:
-        raise ValueError(f"n_per_round={n_per_round} must be a positive multiple of "
-                         f"{N_STRATA} strata")
-    per = n_per_round // N_STRATA
-    values = np.empty((len(params), n_per_round))
-    streams = iter(streams)
-    for k, (a, b) in enumerate(params):
-        for j in range(N_STRATA):
-            values[k, j * per:(j + 1) * per] = draw(next(streams), a, b, per)
-    return PopulationRound(values, np.full(N_STRATA, per))
+    while chunk := list(itertools.islice(keys, SEEDING_CHUNK)):
+        yield from spawn_rngs(chunk)
 
 
 def trend_schedules(family: Trend, n_rounds: int = DEFAULT_N_ROUNDS) -> list[tuple[float, float]]:
@@ -189,35 +196,54 @@ def trend_schedules(family: Trend, n_rounds: int = DEFAULT_N_ROUNDS) -> list[tup
     raise ValueError(f"{family} has no deterministic schedule")
 
 
-def generate_family(family: Trend, seed, n_per_round: int = 40,
+def generate_family(family: Trend, seeds: Sequence, n_per_round: int = 40,
                     n_rounds: int = DEFAULT_N_ROUNDS) -> PopulationRound:
-    """Build any of the seven families with its canonical configuration.
+    """Build R = len(seeds) replications of any of the seven families in one stack.
 
     The uniform families draw round k from U(lo_k, hi_k) over one interval
     per round in a fixed table, so they run at most
     ``len(DECREASING_MEAN_INTERVALS)`` rounds. The normal families draw
     N(mu_k, sigma_k): the random family draws both parameters uniformly
-    from RANDOM_PARAM_RANGE per round, the trend families follow
-    `trend_schedules`. Stratum j of round k draws from the stream
-    (seed, k, j) and the random family's parameters from (seed,
-    _PARAM_STREAM_TAG); one `spawn_rngs` call seeds them all.
+    from RANDOM_PARAM_RANGE per round and replication, the trend families
+    follow `trend_schedules`. Every round has N_STRATA equal strata of
+    n_per_round / N_STRATA fresh draws.
+
+    Replication r takes the streams of ``seeds[r]``: stratum j of round k
+    draws from the stream (seed, k, j), and the random family's (mu, sigma)
+    pairs come from (seed, _PARAM_STREAM_TAG), mu then sigma round by round.
+    Streams are seeded SEEDING_CHUNK keys per `spawn_rngs` call, and each
+    one draws straight into the preallocated stack.
     """
     if n_rounds < 1:
         raise ValueError(f"need at least one round, got {n_rounds}")
-    keys = [(seed, k, j) for k in range(n_rounds) for j in range(N_STRATA)]
+    if n_per_round <= 0 or n_per_round % N_STRATA != 0:
+        raise ValueError(f"n_per_round={n_per_round} must be a positive multiple of "
+                         f"{N_STRATA} strata")
+    n_reps = len(seeds)
+    if not n_reps:
+        raise ValueError("need at least one seed")
+    shape = (n_reps, n_rounds, 2)  # (a, b) of each replication's rounds
+    draw = np.random.Generator.normal
     if family in (Trend.UNIFORM_DEC, Trend.UNIFORM_INC):
         table = DECREASING_MEAN_INTERVALS if family is Trend.UNIFORM_DEC \
             else INCREASING_MEAN_INTERVALS
         if n_rounds > len(table):
             raise ValueError(f"{family.value} has intervals for {len(table)} rounds, "
                              f"not {n_rounds}")
-        return _draw_rounds(np.random.Generator.uniform, table[:n_rounds], n_per_round,
-                            spawn_rngs(keys))
-    if family is Trend.NORMAL_RANDOM:
-        prng, *streams = spawn_rngs([(seed, _PARAM_STREAM_TAG), *keys])
+        draw, params = np.random.Generator.uniform, np.broadcast_to(table[:n_rounds], shape)
+    elif family is Trend.NORMAL_RANDOM:
         lo, hi = RANDOM_PARAM_RANGE
-        params = [(prng.uniform(lo, hi), prng.uniform(lo, hi)) for _ in range(n_rounds)]
+        streams = _chunked_streams((seed, _PARAM_STREAM_TAG) for seed in seeds)
+        params = np.array([rng.uniform(lo, hi, 2 * n_rounds) for rng in streams]).reshape(shape)
     else:
-        streams = spawn_rngs(keys)
-        params = trend_schedules(family, n_rounds)
-    return _draw_rounds(np.random.Generator.normal, params, n_per_round, streams)
+        params = np.broadcast_to(trend_schedules(family, n_rounds), shape)
+    per = n_per_round // N_STRATA
+    values = np.empty((n_reps, n_rounds, N_STRATA, per))
+    streams = _chunked_streams((seed, k, j) for seed in seeds
+                               for k in range(n_rounds) for j in range(N_STRATA))
+    for replication, pairs in zip(values, params):
+        for strata, (a, b) in zip(replication, pairs.tolist()):
+            for row in strata:
+                row[...] = draw(next(streams), a, b, per)
+    return PopulationRound(values.reshape(n_reps, n_rounds, n_per_round),
+                           np.full(N_STRATA, per))

@@ -12,7 +12,8 @@ case. It runs the SeedSequence hash as uint32 array operations over all
 keys at once (about 70 µs per call), then seeds each PCG64 from its
 precomputed words (about 1-5 µs per stream, key parsing included), where a
 SeedSequence object per stream costs about 20 µs. Loops that build many
-streams make one call for all of them.
+streams make one call for all of them, or one per bounded chunk of keys
+where holding every generator at once would cost megabytes.
 """
 
 from __future__ import annotations

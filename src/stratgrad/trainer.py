@@ -270,6 +270,7 @@ def mssg_train(params: mlp.MlpParams, data: LabeledDataset, config: TrainConfig,
             fallbacks += _blend_block(
                 d.sum(axis=2, keepdims=True), d2.sum(axis=2, keepdims=True), d_fresh[:, None],
                 b[None], None, mem_b[:, None], class_w, n, 0.0, scale)
+        del acts, deltas, a_fresh, d_fresh  # spent: a checkpoint scores without them
         _assert_finite(params, it, "mssg")
         if it % config.checkpoint_every == 0 or it == config.iterations:
             _checkpoint(reports, params, data, test_data, it)

@@ -5,12 +5,15 @@ with its `Coefficients`/`Degenerate` provenance flags) and the scalar
 blended-variance reference (`blended_variance_term`, summed over
 `StratumStats` by `predicted_variance_vsp`), which the vectorised
 `stratgrad.estimators` kernels are checked against, and of
-`uniform_rounds`/`normal_rounds`, round sequences with caller-chosen
-intervals or (mu, sigma) pairs, which `population.generate_family` fixes
-per family, and of the unstreamed whole-batch passes (`unstreamed_*`), which
-hold every row's activations at once, as `mlp` did before it streamed row
-blocks, on their own forward pass (`reference_forward`: `a @ w + b` and the
-two-branch sigmoid, never `mlp`'s in-place one).
+`uniform_rounds`/`normal_rounds`, one replication of rounds with
+caller-chosen intervals or (mu, sigma) pairs, which
+`population.generate_family` fixes per family. `family_reference` is that
+generator as a per-seed loop over 1-D strata, which the stacked
+`generate_family` must match bit for bit. The unstreamed whole-batch
+passes (`unstreamed_*`) hold every row's activations at once, as `mlp` did
+before it streamed row blocks, on their own forward pass
+(`reference_forward`: `a @ w + b` and the two-branch sigmoid, never
+`mlp`'s in-place one).
 `coefficients_elementwise_reference` is the coefficient kernel with every
 element taken down every branch by mask, and `blend_block_reference` the
 mssg block update as that kernel followed by an out-of-place blend; the
@@ -29,14 +32,15 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from stratgrad import mlp
 from stratgrad.dataio import LabeledDataset, _format_cell
 from stratgrad.estimators import ESTIMATOR_NAMES, Race, optimal_coefficients_elementwise
-from stratgrad.population import N_STRATA, PopulationRound, _draw_rounds
+from stratgrad.population import (DECREASING_MEAN_INTERVALS, N_STRATA, RANDOM_PARAM_RANGE,
+                                  PopulationRound, Trend, trend_schedules)
 from stratgrad.trainer import BLOCK_ENTRIES
 
 
@@ -49,11 +53,6 @@ def numpy_stream(seed, *path: int) -> np.random.Generator:
     """
     entropy = [*seed, *path] if isinstance(seed, tuple) else [seed, *path]
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
-
-
-def _round_streams(seed, n_rounds: int) -> list[np.random.Generator]:
-    """The streams (seed, k, j) of rounds k < n_rounds and the families' strata j."""
-    return [numpy_stream(seed, k, j) for k in range(n_rounds) for j in range(N_STRATA)]
 
 
 def subsample_reference(dataset: LabeledDataset, per_class: int, seed) -> LabeledDataset:
@@ -630,33 +629,97 @@ def mssg_stored_state(params, data, config):
     return params, fallbacks
 
 
+def _rounds_reference(draw, params, n_per_round: int, seed) -> np.ndarray:
+    """(K, N) values: one round per parameter pair, in the families' N_STRATA equal strata.
+
+    Stratum j of round k is ``draw(numpy_stream(seed, k, j), a_k, b_k,
+    n_per_round / N_STRATA)``, drawn on its own and concatenated.
+    """
+    if n_per_round <= 0 or n_per_round % N_STRATA != 0:
+        raise ValueError(f"n_per_round={n_per_round} is not a positive multiple of {N_STRATA}")
+    per = n_per_round // N_STRATA
+    return np.array([np.concatenate([draw(numpy_stream(seed, k, j), a, b, per)
+                                     for j in range(N_STRATA)])
+                     for k, (a, b) in enumerate(params)])
+
+
 def uniform_rounds(intervals, n_per_round: int, seed) -> PopulationRound:
-    """One round of U(lo, hi) draws per interval, in the four strata the families use."""
-    return _draw_rounds(np.random.Generator.uniform, intervals, n_per_round,
-                        _round_streams(seed, len(intervals)))
+    """One replication: a round of U(lo, hi) draws per interval, in the families' four strata."""
+    return PopulationRound(
+        _rounds_reference(np.random.Generator.uniform, intervals, n_per_round, seed)[None],
+        [n_per_round // N_STRATA] * N_STRATA)
 
 
 def normal_rounds(params, n_per_round: int, seed) -> PopulationRound:
-    """One round of N(mu, sigma) draws per (mu, sigma) pair, in the families' four strata."""
-    return _draw_rounds(np.random.Generator.normal, params, n_per_round,
-                        _round_streams(seed, len(params)))
+    """One replication: a round of N(mu, sigma) draws per pair, in the families' four strata."""
+    return PopulationRound(
+        _rounds_reference(np.random.Generator.normal, params, n_per_round, seed)[None],
+        [n_per_round // N_STRATA] * N_STRATA)
 
 
-def trace_estimators_reference(sequences, seeds, per_stratum: int = 1,
+class PopulationReference(NamedTuple):
+    """A population stack with the fields of `population.PopulationRound` that its users read."""
+
+    values: np.ndarray
+    sizes: np.ndarray
+    means: np.ndarray
+    variances: np.ndarray
+    truth: np.ndarray
+
+
+def family_reference(family: Trend, seeds, n_per_round: int = 40,
+                     n_rounds: int = 10) -> PopulationReference:
+    """`population.generate_family` as a per-seed, per-round, per-stratum loop.
+
+    Each seed's rounds come from `_rounds_reference`, with the random
+    family's (mu, sigma) pairs drawn one scalar `uniform` call at a time
+    from (seed, 104729). Every stratum is its own 1-D array, whose stats are
+    `np.mean` and `np.var`, and a round's truth is the 1-D `np.dot` of the
+    weights with its stratum means.
+    """
+    uniform = family in (Trend.UNIFORM_DEC, Trend.UNIFORM_INC)
+    draw = np.random.Generator.uniform if uniform else np.random.Generator.normal
+    lo, hi = RANDOM_PARAM_RANGE
+    weights = np.full(N_STRATA, 1.0 / N_STRATA)
+    values, means, variances, truth = [], [], [], []
+    for seed in seeds:
+        if uniform:
+            table = DECREASING_MEAN_INTERVALS if family is Trend.UNIFORM_DEC \
+                else DECREASING_MEAN_INTERVALS[::-1]
+            params = table[:n_rounds]
+        elif family is Trend.NORMAL_RANDOM:
+            prng = numpy_stream(seed, 104729)
+            params = [(prng.uniform(lo, hi), prng.uniform(lo, hi)) for _ in range(n_rounds)]
+        else:
+            params = trend_schedules(family, n_rounds)
+        rounds = _rounds_reference(draw, params, n_per_round, seed)
+        blocks = [[b.copy() for b in np.split(row, N_STRATA)] for row in rounds]
+        values.append(rounds)
+        means.append([[float(np.mean(b)) for b in row] for row in blocks])
+        variances.append([[float(np.var(b)) for b in row] for row in blocks])
+        truth.append([float(np.dot(weights, np.array(m))) for m in means[-1]])
+    return PopulationReference(np.array(values), np.full(N_STRATA, n_per_round // N_STRATA),
+                               np.array(means), np.array(variances), np.array(truth))
+
+
+def trace_estimators_reference(rounds, seeds, per_stratum: int = 1,
                                batch_size: int = 4) -> Race:
     """The estimator race as a per-replication, per-round, per-stratum loop.
 
-    Each round is split into one 1-D array per stratum. Their exact stats
-    come from `np.mean`/`np.var` one stratum at a time, every draw is a
-    `Generator.choice` call per stratum and round, and every mixing pair
-    comes from the scalar `optimal_coefficients`. A replication's four
-    streams are interleaved round by round, as
+    Replication r races on ``rounds.values[r]`` with the streams of
+    ``seeds[r]``, or on ``rounds.values[0]`` when the stack holds one
+    replication. Each round is split into one 1-D array per stratum. Their
+    exact stats come from `np.mean`/`np.var` one stratum at a time, every
+    draw is a `Generator.choice` call per stratum and round, and every
+    mixing pair comes from the scalar `optimal_coefficients`. A
+    replication's four streams are interleaved round by round, as
     :func:`estimators.trace_estimators` did before it drew each stream for
     all rounds at once and ran the rounds over all replications together.
     """
     estimates, sq_dev, truth = [], [], []
     fallbacks = 0
-    for rounds, seed in zip(sequences, seeds):
+    stack = rounds.values if len(rounds.values) > 1 else [rounds.values[0]] * len(seeds)
+    for replication, seed in zip(stack, seeds):
         rngs = [numpy_stream(seed, idx) for idx in range(len(ESTIMATOR_NAMES))]
         sizes = np.array([int(n) for n in rounds.sizes], dtype=np.float64)
         weights = sizes / sizes.sum()
@@ -664,7 +727,7 @@ def trace_estimators_reference(sequences, seeds, per_stratum: int = 1,
         rows = {name: [] for name in ESTIMATOR_NAMES}
         truths = []
         memory = prev = None
-        for values in rounds.values:
+        for values in replication:
             blocks = [b.copy() for b in np.split(values, cuts)]
             stats = [(float(np.mean(b)), float(np.var(b))) for b in blocks]
             pooled = np.concatenate(blocks)

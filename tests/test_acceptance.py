@@ -115,7 +115,7 @@ def test_criterion_4_design_effect():
 
 def test_criterion_5_decay_bound():
     rounds = uniform_rounds([(0, 4)], 40, seed=1005)
-    stats = rounds.means[0], rounds.variances[0]
+    stats = rounds.means[0, 0], rounds.variances[0, 0]
     weights = rounds.weights
     p, q, _ = optimal_coefficients_elementwise(*stats, *stats)
     assert ((0.0 < p) & (p < 1.0)).all()
@@ -124,7 +124,7 @@ def test_criterion_5_decay_bound():
 
     reps = 40_000
     rng = spawn_rng(1055)
-    values = rounds.values[0].reshape(4, 10)
+    values = rounds.values[0, 0].reshape(4, 10)
     memory = values[np.arange(4)[None, :], rng.integers(0, 10, (reps, 4))]
     worst_excess = -math.inf
     ok = True
@@ -144,9 +144,9 @@ def test_criterion_5_decay_bound():
 
 def test_criterion_6_memory_estimator_unbiased():
     rounds = uniform_rounds(DECREASING_MEAN_INTERVALS[:2], 40, seed=1006)
-    stats1 = rounds.means[0], rounds.variances[0]
-    stats2 = rounds.means[1], rounds.variances[1]
-    truth = rounds.truth[1]
+    stats1 = rounds.means[0, 0], rounds.variances[0, 0]
+    stats2 = rounds.means[0, 1], rounds.variances[0, 1]
+    truth = rounds.truth[0, 1]
     rng = spawn_rng(1066)
     reps = 100_000
     v1, v2 = rounds.values.reshape(2, 4, 10)
@@ -166,7 +166,7 @@ def test_criterion_7_synthetic_ordering():
     lowest_mean = []
     lowest_std = []
     for family in Trend:
-        race = trace_estimators([generate_family(family, (1007, s)) for s in range(n_seeds)],
+        race = trace_estimators(generate_family(family, [(1007, s) for s in range(n_seeds)]),
                                 [(1077, s) for s in range(n_seeds)])
         summary = summarize_traces(race.sq_dev)
         means = {name: stats["mean_sq_dev"] for name, stats in summary.items()}

@@ -12,11 +12,11 @@ from stratgrad import cli
 from stratgrad.cli import _TRACE_STREAM, build_parser, main
 from stratgrad.dataio import read_mnist_split, to_dataset
 from stratgrad.estimators import ESTIMATOR_NAMES
-from stratgrad.population import Trend, generate_family
+from stratgrad.population import Trend
 
-from oracles import (StratumStats, blended_variance_term, optimal_coefficients,
-                     predicted_variance_vsp, read_csv_columns, subsample_reference,
-                     trace_estimators_reference, write_csv_reference)
+from oracles import (StratumStats, blended_variance_term, family_reference,
+                     optimal_coefficients, predicted_variance_vsp, read_csv_columns,
+                     subsample_reference, trace_estimators_reference, write_csv_reference)
 
 
 def run_cli(*argv) -> int:
@@ -223,8 +223,8 @@ def test_synthetic_csv_bytes_equal_per_round_reference(tmp_path, family, flags):
             "sq_dev": []}
     pooled = {name: [] for name in ESTIMATOR_NAMES}
     race = trace_estimators_reference(
-        [generate_family(family, (master, s), n_per_round=opts.get("--n-per-round", 40))
-         for s in range(seeds)],
+        family_reference(family, [(master, s) for s in range(seeds)],
+                         n_per_round=opts.get("--n-per-round", 40)),
         [(master, s, _TRACE_STREAM) for s in range(seeds)],
         opts.get("--per-stratum", 1), opts.get("--batch-size", 4))
     for s in range(seeds):

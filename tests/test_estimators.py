@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,12 +17,13 @@ from stratgrad.estimators import (
 )
 from stratgrad.population import (
     DECREASING_MEAN_INTERVALS,
+    SEEDING_CHUNK,
     PopulationRound,
     Trend,
     generate_family,
     sample_strata,
 )
-from stratgrad.rng import spawn_rng
+from stratgrad.rng import spawn_rng, spawn_rngs
 
 from oracles import (
     Coefficients,
@@ -35,6 +37,12 @@ from oracles import (
     uniform_rounds,
     variance_bound,
 )
+
+
+def stack(sequences) -> PopulationRound:
+    """One population stack of the replications of round sequences that share a layout."""
+    sequences = list(sequences)
+    return PopulationRound(np.concatenate([r.values for r in sequences]), sequences[0].sizes)
 
 
 def signed_stats(abs_mean, var):
@@ -287,11 +295,11 @@ def test_gst_missing_stratum_rejected():
 
 def test_gst_monte_carlo_unbiasedness():
     rounds = uniform_rounds(DECREASING_MEAN_INTERVALS[:1], 40, seed=3)
-    truth = rounds.truth[0]
+    truth = rounds.truth[0, 0]
     rng = spawn_rng(77)
     reps = 10 ** 5
     idx = rng.integers(0, 10, size=(reps, 4))
-    values = rounds.values[0].reshape(4, 10)
+    values = rounds.values[0, 0].reshape(4, 10)
     draws = values[np.arange(4)[None, :], idx]
     estimates = draws @ rounds.weights
     se = estimates.std(ddof=1) / math.sqrt(reps)
@@ -301,38 +309,38 @@ def test_gst_monte_carlo_unbiasedness():
 def test_sgd_and_batch_estimates():
     # sgd reports one value of the round; a one-draw batch does too
     rounds = uniform_rounds(DECREASING_MEAN_INTERVALS, 40, seed=6)
-    race = trace_estimators([rounds] * 3, [1, 2, 3], batch_size=1)
+    race = trace_estimators(rounds, [1, 2, 3], batch_size=1)
     for r in range(3):
         for k in range(rounds.n_rounds):
-            assert race.estimates[r, 3, k] in rounds.values[k]
-            assert race.estimates[r, 2, k] in rounds.values[k]
+            assert race.estimates[r, 3, k] in rounds.values[0, k]
+            assert race.estimates[r, 2, k] in rounds.values[0, k]
     with pytest.raises(ValueError):
-        trace_estimators([rounds], [1], batch_size=0)
+        trace_estimators(rounds, [1], batch_size=0)
 
 
 # ------------------------------------------------------------ memory estimator
 
 def _stats_of(rounds, k=0):
-    return rounds.means[k], rounds.variances[k]
+    return rounds.means[0, k], rounds.variances[0, k]
 
 
 def test_init_estimate_equals_gst():
     # round 1 of gmst is the gst estimate of gmst's own draws, without fallbacks
     rounds = uniform_rounds([(2, 6)], 40, seed=4)
-    race = trace_estimators([rounds], [7])
-    draws = sample_strata(rounds, 1, spawn_rng(7, 0)).mean(axis=2)
-    assert race.estimates[0, 0, 0] == gst_estimate(draws[0], rounds.weights)
+    race = trace_estimators(rounds, [7])
+    draws = sample_strata(rounds, 1, [spawn_rng(7, 0)]).mean(axis=3)
+    assert race.estimates[0, 0, 0] == gst_estimate(draws[0, 0], rounds.weights)
     assert race.fallbacks == 0
 
 
 def test_init_constant_population():
-    rounds = PopulationRound(np.full((1, 40), 4.0), [10] * 4)
-    race = trace_estimators([rounds], [0])
+    rounds = PopulationRound(np.full((1, 1, 40), 4.0), [10] * 4)
+    race = trace_estimators(rounds, [0])
     assert race.estimates[0, 0, 0] == 4.0
 
 
 def test_step_constant_strata_fixed_point():
-    rounds = PopulationRound(np.full((1, 40), 4.0), [10] * 4)
+    rounds = PopulationRound(np.full((1, 1, 40), 4.0), [10] * 4)
     stats = _stats_of(rounds)
     memory = np.full(4, 4.0)
     for _ in range(5):
@@ -370,7 +378,7 @@ def test_step_rejects_a_changed_stratum_count():
 
 def test_step_monte_carlo_unbiasedness_round_two():
     rounds = uniform_rounds(DECREASING_MEAN_INTERVALS[:2], 40, seed=12)
-    truth = rounds.truth[1]
+    truth = rounds.truth[0, 1]
     rng = spawn_rng(55)
     reps = 10 ** 5
     v1, v2 = rounds.values.reshape(2, 4, 10)
@@ -506,7 +514,7 @@ def test_variance_bound_dominates_monte_carlo_stationary():
     v_st = stratified_variance(variances, weights)
     reps = 20_000
     rng = spawn_rng(93)
-    values = rounds.values[0].reshape(4, 10)
+    values = rounds.values[0, 0].reshape(4, 10)
     memory = values[np.arange(4)[None, :], rng.integers(0, 10, (reps, 4))]
     coeffs = [coefficients(m, v, m, v) for m, v in zip(means, variances)]
     p_max = max(c.p for c in coeffs)
@@ -530,7 +538,7 @@ def test_stationary_chain_matches_gmst_step():
     stats = _stats_of(rounds)
     weights = rounds.weights
     rng = spawn_rng(94)
-    values = rounds.values[0].reshape(4, 10)
+    values = rounds.values[0, 0].reshape(4, 10)
     coeffs = [optimal_coefficients(m, v, m, v) for m, v in zip(*stats)]
     for _ in range(50):
         memory = values[np.arange(4), rng.integers(0, 10, 4)]
@@ -545,12 +553,12 @@ def test_stationary_chain_matches_gmst_step():
 # ------------------------------------------------------------ traces
 
 def test_trace_lengths_and_sq_dev_invariant():
-    sequences = [uniform_rounds(DECREASING_MEAN_INTERVALS, 40, seed=s) for s in (2, 3)]
-    race = trace_estimators(sequences, [5, 6])
+    rounds = stack(uniform_rounds(DECREASING_MEAN_INTERVALS, 40, seed=s) for s in (2, 3))
+    race = trace_estimators(rounds, [5, 6])
     assert race.estimates.shape == race.sq_dev.shape == (2, len(ESTIMATOR_NAMES), 10)
     assert race.truth.shape == (2, 10)
-    for r, rounds in enumerate(sequences):
-        assert np.array_equal(race.truth[r], rounds.truth)
+    for r in range(2):
+        assert np.array_equal(race.truth[r], rounds.truth[r])
         for est, dev in zip(race.estimates[r], race.sq_dev[r]):
             for e, d, t in zip(est.tolist(), dev.tolist(), race.truth[r].tolist()):
                 assert d == (e - t) * (e - t)
@@ -558,55 +566,82 @@ def test_trace_lengths_and_sq_dev_invariant():
 
 def test_trace_constant_population_all_exact():
     rounds = uniform_rounds([(3, 3)] * 4, 40, seed=2)
-    race = trace_estimators([rounds], [5])
+    race = trace_estimators(rounds, [5])
     assert not race.sq_dev.any()
 
 
 def test_trace_determinism():
     rounds = uniform_rounds(DECREASING_MEAN_INTERVALS, 40, seed=2)
-    a = trace_estimators([rounds], [5])
-    b = trace_estimators([rounds], [5])
+    a = trace_estimators(rounds, [5])
+    b = trace_estimators(rounds, [5])
     assert np.array_equal(a.estimates, b.estimates)
     assert np.array_equal(a.sq_dev, b.sq_dev)
     assert a.fallbacks == b.fallbacks
 
 
 def test_trace_rejects_sequences_that_do_not_share_a_layout():
-    rounds = generate_family(Trend.UNIFORM_DEC, 1)
-    with pytest.raises(ValueError, match="stratum sizes and round count"):
-        trace_estimators([rounds, generate_family(Trend.UNIFORM_DEC, 2, n_rounds=9)], [1, 2])
-    with pytest.raises(ValueError, match="stratum sizes and round count"):
-        trace_estimators([rounds, generate_family(Trend.UNIFORM_DEC, 2, n_per_round=80)],
-                         [1, 2])
-    ragged = PopulationRound(rounds.values, [5, 15, 10, 10])
-    with pytest.raises(ValueError, match="stratum sizes and round count"):
-        trace_estimators([rounds, ragged], [1, 2])
-    with pytest.raises(ValueError, match="one seed per round sequence"):
-        trace_estimators([rounds, rounds], [1])
-    with pytest.raises(ValueError, match="one seed per round sequence"):
-        trace_estimators([], [])
+    # replications raced together are one stack, so they share a layout by
+    # construction: sequences of other round counts or values cannot stack
+    rounds = generate_family(Trend.UNIFORM_DEC, [1])
+    for other in (generate_family(Trend.UNIFORM_DEC, [2], n_rounds=9),
+                  generate_family(Trend.UNIFORM_DEC, [2], n_per_round=80)):
+        with pytest.raises(ValueError):
+            PopulationRound([rounds.values[0], other.values[0]], rounds.sizes)
+    two = generate_family(Trend.UNIFORM_DEC, [1, 2])
+    with pytest.raises(ValueError, match="one seed per replication"):
+        trace_estimators(two, [1])
+    with pytest.raises(ValueError, match="one seed per replication"):
+        trace_estimators(two, [1, 2, 3])
+    with pytest.raises(ValueError, match="one seed per replication"):
+        trace_estimators(rounds, [])
 
 
 def test_trace_fallback_counter_exposed():
     rounds = uniform_rounds(DECREASING_MEAN_INTERVALS, 40, seed=2)
-    assert trace_estimators([rounds], [5]).fallbacks >= 0
+    assert trace_estimators(rounds, [5]).fallbacks >= 0
     # stratum 0 jumps from a zero mean to a nonzero one (1 fallback), then
     # stays put; the all-zero stratum 1 has a zero denominator (2 fallbacks)
-    values = np.zeros((3, 8))
-    values[1:, :4] = [1.0, 2.0, 3.0, 4.0]
-    race = trace_estimators([PopulationRound(values, [4, 4])], [5])
+    values = np.zeros((1, 3, 8))
+    values[:, 1:, :4] = [1.0, 2.0, 3.0, 4.0]
+    race = trace_estimators(PopulationRound(values, [4, 4]), [5])
     assert race.fallbacks == 3
-    # the count is summed over replications
-    assert trace_estimators([PopulationRound(values, [4, 4])] * 3, [5, 6, 7]).fallbacks == 9
+    # the count is summed over replications, shared or not
+    assert trace_estimators(PopulationRound(values, [4, 4]), [5, 6, 7]).fallbacks == 9
+    assert trace_estimators(PopulationRound(np.repeat(values, 2, axis=0), [4, 4]),
+                            [5, 6]).fallbacks == 6
 
 
 def test_trace_ordering_over_many_seeds():
-    sequences = [uniform_rounds(DECREASING_MEAN_INTERVALS, 40, seed=(100, s))
-                 for s in range(1000)]
-    race = trace_estimators(sequences, [(101, s) for s in range(1000)])
+    rounds = generate_family(Trend.UNIFORM_DEC, [(100, s) for s in range(1000)])
+    race = trace_estimators(rounds, [(101, s) for s in range(1000)])
     summary = summarize_traces(race.sq_dev)
     means = {name: summary[name]["mean_sq_dev"] for name in summary}
     assert means["gmst"] < means["gst"] < means["batch"]
+
+
+def test_generating_and_racing_1000_replications_peaks_within_the_stack_and_streams():
+    # The stacked values and their stats stay; on top of them, generation
+    # holds one seeding chunk of generators and the race its 4R streams with
+    # at most eight (R, K, C)-sized arrays: picks, gathers, stratum sample
+    # means, estimates and squared deviations. Seeding every stream of the
+    # stack at once would hold 40 generators per replication instead.
+    n_reps, n_rounds, n_per_round = 1000, 10, 40
+    tracemalloc.start()
+    try:
+        streams = spawn_rngs([(5, s) for s in range(n_reps)])
+        per_generator = tracemalloc.get_traced_memory()[0] / n_reps
+        del streams
+        tracemalloc.reset_peak()
+        rounds = generate_family(Trend.NORMAL_RANDOM, [(5, s) for s in range(n_reps)])
+        trace_estimators(rounds, [(6, s) for s in range(n_reps)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    cells = n_reps * n_rounds * rounds.n_strata
+    stack_bytes = 8 * n_reps * n_rounds * n_per_round + 8 * (2 * cells + n_reps * n_rounds)
+    transient = max(SEEDING_CHUNK * per_generator,
+                    4 * n_reps * per_generator + 8 * 8 * cells)
+    assert peak < stack_bytes + transient + 2 ** 20  # keys, lists and Python objects
 
 
 def test_summary_pools_replications_in_order():
@@ -642,11 +677,11 @@ def _constant_strata_rounds(variant=0):
     values[1:3, :10] = 1.5
     values[2:, 20:] = np.tile([-1.0, 1.0], 5)
     values[3:, 10:20] = -2.0
-    return PopulationRound(np.roll(values, variant, axis=0) * (1 + variant), [10, 10, 10])
+    return PopulationRound(np.roll(values, variant, axis=0)[None] * (1 + variant), [10, 10, 10])
 
 
 ORACLE_CASES = {
-    **{fam.value: (lambda variant, fam=fam: generate_family(fam, (9, 1 + variant)))
+    **{fam.value: (lambda variant, fam=fam: generate_family(fam, [(9, 1 + variant)]))
        for fam in Trend},
     "ragged": _ragged_gradient_rounds,
     "constant": _constant_strata_rounds,
@@ -657,33 +692,32 @@ ORACLE_CASES = {
 @pytest.mark.parametrize("per_stratum", [1, 2, 10])
 @pytest.mark.parametrize("batch_size", [1, 4, 40])
 def test_trace_equals_per_stratum_loop_reference(case, per_stratum, batch_size):
-    # three different sequences of one layout, raced in one call
-    sequences = [ORACLE_CASES[case](variant) for variant in range(3)]
+    # a stack of three different sequences of one layout, raced in one call,
+    # and its first sequence raced by all three seeds as a broadcast view
+    rounds = stack(ORACLE_CASES[case](variant) for variant in range(3))
+    shared = ORACLE_CASES[case](0)
     seeds = [(4, 2), 11, (0, 3, 7000)]
-    if per_stratum > sequences[0].sizes.min():
+    if per_stratum > rounds.sizes.min():
         with pytest.raises(ValueError):
-            trace_estimators(sequences, seeds, per_stratum, batch_size)
+            trace_estimators(rounds, seeds, per_stratum, batch_size)
         return
-    got = trace_estimators(sequences, seeds, per_stratum, batch_size)
-    assert got.estimates.shape == (3, len(ESTIMATOR_NAMES), sequences[0].n_rounds)
-    fallbacks = 0
-    for r, (rounds, seed) in enumerate(zip(sequences, seeds)):
-        want = trace_estimators_reference([rounds], [seed], per_stratum, batch_size)
-        assert got.estimates[r].tobytes() == want.estimates[0].tobytes()
-        assert got.sq_dev[r].tobytes() == want.sq_dev[0].tobytes()
-        assert got.truth[r].tobytes() == want.truth[0].tobytes()
-        fallbacks += want.fallbacks
-    assert got.fallbacks == fallbacks
+    for population in (rounds, shared):
+        got = trace_estimators(population, seeds, per_stratum, batch_size)
+        want = trace_estimators_reference(population, seeds, per_stratum, batch_size)
+        assert got.estimates.shape == (3, len(ESTIMATOR_NAMES), rounds.n_rounds)
+        for name in ("estimates", "sq_dev", "truth"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert got.fallbacks == want.fallbacks
 
 
 def test_reference_cases_reach_the_degenerate_branches():
     rounds = _constant_strata_rounds()
+    means, variances = rounds.means[0], rounds.variances[0]
     flags = {optimal_coefficients(mp, vp, mc, vc).degenerate
              for k in range(1, rounds.n_rounds)
-             for mp, vp, mc, vc in zip(rounds.means[k - 1], rounds.variances[k - 1],
-                                       rounds.means[k], rounds.variances[k])}
+             for mp, vp, mc, vc in zip(means[k - 1], variances[k - 1], means[k], variances[k])}
     assert {Degenerate.ZERO_OVER_ZERO, Degenerate.GUARDED_DENOMINATOR} <= flags
-    assert trace_estimators_reference([rounds], [1]).fallbacks > 0
+    assert trace_estimators_reference(rounds, [1]).fallbacks > 0
 
 
 def test_pooled_draws_follow_choice_and_scalar_integers():

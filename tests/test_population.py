@@ -5,16 +5,19 @@ import pytest
 
 from stratgrad.population import (
     DECREASING_MEAN_INTERVALS,
+    NORMAL_TRENDS,
     PopulationRound,
     RANDOM_PARAM_RANGE,
+    SEEDING_CHUNK,
     Trend,
     generate_family,
     sample_strata,
     trend_schedules,
 )
-from stratgrad.rng import spawn_rng
+from stratgrad.rng import spawn_rng, spawn_rngs
 
-from oracles import StratumStats, normal_rounds, numpy_stream, uniform_rounds
+from oracles import (StratumStats, family_reference, normal_rounds, numpy_stream,
+                     uniform_rounds)
 
 
 def two_pass_stats(values):
@@ -28,16 +31,18 @@ def two_pass_stats(values):
 # ---------------------------------------------------------------- types
 
 def one_round(*strata) -> PopulationRound:
-    """A single-round sequence with the given value blocks as its strata."""
-    return PopulationRound(np.concatenate([np.asarray(s, dtype=np.float64) for s in strata])[None],
-                           [len(s) for s in strata])
+    """One replication of one round with the given value blocks as its strata."""
+    values = np.concatenate([np.asarray(s, dtype=np.float64) for s in strata])
+    return PopulationRound(values[None, None], [len(s) for s in strata])
 
 
 def test_stratum_rejects_empty():
     with pytest.raises(ValueError):
-        PopulationRound(np.zeros((1, 2)), [2, 0])
+        PopulationRound(np.zeros((1, 1, 2)), [2, 0])
     with pytest.raises(ValueError):
-        PopulationRound(np.zeros((0, 2)), [2])
+        PopulationRound(np.zeros((1, 0, 2)), [2])
+    with pytest.raises(ValueError):
+        PopulationRound(np.zeros((0, 1, 2)), [2])
 
 
 def test_weights_must_match_sizes_exactly():
@@ -47,13 +52,15 @@ def test_weights_must_match_sizes_exactly():
 
 
 def test_round_sequence_requires_shared_layout():
-    # every round is cut by the same sizes, which must cover a round exactly
+    # every round of every replication is cut by the same sizes, which must
+    # cover a round exactly; a stack is (replications, rounds, values)
     with pytest.raises(ValueError):
-        PopulationRound(np.zeros((2, 4)), [1, 2])
+        PopulationRound(np.zeros((3, 2, 4)), [1, 2])
+    for flat in (np.zeros(4), np.zeros((2, 4)), np.zeros((1, 2, 2, 4))):
+        with pytest.raises(ValueError):
+            PopulationRound(flat, [4])
     with pytest.raises(ValueError):
-        PopulationRound(np.zeros(4), [4])
-    with pytest.raises(ValueError):
-        PopulationRound(np.zeros((1, 4)), [2.0, 2.0])
+        PopulationRound(np.zeros((1, 1, 4)), [2.0, 2.0])
 
 
 def test_negative_variance_rejected():
@@ -72,66 +79,72 @@ def test_nonfinite_statistics_rejected(block):
 
 def test_stratum_stats_trivial():
     rounds = one_round([1, 1, 1, 1], [0, 2])
-    assert rounds.means.tolist() == [[1.0, 1.0]]
-    assert rounds.variances.tolist() == [[0.0, 1.0]]
+    assert rounds.means.tolist() == [[[1.0, 1.0]]]
+    assert rounds.variances.tolist() == [[[0.0, 1.0]]]
+    assert rounds.truth.shape == (1, 1)
 
 
 def test_stratum_stats_matches_two_pass_oracle():
     values = spawn_rng(11).uniform(-5, 9, 40)
     rounds = one_round(values)
     mean, var = two_pass_stats(values)
-    assert rounds.means[0, 0] == pytest.approx(mean, abs=1e-12)
-    assert rounds.variances[0, 0] == pytest.approx(var, abs=1e-12)
+    assert rounds.means[0, 0, 0] == pytest.approx(mean, abs=1e-12)
+    assert rounds.variances[0, 0, 0] == pytest.approx(var, abs=1e-12)
 
 
 def test_stratum_stats_equal_one_block_at_a_time():
-    # row-slice reductions give the bits of a 1-D np.mean / np.var per block
+    # row-slice reductions over the whole stack give the bits of a 1-D
+    # np.mean / np.var per block, and the truth those of one 1-D np.dot
     rng = spawn_rng(12)
     sizes = [1, 7, 8, 9, 130, 300]
-    rounds = PopulationRound(rng.normal(3.0, 2.0, (5, sum(sizes))), sizes)
-    for k, values in enumerate(rounds.values):
-        blocks = np.split(values.copy(), np.cumsum(sizes)[:-1])
-        assert rounds.means[k].tolist() == [float(np.mean(b)) for b in blocks]
-        assert rounds.variances[k].tolist() == [float(np.var(b)) for b in blocks]
-        assert rounds.truth[k] == float(np.dot(rounds.weights,
-                                               np.array([np.mean(b) for b in blocks])))
+    rounds = PopulationRound(rng.normal(3.0, 2.0, (3, 5, sum(sizes))), sizes)
+    for r, k in np.ndindex(3, 5):
+        blocks = np.split(rounds.values[r, k].copy(), np.cumsum(sizes)[:-1])
+        assert rounds.means[r, k].tolist() == [float(np.mean(b)) for b in blocks]
+        assert rounds.variances[r, k].tolist() == [float(np.var(b)) for b in blocks]
+        assert rounds.truth[r, k] == float(np.dot(rounds.weights,
+                                                  np.array([np.mean(b) for b in blocks])))
 
 
 def test_population_mean_equal_strata():
     rounds = one_round(*([float(c)] * 5 for c in (1, 2, 3, 4)))
-    assert rounds.truth.tolist() == [2.5]
+    assert rounds.truth.tolist() == [[2.5]]
 
 
 def test_population_mean_single_stratum():
     rounds = one_round([2.0, 4.0, 9.0])
-    assert rounds.truth[0] == rounds.means[0, 0]
+    assert rounds.truth[0, 0] == rounds.means[0, 0, 0]
 
 
 def test_population_mean_matches_pooled_mean():
     rng = spawn_rng(42)
     for _ in range(20):
         sizes = rng.integers(1, 30, size=rng.integers(2, 6))
-        rounds = PopulationRound(
-            np.concatenate([rng.normal(rng.uniform(-3, 3), 2.0, size=sz) for sz in sizes])[None],
-            sizes)
-        assert rounds.truth[0] == pytest.approx(float(rounds.values.mean()), abs=1e-12)
+        rounds = one_round(*(rng.normal(rng.uniform(-3, 3), 2.0, size=sz) for sz in sizes))
+        assert rounds.truth[0, 0] == pytest.approx(float(rounds.values.mean()), abs=1e-12)
 
 
 # ---------------------------------------------------------------- generators
 
 def test_decreasing_family_shape_and_trend():
-    rounds = generate_family(Trend.UNIFORM_DEC, 0)
-    assert rounds.n_rounds == 10
-    assert rounds.values.shape == (10, 40)
-    assert rounds.n_strata == 4
+    rounds = generate_family(Trend.UNIFORM_DEC, [0, 1, 2])
+    assert (rounds.n_reps, rounds.n_rounds, rounds.n_strata) == (3, 10, 4)
+    assert rounds.values.shape == (3, 10, 40)
+    assert rounds.means.shape == rounds.variances.shape == (3, 10, 4)
+    assert rounds.truth.shape == (3, 10)
     assert rounds.sizes.tolist() == [10] * 4
-    inc = generate_family(Trend.UNIFORM_INC, 0)
-    assert inc.truth[0] < inc.truth[-1] and rounds.truth[0] > rounds.truth[-1]
+    inc = generate_family(Trend.UNIFORM_INC, [0])
+    assert inc.truth[0, 0] < inc.truth[0, -1] and rounds.truth[0, 0] > rounds.truth[0, -1]
+    with pytest.raises(ValueError):
+        generate_family(Trend.UNIFORM_DEC, [])
+    for n_per_round in (0, 42):
+        with pytest.raises(ValueError):
+            generate_family(Trend.NORMAL_RANDOM, [0], n_per_round=n_per_round)
 
 
 def test_degenerate_interval_yields_zeros():
     rounds = uniform_rounds([(0, 0)], 4, seed=3)
-    assert rounds.truth.tolist() == [0.0]
+    assert rounds.truth.tolist() == [[0.0]]
     assert not rounds.variances.any()
 
 
@@ -139,7 +152,7 @@ def test_uniform_mean_against_large_redraw_oracle():
     # Oracle: a fresh 1e6-draw estimate of the generator's mean on (0, 1);
     # the 40-value round must sit within 3 sigma / sqrt(40) of it.
     rounds = uniform_rounds([(0, 1)], 40, seed=9)
-    sample_mean = float(rounds.values[0].mean())
+    sample_mean = float(rounds.values[0, 0].mean())
     oracle = float(spawn_rng(987).uniform(0, 1, 10 ** 6).mean())
     sigma = 1.0 / math.sqrt(12.0)
     assert abs(sample_mean - oracle) <= 3 * sigma / math.sqrt(40)
@@ -153,20 +166,21 @@ def test_uniform_rejects_bad_shapes():
 
 
 def test_normal_random_family_layout():
-    rounds = generate_family(Trend.NORMAL_RANDOM, 5)
+    rounds = generate_family(Trend.NORMAL_RANDOM, [5])
+    assert rounds.n_reps == 1
     assert rounds.n_rounds == 10
     assert rounds.n_strata == 4
 
 
 def test_normal_near_degenerate_sigma():
     rounds = normal_rounds([(5, 1e-9)], 4, 0)
-    assert rounds.truth[0] == pytest.approx(5.0, abs=1e-6)
+    assert rounds.truth[0, 0] == pytest.approx(5.0, abs=1e-6)
     assert (rounds.variances < 1e-12).all()
 
 
 def test_normal_large_sample_variance():
     rounds = normal_rounds([(0, 1)], 10 ** 5, 1)
-    pooled = rounds.values[0]
+    pooled = rounds.values[0, 0]
     assert float(pooled.var()) == pytest.approx(1.0, rel=0.02)
 
 
@@ -184,42 +198,47 @@ def test_trend_schedules_cover_four_families():
 
 def test_generate_family_covers_all_trends():
     for fam in Trend:
-        rounds = generate_family(fam, seed=1)
-        assert rounds.n_rounds == 10
+        rounds = generate_family(fam, [1, 2])
+        assert (rounds.n_reps, rounds.n_rounds) == (2, 10)
 
 
 @pytest.mark.parametrize("family", [Trend.UNIFORM_DEC, Trend.UNIFORM_INC])
 def test_uniform_families_run_at_most_their_interval_table(family):
-    assert generate_family(family, seed=1, n_rounds=7).n_rounds == 7
+    assert generate_family(family, [1], n_rounds=7).n_rounds == 7
     with pytest.raises(ValueError, match="10 rounds"):
-        generate_family(family, seed=1, n_rounds=len(DECREASING_MEAN_INTERVALS) + 1)
+        generate_family(family, [1], n_rounds=len(DECREASING_MEAN_INTERVALS) + 1)
     with pytest.raises(ValueError):
-        generate_family(family, seed=1, n_rounds=0)
+        generate_family(family, [1], n_rounds=0)
 
 
 def test_normal_families_take_any_positive_round_count():
-    assert generate_family(Trend.NORMAL_MEAN_INC, seed=1, n_rounds=12).n_rounds == 12
-    assert generate_family(Trend.NORMAL_RANDOM, seed=1, n_rounds=12).n_rounds == 12
+    assert generate_family(Trend.NORMAL_MEAN_INC, [1], n_rounds=12).n_rounds == 12
+    assert generate_family(Trend.NORMAL_RANDOM, [1], n_rounds=12).n_rounds == 12
     with pytest.raises(ValueError):
-        generate_family(Trend.NORMAL_VAR_DEC, seed=1, n_rounds=0)
+        generate_family(Trend.NORMAL_VAR_DEC, [1], n_rounds=0)
 
 
 def test_generators_are_bit_reproducible():
-    a = generate_family(Trend.UNIFORM_DEC, 17)
-    b = generate_family(Trend.UNIFORM_DEC, 17)
+    a = generate_family(Trend.UNIFORM_DEC, [17])
+    b = generate_family(Trend.UNIFORM_DEC, [17])
     assert np.array_equal(a.values, b.values)
-    c = generate_family(Trend.NORMAL_RANDOM, 17)
-    d = generate_family(Trend.NORMAL_RANDOM, 17)
+    c = generate_family(Trend.NORMAL_RANDOM, [17, 18])
+    d = generate_family(Trend.NORMAL_RANDOM, [17, 18])
     assert np.array_equal(c.values, d.values)
+    # a replication does not depend on the others in its stack
+    assert np.array_equal(generate_family(Trend.NORMAL_RANDOM, [18]).values[0], c.values[1])
 
 
 def test_generator_strata_come_from_their_own_streams():
-    # stratum j of round k is the draw from stream (seed, k, j)
-    rounds = normal_rounds([(1.0, 2.0), (3.0, 4.0)], 16, 17)
-    for k, (mu, sigma) in enumerate([(1.0, 2.0), (3.0, 4.0)]):
-        for j in range(4):
-            want = numpy_stream(17, k, j).normal(mu, sigma, 4)
-            assert np.array_equal(rounds.values[k, 4 * j:4 * j + 4], want)
+    # stratum j of round k of the replication of `seed` is the draw from
+    # stream (seed, k, j)
+    seeds = [17, (3, 5)]
+    rounds = generate_family(Trend.NORMAL_VAR_INC, seeds, n_per_round=16, n_rounds=2)
+    for r, seed in enumerate(seeds):
+        for k, (mu, sigma) in enumerate(trend_schedules(Trend.NORMAL_VAR_INC, 2)):
+            for j in range(4):
+                want = numpy_stream(seed, k, j).normal(mu, sigma, 4)
+                assert np.array_equal(rounds.values[r, k, 4 * j:4 * j + 4], want)
 
 
 @pytest.mark.parametrize("seed, n_per_round, n_rounds",
@@ -234,88 +253,118 @@ def test_normal_random_family_follows_its_streams(seed, n_per_round, n_rounds):
     want = np.array([np.concatenate([numpy_stream(seed, k, j).normal(mu, sigma, per)
                                      for j in range(4)])
                      for k, (mu, sigma) in enumerate(params)])
-    rounds = generate_family(Trend.NORMAL_RANDOM, seed, n_per_round=n_per_round,
+    rounds = generate_family(Trend.NORMAL_RANDOM, [seed], n_per_round=n_per_round,
                              n_rounds=n_rounds)
-    assert rounds.values.tobytes() == want.tobytes()
+    assert rounds.values[0].tobytes() == want.tobytes()
+
+
+# R = 1, and an R whose (seed, k, j) keys cross a seeding-chunk boundary
+STACK_SEEDS = ([(6, 0)], [(6, s) for s in range(SEEDING_CHUNK // 40 + 2)])
+
+
+# the paper's sizes, 24 values a round, and 12 rounds for the normal families
+FAMILY_SIZES = [(family, n_per_round, n_rounds) for family in Trend
+                for n_per_round, n_rounds in [(40, 10), (24, 10), (40, 12)]
+                if n_rounds <= 10 or family in (Trend.NORMAL_RANDOM, *NORMAL_TRENDS)]
+
+
+@pytest.mark.parametrize("seeds", STACK_SEEDS, ids=lambda seeds: f"R={len(seeds)}")
+@pytest.mark.parametrize("family, n_per_round, n_rounds", FAMILY_SIZES,
+                         ids=[f"{f.value}-{n}x{k}" for f, n, k in FAMILY_SIZES])
+def test_stacked_family_equals_per_seed_reference(family, n_per_round, n_rounds, seeds):
+    got = generate_family(family, seeds, n_per_round=n_per_round, n_rounds=n_rounds)
+    want = family_reference(family, seeds, n_per_round=n_per_round, n_rounds=n_rounds)
+    assert got.sizes.tolist() == want.sizes.tolist()
+    for name in ("values", "means", "variances", "truth"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 def test_decreasing_family_round_means_mostly_ordered():
     mids = [0.5 * (lo + hi) for lo, hi in DECREASING_MEAN_INTERVALS]
     assert all(b <= a for a, b in zip(mids, mids[1:]))
-    ordered = 0
-    total = 0
-    for seed in range(100):
-        rounds = generate_family(Trend.UNIFORM_DEC, seed)
-        means = rounds.truth.tolist()
-        for a, b in zip(means, means[1:]):
-            total += 1
-            ordered += a > b
-    assert ordered / total >= 0.95
+    truth = generate_family(Trend.UNIFORM_DEC, list(range(100))).truth
+    assert np.mean(truth[:, :-1] > truth[:, 1:]) >= 0.95
 
 
 # ---------------------------------------------------------------- draws
 
 def _fixture_rounds():
+    """Two replications of three rounds, four strata of ten values each."""
     rng = spawn_rng(5)
-    return PopulationRound(np.concatenate([rng.normal(j, 1.0, (3, 10)) for j in range(4)],
-                                          axis=1), [10] * 4)
+    return PopulationRound(np.concatenate([rng.normal(j, 1.0, (2, 3, 10)) for j in range(4)],
+                                          axis=2), [10] * 4)
 
 
-def _strata(rounds, k):
-    return np.split(rounds.values[k], rounds.offsets[1:-1])
+def _strata(rounds, r, k):
+    return np.split(rounds.values[r, k], rounds.offsets[1:-1])
 
 
 def test_draw_one_per_stratum():
     rounds = _fixture_rounds()
-    draws = sample_strata(rounds, 1, spawn_rng(0))
-    assert draws.shape == (3, 4, 1)
-    for k in range(3):
-        assert all(draws[k, j, 0] in block for j, block in enumerate(_strata(rounds, k)))
+    draws = sample_strata(rounds, 1, spawn_rngs([(0, r) for r in range(2)]))
+    assert draws.shape == (2, 3, 4, 1)
+    for r, k in np.ndindex(2, 3):
+        assert all(draws[r, k, j, 0] in block for j, block in enumerate(_strata(rounds, r, k)))
 
 
 def test_draw_values_belong_to_their_stratum():
     rounds = _fixture_rounds()
-    draws = sample_strata(rounds, 3, spawn_rng(8))
-    assert draws.shape == (3, 4, 3)
-    for k in range(3):
-        for j, block in enumerate(_strata(rounds, k)):
-            assert all(v in block for v in draws[k, j])
-            assert len(set(draws[k, j].tolist())) == 3  # without replacement
+    draws = sample_strata(rounds, 3, spawn_rngs([(8, r) for r in range(2)]))
+    assert draws.shape == (2, 3, 4, 3)
+    for r, k in np.ndindex(2, 3):
+        for j, block in enumerate(_strata(rounds, r, k)):
+            assert all(v in block for v in draws[r, k, j])
+            assert len(set(draws[r, k, j].tolist())) == 3  # without replacement
 
 
 def test_exhaustive_draw_returns_stratum_multiset():
     rounds = _fixture_rounds()
-    draws = sample_strata(rounds, 10, spawn_rng(1))
-    for k in range(3):
-        for j, block in enumerate(_strata(rounds, k)):
-            assert sorted(draws[k, j].tolist()) == sorted(block.tolist())
+    draws = sample_strata(rounds, 10, spawn_rngs([(1, r) for r in range(2)]))
+    for r, k in np.ndindex(2, 3):
+        for j, block in enumerate(_strata(rounds, r, k)):
+            assert sorted(draws[r, k, j].tolist()) == sorted(block.tolist())
 
 
 def test_draw_is_deterministic_per_seed():
     rounds = _fixture_rounds()
-    assert np.array_equal(sample_strata(rounds, 2, spawn_rng(4)),
-                          sample_strata(rounds, 2, spawn_rng(4)))
+    assert np.array_equal(sample_strata(rounds, 2, [spawn_rng(4), spawn_rng(5)]),
+                          sample_strata(rounds, 2, [spawn_rng(4), spawn_rng(5)]))
 
 
 def test_draw_rejects_oversized_request():
     rounds = _fixture_rounds()
+    rngs = [spawn_rng(0), spawn_rng(1)]
     with pytest.raises(ValueError):
-        sample_strata(rounds, 11, spawn_rng(0))
+        sample_strata(rounds, 11, rngs)
     with pytest.raises(ValueError):
-        sample_strata(rounds, 0, spawn_rng(0))
+        sample_strata(rounds, 0, rngs)
+    with pytest.raises(ValueError):  # one stream per replication
+        sample_strata(rounds, 1, rngs[:1] * 3)
+
+
+def test_one_replication_is_shared_by_every_stream():
+    rounds = _fixture_rounds()
+    first = PopulationRound(rounds.values[:1], rounds.sizes)
+    shared = sample_strata(first, 2, [spawn_rng(6), spawn_rng(7), spawn_rng(8)])
+    assert shared.shape == (3, 3, 4, 2)
+    for r, seed in enumerate((6, 7, 8)):
+        assert np.array_equal(shared[r], sample_strata(first, 2, [spawn_rng(seed)])[0])
 
 
 @pytest.mark.parametrize("per_stratum", [1, 2, 10])
 def test_draws_follow_one_choice_call_per_stratum_and_round(per_stratum):
-    # the stream is read as per-stratum Generator.choice calls, round by round,
-    # over stratum sizes on both sides of choice's tail-shuffle/Floyd switch
+    # each replication's stream is read as per-stratum Generator.choice calls,
+    # round by round, over stratum sizes on both sides of choice's
+    # tail-shuffle/Floyd switch
     layouts = ([10] * 4, [1, 10, 11], [49, 50, 51, 300, 1000], [12, 700])
-    for seed in range(300):
+    for seed in range(150):
         sizes = [n for n in layouts[seed % len(layouts)] if n >= per_stratum]
-        rounds = PopulationRound(np.arange(3 * sum(sizes), dtype=np.float64).reshape(3, -1),
+        rounds = PopulationRound(np.arange(6 * sum(sizes), dtype=np.float64).reshape(2, 3, -1),
                                  sizes)
-        ref_rng, rng = spawn_rng(seed), spawn_rng(seed)
-        want = [[rounds.values[k, lo:lo + n][ref_rng.choice(n, size=per_stratum, replace=False)]
-                 for lo, n in zip(rounds.offsets, sizes)] for k in range(3)]
-        assert np.array_equal(sample_strata(rounds, per_stratum, rng), np.array(want))
-        assert rng.integers(1 << 62) == ref_rng.integers(1 << 62)  # same stream position
+        ref_rngs, rngs = ([spawn_rng(seed, r) for r in range(2)] for _ in range(2))
+        want = [[[rounds.values[r, k, lo:lo + n][ref.choice(n, size=per_stratum, replace=False)]
+                  for lo, n in zip(rounds.offsets, sizes)] for k in range(3)]
+                for r, ref in enumerate(ref_rngs)]
+        assert np.array_equal(sample_strata(rounds, per_stratum, rngs), np.array(want))
+        for rng, ref in zip(rngs, ref_rngs):  # same stream position
+            assert rng.integers(1 << 62) == ref.integers(1 << 62)

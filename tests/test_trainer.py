@@ -525,10 +525,10 @@ def test_mssg_peak_memory_is_one_state_array_plus_small_change():
 
 def test_mssg_at_full_shape_peaks_below_its_state_plus_one_block():
     # Traced from before the parameters exist: the memory array, both pilots'
-    # A and D factors with D * D, the weight snapshot, the one parameter set
-    # it trains in place, a scoring block and one blend block's temporaries
-    # (a dozen arrays of C x BLOCK_ENTRIES). The pass's activations and
-    # deltas (2.2 MiB) live beside either transient and are smaller than both.
+    # A and D factors with D * D, the weight snapshot and the one parameter
+    # set it trains in place, then the larger of two transients that never
+    # meet: a scoring block, or the pass's activations and deltas (2.2 MiB)
+    # with one blend block's temporaries (a dozen arrays of C x BLOCK_ENTRIES).
     per_class, pilot = 110, 8
     n_classes = FULL_SHAPE[-1]
     rng = spawn_rng(82)
@@ -546,13 +546,14 @@ def test_mssg_at_full_shape_peaks_below_its_state_plus_one_block():
     fan_in, fan_out = sum(FULL_SHAPE[:-1]), sum(FULL_SHAPE[1:])
     param_bytes = 8 * sum(a * b + b for a, b in zip(FULL_SHAPE, FULL_SHAPE[1:]))
     weight_bytes = param_bytes - 8 * fan_out
+    pass_bytes = 8 * n_classes * (pilot + 1) * (fan_in + fan_out)
     bound = (n_classes * param_bytes                    # memory
              + 8 * 2 * 2 * n_classes * pilot * fan_out  # D, D * D
              + 8 * 2 * n_classes * fan_in * pilot       # A
              + weight_bytes                             # snapshot
              + param_bytes                              # the parameters
-             + scoring_block_bytes()
-             + 8 * 12 * n_classes * trainer.BLOCK_ENTRIES)
+             + max(scoring_block_bytes(),
+                   pass_bytes + 8 * 12 * n_classes * trainer.BLOCK_ENTRIES))
     assert peak < bound + TRACE_SLACK
 
 

@@ -1,18 +1,7 @@
 """Stratified mean/gradient estimation with per-stratum memory.
 
-Library layout:
-
-* :mod:`stratgrad.population` - stratified scalar populations and the
-  synthetic drift families;
-* :mod:`stratgrad.estimators` - the four estimators, the mixing-coefficient
-  kernel, the blended variance of the optimal mix and the estimator race;
-* :mod:`stratgrad.mlp` - a plain-numpy feedforward classifier with exact
-  hand-derived gradients;
-* :mod:`stratgrad.trainer` - the memory-type stratified trainer and the
-  baseline trainers;
-* :mod:`stratgrad.dataio` - IDX ingestion and CSV/SVG/manifest emission;
-* :mod:`stratgrad.rng` - the seeded PCG64 streams, built in batches;
-* :mod:`stratgrad.cli` - the ``stratgrad`` experiment subcommands.
+Each module's docstring says what it holds and the rules its functions
+share; README.md gives the layout, the CLI and the output formats.
 """
 
 __version__ = "0.1.0"

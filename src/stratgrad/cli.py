@@ -1,17 +1,16 @@
-"""Command-line experiment harness.
+"""Command-line experiment harness: one subcommand per experiment.
 
-One subcommand per experiment: synthetic estimator races, Monte-Carlo
-verification of the variance prediction, the tracked-weight gradient-matrix
-replay, single training runs, and the hyperparameter grid search. Every
-run is byte-deterministic given (seed, config, dataset) and a fixed BLAS
-thread count, emits CSV/SVG files into --out-dir, and finishes by writing
-a run manifest listing them.
+Every run is byte-deterministic given (seed, config, dataset) on one
+machine, BLAS build and BLAS thread count. It writes its CSV and SVG files
+into --out-dir, then a run manifest that lists them and records those
+conditions.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import platform
 import sys
 import time
 from pathlib import Path
@@ -19,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, mlp, trainer
-from .dataio import (LabeledDataset, default_data_dir, read_mnist_split, to_dataset,
+from .dataio import (LabeledDataset, check_class_sizes, read_mnist_split, to_dataset,
                      write_csv, write_manifest, write_svg_lineplot)
 from .estimators import (ESTIMATOR_NAMES, blended_variance, optimal_coefficients_elementwise,
                          summarize_traces, trace_estimators)
@@ -63,10 +62,17 @@ class _Run:
                        if key not in ("func", "subcommand"))
         if extra:
             entries.update(extra)
-        # BLAS splits its sums by thread count, so these decide the output bits
+        # BLAS splits its sums by thread count and picks its kernels by CPU, so
+        # the thread count, the BLAS build and the machine decide the output bits
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
             entries[f"env.{var}"] = os.environ.get(var, "unset")
         entries["env.numpy"] = np.__version__
+        try:
+            blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+            entries["env.blas"] = f"{blas['name']} {blas['version']}"
+        except (TypeError, KeyError):  # numpy before 1.26 has no "dicts" mode
+            entries["env.blas"] = "unknown"
+        entries["env.machine"] = platform.machine()
         entries["wall_time_s"] = f"{time.perf_counter() - self.started:.3f}"
         entries["output"] = [str(p) for p in self.outputs]
         write_manifest(self.manifest_path, entries)
@@ -79,10 +85,9 @@ class _Run:
 
 def _load_split_pair(args) -> tuple[LabeledDataset, LabeledDataset, tuple[int, ...]]:
     """The train and test splits, and the network shape: DESK_SHAPE under --desk."""
-    data_dir = args.data_dir or default_data_dir()
+    data_dir = args.data_dir or os.environ.get("MNIST_DIR")
     if not data_dir:
-        raise FileNotFoundError(
-            "no dataset directory: pass --data-dir or set MNIST_DIR")
+        raise FileNotFoundError("no dataset directory: pass --data-dir or set MNIST_DIR")
     splits = []
     for split, per_class, stream in (("train", args.per_class, _POP_STREAM),
                                      ("test", args.test_per_class, _TEST_STREAM)):
@@ -261,6 +266,7 @@ def _matrix_rounds(matrix: np.ndarray, class_index) -> PopulationRound:
 
 def cmd_gradmatrix(args, run: _Run) -> None:
     train, test, shape = _load_split_pair(args)
+    check_class_sizes(train.class_index, 1, "the estimator replay")
     iterations = args.iterations if args.iterations is not None else (10 if args.desk else 60)
     marks = [time.perf_counter()]
     params = mlp.init_params(shape, (args.seed, _INIT_STREAM))

@@ -1,16 +1,10 @@
 """Dataset ingestion (IDX files), class partitioning, and report emission.
 
-CSV output uses 17 significant digits so float64 values round-trip exactly.
-The CSV writer works column by column over fixed blocks of rows: 1-D numeric
-and str arrays go through `tolist()` and one `str.format` call per block,
-other columns through `_format_cell`, with the same bytes either way. SVG
-output is a minimal standalone line chart. IDX files may be gzipped; the
-reader sniffs the gzip magic. From a plain file, a read that picks rows
-reads only those; a gzip stream is always read whole.
-
-A `LabeledDataset` holds a split as its uint8 pixels, one byte per pixel as
-on disk, and decodes to float64 (each byte over 255) only the rows a caller
-asks for, so a split never has a whole float copy.
+IDX files may be gzipped; the reader sniffs the gzip magic. A
+`LabeledDataset` holds a split as its uint8 pixels, one byte per pixel as
+on disk: 47 MB at 60,000 rows and 8 MB at 10,000, not 376 and 63 MB of
+float64 features. CSV output uses 17 significant digits, so float64 values
+round-trip exactly; SVG output is a minimal standalone line chart.
 """
 
 from __future__ import annotations
@@ -29,7 +23,6 @@ from .rng import spawn_rngs
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 
-MNIST_ENV_VAR = "MNIST_DIR"
 MNIST_FILES = {
     "train": ("train-images-idx3-ubyte", "train-labels-idx1-ubyte"),
     "test": ("t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"),
@@ -141,14 +134,20 @@ def _class_index(labels: np.ndarray) -> list[np.ndarray]:
     return [np.flatnonzero(labels == c) for c in range(n_classes)]
 
 
+def check_class_sizes(class_index, need: int, what: str) -> None:
+    """Refuse, naming it, a class with fewer than `need` rows."""
+    for c, idx in enumerate(class_index):
+        if idx.size < need:
+            raise ValueError(f"class {c} has {idx.size} samples, {what} needs {need}")
+
+
 @dataclass
 class LabeledDataset:
-    """Pixel bytes, non-negative integer labels, and per-class row indices.
+    """(n, d) uint8 pixels, non-negative integer labels, and per-class row indices.
 
-    ``pixels`` is the (n, d) uint8 array the IDX payload holds; no float
-    copy of it is kept. ``features(rows)`` decodes the rows a caller uses to
-    float64 in [0, 1]. ``class_index[c]`` lists the rows labelled c, for c up
-    to the largest label, and is always derived from the labels.
+    ``features(rows)`` decodes the rows a caller uses to float64 in [0, 1].
+    ``class_index[c]`` lists the rows labelled c, for c up to the largest
+    label, and is always derived from the labels.
     """
 
     pixels: np.ndarray
@@ -187,9 +186,6 @@ class LabeledDataset:
 def to_dataset(images: np.ndarray, labels: np.ndarray) -> LabeledDataset:
     """Flatten uint8 images to one row each, without copying, and index the classes."""
     images = np.asarray(images)
-    labels = np.asarray(labels)
-    if images.shape[0] != labels.shape[0]:
-        raise ValueError(f"{images.shape[0]} images but {labels.shape[0]} labels")
     return LabeledDataset(images.reshape(images.shape[0], -1), labels)
 
 
@@ -203,9 +199,7 @@ def subsample_rows(labels: np.ndarray, per_class: int, seed) -> np.ndarray:
     if per_class < 1:
         raise ValueError("per_class must be at least 1")
     class_index = _class_index(np.asarray(labels))
-    for c, idx in enumerate(class_index):
-        if per_class > idx.size:
-            raise ValueError(f"class {c} has {idx.size} rows, cannot take {per_class}")
+    check_class_sizes(class_index, per_class, "the subsample")
     streams = spawn_rngs([(seed, c) for c in range(len(class_index))])
     return np.concatenate([np.sort(rng.choice(idx, size=per_class, replace=False))
                            for idx, rng in zip(class_index, streams)])
@@ -236,14 +230,8 @@ def read_mnist_split(data_dir, split: str, per_class: Optional[int] = None,
     return images, labels if rows is None else labels[rows]
 
 
-def default_data_dir() -> Optional[str]:
-    return os.environ.get(MNIST_ENV_VAR)
-
-
 def _format_cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (bool, np.bool_, int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return format(float(value), ".17g")
@@ -258,9 +246,8 @@ _CSV_BLOCK_ROWS = 512
 def _column_spec(col) -> Optional[str]:
     """The `str.format` field for a 1-D numeric or str ndarray column, else None.
 
-    Such a column is written from `tolist()` values, which are Python floats,
-    ints, bools and strs, so the field formats them exactly as `_format_cell`
-    does.
+    Such a column is written from `tolist()` values (Python floats, ints,
+    bools and strs), which the field formats exactly as `_format_cell` does.
     """
     if type(col) is np.ndarray and col.ndim == 1:
         kind = col.dtype.kind
@@ -339,14 +326,12 @@ def write_svg_lineplot(path, series: Mapping[str, Sequence[float]],
     width, height = 640, 400
     left, right, top, bottom = 60, 20, 30, 40
     ys_all = np.concatenate([np.asarray(v, dtype=np.float64) for v in series.values()])
-    y_min, y_max = float(ys_all.min()), float(ys_all.max())
-    if y_max == y_min:
-        y_min -= 0.5
-        y_max += 0.5
-    x_min, x_max = float(xs.min()), float(xs.max())
-    if x_max == x_min:
-        x_min -= 0.5
-        x_max += 0.5
+
+    def span(values):
+        lo, hi = float(values.min()), float(values.max())
+        return (lo - 0.5, hi + 0.5) if lo == hi else (lo, hi)
+
+    (x_min, x_max), (y_min, y_max) = span(xs), span(ys_all)
 
     def sx(v):
         return left + (v - x_min) / (x_max - x_min) * (width - left - right)

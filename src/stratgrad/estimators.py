@@ -1,13 +1,10 @@
 """Stratified mean estimators and their variance calculus.
 
-Four designs are compared throughout the package:
-
-* ``sgd``   - a single pooled draw;
-* ``batch`` - the mean of a pooled mini-batch;
-* ``gst``   - the classic stratified estimator, a weighted mean of one
-  (or more) draws per stratum;
-* ``gmst``  - the memory-carrying variant: each stratum keeps a running
-  value that is blended with a fresh draw as ``p * old + q * fresh``.
+Four designs are raced throughout the package: ``sgd``, a single pooled
+draw; ``batch``, the mean of a pooled mini-batch; ``gst``, the classic
+stratified estimator, a weighted mean of one (or more) draws per stratum;
+and ``gmst``, its memory-carrying variant, where each stratum keeps a
+running value that is blended with a fresh draw as ``p * old + q * fresh``.
 
 The mixing pair (p, q) is chosen per stratum so that the blend stays an
 unbiased estimate of the current stratum mean, ``p / (1 - q) =
@@ -17,21 +14,11 @@ stratified one whenever all stratum variances are positive, and the part
 of the variance carried in memory decays geometrically while the means
 stay put.
 
-One kernel, :func:`optimal_coefficients_elementwise`, forms the mixing
-pairs for every caller: the trainer's parameter-shaped statistics, the
-race's (replication, stratum) arrays and the variance oracle's strata.
-:func:`blended_variance` gives the variance of the optimal blend on the
-same element-wise statistics, which the variance oracle checks against
-Monte Carlo.
-
-:func:`trace_estimators` races the four on the R replications of one
-`population.PopulationRound` stack, or on one replication that R seeds
-share as a broadcast view: it draws each replication's samples for all
-rounds at once from its own streams, gathers them once over the stack,
-then runs the rounds once over (replication, stratum) arrays
-(:func:`gmst_step`, :func:`gst_estimate`), and returns (replication,
-estimator, round) arrays of estimates and squared deviations that
-:func:`summarize_traces` pools.
+The public functions that take the four statistics (mean_prev, var_prev,
+mean_curr, var_curr) work element by element on their broadcast shape, in
+float64, and raise ValueError on a negative variance. One kernel,
+:func:`optimal_coefficients_elementwise`, forms the mixing pairs for every
+caller: the trainer, the race and the variance oracle.
 """
 
 from __future__ import annotations
@@ -44,13 +31,17 @@ from .population import PopulationRound, sample_strata
 from .rng import spawn_rngs
 
 
-def _pair_terms(mean_prev, var_prev, mean_curr, var_curr):
-    """The main branch's numerators and denominator: (u, cc, den).
+def _statistics(mean_prev, var_prev, mean_curr, var_curr):
+    """The four statistics as float64 arrays of their broadcast shape."""
+    stats = np.broadcast_arrays(*(np.asarray(a, dtype=np.float64)
+                                  for a in (mean_prev, var_prev, mean_curr, var_curr)))
+    if np.less(stats[1], 0.0).any() or np.less(stats[3], 0.0).any():
+        raise ValueError("variances must be non-negative")
+    return stats
 
-    u = mean_curr * mean_prev * var_curr, cc = mean_curr**2 * var_prev and
-    den = cc + mean_prev**2 * var_curr, in fresh arrays of the (common)
-    shape of the four statistics, so p = u / den and q = cc / den.
-    """
+
+def _pair_terms(mean_prev, var_prev, mean_curr, var_curr):
+    """The main branch's numerators of p and q and their denominator, in fresh arrays."""
     u, cc, den = (np.empty(mean_prev.shape) for _ in range(3))
     np.multiply(mean_curr, mean_curr, out=cc)
     cc *= var_prev
@@ -63,20 +54,15 @@ def _pair_terms(mean_prev, var_prev, mean_curr, var_curr):
 
 
 def _degenerate_pairs(mean_prev, var_prev, mean_curr, var_curr):
-    """Every branch of the mixing pair, for elements the main branch does not settle.
+    """The kernel's branches, for the elements its main branch does not settle.
 
     A denominator that is not positive (zero or NaN) stands for 1 in the
-    division; a zero denominator or an unsatisfiable mean ratio falls back
-    to (0, 1) unless both means are zero with var_curr > 0, which takes the
-    limit (var_curr, var_prev) / (var_prev + var_curr); any |p| >= 1 left
-    then falls back too. Returns (p, q, n_fallback).
-
-    A trainer block leaves a few hundred elements here, where numpy's
-    per-call cost dominates, so the steps make few calls: non-positive
-    denominators are skipped rather than replaced by 1, the both-zero limit
-    is formed only when some element takes it, and fallbacks are written
-    once. Nothing divides by zero, and the limit meets inf / inf only
-    through an infinite variance, whose products in `_pair_terms` have
+    division. A trainer block leaves a few hundred elements here, where
+    numpy's per-call cost dominates, so the steps make few calls:
+    non-positive denominators are skipped rather than replaced by 1, the
+    both-zero limit is formed only when some element takes it, and fallbacks
+    are written once. Nothing divides by zero, and the limit meets inf / inf
+    only through an infinite variance, whose products in `_pair_terms` have
     already raised the invalid-value state, so no errstate is needed.
     """
     p, q, den = _pair_terms(mean_prev, var_prev, mean_curr, var_curr)
@@ -99,20 +85,18 @@ def _degenerate_pairs(mean_prev, var_prev, mean_curr, var_curr):
 
 
 def optimal_coefficients_elementwise(mean_prev, var_prev, mean_curr, var_curr):
-    """Minimum-variance unbiased mixing pairs, element by element.
+    """Minimum-variance unbiased mixing pairs.
 
     p = mean_curr * mean_prev * var_curr / d and
     q = mean_curr**2 * var_prev / d with
-    d = mean_curr**2 * var_prev + mean_prev**2 * var_curr, on the
-    broadcast shape of the four statistics.
+    d = mean_curr**2 * var_prev + mean_prev**2 * var_curr.
 
     Elements with degenerate statistics take explicit branches: both means
     zero (with var_curr > 0) uses the 0/0 := 1 limit p = var_curr /
     (var_prev + var_curr); a zero denominator, an unsatisfiable mean ratio
     (mean_prev = 0 with mean_curr != 0) or a blend with |p| >= 1 all fall
     back to (0, 1), the pure fresh draw. Returns (p, q, n_fallback) where
-    n_fallback counts the elements that fell back; negative variances raise
-    ValueError.
+    n_fallback counts the elements that fell back.
 
     The main branch is formed over every element. Only the elements it
     leaves with |p| >= 1 (which takes in a zero denominator and any NaN)
@@ -121,14 +105,8 @@ def optimal_coefficients_elementwise(mean_prev, var_prev, mean_curr, var_curr):
     more than the main branch's passes. Every element gets the same bits
     as when all of them go through the branches.
     """
-    mean_prev, var_prev, mean_curr, var_curr = np.broadcast_arrays(
-        np.asarray(mean_prev, dtype=np.float64),
-        np.asarray(var_prev, dtype=np.float64),
-        np.asarray(mean_curr, dtype=np.float64),
-        np.asarray(var_curr, dtype=np.float64),
-    )
-    if np.less(var_prev, 0.0).any() or np.less(var_curr, 0.0).any():
-        raise ValueError("variances must be non-negative")
+    mean_prev, var_prev, mean_curr, var_curr = _statistics(mean_prev, var_prev, mean_curr,
+                                                           var_curr)
     p, q, den = _pair_terms(mean_prev, var_prev, mean_curr, var_curr)
     with np.errstate(divide="ignore", invalid="ignore"):  # unsettled: see below
         p /= den
@@ -180,27 +158,20 @@ def gmst_step(memory, fresh, mean_prev, var_prev, mean_curr, var_curr, weights):
 
 
 def blended_variance(mean_prev, var_prev, mean_curr, var_curr) -> np.ndarray:
-    """Variance of the optimal blend ``p * old + q * fresh``, element by element.
+    """Variance of the optimal blend ``p * old + q * fresh``: the variance oracle's prediction.
 
-    m_c**2 V_p V_c / (m_c**2 V_p + m_p**2 V_c) on the broadcast shape of the
-    four statistics. Both means zero takes the 0/0 limit V_p V_c / (V_p +
-    V_c), or 0 when both variances are 0; any other zero denominator means
-    a zero-variance side covers the target exactly, so the variance is 0.
-    This is the optimum even where `optimal_coefficients_elementwise` falls
-    back to the fresh draw (|p| >= 1). Negative variances raise ValueError,
-    as does a zero denominator from a zero previous mean against a nonzero
-    current one with V_c > 0, where no blend is unbiased.
+    m_c**2 V_p V_c / (m_c**2 V_p + m_p**2 V_c). Both means zero takes the
+    0/0 limit V_p V_c / (V_p + V_c), or 0 when both variances are 0; any
+    other zero denominator means a zero-variance side covers the target
+    exactly, so the variance is 0. This is the optimum even where
+    `optimal_coefficients_elementwise` falls back to the fresh draw
+    (|p| >= 1). A zero denominator from a zero previous mean against a
+    nonzero current one with V_c > 0, where no blend is unbiased, raises
+    ValueError.
     """
-    mean_prev, var_prev, mean_curr, var_curr = np.broadcast_arrays(
-        np.asarray(mean_prev, dtype=np.float64),
-        np.asarray(var_prev, dtype=np.float64),
-        np.asarray(mean_curr, dtype=np.float64),
-        np.asarray(var_curr, dtype=np.float64),
-    )
-    if (var_prev < 0.0).any() or (var_curr < 0.0).any():
-        raise ValueError("variances must be non-negative")
-    cc = mean_curr * mean_curr * var_prev
-    den = cc + mean_prev * mean_prev * var_curr
+    mean_prev, var_prev, mean_curr, var_curr = _statistics(mean_prev, var_prev, mean_curr,
+                                                           var_curr)
+    _, cc, den = _pair_terms(mean_prev, var_prev, mean_curr, var_curr)
     prev_zero = mean_prev == 0.0
     if (prev_zero & (mean_curr != 0.0) & (var_curr > 0.0) & ~(den > 0.0)).any():
         raise ValueError(
@@ -247,8 +218,7 @@ def trace_estimators(rounds: PopulationRound, seeds, per_stratum: int = 1,
     Each estimator of a replication gets its own decoupled stream, so
     adding or removing one never perturbs the others; each stream is drawn
     for all rounds at once, in round order, so the draws equal a
-    round-by-round loop's. The draws are gathered once over the stack, and
-    the rounds then run once over every replication.
+    round-by-round loop's.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")

@@ -5,42 +5,31 @@ penalty of (weight_decay / 2) * sum(W**2) on the weight matrices only.
 Weights initialize from N(0, 1 / fan_in); biases start at zero. Everything
 runs in float64, and feature arrays must already be floating point: an
 integer array (say undecoded uint8 pixels) is refused rather than read as
-values 0..255.
+values 0..255. The passes work in place where the bits allow it (the bias
+added into A W, the sigmoid taken over that same array, D W^T scaled by a
+and then by 1 - a where it lies), so a hidden layer holds its output plus
+one temporary, with the bits of A W + b, the two-branch sigmoid and
+(D W^T) * a * (1 - a).
 
-The passes work in place where the bits allow it: the forward pass adds a
-layer's bias into the product A W and takes the mask-free sigmoid over that
-same array, and the backward pass scales D W^T by a and then by (1 - a)
-where it lies. A hidden layer therefore holds its output plus one temporary
-of the same size, and its values are those of A W + b, the two-branch
-sigmoid and (D W^T) * a * (1 - a), bit for bit.
-
-Besides the usual batch loss/gradient, the module exposes the forward and
-backward pass itself (``forward_backward``): every layer's input
-activations and per-sample deltas. A per-sample weight gradient is the
-outer product of the two, so callers get sums, class-weighted sums and sums
-of squares of per-sample gradients as matrix products without ever forming
-an (n, fan_in, fan_out) tensor. Full-batch descent can record, from the
-pass each step already makes, every sample's gradient for one tracked
-weight at every step.
-
-Passes over a whole batch (``forward_batch``, ``loss``, ``loss_and_grad``
-and every step of ``full_gradient_train``) stream it in fixed blocks of
-``BLOCK_ROWS`` rows: a block's activations and deltas are reduced (into
-the probabilities, the loss sum, the A^T D and bias sums, the tracked
-column) before the next block is formed. Peak memory is therefore the
-features plus O(BLOCK_ROWS x widths), not O(n x widths); a caller that
-holds only pixels can pass one decoded block at a time, as
-``trainer.accuracy`` does. A batch that fits in one block gets exactly the
-arithmetic of one unstreamed pass; a longer one adds its blocks' loss and
-gradient sums in a fixed order, so, the block size being a constant, its
-results repeat at a fixed BLAS thread count.
-
-Only passes that go on to a backward pass keep every layer's activations.
-A scoring pass (``forward_batch``, ``loss``) lets each layer's input go
-once the layer's product is formed, so past its first product a block
-holds one layer's output and the sigmoid's temporary, plus the features
-if the caller keeps them. At the 784-500-500-200-10 shape that is two
-4.1 MB arrays for a 1024-row block, whose features are 6.4 MB.
+Row blocking. Passes over a whole batch (``forward_batch``, ``loss``,
+``loss_and_grad`` and every step of ``full_gradient_train``) stream it in
+fixed blocks of ``BLOCK_ROWS`` rows and reduce each block (into the
+probabilities, the loss sum, the A^T D and bias sums, the tracked column)
+before the next is formed, so peak memory is the features plus
+O(BLOCK_ROWS x widths), not O(n x widths). A batch that fits in one block
+gets exactly the arithmetic of one unstreamed pass; a longer one adds its
+blocks' sums in a fixed order, so its results repeat at a fixed BLAS
+thread count. Only passes that go on to a backward pass keep every layer's
+activations. A scoring pass (``forward_batch``, ``loss``) lets each
+layer's input go once the layer's product is formed, and ``forward_batch``
+takes its features' rows over block by block, so features that nothing
+else holds, as in ``forward_batch(params, data.features(rows))``, are
+freed before layer 1 (on CPython 3.11 and later, where a call keeps no
+reference to its arguments). A caller that holds only pixels can so score
+one decoded block at a time (``trainer.accuracy``): at the
+784-500-500-200-10 shape that is a 6.4 MB block, let go after its first
+product, then one layer's output and the sigmoid's temporary, two 4.1 MB
+arrays.
 """
 
 from __future__ import annotations
@@ -80,13 +69,6 @@ class MlpParams:
     @property
     def n_layers(self) -> int:
         return len(self.weights)
-
-    def copy(self) -> "MlpParams":
-        return MlpParams([w.copy() for w in self.weights], [b.copy() for b in self.biases])
-
-    def all_finite(self) -> bool:
-        return all(np.all(np.isfinite(w)) for w in self.weights) and \
-            all(np.all(np.isfinite(b)) for b in self.biases)
 
 
 def init_params(shape, seed) -> MlpParams:
@@ -129,9 +111,8 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 def _forward_cached(params: MlpParams, x: np.ndarray, keep: bool):
     """The forward pass over one block of features `x`: (acts, logits).
 
-    With `keep` (for a backward pass), acts lists every layer's input and
-    then the class probabilities; without it, only the probabilities, each
-    layer's input being let go once its product A W is formed.
+    acts lists every layer's input, or without `keep` none, then the class
+    probabilities.
     """
     acts = [x]
     logits = None
@@ -199,11 +180,7 @@ def _check_batch(params: MlpParams, features, labels):
 def forward_batch(params: MlpParams, features) -> np.ndarray:
     """Class probabilities for a feature matrix, one row per sample.
 
-    Each block's pass takes its rows over and lets them go once their first
-    product is formed. Features that nothing else holds are then freed
-    before layer 1, as in ``forward_batch(params, data.features(rows))`` on
-    CPython 3.11 and later, where a call keeps no reference to its
-    arguments.
+    How its blocks hold and free memory: see the module docstring.
     """
     features = _check_features(params, features)
     n = features.shape[0]
@@ -262,7 +239,7 @@ def _backward(params: MlpParams, acts, labels: np.ndarray, mean_over: int):
 def forward_backward(params: MlpParams, features, labels):
     """One forward and backward pass that stops short of forming gradients.
 
-    Returns (acts, logits, deltas). acts[l] is the input of layer l
+    Returns (acts, deltas). acts[l] is the input of layer l
     (acts[0] the features, acts[-1] the class probabilities); deltas[l]
     holds, one row per sample, the loss derivative with respect to layer
     l's pre-activation. Sample i's gradient for layer l is therefore
@@ -272,18 +249,16 @@ def forward_backward(params: MlpParams, features, labels):
     (n, fan_in, fan_out) tensors.
     """
     features, labels = _check_batch(params, features, labels)
-    acts, logits = _forward_cached(params, features, True)
-    return acts, logits, _backward(params, acts, labels, 0)
+    acts = _forward_cached(params, features, True)[0]
+    return acts, _backward(params, acts, labels, 0)
 
 
 def _loss_grad_pass(params: MlpParams, features, labels, weight_decay: float,
                     tracked, column):
-    """Mean loss and its gradient, streamed over blocks of BLOCK_ROWS rows.
+    """Mean loss and its gradient, block by block; the deltas are the whole batch's mean loss's.
 
-    Each block's A^T D products and delta sums are added into the
-    gradient; the deltas are those of the whole batch's mean loss. With
-    `tracked` = (layer, out_index, in_index), `column` (one entry per row)
-    receives every sample's gradient for that weight, decay term included.
+    With `tracked` = (layer, out_index, in_index), `column` (one entry per
+    row) receives every sample's gradient for that weight, decay included.
     """
     n = features.shape[0]
     data_sum = 0.0
@@ -335,15 +310,12 @@ def full_gradient_train(params: MlpParams, features, labels, steps: int,
     features, labels = _check_batch(params, features, labels)
     matrix = None
     if tracked is not None:
-        layer, out_idx, in_idx = (int(v) for v in tracked)
-        if layer < 0:
-            layer += params.n_layers
+        layer, out_idx, in_idx = tracked = tuple(int(v) for v in tracked)
         if not 0 <= layer < params.n_layers:
             raise ValueError(f"tracked layer {layer} out of range")
         fan_in, fan_out = params.weights[layer].shape
         if not (0 <= in_idx < fan_in and 0 <= out_idx < fan_out):
             raise ValueError(f"tracked indices ({out_idx}, {in_idx}) outside {fan_in}x{fan_out}")
-        tracked = (layer, out_idx, in_idx)
         matrix = np.empty((features.shape[0], steps))
     losses = []
     for t in range(steps):

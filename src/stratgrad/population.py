@@ -5,17 +5,11 @@ estimators sample from it and are judged against its exact pooled mean. A
 round sequence bundles K populations that share the same stratum layout,
 modelling a quantity whose per-round distribution drifts (mean or spread,
 up or down) between consecutive sampling rounds. `PopulationRound` stacks R
-replications of such a sequence as one (R, K, N) array, with the strata as
-contiguous column slices, and computes every round's stratum statistics and
-pooled mean once, over the whole stack, when built. `generate_family`
-builds all R replications of a drift family in one pass, and
-`sample_strata` draws from every round of every replication at once, each
-replication from its own stream. The estimators race the replications
-together (`estimators.trace_estimators`).
+replications of such a sequence, which the estimators race together
+(`estimators.trace_estimators`).
 
 All statistics use the finite-population convention: a stratum's mean and
-variance are exact properties of its values (variance divides by n, not
-n - 1).
+variance are exact properties of its values (variance divides by n).
 """
 
 from __future__ import annotations
@@ -35,16 +29,11 @@ DECREASING_MEAN_INTERVALS: tuple[tuple[float, float], ...] = (
     (8, 12), (8, 10), (6, 9), (5, 8), (4, 7),
     (3, 6), (3, 5), (2, 4), (2, 3), (0, 3),
 )
-INCREASING_MEAN_INTERVALS: tuple[tuple[float, float], ...] = tuple(
-    reversed(DECREASING_MEAN_INTERVALS)
-)
+INCREASING_MEAN_INTERVALS = DECREASING_MEAN_INTERVALS[::-1]
 
 N_STRATA = 4
 DEFAULT_N_ROUNDS = 10
 
-# Normal-family parameter ranges: the "random" family draws (mu, sigma)
-# uniformly from this interval per round; the four trend families sweep one
-# parameter linearly across it while pinning the other.
 RANDOM_PARAM_RANGE = (1.0, 20.0)
 TREND_SWEEP = (20.0, 2.0)
 TREND_FIXED_SIGMA = 5.0
@@ -66,12 +55,8 @@ class Trend(enum.Enum):
     NORMAL_VAR_INC = "normal-var-inc"
 
 
-NORMAL_TRENDS = (
-    Trend.NORMAL_MEAN_DEC,
-    Trend.NORMAL_MEAN_INC,
-    Trend.NORMAL_VAR_DEC,
-    Trend.NORMAL_VAR_INC,
-)
+NORMAL_TRENDS = (Trend.NORMAL_MEAN_DEC, Trend.NORMAL_MEAN_INC, Trend.NORMAL_VAR_DEC,
+                 Trend.NORMAL_VAR_INC)
 
 
 @dataclass
@@ -143,8 +128,7 @@ def sample_strata(rounds: PopulationRound, per_stratum: int,
     round and stratum by stratum, as one ``rng.choice(N_j, per_stratum,
     replace=False)`` call per stratum would. A single draw per stratum takes
     one ``rng.integers`` call over every round instead, which reads the same
-    values from the stream as those choice calls. The values are gathered
-    once, over the whole stack.
+    values from the stream as those choice calls.
     """
     if per_stratum < 1:
         raise ValueError("per_stratum must be at least 1")
@@ -211,8 +195,8 @@ def generate_family(family: Trend, seeds: Sequence, n_per_round: int = 40,
     Replication r takes the streams of ``seeds[r]``: stratum j of round k
     draws from the stream (seed, k, j), and the random family's (mu, sigma)
     pairs come from (seed, _PARAM_STREAM_TAG), mu then sigma round by round.
-    Streams are seeded SEEDING_CHUNK keys per `spawn_rngs` call, and each
-    one draws straight into the preallocated stack.
+    Each stream draws straight into the preallocated stack; `rng`'s module
+    docstring has how the streams are seeded.
     """
     if n_rounds < 1:
         raise ValueError(f"need at least one round, got {n_rounds}")

@@ -7,13 +7,17 @@ same numpy version. Each stream is numpy's ``PCG64(SeedSequence(entropy))``
 for the key's flat entropy, bit for bit; numpy's stream policy freezes both
 the SeedSequence hash and PCG64 seeding.
 
-There is one seeding path, `spawn_rngs`, and `spawn_rng` is its one-key
-case. It runs the SeedSequence hash as uint32 array operations over all
-keys at once (about 70 µs per call), then seeds each PCG64 from its
-precomputed words (about 1-5 µs per stream, key parsing included), where a
-SeedSequence object per stream costs about 20 µs. Loops that build many
-streams make one call for all of them, or one per bounded chunk of keys
-where holding every generator at once would cost megabytes.
+The seeding path and its costs. There is one seeding path, `spawn_rngs`,
+and `spawn_rng` is its one-key case. It runs the SeedSequence hash as
+uint32 array operations over all keys at once (about 70 µs per call), then
+seeds each PCG64 from its precomputed words (about 1-5 µs per stream, key
+parsing included), where a SeedSequence object per stream costs about
+20 µs. So every loop that builds streams makes one call for all of them
+(the replications of a race, the classes of an iteration, the layers, the
+desk subsample's classes), or one per chunk of
+`population.SEEDING_CHUNK` keys where holding every generator at once, at
+about 0.8 kB each, would cost megabytes (the strata-rounds of every
+replication of a generated population stack).
 """
 
 from __future__ import annotations

@@ -3,50 +3,42 @@
 The memory trainer (``mssg_train``) treats every scalar parameter as its own
 estimation problem. Per iteration and per class it draws a pilot batch,
 takes per-parameter sample mean/variance of the per-sample gradients, forms
-the elementwise mixing pair from the previous iteration's pilot stats, and
-blends the class memory with the zero-mean residual of one fresh sample:
+the elementwise mixing pair from the previous iteration's pilot stats
+(``optimal_coefficients_elementwise``, which also counts the fallbacks),
+and blends the class memory with the zero-mean residual of one fresh
+sample, or on the first iteration sets the memory to that residual:
 
     G_c <- p * G_c + q * (pilot_mean_c - fresh_grad_c)
 
-The pair comes from ``optimal_coefficients_elementwise`` on the whole
-block, which also counts the fallbacks; the blend then works in place on
-the memory and on the kernel's q.
-
-The parameter update then follows the weighted sum of (G_c + pilot_mean_c)
-over classes, scaled by step_size / n_classes (the extra 1 / C factor
+The parameters then step along the class-weighted sum of
+(G_c + pilot_mean_c), scaled by step_size / n_classes (the extra 1 / C
 folds into the step size).
 
-One iteration makes one forward/backward pass over all C * (n + 1) pilot
-and fresh rows. Pilot means and variances come from the per-class sums
-A^T D and (A*A)^T (D*D) of that pass (one-pass variance, clamped at zero;
-weight decay shifts the mean only), never from per-sample gradient tensors.
-Each layer is streamed in row blocks of W: a block's stats, mixing pair,
-blend and update are finished before the next block is formed. The
-previous iteration's pilot stats are not stored but formed again, with the
-same operations and so the same bits, from that pilot's kept factors A, D
-and D*D (a block squares its own rows of A) and a snapshot of the weights
-they were taken at. So besides the parameters, which it trains in place,
+The mssg state. One iteration makes one forward/backward pass over all
+C * (n + 1) pilot and fresh rows. Pilot means and variances come from the
+per-class sums A^T D and (A*A)^T (D*D) of that pass (one-pass variance,
+clamped at zero; weight decay shifts the mean only), never from per-sample
+gradient tensors. Each layer is streamed in row blocks of W, and one block
+for b: one batched product per moment gives a block's sums for the
+previous pilot and this one, with A*A formed for the block's rows alone,
+and the block is blended and stepped before the next is formed. The
+previous pilot's stats are not stored but formed again, with the same
+operations and so the same bits, from its kept factors A, D and D*D and a
+snapshot of the weights they were taken at. So besides the parameters,
 the persistent state at the 784-500-500-200-10 shape is one (C, ...)
-memory array per layer (about 60 MB), the two pilots' D factors (about
-3.1 MB) and A factors (about 2.5 MB), and one weight snapshot (about 6 MB);
-the rest is block-sized temporaries, and no copy of the parameters is made.
-That state stays inside the run, which returns the parameters, the
-accuracy reports and the coefficient-fallback count.
+memory array per layer (about 60 MB), the two pilots' D and D*D factors
+(about 3.1 MB) and A factors (about 2.5 MB), and one weight snapshot
+(about 6 MB); the rest is block-sized temporaries. The pass's activations
+are let go before a checkpoint scores.
 
-Baselines: single-sample steps, pooled mini-batches, full-batch descent,
-and the memoryless one-sample-per-class stratified direction. Every
-trainer trains the parameters it is given in place and returns them, and
-runs the iterations and checkpoint spacing its ``TrainConfig`` gives; how
-a run is labelled, stretched and reported is the caller's.
-
-Datasets hold uint8 pixels, and every trainer decodes to float64 only the
-rows it draws. Checkpoint accuracy decodes and scores one block of
-``mlp.BLOCK_ROWS`` rows at a time, so a checkpoint costs the pixels plus
-O(block) memory however many rows there are: the decoded block, one
-layer's output and the sigmoid's temporary. Full-batch steps (``fullgrad``,
-and ``batch`` at batch_size == n) read every row every step, so they decode
-the whole dataset once before their loop and stream it through ``mlp``'s
-whole-batch passes.
+Every trainer runs the iterations its ``TrainConfig`` gives, reports
+accuracy every ``checkpoint_every`` iterations and at the end, and trains
+the parameters it is given in place, with no copy of them; how a run is
+labelled, stretched and reported is the caller's. A trainer decodes to
+float64 only the dataset rows it draws, except the full-batch steps
+(``fullgrad``, and ``batch`` at batch_size == n): they read every row
+every step, so they decode the whole dataset once (376 MB at 60,000 rows;
+a step adds about 72 MB at the 784-500-500-200-10 shape).
 """
 
 from __future__ import annotations
@@ -59,7 +51,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import mlp
-from .dataio import LabeledDataset
+from .dataio import LabeledDataset, check_class_sizes
 from .estimators import optimal_coefficients_elementwise
 from .rng import spawn_rng, spawn_rngs
 
@@ -83,14 +75,11 @@ class TrainConfig:
 
     def __post_init__(self):
         mlp.check_step(self.step_size, self.weight_decay)
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
+        for name in ("batch_size", "iterations", "checkpoint_every"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
         if self.pilot_size < 2:
             raise ValueError("pilot_size must be at least 2 (sample variance needs it)")
-        if self.iterations < 1:
-            raise ValueError("iterations must be at least 1")
-        if self.checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -115,11 +104,10 @@ BLOCK_ENTRIES = 4096
 
 
 def accuracy(params: mlp.MlpParams, data: LabeledDataset) -> float:
-    """Fraction of samples whose argmax probability hits the label.
+    """Fraction of samples whose argmax probability hits the label; ties go to the lowest class.
 
-    Ties resolve to the lowest class index. The rows are decoded and scored
-    by ``mlp.forward_batch`` one block of ``mlp.BLOCK_ROWS`` rows at a time,
-    so no float copy of the whole dataset is made.
+    Decodes and scores one block of ``mlp.BLOCK_ROWS`` rows at a time, at
+    the memory cost that ``mlp``'s module docstring gives.
     """
     n = data.n_samples
     if n == 0:
@@ -132,13 +120,12 @@ def accuracy(params: mlp.MlpParams, data: LabeledDataset) -> float:
     return hits / n
 
 
-def _assert_finite(params: mlp.MlpParams, iteration: int, algorithm: str) -> None:
-    if not params.all_finite():
-        raise RuntimeError(f"{algorithm} produced non-finite parameters at iteration {iteration}")
-
-
-def _checkpoint(reports, params, data, test_data, iteration):
-    reports.append(AccuracyReport(iteration, accuracy(params, data), accuracy(params, test_data)))
+def _end_iteration(params, it: int, algorithm: str, config, reports, data, test_data) -> None:
+    """Refuse non-finite parameters, then score the run if `it` is a checkpoint."""
+    if not all(np.isfinite(a).all() for a in (*params.weights, *params.biases)):
+        raise RuntimeError(f"{algorithm} produced non-finite parameters at iteration {it}")
+    if it % config.checkpoint_every == 0 or it == config.iterations:
+        reports.append(AccuracyReport(it, accuracy(params, data), accuracy(params, test_data)))
 
 
 def _blend_block(sums, sq_sums, fresh, param, snapshot, memory, class_w, pilot_size,
@@ -198,31 +185,14 @@ def mssg_train(params: mlp.MlpParams, data: LabeledDataset, config: TrainConfig,
                test_data: LabeledDataset):
     """Memory-type stratified gradient descent over class-partitioned data.
 
-    Per iteration: for every class, pilot-batch gradient stats, elementwise
-    mixing pair against the previous iteration's stats (the first iteration
-    uses the pure fresh residual), memory blend, then one parameter update
-    from the weighted (memory + pilot mean) directions. Reports accuracy
-    every ``checkpoint_every`` iterations and at the end.
-
-    All classes' pilot and fresh rows go through one forward/backward pass.
-    The pilot rows' activations A, their deltas D and D*D are kept for one
-    more iteration. Each layer is then streamed in row blocks of W (and one
-    block for b): one batched matrix product per moment gives the block's
-    per-class pilot sums A^T D, and one its sums of squares (A*A)^T (D*D),
-    with A*A formed for the block's rows alone, for the previous pilot and
-    this one, and the block is blended and updated before the next one is
-    formed.
-
-    Trains `params` in place and returns it, with the accuracy reports and
-    the number of mixing-coefficient fallbacks over the run.
+    The update and the state it keeps are described in the module
+    docstring. Returns the trained `params`, the accuracy reports and the
+    number of mixing-coefficient fallbacks over the run.
     """
     n_classes = data.n_classes
     if n_classes < 2:
         raise ValueError("need at least two classes")
-    for c, idx in enumerate(data.class_index):
-        if idx.size < config.pilot_size:
-            raise ValueError(f"class {c} has {idx.size} samples, pilot needs "
-                             f"{config.pilot_size}")
+    check_class_sizes(data.class_index, config.pilot_size, "pilot")
     n, wd = config.pilot_size, config.weight_decay
     n_pilot = n_classes * n
     class_w = data.class_weights()
@@ -248,7 +218,7 @@ def mssg_train(params: mlp.MlpParams, data: LabeledDataset, config: TrainConfig,
             pilot[c] = rng.choice(idx, size=n, replace=False)
             fresh[c] = rng.choice(idx)
         rows = np.concatenate([pilot.ravel(), fresh])  # class-major pilots, then fresh
-        acts, _, deltas = mlp.forward_backward(params, data.features(rows), data.labels[rows])
+        acts, deltas = mlp.forward_backward(params, data.features(rows), data.labels[rows])
         pilots = slice(1 if it == 1 else 0, 2)  # the previous pilot from iteration 2 on
         for l, (w, b) in enumerate(layers):
             fan_in, fan_out = w.shape
@@ -271,9 +241,7 @@ def mssg_train(params: mlp.MlpParams, data: LabeledDataset, config: TrainConfig,
                 d.sum(axis=2, keepdims=True), d2.sum(axis=2, keepdims=True), d_fresh[:, None],
                 b[None], None, mem_b[:, None], class_w, n, 0.0, scale)
         del acts, deltas, a_fresh, d_fresh  # spent: a checkpoint scores without them
-        _assert_finite(params, it, "mssg")
-        if it % config.checkpoint_every == 0 or it == config.iterations:
-            _checkpoint(reports, params, data, test_data, it)
+        _end_iteration(params, it, "mssg", config, reports, data, test_data)
     return params, reports, fallbacks
 
 
@@ -285,22 +253,20 @@ def baseline_train(params: mlp.MlpParams, data: LabeledDataset, config: TrainCon
                    kind: BaselineKind, test_data: LabeledDataset):
     """Single-sample, pooled-batch, full-batch or memoryless stratified training.
 
-    Every kind runs ``config.iterations`` steps and reports accuracy every
-    ``checkpoint_every`` steps and at the end. SGD draws one pooled sample
-    per step. Batch draws ``batch_size`` pooled samples without
-    replacement, except that batch_size == n uses the whole dataset, as
-    FULL does every step: the trajectory is then full-gradient descent bit
-    for bit, and the whole dataset is decoded once before the first step.
-    The other kinds decode only the rows they draw. The stratified baseline
-    weights one fresh sample per class by the class shares.
-
-    Trains `params` in place and returns it, with the accuracy reports.
+    SGD draws one pooled sample per step. Batch draws ``batch_size`` pooled
+    samples without replacement, except that batch_size == n uses the whole
+    dataset, as FULL does every step: the trajectory is then full-gradient
+    descent bit for bit. The stratified baseline weights one fresh sample
+    per class by the class shares. Returns the trained `params` and the
+    accuracy reports.
     """
     n = data.n_samples
     if n == 0:
         raise ValueError("cannot train on an empty dataset")
     if kind is BaselineKind.BATCH and config.batch_size > n:
         raise ValueError(f"batch_size {config.batch_size} exceeds dataset size {n}")
+    if kind is BaselineKind.STRATIFIED:
+        check_class_sizes(data.class_index, 1, "the stratified draw")
     full = kind is BaselineKind.FULL or (kind is BaselineKind.BATCH and config.batch_size == n)
     class_w = data.class_weights()
     features = data.features() if full else None
@@ -309,8 +275,7 @@ def baseline_train(params: mlp.MlpParams, data: LabeledDataset, config: TrainCon
     for it in range(1, config.iterations + 1):
         if kind is BaselineKind.STRATIFIED:
             rows = np.array([int(rng.choice(idx)) for idx in data.class_index])
-            acts, _, deltas = mlp.forward_backward(params, data.features(rows),
-                                                   data.labels[rows])
+            acts, deltas = mlp.forward_backward(params, data.features(rows), data.labels[rows])
             grad = mlp.MlpParams(
                 [a.T @ (class_w[:, None] * d) + config.weight_decay * w
                  for a, d, w in zip(acts, deltas, params.weights)],
@@ -328,9 +293,7 @@ def baseline_train(params: mlp.MlpParams, data: LabeledDataset, config: TrainCon
         for l in range(params.n_layers):
             params.weights[l] -= config.step_size * grad.weights[l]
             params.biases[l] -= config.step_size * grad.biases[l]
-        _assert_finite(params, it, kind.value)
-        if it % config.checkpoint_every == 0 or it == config.iterations:
-            _checkpoint(reports, params, data, test_data, it)
+        _end_iteration(params, it, kind.value, config, reports, data, test_data)
     return params, reports
 
 

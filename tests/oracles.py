@@ -25,7 +25,8 @@ Every oracle draws from `numpy_stream`, numpy's own seeding, and
 `subsample_reference` is the desk subsample taken after indexing the whole
 split. `scaled_features_reference` is the old whole-split conversion of
 pixels to features (a float64 copy, then an in-place division by 255),
-which `LabeledDataset.features` must match bit for bit.
+which `LabeledDataset.features` must match bit for bit. `copy_params` is
+the parameter copy a test hands each run, since the trainers train in place.
 """
 
 from __future__ import annotations
@@ -53,6 +54,15 @@ def numpy_stream(seed, *path: int) -> np.random.Generator:
     """
     entropy = [*seed, *path] if isinstance(seed, tuple) else [seed, *path]
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+
+
+def copy_params(params: mlp.MlpParams) -> mlp.MlpParams:
+    """An independent copy of every weight matrix and bias vector.
+
+    The trainers train the parameters they are given in place, so a test
+    that compares runs from one starting point hands each run a copy.
+    """
+    return mlp.MlpParams([w.copy() for w in params.weights], [b.copy() for b in params.biases])
 
 
 def subsample_reference(dataset: LabeledDataset, per_class: int, seed) -> LabeledDataset:
@@ -229,7 +239,7 @@ def variance_bound(v_mst_k: float, v_st_seq: Sequence[float], p: float, q: float
 
 def numeric_gradient(params, features, labels, weight_decay, step=1e-5):
     """Central finite differences over every parameter entry."""
-    grads = params.copy()
+    grads = copy_params(params)
     for arrs, outs in ((params.weights, grads.weights), (params.biases, grads.biases)):
         for arr, out in zip(arrs, outs):
             it = np.nditer(arr, flags=["multi_index"])
@@ -346,7 +356,7 @@ def unstreamed_full_gradient_train(params, features, labels, steps, step_size,
     `tracked` is None or a (layer, out_index, in_index) triple with a
     non-negative layer. Returns (params, losses, matrix) as the trainer does.
     """
-    params = params.copy()
+    params = copy_params(params)
     n = len(labels)
     matrix = None if tracked is None else np.empty((n, steps))
     losses = []
@@ -373,7 +383,7 @@ def per_sample_grads(params, features, labels, weight_decay: float = 0.0):
     gradient carries the weight-decay term, so the mean over samples equals
     the batch gradient of :func:`mlp.loss_and_grad`.
     """
-    acts, _, deltas = mlp.forward_backward(params, features, labels)
+    acts, deltas = mlp.forward_backward(params, features, labels)
     out = []
     for a, delta, w in zip(acts, deltas, params.weights):
         dw = np.einsum("bi,bo->bio", a, delta)
@@ -417,7 +427,7 @@ def mssg_reference(params, data, config):
     fallback count. No checkpoints.
     """
     n_classes = data.n_classes
-    params = params.copy()
+    params = copy_params(params)
     class_w = data.class_weights()
 
     def zeros():
@@ -593,7 +603,7 @@ def mssg_stored_state(params, data, config):
     """
     n_classes, n, wd = data.n_classes, config.pilot_size, config.weight_decay
     n_pilot = n_classes * n
-    params = params.copy()
+    params = copy_params(params)
     class_w = data.class_weights()
     layers = list(zip(params.weights, params.biases))
     memory, prev_mean, prev_var = (
@@ -607,7 +617,7 @@ def mssg_stored_state(params, data, config):
             rng = numpy_stream(config.seed, it, c)
             draws.append((rng.choice(idx, size=n, replace=False), rng.choice(idx)))
         rows = np.concatenate([pilot for pilot, _ in draws] + [[f for _, f in draws]])
-        acts, _, deltas = mlp.forward_backward(params, data.features(rows), data.labels[rows])
+        acts, deltas = mlp.forward_backward(params, data.features(rows), data.labels[rows])
         for l, (w, b) in enumerate(layers):
             fan_in, fan_out = w.shape
             a_t = np.ascontiguousarray(

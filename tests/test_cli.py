@@ -1,5 +1,6 @@
 import argparse
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -10,10 +11,11 @@ import pytest
 import stratgrad
 from stratgrad import cli
 from stratgrad.cli import _TRACE_STREAM, build_parser, main
-from stratgrad.dataio import read_mnist_split, to_dataset
+from stratgrad.dataio import MNIST_FILES, read_mnist_split, to_dataset
 from stratgrad.estimators import ESTIMATOR_NAMES
 from stratgrad.population import Trend
 
+from idxtools import pack_idx_images, pack_idx_labels, synthetic_digits
 from oracles import (StratumStats, blended_variance_term, family_reference,
                      optimal_coefficients, predicted_variance_vsp, read_csv_columns,
                      subsample_reference, trace_estimators_reference, write_csv_reference)
@@ -368,6 +370,9 @@ def test_manifest_records_blas_threads_and_numpy(tmp_path, monkeypatch):
     assert "env.OPENBLAS_NUM_THREADS=3" in lines
     assert "env.OMP_NUM_THREADS=unset" in lines
     assert f"env.numpy={np.__version__}" in lines
+    blas = [line for line in lines if line.startswith("env.blas=")]
+    assert len(blas) == 1 and blas[0] != "env.blas="
+    assert f"env.machine={platform.machine()}" in lines
 
 
 def test_variance_oracle_rejects_thin_replications(tmp_path, capsys):
@@ -430,6 +435,27 @@ def test_gradmatrix_zero_iterations_is_rejected(tmp_path, fixture_data_dir, caps
                    "--out-dir", out) == 1
     assert "steps must be at least 1" in capsys.readouterr().err
     assert not (out / "grad_matrix.csv").exists()
+
+
+def gapped_data_dir(path: Path) -> Path:
+    """Train and test IDX files whose labels are {0, 1, 3}: class 2 has no rows."""
+    images, labels = synthetic_digits(6, seed=4, n_classes=4)
+    keep = labels != 2
+    path.mkdir()
+    for split in ("train", "test"):
+        image_name, label_name = MNIST_FILES[split]
+        (path / image_name).write_bytes(pack_idx_images(images[keep]))
+        (path / label_name).write_bytes(pack_idx_labels(labels[keep]))
+    return path
+
+
+def test_gradmatrix_refuses_an_empty_class_before_the_descent(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli.mlp, "full_gradient_train", lambda *_, **__: pytest.fail("descended"))
+    out = tmp_path / "gm"
+    assert run_cli("gradmatrix", "--data-dir", gapped_data_dir(tmp_path / "data"),
+                   "--iterations", 1, "--out-dir", out) == 1
+    assert "class 2 has 0 samples" in capsys.readouterr().err
+    assert list(out.iterdir()) == []  # not even a .partial
 
 
 def test_gradmatrix_requires_data(tmp_path, monkeypatch, capsys):
@@ -503,6 +529,13 @@ def test_failed_run_marks_partial_outputs(tmp_path, fixture_data_dir, capsys):
 
 
 # ---------------------------------------------------------------- train / grid
+
+def test_gst_refuses_an_empty_class_before_training(tmp_path, capsys):
+    assert run_cli("train", "--algorithm", "gst", "--data-dir",
+                   gapped_data_dir(tmp_path / "data"), "--iterations", 1,
+                   "--out-dir", tmp_path / "run") == 1
+    assert "class 2 has 0 samples" in capsys.readouterr().err
+
 
 def test_train_checkpoint_rows(tmp_path, fixture_data_dir):
     out = tmp_path / "tr"

@@ -21,6 +21,7 @@ from stratgrad.trainer import (
 )
 
 from oracles import (
+    copy_params,
     blend_block_reference,
     mssg_reference,
     mssg_stored_state,
@@ -181,8 +182,8 @@ def test_mssg_deterministic():
     data = blob_dataset(12, seed=8)
     params = mlp.init_params((6, 4, 3), seed=9)
     config = small_config(iterations=4)
-    a, _, _ = mssg_train(params.copy(), data, config, data)
-    b, _, _ = mssg_train(params.copy(), data, config, data)
+    a, _, _ = mssg_train(copy_params(params), data, config, data)
+    b, _, _ = mssg_train(copy_params(params), data, config, data)
     for wa, wb in zip(a.weights, b.weights):
         assert np.array_equal(wa, wb)
 
@@ -198,9 +199,9 @@ def test_mssg_zero_variance_classes_follow_exact_class_gradient():
     params0 = mlp.init_params((5, 4, 3), seed=11)
     config = small_config(iterations=3, step_size=0.3, pilot_size=3,
                           weight_decay=0.01)
-    trained, _, _ = mssg_train(params0.copy(), data, config, data)
+    trained, _, _ = mssg_train(copy_params(params0), data, config, data)
 
-    manual = params0.copy()
+    manual = copy_params(params0)
     class_w = data.class_weights()
     for _ in range(config.iterations):
         direction_w = [np.zeros_like(w) for w in manual.weights]
@@ -290,7 +291,7 @@ def test_mssg_matches_two_pass_reference(shape, weight_decay):
     data = blob_dataset(12, n_classes=shape[-1], n_features=shape[0], seed=41)
     params = mlp.init_params(shape, seed=42)
     config = small_config(iterations=6, step_size=1.0, weight_decay=weight_decay)
-    trained, _, fallbacks = mssg_train(params.copy(), data, config, data)
+    trained, _, fallbacks = mssg_train(copy_params(params), data, config, data)
     expected, ref = mssg_reference(params, data, config)
     for got, want in zip(trained.weights + trained.biases,
                          expected.weights + expected.biases):
@@ -332,7 +333,7 @@ def test_mssg_one_pass_variance_on_ill_conditioned_pilots(monkeypatch):
     # the first iteration's class-major pilot rows under seed 0
     rows = np.concatenate([numpy_stream(0, 1, c).choice(idx, size=n, replace=False)
                            for c, idx in enumerate(data.class_index)])
-    acts, _, deltas = mlp.forward_backward(params, feats[rows], data.labels[rows])
+    acts, deltas = mlp.forward_backward(params, feats[rows], data.labels[rows])
     per = per_sample_grads(params, feats[rows], data.labels[rows])
     calls = kernel_spy(monkeypatch)
     eps = np.finfo(np.float64).eps
@@ -492,10 +493,10 @@ def test_blend_block_trains_like_reference(monkeypatch, weight_decay):
     params = mlp.init_params(DESK_SHAPE, seed=63)
     config = small_config(iterations=20, step_size=1.0, weight_decay=weight_decay,
                           checkpoint_every=20)
-    got, _, got_fallbacks = mssg_train(params.copy(), data, config, data)
+    got, _, got_fallbacks = mssg_train(copy_params(params), data, config, data)
     stored, stored_fallbacks = mssg_stored_state(params, data, config)
     monkeypatch.setattr(trainer, "_blend_block", blend_block_reference)
-    want, _, want_fallbacks = mssg_train(params.copy(), data, config, data)
+    want, _, want_fallbacks = mssg_train(copy_params(params), data, config, data)
     assert got_fallbacks == want_fallbacks == stored_fallbacks > 0
     for g, w, s in zip(got.weights + got.biases, want.weights + want.biases,
                        stored.weights + stored.biases):
@@ -563,10 +564,10 @@ def test_batch_equal_to_full_gradient_when_batch_is_everything():
     data = blob_dataset(10, seed=23)
     params = mlp.init_params((6, 4, 3), seed=24)
     config = small_config(iterations=4, batch_size=data.n_samples, step_size=0.2)
-    via_full, _, _ = mlp.full_gradient_train(params.copy(), data.features(), data.labels, 4,
+    via_full, _, _ = mlp.full_gradient_train(copy_params(params), data.features(), data.labels, 4,
                                              0.2, config.weight_decay)
     for kind in (BaselineKind.BATCH, BaselineKind.FULL):
-        trained, _ = baseline_train(params.copy(), data, config, kind, data)
+        trained, _ = baseline_train(copy_params(params), data, config, kind, data)
         for got, want in zip(trained.weights + trained.biases,
                              via_full.weights + via_full.biases):
             assert np.array_equal(got, want)
@@ -595,8 +596,8 @@ def test_sgd_on_single_sample_is_deterministic_descent():
     data = LabeledDataset(np.array([[51, 204, 102]], np.uint8), labels)
     params = mlp.init_params((3, 2), seed=25)
     config = small_config(iterations=6, step_size=0.5, batch_size=1)
-    trained, _ = baseline_train(params.copy(), data, config, BaselineKind.SGD, data)
-    full, _, _ = mlp.full_gradient_train(params.copy(), data.features(), labels, 6, 0.5,
+    trained, _ = baseline_train(copy_params(params), data, config, BaselineKind.SGD, data)
+    full, _, _ = mlp.full_gradient_train(copy_params(params), data.features(), labels, 6, 0.5,
                                          config.weight_decay)
     for wa, wb in zip(trained.weights, full.weights):
         assert np.array_equal(wa, wb)
@@ -645,7 +646,7 @@ def test_stratified_direction_is_unbiased():
 def test_trainers_train_the_params_they_are_given(train):
     data = blob_dataset(10, seed=43)
     params = mlp.init_params((6, 4, 3), seed=44)
-    start = params.copy()
+    start = copy_params(params)
     trained = train(params, data, small_config(iterations=2, step_size=0.5))
     assert trained is params
     for got, old in zip(params.weights + params.biases, start.weights + start.biases):

@@ -22,8 +22,7 @@ from .dataio import (LabeledDataset, check_class_sizes, read_mnist_split, to_dat
                      write_csv, write_manifest, write_svg_lineplot)
 from .estimators import (ESTIMATOR_NAMES, blended_variance, optimal_coefficients_elementwise,
                          summarize_traces, trace_estimators)
-from .population import (DECREASING_MEAN_INTERVALS, INCREASING_MEAN_INTERVALS,
-                         NORMAL_TRENDS, RANDOM_PARAM_RANGE, PopulationRound, Trend,
+from .population import (RANDOM_PARAM_RANGE, UNIFORM_TRENDS, PopulationRound, Trend,
                          generate_family, trend_schedules)
 from .rng import spawn_rng, spawn_rngs
 
@@ -152,15 +151,12 @@ def cmd_synthetic(args, run: _Run) -> None:
 
 def _family_schedule_note(family: Trend, n_rounds: int) -> str:
     """The drift schedule behind a family, recorded in the run manifest."""
-    if family is Trend.UNIFORM_DEC:
-        return f"intervals={list(DECREASING_MEAN_INTERVALS[:n_rounds])}"
-    if family is Trend.UNIFORM_INC:
-        return f"intervals={list(INCREASING_MEAN_INTERVALS[:n_rounds])}"
-    if family in NORMAL_TRENDS:
-        pairs = [(round(mu, 6), round(sg, 6)) for mu, sg in trend_schedules(family, n_rounds)]
-        return f"normal(mu,sigma)={pairs}"
-    lo, hi = RANDOM_PARAM_RANGE
-    return f"normal(mu,sigma) drawn uniformly per round from [{lo},{hi}]"
+    if family is Trend.NORMAL_RANDOM:
+        lo, hi = RANDOM_PARAM_RANGE
+        return f"normal(mu,sigma) drawn uniformly per round from [{lo},{hi}]"
+    pairs = [(round(a, 6), round(b, 6)) for a, b in trend_schedules(family, n_rounds)]
+    kind = "intervals" if family in UNIFORM_TRENDS else "normal(mu,sigma)"
+    return f"{kind}={pairs}"
 
 
 def _parse_stats_spec(spec: str):

@@ -51,18 +51,20 @@ def _open_idx(path):
 _GZIP_CHUNK = 1 << 26
 
 
-def _read_exact(f, n: int, offset: int, what: str) -> bytes:
-    """The n bytes of `what` at `offset`, never asking for more than the file holds."""
-    step = (_GZIP_CHUNK if isinstance(f, gzip.GzipFile)
-            else os.fstat(f.fileno()).st_size - offset)
-    chunks, got = [], 0
-    while got < n and (chunk := f.read(min(step, n - got))):
-        chunks.append(chunk)
-        got += len(chunk)
-    if got != n:
+def _check_length(n: int, got: int, offset: int, what: str) -> None:
+    if got < n:
         raise IdxFormatError(
             f"truncated IDX file: wanted {n} bytes of {what} at offset {offset}, "
             f"got {got}", kind="truncated")
+
+
+def _read_exact(f, n: int, offset: int, what: str) -> bytes:
+    """The n bytes of `what` at `offset`, read at most _GZIP_CHUNK bytes at a time."""
+    chunks, got = [], 0
+    while got < n and (chunk := f.read(min(_GZIP_CHUNK, n - got))):
+        chunks.append(chunk)
+        got += len(chunk)
+    _check_length(n, got, offset, what)
     return b"".join(chunks)
 
 
@@ -70,10 +72,11 @@ def _read_idx(path, expected_magic: int, what: str, rows=None,
               n_labels: Optional[int] = None) -> np.ndarray:
     """Parse an IDX file of unsigned bytes; the magic's low byte counts the dimensions.
 
-    Returns every item, or only the items `rows` picks. A plain file then
-    has just those rows read, its length checked against the header's from
-    the file size; a gzip stream is read whole and indexed. A header whose
-    item count differs from `n_labels` is refused before any payload is read.
+    Returns every item, or only the items `rows` picks. A plain file has its
+    length checked against the header's from the file size before any payload
+    is read, then just those rows read; a gzip stream is read whole, probed
+    for one trailing byte, and indexed. A header whose item count differs
+    from `n_labels` is refused before any payload is read.
     """
     with _open_idx(path) as f:
         magic = int.from_bytes(_read_exact(f, 4, 0, "magic"), "big")
@@ -91,21 +94,19 @@ def _read_idx(path, expected_magic: int, what: str, rows=None,
                                  kind="dimensions")
         if n_labels is not None and dims[0] != n_labels:
             raise ValueError(f"{dims[0]} {what}s but {n_labels} labels")
-        if rows is None or isinstance(f, gzip.GzipFile):
+        gz = isinstance(f, gzip.GzipFile)
+        if gz:
             payload = _read_exact(f, size, offset, f"{what} data")
-            if f.read(1):
-                raise IdxFormatError(f"trailing bytes after {shape} {what} data "
-                                     f"(offset {offset + size})", kind="dimensions")
-            items = np.frombuffer(payload, dtype=np.uint8).reshape(dims)
-            return items if rows is None else items[rows]
-        got = os.fstat(f.fileno()).st_size - offset
-        if got < size:
-            raise IdxFormatError(
-                f"truncated IDX file: wanted {size} bytes of {what} data at offset {offset}, "
-                f"got {got}", kind="truncated")
+            got = size + len(f.read(1))
+        else:
+            got = os.fstat(f.fileno()).st_size - offset
+            _check_length(size, got, offset, f"{what} data")
         if got > size:
             raise IdxFormatError(f"trailing bytes after {shape} {what} data "
                                  f"(offset {offset + size})", kind="dimensions")
+        if gz or rows is None:
+            items = np.frombuffer(payload if gz else f.read(size), dtype=np.uint8).reshape(dims)
+            return items if rows is None else items[rows]
         rows = np.arange(dims[0])[rows]  # numpy's bounds check and negative indices
         item = math.prod(dims[1:])
         picked = np.empty((rows.size, *dims[1:]), dtype=np.uint8)

@@ -6,7 +6,9 @@ round sequence bundles K populations that share the same stratum layout,
 modelling a quantity whose per-round distribution drifts (mean or spread,
 up or down) between consecutive sampling rounds. `PopulationRound` stacks R
 replications of such a sequence, which the estimators race together
-(`estimators.trace_estimators`).
+(`estimators.trace_estimators`). `trend_schedules` holds the per-round
+parameters of the two uniform families and the four normal trends;
+`generate_family` draws `normal-random`'s from its own streams.
 
 All statistics use the finite-population convention: a stratum's mean and
 variance are exact properties of its values (variance divides by n).
@@ -55,8 +57,7 @@ class Trend(enum.Enum):
     NORMAL_VAR_INC = "normal-var-inc"
 
 
-NORMAL_TRENDS = (Trend.NORMAL_MEAN_DEC, Trend.NORMAL_MEAN_INC, Trend.NORMAL_VAR_DEC,
-                 Trend.NORMAL_VAR_INC)
+UNIFORM_TRENDS = (Trend.UNIFORM_DEC, Trend.UNIFORM_INC)
 
 
 @dataclass
@@ -161,11 +162,21 @@ def _chunked_streams(keys: Iterator[tuple]) -> Iterator[np.random.Generator]:
 
 
 def trend_schedules(family: Trend, n_rounds: int = DEFAULT_N_ROUNDS) -> list[tuple[float, float]]:
-    """(mu, sigma) per round for the four deterministic normal trends.
+    """The per-round parameters of every deterministic family, the draws' (a, b).
 
-    Mean trends sweep mu linearly across TREND_SWEEP with sigma pinned;
-    variance trends sweep sigma the same way with mu pinned.
+    The uniform families take their (lo, hi) intervals from the first
+    n_rounds rows of their table, so they run at most
+    ``len(DECREASING_MEAN_INTERVALS)`` rounds. The four normal trends take
+    (mu, sigma): mean trends sweep mu linearly across TREND_SWEEP with sigma
+    pinned; variance trends sweep sigma the same way with mu pinned.
     """
+    if family in UNIFORM_TRENDS:
+        table = DECREASING_MEAN_INTERVALS if family is Trend.UNIFORM_DEC \
+            else INCREASING_MEAN_INTERVALS
+        if not 0 <= n_rounds <= len(table):
+            raise ValueError(f"{family.value} has intervals for {len(table)} rounds, "
+                             f"not {n_rounds}")
+        return list(table[:n_rounds])
     hi, lo = TREND_SWEEP
     down = np.linspace(hi, lo, n_rounds)
     up = np.linspace(lo, hi, n_rounds)
@@ -184,13 +195,11 @@ def generate_family(family: Trend, seeds: Sequence, n_per_round: int = 40,
                     n_rounds: int = DEFAULT_N_ROUNDS) -> PopulationRound:
     """Build R = len(seeds) replications of any of the seven families in one stack.
 
-    The uniform families draw round k from U(lo_k, hi_k) over one interval
-    per round in a fixed table, so they run at most
-    ``len(DECREASING_MEAN_INTERVALS)`` rounds. The normal families draw
-    N(mu_k, sigma_k): the random family draws both parameters uniformly
-    from RANDOM_PARAM_RANGE per round and replication, the trend families
-    follow `trend_schedules`. Every round has N_STRATA equal strata of
-    n_per_round / N_STRATA fresh draws.
+    The uniform families draw round k from U(lo_k, hi_k), the normal
+    families from N(mu_k, sigma_k). The random family draws both parameters
+    uniformly from RANDOM_PARAM_RANGE per round and replication; every other
+    family follows `trend_schedules`. Every round has N_STRATA equal strata
+    of n_per_round / N_STRATA fresh draws.
 
     Replication r takes the streams of ``seeds[r]``: stratum j of round k
     draws from the stream (seed, k, j), and the random family's (mu, sigma)
@@ -207,20 +216,13 @@ def generate_family(family: Trend, seeds: Sequence, n_per_round: int = 40,
     if not n_reps:
         raise ValueError("need at least one seed")
     shape = (n_reps, n_rounds, 2)  # (a, b) of each replication's rounds
-    draw = np.random.Generator.normal
-    if family in (Trend.UNIFORM_DEC, Trend.UNIFORM_INC):
-        table = DECREASING_MEAN_INTERVALS if family is Trend.UNIFORM_DEC \
-            else INCREASING_MEAN_INTERVALS
-        if n_rounds > len(table):
-            raise ValueError(f"{family.value} has intervals for {len(table)} rounds, "
-                             f"not {n_rounds}")
-        draw, params = np.random.Generator.uniform, np.broadcast_to(table[:n_rounds], shape)
-    elif family is Trend.NORMAL_RANDOM:
+    if family is Trend.NORMAL_RANDOM:
         lo, hi = RANDOM_PARAM_RANGE
         streams = _chunked_streams((seed, _PARAM_STREAM_TAG) for seed in seeds)
         params = np.array([rng.uniform(lo, hi, 2 * n_rounds) for rng in streams]).reshape(shape)
     else:
         params = np.broadcast_to(trend_schedules(family, n_rounds), shape)
+    draw = np.random.Generator.uniform if family in UNIFORM_TRENDS else np.random.Generator.normal
     per = n_per_round // N_STRATA
     values = np.empty((n_reps, n_rounds, N_STRATA, per))
     streams = _chunked_streams((seed, k, j) for seed in seeds

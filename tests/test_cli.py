@@ -1,4 +1,5 @@
 import argparse
+import ast
 import os
 import platform
 import subprocess
@@ -13,7 +14,8 @@ from stratgrad import cli
 from stratgrad.cli import _TRACE_STREAM, build_parser, main
 from stratgrad.dataio import MNIST_FILES, read_mnist_split, to_dataset
 from stratgrad.estimators import ESTIMATOR_NAMES
-from stratgrad.population import Trend
+from stratgrad.population import (RANDOM_PARAM_RANGE, UNIFORM_TRENDS, Trend,
+                                 generate_family, trend_schedules)
 
 from idxtools import pack_idx_images, pack_idx_labels, synthetic_digits
 from oracles import (StratumStats, blended_variance_term, family_reference,
@@ -271,6 +273,37 @@ def test_synthetic_manifest_lists_existing_outputs(tmp_path):
     assert len(listed) == 3
     import pathlib
     assert all(pathlib.Path(p).exists() for p in listed)
+
+
+@pytest.mark.parametrize("master, n_rounds", [(0, 10), (11, 3)])
+@pytest.mark.parametrize("family", list(Trend), ids=lambda family: family.value)
+def test_synthetic_manifest_schedule_is_the_one_the_draws_follow(tmp_path, monkeypatch, family,
+                                                                 master, n_rounds):
+    drawn = []
+
+    def recording_generate(*args, **kwargs):
+        drawn.append(generate_family(*args, **kwargs))
+        return drawn[-1]
+
+    monkeypatch.setattr(cli, "generate_family", recording_generate)
+    out = tmp_path / "syn"
+    assert run_cli("synthetic", "--family", family.value, "--seeds", 3, "--seed", master,
+                   "--rounds", n_rounds, "--out-dir", out) == 0
+    entries = dict(line.split("=", 1) for line in (out / "manifest.txt").read_text().splitlines())
+    if family is Trend.NORMAL_RANDOM:
+        lo, hi = RANDOM_PARAM_RANGE
+        assert entries["schedule"] == \
+            f"normal(mu,sigma) drawn uniformly per round from [{lo},{hi}]"
+        return
+    pairs = [(round(a, 6), round(b, 6)) for a, b in trend_schedules(family, n_rounds)]
+    kind = "intervals" if family in UNIFORM_TRENDS else "normal(mu,sigma)"
+    assert entries["schedule"] == f"{kind}={pairs}"
+    if family in UNIFORM_TRENDS:
+        intervals = ast.literal_eval(entries["schedule"].removeprefix("intervals="))
+        (rounds,) = drawn
+        assert len(intervals) == rounds.n_rounds == n_rounds
+        for k, (lo, hi) in enumerate(intervals):
+            assert ((lo <= rounds.values[:, k]) & (rounds.values[:, k] <= hi)).all(), k
 
 
 # ---------------------------------------------------------------- variance oracle

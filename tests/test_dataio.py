@@ -126,6 +126,7 @@ def test_idx_chosen_rows_of_a_plain_file_leave_the_rest_unread(tmp_path):
     assert peak < images.nbytes / 20  # a whole read holds all 3.9 MB
 
 
+@pytest.mark.parametrize("gz", [False, True], ids=["plain", "gzip"])
 @pytest.mark.parametrize("raw, kind, match", [
     (struct.pack(">IIII", 0xDEADBEEF, 2, 2, 2) + b"\x00" * 8, "magic", "0xdeadbeef"),
     (struct.pack(">IIII", 0x803, 2, 28, 28) + b"\x00" * 100, "truncated", "offset 16, got 100"),
@@ -133,9 +134,10 @@ def test_idx_chosen_rows_of_a_plain_file_leave_the_rest_unread(tmp_path):
     (struct.pack(">IIII", 0x803, 2, 2, 2) + b"\x00" * 9, "dimensions", "trailing"),
     (struct.pack(">II", 0x803, 2), "truncated", "dimensions"),
 ])
-def test_idx_chosen_rows_read_keeps_every_format_error(tmp_path, raw, kind, match):
-    path = tmp_path / "bad"
-    path.write_bytes(raw)
+def test_idx_chosen_rows_read_keeps_every_format_error(tmp_path, raw, kind, match, gz):
+    # a whole read and a row pick, of a plain file and of a gzip stream
+    path = tmp_path / ("bad.gz" if gz else "bad")
+    path.write_bytes(gzip.compress(raw) if gz else raw)
     for rows in (None, [0]):
         with pytest.raises(IdxFormatError, match=match) as exc:
             read_idx_images(path, rows)

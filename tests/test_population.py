@@ -5,11 +5,11 @@ import pytest
 
 from stratgrad.population import (
     DECREASING_MEAN_INTERVALS,
-    NORMAL_TRENDS,
     PopulationRound,
     RANDOM_PARAM_RANGE,
     SEEDING_CHUNK,
     Trend,
+    UNIFORM_TRENDS,
     generate_family,
     sample_strata,
     trend_schedules,
@@ -209,6 +209,13 @@ def test_uniform_families_run_at_most_their_interval_table(family):
         generate_family(family, [1], n_rounds=len(DECREASING_MEAN_INTERVALS) + 1)
     with pytest.raises(ValueError):
         generate_family(family, [1], n_rounds=0)
+    # trend_schedules hands out the table's own rows and refuses the rest
+    table = DECREASING_MEAN_INTERVALS if family is Trend.UNIFORM_DEC \
+        else DECREASING_MEAN_INTERVALS[::-1]
+    assert trend_schedules(family, 7) == list(table[:7])
+    assert trend_schedules(family) == list(table)
+    with pytest.raises(ValueError, match="10 rounds, not -1"):
+        trend_schedules(family, -1)
 
 
 def test_normal_families_take_any_positive_round_count():
@@ -265,7 +272,7 @@ STACK_SEEDS = ([(6, 0)], [(6, s) for s in range(SEEDING_CHUNK // 40 + 2)])
 # the paper's sizes, 24 values a round, and 12 rounds for the normal families
 FAMILY_SIZES = [(family, n_per_round, n_rounds) for family in Trend
                 for n_per_round, n_rounds in [(40, 10), (24, 10), (40, 12)]
-                if n_rounds <= 10 or family in (Trend.NORMAL_RANDOM, *NORMAL_TRENDS)]
+                if n_rounds <= 10 or family not in UNIFORM_TRENDS]
 
 
 @pytest.mark.parametrize("seeds", STACK_SEEDS, ids=lambda seeds: f"R={len(seeds)}")

@@ -29,10 +29,8 @@ from .rng import spawn_rng, spawn_rngs
 DESK_SHAPE = (784, 50, 50, 20, 10)
 FULL_SHAPE = (784, 500, 500, 200, 10)
 
-_FAMILY_CHOICES = tuple(t.value for t in Trend)
-_POP_STREAM, _INIT_STREAM, _REP_STREAM, _TEST_STREAM = 1, 2, 3, 4
-_TRACE_STREAM = 7000
-_TUPLE_STREAM, _MC_STREAM = 31, 37
+_POP_STREAM, _INIT_STREAM, _REP_STREAM, _TEST_STREAM, _TRAIN_STREAM = 1, 2, 3, 4, 5
+_TRACE_STREAM, _TUPLE_STREAM, _MC_STREAM = 7000, 31, 37
 _ALGORITHMS = ("mssg", *(k.value for k in trainer.BaselineKind))
 
 
@@ -42,7 +40,6 @@ class _Run:
     def __init__(self, args):
         self.out_dir = Path(args.out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
-        self.manifest_path = Path(args.manifest_out or self.out_dir / "manifest.txt")
         self.outputs: list[Path] = []
         self.started = time.perf_counter()
 
@@ -74,7 +71,7 @@ class _Run:
         entries["env.machine"] = platform.machine()
         entries["wall_time_s"] = f"{time.perf_counter() - self.started:.3f}"
         entries["output"] = [str(p) for p in self.outputs]
-        write_manifest(self.manifest_path, entries)
+        write_manifest(self.out_dir / "manifest.txt", entries)
 
     def mark_partial(self) -> None:
         for p in self.outputs:
@@ -84,15 +81,18 @@ class _Run:
 
 def _load_split_pair(args) -> tuple[LabeledDataset, LabeledDataset, tuple[int, ...]]:
     """The train and test splits, and the network shape: DESK_SHAPE under --desk."""
+    for flag, desk_default in (("per_class", 200), ("test_per_class", 50)):
+        if not args.desk and getattr(args, flag) is not None:
+            raise ValueError(f"--{flag.replace('_', '-')} needs --desk")
+        if args.desk and getattr(args, flag) is None:  # so the manifest records what ran
+            setattr(args, flag, desk_default)
     data_dir = args.data_dir or os.environ.get("MNIST_DIR")
     if not data_dir:
         raise FileNotFoundError("no dataset directory: pass --data-dir or set MNIST_DIR")
-    splits = []
-    for split, per_class, stream in (("train", args.per_class, _POP_STREAM),
-                                     ("test", args.test_per_class, _TEST_STREAM)):
-        # under --desk, pick the rows from the labels and read only those images
-        splits.append(to_dataset(*read_mnist_split(
-            data_dir, split, per_class if args.desk else None, (args.seed, stream))))
+    # under --desk, pick the rows from the labels and read only those images
+    splits = [to_dataset(*read_mnist_split(data_dir, split, per_class, (args.seed, stream)))
+              for split, per_class, stream in (("train", args.per_class, _POP_STREAM),
+                                               ("test", args.test_per_class, _TEST_STREAM))]
     return (*splits, DESK_SHAPE if args.desk else FULL_SHAPE)
 
 
@@ -117,6 +117,8 @@ def _write_summary(path: Path, sq_dev: np.ndarray) -> None:
 
 def cmd_synthetic(args, run: _Run) -> None:
     family = Trend(args.family)
+    if args.rounds > _TRACE_STREAM:  # a later round k's (seed, s, k, j) is a race stream
+        raise ValueError(f"--rounds must be at most {_TRACE_STREAM}, got {args.rounds}")
     marks = [time.perf_counter()]
     rounds = generate_family(family, [(args.seed, s) for s in range(args.seeds)],
                              n_per_round=args.n_per_round, n_rounds=args.rounds)
@@ -317,7 +319,7 @@ def _make_config(args, step_size: float, weight_decay: float, iterations: int,
     stretch = _sgd_stretch(args)
     return trainer.TrainConfig(step_size=step_size, batch_size=args.batch_size,
                                iterations=iterations * stretch, weight_decay=weight_decay,
-                               seed=args.seed, pilot_size=args.pilot_size,
+                               seed=(args.seed, _TRAIN_STREAM), pilot_size=args.pilot_size,
                                checkpoint_every=checkpoint_every * stretch)
 
 
@@ -393,8 +395,6 @@ def cmd_gridsearch(args, run: _Run) -> None:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="master seed for every stream")
     p.add_argument("--out-dir", required=True, help="directory for result files")
-    p.add_argument("--manifest-out", default=None,
-                   help="manifest path (default: <out-dir>/manifest.txt)")
 
 
 def _add_data_flags(p: argparse.ArgumentParser) -> None:
@@ -402,10 +402,10 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
                    help="IDX dataset directory (default: $MNIST_DIR)")
     p.add_argument("--desk", action="store_true",
                    help="desk-scale preset: stratified subsample and a small network")
-    p.add_argument("--per-class", type=int, default=200,
-                   help="training rows per class under --desk")
-    p.add_argument("--test-per-class", type=int, default=50,
-                   help="test rows per class under --desk")
+    p.add_argument("--per-class", type=int, default=None,
+                   help="training rows per class, --desk only; unset means 200")
+    p.add_argument("--test-per-class", type=int, default=None,
+                   help="test rows per class, --desk only; unset means 50")
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
@@ -434,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = subcommand("synthetic", "race the four estimators on a drift family", cmd_synthetic)
-    p.add_argument("--family", required=True, choices=_FAMILY_CHOICES,
+    p.add_argument("--family", required=True, choices=[t.value for t in Trend],
                    help="synthetic drift family")
     p.add_argument("--seeds", type=int, default=1000, help="independent replications")
     p.add_argument("--rounds", type=int, default=10, help="rounds per replication")

@@ -1,11 +1,16 @@
 """Deterministic random streams.
 
 All randomness flows through PCG64 generators keyed by a seed plus an
-integer path, so every (experiment, round, stratum) combination gets its own
-decoupled stream and runs reproduce bit-for-bit on any platform with the
-same numpy version. Each stream is numpy's ``PCG64(SeedSequence(entropy))``
-for the key's flat entropy, bit for bit; numpy's stream policy freezes both
-the SeedSequence hash and PCG64 seeding.
+integer path, and runs reproduce bit-for-bit on any platform with the same
+numpy version. Each stream is numpy's ``PCG64(SeedSequence(entropy))`` for
+the key's flat entropy, bit for bit; numpy's stream policy freezes both the
+SeedSequence hash and PCG64 seeding.
+
+Streams are independent only for distinct keys, so `cli` alone picks the
+first path component of a run's keys and every consumer only extends the
+prefix it is handed. SeedSequence pads its four-word pool with zeros, so
+keys of up to four words that differ only by trailing zeros, such as (7, 3)
+and (7, 3, 0, 0), are one stream.
 
 The seeding path and its costs. There is one seeding path, `spawn_rngs`,
 and `spawn_rng` is its one-key case. It runs the SeedSequence hash as
@@ -129,9 +134,8 @@ class _HashedSeed(ISeedSequence):
 def _entropy_words(key) -> list[int]:
     """The flat uint32 entropy of one (seed, *path) key, as SeedSequence splits it.
 
-    A tuple seed is spliced into the key; every component goes through
-    `operator.index`, so a nested tuple, a list or a float raises TypeError.
-    Components at or above 2**32 split into little-endian 32-bit words.
+    A tuple seed is spliced into the key. Components at or above 2**32
+    split into little-endian 32-bit words.
     """
     if type(key) is not tuple:
         raise TypeError(f"a stream key is a (seed, *path) tuple, got {type(key).__name__}")

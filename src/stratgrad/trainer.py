@@ -28,8 +28,7 @@ snapshot of the weights they were taken at. So besides the parameters,
 the persistent state at the 784-500-500-200-10 shape is one (C, ...)
 memory array per layer (about 60 MB), the two pilots' D and D*D factors
 (about 3.1 MB) and A factors (about 2.5 MB), and one weight snapshot
-(about 6 MB); the rest is block-sized temporaries. The pass's activations
-are let go before a checkpoint scores.
+(about 6 MB); the rest is block-sized temporaries.
 
 Every trainer runs the iterations its ``TrainConfig`` gives, reports
 accuracy every ``checkpoint_every`` iterations and at the end, and trains
@@ -69,7 +68,7 @@ class TrainConfig:
     batch_size: int
     iterations: int
     weight_decay: float
-    seed: int
+    seed: int | tuple[int, ...]  # the key prefix of the run's streams
     pilot_size: int = 8
     checkpoint_every: int = 1000
 
@@ -186,8 +185,9 @@ def mssg_train(params: mlp.MlpParams, data: LabeledDataset, config: TrainConfig,
     """Memory-type stratified gradient descent over class-partitioned data.
 
     The update and the state it keeps are described in the module
-    docstring. Returns the trained `params`, the accuracy reports and the
-    number of mixing-coefficient fallbacks over the run.
+    docstring; class c draws its rows at iteration it from the stream
+    (config.seed, it, c). Returns the trained `params`, the accuracy
+    reports and the number of mixing-coefficient fallbacks over the run.
     """
     n_classes = data.n_classes
     if n_classes < 2:
@@ -245,10 +245,6 @@ def mssg_train(params: mlp.MlpParams, data: LabeledDataset, config: TrainConfig,
     return params, reports, fallbacks
 
 
-_BASELINE_STREAM = {BaselineKind.SGD: 11, BaselineKind.BATCH: 12, BaselineKind.STRATIFIED: 13,
-                    BaselineKind.FULL: 14}
-
-
 def baseline_train(params: mlp.MlpParams, data: LabeledDataset, config: TrainConfig,
                    kind: BaselineKind, test_data: LabeledDataset):
     """Single-sample, pooled-batch, full-batch or memoryless stratified training.
@@ -257,8 +253,8 @@ def baseline_train(params: mlp.MlpParams, data: LabeledDataset, config: TrainCon
     samples without replacement, except that batch_size == n uses the whole
     dataset, as FULL does every step: the trajectory is then full-gradient
     descent bit for bit. The stratified baseline weights one fresh sample
-    per class by the class shares. Returns the trained `params` and the
-    accuracy reports.
+    per class by the class shares. All draws come from the stream of
+    `config.seed`. Returns the trained `params` and the accuracy reports.
     """
     n = data.n_samples
     if n == 0:
@@ -270,7 +266,7 @@ def baseline_train(params: mlp.MlpParams, data: LabeledDataset, config: TrainCon
     full = kind is BaselineKind.FULL or (kind is BaselineKind.BATCH and config.batch_size == n)
     class_w = data.class_weights()
     features = data.features() if full else None
-    rng = spawn_rng(config.seed, _BASELINE_STREAM[kind])
+    rng = spawn_rng(config.seed)
     reports: list[AccuracyReport] = []
     for it in range(1, config.iterations + 1):
         if kind is BaselineKind.STRATIFIED:

@@ -4,13 +4,14 @@ import os
 import platform
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import stratgrad
-from stratgrad import cli
+from stratgrad import cli, rng
 from stratgrad.cli import _TRACE_STREAM, build_parser, main
 from stratgrad.dataio import MNIST_FILES, read_mnist_split, to_dataset
 from stratgrad.estimators import ESTIMATOR_NAMES
@@ -202,6 +203,16 @@ def test_uniform_families_refuse_rounds_beyond_their_intervals(tmp_path, capsys,
                    "--out-dir", out) == 1
     assert "10 rounds" in capsys.readouterr().err
     assert not list(out.glob("*traces.csv*"))
+
+
+def test_synthetic_refuses_rounds_that_reach_the_race_streams(tmp_path, capsys):
+    # round k of replication s draws stratum j from (seed, s, k, j); the
+    # race's estimator e draws from (seed, s, _TRACE_STREAM, e)
+    out = tmp_path / "syn"
+    assert run_cli("synthetic", "--family", "normal-mean-dec", "--seeds", 1,
+                   "--rounds", _TRACE_STREAM + 1, "--out-dir", out) == 1
+    assert f"--rounds must be at most {_TRACE_STREAM}" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_normal_trend_runs_the_requested_rounds(tmp_path):
@@ -507,9 +518,9 @@ def test_desk_converts_only_the_sampled_rows(fixture_data_dir, monkeypatch, desk
 
     monkeypatch.setattr(cli, "to_dataset", spy)
     argv = ["train", "--algorithm", "gst", "--out-dir", "unused", "--data-dir",
-            str(fixture_data_dir), "--per-class", "7", "--test-per-class", "3", "--seed", "5"]
-    train, test, shape = cli._load_split_pair(
-        build_parser().parse_args(argv + ["--desk"] * desk))
+            str(fixture_data_dir), "--seed", "5"]
+    desk_flags = ["--desk", "--per-class", "7", "--test-per-class", "3"]
+    train, test, shape = cli._load_split_pair(build_parser().parse_args(argv + desk_flags * desk))
     assert shape == (cli.DESK_SHAPE if desk else cli.FULL_SHAPE)
     assert converted == ([70, 30] if desk else [3000, 600])
     for got, split, per_class, stream in ((train, "train", 7, cli._POP_STREAM),
@@ -519,6 +530,27 @@ def test_desk_converts_only_the_sampled_rows(fixture_data_dir, monkeypatch, desk
             want = subsample_reference(want, per_class, (5, stream))
         assert got.pixels.tobytes() == want.pixels.tobytes()
         assert got.labels.tobytes() == want.labels.tobytes()
+
+
+def test_desk_subsample_sizes_default_to_200_and_50_and_are_recorded(fixture_data_dir):
+    args = build_parser().parse_args(["gradmatrix", "--data-dir", str(fixture_data_dir),
+                                      "--desk", "--out-dir", "unused"])
+    train, test, _ = cli._load_split_pair(args)
+    assert (train.n_samples, test.n_samples) == (10 * 200, 10 * 50)
+    assert (args.per_class, args.test_per_class) == (200, 50)  # as the manifest dumps them
+
+
+@pytest.mark.parametrize("flag", ["--per-class", "--test-per-class"])
+@pytest.mark.parametrize("argv", [("train", "--algorithm", "gst"), ("gradmatrix",),
+                                  ("gridsearch", "--algorithm", "gst")],
+                         ids=["train", "gradmatrix", "gridsearch"])
+def test_subsample_size_without_desk_is_refused_before_any_read(
+        tmp_path, fixture_data_dir, capsys, monkeypatch, argv, flag):
+    monkeypatch.setattr(cli, "read_mnist_split", lambda *_: pytest.fail("a split was read"))
+    out = tmp_path / "run"
+    assert run_cli(*argv, "--data-dir", fixture_data_dir, flag, 10, "--out-dir", out) == 1
+    assert f"{flag} needs --desk" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -650,6 +682,24 @@ def test_gridsearch_cell_runs_the_stretched_sgd_of_train(tmp_path, fixture_data_
         assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("algorithm", ["mssg", "gst"])
+def test_train_hands_the_trainer_the_train_stream_prefix(tmp_path, fixture_data_dir, monkeypatch,
+                                                         algorithm):
+    seeds = []
+
+    def spy(params, data, config, *rest):
+        seeds.append(config.seed)
+        return train_fn(params, data, config, *rest)
+
+    name = "mssg_train" if algorithm == "mssg" else "baseline_train"
+    train_fn = getattr(cli.trainer, name)
+    monkeypatch.setattr(cli.trainer, name, spy)
+    assert run_cli("train", "--algorithm", algorithm, "--data-dir", fixture_data_dir, "--desk",
+                   "--per-class", 20, "--test-per-class", 5, "--iterations", 2, "--seed", 6,
+                   "--out-dir", tmp_path / "tr") == 0
+    assert seeds == [(6, cli._TRAIN_STREAM)]
+
+
 @pytest.mark.parametrize("algorithm, mult, label", [
     ("sgd", 3, "sgd(x3)"), ("sgd", 1, "sgd"), ("gst", 3, "gst")])
 def test_gridsearch_labels_rows_as_train_does(tmp_path, fixture_data_dir, algorithm, mult,
@@ -708,3 +758,42 @@ def test_gridsearch_emits_full_table_and_best(tmp_path, fixture_data_dir):
     assert len(best["h"]) == 1
     accs = read_floats(out / "grid_results.csv", "test_accuracy")
     assert float(best["test_accuracy"][0]) == max(accs)
+
+
+# ---------------------------------------------------------------- streams
+
+STREAM_RUNS = {
+    **{f"train-{algorithm}-desk": ("train", "--algorithm", algorithm, "--desk",
+                                   "--iterations", 4) for algorithm in cli._ALGORITHMS},
+    "train-mssg-full": ("train", "--algorithm", "mssg", "--iterations", 2),
+    "gradmatrix-desk": ("gradmatrix", "--desk"),
+    **{f"synthetic-{family}": ("synthetic", "--family", family, "--seeds", 250)
+       for family in ("uniform-dec", "normal-random")},
+    "variance-oracle-random-tuples": ("variance-oracle", "--random-tuples", 10, "--strata", 4,
+                                      "--replications", 10_000),
+}
+
+
+# gridsearch is left out: its cells re-draw one stream set by design
+@pytest.mark.parametrize("argv", STREAM_RUNS.values(), ids=STREAM_RUNS.keys())
+def test_no_two_streams_of_a_run_share_seed_words(tmp_path, fixture_data_dir, monkeypatch, argv):
+    words = []
+    seed_words = rng._seed_words
+
+    def recording(entropy):
+        rows = seed_words(entropy)
+        words.extend(map(tuple, rows.tolist()))
+        return rows
+
+    monkeypatch.setattr(rng, "_seed_words", recording)
+    data = ("--data-dir", fixture_data_dir) if argv[0] in ("train", "gradmatrix") else ()
+    assert run_cli(*argv, *data, "--seed", 3, "--out-dir", tmp_path / "out") == 0
+    shared = sum(n > 1 for n in Counter(words).values())
+    assert words and not shared, f"{shared} seed-word rows are shared among {len(words)} streams"
+
+
+def test_the_manifest_path_is_not_a_flag(tmp_path):
+    # the manifest is always <out-dir>/manifest.txt
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["synthetic", "--family", "uniform-dec", "--out-dir",
+                                   str(tmp_path), "--manifest-out", str(tmp_path / "m.txt")])

@@ -29,6 +29,19 @@ def test_path_extends_the_seed():
     assert a.integers(1 << 62) == b.integers(1 << 62) == c.integers(1 << 62)
 
 
+def test_trailing_zeros_within_the_seed_pool_address_one_stream():
+    def state(*key):
+        return spawn_rng(*key).bit_generator.state
+
+    def numpy_state(*key):
+        return np.random.PCG64(np.random.SeedSequence(key)).state
+
+    # SeedSequence pads its four-word pool with zeros; words past the pool are all mixed in
+    assert state(7, 3) == state(7, 3, 0) == state(7, 3, 0, 0) == numpy_state(7, 3, 0, 0)
+    assert state(1, 2, 3, 4) == numpy_state(1, 2, 3, 4)
+    assert state(1, 2, 3, 4, 0) == numpy_state(1, 2, 3, 4, 0) != state(1, 2, 3, 4)
+
+
 @pytest.mark.parametrize("seed,path", [
     (-1, ()), (1, (-2,)), ((1, -2), ()), ((1, 2), (3, -4)), ((1, 2), (-5,)),
     (np.int64(-3), ()), ((np.int64(-3), 1), ()),

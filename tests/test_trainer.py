@@ -302,6 +302,18 @@ def test_mssg_matches_two_pass_reference(shape, weight_decay):
     assert fallbacks == ref.fallbacks
 
 
+def test_mssg_extends_the_cli_prefix_as_the_reference_does():
+    # The CLI hands every trainer a (seed, tag) prefix; class c's stream at
+    # iteration it is then (seed, tag, it, c).
+    data = blob_dataset(12, n_classes=3, n_features=6, seed=43)
+    params = mlp.init_params((6, 4, 3), seed=44)
+    config = small_config(iterations=4, step_size=1.0, seed=(3, cli._TRAIN_STREAM))
+    trained, _, _ = mssg_train(copy_params(params), data, config, data)
+    expected, _ = mssg_reference(params, data, config)
+    for got, want in zip(trained.weights + trained.biases, expected.weights + expected.biases):
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
 def kernel_spy(monkeypatch):
     """Record the arguments of every coefficient-kernel call the trainer makes."""
     calls = []

@@ -70,16 +70,25 @@ SUBPARSERS = subparsers(build_parser())
 # every long flag whose name less its last letter names no other flag
 UNIQUE_PREFIXES = [(name, flag) for name, p in SUBPARSERS.items() for flag in long_flags(p)
                    if [f for f in long_flags(p) if f.startswith(flag[:-1])] == [flag]]
+# flags that were removed, and that every subcommand keeps refusing in full and
+# abbreviated: the manifest is always <out-dir>/manifest.txt
+RETIRED = [(name, flag) for name in SUBPARSERS for flag in ("--manifest-out",)]
+REFUSED = UNIQUE_PREFIXES + RETIRED
 
 
-@pytest.mark.parametrize("name, flag", UNIQUE_PREFIXES,
-                         ids=[f"{name} {flag}" for name, flag in UNIQUE_PREFIXES])
-def test_abbreviated_flags_are_refused(name, flag, capsys):
-    prefix = flag[:-1]
+def refused(name, flag, capsys):
     with pytest.raises(SystemExit) as exc:
-        build_parser().parse_args([name, *required_argv(SUBPARSERS[name]), prefix, "7"])
+        build_parser().parse_args([name, *required_argv(SUBPARSERS[name]), flag, "7"])
     assert exc.value.code == 2
-    assert f"unrecognized arguments: {prefix}" in capsys.readouterr().err
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, flag", REFUSED, ids=[f"{name} {flag}" for name, flag in REFUSED])
+def test_abbreviated_flags_are_refused(name, flag, capsys):
+    refused(name, flag[:-1], capsys)
+    if (name, flag) in RETIRED:
+        refused(name, flag, capsys)
+        assert flag not in long_flags(SUBPARSERS[name])
 
 
 def test_abbreviations_cover_every_subcommand_and_the_top_level_refuses_them(capsys):
@@ -790,10 +799,3 @@ def test_no_two_streams_of_a_run_share_seed_words(tmp_path, fixture_data_dir, mo
     assert run_cli(*argv, *data, "--seed", 3, "--out-dir", tmp_path / "out") == 0
     shared = sum(n > 1 for n in Counter(words).values())
     assert words and not shared, f"{shared} seed-word rows are shared among {len(words)} streams"
-
-
-def test_the_manifest_path_is_not_a_flag(tmp_path):
-    # the manifest is always <out-dir>/manifest.txt
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["synthetic", "--family", "uniform-dec", "--out-dir",
-                                   str(tmp_path), "--manifest-out", str(tmp_path / "m.txt")])

@@ -79,13 +79,21 @@ class _Run:
                 p.rename(p.with_name(p.name + ".partial"))
 
 
+def _mode_flags(args, in_mode: bool, mode: str, defaults: dict) -> None:
+    """Refuse each flag of `defaults` set outside `mode`; inside it, default the unset ones.
+
+    So no flag is silently dropped, and the manifest records what ran.
+    """
+    for flag, default in defaults.items():
+        if not in_mode and getattr(args, flag) is not None:
+            raise ValueError(f"--{flag.replace('_', '-')} needs {mode}")
+        if in_mode and getattr(args, flag) is None:
+            setattr(args, flag, default)
+
+
 def _load_split_pair(args) -> tuple[LabeledDataset, LabeledDataset, tuple[int, ...]]:
     """The train and test splits, and the network shape: DESK_SHAPE under --desk."""
-    for flag, desk_default in (("per_class", 200), ("test_per_class", 50)):
-        if not args.desk and getattr(args, flag) is not None:
-            raise ValueError(f"--{flag.replace('_', '-')} needs --desk")
-        if args.desk and getattr(args, flag) is None:  # so the manifest records what ran
-            setattr(args, flag, desk_default)
+    _mode_flags(args, args.desk, "--desk", {"per_class": 200, "test_per_class": 50})
     data_dir = args.data_dir or os.environ.get("MNIST_DIR")
     if not data_dir:
         raise FileNotFoundError("no dataset directory: pass --data-dir or set MNIST_DIR")
@@ -217,6 +225,8 @@ def _random_stat_tuples(rng, n_strata: int):
 def cmd_variance_oracle(args, run: _Run) -> None:
     if args.replications < 10_000:
         raise ValueError("need at least 10000 replications for a meaningful z-score")
+    _mode_flags(args, not args.stats, "random mode, without --stats",
+                {"random_tuples": 10, "strata": 1})
     if args.stats:
         experiments = [_parse_stats_spec(args.stats)]
     elif args.strata < 1:
@@ -363,33 +373,25 @@ def cmd_train(args, run: _Run) -> None:
 
 
 def cmd_gridsearch(args, run: _Run) -> None:
-    step_sizes = [float(x) for x in args.alphas.split(",")]
-    decays = [float(x) for x in args.lambdas.split(",")]
-    for h in step_sizes:  # a bad value late in the grid is refused before any cell trains
-        for lam in decays:
-            mlp.check_step(h, lam)
+    budget = args.budget_iterations
+    configs = [_make_config(args, h, lam, budget, budget)  # refused before the split is read
+               for h in map(float, args.alphas.split(","))
+               for lam in map(float, args.lambdas.split(","))]
     train, test, shape = _load_split_pair(args)
-
-    def train_fn(h: float, lam: float, iterations: int):
+    accuracies = []
+    for config in configs:  # a cell's score is its final checkpoint's test accuracy
         params = mlp.init_params(shape, (args.seed, _INIT_STREAM))
-        config = _make_config(args, h, lam, iterations, iterations)
-        trained, _, _ = _run_algorithm(args.algorithm, params, train, test, config)
-        return trained
-
-    best, cells = trainer.grid_search(train_fn, step_sizes, decays,
-                                      args.budget_iterations, test)
-    label = _run_label(args)
-    write_csv(run.path("grid_results.csv"), {
-        "h": [c.step_size for c in cells],
-        "lambda": [c.weight_decay for c in cells],
-        "test_accuracy": [c.test_accuracy for c in cells],
-        "algorithm": [label] * len(cells),
-    })
-    write_csv(run.path("grid_best.csv"), {
-        "h": [best.step_size], "lambda": [best.weight_decay],
-        "test_accuracy": [best.test_accuracy], "algorithm": [label],
-    })
-    run.finish(args, {"best_h": best.step_size, "best_lambda": best.weight_decay})
+        _, reports, _ = _run_algorithm(args.algorithm, params, train, test, config)
+        accuracies.append(reports[-1].test_accuracy)
+    # ties go to the smaller step size, then the smaller decay
+    best = min(range(len(configs)), key=lambda i: (-accuracies[i], configs[i].step_size,
+                                                   configs[i].weight_decay))
+    columns = {"h": [c.step_size for c in configs], "lambda": [c.weight_decay for c in configs],
+               "test_accuracy": accuracies, "algorithm": [_run_label(args)] * len(configs)}
+    write_csv(run.path("grid_results.csv"), columns)
+    write_csv(run.path("grid_best.csv"), {k: v[best:best + 1] for k, v in columns.items()})
+    run.finish(args, {"best_h": configs[best].step_size,
+                      "best_lambda": configs[best].weight_decay})
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -448,9 +450,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stats", default=None,
                    help="semicolon-separated 'mean_prev,var_prev,mean_curr,var_curr[,weight]' "
                         "strata (default: random tuples)")
-    p.add_argument("--random-tuples", type=int, default=10,
-                   help="number of random experiments when --stats is omitted")
-    p.add_argument("--strata", type=int, default=1, help="strata per random experiment")
+    p.add_argument("--random-tuples", type=int, default=None,
+                   help="number of random experiments, without --stats; unset means 10")
+    p.add_argument("--strata", type=int, default=None,
+                   help="strata per random experiment, without --stats; unset means 1")
     p.add_argument("--replications", type=int, default=100_000,
                    help="Monte-Carlo replications (>= 10000)")
 

@@ -43,9 +43,7 @@ a step adds about 72 MB at the 784-500-500-200-10 shape).
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -291,31 +289,3 @@ def baseline_train(params: mlp.MlpParams, data: LabeledDataset, config: TrainCon
             params.biases[l] -= config.step_size * grad.biases[l]
         _end_iteration(params, it, kind.value, config, reports, data, test_data)
     return params, reports
-
-
-@dataclass(frozen=True)
-class GridCell:
-    step_size: float
-    weight_decay: float
-    test_accuracy: float
-
-
-def grid_search(train_fn: Callable[[float, float, int], mlp.MlpParams],
-                step_sizes: Sequence[float], weight_decays: Sequence[float],
-                budget_iterations: int, eval_data: LabeledDataset):
-    """Evaluate every (step_size, weight_decay) cell and pick the best.
-
-    `train_fn(step_size, weight_decay, iterations)` must return trained
-    parameters. Ties break toward the smaller step size, then the smaller
-    decay. Returns (best_cell, all_cells in grid order).
-    """
-    step_sizes = list(step_sizes)
-    weight_decays = list(weight_decays)
-    if not step_sizes or not weight_decays:
-        raise ValueError("both grids must be non-empty")
-    cells: list[GridCell] = []
-    for h, lam in itertools.product(step_sizes, weight_decays):
-        trained = train_fn(h, lam, budget_iterations)
-        cells.append(GridCell(h, lam, accuracy(trained, eval_data)))
-    best = min(cells, key=lambda c: (-c.test_accuracy, c.step_size, c.weight_decay))
-    return best, cells

@@ -434,6 +434,26 @@ def test_variance_oracle_rejects_thin_replications(tmp_path, capsys):
     assert "replications" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [("--strata", 4), ("--random-tuples", 3),
+                                   ("--strata", 4, "--random-tuples", 3)],
+                         ids=["strata", "random-tuples", "both"])
+def test_variance_oracle_refuses_random_mode_flags_with_stats(tmp_path, capsys, flags):
+    out = tmp_path / "vo"
+    assert run_cli("variance-oracle", "--stats", "2,1,1,1", *flags, "--replications", 10_000,
+                   "--out-dir", out) == 1
+    err = capsys.readouterr().err
+    assert any(f"{flag} needs random mode, without --stats" in err for flag in flags[::2])
+    assert list(out.iterdir()) == []
+
+
+def test_variance_oracle_records_the_random_mode_defaults(tmp_path):
+    out = tmp_path / "vo"
+    assert run_cli("variance-oracle", "--replications", 10_000, "--out-dir", out) == 0
+    lines = (out / "manifest.txt").read_text().splitlines()
+    assert {"config.random_tuples=10", "config.strata=1"} <= set(lines)
+    assert len(read_csv_columns(out / "variance_oracle.csv")["z"]) == 10 * 2
+
+
 def test_variance_oracle_rejects_empty_random_experiments(tmp_path, capsys):
     out = tmp_path / "vo"
     assert run_cli("variance-oracle", "--strata", 0, "--out-dir", out) == 1
@@ -584,11 +604,25 @@ def test_malformed_step_or_decay_is_refused_before_training(tmp_path, fixture_da
 def test_gridsearch_refuses_a_bad_grid_value_before_any_cell_trains(
         tmp_path, fixture_data_dir, capsys, monkeypatch, alphas, lambdas, message):
     monkeypatch.setattr(cli, "_run_algorithm", lambda *_: pytest.fail("a cell trained"))
+    monkeypatch.setattr(cli, "read_mnist_split", lambda *_: pytest.fail("a split was read"))
     assert run_cli("gridsearch", "--algorithm", "gst", "--data-dir", fixture_data_dir, "--desk",
                    "--per-class", 20, "--test-per-class", 5, "--alphas", alphas,
                    "--lambdas", lambdas, "--budget-iterations", 2,
                    "--out-dir", tmp_path / "gs") == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--budget-iterations", 0), "iterations must be at least 1"),
+    (("--sgd-multiplier", 0), "--sgd-multiplier must be at least 1")])
+def test_gridsearch_refuses_a_bad_budget_or_multiplier_before_the_split_is_read(
+        tmp_path, fixture_data_dir, capsys, monkeypatch, argv, message):
+    monkeypatch.setattr(cli, "read_mnist_split", lambda *_: pytest.fail("a split was read"))
+    out = tmp_path / "gs"
+    assert run_cli("gridsearch", "--data-dir", fixture_data_dir, "--desk", *argv,
+                   "--out-dir", out) == 1
+    assert message in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_failed_run_marks_partial_outputs(tmp_path, fixture_data_dir, capsys):
@@ -767,6 +801,58 @@ def test_gridsearch_emits_full_table_and_best(tmp_path, fixture_data_dir):
     assert len(best["h"]) == 1
     accs = read_floats(out / "grid_results.csv", "test_accuracy")
     assert float(best["test_accuracy"][0]) == max(accs)
+
+
+def test_gridsearch_single_cell_is_its_own_best(tmp_path, fixture_data_dir):
+    out = tmp_path / "gs"
+    assert run_cli("gridsearch", "--algorithm", "gst", "--data-dir", fixture_data_dir,
+                   "--desk", "--per-class", 20, "--test-per-class", 5, "--alphas", "0.5",
+                   "--lambdas", "0.01", "--budget-iterations", 1, "--out-dir", out) == 0
+    table = read_csv_columns(out / "grid_results.csv")
+    assert table == read_csv_columns(out / "grid_best.csv")
+    assert (table["h"], table["lambda"]) == (["0.5"], ["0.01"])
+
+
+@pytest.mark.parametrize("low_cells, want", [
+    ((), (0.001, 0.0001)),  # every cell ties
+    (((0.001, 0.0001),), (0.001, 0.001)),  # the smaller step wins over the smaller decay
+], ids=["all-tie", "step-first"])
+def test_gridsearch_breaks_ties_toward_the_smaller_step_then_decay(
+        tmp_path, fixture_data_dir, monkeypatch, low_cells, want):
+    def stub(algorithm, params, train, test, config):
+        score = 0.25 if (config.step_size, config.weight_decay) in low_cells else 0.5
+        return params, [cli.trainer.AccuracyReport(config.iterations, score, score)], 0
+
+    monkeypatch.setattr(cli, "_run_algorithm", stub)
+    out = tmp_path / "gs"
+    assert run_cli("gridsearch", "--algorithm", "gst", "--data-dir", fixture_data_dir,
+                   "--desk", "--per-class", 20, "--test-per-class", 5,
+                   "--alphas", "1,0.001,0.01", "--lambdas", "0.001,0.0001",
+                   "--budget-iterations", 1, "--out-dir", out) == 0
+    assert len(read_csv_columns(out / "grid_results.csv")["h"]) == 6
+    best = out / "grid_best.csv"
+    assert (read_floats(best, "h"), read_floats(best, "lambda")) == ([want[0]], [want[1]])
+    assert read_floats(best, "test_accuracy") == [0.5]
+    lines = (out / "manifest.txt").read_text().splitlines()
+    assert {f"best_h={want[0]}", f"best_lambda={want[1]}"} <= set(lines)
+
+
+@pytest.mark.parametrize("algorithm", ["mssg", "gst"])
+def test_gridsearch_scores_each_cell_at_its_final_checkpoint_only(
+        tmp_path, fixture_data_dir, monkeypatch, algorithm):
+    scored = []
+
+    def counting(params, data):
+        scored.append(data.n_samples)
+        return accuracy(params, data)
+
+    accuracy = cli.trainer.accuracy
+    monkeypatch.setattr(cli.trainer, "accuracy", counting)
+    assert run_cli("gridsearch", "--algorithm", algorithm, "--data-dir", fixture_data_dir,
+                   "--desk", "--per-class", 20, "--test-per-class", 5, "--alphas", "0.5,0.1",
+                   "--lambdas", "0.01,0", "--budget-iterations", 2,
+                   "--out-dir", tmp_path / "gs") == 0
+    assert scored == [10 * 20, 10 * 5] * 4  # the train split, then the test split, per cell
 
 
 # ---------------------------------------------------------------- streams

@@ -16,7 +16,6 @@ from stratgrad.trainer import (
     _blend_block,
     accuracy,
     baseline_train,
-    grid_search,
     mssg_train,
 )
 
@@ -671,58 +670,3 @@ def test_baseline_validation():
     with pytest.raises(ValueError):
         baseline_train(params, data, small_config(batch_size=1000), BaselineKind.BATCH,
                        data)
-
-
-# ---------------------------------------------------------------- grid search
-
-def test_grid_search_cell_count_and_table():
-    data = blob_dataset(10, seed=33)
-
-    def train_fn(h, lam, iters):
-        params = mlp.init_params((6, 4, 3), seed=34)
-        trained, _, _ = mlp.full_gradient_train(params, data.features(), data.labels,
-                                                iters, h, lam)
-        return trained
-
-    best, cells = grid_search(train_fn, [0.01, 1, 0.001], [0.001, 0.0001], 3, data)
-    assert len(cells) == 6
-    assert best in cells
-    assert best.test_accuracy == max(c.test_accuracy for c in cells)
-
-
-def test_grid_search_single_cell():
-    data = blob_dataset(8, seed=35)
-
-    def train_fn(h, lam, iters):
-        return mlp.init_params((6, 4, 3), seed=36)
-
-    best, cells = grid_search(train_fn, [0.5], [0.01], 1, data)
-    assert len(cells) == 1
-    assert (best.step_size, best.weight_decay) == (0.5, 0.01)
-
-
-def test_grid_search_tie_breaks_toward_smaller_values():
-    data = blob_dataset(8, seed=37)
-    fixed = mlp.init_params((6, 4, 3), seed=38)
-
-    def train_fn(h, lam, iters):
-        return fixed  # every cell scores identically
-
-    best, _ = grid_search(train_fn, [1.0, 0.001, 0.01], [0.001, 0.0001], 1, data)
-    assert (best.step_size, best.weight_decay) == (0.001, 0.0001)
-
-
-def test_grid_search_deterministic():
-    data = blob_dataset(10, seed=39)
-
-    def train_fn(h, lam, iters):
-        params = mlp.init_params((6, 4, 3), seed=40)
-        config = small_config(step_size=h, weight_decay=lam, iterations=iters,
-                              checkpoint_every=iters)
-        trained, _, _ = mssg_train(params, data, config, data)
-        return trained
-
-    first = grid_search(train_fn, [0.5, 0.1], [0.001], 2, data)
-    second = grid_search(train_fn, [0.5, 0.1], [0.001], 2, data)
-    assert first[0] == second[0]
-    assert first[1] == second[1]

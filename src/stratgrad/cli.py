@@ -273,6 +273,9 @@ def _matrix_rounds(matrix: np.ndarray, class_index) -> PopulationRound:
 
 
 def cmd_gradmatrix(args, run: _Run) -> None:
+    for flag, value in (("--reps", args.reps), ("--batch-size", args.batch_size)):
+        if value < 1:  # refused before the descent, not after it
+            raise ValueError(f"{flag} must be at least 1, got {value}")
     train, test, shape = _load_split_pair(args)
     check_class_sizes(train.class_index, 1, "the estimator replay")
     iterations = args.iterations if args.iterations is not None else (10 if args.desk else 60)
@@ -377,6 +380,8 @@ def cmd_gridsearch(args, run: _Run) -> None:
     configs = [_make_config(args, h, lam, budget, budget)  # refused before the split is read
                for h in map(float, args.alphas.split(","))
                for lam in map(float, args.lambdas.split(","))]
+    if len({(c.step_size, c.weight_decay) for c in configs}) < len(configs):
+        raise ValueError(f"--alphas {args.alphas} or --lambdas {args.lambdas} repeats a value")
     train, test, shape = _load_split_pair(args)
     accuracies = []
     for config in configs:  # a cell's score is its final checkpoint's test accuracy

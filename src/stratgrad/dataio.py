@@ -231,64 +231,52 @@ def read_mnist_split(data_dir, split: str, per_class: Optional[int] = None,
     return images, labels if rows is None else labels[rows]
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, (bool, np.bool_, int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    return str(value)
-
-
 # Rows per formatted block: large enough to amortise the per-block calls,
 # small enough that a block's cells stay a small share of peak memory.
 _CSV_BLOCK_ROWS = 512
-
-
-def _column_spec(col) -> Optional[str]:
-    """The `str.format` field for a 1-D numeric or str ndarray column, else None.
-
-    Such a column is written from `tolist()` values (Python floats, ints,
-    bools and strs), which the field formats exactly as `_format_cell` does.
-    """
-    if type(col) is np.ndarray and col.ndim == 1:
-        kind = col.dtype.kind
-        if kind == "f" and col.dtype.itemsize <= 8:  # longdouble takes the slow path
-            return "{:.17g}"
-        if kind in "iub":  # Python ints: uint64 above 2**63 does not wrap
-            return "{:d}"
-        if kind == "U":
-            return "{}"
-    return None
+# The `str.format` field per dtype kind, applied to `tolist()` values: 17
+# significant digits round-trip a float64; ints (uint64 above 2**63 too) and
+# bools print as integers.
+_CSV_FIELDS = {"f": "{:.17g}", "i": "{:d}", "u": "{:d}", "b": "{:d}", "U": "{}"}
 
 
 def write_csv(path, columns: Mapping[str, Sequence]) -> None:
-    """Write named equal-length series as CSV with stable formatting.
+    """Write named equal-length columns as CSV with stable formatting.
 
-    The rows go out in blocks of `_CSV_BLOCK_ROWS`, each formatted column by
-    column and written as one string, byte for byte what formatting every
-    cell with `_format_cell` gives.
+    A column is a 1-D array or list of floats up to float64, ints, bools or
+    strs, read with `np.asarray`, so a list of ints and floats is a float
+    column. Any other column (complex, longdouble, object, strs mixed with
+    other values, not 1-D) is refused with TypeError before the file is
+    opened. The rows go out in blocks of `_CSV_BLOCK_ROWS`, each formatted
+    with one `str.format` call.
     """
     if not columns:
         raise ValueError("need at least one column")
     names = list(columns)
-    lengths = {name: len(columns[name]) for name in names}
+    series = [np.asarray(columns[name]) for name in names]
+    for name, col in zip(names, series):
+        kind, given = col.dtype.kind, columns[name]
+        if (col.ndim != 1 or kind not in _CSV_FIELDS or kind == "f" and col.dtype.itemsize > 8
+                # np.asarray(["a", 0.1]) is a str array holding "0.1"
+                or kind == "U" and not isinstance(given, np.ndarray)
+                and not all(isinstance(v, str) for v in given)):
+            raise TypeError(f"column {name!r}: cannot write {col.ndim}-D {col.dtype} "
+                            f"exactly; need floats up to float64, ints, bools or strs")
+    lengths = {name: len(col) for name, col in zip(names, series)}
     if len(set(lengths.values())) != 1:
         raise ValueError(f"column lengths differ: {lengths}")
     n = lengths[names[0]]
     if n == 0:
         raise ValueError(f"refusing to write empty series to {path}")
-    series = [columns[name] for name in names]
-    specs = [_column_spec(col) for col in series]
-    row_fmt = ",".join(spec or "{}" for spec in specs) + "\n"
+    row_fmt = ",".join(_CSV_FIELDS[col.dtype.kind] for col in series) + "\n"
     k = len(series)
     with open(path, "w", newline="") as f:
         f.write(",".join(names) + "\n")
         for lo in range(0, n, _CSV_BLOCK_ROWS):
             rows = min(_CSV_BLOCK_ROWS, n - lo)
             cells = [None] * (k * rows)  # row-major: cell (i, j) sits at i * k + j
-            for j, (col, spec) in enumerate(zip(series, specs)):
-                block = col[lo:lo + rows]
-                cells[j::k] = block.tolist() if spec else list(map(_format_cell, block))
+            for j, col in enumerate(series):
+                cells[j::k] = col[lo:lo + rows].tolist()
             f.write((row_fmt * rows).format(*cells))
 
 

@@ -11,25 +11,24 @@ and then by 1 - a where it lies), so a hidden layer holds its output plus
 one temporary, with the bits of A W + b, the two-branch sigmoid and
 (D W^T) * a * (1 - a).
 
-Row blocking. Passes over a whole batch (``forward_batch``, ``loss``,
-``loss_and_grad`` and every step of ``full_gradient_train``) stream it in
-fixed blocks of ``BLOCK_ROWS`` rows and reduce each block (into the
-probabilities, the loss sum, the A^T D and bias sums, the tracked column)
-before the next is formed, so peak memory is the features plus
-O(BLOCK_ROWS x widths), not O(n x widths). A batch that fits in one block
-gets exactly the arithmetic of one unstreamed pass; a longer one adds its
-blocks' sums in a fixed order, so its results repeat at a fixed BLAS
-thread count. Only passes that go on to a backward pass keep every layer's
-activations. A scoring pass (``forward_batch``, ``loss``) lets each
-layer's input go once the layer's product is formed, and ``forward_batch``
-takes its features' rows over block by block, so features that nothing
-else holds, as in ``forward_batch(params, data.features(rows))``, are
-freed before layer 1 (on CPython 3.11 and later, where a call keeps no
-reference to its arguments). A caller that holds only pixels can so score
-one decoded block at a time (``trainer.accuracy``): at the
-784-500-500-200-10 shape that is a 6.4 MB block, let go after its first
-product, then one layer's output and the sigmoid's temporary, two 4.1 MB
-arrays.
+Row blocking. Passes over a whole batch (``loss``, ``loss_and_grad`` and
+every step of ``full_gradient_train``) stream it in fixed blocks of
+``BLOCK_ROWS`` rows and reduce each block (into the loss sum, the A^T D
+and bias sums, the tracked column) before the next is formed, so peak
+memory is the features plus O(BLOCK_ROWS x widths), not O(n x widths). A
+batch that fits in one block gets exactly the arithmetic of one unstreamed
+pass; a longer one adds its blocks' sums in a fixed order, so its results
+repeat at a fixed BLAS thread count. Only passes that go on to a backward
+pass keep every layer's activations. A scoring pass (``forward_batch``,
+``loss``) lets each layer's input go once the layer's product is formed.
+``forward_batch`` is one pass over the rows it is given, and takes them
+over, so features that nothing else holds, as in
+``forward_batch(params, data.features(rows))``, are freed before layer 1
+(on CPython 3.11 and later, where a call keeps no reference to its
+arguments). ``trainer.accuracy`` is the scoring loop: it decodes and
+scores one block of pixels at a time, which at the 784-500-500-200-10
+shape is a 6.4 MB block, let go after its first product, then one layer's
+output and the sigmoid's temporary, two 4.1 MB arrays.
 """
 
 from __future__ import annotations
@@ -169,6 +168,12 @@ def check_step(step_size: float, weight_decay: float) -> None:
         raise ValueError(f"weight_decay must be non-negative and finite, got {weight_decay}")
 
 
+def check_finite(params: MlpParams, algorithm: str, it: int) -> None:
+    """Refuse parameters that a diverging descent left non-finite after iteration `it`."""
+    if not all(np.isfinite(a).all() for a in (*params.weights, *params.biases)):
+        raise RuntimeError(f"{algorithm} produced non-finite parameters at iteration {it}")
+
+
 def _check_batch(params: MlpParams, features, labels):
     features = _check_features(params, features)
     labels = _check_labels(params, labels, features.shape[0])
@@ -178,18 +183,10 @@ def _check_batch(params: MlpParams, features, labels):
 
 
 def forward_batch(params: MlpParams, features) -> np.ndarray:
-    """Class probabilities for a feature matrix, one row per sample.
-
-    How its blocks hold and free memory: see the module docstring.
-    """
-    features = _check_features(params, features)
-    n = features.shape[0]
-    probs = np.empty((n, params.weights[-1].shape[1]))
-    blocks = [features[rows] for rows in _row_blocks(n)]
-    del features
-    for rows in _row_blocks(n):
-        probs[rows] = _forward_cached(params, blocks.pop(0), False)[0][-1]
-    return probs
+    """Class probabilities, one row per sample, in one pass that frees the
+    features as the module docstring says."""
+    features = [_check_features(params, features)]  # a list, so the pass can let go of them
+    return _forward_cached(params, features.pop(), False)[0][-1]
 
 
 def _data_loss_sum(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -295,6 +292,8 @@ def full_gradient_train(params: MlpParams, features, labels, steps: int,
                         tracked: Optional[tuple[int, int, int]] = None):
     """Full-batch gradient descent: trains `params` in place and returns it.
 
+    A step that leaves a parameter non-finite raises `check_finite`'s error.
+
     Returns (params, losses, matrix): the trained parameters, the loss
     history of length steps + 1 (loss before any update through loss after
     the last one), and the per-sample gradient history of the weight
@@ -325,5 +324,6 @@ def full_gradient_train(params: MlpParams, features, labels, steps: int,
         for l in range(params.n_layers):
             params.weights[l] -= step_size * grad.weights[l]
             params.biases[l] -= step_size * grad.biases[l]
+        check_finite(params, "full-gradient descent", t + 1)
     losses.append(loss(params, features, labels, weight_decay))
     return params, losses, matrix

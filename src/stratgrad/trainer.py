@@ -119,8 +119,7 @@ def accuracy(params: mlp.MlpParams, data: LabeledDataset) -> float:
 
 def _end_iteration(params, it: int, algorithm: str, config, reports, data, test_data) -> None:
     """Refuse non-finite parameters, then score the run if `it` is a checkpoint."""
-    if not all(np.isfinite(a).all() for a in (*params.weights, *params.biases)):
-        raise RuntimeError(f"{algorithm} produced non-finite parameters at iteration {it}")
+    mlp.check_finite(params, algorithm, it)
     if it % config.checkpoint_every == 0 or it == config.iterations:
         reports.append(AccuracyReport(it, accuracy(params, data), accuracy(params, test_data)))
 

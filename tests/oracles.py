@@ -27,6 +27,9 @@ split. `scaled_features_reference` is the old whole-split conversion of
 pixels to features (a float64 copy, then an in-place division by 255),
 which `LabeledDataset.features` must match bit for bit. `copy_params` is
 the parameter copy a test hands each run, since the trainers train in place.
+`write_csv_reference` is the per-cell CSV writer that `dataio.write_csv`'s
+block formatter replaced, with its own `_format_cell`, so the reference
+shares no code with the writer it checks.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from stratgrad import mlp
-from stratgrad.dataio import LabeledDataset, _format_cell
+from stratgrad.dataio import LabeledDataset
 from stratgrad.estimators import ESTIMATOR_NAMES, Race, optimal_coefficients_elementwise
 from stratgrad.population import (DECREASING_MEAN_INTERVALS, N_STRATA, RANDOM_PARAM_RANGE,
                                   PopulationRound, Trend, trend_schedules)
@@ -768,6 +771,15 @@ def trace_estimators_reference(rounds, seeds, per_stratum: int = 1,
                        for name in ESTIMATOR_NAMES])
         truth.append(truths)
     return Race(np.array(estimates), np.array(sq_dev), np.array(truth), fallbacks)
+
+
+def _format_cell(value) -> str:
+    """One CSV cell: 17 significant digits for a float, an int for an int or a bool."""
+    if isinstance(value, (bool, np.bool_, int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return format(float(value), ".17g")
+    return str(value)
 
 
 def write_csv_reference(path, columns) -> None:

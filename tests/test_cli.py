@@ -600,7 +600,10 @@ def test_malformed_step_or_decay_is_refused_before_training(tmp_path, fixture_da
 
 @pytest.mark.parametrize("alphas, lambdas, message", [
     ("0.5,nan", "0", "step_size must be positive and finite, got nan"),
-    ("0.5", "0,-0.5", "weight_decay must be non-negative and finite, got -0.5")])
+    ("0.5", "0,-0.5", "weight_decay must be non-negative and finite, got -0.5"),
+    ("2,2", "0,0.0", "--alphas 2,2 or --lambdas 0,0.0 repeats a value"),
+    ("2", "0,0.0", "--alphas 2 or --lambdas 0,0.0 repeats a value"),
+    ("0.5,1,5e-1", "0.01", "--alphas 0.5,1,5e-1 or --lambdas 0.01 repeats a value")])
 def test_gridsearch_refuses_a_bad_grid_value_before_any_cell_trains(
         tmp_path, fixture_data_dir, capsys, monkeypatch, alphas, lambdas, message):
     monkeypatch.setattr(cli, "_run_algorithm", lambda *_: pytest.fail("a cell trained"))
@@ -623,6 +626,29 @@ def test_gridsearch_refuses_a_bad_budget_or_multiplier_before_the_split_is_read(
                    "--out-dir", out) == 1
     assert message in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", ["--reps", "--batch-size"])
+def test_gradmatrix_refuses_a_zero_count_before_the_split_is_read(tmp_path, capsys, flag):
+    # the data directory holds no IDX files, so a read would fail on the dataset instead
+    out = tmp_path / "gm"
+    assert run_cli("gradmatrix", "--data-dir", tmp_path, "--desk", flag, 0,
+                   "--out-dir", out) == 1
+    err = capsys.readouterr().err
+    assert f"{flag} must be at least 1, got 0" in err and "missing" not in err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_gradmatrix_refuses_a_diverging_descent_before_any_output(
+        tmp_path, fixture_data_dir, capsys):
+    out = tmp_path / "gm"
+    assert run_cli("gradmatrix", "--data-dir", fixture_data_dir, "--desk", "--per-class", 20,
+                   "--test-per-class", 5, "--iterations", 3, "--alpha", 1e300,
+                   "--out-dir", out) == 1
+    assert ("full-gradient descent produced non-finite parameters at iteration"
+            in capsys.readouterr().err)
+    assert list(out.iterdir()) == []  # not even a .partial
 
 
 def test_failed_run_marks_partial_outputs(tmp_path, fixture_data_dir, capsys):
@@ -885,3 +911,23 @@ def test_no_two_streams_of_a_run_share_seed_words(tmp_path, fixture_data_dir, mo
     assert run_cli(*argv, *data, "--seed", 3, "--out-dir", tmp_path / "out") == 0
     shared = sum(n > 1 for n in Counter(words).values())
     assert words and not shared, f"{shared} seed-word rows are shared among {len(words)} streams"
+
+
+# ---------------------------------------------------------------- scripts
+
+CHILD_USAGE = Path(__file__).resolve().parents[1] / "scripts" / "child_usage.py"
+
+
+@pytest.mark.parametrize("argv, status", [
+    (("synthetic", "--family", "normal-random", "--seeds", "2", "--rounds", "3"), 0),
+    (("synthetic", "--seeds", "2"), 2)], ids=["ok", "argparse-error"])
+def test_child_usage_reports_the_child_and_exits_with_its_status(tmp_path, argv, status):
+    argv = (*argv, "--out-dir", str(tmp_path / "out"))
+    done = subprocess.run([sys.executable, str(CHILD_USAGE), *argv],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == status
+    head, _, usage = done.stdout.strip().rpartition(": ")
+    assert head == "stratgrad " + " ".join(argv)
+    seconds, _, rss = usage.partition(" s, ru_maxrss ")
+    assert float(seconds) > 0 and int(rss.removesuffix(" kB")) > 0
+    assert (tmp_path / "out" / "manifest.txt").exists() == (status == 0)

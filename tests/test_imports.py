@@ -8,7 +8,8 @@ the module. ``from __future__`` imports and names re-exported through
 ``__all__`` are exempt.
 
 The second check keeps helpers that only tests call out of the package:
-such a helper belongs in ``tests/oracles.py``. The third does the same for
+such a helper belongs in ``tests/oracles.py``, which in turn imports no
+private name of the package. The third does the same for
 knobs: a defaulted parameter that no call in src ever sets serves only tests.
 """
 
@@ -54,6 +55,16 @@ def test_module_uses_every_import(path):
 
 def test_every_exported_name_resolves():
     assert [name for name in stratgrad.__all__ if not hasattr(stratgrad, name)] == []
+
+
+def test_oracles_import_no_private_name_of_the_package():
+    # a reference that shares a private helper with the code it checks
+    # cannot catch a fault in that helper
+    tree = ast.parse((ROOT / "tests" / "oracles.py").read_text())
+    private = [f"{node.module}.{a.name}" for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("stratgrad")
+               for a in node.names if a.name.startswith("_")]
+    assert private == []
 
 
 def unreferenced_definitions(sources: dict[str, str]) -> list[str]:

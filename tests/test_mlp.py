@@ -203,6 +203,15 @@ def test_full_gradient_single_step_decreases_loss():
             mlp.full_gradient_train(params, features, labels, 1, step_size, weight_decay)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_full_gradient_divergence_is_refused_at_its_step():
+    params = mlp.init_params((6, 5, 3), seed=17)
+    features, labels = random_batch(params, 30, seed=18)
+    with pytest.raises(RuntimeError, match="full-gradient descent produced non-finite "
+                                           "parameters at iteration 1$"):
+        mlp.full_gradient_train(params, features, labels, 5, 1e300, 1e300, tracked=(1, 0, 0))
+
+
 def test_full_gradient_loss_nonincreasing_small_step():
     params = mlp.init_params((6, 5, 3), seed=17)
     features, labels = random_batch(params, 30, seed=18)

@@ -125,8 +125,6 @@ def _write_summary(path: Path, sq_dev: np.ndarray) -> None:
 
 def cmd_synthetic(args, run: _Run) -> None:
     family = Trend(args.family)
-    if args.rounds > _TRACE_STREAM:  # a later round k's (seed, s, k, j) is a race stream
-        raise ValueError(f"--rounds must be at most {_TRACE_STREAM}, got {args.rounds}")
     marks = [time.perf_counter()]
     rounds = generate_family(family, [(args.seed, s) for s in range(args.seeds)],
                              n_per_round=args.n_per_round, n_rounds=args.rounds)
@@ -273,12 +271,19 @@ def _matrix_rounds(matrix: np.ndarray, class_index) -> PopulationRound:
 
 
 def cmd_gradmatrix(args, run: _Run) -> None:
-    for flag, value in (("--reps", args.reps), ("--batch-size", args.batch_size)):
-        if value < 1:  # refused before the descent, not after it
+    iterations = args.iterations if args.iterations is not None else (10 if args.desk else 60)
+    # every flag is refused before the splits are read, not after the descent
+    for flag, value in (("--reps", args.reps), ("--batch-size", args.batch_size),
+                        ("--iterations", iterations)):
+        if value < 1:
             raise ValueError(f"{flag} must be at least 1, got {value}")
+    try:
+        mlp.check_step(args.alpha, args.weight_decay)
+    except ValueError as exc:
+        raise ValueError(f"--alpha {args.alpha} or --weight-decay {args.weight_decay}: {exc}") \
+            from None
     train, test, shape = _load_split_pair(args)
     check_class_sizes(train.class_index, 1, "the estimator replay")
-    iterations = args.iterations if args.iterations is not None else (10 if args.desk else 60)
     marks = [time.perf_counter()]
     params = mlp.init_params(shape, (args.seed, _INIT_STREAM))
     params, losses, matrix = mlp.full_gradient_train(

@@ -8,7 +8,7 @@ up or down) between consecutive sampling rounds. `PopulationRound` stacks R
 replications of such a sequence, which the estimators race together
 (`estimators.trace_estimators`). `trend_schedules` holds the per-round
 parameters of the two uniform families and the four normal trends;
-`generate_family` draws `normal-random`'s from its own streams.
+`generate_family` draws `normal-random`'s from each replication's stream.
 
 All statistics use the finite-population convention: a stratum's mean and
 variance are exact properties of its values (variance divides by n).
@@ -17,13 +17,12 @@ variance are exact properties of its values (variance divides by n).
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .rng import spawn_rngs
+from .rng import spawn_rng
 
 # One interval per round for the two uniform drift families; midpoints move
 # from 10 down to 1.5 (and the reverse for the increasing family).
@@ -40,9 +39,6 @@ RANDOM_PARAM_RANGE = (1.0, 20.0)
 TREND_SWEEP = (20.0, 2.0)
 TREND_FIXED_SIGMA = 5.0
 TREND_FIXED_MU = 10.0
-
-_PARAM_STREAM_TAG = 104729  # reserved path component for (mu, sigma) draws
-SEEDING_CHUNK = 256  # stream keys per spawn_rngs call in generate_family
 
 
 class Trend(enum.Enum):
@@ -152,15 +148,6 @@ def sample_strata(rounds: PopulationRound, per_stratum: int,
     return values[np.arange(n_reps)[:, None, None, None], np.arange(k)[:, None, None], picks]
 
 
-def _chunked_streams(keys: Iterator[tuple]) -> Iterator[np.random.Generator]:
-    """The streams of `keys` in key order, seeded by one `spawn_rngs` call per SEEDING_CHUNK.
-
-    At most one chunk of generators is alive at a time.
-    """
-    while chunk := list(itertools.islice(keys, SEEDING_CHUNK)):
-        yield from spawn_rngs(chunk)
-
-
 def trend_schedules(family: Trend, n_rounds: int = DEFAULT_N_ROUNDS) -> list[tuple[float, float]]:
     """The per-round parameters of every deterministic family, the draws' (a, b).
 
@@ -201,35 +188,24 @@ def generate_family(family: Trend, seeds: Sequence, n_per_round: int = 40,
     family follows `trend_schedules`. Every round has N_STRATA equal strata
     of n_per_round / N_STRATA fresh draws.
 
-    Replication r takes the streams of ``seeds[r]``: stratum j of round k
-    draws from the stream (seed, k, j), and the random family's (mu, sigma)
-    pairs come from (seed, _PARAM_STREAM_TAG), mu then sigma round by round.
-    Each stream draws straight into the preallocated stack; `rng`'s module
-    docstring has how the streams are seeded.
+    Replication r draws from the one stream of ``seeds[r]``: the random
+    family's (mu, sigma) pairs first, mu then sigma round by round, then its
+    whole (K, N) block of values in one call, round by round.
     """
     if n_rounds < 1:
         raise ValueError(f"need at least one round, got {n_rounds}")
     if n_per_round <= 0 or n_per_round % N_STRATA != 0:
         raise ValueError(f"n_per_round={n_per_round} must be a positive multiple of "
                          f"{N_STRATA} strata")
-    n_reps = len(seeds)
-    if not n_reps:
+    if not len(seeds):
         raise ValueError("need at least one seed")
-    shape = (n_reps, n_rounds, 2)  # (a, b) of each replication's rounds
-    if family is Trend.NORMAL_RANDOM:
-        lo, hi = RANDOM_PARAM_RANGE
-        streams = _chunked_streams((seed, _PARAM_STREAM_TAG) for seed in seeds)
-        params = np.array([rng.uniform(lo, hi, 2 * n_rounds) for rng in streams]).reshape(shape)
-    else:
-        params = np.broadcast_to(trend_schedules(family, n_rounds), shape)
     draw = np.random.Generator.uniform if family in UNIFORM_TRENDS else np.random.Generator.normal
-    per = n_per_round // N_STRATA
-    values = np.empty((n_reps, n_rounds, N_STRATA, per))
-    streams = _chunked_streams((seed, k, j) for seed in seeds
-                               for k in range(n_rounds) for j in range(N_STRATA))
-    for replication, pairs in zip(values, params):
-        for strata, (a, b) in zip(replication, pairs.tolist()):
-            for row in strata:
-                row[...] = draw(next(streams), a, b, per)
-    return PopulationRound(values.reshape(n_reps, n_rounds, n_per_round),
-                           np.full(N_STRATA, per))
+    if family is not Trend.NORMAL_RANDOM:
+        params = np.array(trend_schedules(family, n_rounds))  # (a, b) of each round
+    values = np.empty((len(seeds), n_rounds, n_per_round))
+    for replication, seed in zip(values, seeds):
+        rng = spawn_rng(seed)
+        if family is Trend.NORMAL_RANDOM:
+            params = rng.uniform(*RANDOM_PARAM_RANGE, (n_rounds, 2))
+        replication[...] = draw(rng, params[:, :1], params[:, 1:], replication.shape)
+    return PopulationRound(values, np.full(N_STRATA, n_per_round // N_STRATA))

@@ -7,10 +7,11 @@ blended-variance reference (`blended_variance_term`, summed over
 `stratgrad.estimators` kernels are checked against, and of
 `uniform_rounds`/`normal_rounds`, one replication of rounds with
 caller-chosen intervals or (mu, sigma) pairs, which
-`population.generate_family` fixes per family. `family_reference` is that
-generator as a per-seed loop over 1-D strata, which the stacked
-`generate_family` must match bit for bit. The unstreamed whole-batch
-passes (`unstreamed_*`) hold every row's activations at once, as `mlp` did
+`population.generate_family` fixes per family; they draw each stratum of
+each round from its own stream. `family_reference` is that generator as a
+per-seed, per-round loop over 1-D strata from one stream per seed, which
+the stacked `generate_family` must match bit for bit. The unstreamed
+whole-batch passes (`unstreamed_*`) hold every row's activations at once, as `mlp` did
 before it streamed row blocks, on their own forward pass
 (`reference_forward`: `a @ w + b` and the two-branch sigmoid, never
 `mlp`'s in-place one).
@@ -51,9 +52,9 @@ from stratgrad.trainer import BLOCK_ENTRIES
 def numpy_stream(seed, *path: int) -> np.random.Generator:
     """numpy's own PCG64(SeedSequence(entropy)) stream for a (seed, *path) key.
 
-    A tuple seed is spliced into the key, as `stratgrad.rng` does; the
-    hashing is numpy's, so oracles seeded here check the batched
-    `stratgrad.rng.spawn_rngs` against numpy rather than against itself.
+    A tuple seed is spliced into the key, as `stratgrad.rng` does. The
+    stream is built without `stratgrad.rng`, so oracles seeded here show a
+    change to its key rule or its seeding.
     """
     entropy = [*seed, *path] if isinstance(seed, tuple) else [seed, *path]
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
@@ -682,13 +683,13 @@ class PopulationReference(NamedTuple):
 
 def family_reference(family: Trend, seeds, n_per_round: int = 40,
                      n_rounds: int = 10) -> PopulationReference:
-    """`population.generate_family` as a per-seed, per-round, per-stratum loop.
+    """`population.generate_family` as a per-seed, per-round loop over 1-D strata.
 
-    Each seed's rounds come from `_rounds_reference`, with the random
-    family's (mu, sigma) pairs drawn one scalar `uniform` call at a time
-    from (seed, 104729). Every stratum is its own 1-D array, whose stats are
-    `np.mean` and `np.var`, and a round's truth is the 1-D `np.dot` of the
-    weights with its stratum means.
+    Each seed draws from one `numpy_stream(seed)`: the random family's
+    (mu, sigma) pairs first, one scalar `uniform` call at a time, then each
+    round's n_per_round values by one call per round. Every stratum is its
+    own 1-D array, whose stats are `np.mean` and `np.var`, and a round's
+    truth is the 1-D `np.dot` of the weights with its stratum means.
     """
     uniform = family in (Trend.UNIFORM_DEC, Trend.UNIFORM_INC)
     draw = np.random.Generator.uniform if uniform else np.random.Generator.normal
@@ -696,16 +697,16 @@ def family_reference(family: Trend, seeds, n_per_round: int = 40,
     weights = np.full(N_STRATA, 1.0 / N_STRATA)
     values, means, variances, truth = [], [], [], []
     for seed in seeds:
+        rng = numpy_stream(seed)
         if uniform:
             table = DECREASING_MEAN_INTERVALS if family is Trend.UNIFORM_DEC \
                 else DECREASING_MEAN_INTERVALS[::-1]
             params = table[:n_rounds]
         elif family is Trend.NORMAL_RANDOM:
-            prng = numpy_stream(seed, 104729)
-            params = [(prng.uniform(lo, hi), prng.uniform(lo, hi)) for _ in range(n_rounds)]
+            params = [(rng.uniform(lo, hi), rng.uniform(lo, hi)) for _ in range(n_rounds)]
         else:
             params = trend_schedules(family, n_rounds)
-        rounds = _rounds_reference(draw, params, n_per_round, seed)
+        rounds = np.array([draw(rng, a, b, n_per_round) for a, b in params])
         blocks = [[b.copy() for b in np.split(row, N_STRATA)] for row in rounds]
         values.append(rounds)
         means.append([[float(np.mean(b)) for b in row] for row in blocks])

@@ -214,16 +214,6 @@ def test_uniform_families_refuse_rounds_beyond_their_intervals(tmp_path, capsys,
     assert not list(out.glob("*traces.csv*"))
 
 
-def test_synthetic_refuses_rounds_that_reach_the_race_streams(tmp_path, capsys):
-    # round k of replication s draws stratum j from (seed, s, k, j); the
-    # race's estimator e draws from (seed, s, _TRACE_STREAM, e)
-    out = tmp_path / "syn"
-    assert run_cli("synthetic", "--family", "normal-mean-dec", "--seeds", 1,
-                   "--rounds", _TRACE_STREAM + 1, "--out-dir", out) == 1
-    assert f"--rounds must be at most {_TRACE_STREAM}" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
-
-
 def test_normal_trend_runs_the_requested_rounds(tmp_path):
     out = tmp_path / "syn"
     assert run_cli("synthetic", "--family", "normal-mean-inc", "--seeds", 2, "--rounds", 12,
@@ -506,7 +496,7 @@ def test_gradmatrix_zero_iterations_is_rejected(tmp_path, fixture_data_dir, caps
     assert run_cli("gradmatrix", "--data-dir", fixture_data_dir, "--desk",
                    "--per-class", 20, "--test-per-class", 5, "--iterations", 0,
                    "--out-dir", out) == 1
-    assert "steps must be at least 1" in capsys.readouterr().err
+    assert "--iterations must be at least 1, got 0" in capsys.readouterr().err
     assert not (out / "grad_matrix.csv").exists()
 
 
@@ -596,6 +586,23 @@ def test_malformed_step_or_decay_is_refused_before_training(tmp_path, fixture_da
                    "--test-per-class", 5, "--iterations", 2, "--out-dir", out) == 1
     assert message in capsys.readouterr().err
     assert list(out.iterdir()) == []  # not even a .partial
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--alpha", "nan", "--alpha nan or --weight-decay 0.001: step_size must be positive"),
+    ("--weight-decay", -0.5, "--alpha 0.2 or --weight-decay -0.5: weight_decay must be"),
+    ("--iterations", 0, "--iterations must be at least 1, got 0"),
+], ids=["alpha", "weight-decay", "iterations"])
+def test_gradmatrix_refuses_bad_descent_flags_before_any_read(tmp_path, capsys, flag, value,
+                                                              message):
+    # the data directory holds no IDX files, so a read would fail on the dataset instead
+    empty = tmp_path / "no-idx-files"
+    empty.mkdir()
+    out = tmp_path / "gm"
+    assert run_cli("gradmatrix", "--data-dir", empty, flag, value, "--out-dir", out) == 1
+    err = capsys.readouterr().err
+    assert message in err and "missing" not in err
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("alphas, lambdas, message", [
@@ -890,6 +897,9 @@ STREAM_RUNS = {
     "gradmatrix-desk": ("gradmatrix", "--desk"),
     **{f"synthetic-{family}": ("synthetic", "--family", family, "--seeds", 250)
        for family in ("uniform-dec", "normal-random")},
+    # more rounds than the race's stream tag, _TRACE_STREAM
+    "synthetic-rounds-7001": ("synthetic", "--family", "normal-mean-inc", "--seeds", 2,
+                              "--rounds", 7001),
     "variance-oracle-random-tuples": ("variance-oracle", "--random-tuples", 10, "--strata", 4,
                                       "--replications", 10_000),
 }
@@ -898,19 +908,20 @@ STREAM_RUNS = {
 # gridsearch is left out: its cells re-draw one stream set by design
 @pytest.mark.parametrize("argv", STREAM_RUNS.values(), ids=STREAM_RUNS.keys())
 def test_no_two_streams_of_a_run_share_seed_words(tmp_path, fixture_data_dir, monkeypatch, argv):
-    words = []
-    seed_words = rng._seed_words
+    # every generator's initial PCG64 state, which its seed words set
+    states = []
 
-    def recording(entropy):
-        rows = seed_words(entropy)
-        words.extend(map(tuple, rows.tolist()))
-        return rows
+    def recording(seed_sequence):
+        bit_generator = np.random.PCG64(seed_sequence)
+        state = bit_generator.state["state"]
+        states.append((state["state"], state["inc"]))
+        return bit_generator
 
-    monkeypatch.setattr(rng, "_seed_words", recording)
+    monkeypatch.setattr(rng, "PCG64", recording)
     data = ("--data-dir", fixture_data_dir) if argv[0] in ("train", "gradmatrix") else ()
     assert run_cli(*argv, *data, "--seed", 3, "--out-dir", tmp_path / "out") == 0
-    shared = sum(n > 1 for n in Counter(words).values())
-    assert words and not shared, f"{shared} seed-word rows are shared among {len(words)} streams"
+    shared = sum(n > 1 for n in Counter(states).values())
+    assert states and not shared, f"{shared} initial states are shared among {len(states)} streams"
 
 
 # ---------------------------------------------------------------- scripts

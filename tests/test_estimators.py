@@ -17,7 +17,6 @@ from stratgrad.estimators import (
 )
 from stratgrad.population import (
     DECREASING_MEAN_INTERVALS,
-    SEEDING_CHUNK,
     PopulationRound,
     Trend,
     generate_family,
@@ -621,10 +620,9 @@ def test_trace_ordering_over_many_seeds():
 
 def test_generating_and_racing_1000_replications_peaks_within_the_stack_and_streams():
     # The stacked values and their stats stay; on top of them, generation
-    # holds one seeding chunk of generators and the race its 4R streams with
-    # at most eight (R, K, C)-sized arrays: picks, gathers, stratum sample
-    # means, estimates and squared deviations. Seeding every stream of the
-    # stack at once would hold 40 generators per replication instead.
+    # holds one replication's generator at a time and the race its 4R
+    # streams with at most eight (R, K, C)-sized arrays: picks, gathers,
+    # stratum sample means, estimates and squared deviations.
     n_reps, n_rounds, n_per_round = 1000, 10, 40
     tracemalloc.start()
     try:
@@ -639,8 +637,7 @@ def test_generating_and_racing_1000_replications_peaks_within_the_stack_and_stre
         tracemalloc.stop()
     cells = n_reps * n_rounds * rounds.n_strata
     stack_bytes = 8 * n_reps * n_rounds * n_per_round + 8 * (2 * cells + n_reps * n_rounds)
-    transient = max(SEEDING_CHUNK * per_generator,
-                    4 * n_reps * per_generator + 8 * 8 * cells)
+    transient = 4 * n_reps * per_generator + 8 * 8 * cells
     assert peak < stack_bytes + transient + 2 ** 20  # keys, lists and Python objects
 
 

@@ -7,7 +7,6 @@ from stratgrad.population import (
     DECREASING_MEAN_INTERVALS,
     PopulationRound,
     RANDOM_PARAM_RANGE,
-    SEEDING_CHUNK,
     Trend,
     UNIFORM_TRENDS,
     generate_family,
@@ -236,37 +235,31 @@ def test_generators_are_bit_reproducible():
     assert np.array_equal(generate_family(Trend.NORMAL_RANDOM, [18]).values[0], c.values[1])
 
 
-def test_generator_strata_come_from_their_own_streams():
-    # stratum j of round k of the replication of `seed` is the draw from
-    # stream (seed, k, j)
+def test_generator_replications_come_from_their_own_streams():
+    # replication r draws round after round from the one stream of seeds[r]
     seeds = [17, (3, 5)]
     rounds = generate_family(Trend.NORMAL_VAR_INC, seeds, n_per_round=16, n_rounds=2)
     for r, seed in enumerate(seeds):
+        stream = numpy_stream(seed)
         for k, (mu, sigma) in enumerate(trend_schedules(Trend.NORMAL_VAR_INC, 2)):
-            for j in range(4):
-                want = numpy_stream(seed, k, j).normal(mu, sigma, 4)
-                assert np.array_equal(rounds.values[r, k, 4 * j:4 * j + 4], want)
+            assert np.array_equal(rounds.values[r, k], stream.normal(mu, sigma, 16))
 
 
 @pytest.mark.parametrize("seed, n_per_round, n_rounds",
                          [(0, 40, 10), (17, 8, 12), ((3, 5), 4, 1), (2 ** 40, 40, 10)])
 def test_normal_random_family_follows_its_streams(seed, n_per_round, n_rounds):
-    # (mu, sigma) pairs from the stream (seed, 104729), then stratum j of
-    # round k from (seed, k, j), each seeded by numpy itself
-    prng = numpy_stream(seed, 104729)
+    # (mu, sigma) pairs first, then the rounds, all from the stream of the
+    # seed, seeded by numpy itself
+    stream = numpy_stream(seed)
     lo, hi = RANDOM_PARAM_RANGE
-    params = [(prng.uniform(lo, hi), prng.uniform(lo, hi)) for _ in range(n_rounds)]
-    per = n_per_round // 4
-    want = np.array([np.concatenate([numpy_stream(seed, k, j).normal(mu, sigma, per)
-                                     for j in range(4)])
-                     for k, (mu, sigma) in enumerate(params)])
+    params = [(stream.uniform(lo, hi), stream.uniform(lo, hi)) for _ in range(n_rounds)]
+    want = np.array([stream.normal(mu, sigma, n_per_round) for mu, sigma in params])
     rounds = generate_family(Trend.NORMAL_RANDOM, [seed], n_per_round=n_per_round,
                              n_rounds=n_rounds)
     assert rounds.values[0].tobytes() == want.tobytes()
 
 
-# R = 1, and an R whose (seed, k, j) keys cross a seeding-chunk boundary
-STACK_SEEDS = ([(6, 0)], [(6, s) for s in range(SEEDING_CHUNK // 40 + 2)])
+STACK_SEEDS = ([(6, 0)], [(6, s) for s in range(8)])
 
 
 # the paper's sizes, 24 values a round, and 12 rounds for the normal families

@@ -112,19 +112,9 @@ def test_spawn_rngs_pinned_pcg64_states(key, state, inc):
 ])
 def test_spawn_rngs_rejects_bad_keys_before_building_any_stream(monkeypatch, keys, error):
     def never(*_):
-        raise AssertionError("a stream was hashed or built before every key was checked")
+        raise AssertionError("a stream was seeded or built before every key was checked")
 
-    monkeypatch.setattr(rng, "_seed_words", never)
-    monkeypatch.setattr(rng, "_HashedSeed", never)
+    monkeypatch.setattr(rng, "SeedSequence", never)
+    monkeypatch.setattr(rng, "PCG64", never)
     with pytest.raises(error):
         spawn_rngs(keys)
-
-
-def test_hashed_seed_serves_only_the_words_it_holds():
-    seed = rng._HashedSeed(rng._seed_words(np.array([[5]], dtype=np.uint32))[0])
-    assert seed.generate_state(4, np.uint64).tobytes() == \
-        np.random.SeedSequence(5).generate_state(4, np.uint64).tobytes()
-    with pytest.raises(ValueError):
-        seed.generate_state(2, np.uint64)
-    with pytest.raises(ValueError):
-        seed.generate_state(4, np.uint32)

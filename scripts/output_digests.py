@@ -40,6 +40,10 @@ def cases() -> dict[str, tuple]:
     return {
         **{f"synthetic-{t.value}": ("synthetic", "--family", t.value, "--seeds", "20")
            for t in Trend},
+        # a budget other than one draw per stratum: batch pools 2 x 4 draws a round
+        "synthetic-normal-var-dec-per-stratum-2": ("synthetic", "--family", "normal-var-dec",
+                                                   "--seeds", "20", "--per-stratum", "2",
+                                                   "--n-per-round", "24"),
         "variance-oracle-random": ("variance-oracle", "--random-tuples", "3", "--strata", "2",
                                    "--replications", "10000"),
         "variance-oracle-stats": ("variance-oracle", "--stats", "2,1,1,1;1,0.5,1.5,2",

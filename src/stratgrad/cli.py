@@ -35,11 +35,17 @@ _ALGORITHMS = ("mssg", *(k.value for k in trainer.BaselineKind))
 
 
 class _Run:
-    """Tracks output files so failures can mark them as partial."""
+    """Tracks output files so failures can mark them as partial.
+
+    Starting a run deletes an earlier run's manifest, so a failed rerun does
+    not read as finished.
+    """
 
     def __init__(self, args):
         self.out_dir = Path(args.out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
+        self.manifest = self.out_dir / "manifest.txt"
+        self.manifest.unlink(missing_ok=True)
         self.outputs: list[Path] = []
         self.started = time.perf_counter()
 
@@ -71,7 +77,7 @@ class _Run:
         entries["env.machine"] = platform.machine()
         entries["wall_time_s"] = f"{time.perf_counter() - self.started:.3f}"
         entries["output"] = [str(p) for p in self.outputs]
-        write_manifest(self.out_dir / "manifest.txt", entries)
+        write_manifest(self.manifest, entries)
 
     def mark_partial(self) -> None:
         for p in self.outputs:
@@ -110,19 +116,6 @@ def _phase_entries(names, marks) -> dict:
             for name, start, end in zip(names, marks, marks[1:])}
 
 
-def _write_summary(path: Path, sq_dev: np.ndarray) -> None:
-    """Per-estimator mean and spread of a race's (seeds, estimators, rounds) squared deviations."""
-    n_seeds, n_estimators, n_rounds = sq_dev.shape
-    summary = summarize_traces(sq_dev)
-    write_csv(path, {
-        "estimator": list(ESTIMATOR_NAMES),
-        "mean_sq_dev": [summary[n]["mean_sq_dev"] for n in ESTIMATOR_NAMES],
-        "std_sq_dev": [summary[n]["std_sq_dev"] for n in ESTIMATOR_NAMES],
-        "n_rounds": [n_rounds] * n_estimators,
-        "n_seeds": [n_seeds] * n_estimators,
-    })
-
-
 def cmd_synthetic(args, run: _Run) -> None:
     family = Trend(args.family)
     marks = [time.perf_counter()]
@@ -130,7 +123,7 @@ def cmd_synthetic(args, run: _Run) -> None:
                              n_per_round=args.n_per_round, n_rounds=args.rounds)
     marks.append(time.perf_counter())
     race = trace_estimators(rounds, [(args.seed, s, _TRACE_STREAM) for s in range(args.seeds)],
-                            per_stratum=args.per_stratum, batch_size=args.batch_size)
+                            per_stratum=args.per_stratum)
     marks.append(time.perf_counter())
 
     # (seeds, estimators, rounds), written seed by seed, estimator by estimator
@@ -145,7 +138,7 @@ def cmd_synthetic(args, run: _Run) -> None:
         "sq_dev": sq_dev.reshape(-1),
     })
 
-    _write_summary(run.path(f"{family.value}_summary.csv"), sq_dev)
+    write_csv(run.path(f"{family.value}_summary.csv"), summarize_traces(sq_dev))
 
     curves = {name: sq_dev[:, e].mean(axis=0) for e, name in enumerate(ESTIMATOR_NAMES)}
     write_svg_lineplot(run.path(f"{family.value}_curves.svg"), curves,
@@ -273,8 +266,7 @@ def _matrix_rounds(matrix: np.ndarray, class_index) -> PopulationRound:
 def cmd_gradmatrix(args, run: _Run) -> None:
     iterations = args.iterations if args.iterations is not None else (10 if args.desk else 60)
     # every flag is refused before the splits are read, not after the descent
-    for flag, value in (("--reps", args.reps), ("--batch-size", args.batch_size),
-                        ("--iterations", iterations)):
+    for flag, value in (("--reps", args.reps), ("--iterations", iterations)):
         if value < 1:
             raise ValueError(f"{flag} must be at least 1, got {value}")
     try:
@@ -302,8 +294,8 @@ def cmd_gradmatrix(args, run: _Run) -> None:
     rounds = _matrix_rounds(matrix, train.class_index)
     # every replication races the one matrix, as a broadcast view
     race = trace_estimators(rounds, [(args.seed, _REP_STREAM, r) for r in range(args.reps)],
-                            per_stratum=1, batch_size=args.batch_size)
-    _write_summary(run.path("deviation_summary.csv"), race.sq_dev)
+                            per_stratum=1)
+    write_csv(run.path("deviation_summary.csv"), summarize_traces(race.sq_dev))
     for e, name in enumerate(ESTIMATOR_NAMES):
         write_svg_lineplot(
             run.path(f"tracking_{name}.svg"),
@@ -452,8 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rounds", type=int, default=10, help="rounds per replication")
     p.add_argument("--n-per-round", type=int, default=40, help="values per round")
     p.add_argument("--per-stratum", type=int, default=1,
-                   help="draws per stratum for the stratified estimators")
-    p.add_argument("--batch-size", type=int, default=4, help="pooled draws for batch")
+                   help="draws per stratum for gmst and gst; batch draws as many in all")
 
     p = subcommand("variance-oracle", "compare predicted blend variance against Monte Carlo",
                    cmd_variance_oracle)
@@ -474,7 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="full-gradient iterations (default: 10 desk / 60 full)")
     p.add_argument("--alpha", type=float, default=0.2, help="full-gradient step size")
     p.add_argument("--weight-decay", type=float, default=0.001, help="L2 penalty")
-    p.add_argument("--batch-size", type=int, default=10, help="pooled draws for batch")
     p.add_argument("--reps", type=int, default=10, help="estimator replications")
 
     p = subcommand("train", "train one algorithm and checkpoint accuracy", cmd_train,
@@ -531,6 +521,8 @@ def main(argv=None) -> int:
     _retain_freed_memory()
     run = _Run(args)
     try:
+        if args.seed < 0:  # refused before a handler reads any data
+            raise ValueError(f"--seed must be non-negative, got {args.seed}")
         args.func(args, run)
     except Exception as exc:
         run.mark_partial()

@@ -292,13 +292,11 @@ def _xml_escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def write_svg_lineplot(path, series: Mapping[str, Sequence[float]],
-                       x: Optional[Sequence[float]] = None, title: str = "",
-                       x_label: str = "", y_label: str = "") -> None:
-    """Write a standalone SVG line chart with a legend.
+def write_svg_lineplot(path, series: Mapping[str, Sequence[float]], x: Sequence[float],
+                       title: str, x_label: str, y_label: str) -> None:
+    """Write a standalone SVG line chart with a title, axis labels and a legend.
 
-    All series share one x axis (defaults to 1..n) and must have equal,
-    non-zero length.
+    All series share the x axis `x` and must have its non-zero length.
     """
     if not series:
         raise ValueError("need at least one series")
@@ -308,7 +306,7 @@ def write_svg_lineplot(path, series: Mapping[str, Sequence[float]],
     n = next(iter(lengths.values()))
     if n == 0:
         raise ValueError(f"refusing to plot empty series to {path}")
-    xs = np.arange(1, n + 1, dtype=np.float64) if x is None else np.asarray(x, dtype=np.float64)
+    xs = np.asarray(x, dtype=np.float64)
     if xs.size != n:
         raise ValueError("x must match the series length")
 
@@ -336,18 +334,14 @@ def write_svg_lineplot(path, series: Mapping[str, Sequence[float]],
         f'<line x1="{left}" y1="{height - bottom}" x2="{width - right}" '
         f'y2="{height - bottom}" stroke="black"/>',
         f'<line x1="{left}" y1="{top}" x2="{left}" y2="{height - bottom}" stroke="black"/>',
+        f'<text x="{width / 2:.1f}" y="18" text-anchor="middle" '
+        f'font-size="14">{_xml_escape(title)}</text>',
+        f'<text x="{(left + width - right) / 2:.1f}" y="{height - 8}" '
+        f'text-anchor="middle" font-size="12">{_xml_escape(x_label)}</text>',
+        f'<text x="14" y="{(top + height - bottom) / 2:.1f}" font-size="12" '
+        f'text-anchor="middle" transform="rotate(-90 14 {(top + height - bottom) / 2:.1f})">'
+        f'{_xml_escape(y_label)}</text>',
     ]
-    if title:
-        parts.append(f'<text x="{width / 2:.1f}" y="18" text-anchor="middle" '
-                     f'font-size="14">{_xml_escape(title)}</text>')
-    if x_label:
-        parts.append(f'<text x="{(left + width - right) / 2:.1f}" y="{height - 8}" '
-                     f'text-anchor="middle" font-size="12">{_xml_escape(x_label)}</text>')
-    if y_label:
-        parts.append(f'<text x="14" y="{(top + height - bottom) / 2:.1f}" font-size="12" '
-                     f'text-anchor="middle" '
-                     f'transform="rotate(-90 14 {(top + height - bottom) / 2:.1f})">'
-                     f'{_xml_escape(y_label)}</text>')
     for val, anchor, pos in ((x_min, "middle", sx(x_min)), (x_max, "middle", sx(x_max))):
         parts.append(f'<text x="{pos:.1f}" y="{height - bottom + 16}" text-anchor="{anchor}" '
                      f'font-size="11">{val:.4g}</text>')

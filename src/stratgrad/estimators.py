@@ -202,26 +202,23 @@ class Race(NamedTuple):
     fallbacks: int
 
 
-def trace_estimators(rounds: PopulationRound, seeds, per_stratum: int = 1,
-                     batch_size: int = 4) -> Race:
+def trace_estimators(rounds: PopulationRound, seeds, per_stratum: int = 1) -> Race:
     """Run all four estimators on R replications of a population stack and trace their errors.
 
     Replication r races on ``rounds.values[r]`` with the streams of
     ``seeds[r]``; a stack of one replication is raced by every seed, as a
     broadcast view. Sampling budgets per round: gmst and gst take
-    `per_stratum` draws per stratum (without replacement), batch takes
-    `batch_size` pooled draws with replacement, sgd takes one. gmst spends
-    round 1 on initialization, where its estimate is the gst estimate of
-    its own draws; every estimator reports one estimate per round. Mixing
-    pairs use the exact per-round stats.
+    `per_stratum` draws per stratum (without replacement), batch spends the
+    same ``per_stratum * n_strata`` on pooled draws with replacement, and sgd
+    takes one. gmst spends round 1 on initialization, where its estimate is
+    the gst estimate of its own draws; every estimator reports one estimate
+    per round. Mixing pairs use the exact per-round stats.
 
     Each estimator of a replication gets its own decoupled stream, so
     adding or removing one never perturbs the others; each stream is drawn
     for all rounds at once, in round order, so the draws equal a
     round-by-round loop's.
     """
-    if batch_size < 1:
-        raise ValueError("batch_size must be at least 1")
     n_reps = len(seeds)
     if not n_reps or rounds.n_reps not in (1, n_reps):
         raise ValueError(f"need one seed per replication, got {n_reps} seeds for "
@@ -235,8 +232,9 @@ def trace_estimators(rounds: PopulationRound, seeds, per_stratum: int = 1,
         np.broadcast_to(a, (n_reps, *a.shape[1:]))
         for a in (rounds.values, rounds.means, rounds.variances, rounds.truth))
     n_rounds, n_values = values.shape[1:]
-    # integers(0, N, size) reads the stream as choice(pooled, size, replace=True)
-    batch = np.array([rng.integers(0, n_values, size=(n_rounds, batch_size))
+    # per_stratum >= 1 here, as sample_strata checks it first. integers(0, N,
+    # size) reads the stream as choice(pooled, size, replace=True)
+    batch = np.array([rng.integers(0, n_values, size=(n_rounds, per_stratum * rounds.n_strata))
                       for rng in batch_rngs])
     sgd = np.array([rng.integers(n_values, size=n_rounds) for rng in sgd_rngs])
     reps, rows = np.arange(n_reps)[:, None], np.arange(n_rounds)
@@ -259,19 +257,17 @@ def trace_estimators(rounds: PopulationRound, seeds, per_stratum: int = 1,
 
 
 def summarize_traces(sq_dev) -> dict:
-    """Pooled mean/std of squared deviation per estimator.
+    """The summary CSV's columns: each estimator's mean and spread of squared deviation.
 
-    `sq_dev` is a race's (R, E, K) array. Each estimator's values are pooled
-    replication by replication, and the std is the sample standard deviation
-    over all of them.
+    `sq_dev` is a race's (R, E, K) array. Each estimator's R * K values are
+    pooled replication by replication; the std is their sample standard
+    deviation, or 0 for a single value.
     """
     sq_dev = np.asarray(sq_dev, dtype=np.float64)
     if sq_dev.ndim != 3 or sq_dev.shape[1] != len(ESTIMATOR_NAMES):
         raise ValueError(f"need (R, E, K) squared deviations, got shape {sq_dev.shape}")
-    summary = {}
-    for e, name in enumerate(ESTIMATOR_NAMES):
-        devs = sq_dev[:, e].reshape(-1)
-        std = float(devs.std(ddof=1)) if devs.size > 1 else 0.0
-        summary[name] = {"mean_sq_dev": float(devs.mean()), "std_sq_dev": std,
-                         "n": int(devs.size)}
-    return summary
+    n_reps, n_est, n_rounds = sq_dev.shape
+    pooled = sq_dev.transpose(1, 0, 2).reshape(n_est, -1)
+    return {"estimator": list(ESTIMATOR_NAMES), "mean_sq_dev": pooled.mean(axis=1),
+            "std_sq_dev": pooled.std(axis=1, ddof=int(pooled.shape[1] > 1)),
+            "n_rounds": [n_rounds] * n_est, "n_seeds": [n_reps] * n_est}

@@ -170,8 +170,8 @@ def test_criterion_7_synthetic_ordering():
         race = trace_estimators(generate_family(family, [(1007, s) for s in range(n_seeds)]),
                                 [(1077, s) for s in range(n_seeds)])
         summary = summarize_traces(race.sq_dev)
-        means = {name: stats["mean_sq_dev"] for name, stats in summary.items()}
-        stds = {name: stats["std_sq_dev"] for name, stats in summary.items()}
+        means = dict(zip(summary["estimator"], summary["mean_sq_dev"]))
+        stds = dict(zip(summary["estimator"], summary["std_sq_dev"]))
         lowest_mean.append(min(means, key=means.get) == "gmst"
                            and all(means["gmst"] < v for k, v in means.items()
                                    if k != "gmst"))

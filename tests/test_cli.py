@@ -70,9 +70,11 @@ SUBPARSERS = subparsers(build_parser())
 # every long flag whose name less its last letter names no other flag
 UNIQUE_PREFIXES = [(name, flag) for name, p in SUBPARSERS.items() for flag in long_flags(p)
                    if [f for f in long_flags(p) if f.startswith(flag[:-1])] == [flag]]
-# flags that were removed, and that every subcommand keeps refusing in full and
-# abbreviated: the manifest is always <out-dir>/manifest.txt
-RETIRED = [(name, flag) for name in SUBPARSERS for flag in ("--manifest-out",)]
+# flags that were removed, and that their subcommands keep refusing in full and
+# abbreviated: the manifest is always <out-dir>/manifest.txt, and the race's
+# pooled batch always spends the stratified estimators' budget
+RETIRED = [*((name, "--manifest-out") for name in SUBPARSERS),
+           ("synthetic", "--batch-size"), ("gradmatrix", "--batch-size")]
 REFUSED = UNIQUE_PREFIXES + RETIRED
 
 
@@ -225,7 +227,7 @@ def test_normal_trend_runs_the_requested_rounds(tmp_path):
 
 @pytest.mark.parametrize("family,flags", [
     (Trend.UNIFORM_INC, ()),
-    (Trend.NORMAL_VAR_DEC, ("--per-stratum", 2, "--batch-size", 7, "--n-per-round", 24)),
+    (Trend.NORMAL_VAR_DEC, ("--per-stratum", 2, "--n-per-round", 24)),
 ])
 def test_synthetic_csv_bytes_equal_per_round_reference(tmp_path, family, flags):
     seeds, master = 6, 3
@@ -236,11 +238,11 @@ def test_synthetic_csv_bytes_equal_per_round_reference(tmp_path, family, flags):
     rows = {"estimator": [], "seed": [], "round": [], "estimate": [], "truth": [],
             "sq_dev": []}
     pooled = {name: [] for name in ESTIMATOR_NAMES}
-    race = trace_estimators_reference(
+    per_stratum = opts.get("--per-stratum", 1)
+    race = trace_estimators_reference(  # batch spends per_stratum draws on each of 4 strata
         family_reference(family, [(master, s) for s in range(seeds)],
                          n_per_round=opts.get("--n-per-round", 40)),
-        [(master, s, _TRACE_STREAM) for s in range(seeds)],
-        opts.get("--per-stratum", 1), opts.get("--batch-size", 4))
+        [(master, s, _TRACE_STREAM) for s in range(seeds)], per_stratum, 4 * per_stratum)
     for s in range(seeds):
         for e, name in enumerate(ESTIMATOR_NAMES):
             for k in range(race.truth.shape[1]):
@@ -635,7 +637,7 @@ def test_gridsearch_refuses_a_bad_budget_or_multiplier_before_the_split_is_read(
     assert list(out.iterdir()) == []
 
 
-@pytest.mark.parametrize("flag", ["--reps", "--batch-size"])
+@pytest.mark.parametrize("flag", ["--reps"])
 def test_gradmatrix_refuses_a_zero_count_before_the_split_is_read(tmp_path, capsys, flag):
     # the data directory holds no IDX files, so a read would fail on the dataset instead
     out = tmp_path / "gm"
@@ -656,6 +658,37 @@ def test_gradmatrix_refuses_a_diverging_descent_before_any_output(
     assert ("full-gradient descent produced non-finite parameters at iteration"
             in capsys.readouterr().err)
     assert list(out.iterdir()) == []  # not even a .partial
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_failed_rerun_leaves_no_manifest_of_the_earlier_run(tmp_path, fixture_data_dir, capsys):
+    out = tmp_path / "gm"
+    argv = ("gradmatrix", "--data-dir", fixture_data_dir, "--desk", "--per-class", 20,
+            "--test-per-class", 5, "--iterations", 3, "--out-dir", out)
+    assert run_cli(*argv) == 0
+    assert (out / "manifest.txt").exists()
+    assert run_cli(*argv, "--alpha", 1e300) == 1  # the descent diverges
+    assert "non-finite parameters" in capsys.readouterr().err
+    assert not (out / "manifest.txt").exists()
+    assert (out / "grad_matrix.csv").exists()  # the earlier run's outputs stay, unlisted
+
+
+@pytest.mark.parametrize("argv", [
+    ("synthetic", "--family", "normal-random", "--seeds", 2),
+    ("variance-oracle", "--random-tuples", 1, "--replications", 10_000),
+    ("gradmatrix", "--desk"),
+    ("train", "--algorithm", "gst", "--desk"),
+    ("gridsearch", "--desk")], ids=lambda argv: argv[0])
+def test_negative_seed_is_refused_before_any_read(tmp_path, capsys, argv):
+    # the data directory holds no IDX files, so a read would fail on the dataset instead
+    empty = tmp_path / "no-idx-files"
+    empty.mkdir()
+    out = tmp_path / "run"
+    data = ("--data-dir", empty) if argv[0] in ("gradmatrix", "train", "gridsearch") else ()
+    assert run_cli(*argv, *data, "--seed", -1, "--out-dir", out) == 1
+    err = capsys.readouterr().err
+    assert "--seed must be non-negative, got -1" in err and "missing" not in err
+    assert list(out.iterdir()) == []
 
 
 def test_failed_run_marks_partial_outputs(tmp_path, fixture_data_dir, capsys):

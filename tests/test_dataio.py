@@ -383,12 +383,14 @@ def test_csv_newline_convention(tmp_path):
 
 def test_svg_contains_series_and_legend(tmp_path):
     path = tmp_path / "p.svg"
-    write_svg_lineplot(path, {"alpha": [1, 2, 3], "beta": [3, 2, 1]},
-                       title="demo", x_label="round", y_label="err")
+    write_svg_lineplot(path, {"alpha": [1, 2, 3], "beta": [3, 2, 1]}, x=[5, 6, 7],
+                       title="demo", x_label="round", y_label="err & spread")
     text = path.read_text()
     assert text.startswith("<?xml")
     assert text.count("<polyline") == 2
     assert "alpha" in text and "beta" in text and "demo" in text
+    assert ">round</text>" in text and ">err &amp; spread</text>" in text
+    assert ">5</text>" in text and ">7</text>" in text  # the x axis runs over `x`
 
 
 @pytest.mark.parametrize("text", ["", "plain", "a & b", "<tag>", "x > y < z", "&amp;",
@@ -408,15 +410,19 @@ def test_cli_import_leaves_out_urllib_request():
 
 
 def test_svg_empty_series_rejected(tmp_path):
+    labels = {"title": "t", "x_label": "x", "y_label": "y"}
     with pytest.raises(ValueError):
-        write_svg_lineplot(tmp_path / "p.svg", {"a": []})
+        write_svg_lineplot(tmp_path / "p.svg", {"a": []}, x=[], **labels)
     with pytest.raises(ValueError):
-        write_svg_lineplot(tmp_path / "p.svg", {})
+        write_svg_lineplot(tmp_path / "p.svg", {}, x=[], **labels)
+    with pytest.raises(ValueError, match="x must match"):
+        write_svg_lineplot(tmp_path / "p.svg", {"a": [1.0, 2.0]}, x=[1], **labels)
 
 
 def test_svg_flat_series_still_renders(tmp_path):
     path = tmp_path / "flat.svg"
-    write_svg_lineplot(path, {"c": [2.0, 2.0, 2.0]})
+    write_svg_lineplot(path, {"c": [2.0, 2.0, 2.0]}, x=range(1, 4), title="flat",
+                       x_label="round", y_label="value")
     assert "<polyline" in path.read_text()
 
 

@@ -306,15 +306,17 @@ def test_gst_monte_carlo_unbiasedness():
 
 
 def test_sgd_and_batch_estimates():
-    # sgd reports one value of the round; a one-draw batch does too
+    # sgd reports one value of the round; so does batch, whose budget is one
+    # draw per stratum, when the round is one stratum
     rounds = uniform_rounds(DECREASING_MEAN_INTERVALS, 40, seed=6)
-    race = trace_estimators(rounds, [1, 2, 3], batch_size=1)
+    race = trace_estimators(PopulationRound(rounds.values, [40]), [1, 2, 3])
     for r in range(3):
         for k in range(rounds.n_rounds):
             assert race.estimates[r, 3, k] in rounds.values[0, k]
             assert race.estimates[r, 2, k] in rounds.values[0, k]
-    with pytest.raises(ValueError):
-        trace_estimators(rounds, [1], batch_size=0)
+    # refused before the batch budget is formed from it
+    with pytest.raises(ValueError, match="per_stratum must be at least 1"):
+        trace_estimators(rounds, [1], per_stratum=0)
 
 
 # ------------------------------------------------------------ memory estimator
@@ -614,7 +616,7 @@ def test_trace_ordering_over_many_seeds():
     rounds = generate_family(Trend.UNIFORM_DEC, [(100, s) for s in range(1000)])
     race = trace_estimators(rounds, [(101, s) for s in range(1000)])
     summary = summarize_traces(race.sq_dev)
-    means = {name: summary[name]["mean_sq_dev"] for name in summary}
+    means = dict(zip(summary["estimator"], summary["mean_sq_dev"]))
     assert means["gmst"] < means["gst"] < means["batch"]
 
 
@@ -645,11 +647,15 @@ def test_summary_pools_replications_in_order():
     rng = spawn_rng(3)
     sq_dev = rng.uniform(0, 1, (5, len(ESTIMATOR_NAMES), 7))
     summary = summarize_traces(sq_dev)
-    for e, name in enumerate(ESTIMATOR_NAMES):
+    assert list(summary) == ["estimator", "mean_sq_dev", "std_sq_dev", "n_rounds", "n_seeds"]
+    assert summary["estimator"] == list(ESTIMATOR_NAMES)
+    assert summary["n_rounds"] == [7] * 4 and summary["n_seeds"] == [5] * 4
+    for e in range(len(ESTIMATOR_NAMES)):
         pooled = np.array([x for rep in sq_dev for x in rep[e].tolist()])
-        assert summary[name] == {"mean_sq_dev": float(pooled.mean()),
-                                 "std_sq_dev": float(pooled.std(ddof=1)), "n": 35}
-    assert summarize_traces(sq_dev[:1])["gst"]["std_sq_dev"] == float(sq_dev[0, 1].std(ddof=1))
+        assert summary["mean_sq_dev"][e] == float(pooled.mean())
+        assert summary["std_sq_dev"][e] == float(pooled.std(ddof=1))
+    assert summarize_traces(sq_dev[:1])["std_sq_dev"][1] == float(sq_dev[0, 1].std(ddof=1))
+    assert summarize_traces(sq_dev[:1, :, :1])["std_sq_dev"].tolist() == [0.0] * 4
     with pytest.raises(ValueError):
         summarize_traces(sq_dev[:, :3])
     with pytest.raises(ValueError):
@@ -687,20 +693,23 @@ ORACLE_CASES = {
 
 @pytest.mark.parametrize("case", list(ORACLE_CASES))
 @pytest.mark.parametrize("per_stratum", [1, 2, 10])
-@pytest.mark.parametrize("batch_size", [1, 4, 40])
-def test_trace_equals_per_stratum_loop_reference(case, per_stratum, batch_size):
+@pytest.mark.parametrize("first_variant", [1, 4, 40])
+def test_trace_equals_per_stratum_loop_reference(case, per_stratum, first_variant):
     # a stack of three different sequences of one layout, raced in one call,
-    # and its first sequence raced by all three seeds as a broadcast view
-    rounds = stack(ORACLE_CASES[case](variant) for variant in range(3))
-    shared = ORACLE_CASES[case](0)
+    # and its first sequence raced by all three seeds as a broadcast view;
+    # batch pools per_stratum draws per stratum, which the reference is told
+    variants = range(first_variant, first_variant + 3)
+    rounds = stack(ORACLE_CASES[case](variant) for variant in variants)
+    shared = ORACLE_CASES[case](first_variant)
     seeds = [(4, 2), 11, (0, 3, 7000)]
     if per_stratum > rounds.sizes.min():
         with pytest.raises(ValueError):
-            trace_estimators(rounds, seeds, per_stratum, batch_size)
+            trace_estimators(rounds, seeds, per_stratum)
         return
+    budget = per_stratum * rounds.n_strata
     for population in (rounds, shared):
-        got = trace_estimators(population, seeds, per_stratum, batch_size)
-        want = trace_estimators_reference(population, seeds, per_stratum, batch_size)
+        got = trace_estimators(population, seeds, per_stratum)
+        want = trace_estimators_reference(population, seeds, per_stratum, budget)
         assert got.estimates.shape == (3, len(ESTIMATOR_NAMES), rounds.n_rounds)
         for name in ("estimates", "sq_dev", "truth"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name

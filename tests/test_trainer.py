@@ -220,40 +220,28 @@ def test_mssg_zero_variance_classes_follow_exact_class_gradient():
 
 
 def test_mssg_first_iteration_direction_is_unbiased():
-    # freeze the parameters and replicate one iteration's direction: its
-    # mean must match the full-batch gradient (scaled) on tracked entries
-    data = blob_dataset(20, seed=12)
-    params = mlp.init_params((6, 4, 3), seed=13)
-    wd = 0.001
-    _, full = mlp.loss_and_grad(params, data.features(), data.labels, wd)
-    class_w = data.class_weights()
-    reps = 10 ** 4
+    # One first-iteration _blend_block call on a (1, R) block whose R columns
+    # are independent replications. Class c's pilot and fresh gradients are
+    # N(mu_c, sigma_c^2), so the direction sum_c w_c (2 pilot_mean_c - fresh_c
+    # + decay * theta) has mean sum_c w_c (mu_c + decay * theta) and variance
+    # sum_c w_c^2 sigma_c^2 (1 + 4 / n).
+    reps, n, theta, decay = 20_000, 4, 0.7, 0.1
+    mu, sigma = np.array([1.0, -2.0, 0.5]), np.array([1.0, 2.0, 0.5])
+    class_w = np.array([0.5, 0.3, 0.2])
     rng = spawn_rng(14)
-    tracked = [(0, 1, 2), (0, 3, 0), (1, 2, 1)]
-    sums = np.zeros(len(tracked))
-    sq_sums = np.zeros(len(tracked))
-    for _ in range(reps):
-        direction = np.zeros(len(tracked))
-        for c in range(3):
-            idx = data.class_index[c]
-            pilot = rng.choice(idx, size=4, replace=False)
-            per = per_sample_grads(params, data.features(pilot), data.labels[pilot], wd)
-            fresh_row = int(rng.choice(idx))
-            fresh = per_sample_grads(params, data.features([fresh_row]),
-                                     data.labels[[fresh_row]], wd)
-            for t, (l, i, o) in enumerate(tracked):
-                mean_t = per[l][0][:, i, o].mean()
-                fresh_t = fresh[l][0][0, i, o]
-                g_t = mean_t - fresh_t  # first iteration: p = 0, q = 1
-                direction[t] += class_w[c] * (g_t + mean_t)
-        direction /= 3.0  # verbatim scale
-        sums += direction
-        sq_sums += direction ** 2
-    means = sums / reps
-    ses = np.sqrt((sq_sums / reps - means ** 2) / reps)
-    for t, (l, i, o) in enumerate(tracked):
-        target = full.weights[l][i, o] / 3.0
-        assert abs(means[t] - target) <= 3 * ses[t] + 1e-12, tracked[t]
+    pilot = rng.normal(mu[:, None, None], sigma[:, None, None], (3, n, reps))
+    fresh = rng.normal(mu[:, None], sigma[:, None], (3, reps))
+    param = np.full((1, reps), theta)
+    memory = np.zeros((3, 1, reps))
+    fallbacks = trainer._blend_block(
+        pilot.sum(axis=1)[None, :, None], (pilot * pilot).sum(axis=1)[None, :, None],
+        fresh[:, None], param, np.zeros((1, reps)), memory, class_w, n, decay, 1.0)
+    assert fallbacks == 0
+    direction = theta - param[0]  # the step at scale 1
+    target = float(class_w @ (mu + decay * theta))
+    assert abs(direction.mean() - target) <= 3 * direction.std(ddof=1) / math.sqrt(reps)
+    predicted = float(np.sum(class_w ** 2 * sigma ** 2) * (1 + 4 / n))
+    assert abs(direction.var(ddof=1) / predicted - 1) <= 0.05
 
 
 def test_mssg_rejects_empty_or_thin_classes():

@@ -52,14 +52,17 @@ def cases() -> dict[str, tuple]:
         "gradmatrix-full": ("gradmatrix", "--iterations", "2", "--reps", "2"),
         **{f"train-{a}-desk": ("train", "--algorithm", a, *DESK, "--iterations", "4",
                                "--checkpoint-every", "2") for a in _ALGORITHMS},
-        "train-sgd-x3-desk": ("train", "--algorithm", "sgd", *DESK, "--iterations", "2",
-                              "--checkpoint-every", "1", "--sgd-multiplier", "3"),
+        # a 3-fold sgd run: three times --iterations 2 --checkpoint-every 1
+        "train-sgd-6-iterations-desk": ("train", "--algorithm", "sgd", *DESK, "--iterations",
+                                        "6", "--checkpoint-every", "3"),
         "train-mssg-full": ("train", "--algorithm", "mssg", "--iterations", "2",
                             "--checkpoint-every", "1"),
         **{f"gridsearch-{a}-desk": ("gridsearch", "--algorithm", a, *DESK, *GRID)
            for a in _ALGORITHMS},
-        "gridsearch-sgd-x2-desk": ("gridsearch", "--algorithm", "sgd", *DESK, *GRID,
-                                   "--sgd-multiplier", "2"),
+        # a 2-fold sgd grid: twice GRID's budget of 30
+        "gridsearch-sgd-60-budget-desk": ("gridsearch", "--algorithm", "sgd", *DESK,
+                                          "--alphas", "8,2", "--lambdas", "0.001,0",
+                                          "--budget-iterations", "60"),
         # every cell scores 0.1 on these digits, so the tie rule picks the best
         "gridsearch-mssg-tie": ("gridsearch", "--algorithm", "mssg", "--desk",
                                 "--alphas", "0.5,0.1,1", "--lambdas", "0.001,0",

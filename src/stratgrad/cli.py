@@ -316,21 +316,16 @@ def cmd_gradmatrix(args, run: _Run) -> None:
     })
 
 
-def _sgd_stretch(args) -> int:
-    """How many times over an sgd run repeats its iterations and checkpoint spacing."""
-    if args.sgd_multiplier < 1:
-        raise ValueError(f"--sgd-multiplier must be at least 1, got {args.sgd_multiplier}")
-    return args.sgd_multiplier if args.algorithm == "sgd" else 1
-
-
 def _make_config(args, step_size: float, weight_decay: float, iterations: int,
                  checkpoint_every: int) -> trainer.TrainConfig:
-    """The run's TrainConfig; sgd runs `_sgd_stretch` times the iterations and spacing."""
-    stretch = _sgd_stretch(args)
+    """The run's TrainConfig; --batch-size and --pilot-size are refused outside
+    the algorithm that reads them."""
+    _mode_flags(args, args.algorithm == "batch", "--algorithm batch", {"batch_size": 10})
+    _mode_flags(args, args.algorithm == "mssg", "--algorithm mssg", {"pilot_size": 8})
     return trainer.TrainConfig(step_size=step_size, batch_size=args.batch_size,
-                               iterations=iterations * stretch, weight_decay=weight_decay,
+                               iterations=iterations, weight_decay=weight_decay,
                                seed=(args.seed, _TRAIN_STREAM), pilot_size=args.pilot_size,
-                               checkpoint_every=checkpoint_every * stretch)
+                               checkpoint_every=checkpoint_every)
 
 
 def _run_algorithm(algorithm: str, params, train, test, config):
@@ -342,17 +337,10 @@ def _run_algorithm(algorithm: str, params, train, test, config):
     return params, reports, 0
 
 
-def _run_label(args) -> str:
-    """The algorithm column: the name, with `(xN)` when sgd ran N times its budget."""
-    stretch = _sgd_stretch(args)
-    return args.algorithm if stretch == 1 else f"{args.algorithm}(x{stretch})"
-
-
 def _report_rows(reports, args) -> dict:
-    label = _run_label(args)
     return {
         "iterations_k": [r.iterations / 1000.0 for r in reports],
-        "algorithm": [label] * len(reports),
+        "algorithm": [args.algorithm] * len(reports),
         "test_accu": [r.test_accuracy for r in reports],
         "train_accu": [r.train_accuracy for r in reports],
         "h": [args.alpha] * len(reports),
@@ -389,7 +377,7 @@ def cmd_gridsearch(args, run: _Run) -> None:
     best = min(range(len(configs)), key=lambda i: (-accuracies[i], configs[i].step_size,
                                                    configs[i].weight_decay))
     columns = {"h": [c.step_size for c in configs], "lambda": [c.weight_decay for c in configs],
-               "test_accuracy": accuracies, "algorithm": [_run_label(args)] * len(configs)}
+               "test_accuracy": accuracies, "algorithm": [args.algorithm] * len(configs)}
     write_csv(run.path("grid_results.csv"), columns)
     write_csv(run.path("grid_best.csv"), {k: v[best:best + 1] for k, v in columns.items()})
     run.finish(args, {"best_h": configs[best].step_size,
@@ -413,12 +401,15 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    """The flags every training run reads; gridsearch takes step, decay and length from its grid."""
-    p.add_argument("--batch-size", type=int, default=10, help="pooled mini-batch size")
-    p.add_argument("--pilot-size", type=int, default=8,
-                   help="per-class pilot batch for gradient statistics")
-    p.add_argument("--sgd-multiplier", type=int, default=1,
-                   help="extra iteration multiplier applied to the sgd baseline")
+    """The flags that one algorithm alone reads, shared by train and gridsearch.
+
+    Step, decay and length are not here: gridsearch takes them from its grid.
+    """
+    p.add_argument("--batch-size", type=int, default=None,
+                   help="pooled mini-batch size, --algorithm batch only; unset means 10")
+    p.add_argument("--pilot-size", type=int, default=None,
+                   help="per-class pilot batch for gradient statistics, --algorithm mssg "
+                        "only; unset means 8")
 
 
 def build_parser() -> argparse.ArgumentParser:

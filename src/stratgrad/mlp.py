@@ -34,7 +34,6 @@ output and the sigmoid's temporary, two 4.1 MB arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -288,11 +287,12 @@ def loss_and_grad(params: MlpParams, features, labels, weight_decay: float = 0.0
 
 
 def full_gradient_train(params: MlpParams, features, labels, steps: int,
-                        step_size: float, weight_decay: float = 0.0,
-                        tracked: Optional[tuple[int, int, int]] = None):
+                        step_size: float, weight_decay: float, tracked: tuple[int, int, int]):
     """Full-batch gradient descent: trains `params` in place and returns it.
 
-    A step that leaves a parameter non-finite raises `check_finite`'s error.
+    The caller checks `steps` (at least 1), the step size and the decay
+    (``check_step``). A step that leaves a parameter non-finite raises
+    `check_finite`'s error.
 
     Returns (params, losses, matrix): the trained parameters, the loss
     history of length steps + 1 (loss before any update through loss after
@@ -301,25 +301,20 @@ def full_gradient_train(params: MlpParams, features, labels, steps: int,
     (n_samples, steps) array whose column t holds every sample's loss
     gradient for that weight under the parameters in force at step t,
     weight-decay term included, so column means equal the full-batch
-    gradient's tracked entry. Without `tracked`, matrix is None.
+    gradient's tracked entry.
     """
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
-    check_step(step_size, weight_decay)
     features, labels = _check_batch(params, features, labels)
-    matrix = None
-    if tracked is not None:
-        layer, out_idx, in_idx = tracked = tuple(int(v) for v in tracked)
-        if not 0 <= layer < params.n_layers:
-            raise ValueError(f"tracked layer {layer} out of range")
-        fan_in, fan_out = params.weights[layer].shape
-        if not (0 <= in_idx < fan_in and 0 <= out_idx < fan_out):
-            raise ValueError(f"tracked indices ({out_idx}, {in_idx}) outside {fan_in}x{fan_out}")
-        matrix = np.empty((features.shape[0], steps))
+    layer, out_idx, in_idx = tracked = tuple(int(v) for v in tracked)
+    if not 0 <= layer < params.n_layers:
+        raise ValueError(f"tracked layer {layer} out of range")
+    fan_in, fan_out = params.weights[layer].shape
+    if not (0 <= in_idx < fan_in and 0 <= out_idx < fan_out):
+        raise ValueError(f"tracked indices ({out_idx}, {in_idx}) outside {fan_in}x{fan_out}")
+    matrix = np.empty((features.shape[0], steps))
     losses = []
     for t in range(steps):
-        column = None if matrix is None else matrix[:, t]
-        value, grad = _loss_grad_pass(params, features, labels, weight_decay, tracked, column)
+        value, grad = _loss_grad_pass(params, features, labels, weight_decay, tracked,
+                                      matrix[:, t])
         losses.append(value)
         for l in range(params.n_layers):
             params.weights[l] -= step_size * grad.weights[l]

@@ -33,7 +33,7 @@ memory array per layer (about 60 MB), the two pilots' D and D*D factors
 Every trainer runs the iterations its ``TrainConfig`` gives, reports
 accuracy every ``checkpoint_every`` iterations and at the end, and trains
 the parameters it is given in place, with no copy of them; how a run is
-labelled, stretched and reported is the caller's. A trainer decodes to
+labelled and reported is the caller's. A trainer decodes to
 float64 only the dataset rows it draws, except the full-batch steps
 (``fullgrad``, and ``batch`` at batch_size == n): they read every row
 every step, so they decode the whole dataset once (376 MB at 60,000 rows;
@@ -63,19 +63,21 @@ class BaselineKind(enum.Enum):
 @dataclass
 class TrainConfig:
     step_size: float
-    batch_size: int
+    batch_size: int | None  # read by batch alone; None for the other trainers
     iterations: int
     weight_decay: float
     seed: int | tuple[int, ...]  # the key prefix of the run's streams
-    pilot_size: int = 8
-    checkpoint_every: int = 1000
+    pilot_size: int | None  # read by mssg alone; None for the other trainers
+    checkpoint_every: int
 
     def __post_init__(self):
         mlp.check_step(self.step_size, self.weight_decay)
-        for name in ("batch_size", "iterations", "checkpoint_every"):
+        for name in ("iterations", "checkpoint_every"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
-        if self.pilot_size < 2:
+        if self.batch_size is not None and self.batch_size < 1:
+            raise ValueError("batch_size must be at least 1")
+        if self.pilot_size is not None and self.pilot_size < 2:
             raise ValueError("pilot_size must be at least 2 (sample variance needs it)")
 
 

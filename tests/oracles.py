@@ -357,21 +357,20 @@ def unstreamed_full_gradient_train(params, features, labels, steps, step_size,
                                    weight_decay, tracked):
     """`mlp.full_gradient_train` on :func:`unstreamed_loss_grad`.
 
-    `tracked` is None or a (layer, out_index, in_index) triple with a
-    non-negative layer. Returns (params, losses, matrix) as the trainer does.
+    `tracked` is a (layer, out_index, in_index) triple with a non-negative
+    layer. Returns (params, losses, matrix) as the trainer does.
     """
     params = copy_params(params)
     n = len(labels)
-    matrix = None if tracked is None else np.empty((n, steps))
+    layer, out_idx, in_idx = tracked
+    matrix = np.empty((n, steps))
     losses = []
     for t in range(steps):
         value, grad, acts, deltas = unstreamed_loss_grad(params, features, labels,
                                                          weight_decay)
         losses.append(value)
-        if matrix is not None:
-            layer, out_idx, in_idx = tracked
-            matrix[:, t] = acts[layer][:, in_idx] * (n * deltas[layer][:, out_idx]) \
-                + weight_decay * params.weights[layer][in_idx, out_idx]
+        matrix[:, t] = acts[layer][:, in_idx] * (n * deltas[layer][:, out_idx]) \
+            + weight_decay * params.weights[layer][in_idx, out_idx]
         for l in range(params.n_layers):
             params.weights[l] -= step_size * grad.weights[l]
             params.biases[l] -= step_size * grad.biases[l]

@@ -224,7 +224,7 @@ def test_criterion_10_full_mnist_headline(real_mnist_dir):
     test = to_dataset(*read_mnist_split(real_mnist_dir, "test"))
     params = mlp.init_params((784, 500, 500, 200, 10), seed=1010)
     params, _, _ = mlp.full_gradient_train(params, train.features(), train.labels,
-                                           60, 0.2, 0.001)
+                                           60, 0.2, 0.001, (0, 0, 0))
     acc = accuracy(params, test) * 100.0
     verdict(10, abs(acc - 87.73) <= 2.0,
             f"full-gradient 60-iteration test accuracy {acc:.2f}% vs 87.73 +/- 2.0")
@@ -243,7 +243,8 @@ def test_criterion_10b_memory_trainer_accuracy_grid(real_mnist_dir):
     for h, lam in itertools.product([0.01, 1, 0.001], [0.001, 0.0001]):
         params = mlp.init_params((784, 500, 500, 200, 10), seed=1010)
         config = TrainConfig(step_size=h, batch_size=10, iterations=1000,
-                             weight_decay=lam, seed=1010, checkpoint_every=1000)
+                             weight_decay=lam, seed=1010, pilot_size=8,
+                             checkpoint_every=1000)
         _, reports, _ = mssg_train(params, train, config, test)
         cells.append((-reports[-1].test_accuracy, h, lam))
     acc = -min(cells)[0] * 100.0

@@ -71,10 +71,12 @@ SUBPARSERS = subparsers(build_parser())
 UNIQUE_PREFIXES = [(name, flag) for name, p in SUBPARSERS.items() for flag in long_flags(p)
                    if [f for f in long_flags(p) if f.startswith(flag[:-1])] == [flag]]
 # flags that were removed, and that their subcommands keep refusing in full and
-# abbreviated: the manifest is always <out-dir>/manifest.txt, and the race's
-# pooled batch always spends the stratified estimators' budget
+# abbreviated: the manifest is always <out-dir>/manifest.txt, the race's
+# pooled batch always spends the stratified estimators' budget, and a k-fold
+# sgd run is k times --iterations and --checkpoint-every, or --budget-iterations
 RETIRED = [*((name, "--manifest-out") for name in SUBPARSERS),
-           ("synthetic", "--batch-size"), ("gradmatrix", "--batch-size")]
+           ("synthetic", "--batch-size"), ("gradmatrix", "--batch-size"),
+           ("train", "--sgd-multiplier"), ("gridsearch", "--sgd-multiplier")]
 REFUSED = UNIQUE_PREFIXES + RETIRED
 
 
@@ -624,16 +626,35 @@ def test_gridsearch_refuses_a_bad_grid_value_before_any_cell_trains(
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv, message", [
-    (("--budget-iterations", 0), "iterations must be at least 1"),
-    (("--sgd-multiplier", 0), "--sgd-multiplier must be at least 1")])
-def test_gridsearch_refuses_a_bad_budget_or_multiplier_before_the_split_is_read(
-        tmp_path, fixture_data_dir, capsys, monkeypatch, argv, message):
+def test_gridsearch_refuses_a_bad_budget_before_the_split_is_read(
+        tmp_path, fixture_data_dir, capsys, monkeypatch):
     monkeypatch.setattr(cli, "read_mnist_split", lambda *_: pytest.fail("a split was read"))
     out = tmp_path / "gs"
-    assert run_cli("gridsearch", "--data-dir", fixture_data_dir, "--desk", *argv,
+    assert run_cli("gridsearch", "--data-dir", fixture_data_dir, "--desk",
+                   "--budget-iterations", 0, "--out-dir", out) == 1
+    assert "iterations must be at least 1" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+# every algorithm but the one that reads the flag
+UNREAD_TRAINER_FLAGS = [(sub, flag, algorithm, reader)
+                        for sub in ("train", "gridsearch")
+                        for flag, reader in (("--batch-size", "batch"), ("--pilot-size", "mssg"))
+                        for algorithm in cli._ALGORITHMS if algorithm != reader]
+
+
+@pytest.mark.parametrize("sub, flag, algorithm, reader", UNREAD_TRAINER_FLAGS,
+                         ids=[f"{s} {f} {a}" for s, f, a, _ in UNREAD_TRAINER_FLAGS])
+def test_a_trainer_flag_is_refused_outside_its_algorithm_before_any_read(
+        tmp_path, capsys, sub, flag, algorithm, reader):
+    # the data directory holds no IDX files, so a read would fail on the dataset instead
+    empty = tmp_path / "no-idx-files"
+    empty.mkdir()
+    out = tmp_path / "run"
+    assert run_cli(sub, "--algorithm", algorithm, "--data-dir", empty, flag, 3,
                    "--out-dir", out) == 1
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{flag} needs --algorithm {reader}" in err and "missing" not in err
     assert list(out.iterdir()) == []
 
 
@@ -737,32 +758,6 @@ def test_train_all_algorithms_produce_reports(tmp_path, fixture_data_dir, algori
         assert 0.0 <= float(v) <= 1.0
 
 
-def test_train_sgd_multiplier_reported(tmp_path, fixture_data_dir):
-    # (iterations, checkpoint spacing, multiplier) -> stretched checkpoints
-    for iterations, every, mult, want in ((2, 2, 20, [0.04]), (3, 1, 4, [0.004, 0.008, 0.012])):
-        out = tmp_path / f"tr{mult}"
-        assert run_cli("train", "--algorithm", "sgd", "--data-dir", fixture_data_dir,
-                       "--desk", "--per-class", 20, "--test-per-class", 5,
-                       "--iterations", iterations, "--checkpoint-every", every,
-                       "--sgd-multiplier", mult, "--out-dir", out) == 0
-        cols = read_csv_columns(out / "accuracy_sgd.csv")
-        assert cols["algorithm"] == [f"sgd(x{mult})"] * len(want)
-        assert read_floats(out / "accuracy_sgd.csv", "iterations_k") == want
-
-
-@pytest.mark.parametrize("argv", [
-    ("train", "--algorithm", "sgd", "--iterations", 2),
-    ("train", "--algorithm", "mssg", "--iterations", 2),
-    ("train", "--algorithm", "gst", "--iterations", 2),
-    ("gridsearch", "--algorithm", "mssg", "--budget-iterations", 2)])
-def test_sgd_multiplier_below_one_is_rejected(tmp_path, fixture_data_dir, capsys, argv):
-    out = tmp_path / "x0"
-    assert run_cli(*argv, "--data-dir", fixture_data_dir, "--desk", "--per-class", 20,
-                   "--test-per-class", 5, "--sgd-multiplier", 0, "--out-dir", out) == 1
-    assert "--sgd-multiplier must be at least 1" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
-
-
 def test_gridsearch_cell_runs_the_stretched_sgd_of_train(tmp_path, fixture_data_dir,
                                                         monkeypatch):
     runs = []
@@ -775,10 +770,10 @@ def test_gridsearch_cell_runs_the_stretched_sgd_of_train(tmp_path, fixture_data_
     baseline_train = cli.trainer.baseline_train
     monkeypatch.setattr(cli.trainer, "baseline_train", spy)
     desk = ["--algorithm", "sgd", "--data-dir", fixture_data_dir, "--desk", "--per-class", 20,
-            "--test-per-class", 5, "--sgd-multiplier", 3, "--seed", 4]
-    assert run_cli("train", *desk, "--iterations", 2, "--alpha", 0.5,
+            "--test-per-class", 5, "--seed", 4]
+    assert run_cli("train", *desk, "--iterations", 6, "--alpha", 0.5,
                    "--weight-decay", 0.01, "--out-dir", tmp_path / "tr") == 0
-    assert run_cli("gridsearch", *desk, "--budget-iterations", 2, "--alphas", "0.5",
+    assert run_cli("gridsearch", *desk, "--budget-iterations", 6, "--alphas", "0.5",
                    "--lambdas", "0.01", "--out-dir", tmp_path / "gs") == 0
     final = read_csv_columns(tmp_path / "tr" / "accuracy_sgd.csv")["test_accu"][-1]
     assert read_csv_columns(tmp_path / "gs" / "grid_results.csv")["test_accuracy"] == [final]
@@ -809,17 +804,14 @@ def test_train_hands_the_trainer_the_train_stream_prefix(tmp_path, fixture_data_
     assert seeds == [(6, cli._TRAIN_STREAM)]
 
 
-@pytest.mark.parametrize("algorithm, mult, label", [
-    ("sgd", 3, "sgd(x3)"), ("sgd", 1, "sgd"), ("gst", 3, "gst")])
-def test_gridsearch_labels_rows_as_train_does(tmp_path, fixture_data_dir, algorithm, mult,
-                                              label):
+@pytest.mark.parametrize("algorithm", ["sgd", "gst"])
+def test_gridsearch_labels_rows_as_train_does(tmp_path, fixture_data_dir, algorithm):
     out = tmp_path / "gs"
     assert run_cli("gridsearch", "--algorithm", algorithm, "--data-dir", fixture_data_dir,
                    "--desk", "--per-class", 20, "--test-per-class", 5, "--alphas", "0.5,0.1",
-                   "--lambdas", "0.01", "--budget-iterations", 2, "--sgd-multiplier", mult,
-                   "--out-dir", out) == 0
-    assert read_csv_columns(out / "grid_results.csv")["algorithm"] == [label] * 2
-    assert read_csv_columns(out / "grid_best.csv")["algorithm"] == [label]
+                   "--lambdas", "0.01", "--budget-iterations", 2, "--out-dir", out) == 0
+    assert read_csv_columns(out / "grid_results.csv")["algorithm"] == [algorithm] * 2
+    assert read_csv_columns(out / "grid_best.csv")["algorithm"] == [algorithm]
 
 
 @pytest.mark.parametrize("flag", ["--alpha", "--weight-decay", "--iterations",

@@ -121,7 +121,7 @@ def test_integer_features_rejected(dtype):
     with pytest.raises(TypeError, match="floating point"):
         mlp.loss_and_grad(params, features, labels)
     with pytest.raises(TypeError, match="floating point"):
-        mlp.full_gradient_train(params, features, labels, 1, 0.1)
+        mlp.full_gradient_train(params, features, labels, 1, 0.1, 0.0, (0, 0, 0))
 
 
 def test_sigmoid_is_bit_identical_to_two_branch_form():
@@ -189,18 +189,18 @@ def test_full_gradient_single_step_decreases_loss():
     params = mlp.init_params((4, 3, 2), seed=15)
     features, _ = random_batch(params, 12, seed=16)
     labels = np.zeros(12, dtype=np.int64)
-    _, losses, matrix = mlp.full_gradient_train(params, features, labels, 1, 0.2, 0.001)
+    _, losses, _ = mlp.full_gradient_train(params, features, labels, 1, 0.2, 0.001, (1, 0, 0))
     assert len(losses) == 2
     assert losses[1] <= losses[0]
-    assert matrix is None  # nothing tracked
-    with pytest.raises(ValueError):
-        mlp.full_gradient_train(params, features, labels, 0, 0.2)
+
+
+def test_check_step_refuses_a_bad_step_size_or_decay():
     for step_size, weight_decay, field in (
             (np.nan, 0.0, "step_size"), (np.inf, 0.0, "step_size"), (0.0, 0.0, "step_size"),
             (0.2, -0.5, "weight_decay"), (0.2, np.nan, "weight_decay"),
             (0.2, np.inf, "weight_decay")):
         with pytest.raises(ValueError, match=f"{field} must be"):
-            mlp.full_gradient_train(params, features, labels, 1, step_size, weight_decay)
+            mlp.check_step(step_size, weight_decay)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -215,7 +215,7 @@ def test_full_gradient_divergence_is_refused_at_its_step():
 def test_full_gradient_loss_nonincreasing_small_step():
     params = mlp.init_params((6, 5, 3), seed=17)
     features, labels = random_batch(params, 30, seed=18)
-    _, losses, _ = mlp.full_gradient_train(params, features, labels, 5, 0.01, 0.001)
+    _, losses, _ = mlp.full_gradient_train(params, features, labels, 5, 0.01, 0.001, (0, 0, 0))
     assert all(b <= a for a, b in zip(losses, losses[1:]))
     assert all(np.isfinite(losses))
 
@@ -225,7 +225,8 @@ def test_full_gradient_loss_nonincreasing_small_step():
 def _params_per_step(params, features, labels, steps, step_size, weight_decay):
     """The parameters in force at each of `steps` full-batch steps."""
     return [params] + [mlp.full_gradient_train(copy_params(params), features, labels, t, step_size,
-                                               weight_decay)[0] for t in range(1, steps)]
+                                               weight_decay, (0, 0, 0))[0]
+                       for t in range(1, steps)]
 
 
 @pytest.mark.parametrize("tracked", [(1, 2, 3), (2, 1, 2)])
@@ -273,11 +274,11 @@ def test_tracked_indices_validated():
     params = mlp.init_params((4, 3, 2), seed=25)
     features, labels = random_batch(params, 2, seed=26)
     with pytest.raises(ValueError):
-        mlp.full_gradient_train(params, features, labels, 1, 0.1, tracked=(1, 5, 0))
+        mlp.full_gradient_train(params, features, labels, 1, 0.1, 0.0, tracked=(1, 5, 0))
     with pytest.raises(ValueError):
-        mlp.full_gradient_train(params, features, labels, 1, 0.1, tracked=(7, 0, 0))
+        mlp.full_gradient_train(params, features, labels, 1, 0.1, 0.0, tracked=(7, 0, 0))
     with pytest.raises(ValueError, match="tracked layer -1"):  # no wrap-around
-        mlp.full_gradient_train(params, features, labels, 1, 0.1, tracked=(-1, 0, 0))
+        mlp.full_gradient_train(params, features, labels, 1, 0.1, 0.0, tracked=(-1, 0, 0))
 
 
 def test_desk_scale_matrix_under_time_budget():

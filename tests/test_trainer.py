@@ -64,6 +64,9 @@ def test_config_validation():
         small_config(pilot_size=1)
     with pytest.raises(ValueError):
         small_config(iterations=0)
+    with pytest.raises(ValueError, match="batch_size must be at least 1"):
+        small_config(batch_size=0)
+    small_config(batch_size=None, pilot_size=None)  # for a trainer that reads neither
     for field, value in (("step_size", np.nan), ("step_size", np.inf), ("step_size", -0.5),
                          ("weight_decay", -0.5), ("weight_decay", np.nan),
                          ("weight_decay", np.inf)):
@@ -564,7 +567,7 @@ def test_batch_equal_to_full_gradient_when_batch_is_everything():
     params = mlp.init_params((6, 4, 3), seed=24)
     config = small_config(iterations=4, batch_size=data.n_samples, step_size=0.2)
     via_full, _, _ = mlp.full_gradient_train(copy_params(params), data.features(), data.labels, 4,
-                                             0.2, config.weight_decay)
+                                             0.2, config.weight_decay, (0, 0, 0))
     for kind in (BaselineKind.BATCH, BaselineKind.FULL):
         trained, _ = baseline_train(copy_params(params), data, config, kind, data)
         for got, want in zip(trained.weights + trained.biases,
@@ -597,23 +600,9 @@ def test_sgd_on_single_sample_is_deterministic_descent():
     config = small_config(iterations=6, step_size=0.5, batch_size=1)
     trained, _ = baseline_train(copy_params(params), data, config, BaselineKind.SGD, data)
     full, _, _ = mlp.full_gradient_train(copy_params(params), data.features(), labels, 6, 0.5,
-                                         config.weight_decay)
+                                         config.weight_decay, (0, 0, 0))
     for wa, wb in zip(trained.weights, full.weights):
         assert np.array_equal(wa, wb)
-
-
-def test_sgd_multiplier_stretches_iterations(tmp_path):
-    # The CLI stretches an sgd run's config; the trainer runs it as given.
-    args = cli.build_parser().parse_args([
-        "train", "--algorithm", "sgd", "--iterations", "3", "--checkpoint-every", "1",
-        "--sgd-multiplier", "4", "--out-dir", str(tmp_path)])
-    data = blob_dataset(10, seed=26)
-    params = mlp.init_params((6, 4, 3), seed=27)
-    config = cli._make_config(args, args.alpha, args.weight_decay, args.iterations,
-                              args.checkpoint_every)
-    _, reports = baseline_train(params, data, config, BaselineKind.SGD, data)
-    assert [r.iterations for r in reports] == [4, 8, 12]
-    assert cli._report_rows(reports, args)["algorithm"] == ["sgd(x4)"] * 3
 
 
 def test_stratified_direction_is_unbiased():
@@ -640,7 +629,8 @@ def test_stratified_direction_is_unbiased():
     lambda params, data, config: baseline_train(params, data, config, BaselineKind.SGD,
                                                 data)[0],
     lambda params, data, config: mlp.full_gradient_train(
-        params, data.features(), data.labels, config.iterations, config.step_size)[0],
+        params, data.features(), data.labels, config.iterations, config.step_size,
+        config.weight_decay, (0, 0, 0))[0],
 ], ids=["mssg_train", "baseline_train", "full_gradient_train"])
 def test_trainers_train_the_params_they_are_given(train):
     data = blob_dataset(10, seed=43)

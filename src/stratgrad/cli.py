@@ -278,9 +278,8 @@ def cmd_gradmatrix(args, run: _Run) -> None:
     check_class_sizes(train.class_index, 1, "the estimator replay")
     marks = [time.perf_counter()]
     params = mlp.init_params(shape, (args.seed, _INIT_STREAM))
-    params, losses, matrix = mlp.full_gradient_train(
-        params, train.features(), train.labels, iterations, args.alpha,
-        args.weight_decay, tracked=(params.n_layers - 1, 0, 0))
+    params, final_loss, matrix = mlp.full_gradient_train(
+        params, train.features(), train.labels, iterations, args.alpha, args.weight_decay)
     marks.append(time.perf_counter())
 
     n, t = matrix.shape
@@ -308,7 +307,7 @@ def cmd_gradmatrix(args, run: _Run) -> None:
     test_accuracy = trainer.accuracy(params, test)
     marks.append(time.perf_counter())
     run.finish(args, {
-        "final_loss": losses[-1],
+        "final_loss": final_loss,
         "train_accuracy": train_accuracy,
         "test_accuracy": test_accuracy,
         "gmst_fallbacks": race.fallbacks,
@@ -450,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Monte-Carlo replications (>= 10000)")
 
     p = subcommand("gradmatrix",
-                   "record a tracked-weight gradient matrix and replay the estimators",
+                   "record one weight's per-sample gradient matrix and replay the estimators",
                    cmd_gradmatrix, _add_data_flags)
     p.add_argument("--iterations", type=int, default=None,
                    help="full-gradient iterations (default: 10 desk / 60 full)")

@@ -226,6 +226,8 @@ def read_mnist_split(data_dir, split: str, per_class: Optional[int] = None,
         else:
             raise FileNotFoundError(f"missing {name}[.gz] under {data_dir}")
     labels = read_idx_labels(paths[1])
+    if labels.size == 0:  # an IDX header may count zero items; no experiment can use them
+        raise ValueError(f"the {split} split under {data_dir} holds no items")
     rows = None if per_class is None else subsample_rows(labels, per_class, seed)
     images = read_idx_images(paths[0], rows, n_labels=labels.shape[0])
     return images, labels if rows is None else labels[rows]

@@ -11,10 +11,10 @@ and then by 1 - a where it lies), so a hidden layer holds its output plus
 one temporary, with the bits of A W + b, the two-branch sigmoid and
 (D W^T) * a * (1 - a).
 
-Row blocking. Passes over a whole batch (``loss``, ``loss_and_grad`` and
+Row blocking. Passes over a whole batch (``loss``, ``gradient`` and
 every step of ``full_gradient_train``) stream it in fixed blocks of
-``BLOCK_ROWS`` rows and reduce each block (into the loss sum, the A^T D
-and bias sums, the tracked column) before the next is formed, so peak
+``BLOCK_ROWS`` rows and reduce each block (into the loss sum, or the A^T D
+and bias sums and the recorded column) before the next is formed, so peak
 memory is the features plus O(BLOCK_ROWS x widths), not O(n x widths). A
 batch that fits in one block gets exactly the arithmetic of one unstreamed
 pass; a longer one adds its blocks' sums in a fixed order, so its results
@@ -188,27 +188,17 @@ def forward_batch(params: MlpParams, features) -> np.ndarray:
     return _forward_cached(params, features.pop(), False)[0][-1]
 
 
-def _data_loss_sum(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Summed cross-entropy of a block's logits against its labels."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1))
-    return float(np.sum(log_z - shifted[np.arange(labels.size), labels]))
-
-
-def _objective(params: MlpParams, data_sum: float, n: int, weight_decay: float) -> float:
-    """Mean cross-entropy from its sum over n samples, plus the L2 weight penalty."""
-    reg = 0.5 * weight_decay * sum(float(np.sum(w * w)) for w in params.weights)
-    return data_sum / n + reg
-
-
 def loss(params: MlpParams, features, labels, weight_decay: float = 0.0) -> float:
     """Mean cross-entropy plus the L2 weight penalty."""
     features, labels = _check_batch(params, features, labels)
     data_sum = 0.0
     for rows in _row_blocks(features.shape[0]):
-        data_sum += _data_loss_sum(_forward_cached(params, features[rows], False)[1],
-                                   labels[rows])
-    return _objective(params, data_sum, features.shape[0], weight_decay)
+        logits = _forward_cached(params, features[rows], False)[1]
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        log_z = np.log(np.exp(shifted).sum(axis=1))
+        data_sum += float(np.sum(log_z - shifted[np.arange(logits.shape[0]), labels[rows]]))
+    reg = 0.5 * weight_decay * sum(float(np.sum(w * w)) for w in params.weights)
+    return data_sum / features.shape[0] + reg
 
 
 def _backward(params: MlpParams, acts, labels: np.ndarray, mean_over: int):
@@ -249,20 +239,17 @@ def forward_backward(params: MlpParams, features, labels):
     return acts, _backward(params, acts, labels, 0)
 
 
-def _loss_grad_pass(params: MlpParams, features, labels, weight_decay: float,
-                    tracked, column):
-    """Mean loss and its gradient, block by block; the deltas are the whole batch's mean loss's.
+def _gradient_pass(params: MlpParams, features, labels, weight_decay: float, column):
+    """The mean loss's gradient, block by block; the deltas are the whole batch's mean loss's.
 
-    With `tracked` = (layer, out_index, in_index), `column` (one entry per
-    row) receives every sample's gradient for that weight, decay included.
+    A `column` (one entry per row) receives every sample's gradient for
+    entry (0, 0) of the last layer's weights, decay included.
     """
     n = features.shape[0]
-    data_sum = 0.0
     grad = None
     for rows in _row_blocks(n):
-        acts, logits = _forward_cached(params, features[rows], True)
+        acts = _forward_cached(params, features[rows], True)[0]
         deltas = _backward(params, acts, labels[rows], n)
-        data_sum += _data_loss_sum(logits, labels[rows])
         if grad is None:
             grad = MlpParams([a.T @ d for a, d in zip(acts, deltas)],
                              [d.sum(axis=0) for d in deltas])
@@ -270,55 +257,42 @@ def _loss_grad_pass(params: MlpParams, features, labels, weight_decay: float,
             for a, d, gw, gb in zip(acts, deltas, grad.weights, grad.biases):
                 gw += a.T @ d
                 gb += d.sum(axis=0)
-        if tracked is not None:
-            layer, out_idx, in_idx = tracked
+        if column is not None:
             # the deltas are the mean loss's: n times them are the per-sample ones
-            column[rows] = acts[layer][:, in_idx] * (n * deltas[layer][:, out_idx]) \
-                + weight_decay * params.weights[layer][in_idx, out_idx]
+            column[rows] = acts[-2][:, 0] * (n * deltas[-1][:, 0]) \
+                + weight_decay * params.weights[-1][0, 0]
     for gw, w in zip(grad.weights, params.weights):
         gw += weight_decay * w
-    return _objective(params, data_sum, n, weight_decay), grad
+    return grad
 
 
-def loss_and_grad(params: MlpParams, features, labels, weight_decay: float = 0.0):
-    """Batch loss and its exact gradient, shaped like the parameters."""
+def gradient(params: MlpParams, features, labels, weight_decay: float) -> MlpParams:
+    """The batch loss's exact gradient, shaped like the parameters."""
     features, labels = _check_batch(params, features, labels)
-    return _loss_grad_pass(params, features, labels, weight_decay, None, None)
+    return _gradient_pass(params, features, labels, weight_decay, None)
 
 
 def full_gradient_train(params: MlpParams, features, labels, steps: int,
-                        step_size: float, weight_decay: float, tracked: tuple[int, int, int]):
+                        step_size: float, weight_decay: float):
     """Full-batch gradient descent: trains `params` in place and returns it.
 
     The caller checks `steps` (at least 1), the step size and the decay
     (``check_step``). A step that leaves a parameter non-finite raises
     `check_finite`'s error.
 
-    Returns (params, losses, matrix): the trained parameters, the loss
-    history of length steps + 1 (loss before any update through loss after
-    the last one), and the per-sample gradient history of the weight
-    `tracked` = (layer, out_index, in_index). matrix is an
-    (n_samples, steps) array whose column t holds every sample's loss
-    gradient for that weight under the parameters in force at step t,
-    weight-decay term included, so column means equal the full-batch
-    gradient's tracked entry.
+    Returns (params, final_loss, matrix): the trained parameters, the loss
+    after the last step, and the per-sample gradient history of entry
+    (0, 0) of the last layer's weights. matrix is an (n_samples, steps)
+    array whose column t holds every sample's loss gradient for that weight
+    under the parameters in force at step t, weight-decay term included, so
+    column means equal the full-batch gradient's entry.
     """
     features, labels = _check_batch(params, features, labels)
-    layer, out_idx, in_idx = tracked = tuple(int(v) for v in tracked)
-    if not 0 <= layer < params.n_layers:
-        raise ValueError(f"tracked layer {layer} out of range")
-    fan_in, fan_out = params.weights[layer].shape
-    if not (0 <= in_idx < fan_in and 0 <= out_idx < fan_out):
-        raise ValueError(f"tracked indices ({out_idx}, {in_idx}) outside {fan_in}x{fan_out}")
     matrix = np.empty((features.shape[0], steps))
-    losses = []
     for t in range(steps):
-        value, grad = _loss_grad_pass(params, features, labels, weight_decay, tracked,
-                                      matrix[:, t])
-        losses.append(value)
+        grad = _gradient_pass(params, features, labels, weight_decay, matrix[:, t])
         for l in range(params.n_layers):
             params.weights[l] -= step_size * grad.weights[l]
             params.biases[l] -= step_size * grad.biases[l]
         check_finite(params, "full-gradient descent", t + 1)
-    losses.append(loss(params, features, labels, weight_decay))
-    return params, losses, matrix
+    return params, loss(params, features, labels, weight_decay), matrix

@@ -19,16 +19,18 @@ C * (n + 1) pilot and fresh rows. Pilot means and variances come from the
 per-class sums A^T D and (A*A)^T (D*D) of that pass (one-pass variance,
 clamped at zero; weight decay shifts the mean only), never from per-sample
 gradient tensors. Each layer is streamed in row blocks of W, and one block
-for b: one batched product per moment gives a block's sums for the
-previous pilot and this one, with A*A formed for the block's rows alone,
-and the block is blended and stepped before the next is formed. The
-previous pilot's stats are not stored but formed again, with the same
-operations and so the same bits, from its kept factors A, D and D*D and a
-snapshot of the weights they were taken at. So besides the parameters,
-the persistent state at the 784-500-500-200-10 shape is one (C, ...)
-memory array per layer (about 60 MB), the two pilots' D and D*D factors
-(about 3.1 MB) and A factors (about 2.5 MB), and one weight snapshot
-(about 6 MB); the rest is block-sized temporaries.
+for b: one batched product per moment and pilot writes a block's sums for
+the previous pilot and this one into one array, with A*A formed for the
+block's rows alone, and the block is blended and stepped before the next
+is formed. The previous pilot's stats are not stored but formed again,
+with the same operations and so the same bits, from its factors A, D and
+D*D and a snapshot of the weights they were taken at. A and D are read in
+place from the previous iteration's pass, which is kept by reference for
+one iteration, and D*D is formed once per pilot. So besides the
+parameters, the persistent state at the 784-500-500-200-10 shape is one
+(C, ...) memory array per layer (about 60 MB), the previous pass (about
+2.2 MiB) with its D*D (about 0.8 MB), and one weight snapshot (about
+6 MB); the rest is block-sized temporaries.
 
 Every trainer runs the iterations its ``TrainConfig`` gives, reports
 accuracy every ``checkpoint_every`` iterations and at the end, and trains
@@ -198,17 +200,13 @@ def mssg_train(params: mlp.MlpParams, data: LabeledDataset, config: TrainConfig,
     layers = list(zip(params.weights, params.biases))
     memory = [(np.zeros((n_classes,) + w.shape), np.zeros((n_classes,) + b.shape))
               for w, b in layers]
-    # Pilot factors per layer, each for [the previous iteration, this one],
-    # class-major: A^T, and [D, D * D]. Every row block of a layer reads all of
-    # D and D * D but only its own rows of A^T, so it squares those itself.
-    a_factors = [np.zeros((2, n_classes, w.shape[0], n)) for w, _ in layers]
-    d_factors = [np.zeros((2, 2, n_classes, n, w.shape[1])) for w, _ in layers]
     snapshots = [np.zeros_like(w) for w, _ in layers]
     block_rows = [max(1, min(w.shape[0], BLOCK_ENTRIES // w.shape[1])) for w, _ in layers]
     scale = config.step_size / n_classes
     reports: list[AccuracyReport] = []
     fallbacks = 0
 
+    previous = None  # the previous iteration's pilot factors
     pilot = np.empty((n_classes, n), dtype=np.int64)
     fresh = np.empty(n_classes, dtype=np.int64)
     for it in range(1, config.iterations + 1):
@@ -218,28 +216,36 @@ def mssg_train(params: mlp.MlpParams, data: LabeledDataset, config: TrainConfig,
             fresh[c] = rng.choice(idx)
         rows = np.concatenate([pilot.ravel(), fresh])  # class-major pilots, then fresh
         acts, deltas = mlp.forward_backward(params, data.features(rows), data.labels[rows])
-        pilots = slice(1 if it == 1 else 0, 2)  # the previous pilot from iteration 2 on
+        # Each layer's pilot factors, class-major: A^T and D, views of this
+        # pass's arrays, and D * D. Every row block of a layer reads all of D
+        # and D * D but only its own rows of A^T, so it squares those itself.
+        # The views keep the whole pass until the next iteration is done.
+        factors = []
         for l, (w, b) in enumerate(layers):
             fan_in, fan_out = w.shape
-            fa, fd = a_factors[l], d_factors[l]
-            fa[0] = fa[1]
-            fd[:, 0] = fd[:, 1]
-            fa[1] = acts[l][:n_pilot].reshape(n_classes, n, fan_in).transpose(0, 2, 1)
-            fd[0, 1] = deltas[l][:n_pilot].reshape(n_classes, n, fan_out)
-            np.multiply(fd[0, 1], fd[0, 1], out=fd[1, 1])
+            d = deltas[l][:n_pilot].reshape(n_classes, n, fan_out)
+            factors.append((acts[l][:n_pilot].reshape(n_classes, n, fan_in).transpose(0, 2, 1),
+                            d, d * d))
+            pilots = [factors[l]] if previous is None else [previous[l], factors[l]]
             a_fresh, d_fresh = acts[l][n_pilot:], deltas[l][n_pilot:]
             mem_w, mem_b = memory[l]
-            a, (d, d2) = fa[pilots], fd[:, pilots]
             for r0 in range(0, fan_in, block_rows[l]):
                 blk = slice(r0, r0 + block_rows[l])
-                a_blk = a[:, :, blk]
+                # [sums, sums of squares], each stacked over the pilots
+                sums = np.empty((2, len(pilots), n_classes) + w[blk].shape)
+                for (a, d, d2), out in zip(pilots, sums.swapaxes(0, 1)):
+                    a = a[:, blk]
+                    np.matmul(a, d, out=out[0])
+                    np.matmul(a * a, d2, out=out[1])
                 fallbacks += _blend_block(
-                    a_blk @ d, (a_blk * a_blk) @ d2, a_fresh[:, blk, None] * d_fresh[:, None],
+                    *sums, a_fresh[:, blk, None] * d_fresh[:, None],
                     w[blk], snapshots[l][blk], mem_w[:, blk], class_w, n, wd, scale)
             fallbacks += _blend_block(
-                d.sum(axis=2, keepdims=True), d2.sum(axis=2, keepdims=True), d_fresh[:, None],
-                b[None], None, mem_b[:, None], class_w, n, 0.0, scale)
-        del acts, deltas, a_fresh, d_fresh  # spent: a checkpoint scores without them
+                np.stack([d.sum(axis=1, keepdims=True) for _, d, _ in pilots]),
+                np.stack([d2.sum(axis=1, keepdims=True) for _, _, d2 in pilots]),
+                d_fresh[:, None], b[None], None, mem_b[:, None], class_w, n, 0.0, scale)
+        previous = factors
+        del pilots  # views of the pass before this one, which a checkpoint need not keep
         _end_iteration(params, it, "mssg", config, reports, data, test_data)
     return params, reports, fallbacks
 
@@ -277,14 +283,14 @@ def baseline_train(params: mlp.MlpParams, data: LabeledDataset, config: TrainCon
                 [class_w @ d for d in deltas],
             )
         elif full:
-            _, grad = mlp.loss_and_grad(params, features, data.labels, config.weight_decay)
+            grad = mlp.gradient(params, features, data.labels, config.weight_decay)
         else:
             if kind is BaselineKind.SGD:
                 rows = [int(rng.integers(n))]
             else:
                 rows = rng.choice(n, size=config.batch_size, replace=False)
-            _, grad = mlp.loss_and_grad(params, data.features(rows), data.labels[rows],
-                                        config.weight_decay)
+            grad = mlp.gradient(params, data.features(rows), data.labels[rows],
+                                config.weight_decay)
         for l in range(params.n_layers):
             params.weights[l] -= config.step_size * grad.weights[l]
             params.biases[l] -= config.step_size * grad.biases[l]

@@ -313,7 +313,10 @@ def unstreamed_forward(params, features):
     return reference_forward(params, features)[0][-1]
 
 
-def _unstreamed_objective(params, logits, labels, weight_decay):
+def unstreamed_loss(params, features, labels, weight_decay):
+    """Mean loss from one forward pass over every row at once."""
+    labels = np.asarray(labels, dtype=np.int64)
+    logits = reference_forward(params, features)[1]
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=1))
     data = float(np.mean(log_z - shifted[np.arange(labels.size), labels]))
@@ -321,17 +324,10 @@ def _unstreamed_objective(params, logits, labels, weight_decay):
     return data + reg
 
 
-def unstreamed_loss(params, features, labels, weight_decay):
-    """Mean loss from one forward pass over every row at once."""
-    logits = reference_forward(params, features)[1]
-    return _unstreamed_objective(params, logits, np.asarray(labels, dtype=np.int64),
-                                 weight_decay)
+def unstreamed_gradient(params, features, labels, weight_decay):
+    """Whole-batch (gradient, acts, deltas) from one pass over every row.
 
-
-def unstreamed_loss_grad(params, features, labels, weight_decay):
-    """Whole-batch (loss, gradient, acts, deltas) from one pass over every row.
-
-    The pass `mlp.loss_and_grad` made before it streamed row blocks: every
+    The pass `mlp.gradient` made before it streamed row blocks: every
     layer's activations and deltas for all n rows are held at once, the
     output delta is divided by n before it is propagated, and the gradient
     is A^T D + weight_decay * W with D summed over rows for the biases.
@@ -339,7 +335,7 @@ def unstreamed_loss_grad(params, features, labels, weight_decay):
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     n = labels.size
-    acts, logits = reference_forward(params, features)
+    acts, _ = reference_forward(params, features)
     delta = acts[-1].copy()
     delta[np.arange(n), labels] -= 1.0
     delta /= n
@@ -348,34 +344,27 @@ def unstreamed_loss_grad(params, features, labels, weight_decay):
         delta = (delta @ params.weights[l].T) * acts[l] * (1.0 - acts[l])
         deltas.append(delta)
     deltas.reverse()
-    value = _unstreamed_objective(params, logits, labels, weight_decay)
     grad_w = [a.T @ d + weight_decay * w for a, d, w in zip(acts, deltas, params.weights)]
-    return value, mlp.MlpParams(grad_w, [d.sum(axis=0) for d in deltas]), acts, deltas
+    return mlp.MlpParams(grad_w, [d.sum(axis=0) for d in deltas]), acts, deltas
 
 
-def unstreamed_full_gradient_train(params, features, labels, steps, step_size,
-                                   weight_decay, tracked):
-    """`mlp.full_gradient_train` on :func:`unstreamed_loss_grad`.
+def unstreamed_full_gradient_train(params, features, labels, steps, step_size, weight_decay):
+    """`mlp.full_gradient_train` on :func:`unstreamed_gradient`.
 
-    `tracked` is a (layer, out_index, in_index) triple with a non-negative
-    layer. Returns (params, losses, matrix) as the trainer does.
+    Returns (params, final_loss, matrix) as the trainer does: the matrix
+    records entry (0, 0) of the last layer's weights.
     """
     params = copy_params(params)
     n = len(labels)
-    layer, out_idx, in_idx = tracked
     matrix = np.empty((n, steps))
-    losses = []
     for t in range(steps):
-        value, grad, acts, deltas = unstreamed_loss_grad(params, features, labels,
-                                                         weight_decay)
-        losses.append(value)
-        matrix[:, t] = acts[layer][:, in_idx] * (n * deltas[layer][:, out_idx]) \
-            + weight_decay * params.weights[layer][in_idx, out_idx]
+        grad, acts, deltas = unstreamed_gradient(params, features, labels, weight_decay)
+        matrix[:, t] = acts[-2][:, 0] * (n * deltas[-1][:, 0]) \
+            + weight_decay * params.weights[-1][0, 0]
         for l in range(params.n_layers):
             params.weights[l] -= step_size * grad.weights[l]
             params.biases[l] -= step_size * grad.biases[l]
-    losses.append(unstreamed_loss(params, features, labels, weight_decay))
-    return params, losses, matrix
+    return params, unstreamed_loss(params, features, labels, weight_decay), matrix
 
 
 def per_sample_grads(params, features, labels, weight_decay: float = 0.0):
@@ -384,7 +373,7 @@ def per_sample_grads(params, features, labels, weight_decay: float = 0.0):
     Returns a list with one (dw, db) pair per layer where dw has shape
     (n, fan_in, fan_out) and db has shape (n, fan_out). Every sample's
     gradient carries the weight-decay term, so the mean over samples equals
-    the batch gradient of :func:`mlp.loss_and_grad`.
+    the batch gradient of :func:`mlp.gradient`.
     """
     acts, deltas = mlp.forward_backward(params, features, labels)
     out = []

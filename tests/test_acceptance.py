@@ -190,7 +190,7 @@ def test_criterion_8_gradient_check(shape):
     rng = spawn_rng(1088)
     features = rng.uniform(0, 1, (5, shape[0]))
     labels = rng.integers(0, shape[-1], 5)
-    _, analytic = mlp.loss_and_grad(params, features, labels, 0.05)
+    analytic = mlp.gradient(params, features, labels, 0.05)
     numeric = numeric_gradient(params, features, labels, 0.05)
     err = max_relative_error(analytic, numeric)
     verdict(8, err < 1e-5,
@@ -224,7 +224,7 @@ def test_criterion_10_full_mnist_headline(real_mnist_dir):
     test = to_dataset(*read_mnist_split(real_mnist_dir, "test"))
     params = mlp.init_params((784, 500, 500, 200, 10), seed=1010)
     params, _, _ = mlp.full_gradient_train(params, train.features(), train.labels,
-                                           60, 0.2, 0.001, (0, 0, 0))
+                                           60, 0.2, 0.001)
     acc = accuracy(params, test) * 100.0
     verdict(10, abs(acc - 87.73) <= 2.0,
             f"full-gradient 60-iteration test accuracy {acc:.2f}% vs 87.73 +/- 2.0")

@@ -478,6 +478,25 @@ def test_gradmatrix_desk_outputs(tmp_path, fixture_data_dir):
         assert float(entries[f"phase.{phase}_s"]) >= 0.0
 
 
+def test_gradmatrix_final_loss_is_the_loss_at_the_parameters_the_descent_returns(
+        tmp_path, fixture_data_dir, monkeypatch):
+    calls = []
+    descend = cli.mlp.full_gradient_train
+
+    def recording_descent(*args):
+        calls.append((args, descend(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(cli.mlp, "full_gradient_train", recording_descent)
+    out = tmp_path / "gm"
+    assert run_cli("gradmatrix", "--data-dir", fixture_data_dir, "--desk", "--per-class", 20,
+                   "--test-per-class", 5, "--iterations", 3, "--out-dir", out) == 0
+    ((_, features, labels, _, _, weight_decay), (params, _, _)), = calls
+    assert weight_decay > 0  # the penalty is part of the loss recorded
+    entries = dict(line.split("=", 1) for line in (out / "manifest.txt").read_text().splitlines())
+    assert float(entries["final_loss"]) == cli.mlp.loss(params, features, labels, weight_decay)
+
+
 def test_gradmatrix_bytes_repeat_at_one_blas_thread(tmp_path, fixture_data_dir):
     # BLAS splits its sums by thread count, so the thread count is pinned in the child
     src = str(Path(stratgrad.__file__).resolve().parents[1])
@@ -523,6 +542,34 @@ def test_gradmatrix_refuses_an_empty_class_before_the_descent(tmp_path, capsys, 
                    "--iterations", 1, "--out-dir", out) == 1
     assert "class 2 has 0 samples" in capsys.readouterr().err
     assert list(out.iterdir()) == []  # not even a .partial
+
+
+def empty_split_data_dir(path: Path, empty: str) -> Path:
+    """Train and test IDX files, 3 rows a class, except that split `empty` counts zero items."""
+    images, labels = synthetic_digits(3, seed=4)
+    path.mkdir()
+    for split in ("train", "test"):
+        keep = slice(0) if split == empty else slice(None)
+        image_name, label_name = MNIST_FILES[split]
+        (path / image_name).write_bytes(pack_idx_images(images[keep]))
+        (path / label_name).write_bytes(pack_idx_labels(labels[keep]))
+    return path
+
+
+@pytest.mark.parametrize("desk", [False, True], ids=["whole", "desk"])
+@pytest.mark.parametrize("split", ["train", "test"])
+@pytest.mark.parametrize("argv", [("train", "--algorithm", "gst"), ("gradmatrix",)],
+                         ids=["train", "gradmatrix"])
+def test_a_split_with_no_items_is_refused_by_name_before_any_descent(
+        tmp_path, capsys, monkeypatch, argv, split, desk):
+    monkeypatch.setattr(cli.mlp, "full_gradient_train", lambda *_, **__: pytest.fail("descended"))
+    monkeypatch.setattr(cli, "_run_algorithm", lambda *_: pytest.fail("trained"))
+    data = empty_split_data_dir(tmp_path / "data", split)
+    out = tmp_path / "run"
+    desk_flags = ("--desk", "--per-class", 2, "--test-per-class", 2) if desk else ()
+    assert run_cli(*argv, "--data-dir", data, *desk_flags, "--out-dir", out) == 1
+    assert f"the {split} split under {data} holds no items" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_gradmatrix_requires_data(tmp_path, monkeypatch, capsys):

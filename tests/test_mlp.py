@@ -16,8 +16,8 @@ from oracles import (
     two_branch_sigmoid,
     unstreamed_forward,
     unstreamed_full_gradient_train,
+    unstreamed_gradient,
     unstreamed_loss,
-    unstreamed_loss_grad,
 )
 
 
@@ -119,9 +119,9 @@ def test_integer_features_rejected(dtype):
     with pytest.raises(TypeError, match="floating point"):
         mlp.forward_batch(params, features)
     with pytest.raises(TypeError, match="floating point"):
-        mlp.loss_and_grad(params, features, labels)
+        mlp.gradient(params, features, labels, 0.0)
     with pytest.raises(TypeError, match="floating point"):
-        mlp.full_gradient_train(params, features, labels, 1, 0.1, 0.0, (0, 0, 0))
+        mlp.full_gradient_train(params, features, labels, 1, 0.1, 0.0)
 
 
 def test_sigmoid_is_bit_identical_to_two_branch_form():
@@ -146,8 +146,7 @@ def test_zero_params_loss_is_log_class_count():
     rng = spawn_rng(4)
     features = rng.uniform(0, 1, (6, 3))
     labels = rng.integers(0, 4, 6)
-    value, _ = mlp.loss_and_grad(params, features, labels, 0.0)
-    assert value == pytest.approx(math.log(4), abs=1e-12)
+    assert mlp.loss(params, features, labels, 0.0) == pytest.approx(math.log(4), abs=1e-12)
 
 
 def test_single_sample_loss_is_neg_log_prob():
@@ -161,14 +160,14 @@ def test_single_sample_loss_is_neg_log_prob():
 def test_label_out_of_range_rejected():
     params = mlp.init_params((3, 2), seed=0)
     with pytest.raises(ValueError):
-        mlp.loss_and_grad(params, np.zeros((1, 3)), np.array([2]))
+        mlp.gradient(params, np.zeros((1, 3)), np.array([2]), 0.0)
 
 
 @pytest.mark.parametrize("shape", [(4, 3, 2), (6, 5, 4, 3)])
 def test_gradient_matches_finite_differences(shape):
     params = mlp.init_params(shape, seed=11)
     features, labels = random_batch(params, 5, seed=12)
-    _, analytic = mlp.loss_and_grad(params, features, labels, 0.05)
+    analytic = mlp.gradient(params, features, labels, 0.05)
     numeric = numeric_gradient(params, features, labels, 0.05)
     assert max_relative_error(analytic, numeric) < 1e-5
 
@@ -177,7 +176,7 @@ def test_per_sample_grads_average_to_batch_gradient():
     params = mlp.init_params((5, 4, 3), seed=13)
     features, labels = random_batch(params, 7, seed=14)
     per = per_sample_grads(params, features, labels, 0.01)
-    _, batch = mlp.loss_and_grad(params, features, labels, 0.01)
+    batch = mlp.gradient(params, features, labels, 0.01)
     for l in range(params.n_layers):
         assert np.allclose(per[l][0].mean(axis=0), batch.weights[l], atol=1e-13)
         assert np.allclose(per[l][1].mean(axis=0), batch.biases[l], atol=1e-13)
@@ -189,9 +188,9 @@ def test_full_gradient_single_step_decreases_loss():
     params = mlp.init_params((4, 3, 2), seed=15)
     features, _ = random_batch(params, 12, seed=16)
     labels = np.zeros(12, dtype=np.int64)
-    _, losses, _ = mlp.full_gradient_train(params, features, labels, 1, 0.2, 0.001, (1, 0, 0))
-    assert len(losses) == 2
-    assert losses[1] <= losses[0]
+    before = mlp.loss(params, features, labels, 0.001)
+    _, after, _ = mlp.full_gradient_train(params, features, labels, 1, 0.2, 0.001)
+    assert after <= before
 
 
 def test_check_step_refuses_a_bad_step_size_or_decay():
@@ -209,13 +208,15 @@ def test_full_gradient_divergence_is_refused_at_its_step():
     features, labels = random_batch(params, 30, seed=18)
     with pytest.raises(RuntimeError, match="full-gradient descent produced non-finite "
                                            "parameters at iteration 1$"):
-        mlp.full_gradient_train(params, features, labels, 5, 1e300, 1e300, tracked=(1, 0, 0))
+        mlp.full_gradient_train(params, features, labels, 5, 1e300, 1e300)
 
 
 def test_full_gradient_loss_nonincreasing_small_step():
     params = mlp.init_params((6, 5, 3), seed=17)
     features, labels = random_batch(params, 30, seed=18)
-    _, losses, _ = mlp.full_gradient_train(params, features, labels, 5, 0.01, 0.001, (0, 0, 0))
+    # five one-step descents of the same parameters are one five-step descent
+    losses = [mlp.loss(params, features, labels, 0.001)] + [
+        mlp.full_gradient_train(params, features, labels, 1, 0.01, 0.001)[1] for _ in range(5)]
     assert all(b <= a for a, b in zip(losses, losses[1:]))
     assert all(np.isfinite(losses))
 
@@ -225,60 +226,44 @@ def test_full_gradient_loss_nonincreasing_small_step():
 def _params_per_step(params, features, labels, steps, step_size, weight_decay):
     """The parameters in force at each of `steps` full-batch steps."""
     return [params] + [mlp.full_gradient_train(copy_params(params), features, labels, t, step_size,
-                                               weight_decay, (0, 0, 0))[0]
+                                               weight_decay)[0]
                        for t in range(1, steps)]
 
 
-@pytest.mark.parametrize("tracked", [(1, 2, 3), (2, 1, 2)])
-def test_tracked_column_equals_per_sample_oracle_at_every_step(tracked):
+def test_tracked_column_equals_per_sample_oracle_at_every_step():
+    # the tracked weight is entry (0, 0) of the last layer's weights
     params = mlp.init_params((6, 5, 4, 3), seed=19)
     features, labels = random_batch(params, 9, seed=20)
-    _, _, matrix = mlp.full_gradient_train(copy_params(params), features, labels, 4, 0.3, 0.01,
-                                           tracked=tracked)
-    layer, out_idx, in_idx = tracked
+    _, _, matrix = mlp.full_gradient_train(copy_params(params), features, labels, 4, 0.3, 0.01)
     steps = _params_per_step(params, features, labels, 4, 0.3, 0.01)
     assert matrix.shape == (9, 4)
     for wa, wb in zip(steps[-1].weights, params.weights):
         assert not np.array_equal(wa, wb)  # the descent moved
     for t, prm in enumerate(steps):
-        expected = per_sample_grads(prm, features, labels, 0.01)[layer][0][:, in_idx, out_idx]
+        expected = per_sample_grads(prm, features, labels, 0.01)[-1][0][:, 0, 0]
         assert np.allclose(matrix[:, t], expected, rtol=1e-12, atol=1e-15)
     # column 0 is taken at the initial parameters
-    start = per_sample_grads(params, features, labels, 0.01)[layer][0][:, in_idx, out_idx]
+    start = per_sample_grads(params, features, labels, 0.01)[-1][0][:, 0, 0]
     assert np.allclose(matrix[:, 0], start, rtol=1e-12, atol=1e-15)
 
 
 def test_single_sample_matrix_equals_batch_gradient():
     params = mlp.init_params((4, 3, 2), seed=21)
     features, labels = random_batch(params, 1, seed=22)
-    _, _, matrix = mlp.full_gradient_train(copy_params(params), features, labels, 4, 0.1, 0.001,
-                                           tracked=(1, 0, 0))
+    _, _, matrix = mlp.full_gradient_train(copy_params(params), features, labels, 4, 0.1, 0.001)
     assert matrix.shape == (1, 4)
     for t, prm in enumerate(_params_per_step(params, features, labels, 4, 0.1, 0.001)):
-        _, grad = mlp.loss_and_grad(prm, features, labels, 0.001)
+        grad = mlp.gradient(prm, features, labels, 0.001)
         assert matrix[0, t] == pytest.approx(grad.weights[1][0, 0], abs=1e-12)
 
 
 def test_column_means_equal_full_batch_gradient():
     params = mlp.init_params((6, 5, 4, 3), seed=23)
     features, labels = random_batch(params, 40, seed=24)
-    tracked = (2, 1, 3)
-    _, _, matrix = mlp.full_gradient_train(copy_params(params), features, labels, 5, 0.1, 0.002,
-                                           tracked=tracked)
+    _, _, matrix = mlp.full_gradient_train(copy_params(params), features, labels, 5, 0.1, 0.002)
     for t, prm in enumerate(_params_per_step(params, features, labels, 5, 0.1, 0.002)):
-        _, grad = mlp.loss_and_grad(prm, features, labels, 0.002)
-        assert matrix[:, t].mean() == pytest.approx(grad.weights[2][3, 1], abs=1e-10)
-
-
-def test_tracked_indices_validated():
-    params = mlp.init_params((4, 3, 2), seed=25)
-    features, labels = random_batch(params, 2, seed=26)
-    with pytest.raises(ValueError):
-        mlp.full_gradient_train(params, features, labels, 1, 0.1, 0.0, tracked=(1, 5, 0))
-    with pytest.raises(ValueError):
-        mlp.full_gradient_train(params, features, labels, 1, 0.1, 0.0, tracked=(7, 0, 0))
-    with pytest.raises(ValueError, match="tracked layer -1"):  # no wrap-around
-        mlp.full_gradient_train(params, features, labels, 1, 0.1, 0.0, tracked=(-1, 0, 0))
+        grad = mlp.gradient(prm, features, labels, 0.002)
+        assert matrix[:, t].mean() == pytest.approx(grad.weights[2][0, 0], abs=1e-10)
 
 
 def test_desk_scale_matrix_under_time_budget():
@@ -287,8 +272,7 @@ def test_desk_scale_matrix_under_time_budget():
     features = rng.uniform(0, 1, (2000, 784))
     labels = rng.integers(0, 10, 2000)
     start = time.perf_counter()
-    _, _, matrix = mlp.full_gradient_train(params, features, labels, 10, 0.2, 0.001,
-                                           tracked=(3, 0, 0))
+    _, _, matrix = mlp.full_gradient_train(params, features, labels, 10, 0.2, 0.001)
     elapsed = time.perf_counter() - start
     assert matrix.shape == (2000, 10)
     assert elapsed < 60.0
@@ -338,10 +322,10 @@ def test_streamed_accuracy_and_probabilities_match_unstreamed_pass(small_blocks,
 def test_streamed_loss_and_gradient_match_unstreamed_pass(small_blocks, n):
     params = mlp.init_params((6, 5, 4, 3), seed=52)
     features, labels = random_batch(params, n, seed=53)
-    value, grad = mlp.loss_and_grad(params, features, labels, 0.01)
-    want_value, want_grad, _, _ = unstreamed_loss_grad(params, features, labels, 0.01)
-    _assert_streamed_equal([value, *grad.weights, *grad.biases],
-                           [want_value, *want_grad.weights, *want_grad.biases], n)
+    grad = mlp.gradient(params, features, labels, 0.01)
+    want_grad = unstreamed_gradient(params, features, labels, 0.01)[0]
+    _assert_streamed_equal([*grad.weights, *grad.biases],
+                           [*want_grad.weights, *want_grad.biases], n)
     _assert_streamed_equal([mlp.loss(params, features, labels, 0.01)],
                            [unstreamed_loss(params, features, labels, 0.01)], n)
 
@@ -350,12 +334,12 @@ def test_streamed_loss_and_gradient_match_unstreamed_pass(small_blocks, n):
 def test_streamed_descent_and_tracked_column_match_unstreamed_pass(small_blocks, n):
     params = mlp.init_params((6, 5, 4, 3), seed=54)
     features, labels = random_batch(params, n, seed=55)
-    got, losses, matrix = mlp.full_gradient_train(copy_params(params), features, labels, 3, 0.3, 0.01,
-                                                  tracked=(1, 2, 3))
-    want, want_losses, want_matrix = unstreamed_full_gradient_train(
-        params, features, labels, 3, 0.3, 0.01, (1, 2, 3))
-    _assert_streamed_equal([*got.weights, *got.biases, losses, matrix],
-                           [*want.weights, *want.biases, want_losses, want_matrix], n)
+    got, final_loss, matrix = mlp.full_gradient_train(copy_params(params), features, labels, 3,
+                                                      0.3, 0.01)
+    want, want_loss, want_matrix = unstreamed_full_gradient_train(
+        params, features, labels, 3, 0.3, 0.01)
+    _assert_streamed_equal([*got.weights, *got.biases, final_loss, matrix],
+                           [*want.weights, *want.biases, want_loss, want_matrix], n)
 
 
 def test_whole_batch_passes_never_see_more_than_a_block(small_blocks, monkeypatch):
@@ -373,6 +357,6 @@ def test_whole_batch_passes_never_see_more_than_a_block(small_blocks, monkeypatc
     trainer.accuracy(params, data)
     assert seen == [SMALL_BLOCK, SMALL_BLOCK, 3]
     seen.clear()
-    mlp.full_gradient_train(params, features, data.labels, 2, 0.1, 0.01, tracked=(0, 1, 2))
+    mlp.full_gradient_train(params, features, data.labels, 2, 0.1, 0.01)
     assert max(seen) == SMALL_BLOCK
     assert sum(seen) == 3 * n  # two descent steps and the final loss

@@ -209,8 +209,7 @@ def test_mssg_zero_variance_classes_follow_exact_class_gradient():
         direction_w = [np.zeros_like(w) for w in manual.weights]
         direction_b = [np.zeros_like(b) for b in manual.biases]
         for c in range(3):
-            _, grad = mlp.loss_and_grad(manual, protos[[c]], np.array([c]),
-                                        config.weight_decay)
+            grad = mlp.gradient(manual, protos[[c]], np.array([c]), config.weight_decay)
             for l in range(manual.n_layers):
                 direction_w[l] += class_w[c] * grad.weights[l]
                 direction_b[l] += class_w[c] * grad.biases[l]
@@ -527,11 +526,13 @@ def test_mssg_peak_memory_is_one_state_array_plus_small_change():
 
 
 def test_mssg_at_full_shape_peaks_below_its_state_plus_one_block():
-    # Traced from before the parameters exist: the memory array, both pilots'
-    # A and D factors with D * D, the weight snapshot and the one parameter
-    # set it trains in place, then the larger of two transients that never
-    # meet: a scoring block, or the pass's activations and deltas (2.2 MiB)
-    # with one blend block's temporaries (a dozen arrays of C x BLOCK_ENTRIES).
+    # Traced from before the parameters exist: the memory array, the weight
+    # snapshot, the one parameter set it trains in place and the previous
+    # pass's activations and deltas (2.2 MiB), whose pilot rows are the
+    # previous pilot's A and D, with that pilot's D * D, then the larger of
+    # two transients that never meet: a scoring block, or this pass and its
+    # D * D with one blend block's temporaries (a dozen arrays of
+    # C x BLOCK_ENTRIES).
     per_class, pilot = 110, 8
     n_classes = FULL_SHAPE[-1]
     rng = spawn_rng(82)
@@ -550,13 +551,13 @@ def test_mssg_at_full_shape_peaks_below_its_state_plus_one_block():
     param_bytes = 8 * sum(a * b + b for a, b in zip(FULL_SHAPE, FULL_SHAPE[1:]))
     weight_bytes = param_bytes - 8 * fan_out
     pass_bytes = 8 * n_classes * (pilot + 1) * (fan_in + fan_out)
-    bound = (n_classes * param_bytes                    # memory
-             + 8 * 2 * 2 * n_classes * pilot * fan_out  # D, D * D
-             + 8 * 2 * n_classes * fan_in * pilot       # A
-             + weight_bytes                             # snapshot
-             + param_bytes                              # the parameters
+    dd_bytes = 8 * n_classes * pilot * fan_out
+    bound = (n_classes * param_bytes   # memory
+             + weight_bytes            # snapshot
+             + param_bytes             # the parameters
+             + pass_bytes + dd_bytes   # the previous pass and its D * D
              + max(scoring_block_bytes(),
-                   pass_bytes + 8 * 12 * n_classes * trainer.BLOCK_ENTRIES))
+                   pass_bytes + dd_bytes + 8 * 12 * n_classes * trainer.BLOCK_ENTRIES))
     assert peak < bound + TRACE_SLACK
 
 
@@ -567,7 +568,7 @@ def test_batch_equal_to_full_gradient_when_batch_is_everything():
     params = mlp.init_params((6, 4, 3), seed=24)
     config = small_config(iterations=4, batch_size=data.n_samples, step_size=0.2)
     via_full, _, _ = mlp.full_gradient_train(copy_params(params), data.features(), data.labels, 4,
-                                             0.2, config.weight_decay, (0, 0, 0))
+                                             0.2, config.weight_decay)
     for kind in (BaselineKind.BATCH, BaselineKind.FULL):
         trained, _ = baseline_train(copy_params(params), data, config, kind, data)
         for got, want in zip(trained.weights + trained.biases,
@@ -600,7 +601,7 @@ def test_sgd_on_single_sample_is_deterministic_descent():
     config = small_config(iterations=6, step_size=0.5, batch_size=1)
     trained, _ = baseline_train(copy_params(params), data, config, BaselineKind.SGD, data)
     full, _, _ = mlp.full_gradient_train(copy_params(params), data.features(), labels, 6, 0.5,
-                                         config.weight_decay, (0, 0, 0))
+                                         config.weight_decay)
     for wa, wb in zip(trained.weights, full.weights):
         assert np.array_equal(wa, wb)
 
@@ -609,7 +610,7 @@ def test_stratified_direction_is_unbiased():
     data = blob_dataset(15, seed=28)
     params = mlp.init_params((6, 4, 3), seed=29)
     wd = 0.001
-    _, full = mlp.loss_and_grad(params, data.features(), data.labels, wd)
+    full = mlp.gradient(params, data.features(), data.labels, wd)
     class_w = data.class_weights()
     rng = spawn_rng(30)
     reps = 10 ** 4
@@ -630,7 +631,7 @@ def test_stratified_direction_is_unbiased():
                                                 data)[0],
     lambda params, data, config: mlp.full_gradient_train(
         params, data.features(), data.labels, config.iterations, config.step_size,
-        config.weight_decay, (0, 0, 0))[0],
+        config.weight_decay)[0],
 ], ids=["mssg_train", "baseline_train", "full_gradient_train"])
 def test_trainers_train_the_params_they_are_given(train):
     data = blob_dataset(10, seed=43)

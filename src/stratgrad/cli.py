@@ -30,7 +30,7 @@ DESK_SHAPE = (784, 50, 50, 20, 10)
 FULL_SHAPE = (784, 500, 500, 200, 10)
 
 _POP_STREAM, _INIT_STREAM, _REP_STREAM, _TEST_STREAM, _TRAIN_STREAM = 1, 2, 3, 4, 5
-_TRACE_STREAM, _TUPLE_STREAM, _MC_STREAM = 7000, 31, 37
+_TUPLE_STREAM, _MC_STREAM = 31, 37
 _ALGORITHMS = ("mssg", *(k.value for k in trainer.BaselineKind))
 
 
@@ -119,11 +119,10 @@ def _phase_entries(names, marks) -> dict:
 def cmd_synthetic(args, run: _Run) -> None:
     family = Trend(args.family)
     marks = [time.perf_counter()]
-    rounds = generate_family(family, [(args.seed, s) for s in range(args.seeds)],
-                             n_per_round=args.n_per_round, n_rounds=args.rounds)
+    rngs = spawn_rngs([(args.seed, s) for s in range(args.seeds)])
+    rounds = generate_family(family, rngs, n_per_round=args.n_per_round, n_rounds=args.rounds)
     marks.append(time.perf_counter())
-    race = trace_estimators(rounds, [(args.seed, s, _TRACE_STREAM) for s in range(args.seeds)],
-                            per_stratum=args.per_stratum)
+    race = trace_estimators(rounds, rngs, per_stratum=args.per_stratum)
     marks.append(time.perf_counter())
 
     # (seeds, estimators, rounds), written seed by seed, estimator by estimator
@@ -160,10 +159,18 @@ def _family_schedule_note(family: Trend, n_rounds: int) -> str:
     return f"{kind}={pairs}"
 
 
+def _numbers(what: str, text: str) -> list[float]:
+    """The comma-separated numbers of `text`; refuses, naming `what`, an entry that is not one."""
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{what} {text!r} is not a comma-separated list of numbers") from None
+
+
 def _parse_stats_spec(spec: str):
     strata = []
     for part in spec.split(";"):
-        fields = [float(x) for x in part.split(",")]
+        fields = _numbers("--stats stratum", part)
         if len(fields) not in (4, 5):
             raise ValueError(
                 f"stats spec needs 'mean_prev,var_prev,mean_curr,var_curr[,weight]', got {part!r}")
@@ -290,10 +297,9 @@ def cmd_gradmatrix(args, run: _Run) -> None:
     })
     marks.append(time.perf_counter())
 
-    rounds = _matrix_rounds(matrix, train.class_index)
+    rngs = spawn_rngs([(args.seed, _REP_STREAM, r) for r in range(args.reps)])
     # every replication races the one matrix, as a broadcast view
-    race = trace_estimators(rounds, [(args.seed, _REP_STREAM, r) for r in range(args.reps)],
-                            per_stratum=1)
+    race = trace_estimators(_matrix_rounds(matrix, train.class_index), rngs)
     write_csv(run.path("deviation_summary.csv"), summarize_traces(race.sq_dev))
     for e, name in enumerate(ESTIMATOR_NAMES):
         write_svg_lineplot(
@@ -361,9 +367,9 @@ def cmd_train(args, run: _Run) -> None:
 
 def cmd_gridsearch(args, run: _Run) -> None:
     budget = args.budget_iterations
+    alphas, lambdas = _numbers("--alphas", args.alphas), _numbers("--lambdas", args.lambdas)
     configs = [_make_config(args, h, lam, budget, budget)  # refused before the split is read
-               for h in map(float, args.alphas.split(","))
-               for lam in map(float, args.lambdas.split(","))]
+               for h in alphas for lam in lambdas]
     if len({(c.step_size, c.weight_decay) for c in configs}) < len(configs):
         raise ValueError(f"--alphas {args.alphas} or --lambdas {args.lambdas} repeats a value")
     train, test, shape = _load_split_pair(args)

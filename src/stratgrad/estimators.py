@@ -23,12 +23,11 @@ caller: the trainer, the race and the variance oracle.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .population import PopulationRound, sample_strata
-from .rng import spawn_rngs
 
 
 def _statistics(mean_prev, var_prev, mean_curr, var_curr):
@@ -202,32 +201,28 @@ class Race(NamedTuple):
     fallbacks: int
 
 
-def trace_estimators(rounds: PopulationRound, seeds, per_stratum: int = 1) -> Race:
+def trace_estimators(rounds: PopulationRound, rngs: Sequence[np.random.Generator],
+                     per_stratum: int = 1) -> Race:
     """Run all four estimators on R replications of a population stack and trace their errors.
 
-    Replication r races on ``rounds.values[r]`` with the streams of
-    ``seeds[r]``; a stack of one replication is raced by every seed, as a
-    broadcast view. Sampling budgets per round: gmst and gst take
+    Replication r races on ``rounds.values[r]`` with the generator
+    ``rngs[r]``; a stack of one replication is raced by every generator, as
+    a broadcast view. Sampling budgets per round: gmst and gst take
     `per_stratum` draws per stratum (without replacement), batch spends the
     same ``per_stratum * n_strata`` on pooled draws with replacement, and sgd
     takes one. gmst spends round 1 on initialization, where its estimate is
     the gst estimate of its own draws; every estimator reports one estimate
     per round. Mixing pairs use the exact per-round stats.
 
-    Each estimator of a replication gets its own decoupled stream, so
-    adding or removing one never perturbs the others; each stream is drawn
-    for all rounds at once, in round order, so the draws equal a
-    round-by-round loop's.
+    The estimators read each replication's generator in turn, each over
+    every round in round order: gmst, then gst, then batch, then sgd.
     """
-    n_reps = len(seeds)
+    n_reps = len(rngs)
     if not n_reps or rounds.n_reps not in (1, n_reps):
-        raise ValueError(f"need one seed per replication, got {n_reps} seeds for "
+        raise ValueError(f"need one generator per replication, got {n_reps} generators for "
                          f"{rounds.n_reps} replications")
-    n_est = len(ESTIMATOR_NAMES)
-    streams = spawn_rngs([(seed, idx) for seed in seeds for idx in range(n_est)])
-    gmst_rngs, gst_rngs, batch_rngs, sgd_rngs = (streams[e::n_est] for e in range(n_est))
-    gmst_means = sample_strata(rounds, per_stratum, gmst_rngs).mean(axis=3)
-    gst_means = sample_strata(rounds, per_stratum, gst_rngs).mean(axis=3)
+    gmst_means = sample_strata(rounds, per_stratum, rngs).mean(axis=3)
+    gst_means = sample_strata(rounds, per_stratum, rngs).mean(axis=3)
     values, means, variances, truth = (
         np.broadcast_to(a, (n_reps, *a.shape[1:]))
         for a in (rounds.values, rounds.means, rounds.variances, rounds.truth))
@@ -235,10 +230,10 @@ def trace_estimators(rounds: PopulationRound, seeds, per_stratum: int = 1) -> Ra
     # per_stratum >= 1 here, as sample_strata checks it first. integers(0, N,
     # size) reads the stream as choice(pooled, size, replace=True)
     batch = np.array([rng.integers(0, n_values, size=(n_rounds, per_stratum * rounds.n_strata))
-                      for rng in batch_rngs])
-    sgd = np.array([rng.integers(n_values, size=n_rounds) for rng in sgd_rngs])
+                      for rng in rngs])
+    sgd = np.array([rng.integers(n_values, size=n_rounds) for rng in rngs])
     reps, rows = np.arange(n_reps)[:, None], np.arange(n_rounds)
-    estimates = np.empty((n_reps, n_est, n_rounds))
+    estimates = np.empty((n_reps, len(ESTIMATOR_NAMES), n_rounds))
     estimates[:, 2] = values[reps[..., None], rows[:, None], batch].mean(axis=2)
     estimates[:, 3] = values[reps, rows, sgd]
 

@@ -8,7 +8,7 @@ up or down) between consecutive sampling rounds. `PopulationRound` stacks R
 replications of such a sequence, which the estimators race together
 (`estimators.trace_estimators`). `trend_schedules` holds the per-round
 parameters of the two uniform families and the four normal trends;
-`generate_family` draws `normal-random`'s from each replication's stream.
+`generate_family` draws `normal-random`'s from each replication's generator.
 
 All statistics use the finite-population convention: a stratum's mean and
 variance are exact properties of its values (variance divides by n).
@@ -21,8 +21,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-
-from .rng import spawn_rng
 
 # One interval per round for the two uniform drift families; midpoints move
 # from 10 down to 1.5 (and the reverse for the increasing family).
@@ -178,9 +176,9 @@ def trend_schedules(family: Trend, n_rounds: int = DEFAULT_N_ROUNDS) -> list[tup
     raise ValueError(f"{family} has no deterministic schedule")
 
 
-def generate_family(family: Trend, seeds: Sequence, n_per_round: int = 40,
+def generate_family(family: Trend, rngs: Sequence[np.random.Generator], n_per_round: int = 40,
                     n_rounds: int = DEFAULT_N_ROUNDS) -> PopulationRound:
-    """Build R = len(seeds) replications of any of the seven families in one stack.
+    """Build R = len(rngs) replications of any of the seven families in one stack.
 
     The uniform families draw round k from U(lo_k, hi_k), the normal
     families from N(mu_k, sigma_k). The random family draws both parameters
@@ -188,24 +186,21 @@ def generate_family(family: Trend, seeds: Sequence, n_per_round: int = 40,
     family follows `trend_schedules`. Every round has N_STRATA equal strata
     of n_per_round / N_STRATA fresh draws.
 
-    Replication r draws from the one stream of ``seeds[r]``: the random
-    family's (mu, sigma) pairs first, mu then sigma round by round, then its
-    whole (K, N) block of values in one call, round by round.
+    Replication r draws from ``rngs[r]``: the random family's (mu, sigma)
+    pairs first, mu then sigma round by round, then its whole (K, N) block
+    of values in one call, round by round.
     """
     if n_rounds < 1:
         raise ValueError(f"need at least one round, got {n_rounds}")
     if n_per_round <= 0 or n_per_round % N_STRATA != 0:
         raise ValueError(f"n_per_round={n_per_round} must be a positive multiple of "
                          f"{N_STRATA} strata")
-    if not len(seeds):
-        raise ValueError("need at least one seed")
-    draw = np.random.Generator.uniform if family in UNIFORM_TRENDS else np.random.Generator.normal
     if family is not Trend.NORMAL_RANDOM:
         params = np.array(trend_schedules(family, n_rounds))  # (a, b) of each round
-    values = np.empty((len(seeds), n_rounds, n_per_round))
-    for replication, seed in zip(values, seeds):
-        rng = spawn_rng(seed)
+    values = np.empty((len(rngs), n_rounds, n_per_round))
+    for replication, rng in zip(values, rngs):
         if family is Trend.NORMAL_RANDOM:
             params = rng.uniform(*RANDOM_PARAM_RANGE, (n_rounds, 2))
-        replication[...] = draw(rng, params[:, :1], params[:, 1:], replication.shape)
+        draw = rng.uniform if family in UNIFORM_TRENDS else rng.normal
+        replication[...] = draw(params[:, :1], params[:, 1:], replication.shape)
     return PopulationRound(values, np.full(N_STRATA, n_per_round // N_STRATA))

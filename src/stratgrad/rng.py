@@ -7,10 +7,10 @@ the key's flat entropy; numpy's stream policy freezes both the SeedSequence
 hash and PCG64 seeding.
 
 Streams are independent only for distinct keys, so `cli` alone picks the
-first path component of a run's keys and every consumer only extends the
-prefix it is handed. SeedSequence pads its four-word pool with zeros, so
-keys of up to four words that differ only by trailing zeros, such as (7, 3)
-and (7, 3, 0, 0), are one stream.
+first path component of a run's keys; every other module extends a prefix
+it is handed or reads generators it is handed. SeedSequence pads its pool
+with zeros, so keys of up to four words that differ only by trailing zeros,
+such as (7, 3) and (7, 3, 0, 0), are one stream.
 """
 
 from __future__ import annotations

@@ -9,8 +9,10 @@ blended-variance reference (`blended_variance_term`, summed over
 caller-chosen intervals or (mu, sigma) pairs, which
 `population.generate_family` fixes per family; they draw each stratum of
 each round from its own stream. `family_reference` is that generator as a
-per-seed, per-round loop over 1-D strata from one stream per seed, which
-the stacked `generate_family` must match bit for bit. The unstreamed
+per-replication, per-round loop over 1-D strata from one generator per
+replication, which the stacked `generate_family` must match bit for bit,
+and `trace_estimators_reference` is the estimator race as a per-round,
+per-stratum loop that reads the same kind of generators. The unstreamed
 whole-batch passes (`unstreamed_*`) hold every row's activations at once, as `mlp` did
 before it streamed row blocks, on their own forward pass
 (`reference_forward`: `a @ w + b` and the two-branch sigmoid, never
@@ -22,8 +24,9 @@ kernel and `trainer._blend_block` are checked against them bit for bit.
 `mssg_stored_state` is the mssg trainer that stores each class's previous
 pilot mean and variance instead of recomputing them, which
 `trainer.mssg_train` must match bit for bit.
-Every oracle draws from `numpy_stream`, numpy's own seeding, and
-`subsample_reference` is the desk subsample taken after indexing the whole
+Every oracle that seeds its own draws uses `numpy_stream`, numpy's own
+seeding; the population and race references read the generators they are
+handed. `subsample_reference` is the desk subsample taken after indexing the whole
 split. `scaled_features_reference` is the old whole-split conversion of
 pixels to features (a float64 copy, then an in-place division by 255),
 which `LabeledDataset.features` must match bit for bit. `copy_params` is
@@ -669,23 +672,22 @@ class PopulationReference(NamedTuple):
     truth: np.ndarray
 
 
-def family_reference(family: Trend, seeds, n_per_round: int = 40,
+def family_reference(family: Trend, rngs, n_per_round: int = 40,
                      n_rounds: int = 10) -> PopulationReference:
-    """`population.generate_family` as a per-seed, per-round loop over 1-D strata.
+    """`population.generate_family` as a per-replication, per-round loop over 1-D strata.
 
-    Each seed draws from one `numpy_stream(seed)`: the random family's
-    (mu, sigma) pairs first, one scalar `uniform` call at a time, then each
-    round's n_per_round values by one call per round. Every stratum is its
-    own 1-D array, whose stats are `np.mean` and `np.var`, and a round's
-    truth is the 1-D `np.dot` of the weights with its stratum means.
+    Replication r draws from ``rngs[r]``: the random family's (mu, sigma)
+    pairs first, one scalar `uniform` call at a time, then each round's
+    n_per_round values by one call per round. Every stratum is its own 1-D
+    array, whose stats are `np.mean` and `np.var`, and a round's truth is
+    the 1-D `np.dot` of the weights with its stratum means.
     """
     uniform = family in (Trend.UNIFORM_DEC, Trend.UNIFORM_INC)
-    draw = np.random.Generator.uniform if uniform else np.random.Generator.normal
     lo, hi = RANDOM_PARAM_RANGE
     weights = np.full(N_STRATA, 1.0 / N_STRATA)
     values, means, variances, truth = [], [], [], []
-    for seed in seeds:
-        rng = numpy_stream(seed)
+    for rng in rngs:
+        draw = rng.uniform if uniform else rng.normal
         if uniform:
             table = DECREASING_MEAN_INTERVALS if family is Trend.UNIFORM_DEC \
                 else DECREASING_MEAN_INTERVALS[::-1]
@@ -694,7 +696,7 @@ def family_reference(family: Trend, seeds, n_per_round: int = 40,
             params = [(rng.uniform(lo, hi), rng.uniform(lo, hi)) for _ in range(n_rounds)]
         else:
             params = trend_schedules(family, n_rounds)
-        rounds = np.array([draw(rng, a, b, n_per_round) for a, b in params])
+        rounds = np.array([draw(a, b, n_per_round) for a, b in params])
         blocks = [[b.copy() for b in np.split(row, N_STRATA)] for row in rounds]
         values.append(rounds)
         means.append([[float(np.mean(b)) for b in row] for row in blocks])
@@ -704,57 +706,54 @@ def family_reference(family: Trend, seeds, n_per_round: int = 40,
                                np.array(means), np.array(variances), np.array(truth))
 
 
-def trace_estimators_reference(rounds, seeds, per_stratum: int = 1,
+def trace_estimators_reference(rounds, rngs, per_stratum: int = 1,
                                batch_size: int = 4) -> Race:
     """The estimator race as a per-replication, per-round, per-stratum loop.
 
-    Replication r races on ``rounds.values[r]`` with the streams of
-    ``seeds[r]``, or on ``rounds.values[0]`` when the stack holds one
+    Replication r races on ``rounds.values[r]`` with the generator
+    ``rngs[r]``, or on ``rounds.values[0]`` when the stack holds one
     replication. Each round is split into one 1-D array per stratum. Their
     exact stats come from `np.mean`/`np.var` one stratum at a time, every
     draw is a `Generator.choice` call per stratum and round, and every
-    mixing pair comes from the scalar `optimal_coefficients`. A
-    replication's four streams are interleaved round by round, as
-    :func:`estimators.trace_estimators` did before it drew each stream for
-    all rounds at once and ran the rounds over all replications together.
+    mixing pair comes from the scalar `optimal_coefficients`. The four
+    estimators read a replication's generator one after another, each over
+    every round: gmst, gst, batch, sgd.
     """
     estimates, sq_dev, truth = [], [], []
     fallbacks = 0
-    stack = rounds.values if len(rounds.values) > 1 else [rounds.values[0]] * len(seeds)
-    for replication, seed in zip(stack, seeds):
-        rngs = [numpy_stream(seed, idx) for idx in range(len(ESTIMATOR_NAMES))]
-        sizes = np.array([int(n) for n in rounds.sizes], dtype=np.float64)
-        weights = sizes / sizes.sum()
-        cuts = np.cumsum([int(n) for n in rounds.sizes])[:-1]
+    stack = rounds.values if len(rounds.values) > 1 else [rounds.values[0]] * len(rngs)
+    sizes = np.array([int(n) for n in rounds.sizes], dtype=np.float64)
+    weights = sizes / sizes.sum()
+    cuts = np.cumsum([int(n) for n in rounds.sizes])[:-1]
+    for replication, rng in zip(stack, rngs):
+        blocks = [[b.copy() for b in np.split(values, cuts)] for values in replication]
+        stats = [[(float(np.mean(b)), float(np.var(b))) for b in strata] for strata in blocks]
+        truths = [float(np.dot(weights, np.array([np.mean(b) for b in strata])))
+                  for strata in blocks]
+
+        def sample_means(strata):
+            return np.array([rng.choice(b, size=per_stratum, replace=False).mean()
+                             for b in strata])
+
         rows = {name: [] for name in ESTIMATOR_NAMES}
-        truths = []
-        memory = prev = None
-        for values in replication:
-            blocks = [b.copy() for b in np.split(values, cuts)]
-            stats = [(float(np.mean(b)), float(np.var(b))) for b in blocks]
-            pooled = np.concatenate(blocks)
-
-            def sample_means(rng):
-                return np.array([rng.choice(b, size=per_stratum, replace=False).mean()
-                                 for b in blocks])
-
-            fresh = sample_means(rngs[0])
+        memory = None
+        for k, strata in enumerate(blocks):
+            fresh = sample_means(strata)
             if memory is None:
                 memory = fresh
             else:
-                blended = np.empty(len(blocks))
-                for j, ((mp, vp), (mc, vc)) in enumerate(zip(prev, stats)):
+                blended = np.empty(len(strata))
+                for j, ((mp, vp), (mc, vc)) in enumerate(zip(stats[k - 1], stats[k])):
                     c = optimal_coefficients(mp, vp, mc, vc)
                     fallbacks += c.is_fallback
                     blended[j] = c.p * memory[j] + c.q * fresh[j]
                 memory = blended
-            prev = stats
             rows["gmst"].append(float(np.dot(weights, memory)))
-            rows["gst"].append(float(np.dot(weights, sample_means(rngs[1]))))
-            rows["batch"].append(
-                float(rngs[2].choice(pooled, size=batch_size, replace=True).mean()))
-            rows["sgd"].append(float(pooled[rngs[3].integers(pooled.size)]))
-            truths.append(float(np.dot(weights, np.array([np.mean(b) for b in blocks]))))
+        rows["gst"] = [float(np.dot(weights, sample_means(strata))) for strata in blocks]
+        pooled = [np.concatenate(strata) for strata in blocks]
+        rows["batch"] = [float(rng.choice(p, size=batch_size, replace=True).mean())
+                         for p in pooled]
+        rows["sgd"] = [float(p[rng.integers(p.size)]) for p in pooled]
         estimates.append([rows[name] for name in ESTIMATOR_NAMES])
         sq_dev.append([[(e - t) * (e - t) for e, t in zip(rows[name], truths)]
                        for name in ESTIMATOR_NAMES])

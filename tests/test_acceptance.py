@@ -28,7 +28,7 @@ from stratgrad.population import (
     Trend,
     generate_family,
 )
-from stratgrad.rng import spawn_rng
+from stratgrad.rng import spawn_rng, spawn_rngs
 from stratgrad.trainer import TrainConfig, accuracy, mssg_train
 
 from oracles import (Coefficients, max_relative_error, numeric_gradient, read_csv_columns,
@@ -167,8 +167,8 @@ def test_criterion_7_synthetic_ordering():
     lowest_mean = []
     lowest_std = []
     for family in Trend:
-        race = trace_estimators(generate_family(family, [(1007, s) for s in range(n_seeds)]),
-                                [(1077, s) for s in range(n_seeds)])
+        rounds = generate_family(family, spawn_rngs([(1007, s) for s in range(n_seeds)]))
+        race = trace_estimators(rounds, spawn_rngs([(1077, s) for s in range(n_seeds)]))
         summary = summarize_traces(race.sq_dev)
         means = dict(zip(summary["estimator"], summary["mean_sq_dev"]))
         stds = dict(zip(summary["estimator"], summary["std_sq_dev"]))

@@ -12,14 +12,14 @@ import pytest
 
 import stratgrad
 from stratgrad import cli, rng
-from stratgrad.cli import _TRACE_STREAM, build_parser, main
+from stratgrad.cli import build_parser, main
 from stratgrad.dataio import MNIST_FILES, read_mnist_split, to_dataset
 from stratgrad.estimators import ESTIMATOR_NAMES
 from stratgrad.population import (RANDOM_PARAM_RANGE, UNIFORM_TRENDS, Trend,
                                  generate_family, trend_schedules)
 
-from idxtools import pack_idx_images, pack_idx_labels, synthetic_digits
-from oracles import (StratumStats, blended_variance_term, family_reference,
+from idxtools import pack_idx_images, pack_idx_labels, synthetic_digits, write_mnist_style_dir
+from oracles import (StratumStats, blended_variance_term, family_reference, numpy_stream,
                      optimal_coefficients, predicted_variance_vsp, read_csv_columns,
                      subsample_reference, trace_estimators_reference, write_csv_reference)
 
@@ -241,10 +241,11 @@ def test_synthetic_csv_bytes_equal_per_round_reference(tmp_path, family, flags):
             "sq_dev": []}
     pooled = {name: [] for name in ESTIMATOR_NAMES}
     per_stratum = opts.get("--per-stratum", 1)
+    # replication s draws its population, then its race, from the stream (master, s)
+    rngs = [numpy_stream(master, s) for s in range(seeds)]
     race = trace_estimators_reference(  # batch spends per_stratum draws on each of 4 strata
-        family_reference(family, [(master, s) for s in range(seeds)],
-                         n_per_round=opts.get("--n-per-round", 40)),
-        [(master, s, _TRACE_STREAM) for s in range(seeds)], per_stratum, 4 * per_stratum)
+        family_reference(family, rngs, n_per_round=opts.get("--n-per-round", 40)),
+        rngs, per_stratum, 4 * per_stratum)
     for s in range(seeds):
         for e, name in enumerate(ESTIMATOR_NAMES):
             for k in range(race.truth.shape[1]):
@@ -440,6 +441,17 @@ def test_variance_oracle_refuses_random_mode_flags_with_stats(tmp_path, capsys, 
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("stats, part", [("1,1,1,1;", ""), ("1,1,1,1;2,x,1,1", "2,x,1,1"),
+                                         ("1,,1,1", "1,,1,1")])
+def test_variance_oracle_names_a_stats_entry_that_is_not_a_number(tmp_path, capsys, stats, part):
+    out = tmp_path / "vo"
+    assert run_cli("variance-oracle", "--stats", stats, "--replications", 10_000,
+                   "--out-dir", out) == 1
+    assert f"--stats stratum {part!r} is not a comma-separated list of numbers" in \
+        capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_variance_oracle_records_the_random_mode_defaults(tmp_path):
     out = tmp_path / "vo"
     assert run_cli("variance-oracle", "--replications", 10_000, "--out-dir", out) == 0
@@ -572,6 +584,21 @@ def test_a_split_with_no_items_is_refused_by_name_before_any_descent(
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("split, flags, refusal", [
+    ("train", ("--per-class", 25, "--test-per-class", 5), "class 0 has 20 samples, the "
+                                                           "subsample needs 25"),
+    ("test", ("--per-class", 5), "class 0 has 5 samples, the subsample needs 50")])
+def test_a_desk_subsample_larger_than_a_class_is_refused_by_split_and_directory(
+        tmp_path, capsys, split, flags, refusal):
+    # 20 train and 5 test rows a class; an unset --test-per-class asks for 50
+    data = write_mnist_style_dir(tmp_path / "data", 20, 5)
+    out = tmp_path / "run"
+    assert run_cli("train", "--algorithm", "gst", "--desk", *flags, "--data-dir", data,
+                   "--out-dir", out) == 1
+    assert f"the {split} split under {data}: {refusal}" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_gradmatrix_requires_data(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("MNIST_DIR", raising=False)
     assert run_cli("gradmatrix", "--desk", "--out-dir", tmp_path / "gm") == 1
@@ -661,7 +688,9 @@ def test_gradmatrix_refuses_bad_descent_flags_before_any_read(tmp_path, capsys, 
     ("0.5", "0,-0.5", "weight_decay must be non-negative and finite, got -0.5"),
     ("2,2", "0,0.0", "--alphas 2,2 or --lambdas 0,0.0 repeats a value"),
     ("2", "0,0.0", "--alphas 2 or --lambdas 0,0.0 repeats a value"),
-    ("0.5,1,5e-1", "0.01", "--alphas 0.5,1,5e-1 or --lambdas 0.01 repeats a value")])
+    ("0.5,1,5e-1", "0.01", "--alphas 0.5,1,5e-1 or --lambdas 0.01 repeats a value"),
+    ("0.1,", "0", "--alphas '0.1,' is not a comma-separated list of numbers"),
+    ("0.5", "x", "--lambdas 'x' is not a comma-separated list of numbers")])
 def test_gridsearch_refuses_a_bad_grid_value_before_any_cell_trains(
         tmp_path, fixture_data_dir, capsys, monkeypatch, alphas, lambdas, message):
     monkeypatch.setattr(cli, "_run_algorithm", lambda *_: pytest.fail("a cell trained"))
@@ -969,7 +998,7 @@ STREAM_RUNS = {
     "gradmatrix-desk": ("gradmatrix", "--desk"),
     **{f"synthetic-{family}": ("synthetic", "--family", family, "--seeds", 250)
        for family in ("uniform-dec", "normal-random")},
-    # more rounds than the race's stream tag, _TRACE_STREAM
+    # more rounds than any stream tag, which a round index in a stream key would reach
     "synthetic-rounds-7001": ("synthetic", "--family", "normal-mean-inc", "--seeds", 2,
                               "--rounds", 7001),
     "variance-oracle-random-tuples": ("variance-oracle", "--random-tuples", 10, "--strata", 4,

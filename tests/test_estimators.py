@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import stratgrad
 from stratgrad.cli import _matrix_rounds
 from stratgrad.estimators import (
     ESTIMATOR_NAMES,
@@ -29,6 +34,7 @@ from oracles import (
     Degenerate,
     blended_variance_term,
     coefficients_elementwise_reference,
+    numpy_stream,
     optimal_coefficients,
     stratified_variance,
     trace_estimators_reference,
@@ -309,14 +315,15 @@ def test_sgd_and_batch_estimates():
     # sgd reports one value of the round; so does batch, whose budget is one
     # draw per stratum, when the round is one stratum
     rounds = uniform_rounds(DECREASING_MEAN_INTERVALS, 40, seed=6)
-    race = trace_estimators(PopulationRound(rounds.values, [40]), [1, 2, 3])
+    race = trace_estimators(PopulationRound(rounds.values, [40]),
+                            [spawn_rng(1), spawn_rng(2), spawn_rng(3)])
     for r in range(3):
         for k in range(rounds.n_rounds):
             assert race.estimates[r, 3, k] in rounds.values[0, k]
             assert race.estimates[r, 2, k] in rounds.values[0, k]
     # refused before the batch budget is formed from it
     with pytest.raises(ValueError, match="per_stratum must be at least 1"):
-        trace_estimators(rounds, [1], per_stratum=0)
+        trace_estimators(rounds, [spawn_rng(1)], per_stratum=0)
 
 
 # ------------------------------------------------------------ memory estimator
@@ -326,17 +333,18 @@ def _stats_of(rounds, k=0):
 
 
 def test_init_estimate_equals_gst():
-    # round 1 of gmst is the gst estimate of gmst's own draws, without fallbacks
+    # round 1 of gmst is the gst estimate of gmst's own draws, the first the
+    # generator gives, without fallbacks
     rounds = uniform_rounds([(2, 6)], 40, seed=4)
-    race = trace_estimators(rounds, [7])
-    draws = sample_strata(rounds, 1, [spawn_rng(7, 0)]).mean(axis=3)
+    race = trace_estimators(rounds, [spawn_rng(7)])
+    draws = sample_strata(rounds, 1, [spawn_rng(7)]).mean(axis=3)
     assert race.estimates[0, 0, 0] == gst_estimate(draws[0, 0], rounds.weights)
     assert race.fallbacks == 0
 
 
 def test_init_constant_population():
     rounds = PopulationRound(np.full((1, 1, 40), 4.0), [10] * 4)
-    race = trace_estimators(rounds, [0])
+    race = trace_estimators(rounds, [spawn_rng(0)])
     assert race.estimates[0, 0, 0] == 4.0
 
 
@@ -555,7 +563,7 @@ def test_stationary_chain_matches_gmst_step():
 
 def test_trace_lengths_and_sq_dev_invariant():
     rounds = stack(uniform_rounds(DECREASING_MEAN_INTERVALS, 40, seed=s) for s in (2, 3))
-    race = trace_estimators(rounds, [5, 6])
+    race = trace_estimators(rounds, [spawn_rng(5), spawn_rng(6)])
     assert race.estimates.shape == race.sq_dev.shape == (2, len(ESTIMATOR_NAMES), 10)
     assert race.truth.shape == (2, 10)
     for r in range(2):
@@ -567,14 +575,14 @@ def test_trace_lengths_and_sq_dev_invariant():
 
 def test_trace_constant_population_all_exact():
     rounds = uniform_rounds([(3, 3)] * 4, 40, seed=2)
-    race = trace_estimators(rounds, [5])
+    race = trace_estimators(rounds, [spawn_rng(5)])
     assert not race.sq_dev.any()
 
 
 def test_trace_determinism():
     rounds = uniform_rounds(DECREASING_MEAN_INTERVALS, 40, seed=2)
-    a = trace_estimators(rounds, [5])
-    b = trace_estimators(rounds, [5])
+    a = trace_estimators(rounds, [spawn_rng(5)])
+    b = trace_estimators(rounds, [spawn_rng(5)])
     assert np.array_equal(a.estimates, b.estimates)
     assert np.array_equal(a.sq_dev, b.sq_dev)
     assert a.fallbacks == b.fallbacks
@@ -583,48 +591,81 @@ def test_trace_determinism():
 def test_trace_rejects_sequences_that_do_not_share_a_layout():
     # replications raced together are one stack, so they share a layout by
     # construction: sequences of other round counts or values cannot stack
-    rounds = generate_family(Trend.UNIFORM_DEC, [1])
-    for other in (generate_family(Trend.UNIFORM_DEC, [2], n_rounds=9),
-                  generate_family(Trend.UNIFORM_DEC, [2], n_per_round=80)):
+    rounds = generate_family(Trend.UNIFORM_DEC, [spawn_rng(1)])
+    for other in (generate_family(Trend.UNIFORM_DEC, [spawn_rng(2)], n_rounds=9),
+                  generate_family(Trend.UNIFORM_DEC, [spawn_rng(2)], n_per_round=80)):
         with pytest.raises(ValueError):
             PopulationRound([rounds.values[0], other.values[0]], rounds.sizes)
-    two = generate_family(Trend.UNIFORM_DEC, [1, 2])
-    with pytest.raises(ValueError, match="one seed per replication"):
-        trace_estimators(two, [1])
-    with pytest.raises(ValueError, match="one seed per replication"):
-        trace_estimators(two, [1, 2, 3])
-    with pytest.raises(ValueError, match="one seed per replication"):
+    two = generate_family(Trend.UNIFORM_DEC, [spawn_rng(1), spawn_rng(2)])
+    with pytest.raises(ValueError, match="one generator per replication"):
+        trace_estimators(two, [spawn_rng(1)])
+    with pytest.raises(ValueError, match="one generator per replication"):
+        trace_estimators(two, [spawn_rng(1), spawn_rng(2), spawn_rng(3)])
+    with pytest.raises(ValueError, match="one generator per replication"):
         trace_estimators(rounds, [])
+
+
+# Hands seed tuples where generators belong. numpy's unbound drawing methods,
+# such as np.random.Generator.uniform(rng, ...), read whatever they are given
+# as a generator, so the calls run in a child: a crash there fails this test
+# rather than ending the suite.
+SEEDS_AS_STREAMS = """
+import numpy as np
+from stratgrad.estimators import trace_estimators
+from stratgrad.population import PopulationRound, Trend, generate_family
+seeds = [(5, 0), (5, 1)]
+for family in Trend:
+    try:
+        generate_family(family, seeds)
+    except AttributeError:
+        print(family.value)
+for per_stratum in (1, 2):
+    try:
+        trace_estimators(PopulationRound(np.ones((1, 2, 8)), [4, 4]), seeds, per_stratum)
+    except AttributeError:
+        print(per_stratum)
+"""
+
+
+def test_a_seed_handed_in_as_a_generator_raises_and_does_not_crash():
+    src = str(Path(stratgrad.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", SEEDS_AS_STREAMS], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [family.value for family in Trend] + ["1", "2"]
 
 
 def test_trace_fallback_counter_exposed():
     rounds = uniform_rounds(DECREASING_MEAN_INTERVALS, 40, seed=2)
-    assert trace_estimators(rounds, [5]).fallbacks >= 0
+    assert trace_estimators(rounds, [spawn_rng(5)]).fallbacks >= 0
     # stratum 0 jumps from a zero mean to a nonzero one (1 fallback), then
     # stays put; the all-zero stratum 1 has a zero denominator (2 fallbacks)
     values = np.zeros((1, 3, 8))
     values[:, 1:, :4] = [1.0, 2.0, 3.0, 4.0]
-    race = trace_estimators(PopulationRound(values, [4, 4]), [5])
+    race = trace_estimators(PopulationRound(values, [4, 4]), [spawn_rng(5)])
     assert race.fallbacks == 3
     # the count is summed over replications, shared or not
-    assert trace_estimators(PopulationRound(values, [4, 4]), [5, 6, 7]).fallbacks == 9
+    assert trace_estimators(PopulationRound(values, [4, 4]),
+                            [spawn_rng(5), spawn_rng(6), spawn_rng(7)]).fallbacks == 9
     assert trace_estimators(PopulationRound(np.repeat(values, 2, axis=0), [4, 4]),
-                            [5, 6]).fallbacks == 6
+                            [spawn_rng(5), spawn_rng(6)]).fallbacks == 6
 
 
 def test_trace_ordering_over_many_seeds():
-    rounds = generate_family(Trend.UNIFORM_DEC, [(100, s) for s in range(1000)])
-    race = trace_estimators(rounds, [(101, s) for s in range(1000)])
+    rounds = generate_family(Trend.UNIFORM_DEC, spawn_rngs([(100, s) for s in range(1000)]))
+    race = trace_estimators(rounds, spawn_rngs([(101, s) for s in range(1000)]))
     summary = summarize_traces(race.sq_dev)
     means = dict(zip(summary["estimator"], summary["mean_sq_dev"]))
     assert means["gmst"] < means["gst"] < means["batch"]
 
 
 def test_generating_and_racing_1000_replications_peaks_within_the_stack_and_streams():
-    # The stacked values and their stats stay; on top of them, generation
-    # holds one replication's generator at a time and the race its 4R
-    # streams with at most eight (R, K, C)-sized arrays: picks, gathers,
-    # stratum sample means, estimates and squared deviations.
+    # The stacked values and their stats stay; on top of them, the R
+    # generators that both calls read, and the race's at most eight
+    # (R, K, C)-sized arrays: picks, gathers, stratum sample means, estimates
+    # and squared deviations.
     n_reps, n_rounds, n_per_round = 1000, 10, 40
     tracemalloc.start()
     try:
@@ -632,14 +673,15 @@ def test_generating_and_racing_1000_replications_peaks_within_the_stack_and_stre
         per_generator = tracemalloc.get_traced_memory()[0] / n_reps
         del streams
         tracemalloc.reset_peak()
-        rounds = generate_family(Trend.NORMAL_RANDOM, [(5, s) for s in range(n_reps)])
-        trace_estimators(rounds, [(6, s) for s in range(n_reps)])
+        rngs = spawn_rngs([(5, s) for s in range(n_reps)])
+        rounds = generate_family(Trend.NORMAL_RANDOM, rngs)
+        trace_estimators(rounds, rngs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     cells = n_reps * n_rounds * rounds.n_strata
     stack_bytes = 8 * n_reps * n_rounds * n_per_round + 8 * (2 * cells + n_reps * n_rounds)
-    transient = 4 * n_reps * per_generator + 8 * 8 * cells
+    transient = n_reps * per_generator + 8 * 8 * cells
     assert peak < stack_bytes + transient + 2 ** 20  # keys, lists and Python objects
 
 
@@ -684,7 +726,7 @@ def _constant_strata_rounds(variant=0):
 
 
 ORACLE_CASES = {
-    **{fam.value: (lambda variant, fam=fam: generate_family(fam, [(9, 1 + variant)]))
+    **{fam.value: (lambda variant, fam=fam: generate_family(fam, [spawn_rng(9, 1 + variant)]))
        for fam in Trend},
     "ragged": _ragged_gradient_rounds,
     "constant": _constant_strata_rounds,
@@ -704,12 +746,13 @@ def test_trace_equals_per_stratum_loop_reference(case, per_stratum, first_varian
     seeds = [(4, 2), 11, (0, 3, 7000)]
     if per_stratum > rounds.sizes.min():
         with pytest.raises(ValueError):
-            trace_estimators(rounds, seeds, per_stratum)
+            trace_estimators(rounds, [spawn_rng(seed) for seed in seeds], per_stratum)
         return
     budget = per_stratum * rounds.n_strata
     for population in (rounds, shared):
-        got = trace_estimators(population, seeds, per_stratum)
-        want = trace_estimators_reference(population, seeds, per_stratum, budget)
+        got = trace_estimators(population, [spawn_rng(seed) for seed in seeds], per_stratum)
+        want = trace_estimators_reference(population, [numpy_stream(seed) for seed in seeds],
+                                          per_stratum, budget)
         assert got.estimates.shape == (3, len(ESTIMATOR_NAMES), rounds.n_rounds)
         for name in ("estimates", "sq_dev", "truth"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
@@ -723,7 +766,7 @@ def test_reference_cases_reach_the_degenerate_branches():
              for k in range(1, rounds.n_rounds)
              for mp, vp, mc, vc in zip(means[k - 1], variances[k - 1], means[k], variances[k])}
     assert {Degenerate.ZERO_OVER_ZERO, Degenerate.GUARDED_DENOMINATOR} <= flags
-    assert trace_estimators_reference(rounds, [1]).fallbacks > 0
+    assert trace_estimators_reference(rounds, [numpy_stream(1)]).fallbacks > 0
 
 
 def test_pooled_draws_follow_choice_and_scalar_integers():

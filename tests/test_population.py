@@ -126,19 +126,19 @@ def test_population_mean_matches_pooled_mean():
 # ---------------------------------------------------------------- generators
 
 def test_decreasing_family_shape_and_trend():
-    rounds = generate_family(Trend.UNIFORM_DEC, [0, 1, 2])
+    rounds = generate_family(Trend.UNIFORM_DEC, [spawn_rng(0), spawn_rng(1), spawn_rng(2)])
     assert (rounds.n_reps, rounds.n_rounds, rounds.n_strata) == (3, 10, 4)
     assert rounds.values.shape == (3, 10, 40)
     assert rounds.means.shape == rounds.variances.shape == (3, 10, 4)
     assert rounds.truth.shape == (3, 10)
     assert rounds.sizes.tolist() == [10] * 4
-    inc = generate_family(Trend.UNIFORM_INC, [0])
+    inc = generate_family(Trend.UNIFORM_INC, [spawn_rng(0)])
     assert inc.truth[0, 0] < inc.truth[0, -1] and rounds.truth[0, 0] > rounds.truth[0, -1]
     with pytest.raises(ValueError):
         generate_family(Trend.UNIFORM_DEC, [])
     for n_per_round in (0, 42):
         with pytest.raises(ValueError):
-            generate_family(Trend.NORMAL_RANDOM, [0], n_per_round=n_per_round)
+            generate_family(Trend.NORMAL_RANDOM, [spawn_rng(0)], n_per_round=n_per_round)
 
 
 def test_degenerate_interval_yields_zeros():
@@ -165,7 +165,7 @@ def test_uniform_rejects_bad_shapes():
 
 
 def test_normal_random_family_layout():
-    rounds = generate_family(Trend.NORMAL_RANDOM, [5])
+    rounds = generate_family(Trend.NORMAL_RANDOM, [spawn_rng(5)])
     assert rounds.n_reps == 1
     assert rounds.n_rounds == 10
     assert rounds.n_strata == 4
@@ -197,17 +197,17 @@ def test_trend_schedules_cover_four_families():
 
 def test_generate_family_covers_all_trends():
     for fam in Trend:
-        rounds = generate_family(fam, [1, 2])
+        rounds = generate_family(fam, [spawn_rng(1), spawn_rng(2)])
         assert (rounds.n_reps, rounds.n_rounds) == (2, 10)
 
 
 @pytest.mark.parametrize("family", [Trend.UNIFORM_DEC, Trend.UNIFORM_INC])
 def test_uniform_families_run_at_most_their_interval_table(family):
-    assert generate_family(family, [1], n_rounds=7).n_rounds == 7
+    assert generate_family(family, [spawn_rng(1)], n_rounds=7).n_rounds == 7
     with pytest.raises(ValueError, match="10 rounds"):
-        generate_family(family, [1], n_rounds=len(DECREASING_MEAN_INTERVALS) + 1)
+        generate_family(family, [spawn_rng(1)], n_rounds=len(DECREASING_MEAN_INTERVALS) + 1)
     with pytest.raises(ValueError):
-        generate_family(family, [1], n_rounds=0)
+        generate_family(family, [spawn_rng(1)], n_rounds=0)
     # trend_schedules hands out the table's own rows and refuses the rest
     table = DECREASING_MEAN_INTERVALS if family is Trend.UNIFORM_DEC \
         else DECREASING_MEAN_INTERVALS[::-1]
@@ -218,27 +218,29 @@ def test_uniform_families_run_at_most_their_interval_table(family):
 
 
 def test_normal_families_take_any_positive_round_count():
-    assert generate_family(Trend.NORMAL_MEAN_INC, [1], n_rounds=12).n_rounds == 12
-    assert generate_family(Trend.NORMAL_RANDOM, [1], n_rounds=12).n_rounds == 12
+    assert generate_family(Trend.NORMAL_MEAN_INC, [spawn_rng(1)], n_rounds=12).n_rounds == 12
+    assert generate_family(Trend.NORMAL_RANDOM, [spawn_rng(1)], n_rounds=12).n_rounds == 12
     with pytest.raises(ValueError):
-        generate_family(Trend.NORMAL_VAR_DEC, [1], n_rounds=0)
+        generate_family(Trend.NORMAL_VAR_DEC, [spawn_rng(1)], n_rounds=0)
 
 
 def test_generators_are_bit_reproducible():
-    a = generate_family(Trend.UNIFORM_DEC, [17])
-    b = generate_family(Trend.UNIFORM_DEC, [17])
+    a = generate_family(Trend.UNIFORM_DEC, [spawn_rng(17)])
+    b = generate_family(Trend.UNIFORM_DEC, [spawn_rng(17)])
     assert np.array_equal(a.values, b.values)
-    c = generate_family(Trend.NORMAL_RANDOM, [17, 18])
-    d = generate_family(Trend.NORMAL_RANDOM, [17, 18])
+    c = generate_family(Trend.NORMAL_RANDOM, [spawn_rng(17), spawn_rng(18)])
+    d = generate_family(Trend.NORMAL_RANDOM, [spawn_rng(17), spawn_rng(18)])
     assert np.array_equal(c.values, d.values)
     # a replication does not depend on the others in its stack
-    assert np.array_equal(generate_family(Trend.NORMAL_RANDOM, [18]).values[0], c.values[1])
+    assert np.array_equal(generate_family(Trend.NORMAL_RANDOM, [spawn_rng(18)]).values[0],
+                          c.values[1])
 
 
 def test_generator_replications_come_from_their_own_streams():
     # replication r draws round after round from the one stream of seeds[r]
     seeds = [17, (3, 5)]
-    rounds = generate_family(Trend.NORMAL_VAR_INC, seeds, n_per_round=16, n_rounds=2)
+    rounds = generate_family(Trend.NORMAL_VAR_INC, [spawn_rng(seed) for seed in seeds],
+                             n_per_round=16, n_rounds=2)
     for r, seed in enumerate(seeds):
         stream = numpy_stream(seed)
         for k, (mu, sigma) in enumerate(trend_schedules(Trend.NORMAL_VAR_INC, 2)):
@@ -254,7 +256,7 @@ def test_normal_random_family_follows_its_streams(seed, n_per_round, n_rounds):
     lo, hi = RANDOM_PARAM_RANGE
     params = [(stream.uniform(lo, hi), stream.uniform(lo, hi)) for _ in range(n_rounds)]
     want = np.array([stream.normal(mu, sigma, n_per_round) for mu, sigma in params])
-    rounds = generate_family(Trend.NORMAL_RANDOM, [seed], n_per_round=n_per_round,
+    rounds = generate_family(Trend.NORMAL_RANDOM, [spawn_rng(seed)], n_per_round=n_per_round,
                              n_rounds=n_rounds)
     assert rounds.values[0].tobytes() == want.tobytes()
 
@@ -272,8 +274,10 @@ FAMILY_SIZES = [(family, n_per_round, n_rounds) for family in Trend
 @pytest.mark.parametrize("family, n_per_round, n_rounds", FAMILY_SIZES,
                          ids=[f"{f.value}-{n}x{k}" for f, n, k in FAMILY_SIZES])
 def test_stacked_family_equals_per_seed_reference(family, n_per_round, n_rounds, seeds):
-    got = generate_family(family, seeds, n_per_round=n_per_round, n_rounds=n_rounds)
-    want = family_reference(family, seeds, n_per_round=n_per_round, n_rounds=n_rounds)
+    got = generate_family(family, spawn_rngs(seeds), n_per_round=n_per_round,
+                          n_rounds=n_rounds)
+    want = family_reference(family, [numpy_stream(*key) for key in seeds],
+                            n_per_round=n_per_round, n_rounds=n_rounds)
     assert got.sizes.tolist() == want.sizes.tolist()
     for name in ("values", "means", "variances", "truth"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
@@ -282,7 +286,7 @@ def test_stacked_family_equals_per_seed_reference(family, n_per_round, n_rounds,
 def test_decreasing_family_round_means_mostly_ordered():
     mids = [0.5 * (lo + hi) for lo, hi in DECREASING_MEAN_INTERVALS]
     assert all(b <= a for a, b in zip(mids, mids[1:]))
-    truth = generate_family(Trend.UNIFORM_DEC, list(range(100))).truth
+    truth = generate_family(Trend.UNIFORM_DEC, [spawn_rng(s) for s in range(100)]).truth
     assert np.mean(truth[:, :-1] > truth[:, 1:]) >= 0.95
 
 

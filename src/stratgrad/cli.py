@@ -9,6 +9,7 @@ conditions.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import os
 import platform
 import sys
@@ -69,11 +70,15 @@ class _Run:
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
             entries[f"env.{var}"] = os.environ.get(var, "unset")
         entries["env.numpy"] = np.__version__
+        entries["env.blas"] = entries["env.simd"] = "unknown"
         try:
-            blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+            config = np.show_config(mode="dicts")
+            blas = config["Build Dependencies"]["blas"]
             entries["env.blas"] = f"{blas['name']} {blas['version']}"
+            entries["env.simd"] = " ".join(config["SIMD Extensions"]["found"])
         except (TypeError, KeyError):  # numpy before 1.26 has no "dicts" mode
-            entries["env.blas"] = "unknown"
+            pass
+        entries["env.blas_core"] = _blas_core()
         entries["env.machine"] = platform.machine()
         entries["wall_time_s"] = f"{time.perf_counter() - self.started:.3f}"
         entries["output"] = [str(p) for p in self.outputs]
@@ -83,6 +88,23 @@ class _Run:
         for p in self.outputs:
             if p.exists():
                 p.rename(p.with_name(p.name + ".partial"))
+
+
+def _blas_core() -> str:
+    """The kernel set that the loaded OpenBLAS picked for this CPU, or 'unknown'.
+
+    A DYNAMIC_ARCH build names one CPU in its build string but chooses its
+    kernels when it loads, so only the library itself can say which ran.
+    It is found among this process's mappings, which only Linux lists.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            path = next(line.split(None, 5)[5].strip() for line in maps if "openblas" in line)
+        corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
+    except (OSError, StopIteration, IndexError, AttributeError):
+        return "unknown"
+    corename.argtypes, corename.restype = (), ctypes.c_char_p
+    return corename().decode()
 
 
 def _mode_flags(args, in_mode: bool, mode: str, defaults: dict) -> None:
@@ -496,13 +518,12 @@ def _retain_freed_memory() -> None:
     system, until some larger array happens to be freed and raises the
     thresholds; until then every block faults its temporaries' pages in
     again. A 3-iteration full-shape `train --algorithm mssg` on 5,000 rows
-    took 2.4 s with 274,000 minor faults that way, against 1.6 s and 16,000
-    with fixed thresholds (2-core x86_64, one BLAS thread). Arrays below
-    16 MB now come from the heap, and up to 32 MB of free heap top is kept.
+    took 1.12-1.25 s with 172,000 minor faults that way, against 0.92-0.96 s
+    and 16,000 with fixed thresholds (8 runs each as a child process;
+    2-core x86_64, one BLAS thread). Arrays below 16 MB now come from the
+    heap, and up to 32 MB of free heap top is kept.
     Where there is no glibc mallopt, the allocator is left as it is.
     """
-    import ctypes
-
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, AttributeError, TypeError):  # no C library handle, or no mallopt

@@ -113,17 +113,28 @@ class PopulationRound:
         return self.sizes.size
 
 
+def draw_stratified(rng: np.random.Generator, sizes, m: int) -> np.ndarray:
+    """(len(sizes), m) positions: m uniform draws without replacement in every stratum.
+
+    Stratum j's row holds positions among its own ``sizes[j]`` values, and
+    the strata read `rng` in order, each as one ``rng.choice(sizes[j], m,
+    replace=False)`` call would. A single draw per stratum takes one
+    ``rng.integers`` call over every stratum instead, which reads the same
+    values from the stream as per-stratum ``rng.choice(sizes[j])`` calls.
+    """
+    if m == 1:
+        return rng.integers(0, sizes)[:, None]
+    return np.array([rng.choice(n, size=m, replace=False) for n in sizes])
+
+
 def sample_strata(rounds: PopulationRound, per_stratum: int,
                   rngs: Sequence[np.random.Generator]) -> np.ndarray:
     """Uniform without-replacement draws, `per_stratum` from every stratum of every round.
 
-    Replication r draws from ``rngs[r]``; a stack of one replication is
+    Replication r draws from ``rngs[r]``, one `draw_stratified` call over
+    every round's strata, round by round; a stack of one replication is
     shared by every stream, as a broadcast view. Returns an (R, K, C,
-    per_stratum) array for R = len(rngs). Each stream is consumed round by
-    round and stratum by stratum, as one ``rng.choice(N_j, per_stratum,
-    replace=False)`` call per stratum would. A single draw per stratum takes
-    one ``rng.integers`` call over every round instead, which reads the same
-    values from the stream as those choice calls.
+    per_stratum) array for R = len(rngs).
     """
     if per_stratum < 1:
         raise ValueError("per_stratum must be at least 1")
@@ -132,17 +143,9 @@ def sample_strata(rounds: PopulationRound, per_stratum: int,
         raise ValueError(f"cannot draw {per_stratum} values from a stratum of size {smallest}")
     n_reps, k = len(rngs), rounds.n_rounds
     values = np.broadcast_to(rounds.values, (n_reps, *rounds.values.shape[1:]))
-    picks = np.empty((n_reps, k, rounds.n_strata, per_stratum), dtype=np.int64)
-    if per_stratum == 1:
-        bounds = np.tile(rounds.sizes, k)
-        for r, rng in enumerate(rngs):
-            picks[r] = rng.integers(0, bounds).reshape(k, -1, 1)
-    else:
-        sizes = rounds.sizes.tolist()
-        for r, rng in enumerate(rngs):
-            picks[r] = [[rng.choice(n, size=per_stratum, replace=False) for n in sizes]
-                        for _ in range(k)]
-    picks += rounds.offsets[:-1, None]
+    bounds = np.tile(rounds.sizes, k)
+    picks = np.array([draw_stratified(rng, bounds, per_stratum) for rng in rngs], dtype=np.int64)
+    picks = picks.reshape(n_reps, k, rounds.n_strata, per_stratum) + rounds.offsets[:-1, None]
     return values[np.arange(n_reps)[:, None, None, None], np.arange(k)[:, None, None], picks]
 
 

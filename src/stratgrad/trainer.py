@@ -52,7 +52,8 @@ import numpy as np
 from . import mlp
 from .dataio import LabeledDataset, check_class_sizes
 from .estimators import optimal_coefficients_elementwise
-from .rng import spawn_rng, spawn_rngs
+from .population import draw_stratified
+from .rng import spawn_rng
 
 
 class BaselineKind(enum.Enum):
@@ -121,6 +122,13 @@ def accuracy(params: mlp.MlpParams, data: LabeledDataset) -> float:
     return hits / n
 
 
+def _class_draw(data: LabeledDataset):
+    """``draw(rng, m)``: C * m rows of `data`, m per class by `draw_stratified`, class-major."""
+    sizes = [idx.size for idx in data.class_index]
+    by_class, first = np.concatenate(data.class_index), np.cumsum([0, *sizes[:-1]])
+    return lambda rng, m: by_class[first[:, None] + draw_stratified(rng, sizes, m)].ravel()
+
+
 def _end_iteration(params, it: int, algorithm: str, config, reports, data, test_data) -> None:
     """Refuse non-finite parameters, then score the run if `it` is a checkpoint."""
     mlp.check_finite(params, algorithm, it)
@@ -186,9 +194,11 @@ def mssg_train(params: mlp.MlpParams, data: LabeledDataset, config: TrainConfig,
     """Memory-type stratified gradient descent over class-partitioned data.
 
     The update and the state it keeps are described in the module
-    docstring; class c draws its rows at iteration it from the stream
-    (config.seed, it, c). Returns the trained `params`, the accuracy
-    reports and the number of mixing-coefficient fallbacks over the run.
+    docstring. Every iteration draws n pilot rows per class and then one
+    fresh row per class, apart from the pilot (it may repeat a pilot row),
+    from the one stream of `config.seed`. Returns the trained `params`, the
+    accuracy reports and the number of mixing-coefficient fallbacks over the
+    run.
     """
     n_classes = data.n_classes
     if n_classes < 2:
@@ -206,15 +216,10 @@ def mssg_train(params: mlp.MlpParams, data: LabeledDataset, config: TrainConfig,
     reports: list[AccuracyReport] = []
     fallbacks = 0
 
+    draw, rng = _class_draw(data), spawn_rng(config.seed)
     previous = None  # the previous iteration's pilot factors
-    pilot = np.empty((n_classes, n), dtype=np.int64)
-    fresh = np.empty(n_classes, dtype=np.int64)
     for it in range(1, config.iterations + 1):
-        streams = spawn_rngs([(config.seed, it, c) for c in range(n_classes)])
-        for c, (idx, rng) in enumerate(zip(data.class_index, streams)):
-            pilot[c] = rng.choice(idx, size=n, replace=False)
-            fresh[c] = rng.choice(idx)
-        rows = np.concatenate([pilot.ravel(), fresh])  # class-major pilots, then fresh
+        rows = np.concatenate([draw(rng, n), draw(rng, 1)])  # class-major pilots, then fresh
         acts, deltas = mlp.forward_backward(params, data.features(rows), data.labels[rows])
         # Each layer's pilot factors, class-major: A^T and D, views of this
         # pass's arrays, and D * D. Every row block of a layer reads all of D
@@ -271,11 +276,11 @@ def baseline_train(params: mlp.MlpParams, data: LabeledDataset, config: TrainCon
     full = kind is BaselineKind.FULL or (kind is BaselineKind.BATCH and config.batch_size == n)
     class_w = data.class_weights()
     features = data.features() if full else None
-    rng = spawn_rng(config.seed)
+    draw, rng = _class_draw(data), spawn_rng(config.seed)
     reports: list[AccuracyReport] = []
     for it in range(1, config.iterations + 1):
         if kind is BaselineKind.STRATIFIED:
-            rows = np.array([int(rng.choice(idx)) for idx in data.class_index])
+            rows = draw(rng, 1)
             acts, deltas = mlp.forward_backward(params, data.features(rows), data.labels[rows])
             grad = mlp.MlpParams(
                 [a.T @ (class_w[:, None] * d) + config.weight_decay * w

@@ -417,7 +417,10 @@ def mssg_reference(params, data, config):
 
     Pilot stats come from materialised per-sample gradients and two-pass
     moments, one class at a time, with the same draws as
-    :func:`trainer.mssg_train`. Returns the final parameters and an
+    :func:`trainer.mssg_train`, made by plain per-class calls on one
+    ``numpy_stream(config.seed)``: each iteration, every class's pilot
+    ``choice(idx, n, replace=False)``, then every class's fresh
+    ``choice(idx)``. Returns the final parameters and an
     :class:`MssgState` with the final memory, the last pilot stats and the
     fallback count. No checkpoints.
     """
@@ -431,17 +434,17 @@ def mssg_reference(params, data, config):
 
     mem = MssgState([zeros() for _ in range(n_classes)])
     scale = config.step_size / n_classes
+    rng = numpy_stream(config.seed)
     for it in range(1, config.iterations + 1):
         direction = zeros()
         new_means, new_vars = [], []
-        for c in range(n_classes):
-            rng = numpy_stream(config.seed, it, c)
-            idx = data.class_index[c]
-            pilot_rows = rng.choice(idx, size=config.pilot_size, replace=False)
+        pilots = [rng.choice(idx, size=config.pilot_size, replace=False)
+                  for idx in data.class_index]
+        fresh_rows = [int(rng.choice(idx)) for idx in data.class_index]
+        for c, (pilot_rows, fresh_row) in enumerate(zip(pilots, fresh_rows)):
             pilot = per_sample_grads(params, data.features(pilot_rows),
                                      data.labels[pilot_rows], config.weight_decay)
             mean_c, var_c = _pilot_stats(pilot)
-            fresh_row = int(rng.choice(idx))
             fresh = per_sample_grads(params, data.features([fresh_row]),
                                      data.labels[[fresh_row]], config.weight_decay)
             g_c = mem.memory[c]
@@ -606,12 +609,10 @@ def mssg_stored_state(params, data, config):
          for w, b in layers] for _ in range(3))
     scale = config.step_size / n_classes
     fallbacks = 0
+    rng = numpy_stream(config.seed)
     for it in range(1, config.iterations + 1):
-        draws = []
-        for c, idx in enumerate(data.class_index):
-            rng = numpy_stream(config.seed, it, c)
-            draws.append((rng.choice(idx, size=n, replace=False), rng.choice(idx)))
-        rows = np.concatenate([pilot for pilot, _ in draws] + [[f for _, f in draws]])
+        pilots = [rng.choice(idx, size=n, replace=False) for idx in data.class_index]
+        rows = np.concatenate(pilots + [[rng.choice(idx) for idx in data.class_index]])
         acts, deltas = mlp.forward_backward(params, data.features(rows), data.labels[rows])
         for l, (w, b) in enumerate(layers):
             fan_in, fan_out = w.shape

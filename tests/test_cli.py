@@ -1,5 +1,6 @@
 import argparse
 import ast
+import io
 import os
 import platform
 import subprocess
@@ -418,9 +419,19 @@ def test_manifest_records_blas_threads_and_numpy(tmp_path, monkeypatch):
     assert "env.OPENBLAS_NUM_THREADS=3" in lines
     assert "env.OMP_NUM_THREADS=unset" in lines
     assert f"env.numpy={np.__version__}" in lines
-    blas = [line for line in lines if line.startswith("env.blas=")]
-    assert len(blas) == 1 and blas[0] != "env.blas="
+    # the build, the kernel set OpenBLAS picked at load time, and numpy's own
+    # SIMD kernels: each is one non-empty entry
+    for key in ("env.blas=", "env.blas_core=", "env.simd="):
+        entry = [line for line in lines if line.startswith(key)]
+        assert len(entry) == 1 and entry[0] != key, key
     assert f"env.machine={platform.machine()}" in lines
+
+
+@pytest.mark.parametrize("maps", ["", "7f00-7f01 r-xp 0 00:00 0 /nonexistent/libopenblas.so\n"],
+                         ids=["no-openblas-mapped", "unloadable-library"])
+def test_blas_core_is_unknown_without_a_loadable_openblas(monkeypatch, maps):
+    monkeypatch.setattr(cli, "open", lambda path: io.StringIO(maps), raising=False)
+    assert cli._blas_core() == "unknown"
 
 
 def test_variance_oracle_rejects_thin_replications(tmp_path, capsys):
@@ -1023,6 +1034,25 @@ def test_no_two_streams_of_a_run_share_seed_words(tmp_path, fixture_data_dir, mo
     assert run_cli(*argv, *data, "--seed", 3, "--out-dir", tmp_path / "out") == 0
     shared = sum(n > 1 for n in Counter(states).values())
     assert states and not shared, f"{shared} initial states are shared among {len(states)} streams"
+
+
+
+def test_mssg_train_builds_as_many_streams_as_gst(tmp_path, fixture_data_dir, monkeypatch):
+    # both stratified trainers draw every iteration from the run's one
+    # training stream, so the iteration count adds no generator to either
+    built = Counter()
+    algorithm = None
+
+    def counting(seed_sequence):
+        built[algorithm] += 1
+        return np.random.PCG64(seed_sequence)
+
+    monkeypatch.setattr(rng, "PCG64", counting)
+    for algorithm in ("gst", "mssg"):
+        assert run_cli("train", "--algorithm", algorithm, "--desk", "--per-class", 20,
+                       "--test-per-class", 5, "--iterations", 6, "--data-dir",
+                       fixture_data_dir, "--seed", 3, "--out-dir", tmp_path / algorithm) == 0
+    assert built["mssg"] == built["gst"] > 0, dict(built)
 
 
 # ---------------------------------------------------------------- scripts

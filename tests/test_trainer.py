@@ -292,8 +292,8 @@ def test_mssg_matches_two_pass_reference(shape, weight_decay):
 
 
 def test_mssg_extends_the_cli_prefix_as_the_reference_does():
-    # The CLI hands every trainer a (seed, tag) prefix; class c's stream at
-    # iteration it is then (seed, tag, it, c).
+    # The CLI hands every trainer a (seed, tag) prefix, and mssg draws every
+    # iteration's rows from that one stream, as the baselines do.
     data = blob_dataset(12, n_classes=3, n_features=6, seed=43)
     params = mlp.init_params((6, 4, 3), seed=44)
     config = small_config(iterations=4, step_size=1.0, seed=(3, cli._TRAIN_STREAM))
@@ -623,6 +623,71 @@ def test_stratified_direction_is_unbiased():
         values[r] = float(np.dot(class_w, per[l][0][:, i, o]))
     se = values.std(ddof=1) / math.sqrt(reps)
     assert abs(values.mean() - full.weights[0][2, 1]) <= 3 * se
+
+
+def ragged_dataset(class_sizes, seed):
+    """Random 6-pixel rows whose classes hold `class_sizes` rows, shuffled."""
+    rng = spawn_rng(seed)
+    labels = rng.permutation(np.repeat(np.arange(len(class_sizes)), class_sizes))
+    return LabeledDataset(rng.integers(0, 256, (labels.size, 6), dtype=np.uint8), labels)
+
+
+def spy_draws(monkeypatch, data):
+    """The trainer's generator and the rows of every pass it draws, in order.
+
+    Records the generator `trainer.spawn_rng` builds, and every row list that
+    `data.features` decodes other than a scoring block's slice.
+    """
+    seen = {"rngs": [], "rows": []}
+
+    def recording_spawn(*key):
+        seen["rngs"].append(spawn_rng(*key))
+        return seen["rngs"][-1]
+
+    features = data.features
+
+    def recording_features(rows=slice(None)):
+        if not isinstance(rows, slice):
+            seen["rows"].append(np.array(rows))
+        return features(rows)
+
+    monkeypatch.setattr(trainer, "spawn_rng", recording_spawn)
+    monkeypatch.setattr(data, "features", recording_features)
+    return seen
+
+
+@pytest.mark.parametrize("class_sizes", [(5, 1, 3, 7), (1, 9, 2), (4, 4, 1, 1, 6)])
+def test_gst_rows_are_one_choice_call_per_class(monkeypatch, class_sizes):
+    # one integers call over the class sizes reads the stream as a
+    # per-class int(rng.choice(idx)) loop, and leaves it in the same place
+    data = ragged_dataset(class_sizes, seed=sum(class_sizes))
+    params = mlp.init_params((6, 4, len(class_sizes)), seed=45)
+    seen = spy_draws(monkeypatch, data)
+    config = small_config(iterations=6, checkpoint_every=6, seed=(7, len(class_sizes)))
+    baseline_train(params, data, config, BaselineKind.STRATIFIED, data)
+    ref = numpy_stream(config.seed)
+    want = [[int(ref.choice(idx)) for idx in data.class_index] for _ in range(6)]
+    assert [rows.tolist() for rows in seen["rows"]] == want
+    (rng,) = seen["rngs"]
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_mssg_draws_pilots_without_repeats_and_fresh_rows_from_each_class(monkeypatch):
+    # class 1 holds exactly the pilot size, so each pilot is all of its rows
+    class_sizes, n = (9, 4, 6, 13), 4
+    c = len(class_sizes)
+    data = ragged_dataset(class_sizes, seed=46)
+    params = mlp.init_params((6, 4, c), seed=47)
+    seen = spy_draws(monkeypatch, data)
+    mssg_train(params, data, small_config(iterations=8, pilot_size=n, checkpoint_every=8),
+               data)
+    assert len(seen["rngs"]) == 1 and len(seen["rows"]) == 8
+    for rows in seen["rows"]:
+        pilots, fresh = rows[:c * n].reshape(c, n), rows[c * n:]
+        for idx, pilot, row in zip(data.class_index, pilots, fresh):
+            assert np.isin(pilot, idx).all() and np.unique(pilot).size == n
+            assert row in idx
+    assert np.array_equal(np.sort(seen["rows"][0][n:2 * n]), data.class_index[1])
 
 
 @pytest.mark.parametrize("train", [

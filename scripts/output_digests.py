@@ -1,4 +1,4 @@
-"""Run every subcommand at fixed small settings and print a sha256 per CSV and SVG.
+"""Run every subcommand at fixed small settings and print a sha256 per CSV, SVG and manifest.
 
 Two trees whose outputs should match are compared by running this script in
 each and diffing what it prints:
@@ -6,10 +6,14 @@ each and diffing what it prints:
     python scripts/output_digests.py [work_dir] > digests.txt
 
 Each case writes into <work_dir>/<case>, a temporary directory if none is
-given, so the manifests can be compared as well; they are not digested,
-since they record the wall time. The script pins one BLAS thread, builds a
-small IDX fixture with tests/idxtools.py and runs the package of its own
-tree in-process. Standard library, the package and tests/idxtools only.
+given. A manifest's digest covers its deterministic entries alone, in their
+order: it leaves out the timings (`wall_time_s`, `phase.*`), the machine
+(`env.*`) and the paths (`output`, `config.out_dir`, `config.data_dir`). So
+a trajectory that moves shows, through entries such as
+`coefficient_fallbacks`, even where every checkpoint scores alike. The
+script pins one BLAS thread, builds a small IDX fixture with
+tests/idxtools.py and runs the package of its own tree in-process. Standard
+library, the package and tests/idxtools only.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import os
 os.environ["OPENBLAS_NUM_THREADS"] = "1"  # one summation order; set before numpy loads
 
 import hashlib
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -30,6 +35,9 @@ from idxtools import write_mnist_style_dir
 from stratgrad.cli import _ALGORITHMS, main
 from stratgrad.population import Trend
 
+# the manifest entries that vary from run to run or from machine to machine
+VARIABLE_ENTRY = re.compile(r"(wall_time_s|phase\.[^=]*|env\.[^=]*|output|config\.out_dir"
+                            r"|config\.data_dir)=")
 DESK = ("--desk", "--per-class", "20", "--test-per-class", "5")
 # long enough that the cells of mssg, gst and fullgrad score apart
 GRID = ("--alphas", "8,2", "--lambdas", "0.001,0", "--budget-iterations", "30")
@@ -82,6 +90,10 @@ def run_all(work: Path) -> int:
         for path in sorted(out.iterdir()):
             if path.suffix in (".csv", ".svg"):
                 print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {name}/{path.name}")
+        kept = [line for line in (out / "manifest.txt").read_text().splitlines()
+                if not VARIABLE_ENTRY.match(line)]
+        digest = hashlib.sha256("\n".join(kept).encode()).hexdigest()
+        print(f"{digest}  {name}/manifest.txt (deterministic entries)")
     return 0
 
 

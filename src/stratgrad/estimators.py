@@ -1,7 +1,7 @@
 """Stratified mean estimators and their variance calculus.
 
-Four designs are raced throughout the package: ``sgd``, a single pooled
-draw; ``batch``, the mean of a pooled mini-batch; ``gst``, the classic
+Four designs are raced throughout the package: ``sgd``, a pooled draw of
+one; ``batch``, the mean of a pooled mini-batch; ``gst``, the classic
 stratified estimator, a weighted mean of one (or more) draws per stratum;
 and ``gmst``, its memory-carrying variant, where each stratum keeps a
 running value that is blended with a fresh draw as ``p * old + q * fresh``.
@@ -208,11 +208,12 @@ def trace_estimators(rounds: PopulationRound, rngs: Sequence[np.random.Generator
     Replication r races on ``rounds.values[r]`` with the generator
     ``rngs[r]``; a stack of one replication is raced by every generator, as
     a broadcast view. Sampling budgets per round: gmst and gst take
-    `per_stratum` draws per stratum (without replacement), batch spends the
-    same ``per_stratum * n_strata`` on pooled draws with replacement, and sgd
-    takes one. gmst spends round 1 on initialization, where its estimate is
-    the gst estimate of its own draws; every estimator reports one estimate
-    per round. Mixing pairs use the exact per-round stats.
+    `per_stratum` draws per stratum (without replacement); batch and sgd are
+    one pooled draw each, with replacement, of the same ``per_stratum *
+    n_strata`` values and of one value. gmst spends round 1 on
+    initialization, where its estimate is the gst estimate of its own draws;
+    every estimator reports one estimate per round. Mixing pairs use the
+    exact per-round stats.
 
     The estimators read each replication's generator in turn, each over
     every round in round order: gmst, then gst, then batch, then sgd.
@@ -227,26 +228,23 @@ def trace_estimators(rounds: PopulationRound, rngs: Sequence[np.random.Generator
         np.broadcast_to(a, (n_reps, *a.shape[1:]))
         for a in (rounds.values, rounds.means, rounds.variances, rounds.truth))
     n_rounds, n_values = values.shape[1:]
-    # per_stratum >= 1 here, as sample_strata checks it first. integers(0, N,
-    # size) reads the stream as choice(pooled, size, replace=True)
-    batch = np.array([rng.integers(0, n_values, size=(n_rounds, per_stratum * rounds.n_strata))
-                      for rng in rngs])
-    sgd = np.array([rng.integers(n_values, size=n_rounds) for rng in rngs])
-    reps, rows = np.arange(n_reps)[:, None], np.arange(n_rounds)
-    estimates = np.empty((n_reps, len(ESTIMATOR_NAMES), n_rounds))
-    estimates[:, 2] = values[reps[..., None], rows[:, None], batch].mean(axis=2)
-    estimates[:, 3] = values[reps, rows, sgd]
-
     weights = rounds.weights
-    memory = gmst_means[:, 0]
-    estimates[:, 0, 0] = gst_estimate(memory, weights)
+    memory, gmst = gmst_means[:, 0], np.empty((n_reps, n_rounds))
+    gmst[:, 0] = gst_estimate(memory, weights)
     fallbacks = 0
     for k in range(1, n_rounds):
-        memory, estimates[:, 0, k], n = gmst_step(
+        memory, gmst[:, k], n = gmst_step(
             memory, gmst_means[:, k], means[:, k - 1], variances[:, k - 1],
             means[:, k], variances[:, k], weights)
         fallbacks += n
-    estimates[:, 1] = gst_estimate(gst_means, weights)
+    by_name = {"gmst": gmst, "gst": gst_estimate(gst_means, weights)}
+    # per_stratum >= 1 here, as sample_strata checks it first. integers(0, N,
+    # (K, size)) reads the stream as choice(pooled, size, replace=True) per round
+    reps, rows = np.arange(n_reps)[:, None, None], np.arange(n_rounds)[:, None]
+    for name, size in (("batch", per_stratum * rounds.n_strata), ("sgd", 1)):
+        picks = np.array([rng.integers(0, n_values, (n_rounds, size)) for rng in rngs])
+        by_name[name] = values[reps, rows, picks].mean(axis=2)
+    estimates = np.stack([by_name[name] for name in ESTIMATOR_NAMES], axis=1)
     dev = estimates - truth[:, None, :]
     return Race(estimates, dev * dev, np.array(truth), fallbacks)
 

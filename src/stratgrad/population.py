@@ -114,17 +114,20 @@ class PopulationRound:
 
 
 def draw_stratified(rng: np.random.Generator, sizes, m: int) -> np.ndarray:
-    """(len(sizes), m) positions: m uniform draws without replacement in every stratum.
+    """(len(sizes), m) indices: m uniform draws without replacement in every stratum.
 
-    Stratum j's row holds positions among its own ``sizes[j]`` values, and
-    the strata read `rng` in order, each as one ``rng.choice(sizes[j], m,
-    replace=False)`` call would. A single draw per stratum takes one
-    ``rng.integers`` call over every stratum instead, which reads the same
-    values from the stream as per-stratum ``rng.choice(sizes[j])`` calls.
+    The indices run over the strata laid end to end, so stratum j's row lies
+    in ``start_j:start_j + sizes[j]`` with start_j the sum of the sizes
+    before it. The strata read `rng` in order, each as one
+    ``rng.choice(sizes[j], m, replace=False)`` call would. A single draw per
+    stratum takes one ``rng.integers`` call over every stratum instead, which
+    reads the same values from the stream as per-stratum
+    ``rng.choice(sizes[j])`` calls.
     """
+    starts = np.cumsum(sizes) - sizes
     if m == 1:
-        return rng.integers(0, sizes)[:, None]
-    return np.array([rng.choice(n, size=m, replace=False) for n in sizes])
+        return (rng.integers(0, sizes) + starts)[:, None]
+    return np.array([rng.choice(n, size=m, replace=False) for n in sizes]) + starts[:, None]
 
 
 def sample_strata(rounds: PopulationRound, per_stratum: int,
@@ -132,8 +135,9 @@ def sample_strata(rounds: PopulationRound, per_stratum: int,
     """Uniform without-replacement draws, `per_stratum` from every stratum of every round.
 
     Replication r draws from ``rngs[r]``, one `draw_stratified` call over
-    every round's strata, round by round; a stack of one replication is
-    shared by every stream, as a broadcast view. Returns an (R, K, C,
+    every round's strata, round by round, whose indices run over the
+    replication's (K * N) values laid end to end; a stack of one replication
+    is shared by every stream, as a broadcast view. Returns an (R, K, C,
     per_stratum) array for R = len(rngs).
     """
     if per_stratum < 1:
@@ -142,11 +146,10 @@ def sample_strata(rounds: PopulationRound, per_stratum: int,
     if per_stratum > smallest:
         raise ValueError(f"cannot draw {per_stratum} values from a stratum of size {smallest}")
     n_reps, k = len(rngs), rounds.n_rounds
-    values = np.broadcast_to(rounds.values, (n_reps, *rounds.values.shape[1:]))
+    flat = np.broadcast_to(rounds.values, (n_reps, *rounds.values.shape[1:])).reshape(n_reps, -1)
     bounds = np.tile(rounds.sizes, k)
-    picks = np.array([draw_stratified(rng, bounds, per_stratum) for rng in rngs], dtype=np.int64)
-    picks = picks.reshape(n_reps, k, rounds.n_strata, per_stratum) + rounds.offsets[:-1, None]
-    return values[np.arange(n_reps)[:, None, None, None], np.arange(k)[:, None, None], picks]
+    picks = np.array([draw_stratified(rng, bounds, per_stratum) for rng in rngs])
+    return flat[np.arange(n_reps)[:, None, None], picks].reshape(n_reps, k, -1, per_stratum)
 
 
 def trend_schedules(family: Trend, n_rounds: int = DEFAULT_N_ROUNDS) -> list[tuple[float, float]]:

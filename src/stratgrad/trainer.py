@@ -123,10 +123,13 @@ def accuracy(params: mlp.MlpParams, data: LabeledDataset) -> float:
 
 
 def _class_draw(data: LabeledDataset):
-    """``draw(rng, m)``: C * m rows of `data`, m per class by `draw_stratified`, class-major."""
-    sizes = [idx.size for idx in data.class_index]
-    by_class, first = np.concatenate(data.class_index), np.cumsum([0, *sizes[:-1]])
-    return lambda rng, m: by_class[first[:, None] + draw_stratified(rng, sizes, m)].ravel()
+    """``draw(rng, m)``: C * m rows of `data`, m per class, class-major.
+
+    `draw_stratified`'s indices run over the classes' row lists laid end to
+    end, so they pick the rows from that concatenation directly.
+    """
+    sizes, by_class = [idx.size for idx in data.class_index], np.concatenate(data.class_index)
+    return lambda rng, m: by_class[draw_stratified(rng, sizes, m)].ravel()
 
 
 def _end_iteration(params, it: int, algorithm: str, config, reports, data, test_data) -> None:
@@ -259,12 +262,13 @@ def baseline_train(params: mlp.MlpParams, data: LabeledDataset, config: TrainCon
                    kind: BaselineKind, test_data: LabeledDataset):
     """Single-sample, pooled-batch, full-batch or memoryless stratified training.
 
-    SGD draws one pooled sample per step. Batch draws ``batch_size`` pooled
-    samples without replacement, except that batch_size == n uses the whole
-    dataset, as FULL does every step: the trajectory is then full-gradient
-    descent bit for bit. The stratified baseline weights one fresh sample
-    per class by the class shares. All draws come from the stream of
-    `config.seed`. Returns the trained `params` and the accuracy reports.
+    Batch draws ``batch_size`` pooled samples without replacement, and SGD
+    is the same pooled draw at size 1 (it reads no ``batch_size``). Batch at
+    batch_size == n uses the whole dataset instead, as FULL does every step:
+    the trajectory is then full-gradient descent bit for bit. The stratified
+    baseline weights one fresh sample per class by the class shares. All
+    draws come from the stream of `config.seed`. Returns the trained
+    `params` and the accuracy reports.
     """
     n = data.n_samples
     if n == 0:
@@ -274,6 +278,7 @@ def baseline_train(params: mlp.MlpParams, data: LabeledDataset, config: TrainCon
     if kind is BaselineKind.STRATIFIED:
         check_class_sizes(data.class_index, 1, "the stratified draw")
     full = kind is BaselineKind.FULL or (kind is BaselineKind.BATCH and config.batch_size == n)
+    size = 1 if kind is BaselineKind.SGD else config.batch_size  # of a pooled draw
     class_w = data.class_weights()
     features = data.features() if full else None
     draw, rng = _class_draw(data), spawn_rng(config.seed)
@@ -290,10 +295,7 @@ def baseline_train(params: mlp.MlpParams, data: LabeledDataset, config: TrainCon
         elif full:
             grad = mlp.gradient(params, features, data.labels, config.weight_decay)
         else:
-            if kind is BaselineKind.SGD:
-                rows = [int(rng.integers(n))]
-            else:
-                rows = rng.choice(n, size=config.batch_size, replace=False)
+            rows = rng.choice(n, size=size, replace=False)
             grad = mlp.gradient(params, data.features(rows), data.labels[rows],
                                 config.weight_decay)
         for l in range(params.n_layers):

@@ -27,7 +27,9 @@ from stratgrad.dataio import (
     write_svg_lineplot,
 )
 
-from idxtools import pack_idx_images, pack_idx_labels, synthetic_digits
+from idxtools import (CRITERION_RIDGE, CRITERION_ROWS, CRITERION_SEED, HARD_BLEND_NOISE,
+                      blended_digit_splits, pack_idx_images, pack_idx_labels, ridge_accuracy,
+                      synthetic_digits, write_mnist_style_dir)
 from oracles import (read_csv_columns, scaled_features_reference, subsample_reference,
                      write_csv_reference)
 
@@ -251,7 +253,6 @@ def test_subsample_rows_equal_the_converted_dataset_subsample(seed):
 
 
 def test_load_mnist_split_roundtrip(tmp_path):
-    from idxtools import write_mnist_style_dir
     root = write_mnist_style_dir(tmp_path / "d", 3, 2, seed=9)
     train = to_dataset(*read_mnist_split(root, "train"))
     test = to_dataset(*read_mnist_split(root, "test"))
@@ -260,6 +261,22 @@ def test_load_mnist_split_roundtrip(tmp_path):
     assert train.n_classes == test.n_classes == 10
     with pytest.raises(FileNotFoundError):
         read_mnist_split(tmp_path, "train")
+
+
+def test_harder_digit_set_meets_its_linear_criterion():
+    # the criterion that fixed HARD_BLEND_NOISE, on its own draw, so that the
+    # set's difficulty cannot drift: 0.7628 when the setting was fixed
+    splits = blended_digit_splits(*CRITERION_ROWS, CRITERION_SEED, *HARD_BLEND_NOISE)
+    assert 0.65 <= ridge_accuracy(*splits, CRITERION_RIDGE) <= 0.85
+
+
+def test_write_mnist_style_dir_writes_the_harder_set(tmp_path):
+    root = write_mnist_style_dir(tmp_path / "d", 3, 2, seed=9, blend_noise=HARD_BLEND_NOISE)
+    for split, (images, labels) in zip(("train", "test"),
+                                       blended_digit_splits(3, 2, 9, *HARD_BLEND_NOISE)):
+        got_images, got_labels = read_mnist_split(root, split)
+        assert got_images.tobytes() == images.tobytes()
+        assert got_labels.tobytes() == labels.tobytes()
 
 
 def test_read_mnist_split_rejects_count_mismatch(tmp_path):
@@ -273,7 +290,6 @@ def test_read_mnist_split_rejects_count_mismatch(tmp_path):
 
 @pytest.mark.parametrize("split", ["train", "test"])  # plain files, then gzip files
 def test_read_mnist_split_per_class_equals_a_whole_read_then_subsample(tmp_path, split):
-    from idxtools import write_mnist_style_dir
     root = write_mnist_style_dir(tmp_path / "d", 6, 5, seed=8)
     images, labels = read_mnist_split(root, split)
     rows = subsample_rows(labels, 4, (3, 1))

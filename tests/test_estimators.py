@@ -770,8 +770,9 @@ def test_reference_cases_reach_the_degenerate_branches():
 
 
 def test_pooled_draws_follow_choice_and_scalar_integers():
-    # the batch and sgd streams: one integers call over all rounds reads the
-    # stream as a choice(pooled, size, replace=True) or integers(n) call per round
+    # the batch and sgd streams: one integers(0, n, (rounds, size)) call, at
+    # batch's size and at 1, reads the stream as a choice(pooled, size,
+    # replace=True) or integers(n) call per round
     for seed in range(300):
         n, rounds, size = 1 + seed * 7 % 900, 1 + seed % 12, 1 + seed % 41
         ref_rng, rng = spawn_rng(seed), spawn_rng(seed)
@@ -779,5 +780,5 @@ def test_pooled_draws_follow_choice_and_scalar_integers():
         want = [ref_rng.choice(pooled, size=size, replace=True) for _ in range(rounds)]
         assert np.array_equal(rng.integers(0, n, size=(rounds, size)), np.array(want))
         want = [ref_rng.integers(n) for _ in range(rounds)]
-        assert np.array_equal(rng.integers(n, size=rounds), want)
+        assert np.array_equal(rng.integers(0, n, size=(rounds, 1))[:, 0], want)
         assert rng.integers(1 << 62) == ref_rng.integers(1 << 62)

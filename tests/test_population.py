@@ -9,6 +9,7 @@ from stratgrad.population import (
     RANDOM_PARAM_RANGE,
     Trend,
     UNIFORM_TRENDS,
+    draw_stratified,
     generate_family,
     sample_strata,
     trend_schedules,
@@ -372,3 +373,25 @@ def test_draws_follow_one_choice_call_per_stratum_and_round(per_stratum):
         assert np.array_equal(sample_strata(rounds, per_stratum, rngs), np.array(want))
         for rng, ref in zip(rngs, ref_rngs):  # same stream position
             assert rng.integers(1 << 62) == ref.integers(1 << 62)
+
+
+@pytest.mark.parametrize("m", [1, 2, 5])
+def test_draw_stratified_indexes_the_strata_laid_end_to_end(m):
+    # ragged sizes from m up to 1000, on both sides of choice's
+    # tail-shuffle/Floyd switch; m = 1 is the one-integers-call form
+    layouts = ([5, 1, 3, 7], [1, 9, 2], [49, 50, 51, 300, 1000], [12, 700], [m, 2 * m + 1, m])
+    for seed in range(60):
+        sizes = [n for n in layouts[seed % len(layouts)] if n >= m]
+        starts = np.cumsum(sizes) - sizes
+        rng, ref = spawn_rng(seed, m), spawn_rng(seed, m)
+        picks = draw_stratified(rng, sizes, m)
+        assert picks.shape == (len(sizes), m)
+        for row, lo, n in zip(picks, starts, sizes):
+            assert ((lo <= row) & (row < lo + n)).all()  # in its own stratum's slice
+            assert np.unique(row).size == m  # no repeat within a stratum
+        if m == 1:
+            want = (ref.integers(0, sizes) + starts)[:, None]
+        else:
+            want = [ref.choice(n, m, replace=False) + lo for lo, n in zip(starts, sizes)]
+        assert np.array_equal(picks, want)
+        assert rng.bit_generator.state == ref.bit_generator.state

@@ -690,6 +690,23 @@ def test_mssg_draws_pilots_without_repeats_and_fresh_rows_from_each_class(monkey
     assert np.array_equal(np.sort(seen["rows"][0][n:2 * n]), data.class_index[1])
 
 
+@pytest.mark.parametrize("n_per_class", [1, 7])
+def test_sgd_is_the_pooled_batch_draw_of_one(monkeypatch, n_per_class):
+    # sgd draws its row with batch's choice(n, size, replace=False) at size 1
+    data = blob_dataset(n_per_class, seed=48)
+    params = mlp.init_params((6, 4, 3), seed=49)
+    seen = spy_draws(monkeypatch, data)
+    config = small_config(iterations=9, checkpoint_every=3, batch_size=1)
+    (sgd, sgd_reports), (batch, batch_reports) = (
+        baseline_train(copy_params(params), data, config, kind, data)
+        for kind in (BaselineKind.SGD, BaselineKind.BATCH))
+    for got, want in zip(sgd.weights + sgd.biases, batch.weights + batch.biases):
+        assert got.tobytes() == want.tobytes()
+    assert sgd_reports == batch_reports
+    sgd_rng, batch_rng = seen["rngs"]
+    assert sgd_rng.bit_generator.state == batch_rng.bit_generator.state
+
+
 @pytest.mark.parametrize("train", [
     lambda params, data, config: mssg_train(params, data, config, data)[0],
     lambda params, data, config: baseline_train(params, data, config, BaselineKind.SGD,

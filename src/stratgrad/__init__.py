@@ -9,7 +9,7 @@ __version__ = "0.1.0"
 from .estimators import (
     Race,
     blended_variance,
-    gmst_step,
+    gmst_estimate,
     gst_estimate,
     optimal_coefficients_elementwise,
     trace_estimators,
@@ -23,7 +23,7 @@ from .population import (
 
 __all__ = [
     "__version__",
-    "Race", "blended_variance", "gmst_step", "gst_estimate",
+    "Race", "blended_variance", "gmst_estimate", "gst_estimate",
     "optimal_coefficients_elementwise", "trace_estimators",
     "PopulationRound", "Trend", "generate_family", "sample_strata",
 ]

@@ -122,9 +122,9 @@ def _mode_flags(args, in_mode: bool, mode: str, defaults: dict) -> None:
 def _load_split_pair(args) -> tuple[LabeledDataset, LabeledDataset, tuple[int, ...]]:
     """The train and test splits, and the network shape: DESK_SHAPE under --desk."""
     _mode_flags(args, args.desk, "--desk", {"per_class": 200, "test_per_class": 50})
-    data_dir = args.data_dir or os.environ.get("MNIST_DIR")
+    data_dir = os.environ.get("MNIST_DIR") if args.data_dir is None else args.data_dir
     if not data_dir:
-        raise FileNotFoundError("no dataset directory: pass --data-dir or set MNIST_DIR")
+        raise FileNotFoundError("no dataset directory: set a non-empty --data-dir or MNIST_DIR")
     # under --desk, pick the rows from the labels and read only those images
     splits = [to_dataset(*read_mnist_split(data_dir, split, per_class, (args.seed, stream)))
               for split, per_class, stream in (("train", args.per_class, _POP_STREAM),
@@ -245,9 +245,9 @@ def _random_stat_tuples(rng, n_strata: int):
 def cmd_variance_oracle(args, run: _Run) -> None:
     if args.replications < 10_000:
         raise ValueError("need at least 10000 replications for a meaningful z-score")
-    _mode_flags(args, not args.stats, "random mode, without --stats",
+    _mode_flags(args, args.stats is None, "random mode, without --stats",
                 {"random_tuples": 10, "strata": 1})
-    if args.stats:
+    if args.stats is not None:
         experiments = [_parse_stats_spec(args.stats)]
     elif args.strata < 1:
         raise ValueError(f"need at least one stratum per random experiment, got {args.strata}")
@@ -395,11 +395,12 @@ def cmd_gridsearch(args, run: _Run) -> None:
     if len({(c.step_size, c.weight_decay) for c in configs}) < len(configs):
         raise ValueError(f"--alphas {args.alphas} or --lambdas {args.lambdas} repeats a value")
     train, test, shape = _load_split_pair(args)
-    accuracies = []
+    accuracies, fallbacks = [], []
     for config in configs:  # a cell's score is its final checkpoint's test accuracy
         params = mlp.init_params(shape, (args.seed, _INIT_STREAM))
-        _, reports, _ = _run_algorithm(args.algorithm, params, train, test, config)
+        _, reports, n_fallback = _run_algorithm(args.algorithm, params, train, test, config)
         accuracies.append(reports[-1].test_accuracy)
+        fallbacks.append(n_fallback)
     # ties go to the smaller step size, then the smaller decay
     best = min(range(len(configs)), key=lambda i: (-accuracies[i], configs[i].step_size,
                                                    configs[i].weight_decay))
@@ -407,8 +408,11 @@ def cmd_gridsearch(args, run: _Run) -> None:
                "test_accuracy": accuracies, "algorithm": [args.algorithm] * len(configs)}
     write_csv(run.path("grid_results.csv"), columns)
     write_csv(run.path("grid_best.csv"), {k: v[best:best + 1] for k, v in columns.items()})
+    # each cell's fallback count, in grid order, shows a moved trajectory
+    # even where every cell scores alike
     run.finish(args, {"best_h": configs[best].step_size,
-                      "best_lambda": configs[best].weight_decay})
+                      "best_lambda": configs[best].weight_decay,
+                      "coefficient_fallbacks": fallbacks})
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:

@@ -5,6 +5,9 @@ one; ``batch``, the mean of a pooled mini-batch; ``gst``, the classic
 stratified estimator, a weighted mean of one (or more) draws per stratum;
 and ``gmst``, its memory-carrying variant, where each stratum keeps a
 running value that is blended with a fresh draw as ``p * old + q * fresh``.
+:func:`gmst_estimate` is that statistic over a whole round sequence: it
+forms every round's mixing pairs in one kernel call, then carries the
+memory from round to round.
 
 The mixing pair (p, q) is chosen per stratum so that the blend stays an
 unbiased estimate of the current stratum mean, ``p / (1 - q) =
@@ -18,7 +21,7 @@ The public functions that take the four statistics (mean_prev, var_prev,
 mean_curr, var_curr) work element by element on their broadcast shape, in
 float64, and raise ValueError on a negative variance. One kernel,
 :func:`optimal_coefficients_elementwise`, forms the mixing pairs for every
-caller: the trainer, the race and the variance oracle.
+caller: the trainer, `gmst_estimate` and the variance oracle.
 """
 
 from __future__ import annotations
@@ -138,22 +141,32 @@ def gst_estimate(sample_means, weights):
     return np.matmul(sample_means[..., None, :], weights[:, None])[..., 0, 0]
 
 
-def gmst_step(memory, fresh, mean_prev, var_prev, mean_curr, var_curr, weights):
-    """Advance the per-stratum memory one round with a fresh sample mean per stratum.
+def gmst_estimate(sample_means, means, variances, weights):
+    """The gmst estimate of every round of a sequence, and its fallback count.
 
-    Per entry: the mixing pair from (previous stats, current stats), then
-    ``p * memory + q * fresh``; the estimate is the weighted blend over the
-    last (stratum) axis. Every leading axis is a separate replication.
-    Returns the new memory (the input is left untouched), the estimate and
-    the number of entries that fell back to the pure fresh draw.
+    `sample_means` is (..., K, C): each round's fresh per-stratum sample
+    means, every leading axis a separate replication. `means` and
+    `variances` are the exact per-round stratum statistics, broadcast to that
+    shape. Round 1's memory is its own draws; round k's is ``p * memory +
+    q * fresh`` per stratum, with the mixing pair of rounds k - 1 and k, all
+    K - 1 pairs from one kernel call. Returns the (..., K) gst estimates of
+    the memories (the input is left untouched) and the number of
+    replication-round-stratum entries that fell back to the pure fresh draw.
     """
-    memory = np.asarray(memory, dtype=np.float64)
-    fresh = np.asarray(fresh, dtype=np.float64)
-    if fresh.shape != memory.shape:
-        raise ValueError(f"fresh means {fresh.shape} do not match the memory {memory.shape}")
-    p, q, fallbacks = optimal_coefficients_elementwise(mean_prev, var_prev, mean_curr, var_curr)
-    memory = p * memory + q * fresh
-    return memory, gst_estimate(memory, weights), fallbacks
+    memory = np.array(sample_means, dtype=np.float64)
+    if memory.ndim < 2:
+        raise ValueError(f"need (..., rounds, strata) sample means, got shape {memory.shape}")
+    try:
+        means, variances = (np.broadcast_to(a, memory.shape) for a in (means, variances))
+    except ValueError:
+        raise ValueError(f"stratum statistics {np.shape(means)} and {np.shape(variances)} "
+                         f"do not fit the sample means {memory.shape}") from None
+    p, q, fallbacks = optimal_coefficients_elementwise(
+        means[..., :-1, :], variances[..., :-1, :], means[..., 1:, :], variances[..., 1:, :])
+    for k in range(1, memory.shape[-2]):
+        memory[..., k, :] = (p[..., k - 1, :] * memory[..., k - 1, :]
+                             + q[..., k - 1, :] * memory[..., k, :])
+    return gst_estimate(memory, weights), fallbacks
 
 
 def blended_variance(mean_prev, var_prev, mean_curr, var_curr) -> np.ndarray:
@@ -224,27 +237,18 @@ def trace_estimators(rounds: PopulationRound, rngs: Sequence[np.random.Generator
                          f"{rounds.n_reps} replications")
     gmst_means = sample_strata(rounds, per_stratum, rngs).mean(axis=3)
     gst_means = sample_strata(rounds, per_stratum, rngs).mean(axis=3)
-    values, means, variances, truth = (
-        np.broadcast_to(a, (n_reps, *a.shape[1:]))
-        for a in (rounds.values, rounds.means, rounds.variances, rounds.truth))
-    n_rounds, n_values = values.shape[1:]
-    weights = rounds.weights
-    memory, gmst = gmst_means[:, 0], np.empty((n_reps, n_rounds))
-    gmst[:, 0] = gst_estimate(memory, weights)
-    fallbacks = 0
-    for k in range(1, n_rounds):
-        memory, gmst[:, k], n = gmst_step(
-            memory, gmst_means[:, k], means[:, k - 1], variances[:, k - 1],
-            means[:, k], variances[:, k], weights)
-        fallbacks += n
-    by_name = {"gmst": gmst, "gst": gst_estimate(gst_means, weights)}
+    gmst, fallbacks = gmst_estimate(gmst_means, rounds.means, rounds.variances, rounds.weights)
+    n_rounds, n_values = rounds.values.shape[1:]
+    by_name = {"gmst": gmst, "gst": gst_estimate(gst_means, rounds.weights)}
     # per_stratum >= 1 here, as sample_strata checks it first. integers(0, N,
-    # (K, size)) reads the stream as choice(pooled, size, replace=True) per round
-    reps, rows = np.arange(n_reps)[:, None, None], np.arange(n_rounds)[:, None]
+    # (K, size)) reads the stream as choice(pooled, size, replace=True) per
+    # round; a stack of one replication is indexed at 0 for every generator
+    reps, rows = np.arange(rounds.n_reps)[:, None, None], np.arange(n_rounds)[:, None]
     for name, size in (("batch", per_stratum * rounds.n_strata), ("sgd", 1)):
         picks = np.array([rng.integers(0, n_values, (n_rounds, size)) for rng in rngs])
-        by_name[name] = values[reps, rows, picks].mean(axis=2)
+        by_name[name] = rounds.values[reps, rows, picks].mean(axis=2)
     estimates = np.stack([by_name[name] for name in ESTIMATOR_NAMES], axis=1)
+    truth = np.broadcast_to(rounds.truth, (n_reps, n_rounds))
     dev = estimates - truth[:, None, :]
     return Race(estimates, dev * dev, np.array(truth), fallbacks)
 

@@ -18,7 +18,7 @@ from stratgrad.cli import main as cli_main
 from stratgrad.dataio import read_mnist_split, to_dataset
 from stratgrad.estimators import (
     blended_variance,
-    gmst_step,
+    gmst_estimate,
     optimal_coefficients_elementwise,
     summarize_traces,
     trace_estimators,
@@ -145,15 +145,15 @@ def test_criterion_5_decay_bound():
 
 def test_criterion_6_memory_estimator_unbiased():
     rounds = uniform_rounds(DECREASING_MEAN_INTERVALS[:2], 40, seed=1006)
-    stats1 = rounds.means[0, 0], rounds.variances[0, 0]
-    stats2 = rounds.means[0, 1], rounds.variances[0, 1]
     truth = rounds.truth[0, 1]
     rng = spawn_rng(1066)
     reps = 100_000
     v1, v2 = rounds.values.reshape(2, 4, 10)
     first = v1[np.arange(4)[None, :], rng.integers(0, 10, (reps, 4))]
     fresh = v2[np.arange(4)[None, :], rng.integers(0, 10, (reps, 4))]
-    _, estimates, _ = gmst_step(first, fresh, *stats1, *stats2, rounds.weights)
+    estimates, _ = gmst_estimate(np.stack([first, fresh], axis=1), rounds.means[0],
+                                 rounds.variances[0], rounds.weights)
+    estimates = estimates[:, 1]
     se = estimates.std(ddof=1) / math.sqrt(reps)
     gap = abs(float(estimates.mean()) - truth)
     verdict(6, gap <= 3 * se,

@@ -463,6 +463,16 @@ def test_variance_oracle_names_a_stats_entry_that_is_not_a_number(tmp_path, caps
     assert list(out.iterdir()) == []
 
 
+def test_variance_oracle_refuses_an_empty_stats_value(tmp_path, capsys):
+    # an empty --stats is a malformed stratum, not random mode
+    out = tmp_path / "vo"
+    assert run_cli("variance-oracle", "--stats", "", "--replications", 10_000,
+                   "--out-dir", out) == 1
+    assert "--stats stratum '' is not a comma-separated list of numbers" in \
+        capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_variance_oracle_records_the_random_mode_defaults(tmp_path):
     out = tmp_path / "vo"
     assert run_cli("variance-oracle", "--replications", 10_000, "--out-dir", out) == 0
@@ -614,6 +624,19 @@ def test_gradmatrix_requires_data(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("MNIST_DIR", raising=False)
     assert run_cli("gradmatrix", "--desk", "--out-dir", tmp_path / "gm") == 1
     assert "data" in capsys.readouterr().err.lower()
+
+
+@pytest.mark.parametrize("argv", [("gradmatrix", "--desk"), ("train", "--algorithm", "gst"),
+                                  ("gridsearch", "--algorithm", "gst")],
+                         ids=lambda argv: argv[0])
+def test_an_empty_data_dir_is_refused_not_read_as_unset(tmp_path, fixture_data_dir, capsys,
+                                                        monkeypatch, argv):
+    monkeypatch.setenv("MNIST_DIR", str(fixture_data_dir))
+    monkeypatch.setattr(cli, "read_mnist_split", lambda *_: pytest.fail("a split was read"))
+    out = tmp_path / "run"
+    assert run_cli(*argv, "--data-dir", "", "--out-dir", out) == 1
+    assert "set a non-empty --data-dir or MNIST_DIR" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("desk", [True, False])
@@ -871,6 +894,27 @@ def test_gridsearch_cell_runs_the_stretched_sgd_of_train(tmp_path, fixture_data_
     for got, want in zip(cell_params.weights + cell_params.biases,
                          train_params.weights + train_params.biases):
         assert got.tobytes() == want.tobytes()
+
+
+def manifest_list(out, key) -> list[str]:
+    """The values of a manifest entry that repeats its key, in order."""
+    return [line.split("=", 1)[1] for line in (out / "manifest.txt").read_text().splitlines()
+            if line.startswith(f"{key}=")]
+
+
+def test_gridsearch_records_each_cells_fallbacks_as_train_does(tmp_path, fixture_data_dir):
+    desk = ["--algorithm", "mssg", "--data-dir", fixture_data_dir, "--desk", "--per-class", 20,
+            "--test-per-class", 5, "--seed", 4]
+    want = []
+    for alpha, decay in ((0.5, 0.01), (0.5, 0.0)):
+        out = tmp_path / f"tr-{decay}"
+        assert run_cli("train", *desk, "--iterations", 3, "--checkpoint-every", 3,
+                       "--alpha", alpha, "--weight-decay", decay, "--out-dir", out) == 0
+        want += manifest_list(out, "coefficient_fallbacks")
+    assert len(want) == len(set(want)) == 2  # the cells' counts differ, so their order shows
+    assert run_cli("gridsearch", *desk, "--budget-iterations", 3, "--alphas", "0.5",
+                   "--lambdas", "0.01,0", "--out-dir", tmp_path / "gs") == 0
+    assert manifest_list(tmp_path / "gs", "coefficient_fallbacks") == want
 
 
 @pytest.mark.parametrize("algorithm", ["mssg", "gst"])

@@ -14,7 +14,7 @@ from stratgrad.cli import _matrix_rounds
 from stratgrad.estimators import (
     ESTIMATOR_NAMES,
     blended_variance,
-    gmst_step,
+    gmst_estimate,
     gst_estimate,
     optimal_coefficients_elementwise,
     summarize_traces,
@@ -351,38 +351,42 @@ def test_init_constant_population():
 def test_step_constant_strata_fixed_point():
     rounds = PopulationRound(np.full((1, 1, 40), 4.0), [10] * 4)
     stats = _stats_of(rounds)
-    memory = np.full(4, 4.0)
-    for _ in range(5):
-        memory, est, n_fallback = gmst_step(memory, [4.0] * 4, *stats, *stats, rounds.weights)
-        assert est == 4.0
-        assert n_fallback == 4  # every stratum is constant: zero denominators
+    estimates, n_fallback = gmst_estimate(np.full((6, 4), 4.0), *stats, rounds.weights)
+    assert estimates.tolist() == [4.0] * 6
+    assert n_fallback == 4 * 5  # every stratum is constant: zero denominators
 
 
 def test_step_equal_stats_is_running_average():
     means, variances = [2.0, 3.0], [1.0, 2.0]
-    weights = [0.5, 0.5]
-    memory, est, n_fallback = gmst_step([1.0, 2.0], [5.0, 4.0], means, variances, means,
-                                        variances, weights)
+    draws = [[1.0, 2.0], [5.0, 4.0]]
+    # a weight of one on a stratum reads its memory
+    memory = [gmst_estimate(draws, means, variances, weights)[0][1]
+              for weights in ([1.0, 0.0], [0.0, 1.0])]
     assert np.allclose(memory, [3.0, 3.0])  # (old + fresh) / 2
-    assert est == pytest.approx(3.0)
+    estimates, n_fallback = gmst_estimate(draws, means, variances, [0.5, 0.5])
+    assert estimates[1] == pytest.approx(3.0)
     assert n_fallback == 0
 
 
 def test_step_does_not_mutate_input_state():
-    memory = np.array([1.0])
-    gmst_step(memory, [9.0], [2.0], [1.0], [2.0], [1.0], [1.0])
-    assert memory.tolist() == [1.0]
+    draws = np.array([[1.0], [9.0]])
+    gmst_estimate(draws, [2.0], [1.0], [1.0])
+    assert draws.tolist() == [[1.0], [9.0]]
+    draws = numpy_stream(36).normal(0.0, 1.0, (4, 3, 2))
+    means, variances = np.ones((3, 2)), np.ones((3, 2))
+    kept = [a.copy() for a in (draws, means, variances)]
+    gmst_estimate(draws, means, variances, [0.5, 0.5])
+    assert all(np.array_equal(a, b) for a, b in zip((draws, means, variances), kept))
 
 
 def test_step_rejects_a_changed_stratum_count():
-    memory = [1.0, 2.0]
-    stats = [2.0, 3.0], [1.0, 2.0]
+    draws = [[1.0, 2.0], [5.0, 4.0]]
     with pytest.raises(ValueError):
-        gmst_step(memory, [5.0], *stats, [2.0], [1.0], [0.5, 0.5])
+        gmst_estimate([[1.0], [5.0]], [2.0, 3.0], [1.0, 2.0], [0.5, 0.5])
     with pytest.raises(ValueError):
-        gmst_step(memory, [5.0, 4.0], *stats, [2.0, 3.0, 1.0], [1.0, 2.0, 1.0], [0.5, 0.5])
+        gmst_estimate(draws, [2.0, 3.0, 1.0], [1.0, 2.0, 1.0], [0.5, 0.5])
     with pytest.raises(ValueError):
-        gmst_step(memory, [5.0, 4.0], *stats, *stats, [0.2, 0.3, 0.5])
+        gmst_estimate(draws, [2.0, 3.0], [1.0, 2.0], [0.2, 0.3, 0.5])
 
 
 def test_step_monte_carlo_unbiasedness_round_two():
@@ -393,10 +397,112 @@ def test_step_monte_carlo_unbiasedness_round_two():
     v1, v2 = rounds.values.reshape(2, 4, 10)
     first = v1[np.arange(4)[None, :], rng.integers(0, 10, (reps, 4))]
     fresh = v2[np.arange(4)[None, :], rng.integers(0, 10, (reps, 4))]
-    _, estimates, _ = gmst_step(first, fresh, *_stats_of(rounds, 0), *_stats_of(rounds, 1),
-                                rounds.weights)
+    estimates, _ = gmst_estimate(np.stack([first, fresh], axis=1), rounds.means[0],
+                                 rounds.variances[0], rounds.weights)
+    estimates = estimates[:, 1]
     se = estimates.std(ddof=1) / math.sqrt(reps)
     assert abs(estimates.mean() - truth) <= 3 * se
+
+
+def gmst_round_loop(sample_means, means, variances, weights):
+    """gmst over a round sequence one round at a time, from the public kernel."""
+    sample_means = np.asarray(sample_means, dtype=np.float64)
+    means, variances = (np.broadcast_to(a, sample_means.shape) for a in (means, variances))
+    memory = sample_means[..., 0, :]
+    estimates, fallbacks = [gst_estimate(memory, weights)], 0
+    for k in range(1, sample_means.shape[-2]):
+        p, q, n = optimal_coefficients_elementwise(means[..., k - 1, :], variances[..., k - 1, :],
+                                                   means[..., k, :], variances[..., k, :])
+        memory = p * memory + q * sample_means[..., k, :]
+        estimates.append(gst_estimate(memory, weights))
+        fallbacks += n
+    return np.stack(estimates, axis=-1), fallbacks
+
+
+def _branch_stats(branch):
+    """(means, variances) of 5 rounds x 3 strata whose stratum 1 takes a kernel branch."""
+    rng = numpy_stream(31)
+    means = rng.uniform(1.0, 3.0, (5, 3))
+    variances = rng.uniform(0.5, 2.0, (5, 3))
+    if branch == "zero-variance":
+        variances[:, 1] = 0.0
+    elif branch == "zero-previous-mean":
+        means[1:4:2, 1] = 0.0
+    elif branch == "both-means-zero":
+        means[1:4, 1] = 0.0
+    return means, variances
+
+
+@pytest.mark.parametrize("branch, n_fallback", [
+    ("main", 0), ("zero-variance", 4 * 7), ("zero-previous-mean", 2 * 7),
+    ("both-means-zero", 1 * 7)])
+def test_gmst_estimate_equals_a_per_round_loop_bit_for_bit(branch, n_fallback):
+    means, variances = _branch_stats(branch)
+    weights = np.array([0.2, 0.3, 0.5])
+    draws = numpy_stream(32).normal(means, 1.0, (7, 5, 3))
+    estimates, fallbacks = gmst_estimate(draws, means, variances, weights)
+    want, want_fallbacks = gmst_round_loop(draws, means, variances, weights)
+    assert estimates.shape == (7, 5)
+    assert estimates.tobytes() == want.tobytes()
+    assert fallbacks == want_fallbacks == n_fallback
+
+
+@pytest.mark.parametrize("shape", [(4, 6), (3, 10, 4), (2, 3, 7, 5)])
+def test_gmst_estimate_equals_a_per_round_loop_on_random_stacks(shape):
+    rng = numpy_stream(33)
+    means = rng.choice([-1.0, 1.0], shape) * rng.uniform(0.1, 5.0, shape)
+    variances = rng.uniform(0.0, 3.0, shape)
+    draws = rng.normal(means, np.sqrt(variances))
+    weights = rng.dirichlet(np.ones(shape[-1]))
+    estimates, fallbacks = gmst_estimate(draws, means, variances, weights)
+    want, want_fallbacks = gmst_round_loop(draws, means, variances, weights)
+    assert estimates.tobytes() == want.tobytes()
+    assert fallbacks == want_fallbacks
+
+
+def test_gmst_estimate_of_one_round_is_the_gst_estimate_of_its_draws():
+    draws = numpy_stream(34).uniform(0.0, 4.0, (6, 1, 3))
+    weights = [0.5, 0.25, 0.25]
+    estimates, fallbacks = gmst_estimate(draws, [[1.0, 2.0, 3.0]], [[1.0, 1.0, 0.0]], weights)
+    assert estimates.tobytes() == gst_estimate(draws, weights).tobytes()
+    assert estimates.shape == (6, 1) and fallbacks == 0
+    assert gmst_estimate(draws[0], [1.0, 2.0, 3.0], [1.0, 1.0, 1.0], weights)[0].tolist() == \
+        [gst_estimate(draws[0, 0], weights)]
+
+
+def test_statistics_of_one_replication_count_fallbacks_for_every_draw():
+    means, variances = _branch_stats("zero-previous-mean")
+    draws = numpy_stream(35).normal(0.0, 1.0, (6, 5, 3))
+    weights = [0.2, 0.3, 0.5]
+    _, one = gmst_estimate(draws[:1], means[None], variances[None], weights)
+    assert one == 2
+    assert gmst_estimate(draws, means[None], variances[None], weights)[1] == 6 * one
+
+
+def test_a_race_makes_one_kernel_call(monkeypatch):
+    calls = []
+
+    def spy(*stats):
+        calls.append(np.shape(stats[0]))
+        return kernel(*stats)
+
+    kernel = optimal_coefficients_elementwise
+    monkeypatch.setattr(stratgrad.estimators, "optimal_coefficients_elementwise", spy)
+    rounds = uniform_rounds(DECREASING_MEAN_INTERVALS, 40, seed=2)
+    trace_estimators(rounds, [spawn_rng(5), spawn_rng(6), spawn_rng(7)])
+    assert calls == [(3, 9, 4)]
+    trace_estimators(rounds, [spawn_rng(5)])
+    assert calls == [(3, 9, 4), (1, 9, 4)]
+
+
+def test_gmst_estimate_refuses_draws_without_rounds_and_statistics_that_do_not_fit():
+    draws = np.zeros((4, 3, 2))
+    with pytest.raises(ValueError, match="rounds, strata"):
+        gmst_estimate([1.0, 2.0], [1.0, 1.0], [1.0, 1.0], [0.5, 0.5])
+    with pytest.raises(ValueError, match="do not fit"):
+        gmst_estimate(draws, np.ones((4, 2)), np.ones((3, 2)), [0.5, 0.5])
+    with pytest.raises(ValueError, match="do not fit"):  # more replications than draws
+        gmst_estimate(draws, np.ones((3, 2)), np.ones((5, 3, 2)), [0.5, 0.5])
 
 
 # ------------------------------------------------------------ variance calculus
@@ -541,7 +647,7 @@ def test_variance_bound_dominates_monte_carlo_stationary():
         assert emp <= bound + 3 * se, f"step {t}"
 
 
-def test_stationary_chain_matches_gmst_step():
+def test_stationary_chain_matches_gmst_estimate():
     # the vectorized chain above must follow the real estimator exactly
     rounds = uniform_rounds([(0, 4)], 40, seed=8)
     stats = _stats_of(rounds)
@@ -550,11 +656,10 @@ def test_stationary_chain_matches_gmst_step():
     values = rounds.values[0, 0].reshape(4, 10)
     coeffs = [optimal_coefficients(m, v, m, v) for m, v in zip(*stats)]
     for _ in range(50):
-        memory = values[np.arange(4), rng.integers(0, 10, 4)]
-        vec = memory.copy()
-        for _ in range(5):
-            fresh = values[np.arange(4), rng.integers(0, 10, 4)]
-            memory, est, _ = gmst_step(memory, fresh, *stats, *stats, weights)
+        draws = [values[np.arange(4), rng.integers(0, 10, 4)] for _ in range(6)]
+        estimates, _ = gmst_estimate(draws, *stats, weights)
+        vec = draws[0]
+        for fresh, est in zip(draws[1:], estimates[1:]):
             vec = np.array([coeffs[j].p * vec[j] + coeffs[j].q * fresh[j] for j in range(4)])
             assert est == pytest.approx(float(vec @ weights), abs=1e-12)
 

@@ -32,8 +32,9 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from idxtools import write_mnist_style_dir
-from stratgrad.cli import _ALGORITHMS, main
+from stratgrad.cli import main
 from stratgrad.population import Trend
+from stratgrad.trainer import ALGORITHMS
 
 # the manifest entries that vary from run to run or from machine to machine
 VARIABLE_ENTRY = re.compile(r"(wall_time_s|phase\.[^=]*|env\.[^=]*|output|config\.out_dir"
@@ -59,14 +60,14 @@ def cases() -> dict[str, tuple]:
         "gradmatrix-desk": ("gradmatrix", *DESK, "--iterations", "3", "--reps", "2"),
         "gradmatrix-full": ("gradmatrix", "--iterations", "2", "--reps", "2"),
         **{f"train-{a}-desk": ("train", "--algorithm", a, *DESK, "--iterations", "4",
-                               "--checkpoint-every", "2") for a in _ALGORITHMS},
+                               "--checkpoint-every", "2") for a in ALGORITHMS},
         # a 3-fold sgd run: three times --iterations 2 --checkpoint-every 1
         "train-sgd-6-iterations-desk": ("train", "--algorithm", "sgd", *DESK, "--iterations",
                                         "6", "--checkpoint-every", "3"),
         "train-mssg-full": ("train", "--algorithm", "mssg", "--iterations", "2",
                             "--checkpoint-every", "1"),
         **{f"gridsearch-{a}-desk": ("gridsearch", "--algorithm", a, *DESK, *GRID)
-           for a in _ALGORITHMS},
+           for a in ALGORITHMS},
         # a 2-fold sgd grid: twice GRID's budget of 30
         "gridsearch-sgd-60-budget-desk": ("gridsearch", "--algorithm", "sgd", *DESK,
                                           "--alphas", "8,2", "--lambdas", "0.001,0",

@@ -32,7 +32,6 @@ FULL_SHAPE = (784, 500, 500, 200, 10)
 
 _POP_STREAM, _INIT_STREAM, _REP_STREAM, _TEST_STREAM, _TRAIN_STREAM = 1, 2, 3, 4, 5
 _TUPLE_STREAM, _MC_STREAM = 31, 37
-_ALGORITHMS = ("mssg", *(k.value for k in trainer.BaselineKind))
 
 
 class _Run:
@@ -139,6 +138,8 @@ def _phase_entries(names, marks) -> dict:
 
 
 def cmd_synthetic(args, run: _Run) -> None:
+    if args.seeds < 1:  # refused by name before any population is drawn
+        raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
     family = Trend(args.family)
     marks = [time.perf_counter()]
     rngs = spawn_rngs([(args.seed, s) for s in range(args.seeds)])
@@ -355,15 +356,6 @@ def _make_config(args, step_size: float, weight_decay: float, iterations: int,
                                checkpoint_every=checkpoint_every)
 
 
-def _run_algorithm(algorithm: str, params, train, test, config):
-    """Returns (trained params, reports, coefficient-fallback count)."""
-    if algorithm == "mssg":
-        return trainer.mssg_train(params, train, config, test)
-    params, reports = trainer.baseline_train(params, train, config,
-                                             trainer.BaselineKind(algorithm), test)
-    return params, reports, 0
-
-
 def _report_rows(reports, args) -> dict:
     return {
         "iterations_k": [r.iterations / 1000.0 for r in reports],
@@ -381,7 +373,7 @@ def cmd_train(args, run: _Run) -> None:
                           args.checkpoint_every)
     train, test, shape = _load_split_pair(args)
     params = mlp.init_params(shape, (args.seed, _INIT_STREAM))
-    params, reports, fallbacks = _run_algorithm(args.algorithm, params, train, test, config)
+    params, reports, fallbacks = trainer.train(params, train, config, args.algorithm, test)
     write_csv(run.path(f"accuracy_{args.algorithm}.csv"), _report_rows(reports, args))
     run.finish(args, {"final_test_accuracy": reports[-1].test_accuracy,
                       "coefficient_fallbacks": fallbacks})
@@ -398,7 +390,7 @@ def cmd_gridsearch(args, run: _Run) -> None:
     accuracies, fallbacks = [], []
     for config in configs:  # a cell's score is its final checkpoint's test accuracy
         params = mlp.init_params(shape, (args.seed, _INIT_STREAM))
-        _, reports, n_fallback = _run_algorithm(args.algorithm, params, train, test, config)
+        _, reports, n_fallback = trainer.train(params, train, config, args.algorithm, test)
         accuracies.append(reports[-1].test_accuracy)
         fallbacks.append(n_fallback)
     # ties go to the smaller step size, then the smaller decay
@@ -491,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subcommand("train", "train one algorithm and checkpoint accuracy", cmd_train,
                    _add_data_flags, _add_train_flags)
-    p.add_argument("--algorithm", required=True, choices=_ALGORITHMS)
+    p.add_argument("--algorithm", required=True, choices=trainer.ALGORITHMS)
     p.add_argument("--alpha", type=float, default=0.2, help="step size")
     p.add_argument("--weight-decay", type=float, default=0.001,
                    help="L2 penalty coefficient on weights")
@@ -501,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subcommand("gridsearch", "grid-search step size and weight decay", cmd_gridsearch,
                    _add_data_flags, _add_train_flags)
-    p.add_argument("--algorithm", default="mssg", choices=_ALGORITHMS)
+    p.add_argument("--algorithm", default="mssg", choices=trainer.ALGORITHMS)
     p.add_argument("--alphas", default="0.01,1,0.001", help="comma-separated step sizes")
     p.add_argument("--lambdas", default="0.001,0.0001", help="comma-separated decays")
     p.add_argument("--budget-iterations", type=int, default=1000,

@@ -1,6 +1,12 @@
-"""Training loops: the memory-type stratified gradient trainer and baselines.
+"""Training: the memory-type stratified gradient trainer and baselines.
 
-The memory trainer (``mssg_train``) treats every scalar parameter as its own
+``train`` runs every algorithm of ``ALGORITHMS`` in its one loop, which owns
+the run's stream, the non-finite check after each step and the checkpoint
+reports. An algorithm's per-iteration work is a step generator that keeps
+its state across yields and yields the step's mixing-coefficient fallbacks
+(0 for a baseline).
+
+The memory trainer (``mssg``) treats every scalar parameter as its own
 estimation problem. Per iteration and per class it draws a pilot batch,
 takes per-parameter sample mean/variance of the per-sample gradients, forms
 the elementwise mixing pair from the previous iteration's pilot stats
@@ -32,10 +38,8 @@ parameters, the persistent state at the 784-500-500-200-10 shape is one
 2.2 MiB) with its D*D (about 0.8 MB), and one weight snapshot (about
 6 MB); the rest is block-sized temporaries.
 
-Every trainer runs the iterations its ``TrainConfig`` gives, reports
-accuracy every ``checkpoint_every`` iterations and at the end, and trains
-the parameters it is given in place, with no copy of them; how a run is
-labelled and reported is the caller's. A trainer decodes to
+``train`` trains the parameters it is given in place, with no copy of them;
+how a run is labelled and reported is the caller's. An algorithm decodes to
 float64 only the dataset rows it draws, except the full-batch steps
 (``fullgrad``, and ``batch`` at batch_size == n): they read every row
 every step, so they decode the whole dataset once (376 MB at 60,000 rows;
@@ -44,7 +48,6 @@ a step adds about 72 MB at the 784-500-500-200-10 shape).
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,11 +59,8 @@ from .population import draw_stratified
 from .rng import spawn_rng
 
 
-class BaselineKind(enum.Enum):
-    SGD = "sgd"
-    BATCH = "batch"
-    STRATIFIED = "gst"
-    FULL = "fullgrad"
+# Every name that ``train`` runs, in the order that --algorithm offers them
+ALGORITHMS = ("mssg", "sgd", "batch", "gst", "fullgrad")
 
 
 @dataclass
@@ -132,13 +132,6 @@ def _class_draw(data: LabeledDataset):
     return lambda rng, m: by_class[draw_stratified(rng, sizes, m)].ravel()
 
 
-def _end_iteration(params, it: int, algorithm: str, config, reports, data, test_data) -> None:
-    """Refuse non-finite parameters, then score the run if `it` is a checkpoint."""
-    mlp.check_finite(params, algorithm, it)
-    if it % config.checkpoint_every == 0 or it == config.iterations:
-        reports.append(AccuracyReport(it, accuracy(params, data), accuracy(params, test_data)))
-
-
 def _blend_block(sums, sq_sums, fresh, param, snapshot, memory, class_w, pilot_size,
                  weight_decay, scale) -> int:
     """Advance one parameter block of the mssg update in place.
@@ -192,16 +185,13 @@ def _blend_block(sums, sq_sums, fresh, param, snapshot, memory, class_w, pilot_s
     return fallbacks
 
 
-def mssg_train(params: mlp.MlpParams, data: LabeledDataset, config: TrainConfig,
-               test_data: LabeledDataset):
+def _mssg_steps(params: mlp.MlpParams, data: LabeledDataset, config: TrainConfig, rng):
     """Memory-type stratified gradient descent over class-partitioned data.
 
-    The update and the state it keeps are described in the module
-    docstring. Every iteration draws n pilot rows per class and then one
+    The update and the state it keeps across steps are described in the
+    module docstring. Every step draws n pilot rows per class and then one
     fresh row per class, apart from the pilot (it may repeat a pilot row),
-    from the one stream of `config.seed`. Returns the trained `params`, the
-    accuracy reports and the number of mixing-coefficient fallbacks over the
-    run.
+    from `rng`, and yields its number of mixing-coefficient fallbacks.
     """
     n_classes = data.n_classes
     if n_classes < 2:
@@ -216,19 +206,17 @@ def mssg_train(params: mlp.MlpParams, data: LabeledDataset, config: TrainConfig,
     snapshots = [np.zeros_like(w) for w, _ in layers]
     block_rows = [max(1, min(w.shape[0], BLOCK_ENTRIES // w.shape[1])) for w, _ in layers]
     scale = config.step_size / n_classes
-    reports: list[AccuracyReport] = []
-    fallbacks = 0
 
-    draw, rng = _class_draw(data), spawn_rng(config.seed)
-    previous = None  # the previous iteration's pilot factors
-    for it in range(1, config.iterations + 1):
+    draw = _class_draw(data)
+    previous = None  # the previous step's pilot factors
+    while True:
         rows = np.concatenate([draw(rng, n), draw(rng, 1)])  # class-major pilots, then fresh
         acts, deltas = mlp.forward_backward(params, data.features(rows), data.labels[rows])
         # Each layer's pilot factors, class-major: A^T and D, views of this
         # pass's arrays, and D * D. Every row block of a layer reads all of D
         # and D * D but only its own rows of A^T, so it squares those itself.
-        # The views keep the whole pass until the next iteration is done.
-        factors = []
+        # The views keep the whole pass until the next step is done.
+        factors, fallbacks = [], 0
         for l, (w, b) in enumerate(layers):
             fan_in, fan_out = w.shape
             d = deltas[l][:n_pilot].reshape(n_classes, n, fan_out)
@@ -254,52 +242,67 @@ def mssg_train(params: mlp.MlpParams, data: LabeledDataset, config: TrainConfig,
                 d_fresh[:, None], b[None], None, mem_b[:, None], class_w, n, 0.0, scale)
         previous = factors
         del pilots  # views of the pass before this one, which a checkpoint need not keep
-        _end_iteration(params, it, "mssg", config, reports, data, test_data)
-    return params, reports, fallbacks
+        yield fallbacks
 
 
-def baseline_train(params: mlp.MlpParams, data: LabeledDataset, config: TrainConfig,
-                   kind: BaselineKind, test_data: LabeledDataset):
-    """Single-sample, pooled-batch, full-batch or memoryless stratified training.
+def _baseline_steps(params: mlp.MlpParams, data: LabeledDataset, config: TrainConfig, rng,
+                    algorithm: str):
+    """Single-sample, pooled-batch, full-batch or memoryless stratified steps.
 
-    Batch draws ``batch_size`` pooled samples without replacement, and SGD
+    Batch draws ``batch_size`` pooled samples without replacement, and sgd
     is the same pooled draw at size 1 (it reads no ``batch_size``). Batch at
-    batch_size == n uses the whole dataset instead, as FULL does every step:
-    the trajectory is then full-gradient descent bit for bit. The stratified
-    baseline weights one fresh sample per class by the class shares. All
-    draws come from the stream of `config.seed`. Returns the trained
-    `params` and the accuracy reports.
+    batch_size == n uses the whole dataset instead, as fullgrad does every
+    step: the trajectory is then full-gradient descent bit for bit. The
+    stratified baseline, gst, weights one fresh sample per class by the
+    class shares. All draws come from `rng`.
     """
     n = data.n_samples
     if n == 0:
         raise ValueError("cannot train on an empty dataset")
-    if kind is BaselineKind.BATCH and config.batch_size > n:
+    if algorithm == "batch" and config.batch_size > n:
         raise ValueError(f"batch_size {config.batch_size} exceeds dataset size {n}")
-    if kind is BaselineKind.STRATIFIED:
+    if algorithm == "gst":
         check_class_sizes(data.class_index, 1, "the stratified draw")
-    full = kind is BaselineKind.FULL or (kind is BaselineKind.BATCH and config.batch_size == n)
-    size = 1 if kind is BaselineKind.SGD else config.batch_size  # of a pooled draw
+    full = algorithm == "fullgrad" or (algorithm == "batch" and config.batch_size == n)
+    size = 1 if algorithm == "sgd" else config.batch_size  # of a pooled draw
     class_w = data.class_weights()
     features = data.features() if full else None
-    draw, rng = _class_draw(data), spawn_rng(config.seed)
-    reports: list[AccuracyReport] = []
-    for it in range(1, config.iterations + 1):
-        if kind is BaselineKind.STRATIFIED:
+    draw = _class_draw(data)
+    while True:
+        if algorithm == "gst":
             rows = draw(rng, 1)
             acts, deltas = mlp.forward_backward(params, data.features(rows), data.labels[rows])
-            grad = mlp.MlpParams(
-                [a.T @ (class_w[:, None] * d) + config.weight_decay * w
-                 for a, d, w in zip(acts, deltas, params.weights)],
-                [class_w @ d for d in deltas],
-            )
+            grad = mlp.MlpParams([a.T @ (class_w[:, None] * d) + config.weight_decay * w
+                                  for a, d, w in zip(acts, deltas, params.weights)],
+                                 [class_w @ d for d in deltas])
         elif full:
             grad = mlp.gradient(params, features, data.labels, config.weight_decay)
         else:
             rows = rng.choice(n, size=size, replace=False)
             grad = mlp.gradient(params, data.features(rows), data.labels[rows],
                                 config.weight_decay)
-        for l in range(params.n_layers):
-            params.weights[l] -= config.step_size * grad.weights[l]
-            params.biases[l] -= config.step_size * grad.biases[l]
-        _end_iteration(params, it, kind.value, config, reports, data, test_data)
-    return params, reports
+        for param, g in zip(params.weights + params.biases, grad.weights + grad.biases):
+            param -= config.step_size * g
+        yield 0
+
+
+def train(params: mlp.MlpParams, data: LabeledDataset, config: TrainConfig, algorithm: str,
+          test_data: LabeledDataset):
+    """Train `params` in place with `algorithm`, drawing from the one stream of `config.seed`.
+
+    Refuses non-finite parameters after every step, and scores the train and
+    test data every ``checkpoint_every`` iterations and at the end. Returns
+    the trained `params`, the accuracy reports and the run's fallback count.
+    """
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}; choose one of {ALGORITHMS}")
+    rng = spawn_rng(config.seed)
+    steps = (_mssg_steps(params, data, config, rng) if algorithm == "mssg"
+             else _baseline_steps(params, data, config, rng, algorithm))
+    reports, fallbacks = [], 0
+    for it, step_fallbacks in zip(range(1, config.iterations + 1), steps):
+        fallbacks += step_fallbacks
+        mlp.check_finite(params, algorithm, it)
+        if it % config.checkpoint_every == 0 or it == config.iterations:
+            reports.append(AccuracyReport(it, accuracy(params, data), accuracy(params, test_data)))
+    return params, reports, fallbacks

@@ -23,7 +23,7 @@ mssg block update as that kernel followed by an out-of-place blend; the
 kernel and `trainer._blend_block` are checked against them bit for bit.
 `mssg_stored_state` is the mssg trainer that stores each class's previous
 pilot mean and variance instead of recomputing them, which
-`trainer.mssg_train` must match bit for bit.
+`trainer.train` must match bit for bit under ``"mssg"``.
 Every oracle that seeds its own draws uses `numpy_stream`, numpy's own
 seeding; the population and race references read the generators they are
 handed. `subsample_reference` is the desk subsample taken after indexing the whole
@@ -417,7 +417,7 @@ def mssg_reference(params, data, config):
 
     Pilot stats come from materialised per-sample gradients and two-pass
     moments, one class at a time, with the same draws as
-    :func:`trainer.mssg_train`, made by plain per-class calls on one
+    ``trainer.train(..., "mssg", ...)``, made by plain per-class calls on one
     ``numpy_stream(config.seed)``: each iteration, every class's pilot
     ``choice(idx, n, replace=False)``, then every class's fresh
     ``choice(idx)``. Returns the final parameters and an
@@ -596,7 +596,7 @@ def mssg_stored_state(params, data, config):
     Holds three (C, fan_in, fan_out) arrays per weight (memory, previous
     mean, previous variance) and streams each layer in row blocks through
     `stored_state_block_reference`, with the same draws, single
-    forward/backward pass and batched pilot sums as `trainer.mssg_train`.
+    forward/backward pass and batched pilot sums as `trainer.train`'s mssg.
     Returns the final parameters and the fallback count. No checkpoints.
     """
     n_classes, n, wd = data.n_classes, config.pilot_size, config.weight_decay

@@ -29,7 +29,7 @@ from stratgrad.population import (
     generate_family,
 )
 from stratgrad.rng import spawn_rng, spawn_rngs
-from stratgrad.trainer import TrainConfig, accuracy, mssg_train
+from stratgrad.trainer import TrainConfig, accuracy, train
 
 from oracles import (Coefficients, max_relative_error, numeric_gradient, read_csv_columns,
                      stratified_variance, unbiased_condition_holds, uniform_rounds,
@@ -235,7 +235,7 @@ def test_criterion_10b_memory_trainer_accuracy_grid(real_mnist_dir):
     # long-run reproduction of the 1k-iteration accuracy row: 6 grid cells x
     # 1,000 full-shape mssg iterations at about 0.25 s each (in-process, one
     # BLAS thread, 2-core x86_64), so about 25 minutes
-    train = to_dataset(*read_mnist_split(real_mnist_dir, "train"))
+    train_split = to_dataset(*read_mnist_split(real_mnist_dir, "train"))
     test = to_dataset(*read_mnist_split(real_mnist_dir, "test"))
 
     # each cell scores its final checkpoint; ties go to the smaller step, then decay
@@ -245,7 +245,7 @@ def test_criterion_10b_memory_trainer_accuracy_grid(real_mnist_dir):
         config = TrainConfig(step_size=h, batch_size=10, iterations=1000,
                              weight_decay=lam, seed=1010, pilot_size=8,
                              checkpoint_every=1000)
-        _, reports, _ = mssg_train(params, train, config, test)
+        _, reports, _ = train(params, train_split, config, "mssg", test)
         cells.append((-reports[-1].test_accuracy, h, lam))
     acc = -min(cells)[0] * 100.0
     verdict(10, abs(acc - 94.46) <= 1.5,

@@ -210,6 +210,17 @@ def test_synthetic_single_seed_still_produces_files(tmp_path):
         assert float(entries[f"phase.{phase}_s"]) >= 0.0
 
 
+@pytest.mark.parametrize("seeds", [0, -2])
+def test_synthetic_refuses_seeds_below_one_by_name_before_any_draw(tmp_path, capsys,
+                                                                    monkeypatch, seeds):
+    monkeypatch.setattr(cli, "generate_family", lambda *_, **__: pytest.fail("a population"))
+    out = tmp_path / "syn"
+    assert run_cli("synthetic", "--family", "normal-random", "--seeds", seeds,
+                   "--out-dir", out) == 1
+    assert f"--seeds must be at least 1, got {seeds}" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("family", ["uniform-dec", "uniform-inc"])
 def test_uniform_families_refuse_rounds_beyond_their_intervals(tmp_path, capsys, family):
     out = tmp_path / "syn"
@@ -596,7 +607,7 @@ def empty_split_data_dir(path: Path, empty: str) -> Path:
 def test_a_split_with_no_items_is_refused_by_name_before_any_descent(
         tmp_path, capsys, monkeypatch, argv, split, desk):
     monkeypatch.setattr(cli.mlp, "full_gradient_train", lambda *_, **__: pytest.fail("descended"))
-    monkeypatch.setattr(cli, "_run_algorithm", lambda *_: pytest.fail("trained"))
+    monkeypatch.setattr(cli.trainer, "train", lambda *_: pytest.fail("trained"))
     data = empty_split_data_dir(tmp_path / "data", split)
     out = tmp_path / "run"
     desk_flags = ("--desk", "--per-class", 2, "--test-per-class", 2) if desk else ()
@@ -727,7 +738,7 @@ def test_gradmatrix_refuses_bad_descent_flags_before_any_read(tmp_path, capsys, 
     ("0.5", "x", "--lambdas 'x' is not a comma-separated list of numbers")])
 def test_gridsearch_refuses_a_bad_grid_value_before_any_cell_trains(
         tmp_path, fixture_data_dir, capsys, monkeypatch, alphas, lambdas, message):
-    monkeypatch.setattr(cli, "_run_algorithm", lambda *_: pytest.fail("a cell trained"))
+    monkeypatch.setattr(cli.trainer, "train", lambda *_: pytest.fail("a cell trained"))
     monkeypatch.setattr(cli, "read_mnist_split", lambda *_: pytest.fail("a split was read"))
     assert run_cli("gridsearch", "--algorithm", "gst", "--data-dir", fixture_data_dir, "--desk",
                    "--per-class", 20, "--test-per-class", 5, "--alphas", alphas,
@@ -750,7 +761,7 @@ def test_gridsearch_refuses_a_bad_budget_before_the_split_is_read(
 UNREAD_TRAINER_FLAGS = [(sub, flag, algorithm, reader)
                         for sub in ("train", "gridsearch")
                         for flag, reader in (("--batch-size", "batch"), ("--pilot-size", "mssg"))
-                        for algorithm in cli._ALGORITHMS if algorithm != reader]
+                        for algorithm in cli.trainer.ALGORITHMS if algorithm != reader]
 
 
 @pytest.mark.parametrize("sub, flag, algorithm, reader", UNREAD_TRAINER_FLAGS,
@@ -872,13 +883,13 @@ def test_gridsearch_cell_runs_the_stretched_sgd_of_train(tmp_path, fixture_data_
                                                         monkeypatch):
     runs = []
 
-    def spy(params, data, config, kind, test_data):
-        trained, reports = baseline_train(params, data, config, kind, test_data)
+    def spy(params, data, config, algorithm, test_data):
+        trained, reports, fallbacks = train(params, data, config, algorithm, test_data)
         runs.append((config, trained))
-        return trained, reports
+        return trained, reports, fallbacks
 
-    baseline_train = cli.trainer.baseline_train
-    monkeypatch.setattr(cli.trainer, "baseline_train", spy)
+    train = cli.trainer.train
+    monkeypatch.setattr(cli.trainer, "train", spy)
     desk = ["--algorithm", "sgd", "--data-dir", fixture_data_dir, "--desk", "--per-class", 20,
             "--test-per-class", 5, "--seed", 4]
     assert run_cli("train", *desk, "--iterations", 6, "--alpha", 0.5,
@@ -924,11 +935,10 @@ def test_train_hands_the_trainer_the_train_stream_prefix(tmp_path, fixture_data_
 
     def spy(params, data, config, *rest):
         seeds.append(config.seed)
-        return train_fn(params, data, config, *rest)
+        return train(params, data, config, *rest)
 
-    name = "mssg_train" if algorithm == "mssg" else "baseline_train"
-    train_fn = getattr(cli.trainer, name)
-    monkeypatch.setattr(cli.trainer, name, spy)
+    train = cli.trainer.train
+    monkeypatch.setattr(cli.trainer, "train", spy)
     assert run_cli("train", "--algorithm", algorithm, "--data-dir", fixture_data_dir, "--desk",
                    "--per-class", 20, "--test-per-class", 5, "--iterations", 2, "--seed", 6,
                    "--out-dir", tmp_path / "tr") == 0
@@ -960,12 +970,12 @@ def test_gridsearch_cells_take_step_and_decay_from_the_grid(tmp_path, fixture_da
                                                             monkeypatch):
     configs = []
 
-    def spy(params, data, config, kind, test_data):
+    def spy(params, data, config, algorithm, test_data):
         configs.append(config)
-        return baseline_train(params, data, config, kind, test_data)
+        return train(params, data, config, algorithm, test_data)
 
-    baseline_train = cli.trainer.baseline_train
-    monkeypatch.setattr(cli.trainer, "baseline_train", spy)
+    train = cli.trainer.train
+    monkeypatch.setattr(cli.trainer, "train", spy)
     out = tmp_path / "gs"
     assert run_cli("gridsearch", "--algorithm", "gst", "--data-dir", fixture_data_dir,
                    "--desk", "--per-class", 20, "--test-per-class", 5, "--alphas", "0.5,0.1", "--lambdas", "0,0.01", "--budget-iterations", 3,
@@ -1008,11 +1018,11 @@ def test_gridsearch_single_cell_is_its_own_best(tmp_path, fixture_data_dir):
 ], ids=["all-tie", "step-first"])
 def test_gridsearch_breaks_ties_toward_the_smaller_step_then_decay(
         tmp_path, fixture_data_dir, monkeypatch, low_cells, want):
-    def stub(algorithm, params, train, test, config):
+    def stub(params, train, config, algorithm, test):
         score = 0.25 if (config.step_size, config.weight_decay) in low_cells else 0.5
         return params, [cli.trainer.AccuracyReport(config.iterations, score, score)], 0
 
-    monkeypatch.setattr(cli, "_run_algorithm", stub)
+    monkeypatch.setattr(cli.trainer, "train", stub)
     out = tmp_path / "gs"
     assert run_cli("gridsearch", "--algorithm", "gst", "--data-dir", fixture_data_dir,
                    "--desk", "--per-class", 20, "--test-per-class", 5,
@@ -1048,7 +1058,7 @@ def test_gridsearch_scores_each_cell_at_its_final_checkpoint_only(
 
 STREAM_RUNS = {
     **{f"train-{algorithm}-desk": ("train", "--algorithm", algorithm, "--desk",
-                                   "--iterations", 4) for algorithm in cli._ALGORITHMS},
+                                   "--iterations", 4) for algorithm in cli.trainer.ALGORITHMS},
     "train-mssg-full": ("train", "--algorithm", "mssg", "--iterations", 2),
     "gradmatrix-desk": ("gradmatrix", "--desk"),
     **{f"synthetic-{family}": ("synthetic", "--family", family, "--seeds", 250)
@@ -1081,7 +1091,7 @@ def test_no_two_streams_of_a_run_share_seed_words(tmp_path, fixture_data_dir, mo
 
 
 
-def test_mssg_train_builds_as_many_streams_as_gst(tmp_path, fixture_data_dir, monkeypatch):
+def test_mssg_builds_as_many_streams_as_gst(tmp_path, fixture_data_dir, monkeypatch):
     # both stratified trainers draw every iteration from the run's one
     # training stream, so the iteration count adds no generator to either
     built = Counter()

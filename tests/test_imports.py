@@ -9,8 +9,9 @@ the module. ``from __future__`` imports and names re-exported through
 
 The second check keeps helpers that only tests call out of the package:
 such a helper belongs in ``tests/oracles.py``, which in turn imports no
-private name of the package. The third does the same for
-knobs: a defaulted parameter that no call in src ever sets serves only tests.
+private name of the package, nor does any script in ``scripts/``. The third
+does the same for knobs: a defaulted parameter that no call in src ever sets
+serves only tests.
 """
 
 import ast
@@ -57,14 +58,24 @@ def test_every_exported_name_resolves():
     assert [name for name in stratgrad.__all__ if not hasattr(stratgrad, name)] == []
 
 
+def private_package_imports(source: str) -> list[str]:
+    """The private names that `source` imports from the package, as module.name."""
+    return [f"{node.module}.{a.name}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("stratgrad")
+            for a in node.names if a.name.startswith("_")]
+
+
 def test_oracles_import_no_private_name_of_the_package():
     # a reference that shares a private helper with the code it checks
     # cannot catch a fault in that helper
-    tree = ast.parse((ROOT / "tests" / "oracles.py").read_text())
-    private = [f"{node.module}.{a.name}" for node in ast.walk(tree)
-               if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("stratgrad")
-               for a in node.names if a.name.startswith("_")]
-    assert private == []
+    assert private_package_imports((ROOT / "tests" / "oracles.py").read_text()) == []
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "scripts").glob("*.py")), ids=lambda p: p.name)
+def test_scripts_import_no_private_name_of_the_package(path):
+    # a script runs each tree's package as it stands, so it may lean only on
+    # names that the package keeps public
+    assert private_package_imports(path.read_text()) == []
 
 
 def unreferenced_definitions(sources: dict[str, str]) -> list[str]:

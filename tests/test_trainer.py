@@ -10,13 +10,12 @@ from stratgrad.dataio import LabeledDataset, to_dataset
 from stratgrad.estimators import optimal_coefficients_elementwise
 from stratgrad.rng import spawn_rng
 from stratgrad.trainer import (
+    ALGORITHMS,
     AccuracyReport,
-    BaselineKind,
     TrainConfig,
     _blend_block,
     accuracy,
-    baseline_train,
-    mssg_train,
+    train,
 )
 
 from oracles import (
@@ -166,26 +165,41 @@ def test_mssg_learns_separated_blobs():
     config = small_config(iterations=40, step_size=1.0, pilot_size=6,
                           checkpoint_every=10)
     before = accuracy(params, data)
-    trained, reports, _ = mssg_train(params, data, config, data)
+    trained, reports, _ = train(params, data, config, "mssg", data)
     assert len(reports) == 4
     assert reports[-1].iterations == 40
     assert reports[-1].train_accuracy > before
 
 
-def test_mssg_reports_at_every_checkpoint():
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_every_algorithm_reports_at_every_checkpoint(algorithm):
+    # fullgrad reads no batch_size, so one larger than the dataset is no error
     data = blob_dataset(12, seed=6)
     params = mlp.init_params((6, 4, 3), seed=7)
-    config = small_config(iterations=7, checkpoint_every=3)
-    _, reports, _ = mssg_train(params, data, config, data)
+    batch_size = 1000 if algorithm == "fullgrad" else 4
+    config = small_config(iterations=7, checkpoint_every=3, batch_size=batch_size)
+    _, reports, fallbacks = train(params, data, config, algorithm, data)
     assert [r.iterations for r in reports] == [3, 6, 7]
+    assert algorithm == "mssg" or fallbacks == 0  # a baseline has no mixing coefficients
+
+
+def test_train_refuses_an_unknown_algorithm_by_name_before_any_step(monkeypatch):
+    data = blob_dataset(12, seed=6)
+    params = mlp.init_params((6, 4, 3), seed=7)
+    start = copy_params(params)
+    monkeypatch.setattr(trainer, "spawn_rng", lambda *_: pytest.fail("a stream was built"))
+    with pytest.raises(ValueError, match="unknown algorithm 'adam'"):
+        train(params, data, small_config(), "adam", data)
+    for got, old in zip(params.weights + params.biases, start.weights + start.biases):
+        assert got.tobytes() == old.tobytes()
 
 
 def test_mssg_deterministic():
     data = blob_dataset(12, seed=8)
     params = mlp.init_params((6, 4, 3), seed=9)
     config = small_config(iterations=4)
-    a, _, _ = mssg_train(copy_params(params), data, config, data)
-    b, _, _ = mssg_train(copy_params(params), data, config, data)
+    a, _, _ = train(copy_params(params), data, config, "mssg", data)
+    b, _, _ = train(copy_params(params), data, config, "mssg", data)
     for wa, wb in zip(a.weights, b.weights):
         assert np.array_equal(wa, wb)
 
@@ -201,7 +215,7 @@ def test_mssg_zero_variance_classes_follow_exact_class_gradient():
     params0 = mlp.init_params((5, 4, 3), seed=11)
     config = small_config(iterations=3, step_size=0.3, pilot_size=3,
                           weight_decay=0.01)
-    trained, _, _ = mssg_train(copy_params(params0), data, config, data)
+    trained, _, _ = train(copy_params(params0), data, config, "mssg", data)
 
     manual = copy_params(params0)
     class_w = data.class_weights()
@@ -246,27 +260,16 @@ def test_mssg_first_iteration_direction_is_unbiased():
     assert abs(direction.var(ddof=1) / predicted - 1) <= 0.05
 
 
-def test_mssg_rejects_empty_or_thin_classes():
-    data = blob_dataset(3, seed=19)
-    params = mlp.init_params((6, 4, 3), seed=20)
-    with pytest.raises(ValueError):
-        mssg_train(params, data, small_config(pilot_size=4), data)
-    # labels {0, 2}: class 1 is empty, which the pilot-size check rejects
-    data = blob_dataset(12, seed=19)
-    gapped = LabeledDataset(data.pixels, np.where(data.labels == 1, 2, data.labels))
-    assert gapped.class_index[1].size == 0
-    with pytest.raises(ValueError, match="class 1 has 0 samples"):
-        mssg_train(params, gapped, small_config(pilot_size=4), gapped)
-
-
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_mssg_divergence_reports_iteration():
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_divergence_reports_the_algorithm_and_iteration(algorithm):
     data = blob_dataset(12, seed=21)
     params = mlp.init_params((6, 4, 3), seed=22)
     config = small_config(iterations=50, step_size=1e150, weight_decay=1e150,
                           checkpoint_every=100)
-    with pytest.raises(RuntimeError, match="iteration"):
-        mssg_train(params, data, config, data)
+    with pytest.raises(RuntimeError,
+                       match=f"{algorithm} produced non-finite parameters at iteration"):
+        train(params, data, config, algorithm, data)
 
 
 @pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
@@ -280,7 +283,7 @@ def test_mssg_matches_two_pass_reference(shape, weight_decay):
     data = blob_dataset(12, n_classes=shape[-1], n_features=shape[0], seed=41)
     params = mlp.init_params(shape, seed=42)
     config = small_config(iterations=6, step_size=1.0, weight_decay=weight_decay)
-    trained, _, fallbacks = mssg_train(copy_params(params), data, config, data)
+    trained, _, fallbacks = train(copy_params(params), data, config, "mssg", data)
     expected, ref = mssg_reference(params, data, config)
     for got, want in zip(trained.weights + trained.biases,
                          expected.weights + expected.biases):
@@ -297,7 +300,7 @@ def test_mssg_extends_the_cli_prefix_as_the_reference_does():
     data = blob_dataset(12, n_classes=3, n_features=6, seed=43)
     params = mlp.init_params((6, 4, 3), seed=44)
     config = small_config(iterations=4, step_size=1.0, seed=(3, cli._TRAIN_STREAM))
-    trained, _, _ = mssg_train(copy_params(params), data, config, data)
+    trained, _, _ = train(copy_params(params), data, config, "mssg", data)
     expected, _ = mssg_reference(params, data, config)
     for got, want in zip(trained.weights + trained.biases, expected.weights + expected.biases):
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
@@ -494,10 +497,10 @@ def test_blend_block_trains_like_reference(monkeypatch, weight_decay):
     params = mlp.init_params(DESK_SHAPE, seed=63)
     config = small_config(iterations=20, step_size=1.0, weight_decay=weight_decay,
                           checkpoint_every=20)
-    got, _, got_fallbacks = mssg_train(copy_params(params), data, config, data)
+    got, _, got_fallbacks = train(copy_params(params), data, config, "mssg", data)
     stored, stored_fallbacks = mssg_stored_state(params, data, config)
     monkeypatch.setattr(trainer, "_blend_block", blend_block_reference)
-    want, _, want_fallbacks = mssg_train(copy_params(params), data, config, data)
+    want, _, want_fallbacks = train(copy_params(params), data, config, "mssg", data)
     assert got_fallbacks == want_fallbacks == stored_fallbacks > 0
     for g, w, s in zip(got.weights + got.biases, want.weights + want.biases,
                        stored.weights + stored.biases):
@@ -518,7 +521,7 @@ def test_mssg_peak_memory_is_one_state_array_plus_small_change():
                                   for w, b in zip(params.weights, params.biases))
     tracemalloc.start()
     try:
-        mssg_train(params, data, config, data)
+        train(params, data, config, "mssg", data)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -543,7 +546,7 @@ def test_mssg_at_full_shape_peaks_below_its_state_plus_one_block():
     tracemalloc.start()
     try:
         params = mlp.init_params(FULL_SHAPE, seed=83)
-        mssg_train(params, data, config, data)
+        train(params, data, config, "mssg", data)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -569,29 +572,11 @@ def test_batch_equal_to_full_gradient_when_batch_is_everything():
     config = small_config(iterations=4, batch_size=data.n_samples, step_size=0.2)
     via_full, _, _ = mlp.full_gradient_train(copy_params(params), data.features(), data.labels, 4,
                                              0.2, config.weight_decay)
-    for kind in (BaselineKind.BATCH, BaselineKind.FULL):
-        trained, _ = baseline_train(copy_params(params), data, config, kind, data)
+    for algorithm in ("batch", "fullgrad"):
+        trained, _, _ = train(copy_params(params), data, config, algorithm, data)
         for got, want in zip(trained.weights + trained.biases,
                              via_full.weights + via_full.biases):
             assert np.array_equal(got, want)
-
-
-def test_full_baseline_ignores_batch_size_and_reports_every_checkpoint():
-    data = blob_dataset(10, seed=23)
-    params = mlp.init_params((6, 4, 3), seed=24)
-    config = small_config(iterations=5, batch_size=1000, checkpoint_every=2)
-    _, reports = baseline_train(params, data, config, BaselineKind.FULL, data)
-    assert [r.iterations for r in reports] == [2, 4, 5]
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_full_baseline_divergence_reports_iteration():
-    data = blob_dataset(12, seed=21)
-    params = mlp.init_params((6, 4, 3), seed=22)
-    config = small_config(iterations=50, step_size=1e150, weight_decay=1e150,
-                          checkpoint_every=100)
-    with pytest.raises(RuntimeError, match="fullgrad produced non-finite parameters at iteration"):
-        baseline_train(params, data, config, BaselineKind.FULL, data)
 
 
 def test_sgd_on_single_sample_is_deterministic_descent():
@@ -599,7 +584,7 @@ def test_sgd_on_single_sample_is_deterministic_descent():
     data = LabeledDataset(np.array([[51, 204, 102]], np.uint8), labels)
     params = mlp.init_params((3, 2), seed=25)
     config = small_config(iterations=6, step_size=0.5, batch_size=1)
-    trained, _ = baseline_train(copy_params(params), data, config, BaselineKind.SGD, data)
+    trained, _, _ = train(copy_params(params), data, config, "sgd", data)
     full, _, _ = mlp.full_gradient_train(copy_params(params), data.features(), labels, 6, 0.5,
                                          config.weight_decay)
     for wa, wb in zip(trained.weights, full.weights):
@@ -664,7 +649,7 @@ def test_gst_rows_are_one_choice_call_per_class(monkeypatch, class_sizes):
     params = mlp.init_params((6, 4, len(class_sizes)), seed=45)
     seen = spy_draws(monkeypatch, data)
     config = small_config(iterations=6, checkpoint_every=6, seed=(7, len(class_sizes)))
-    baseline_train(params, data, config, BaselineKind.STRATIFIED, data)
+    train(params, data, config, "gst", data)
     ref = numpy_stream(config.seed)
     want = [[int(ref.choice(idx)) for idx in data.class_index] for _ in range(6)]
     assert [rows.tolist() for rows in seen["rows"]] == want
@@ -679,8 +664,8 @@ def test_mssg_draws_pilots_without_repeats_and_fresh_rows_from_each_class(monkey
     data = ragged_dataset(class_sizes, seed=46)
     params = mlp.init_params((6, 4, c), seed=47)
     seen = spy_draws(monkeypatch, data)
-    mssg_train(params, data, small_config(iterations=8, pilot_size=n, checkpoint_every=8),
-               data)
+    train(params, data, small_config(iterations=8, pilot_size=n, checkpoint_every=8), "mssg",
+          data)
     assert len(seen["rngs"]) == 1 and len(seen["rows"]) == 8
     for rows in seen["rows"]:
         pilots, fresh = rows[:c * n].reshape(c, n), rows[c * n:]
@@ -697,9 +682,9 @@ def test_sgd_is_the_pooled_batch_draw_of_one(monkeypatch, n_per_class):
     params = mlp.init_params((6, 4, 3), seed=49)
     seen = spy_draws(monkeypatch, data)
     config = small_config(iterations=9, checkpoint_every=3, batch_size=1)
-    (sgd, sgd_reports), (batch, batch_reports) = (
-        baseline_train(copy_params(params), data, config, kind, data)
-        for kind in (BaselineKind.SGD, BaselineKind.BATCH))
+    (sgd, sgd_reports, _), (batch, batch_reports, _) = (
+        train(copy_params(params), data, config, algorithm, data)
+        for algorithm in ("sgd", "batch"))
     for got, want in zip(sgd.weights + sgd.biases, batch.weights + batch.biases):
         assert got.tobytes() == want.tobytes()
     assert sgd_reports == batch_reports
@@ -707,27 +692,38 @@ def test_sgd_is_the_pooled_batch_draw_of_one(monkeypatch, n_per_class):
     assert sgd_rng.bit_generator.state == batch_rng.bit_generator.state
 
 
-@pytest.mark.parametrize("train", [
-    lambda params, data, config: mssg_train(params, data, config, data)[0],
-    lambda params, data, config: baseline_train(params, data, config, BaselineKind.SGD,
-                                                data)[0],
-    lambda params, data, config: mlp.full_gradient_train(
-        params, data.features(), data.labels, config.iterations, config.step_size,
-        config.weight_decay)[0],
-], ids=["mssg_train", "baseline_train", "full_gradient_train"])
-def test_trainers_train_the_params_they_are_given(train):
+@pytest.mark.parametrize("algorithm", [*ALGORITHMS, "full_gradient_train"])
+def test_trainers_train_the_params_they_are_given(algorithm):
     data = blob_dataset(10, seed=43)
     params = mlp.init_params((6, 4, 3), seed=44)
     start = copy_params(params)
-    trained = train(params, data, small_config(iterations=2, step_size=0.5))
+    config = small_config(iterations=2, step_size=0.5)
+    if algorithm in ALGORITHMS:
+        trained, _, _ = train(params, data, config, algorithm, data)
+    else:
+        trained, _, _ = mlp.full_gradient_train(params, data.features(), data.labels,
+                                                config.iterations, config.step_size,
+                                                config.weight_decay)
     assert trained is params
     for got, old in zip(params.weights + params.biases, start.weights + start.biases):
         assert not np.array_equal(got, old)
 
 
-def test_baseline_validation():
-    data = blob_dataset(10, seed=31)
+@pytest.mark.parametrize("algorithm, per_class, relabel, overrides, message", [
+    ("mssg", 3, (0, 1, 2), {"pilot_size": 4}, "class 0 has 3 samples, pilot needs 4"),
+    ("mssg", 10, (0, 2, 2), {}, "class 1 has 0 samples, pilot needs 4"),
+    ("mssg", 10, (0, 0, 0), {}, "need at least two classes"),
+    ("gst", 10, (0, 2, 2), {}, "class 1 has 0 samples, the stratified draw needs 1"),
+    ("batch", 10, (0, 1, 2), {"batch_size": 1000}, "batch_size 1000 exceeds dataset size 30"),
+])
+def test_train_refuses_before_the_first_update(algorithm, per_class, relabel, overrides,
+                                               message):
+    # `relabel` maps each blob's label: (0, 2, 2) leaves class 1 empty
+    data = blob_dataset(per_class, seed=31)
+    data = LabeledDataset(data.pixels, np.array(relabel)[data.labels])
     params = mlp.init_params((6, 4, 3), seed=32)
-    with pytest.raises(ValueError):
-        baseline_train(params, data, small_config(batch_size=1000), BaselineKind.BATCH,
-                       data)
+    start = copy_params(params)
+    with pytest.raises(ValueError, match=message):
+        train(params, data, small_config(**overrides), algorithm, data)
+    for got, old in zip(params.weights + params.biases, start.weights + start.biases):
+        assert got.tobytes() == old.tobytes()

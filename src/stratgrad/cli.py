@@ -23,7 +23,7 @@ from .dataio import (LabeledDataset, check_class_sizes, read_mnist_split, to_dat
                      write_csv, write_manifest, write_svg_lineplot)
 from .estimators import (ESTIMATOR_NAMES, blended_variance, optimal_coefficients_elementwise,
                          summarize_traces, trace_estimators)
-from .population import (RANDOM_PARAM_RANGE, UNIFORM_TRENDS, PopulationRound, Trend,
+from .population import (N_STRATA, RANDOM_PARAM_RANGE, UNIFORM_TRENDS, PopulationRound, Trend,
                          generate_family, trend_schedules)
 from .rng import spawn_rng, spawn_rngs
 
@@ -32,6 +32,13 @@ FULL_SHAPE = (784, 500, 500, 200, 10)
 
 _POP_STREAM, _INIT_STREAM, _REP_STREAM, _TEST_STREAM, _TRAIN_STREAM = 1, 2, 3, 4, 5
 _TUPLE_STREAM, _MC_STREAM = 31, 37
+
+# The least value of every integer flag that a parser declares, by
+# destination; `main` refuses a smaller one by name before any handler runs
+_LEAST = {"seed": 0, "seeds": 1, "rounds": 1, "n_per_round": N_STRATA, "per_stratum": 1,
+          "random_tuples": 1, "strata": 1, "replications": 10_000, "per_class": 1,
+          "test_per_class": 1, "iterations": 1, "reps": 1, "batch_size": 1, "pilot_size": 2,
+          "checkpoint_every": 1, "budget_iterations": 1}
 
 
 class _Run:
@@ -138,8 +145,6 @@ def _phase_entries(names, marks) -> dict:
 
 
 def cmd_synthetic(args, run: _Run) -> None:
-    if args.seeds < 1:  # refused by name before any population is drawn
-        raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
     family = Trend(args.family)
     marks = [time.perf_counter()]
     rngs = spawn_rngs([(args.seed, s) for s in range(args.seeds)])
@@ -244,16 +249,10 @@ def _random_stat_tuples(rng, n_strata: int):
 
 
 def cmd_variance_oracle(args, run: _Run) -> None:
-    if args.replications < 10_000:
-        raise ValueError("need at least 10000 replications for a meaningful z-score")
     _mode_flags(args, args.stats is None, "random mode, without --stats",
                 {"random_tuples": 10, "strata": 1})
     if args.stats is not None:
         experiments = [_parse_stats_spec(args.stats)]
-    elif args.strata < 1:
-        raise ValueError(f"need at least one stratum per random experiment, got {args.strata}")
-    elif args.random_tuples < 1:
-        raise ValueError(f"--random-tuples must be at least 1, got {args.random_tuples}")
     else:
         rng = spawn_rng(args.seed, _TUPLE_STREAM)
         experiments = [_random_stat_tuples(rng, args.strata)
@@ -294,22 +293,14 @@ def _matrix_rounds(matrix: np.ndarray, class_index) -> PopulationRound:
 
 
 def cmd_gradmatrix(args, run: _Run) -> None:
-    iterations = args.iterations if args.iterations is not None else (10 if args.desk else 60)
-    # every flag is refused before the splits are read, not after the descent
-    for flag, value in (("--reps", args.reps), ("--iterations", iterations)):
-        if value < 1:
-            raise ValueError(f"{flag} must be at least 1, got {value}")
-    try:
-        mlp.check_step(args.alpha, args.weight_decay)
-    except ValueError as exc:
-        raise ValueError(f"--alpha {args.alpha} or --weight-decay {args.weight_decay}: {exc}") \
-            from None
+    if args.iterations is None:  # so the manifest records the count that ran
+        args.iterations = 10 if args.desk else 60
     train, test, shape = _load_split_pair(args)
     check_class_sizes(train.class_index, 1, "the estimator replay")
     marks = [time.perf_counter()]
     params = mlp.init_params(shape, (args.seed, _INIT_STREAM))
     params, final_loss, matrix = mlp.full_gradient_train(
-        params, train.features(), train.labels, iterations, args.alpha, args.weight_decay)
+        params, train.features(), train.labels, args.iterations, args.alpha, args.weight_decay)
     marks.append(time.perf_counter())
 
     n, t = matrix.shape
@@ -534,8 +525,17 @@ def main(argv=None) -> int:
     _retain_freed_memory()
     run = _Run(args)
     try:
-        if args.seed < 0:  # refused before a handler reads any data
-            raise ValueError(f"--seed must be non-negative, got {args.seed}")
+        for dest, least in _LEAST.items():
+            value = getattr(args, dest, None)
+            if value is not None and value < least:
+                raise ValueError(f"--{dest.replace('_', '-')} must be at least {least}, "
+                                 f"got {value}")
+        if hasattr(args, "alpha"):  # train and gradmatrix; gridsearch checks each cell
+            try:
+                mlp.check_step(args.alpha, args.weight_decay)
+            except ValueError as exc:
+                raise ValueError(f"--alpha {args.alpha} or --weight-decay {args.weight_decay}: "
+                                 f"{exc}") from None
         args.func(args, run)
     except Exception as exc:
         run.mark_partial()

@@ -1,9 +1,10 @@
 """Acceptance suite: one test per exit criterion, each printing a verdict line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines. Criteria needing the real MNIST files are marked slow and skip unless
-MNIST_DIR points at them; everything else runs on deterministic synthetic
-data at the stated scales and tolerances.
+lines, and after them one ledger line per claim of the abstract. Criteria
+needing the real MNIST files are marked slow and skip unless MNIST_DIR
+points at them; everything else runs on deterministic synthetic data at the
+stated scales and tolerances.
 """
 
 import itertools
@@ -36,7 +37,12 @@ from oracles import (Coefficients, max_relative_error, numeric_gradient, read_cs
                      variance_bound, variance_zscore)
 
 
-def verdict(criterion: int, ok: bool, detail: str) -> None:
+# each criterion's outcome in this session, for the ledger that ends the module
+VERDICTS: dict[str, bool] = {}
+
+
+def verdict(criterion: int | str, ok: bool, detail: str) -> None:
+    VERDICTS[str(criterion)] = VERDICTS.get(str(criterion), True) and ok
     print(f"ACCEPTANCE {criterion:>2} {'PASS' if ok else 'FAIL'}: {detail}")
     assert ok, f"criterion {criterion}: {detail}"
 
@@ -248,7 +254,7 @@ def test_criterion_10b_memory_trainer_accuracy_grid(real_mnist_dir):
         _, reports, _ = train(params, train_split, config, "mssg", test)
         cells.append((-reports[-1].test_accuracy, h, lam))
     acc = -min(cells)[0] * 100.0
-    verdict(10, abs(acc - 94.46) <= 1.5,
+    verdict("10b", abs(acc - 94.46) <= 1.5,
             f"memory trainer 1k-iteration best-grid test accuracy {acc:.2f}% "
             f"vs 94.46 +/- 1.5")
 
@@ -289,3 +295,19 @@ def test_criterion_11_cli_determinism(tmp_path, data_dir):
     verdict(11, not bad,
             f"byte-identical outputs for subcommands: "
             f"{', '.join(cases)}" + (f"; mismatches: {bad}" if bad else ""))
+
+
+# the claims of the abstract, and the criteria that bear on each
+CLAIMS = [("(i)", "G_mst is an unbiased stratified statistic", ("1", "2", "6")),
+          ("(ii)", "a sufficient condition of fast convergence", ("5",)),
+          ("(iii)", "MSSG outperforms SGD-like algorithms", ("10", "10b"))]
+
+
+def test_ledger_of_the_abstracts_claims():
+    """One LEDGER line per claim; a criterion that skipped or did not run reads
+    'not run'. The ledger reports and gates nothing."""
+    for claim, text, criteria in CLAIMS:
+        outcomes = [{True: "PASS", False: "FAIL"}.get(VERDICTS.get(c), "not run")
+                    for c in criteria]
+        print(f"LEDGER {claim} {text}: "
+              + ", ".join(f"criterion {c} {o}" for c, o in zip(criteria, outcomes)))

@@ -22,7 +22,8 @@ from stratgrad.population import (RANDOM_PARAM_RANGE, UNIFORM_TRENDS, Trend,
 from idxtools import pack_idx_images, pack_idx_labels, synthetic_digits, write_mnist_style_dir
 from oracles import (StratumStats, blended_variance_term, family_reference, numpy_stream,
                      optimal_coefficients, predicted_variance_vsp, read_csv_columns,
-                     subsample_reference, trace_estimators_reference, write_csv_reference)
+                     subsample_reference, trace_estimators_reference, variance_zscore,
+                     write_csv_reference)
 
 
 def run_cli(*argv) -> int:
@@ -189,6 +190,40 @@ def test_every_declared_flag_is_read(tmp_path, fixture_data_dir):
     assert {argv[0] for argv in runs} == set(SUBPARSERS)
     assert unread_flags(build_parser(), runs,
                         lambda args: args.func(args, cli._Run(args))) == []
+
+
+# (subcommand, destination, flag) of every integer flag that a parser declares
+INT_FLAGS = [(name, a.dest, a.option_strings[0]) for name, p in SUBPARSERS.items()
+             for a in p._actions if a.type is int]
+
+
+def test_every_integer_flag_has_one_least_value_and_every_least_value_a_flag():
+    assert {dest for _, dest, _ in INT_FLAGS} == set(cli._LEAST)
+    # the refusal names the flag after its destination, and no other flag
+    # shares a destination with an integer flag
+    assert all(flag == "--" + dest.replace("_", "-") for _, dest, flag in INT_FLAGS)
+    assert all(a.type is int for p in SUBPARSERS.values() for a in p._actions
+               if a.dest in cli._LEAST)
+
+
+@pytest.mark.parametrize("name, dest, flag", INT_FLAGS,
+                         ids=[f"{name} {flag}" for name, _, flag in INT_FLAGS])
+def test_an_integer_flag_below_its_least_value_is_refused_by_name_before_any_read(
+        tmp_path, capsys, monkeypatch, name, dest, flag):
+    for module, reader in ((cli, "read_mnist_split"), (cli, "generate_family"),
+                           (cli.trainer, "train")):
+        monkeypatch.setattr(module, reader, lambda *_, r=reader, **__: pytest.fail(f"{r} ran"))
+    # each trainer flag goes to the algorithm that reads it
+    algorithm = ("--algorithm", "batch" if dest == "batch_size" else "mssg")
+    argv = {"synthetic": ("--family", "normal-random"), "variance-oracle": (),
+            "gradmatrix": ("--data-dir", tmp_path, "--desk"),
+            "train": (*algorithm, "--data-dir", tmp_path, "--desk"),
+            "gridsearch": (*algorithm, "--data-dir", tmp_path, "--desk")}[name]
+    least = cli._LEAST[dest]
+    out = tmp_path / "run"
+    assert run_cli(name, *argv, flag, least - 1, "--out-dir", out) == 1
+    assert f"{flag} must be at least {least}, got {least - 1}" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 # ---------------------------------------------------------------- synthetic
@@ -420,6 +455,32 @@ def test_variance_oracle_rows_match_the_scalar_reference(tmp_path):
     assert fallbacks[3] and not all(fallbacks)
 
 
+def test_variance_oracle_z_scores_equal_the_oracles_on_the_blends_it_draws(tmp_path):
+    # the second stratum's |p| >= 1 falls back to the fresh draw, off the optimum
+    strata = [(2.0, 1.0, 1.0, 1.0, 1.0), (1.0, 0.1, 5.0, 4.0, 3.0), (-1.0, 2.0, 0.5, 1.5, 2.0)]
+    seed, reps = 6, 10_000
+    out = tmp_path / "vo"
+    spec = ";".join(",".join(map(repr, row)) for row in strata)
+    assert run_cli("variance-oracle", "--stats", spec, "--replications", reps, "--seed", seed,
+                   "--out-dir", out) == 0
+    cols = read_csv_columns(out / "variance_oracle.csv")
+    assert cols["fallback"] == ["0", "1", "0", "1"]
+    weights = np.array([row[4] for row in strata]) / sum(row[4] for row in strata)
+    rng = numpy_stream(seed, cli._MC_STREAM, 0)
+    blends, total = [], np.zeros(reps)
+    for (mp, vp, mc, vc, _), w in zip(strata, weights):
+        c = optimal_coefficients(mp, vp, mc, vc)
+        memory = rng.normal(mp, np.sqrt(vp), reps)  # memory before fresh
+        blends.append(c.p * memory + c.q * rng.normal(mc, np.sqrt(vc), reps))
+        total += w * blends[-1]
+    blends.append(total)
+    empirical, z, predicted = ([float(v) for v in cols[name]]
+                               for name in ("empirical", "z", "predicted"))
+    assert empirical == [float(b.var(ddof=1)) for b in blends]
+    assert z == [variance_zscore(b, v) for b, v in zip(blends, predicted)]
+    assert abs(z[1]) > 4  # the fallback's gap
+
+
 def test_manifest_records_blas_threads_and_numpy(tmp_path, monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
@@ -495,7 +556,7 @@ def test_variance_oracle_records_the_random_mode_defaults(tmp_path):
 def test_variance_oracle_rejects_empty_random_experiments(tmp_path, capsys):
     out = tmp_path / "vo"
     assert run_cli("variance-oracle", "--strata", 0, "--out-dir", out) == 1
-    assert "stratum" in capsys.readouterr().err
+    assert "--strata must be at least 1, got 0" in capsys.readouterr().err
     assert run_cli("variance-oracle", "--random-tuples", 0, "--out-dir", out) == 1
     assert "--random-tuples" in capsys.readouterr().err
     assert not (out / "variance_oracle.csv").exists()
@@ -539,6 +600,17 @@ def test_gradmatrix_final_loss_is_the_loss_at_the_parameters_the_descent_returns
     assert weight_decay > 0  # the penalty is part of the loss recorded
     entries = dict(line.split("=", 1) for line in (out / "manifest.txt").read_text().splitlines())
     assert float(entries["final_loss"]) == cli.mlp.loss(params, features, labels, weight_decay)
+
+
+@pytest.mark.parametrize("desk_flags, iterations", [
+    (("--desk", "--per-class", 20, "--test-per-class", 5), 10), ((), 60)], ids=["desk", "full"])
+def test_gradmatrix_records_the_iterations_its_mode_runs(tmp_path, desk_flags, iterations):
+    data = write_mnist_style_dir(tmp_path / "data", 20 if desk_flags else 2, 5)
+    out = tmp_path / "gm"
+    assert run_cli("gradmatrix", "--data-dir", data, *desk_flags, "--reps", 1,
+                   "--out-dir", out) == 0
+    assert f"config.iterations={iterations}" in (out / "manifest.txt").read_text().splitlines()
+    assert max(map(int, read_csv_columns(out / "grad_matrix.csv")["iteration"])) == iterations - 1
 
 
 def test_gradmatrix_bytes_repeat_at_one_blas_thread(tmp_path, fixture_data_dir):
@@ -829,7 +901,7 @@ def test_negative_seed_is_refused_before_any_read(tmp_path, capsys, argv):
     data = ("--data-dir", empty) if argv[0] in ("gradmatrix", "train", "gridsearch") else ()
     assert run_cli(*argv, *data, "--seed", -1, "--out-dir", out) == 1
     err = capsys.readouterr().err
-    assert "--seed must be non-negative, got -1" in err and "missing" not in err
+    assert "--seed must be at least 0, got -1" in err and "missing" not in err
     assert list(out.iterdir()) == []
 
 

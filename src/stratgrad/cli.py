@@ -299,8 +299,11 @@ def cmd_gradmatrix(args, run: _Run) -> None:
     check_class_sizes(train.class_index, 1, "the estimator replay")
     marks = [time.perf_counter()]
     params = mlp.init_params(shape, (args.seed, _INIT_STREAM))
-    params, final_loss, matrix = mlp.full_gradient_train(
-        params, train.features(), train.labels, args.iterations, args.alpha, args.weight_decay)
+    config = trainer.TrainConfig(step_size=args.alpha, batch_size=None, pilot_size=None,
+                                 iterations=args.iterations, checkpoint_every=args.iterations,
+                                 weight_decay=args.weight_decay, seed=(args.seed, _TRAIN_STREAM))
+    matrix = np.empty((train.n_samples, args.iterations))
+    params, (final,), _ = trainer.train(params, train, config, "fullgrad", test, matrix)
     marks.append(time.perf_counter())
 
     n, t = matrix.shape
@@ -323,15 +326,13 @@ def cmd_gradmatrix(args, run: _Run) -> None:
             x_label="iteration", y_label="tracked-weight gradient")
     marks.append(time.perf_counter())
 
-    train_accuracy = trainer.accuracy(params, train)
-    test_accuracy = trainer.accuracy(params, test)
-    marks.append(time.perf_counter())
     run.finish(args, {
-        "final_loss": final_loss,
-        "train_accuracy": train_accuracy,
-        "test_accuracy": test_accuracy,
+        "final_loss": final.train_loss
+        + 0.5 * args.weight_decay * sum(float(np.sum(w * w)) for w in params.weights),
+        "train_accuracy": final.train_accuracy,
+        "test_accuracy": final.test_accuracy,
         "gmst_fallbacks": race.fallbacks,
-        **_phase_entries(("descent", "matrix_csv", "replay", "score"), marks),
+        **_phase_entries(("descent", "matrix_csv", "replay"), marks),
     })
 
 
@@ -356,6 +357,7 @@ def _report_rows(reports, args) -> dict:
         "h": [args.alpha] * len(reports),
         "lambda": [args.weight_decay] * len(reports),
         "seed": [args.seed] * len(reports),
+        **{loss: [getattr(r, loss) for r in reports] for loss in ("train_loss", "test_loss")},
     }
 
 
@@ -373,6 +375,9 @@ def cmd_train(args, run: _Run) -> None:
 def cmd_gridsearch(args, run: _Run) -> None:
     budget = args.budget_iterations
     alphas, lambdas = _numbers("--alphas", args.alphas), _numbers("--lambdas", args.lambdas)
+    # each value beside a partner that passes, so a refusal names its own flag
+    _check_steps(f"--alphas {args.alphas}", [(h, 0.0) for h in alphas])
+    _check_steps(f"--lambdas {args.lambdas}", [(1.0, lam) for lam in lambdas])
     configs = [_make_config(args, h, lam, budget, budget)  # refused before the split is read
                for h in alphas for lam in lambdas]
     if len({(c.step_size, c.weight_decay) for c in configs}) < len(configs):
@@ -520,6 +525,15 @@ def _retain_freed_memory() -> None:
     mallopt(_M_TRIM_THRESHOLD, 32 << 20)
 
 
+def _check_steps(flags: str, pairs) -> None:
+    """``mlp.check_step`` of each (step size, decay) pair; a refusal names `flags`."""
+    try:
+        for step_size, weight_decay in pairs:
+            mlp.check_step(step_size, weight_decay)
+    except ValueError as exc:
+        raise ValueError(f"{flags}: {exc}") from None
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     _retain_freed_memory()
@@ -530,12 +544,9 @@ def main(argv=None) -> int:
             if value is not None and value < least:
                 raise ValueError(f"--{dest.replace('_', '-')} must be at least {least}, "
                                  f"got {value}")
-        if hasattr(args, "alpha"):  # train and gradmatrix; gridsearch checks each cell
-            try:
-                mlp.check_step(args.alpha, args.weight_decay)
-            except ValueError as exc:
-                raise ValueError(f"--alpha {args.alpha} or --weight-decay {args.weight_decay}: "
-                                 f"{exc}") from None
+        if hasattr(args, "alpha"):  # train and gradmatrix; gridsearch checks its grid
+            _check_steps(f"--alpha {args.alpha} or --weight-decay {args.weight_decay}",
+                         [(args.alpha, args.weight_decay)])
         args.func(args, run)
     except Exception as exc:
         run.mark_partial()

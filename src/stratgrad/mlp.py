@@ -11,21 +11,20 @@ and then by 1 - a where it lies), so a hidden layer holds its output plus
 one temporary, with the bits of A W + b, the two-branch sigmoid and
 (D W^T) * a * (1 - a).
 
-Row blocking. Passes over a whole batch (``loss``, ``gradient`` and
-every step of ``full_gradient_train``) stream it in fixed blocks of
-``BLOCK_ROWS`` rows and reduce each block (into the loss sum, or the A^T D
-and bias sums and the recorded column) before the next is formed, so peak
-memory is the features plus O(BLOCK_ROWS x widths), not O(n x widths). A
-batch that fits in one block gets exactly the arithmetic of one unstreamed
-pass; a longer one adds its blocks' sums in a fixed order, so its results
-repeat at a fixed BLAS thread count. Only passes that go on to a backward
-pass keep every layer's activations. A scoring pass (``forward_batch``,
-``loss``) lets each layer's input go once the layer's product is formed.
-``forward_batch`` is one pass over the rows it is given, and takes them
-over, so features that nothing else holds, as in
-``forward_batch(params, data.features(rows))``, are freed before layer 1
-(on CPython 3.11 and later, where a call keeps no reference to its
-arguments). ``trainer.accuracy`` is the scoring loop: it decodes and
+Row blocking. Passes over a whole batch (``gradient``, which every
+full-batch step of ``trainer.train`` makes) stream it in fixed blocks of
+``BLOCK_ROWS`` rows and reduce each block (into the A^T D and bias sums and
+the recorded column) before the next is formed, so peak memory is the
+features plus O(BLOCK_ROWS x widths), not O(n x widths). A batch that fits
+in one block gets exactly the arithmetic of one unstreamed pass; a longer
+one adds its blocks' sums in a fixed order, so its results repeat at a
+fixed BLAS thread count. Only passes that go on to a backward pass keep
+every layer's activations. A scoring pass (``score``) lets each layer's
+input go once the layer's product is formed. It is one pass over the rows
+it is given, and takes them over, so features that nothing else holds, as
+in ``score(params, data.features(rows), data.labels[rows])``, are freed
+before layer 1 (on CPython 3.11 and later, where a call keeps no reference
+to its arguments). ``trainer.score`` is the scoring loop: it decodes and
 scores one block of pixels at a time, which at the 784-500-500-200-10
 shape is a 6.4 MB block, let go after its first product, then one layer's
 output and the sigmoid's temporary, two 4.1 MB arrays.
@@ -181,24 +180,18 @@ def _check_batch(params: MlpParams, features, labels):
     return features, labels
 
 
-def forward_batch(params: MlpParams, features) -> np.ndarray:
-    """Class probabilities, one row per sample, in one pass that frees the
-    features as the module docstring says."""
+def score(params: MlpParams, features, labels) -> tuple[int, float]:
+    """One scoring pass over the rows it is given, which it frees as the module
+    docstring says: how many rows' argmax probability hits the label (ties go
+    to the lowest class), and the sum of the rows' cross-entropies, without
+    the decay term."""
     features = [_check_features(params, features)]  # a list, so the pass can let go of them
-    return _forward_cached(params, features.pop(), False)[0][-1]
-
-
-def loss(params: MlpParams, features, labels, weight_decay: float = 0.0) -> float:
-    """Mean cross-entropy plus the L2 weight penalty."""
-    features, labels = _check_batch(params, features, labels)
-    data_sum = 0.0
-    for rows in _row_blocks(features.shape[0]):
-        logits = _forward_cached(params, features[rows], False)[1]
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        log_z = np.log(np.exp(shifted).sum(axis=1))
-        data_sum += float(np.sum(log_z - shifted[np.arange(logits.shape[0]), labels[rows]]))
-    reg = 0.5 * weight_decay * sum(float(np.sum(w * w)) for w in params.weights)
-    return data_sum / features.shape[0] + reg
+    labels = _check_labels(params, labels, features[0].shape[0])
+    acts, logits = _forward_cached(params, features.pop(), False)
+    hits = int(np.count_nonzero(np.argmax(acts[-1], axis=1) == labels))
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_z = np.log(np.exp(shifted).sum(axis=1))
+    return hits, float(np.sum(log_z - shifted[np.arange(labels.size), labels]))
 
 
 def _backward(params: MlpParams, acts, labels: np.ndarray, mean_over: int):
@@ -239,17 +232,20 @@ def forward_backward(params: MlpParams, features, labels):
     return acts, _backward(params, acts, labels, 0)
 
 
-def _gradient_pass(params: MlpParams, features, labels, weight_decay: float, column):
-    """The mean loss's gradient, block by block; the deltas are the whole batch's mean loss's.
+def gradient(params: MlpParams, features, labels, weight_decay: float,
+             column=None) -> MlpParams:
+    """The batch loss's exact gradient, shaped like the parameters, block by block.
 
     A `column` (one entry per row) receives every sample's gradient for
-    entry (0, 0) of the last layer's weights, decay included.
+    entry (0, 0) of the last layer's weights, decay included, so its mean is
+    that entry of the returned gradient.
     """
+    features, labels = _check_batch(params, features, labels)
     n = features.shape[0]
     grad = None
     for rows in _row_blocks(n):
         acts = _forward_cached(params, features[rows], True)[0]
-        deltas = _backward(params, acts, labels[rows], n)
+        deltas = _backward(params, acts, labels[rows], n)  # the whole batch's mean loss's
         if grad is None:
             grad = MlpParams([a.T @ d for a, d in zip(acts, deltas)],
                              [d.sum(axis=0) for d in deltas])
@@ -264,35 +260,3 @@ def _gradient_pass(params: MlpParams, features, labels, weight_decay: float, col
     for gw, w in zip(grad.weights, params.weights):
         gw += weight_decay * w
     return grad
-
-
-def gradient(params: MlpParams, features, labels, weight_decay: float) -> MlpParams:
-    """The batch loss's exact gradient, shaped like the parameters."""
-    features, labels = _check_batch(params, features, labels)
-    return _gradient_pass(params, features, labels, weight_decay, None)
-
-
-def full_gradient_train(params: MlpParams, features, labels, steps: int,
-                        step_size: float, weight_decay: float):
-    """Full-batch gradient descent: trains `params` in place and returns it.
-
-    The caller checks `steps` (at least 1), the step size and the decay
-    (``check_step``). A step that leaves a parameter non-finite raises
-    `check_finite`'s error.
-
-    Returns (params, final_loss, matrix): the trained parameters, the loss
-    after the last step, and the per-sample gradient history of entry
-    (0, 0) of the last layer's weights. matrix is an (n_samples, steps)
-    array whose column t holds every sample's loss gradient for that weight
-    under the parameters in force at step t, weight-decay term included, so
-    column means equal the full-batch gradient's entry.
-    """
-    features, labels = _check_batch(params, features, labels)
-    matrix = np.empty((features.shape[0], steps))
-    for t in range(steps):
-        grad = _gradient_pass(params, features, labels, weight_decay, matrix[:, t])
-        for l in range(params.n_layers):
-            params.weights[l] -= step_size * grad.weights[l]
-            params.biases[l] -= step_size * grad.biases[l]
-        check_finite(params, "full-gradient descent", t + 1)
-    return params, loss(params, features, labels, weight_decay), matrix

@@ -2,9 +2,10 @@
 
 ``train`` runs every algorithm of ``ALGORITHMS`` in its one loop, which owns
 the run's stream, the non-finite check after each step and the checkpoint
-reports. An algorithm's per-iteration work is a step generator that keeps
-its state across yields and yields the step's mixing-coefficient fallbacks
-(0 for a baseline).
+reports, whose accuracy and data loss come from one scoring pass (``score``)
+over each split. An algorithm's per-iteration work is a step generator that
+keeps its state across yields and yields the step's mixing-coefficient
+fallbacks (0 for a baseline).
 
 The memory trainer (``mssg``) treats every scalar parameter as its own
 estimation problem. Per iteration and per class it draws a pilot batch,
@@ -43,7 +44,8 @@ how a run is labelled and reported is the caller's. An algorithm decodes to
 float64 only the dataset rows it draws, except the full-batch steps
 (``fullgrad``, and ``batch`` at batch_size == n): they read every row
 every step, so they decode the whole dataset once (376 MB at 60,000 rows;
-a step adds about 72 MB at the 784-500-500-200-10 shape).
+a step adds about 72 MB at the 784-500-500-200-10 shape), and keep it
+through the checkpoints' scoring.
 """
 
 from __future__ import annotations
@@ -88,7 +90,9 @@ class TrainConfig:
 class AccuracyReport:
     iterations: int
     train_accuracy: float
+    train_loss: float  # the mean cross-entropy, without the decay term
     test_accuracy: float
+    test_loss: float
 
     def __post_init__(self):
         for value in (self.train_accuracy, self.test_accuracy):
@@ -105,8 +109,8 @@ class AccuracyReport:
 BLOCK_ENTRIES = 4096
 
 
-def accuracy(params: mlp.MlpParams, data: LabeledDataset) -> float:
-    """Fraction of samples whose argmax probability hits the label; ties go to the lowest class.
+def score(params: mlp.MlpParams, data: LabeledDataset) -> tuple[float, float]:
+    """Accuracy and mean cross-entropy (without the decay term) of `params` on `data`.
 
     Decodes and scores one block of ``mlp.BLOCK_ROWS`` rows at a time, at
     the memory cost that ``mlp``'s module docstring gives.
@@ -114,12 +118,12 @@ def accuracy(params: mlp.MlpParams, data: LabeledDataset) -> float:
     n = data.n_samples
     if n == 0:
         raise ValueError("cannot score an empty dataset")
-    hits = 0
+    hits, loss_sum = 0, 0.0
     for lo in range(0, n, mlp.BLOCK_ROWS):
         rows = slice(lo, lo + mlp.BLOCK_ROWS)
-        probs = mlp.forward_batch(params, data.features(rows))
-        hits += int(np.count_nonzero(np.argmax(probs, axis=1) == data.labels[rows]))
-    return hits / n
+        block_hits, block_loss = mlp.score(params, data.features(rows), data.labels[rows])
+        hits, loss_sum = hits + block_hits, loss_sum + block_loss
+    return hits / n, loss_sum / n
 
 
 def _class_draw(data: LabeledDataset):
@@ -246,7 +250,7 @@ def _mssg_steps(params: mlp.MlpParams, data: LabeledDataset, config: TrainConfig
 
 
 def _baseline_steps(params: mlp.MlpParams, data: LabeledDataset, config: TrainConfig, rng,
-                    algorithm: str):
+                    algorithm: str, full: bool, matrix):
     """Single-sample, pooled-batch, full-batch or memoryless stratified steps.
 
     Batch draws ``batch_size`` pooled samples without replacement, and sgd
@@ -254,7 +258,9 @@ def _baseline_steps(params: mlp.MlpParams, data: LabeledDataset, config: TrainCo
     batch_size == n uses the whole dataset instead, as fullgrad does every
     step: the trajectory is then full-gradient descent bit for bit. The
     stratified baseline, gst, weights one fresh sample per class by the
-    class shares. All draws come from `rng`.
+    class shares. All draws come from `rng`. A full-batch step writes its
+    tracked-weight gradients into the next column of `matrix`, if one is
+    given.
     """
     n = data.n_samples
     if n == 0:
@@ -263,11 +269,11 @@ def _baseline_steps(params: mlp.MlpParams, data: LabeledDataset, config: TrainCo
         raise ValueError(f"batch_size {config.batch_size} exceeds dataset size {n}")
     if algorithm == "gst":
         check_class_sizes(data.class_index, 1, "the stratified draw")
-    full = algorithm == "fullgrad" or (algorithm == "batch" and config.batch_size == n)
     size = 1 if algorithm == "sgd" else config.batch_size  # of a pooled draw
     class_w = data.class_weights()
     features = data.features() if full else None
     draw = _class_draw(data)
+    columns = iter([None] * config.iterations if matrix is None else matrix.T)
     while True:
         if algorithm == "gst":
             rows = draw(rng, 1)
@@ -276,7 +282,8 @@ def _baseline_steps(params: mlp.MlpParams, data: LabeledDataset, config: TrainCo
                                   for a, d, w in zip(acts, deltas, params.weights)],
                                  [class_w @ d for d in deltas])
         elif full:
-            grad = mlp.gradient(params, features, data.labels, config.weight_decay)
+            grad = mlp.gradient(params, features, data.labels, config.weight_decay,
+                                next(columns))
         else:
             rows = rng.choice(n, size=size, replace=False)
             grad = mlp.gradient(params, data.features(rows), data.labels[rows],
@@ -287,22 +294,32 @@ def _baseline_steps(params: mlp.MlpParams, data: LabeledDataset, config: TrainCo
 
 
 def train(params: mlp.MlpParams, data: LabeledDataset, config: TrainConfig, algorithm: str,
-          test_data: LabeledDataset):
+          test_data: LabeledDataset, matrix=None):
     """Train `params` in place with `algorithm`, drawing from the one stream of `config.seed`.
 
     Refuses non-finite parameters after every step, and scores the train and
     test data every ``checkpoint_every`` iterations and at the end. Returns
-    the trained `params`, the accuracy reports and the run's fallback count.
+    the trained `params`, the reports and the run's fallback count.
+
+    A `matrix`, (n_samples, iterations), is taken only where every step is
+    one full-batch pass (fullgrad, or batch at batch_size == n): column t
+    receives step t's per-sample gradients for entry (0, 0) of the last
+    layer's weights, decay included, so its mean is that gradient entry.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; choose one of {ALGORITHMS}")
+    n = data.n_samples
+    full = algorithm == "fullgrad" or (algorithm == "batch" and config.batch_size == n)
+    if matrix is not None and (not full or matrix.shape != (n, config.iterations)):
+        raise ValueError(f"matrix needs full-batch steps (fullgrad, or batch at batch_size == n) "
+                         f"and shape {(n, config.iterations)}, got {algorithm} and {matrix.shape}")
     rng = spawn_rng(config.seed)
     steps = (_mssg_steps(params, data, config, rng) if algorithm == "mssg"
-             else _baseline_steps(params, data, config, rng, algorithm))
+             else _baseline_steps(params, data, config, rng, algorithm, full, matrix))
     reports, fallbacks = [], 0
     for it, step_fallbacks in zip(range(1, config.iterations + 1), steps):
         fallbacks += step_fallbacks
         mlp.check_finite(params, algorithm, it)
         if it % config.checkpoint_every == 0 or it == config.iterations:
-            reports.append(AccuracyReport(it, accuracy(params, data), accuracy(params, test_data)))
+            reports.append(AccuracyReport(it, *score(params, data), *score(params, test_data)))
     return params, reports, fallbacks

@@ -254,9 +254,9 @@ def numeric_gradient(params, features, labels, weight_decay, step=1e-5):
                 ix = it.multi_index
                 orig = arr[ix]
                 arr[ix] = orig + step
-                up = mlp.loss(params, features, labels, weight_decay)
+                up = loss(params, features, labels, weight_decay)
                 arr[ix] = orig - step
-                down = mlp.loss(params, features, labels, weight_decay)
+                down = loss(params, features, labels, weight_decay)
                 arr[ix] = orig
                 out[ix] = (up - down) / (2 * step)
     return grads
@@ -316,8 +316,17 @@ def unstreamed_forward(params, features):
     return reference_forward(params, features)[0][-1]
 
 
-def unstreamed_loss(params, features, labels, weight_decay):
-    """Mean loss from one forward pass over every row at once."""
+def forward_batch(params, features):
+    """Class probabilities from `mlp`'s own forward pass, over every row at once."""
+    return mlp._forward_cached(params, mlp._check_features(params, features), False)[0][-1]
+
+
+def loss(params, features, labels, weight_decay):
+    """Mean cross-entropy plus the L2 weight penalty, from one forward pass over every row.
+
+    The log-sum-exp of the shifted logits, as `mlp.score` takes it, so a
+    batch of one scoring block gets `trainer.score`'s loss bit for bit.
+    """
     labels = np.asarray(labels, dtype=np.int64)
     logits = reference_forward(params, features)[1]
     shifted = logits - logits.max(axis=1, keepdims=True)
@@ -352,10 +361,11 @@ def unstreamed_gradient(params, features, labels, weight_decay):
 
 
 def unstreamed_full_gradient_train(params, features, labels, steps, step_size, weight_decay):
-    """`mlp.full_gradient_train` on :func:`unstreamed_gradient`.
+    """Full-gradient descent of a copy of `params` on :func:`unstreamed_gradient`.
 
-    Returns (params, final_loss, matrix) as the trainer does: the matrix
-    records entry (0, 0) of the last layer's weights.
+    Returns (params, final_loss, matrix) as ``train(..., "fullgrad",
+    matrix=...)`` gives them: the final loss includes the decay term, and
+    the matrix records entry (0, 0) of the last layer's weights.
     """
     params = copy_params(params)
     n = len(labels)
@@ -367,7 +377,7 @@ def unstreamed_full_gradient_train(params, features, labels, steps, step_size, w
         for l in range(params.n_layers):
             params.weights[l] -= step_size * grad.weights[l]
             params.biases[l] -= step_size * grad.biases[l]
-    return params, unstreamed_loss(params, features, labels, weight_decay), matrix
+    return params, loss(params, features, labels, weight_decay), matrix
 
 
 def per_sample_grads(params, features, labels, weight_decay: float = 0.0):

@@ -30,7 +30,7 @@ from stratgrad.population import (
     generate_family,
 )
 from stratgrad.rng import spawn_rng, spawn_rngs
-from stratgrad.trainer import TrainConfig, accuracy, train
+from stratgrad.trainer import TrainConfig, train
 
 from oracles import (Coefficients, max_relative_error, numeric_gradient, read_csv_columns,
                      stratified_variance, unbiased_condition_holds, uniform_rounds,
@@ -226,12 +226,13 @@ def test_criterion_9_desk_scale_gradient_matrix(tmp_path, data_dir):
 
 @pytest.mark.slow
 def test_criterion_10_full_mnist_headline(real_mnist_dir):
-    train = to_dataset(*read_mnist_split(real_mnist_dir, "train"))
+    train_split = to_dataset(*read_mnist_split(real_mnist_dir, "train"))
     test = to_dataset(*read_mnist_split(real_mnist_dir, "test"))
     params = mlp.init_params((784, 500, 500, 200, 10), seed=1010)
-    params, _, _ = mlp.full_gradient_train(params, train.features(), train.labels,
-                                           60, 0.2, 0.001)
-    acc = accuracy(params, test) * 100.0
+    config = TrainConfig(step_size=0.2, batch_size=None, iterations=60, weight_decay=0.001,
+                         seed=1010, pilot_size=None, checkpoint_every=60)
+    _, reports, _ = train(params, train_split, config, "fullgrad", test)
+    acc = reports[-1].test_accuracy * 100.0
     verdict(10, abs(acc - 87.73) <= 2.0,
             f"full-gradient 60-iteration test accuracy {acc:.2f}% vs 87.73 +/- 2.0")
 

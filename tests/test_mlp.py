@@ -10,6 +10,8 @@ from stratgrad.rng import spawn_rng
 
 from oracles import (
     copy_params,
+    forward_batch,
+    loss,
     max_relative_error,
     numeric_gradient,
     per_sample_grads,
@@ -17,7 +19,6 @@ from oracles import (
     unstreamed_forward,
     unstreamed_full_gradient_train,
     unstreamed_gradient,
-    unstreamed_loss,
 )
 
 
@@ -34,6 +35,21 @@ def random_pixel_batch(params, n, seed):
     pixels = rng.integers(0, 256, (n, params.weights[0].shape[0]), dtype=np.uint8)
     data = LabeledDataset(pixels, rng.integers(0, params.weights[-1].shape[1], n))
     return data, pixels / 255.0
+
+
+def fullgrad(params, data, steps, step_size, weight_decay):
+    """``train(..., "fullgrad")`` of `params` in place on `data`, recording the matrix.
+
+    Returns (params, final_loss, matrix): the loss at the returned
+    parameters, decay term included, and the (n_samples, steps) matrix.
+    """
+    config = trainer.TrainConfig(step_size=step_size, batch_size=None, iterations=steps,
+                                 weight_decay=weight_decay, seed=0, pilot_size=None,
+                                 checkpoint_every=steps)
+    matrix = np.empty((data.n_samples, steps))
+    params, reports, _ = trainer.train(params, data, config, "fullgrad", data, matrix)
+    penalty = 0.5 * weight_decay * sum(float(np.sum(w * w)) for w in params.weights)
+    return params, reports[-1].train_loss + penalty, matrix
 
 
 # ---------------------------------------------------------------- shapes / init
@@ -75,7 +91,7 @@ def test_params_shape_chain_validated():
 def test_zero_params_give_uniform_probabilities():
     params = mlp.MlpParams([np.zeros((4, 3)), np.zeros((3, 5))],
                            [np.zeros(3), np.zeros(5)])
-    probs = mlp.forward_batch(params, np.ones(4)[None])[0]
+    probs = forward_batch(params, np.ones(4)[None])[0]
     assert np.allclose(probs, 0.2)
 
 
@@ -83,7 +99,7 @@ def test_forward_output_in_simplex():
     params = mlp.init_params((6, 5, 4), seed=2)
     rng = spawn_rng(3)
     for _ in range(50):
-        probs = mlp.forward_batch(params, rng.uniform(-20, 20, 6)[None])[0]
+        probs = forward_batch(params, rng.uniform(-20, 20, 6)[None])[0]
         assert np.all(probs >= 0)
         assert abs(probs.sum() - 1.0) <= 1e-9
 
@@ -101,13 +117,13 @@ def test_forward_matches_hand_arithmetic():
     z2 = [a1[0] * 0.7 + a1[1] * 0.2 - 0.3, a1[0] * (-0.1) + a1[1] * 0.6 + 0.2]
     ez = [math.exp(z) for z in z2]
     expected = [e / sum(ez) for e in ez]
-    assert np.allclose(mlp.forward_batch(params, x[None])[0], expected, atol=1e-12)
+    assert np.allclose(forward_batch(params, x[None])[0], expected, atol=1e-12)
 
 
 def test_forward_shape_mismatch_rejected():
     params = mlp.init_params((4, 2), seed=0)
     with pytest.raises(ValueError):
-        mlp.forward_batch(params, np.ones(5)[None])
+        mlp.score(params, np.ones(5)[None], np.zeros(1, dtype=np.int64))
 
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.bool_])
@@ -117,11 +133,9 @@ def test_integer_features_rejected(dtype):
     features = np.ones((3, 4), dtype=dtype)
     labels = np.zeros(3, dtype=np.int64)
     with pytest.raises(TypeError, match="floating point"):
-        mlp.forward_batch(params, features)
+        mlp.score(params, features, labels)
     with pytest.raises(TypeError, match="floating point"):
         mlp.gradient(params, features, labels, 0.0)
-    with pytest.raises(TypeError, match="floating point"):
-        mlp.full_gradient_train(params, features, labels, 1, 0.1, 0.0)
 
 
 def test_sigmoid_is_bit_identical_to_two_branch_form():
@@ -146,21 +160,25 @@ def test_zero_params_loss_is_log_class_count():
     rng = spawn_rng(4)
     features = rng.uniform(0, 1, (6, 3))
     labels = rng.integers(0, 4, 6)
-    assert mlp.loss(params, features, labels, 0.0) == pytest.approx(math.log(4), abs=1e-12)
+    assert mlp.score(params, features, labels)[1] / 6 == pytest.approx(math.log(4), abs=1e-12)
 
 
 def test_single_sample_loss_is_neg_log_prob():
     params = mlp.init_params((5, 4, 3), seed=6)
     x = spawn_rng(7).uniform(0, 1, 5)
-    probs = mlp.forward_batch(params, x[None])[0]
-    value = mlp.loss(params, x[None, :], np.array([2]), 0.0)
+    probs = forward_batch(params, x[None])[0]
+    value = mlp.score(params, x[None, :], np.array([2]))[1]
     assert value == pytest.approx(-math.log(probs[2]), abs=1e-12)
+
 
 
 def test_label_out_of_range_rejected():
     params = mlp.init_params((3, 2), seed=0)
     with pytest.raises(ValueError):
         mlp.gradient(params, np.zeros((1, 3)), np.array([2]), 0.0)
+    for labels in ([2], [-1]):  # a negative label would index from the end
+        with pytest.raises(ValueError, match="labels must lie in 0..1"):
+            mlp.score(params, np.zeros((1, 3)), np.array(labels))
 
 
 @pytest.mark.parametrize("shape", [(4, 3, 2), (6, 5, 4, 3)])
@@ -186,10 +204,10 @@ def test_per_sample_grads_average_to_batch_gradient():
 
 def test_full_gradient_single_step_decreases_loss():
     params = mlp.init_params((4, 3, 2), seed=15)
-    features, _ = random_batch(params, 12, seed=16)
-    labels = np.zeros(12, dtype=np.int64)
-    before = mlp.loss(params, features, labels, 0.001)
-    _, after, _ = mlp.full_gradient_train(params, features, labels, 1, 0.2, 0.001)
+    data, features = random_pixel_batch(params, 12, seed=16)
+    data = LabeledDataset(data.pixels, np.zeros(12, dtype=np.int64))
+    before = loss(params, features, data.labels, 0.001)
+    _, after, _ = fullgrad(params, data, 1, 0.2, 0.001)
     assert after <= before
 
 
@@ -205,37 +223,37 @@ def test_check_step_refuses_a_bad_step_size_or_decay():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_full_gradient_divergence_is_refused_at_its_step():
     params = mlp.init_params((6, 5, 3), seed=17)
-    features, labels = random_batch(params, 30, seed=18)
-    with pytest.raises(RuntimeError, match="full-gradient descent produced non-finite "
+    data, _ = random_pixel_batch(params, 30, seed=18)
+    with pytest.raises(RuntimeError, match="fullgrad produced non-finite "
                                            "parameters at iteration 1$"):
-        mlp.full_gradient_train(params, features, labels, 5, 1e300, 1e300)
+        fullgrad(params, data, 5, 1e300, 1e300)
 
 
 def test_full_gradient_loss_nonincreasing_small_step():
     params = mlp.init_params((6, 5, 3), seed=17)
-    features, labels = random_batch(params, 30, seed=18)
+    data, features = random_pixel_batch(params, 30, seed=18)
     # five one-step descents of the same parameters are one five-step descent
-    losses = [mlp.loss(params, features, labels, 0.001)] + [
-        mlp.full_gradient_train(params, features, labels, 1, 0.01, 0.001)[1] for _ in range(5)]
+    losses = [loss(params, features, data.labels, 0.001)] + [
+        fullgrad(params, data, 1, 0.01, 0.001)[1] for _ in range(5)]
     assert all(b <= a for a, b in zip(losses, losses[1:]))
     assert all(np.isfinite(losses))
 
 
 # ---------------------------------------------------------------- tracked weight
 
-def _params_per_step(params, features, labels, steps, step_size, weight_decay):
+def _params_per_step(params, data, steps, step_size, weight_decay):
     """The parameters in force at each of `steps` full-batch steps."""
-    return [params] + [mlp.full_gradient_train(copy_params(params), features, labels, t, step_size,
-                                               weight_decay)[0]
+    return [params] + [fullgrad(copy_params(params), data, t, step_size, weight_decay)[0]
                        for t in range(1, steps)]
 
 
 def test_tracked_column_equals_per_sample_oracle_at_every_step():
     # the tracked weight is entry (0, 0) of the last layer's weights
     params = mlp.init_params((6, 5, 4, 3), seed=19)
-    features, labels = random_batch(params, 9, seed=20)
-    _, _, matrix = mlp.full_gradient_train(copy_params(params), features, labels, 4, 0.3, 0.01)
-    steps = _params_per_step(params, features, labels, 4, 0.3, 0.01)
+    data, features = random_pixel_batch(params, 9, seed=20)
+    labels = data.labels
+    _, _, matrix = fullgrad(copy_params(params), data, 4, 0.3, 0.01)
+    steps = _params_per_step(params, data, 4, 0.3, 0.01)
     assert matrix.shape == (9, 4)
     for wa, wb in zip(steps[-1].weights, params.weights):
         assert not np.array_equal(wa, wb)  # the descent moved
@@ -249,30 +267,28 @@ def test_tracked_column_equals_per_sample_oracle_at_every_step():
 
 def test_single_sample_matrix_equals_batch_gradient():
     params = mlp.init_params((4, 3, 2), seed=21)
-    features, labels = random_batch(params, 1, seed=22)
-    _, _, matrix = mlp.full_gradient_train(copy_params(params), features, labels, 4, 0.1, 0.001)
+    data, features = random_pixel_batch(params, 1, seed=22)
+    _, _, matrix = fullgrad(copy_params(params), data, 4, 0.1, 0.001)
     assert matrix.shape == (1, 4)
-    for t, prm in enumerate(_params_per_step(params, features, labels, 4, 0.1, 0.001)):
-        grad = mlp.gradient(prm, features, labels, 0.001)
+    for t, prm in enumerate(_params_per_step(params, data, 4, 0.1, 0.001)):
+        grad = mlp.gradient(prm, features, data.labels, 0.001)
         assert matrix[0, t] == pytest.approx(grad.weights[1][0, 0], abs=1e-12)
 
 
 def test_column_means_equal_full_batch_gradient():
     params = mlp.init_params((6, 5, 4, 3), seed=23)
-    features, labels = random_batch(params, 40, seed=24)
-    _, _, matrix = mlp.full_gradient_train(copy_params(params), features, labels, 5, 0.1, 0.002)
-    for t, prm in enumerate(_params_per_step(params, features, labels, 5, 0.1, 0.002)):
-        grad = mlp.gradient(prm, features, labels, 0.002)
+    data, features = random_pixel_batch(params, 40, seed=24)
+    _, _, matrix = fullgrad(copy_params(params), data, 5, 0.1, 0.002)
+    for t, prm in enumerate(_params_per_step(params, data, 5, 0.1, 0.002)):
+        grad = mlp.gradient(prm, features, data.labels, 0.002)
         assert matrix[:, t].mean() == pytest.approx(grad.weights[2][0, 0], abs=1e-10)
 
 
 def test_desk_scale_matrix_under_time_budget():
     params = mlp.init_params((784, 50, 50, 20, 10), seed=27)
-    rng = spawn_rng(28)
-    features = rng.uniform(0, 1, (2000, 784))
-    labels = rng.integers(0, 10, 2000)
+    data, _ = random_pixel_batch(params, 2000, seed=28)
     start = time.perf_counter()
-    _, _, matrix = mlp.full_gradient_train(params, features, labels, 10, 0.2, 0.001)
+    _, _, matrix = fullgrad(params, data, 10, 0.2, 0.001)
     elapsed = time.perf_counter() - start
     assert matrix.shape == (2000, 10)
     assert elapsed < 60.0
@@ -307,37 +323,44 @@ def _assert_streamed_equal(got, want, n):
             assert np.allclose(g, w, rtol=STREAM_RTOL, atol=STREAM_ATOL)
 
 
+# A per-sample cross-entropy, -log of the rounded probability of the label,
+# differs from the log-sum-exp of the shifted logits by a few ulps a row.
+CROSS_ENTROPY_RTOL = 1e-12
+
+
 @pytest.mark.parametrize("n", STREAM_ROWS)
 def test_streamed_accuracy_and_probabilities_match_unstreamed_pass(small_blocks, n):
     params = mlp.init_params((6, 5, 4, 3), seed=50)
     data, features = random_pixel_batch(params, n, seed=51)
-    probs = mlp.forward_batch(params, features)
+    probs = forward_batch(params, features)
     want = unstreamed_forward(params, features)
     _assert_streamed_equal([probs], [want], n)
     expected = float(np.mean(np.argmax(want, axis=1) == data.labels))
-    assert trainer.accuracy(params, data) == expected
+    assert trainer.score(params, data)[0] == expected
 
 
 @pytest.mark.parametrize("n", STREAM_ROWS)
 def test_streamed_loss_and_gradient_match_unstreamed_pass(small_blocks, n):
     params = mlp.init_params((6, 5, 4, 3), seed=52)
-    features, labels = random_batch(params, n, seed=53)
-    grad = mlp.gradient(params, features, labels, 0.01)
-    want_grad = unstreamed_gradient(params, features, labels, 0.01)[0]
+    data, features = random_pixel_batch(params, n, seed=53)
+    grad = mlp.gradient(params, features, data.labels, 0.01)
+    want_grad = unstreamed_gradient(params, features, data.labels, 0.01)[0]
     _assert_streamed_equal([*grad.weights, *grad.biases],
                            [*want_grad.weights, *want_grad.biases], n)
-    _assert_streamed_equal([mlp.loss(params, features, labels, 0.01)],
-                           [unstreamed_loss(params, features, labels, 0.01)], n)
+    data_loss = trainer.score(params, data)[1]
+    _assert_streamed_equal([data_loss], [loss(params, features, data.labels, 0.0)], n)
+    probs = unstreamed_forward(params, features)
+    per_sample = -np.log(probs[np.arange(n), data.labels])
+    assert data_loss == pytest.approx(float(per_sample.mean()), rel=CROSS_ENTROPY_RTOL)
 
 
 @pytest.mark.parametrize("n", STREAM_ROWS)
 def test_streamed_descent_and_tracked_column_match_unstreamed_pass(small_blocks, n):
     params = mlp.init_params((6, 5, 4, 3), seed=54)
-    features, labels = random_batch(params, n, seed=55)
-    got, final_loss, matrix = mlp.full_gradient_train(copy_params(params), features, labels, 3,
-                                                      0.3, 0.01)
+    data, features = random_pixel_batch(params, n, seed=55)
+    got, final_loss, matrix = fullgrad(copy_params(params), data, 3, 0.3, 0.01)
     want, want_loss, want_matrix = unstreamed_full_gradient_train(
-        params, features, labels, 3, 0.3, 0.01)
+        params, features, data.labels, 3, 0.3, 0.01)
     _assert_streamed_equal([*got.weights, *got.biases, final_loss, matrix],
                            [*want.weights, *want.biases, want_loss, want_matrix], n)
 
@@ -353,10 +376,11 @@ def test_whole_batch_passes_never_see_more_than_a_block(small_blocks, monkeypatc
     monkeypatch.setattr(mlp, "_forward_cached", spy)
     n = 2 * SMALL_BLOCK + 3
     params = mlp.init_params((6, 5, 4, 3), seed=56)
-    data, features = random_pixel_batch(params, n, seed=57)
-    trainer.accuracy(params, data)
+    data, _ = random_pixel_batch(params, n, seed=57)
+    trainer.score(params, data)
     assert seen == [SMALL_BLOCK, SMALL_BLOCK, 3]
     seen.clear()
-    mlp.full_gradient_train(params, features, data.labels, 2, 0.1, 0.01)
+    fullgrad(params, data, 2, 0.1, 0.01)
     assert max(seen) == SMALL_BLOCK
-    assert sum(seen) == 3 * n  # two descent steps and the final loss
+    # two descent steps, then the final scoring of the train and test data
+    assert sum(seen) == 4 * n

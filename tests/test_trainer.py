@@ -14,7 +14,7 @@ from stratgrad.trainer import (
     AccuracyReport,
     TrainConfig,
     _blend_block,
-    accuracy,
+    score,
     train,
 )
 
@@ -26,6 +26,8 @@ from oracles import (
     numpy_stream,
     per_sample_grads,
     scaled_features_reference,
+    unstreamed_forward,
+    unstreamed_full_gradient_train,
 )
 
 
@@ -75,7 +77,7 @@ def test_config_validation():
 
 def test_accuracy_report_bounds():
     with pytest.raises(ValueError):
-        AccuracyReport(1, 1.2, 0.5)
+        AccuracyReport(1, 1.2, 0.0, 0.5, 0.0)
 
 
 # ---------------------------------------------------------------- accuracy
@@ -84,7 +86,7 @@ def test_accuracy_zero_params_predicts_class_zero():
     data = blob_dataset(10, seed=1)
     params = mlp.MlpParams([np.zeros((6, 3))], [np.zeros(3)])
     expected = float(np.mean(data.labels == 0))
-    assert accuracy(params, data) == expected
+    assert score(params, data)[0] == expected
 
 
 def test_accuracy_memorizing_params_hit_everything():
@@ -95,18 +97,18 @@ def test_accuracy_memorizing_params_hit_everything():
     for i, c in enumerate(labels):
         w[i, c] = 10.0
     params = mlp.MlpParams([w], [np.zeros(3)])
-    assert accuracy(params, data) == 1.0
+    assert score(params, data)[0] == 1.0
 
 
 def test_accuracy_matches_confusion_matrix_scorer():
     data = blob_dataset(15, seed=2)
     params = mlp.init_params((6, 5, 3), seed=3)
-    probs = mlp.forward_batch(params, data.features())
+    probs = unstreamed_forward(params, data.features())
     confusion = np.zeros((3, 3), dtype=int)
     for row, label in zip(probs, data.labels):
         confusion[label, int(np.argmax(row))] += 1
     oracle = confusion.trace() / confusion.sum()
-    assert accuracy(params, data) == oracle
+    assert score(params, data)[0] == oracle
 
 
 def test_accuracy_never_holds_a_float_copy_of_the_split():
@@ -119,14 +121,14 @@ def test_accuracy_never_holds_a_float_copy_of_the_split():
     params = mlp.init_params((784, 8, 10), seed=71)
     tracemalloc.start()
     try:
-        score = accuracy(params, to_dataset(images, labels))
+        accuracy = score(params, to_dataset(images, labels))[0]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     float_copy = images.size * 8
     assert peak < float_copy / 2
-    probs = mlp.forward_batch(params, scaled_features_reference(images))
-    assert score == float(np.mean(np.argmax(probs, axis=1) == labels))
+    probs = unstreamed_forward(params, scaled_features_reference(images))
+    assert accuracy == float(np.mean(np.argmax(probs, axis=1) == labels))
 
 
 # Traced bytes beyond the arrays a memory bound names: the probabilities,
@@ -150,7 +152,7 @@ def test_accuracy_scores_a_block_with_one_layer_output_at_a_time():
     params = mlp.init_params(FULL_SHAPE, seed=81)
     tracemalloc.start()
     try:
-        accuracy(params, data)
+        score(params, data)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -164,7 +166,7 @@ def test_mssg_learns_separated_blobs():
     params = mlp.init_params((6, 5, 3), seed=5)
     config = small_config(iterations=40, step_size=1.0, pilot_size=6,
                           checkpoint_every=10)
-    before = accuracy(params, data)
+    before = score(params, data)[0]
     trained, reports, _ = train(params, data, config, "mssg", data)
     assert len(reports) == 4
     assert reports[-1].iterations == 40
@@ -570,12 +572,13 @@ def test_batch_equal_to_full_gradient_when_batch_is_everything():
     data = blob_dataset(10, seed=23)
     params = mlp.init_params((6, 4, 3), seed=24)
     config = small_config(iterations=4, batch_size=data.n_samples, step_size=0.2)
-    via_full, _, _ = mlp.full_gradient_train(copy_params(params), data.features(), data.labels, 4,
-                                             0.2, config.weight_decay)
+    via_full, _, want_matrix = unstreamed_full_gradient_train(
+        params, data.features(), data.labels, 4, 0.2, config.weight_decay)
     for algorithm in ("batch", "fullgrad"):
-        trained, _, _ = train(copy_params(params), data, config, algorithm, data)
-        for got, want in zip(trained.weights + trained.biases,
-                             via_full.weights + via_full.biases):
+        matrix = np.empty((data.n_samples, 4))
+        trained, _, _ = train(copy_params(params), data, config, algorithm, data, matrix)
+        for got, want in zip(trained.weights + trained.biases + [matrix],
+                             via_full.weights + via_full.biases + [want_matrix]):
             assert np.array_equal(got, want)
 
 
@@ -585,8 +588,8 @@ def test_sgd_on_single_sample_is_deterministic_descent():
     params = mlp.init_params((3, 2), seed=25)
     config = small_config(iterations=6, step_size=0.5, batch_size=1)
     trained, _, _ = train(copy_params(params), data, config, "sgd", data)
-    full, _, _ = mlp.full_gradient_train(copy_params(params), data.features(), labels, 6, 0.5,
-                                         config.weight_decay)
+    full, _, _ = unstreamed_full_gradient_train(params, data.features(), labels, 6, 0.5,
+                                                config.weight_decay)
     for wa, wb in zip(trained.weights, full.weights):
         assert np.array_equal(wa, wb)
 
@@ -692,18 +695,13 @@ def test_sgd_is_the_pooled_batch_draw_of_one(monkeypatch, n_per_class):
     assert sgd_rng.bit_generator.state == batch_rng.bit_generator.state
 
 
-@pytest.mark.parametrize("algorithm", [*ALGORITHMS, "full_gradient_train"])
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_trainers_train_the_params_they_are_given(algorithm):
     data = blob_dataset(10, seed=43)
     params = mlp.init_params((6, 4, 3), seed=44)
     start = copy_params(params)
     config = small_config(iterations=2, step_size=0.5)
-    if algorithm in ALGORITHMS:
-        trained, _, _ = train(params, data, config, algorithm, data)
-    else:
-        trained, _, _ = mlp.full_gradient_train(params, data.features(), data.labels,
-                                                config.iterations, config.step_size,
-                                                config.weight_decay)
+    trained, _, _ = train(params, data, config, algorithm, data)
     assert trained is params
     for got, old in zip(params.weights + params.biases, start.weights + start.biases):
         assert not np.array_equal(got, old)
@@ -727,3 +725,20 @@ def test_train_refuses_before_the_first_update(algorithm, per_class, relabel, ov
         train(params, data, small_config(**overrides), algorithm, data)
     for got, old in zip(params.weights + params.biases, start.weights + start.biases):
         assert got.tobytes() == old.tobytes()
+
+
+@pytest.mark.parametrize("algorithm, batch_size, shape", [
+    *[(algorithm, 4, (30, 5)) for algorithm in ("sgd", "gst", "mssg")],
+    ("batch", 29, (30, 5)), ("fullgrad", 4, (30, 4)), ("batch", 30, (5, 30))],
+    ids=["sgd", "gst", "mssg", "batch-below-n", "fullgrad-shape", "batch-n-shape"])
+def test_train_refuses_a_matrix_by_name_before_any_step(monkeypatch, algorithm, batch_size,
+                                                        shape):
+    for pass_name in ("gradient", "forward_backward"):
+        monkeypatch.setattr(mlp, pass_name, lambda *_: pytest.fail("a step ran"))
+    data = blob_dataset(10, seed=33)
+    params = mlp.init_params((6, 4, 3), seed=34)
+    message = (r"matrix needs full-batch steps \(fullgrad, or batch at batch_size == n\) and "
+               rf"shape \(30, 5\), got {algorithm} and \({shape[0]}, {shape[1]}\)$")
+    with pytest.raises(ValueError, match=message):
+        train(params, data, small_config(batch_size=batch_size), algorithm, data,
+              np.zeros(shape))

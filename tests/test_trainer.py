@@ -82,6 +82,14 @@ def test_accuracy_report_bounds():
 
 # ---------------------------------------------------------------- accuracy
 
+def test_score_refuses_an_empty_dataset(monkeypatch):
+    monkeypatch.setattr(mlp, "score", lambda *_: pytest.fail("a block was scored"))
+    data = LabeledDataset(np.zeros((0, 6), np.uint8), np.zeros(0, np.int64))
+    params = mlp.init_params((6, 4, 3), seed=4)
+    with pytest.raises(ValueError, match="^cannot score an empty dataset$"):
+        score(params, data)
+
+
 def test_accuracy_zero_params_predicts_class_zero():
     data = blob_dataset(10, seed=1)
     params = mlp.MlpParams([np.zeros((6, 3))], [np.zeros(3)])
@@ -695,16 +703,23 @@ def test_sgd_is_the_pooled_batch_draw_of_one(monkeypatch, n_per_class):
     assert sgd_rng.bit_generator.state == batch_rng.bit_generator.state
 
 
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_trainers_train_the_params_they_are_given(algorithm):
+@pytest.mark.parametrize("algorithm, batch_size, with_matrix", [
+    *[(algorithm, 4, False) for algorithm in ALGORITHMS],
+    ("fullgrad", 4, True), ("batch", 30, True)],
+    ids=[*ALGORITHMS, "fullgrad-matrix", "batch-n-matrix"])
+def test_trainers_train_the_params_they_are_given(algorithm, batch_size, with_matrix):
     data = blob_dataset(10, seed=43)
     params = mlp.init_params((6, 4, 3), seed=44)
     start = copy_params(params)
-    config = small_config(iterations=2, step_size=0.5)
-    trained, _, _ = train(params, data, config, algorithm, data)
+    config = small_config(iterations=2, step_size=0.5, batch_size=batch_size)
+    matrix = np.full((data.n_samples, 2), np.nan) if with_matrix else None
+    trained, _, _ = train(params, data, config, algorithm, data, matrix)
     assert trained is params
     for got, old in zip(params.weights + params.biases, start.weights + start.biases):
         assert not np.array_equal(got, old)
+    if with_matrix:  # each step filled its own column
+        assert np.isfinite(matrix).all()
+        assert not np.array_equal(matrix[:, 0], matrix[:, 1])
 
 
 @pytest.mark.parametrize("algorithm, per_class, relabel, overrides, message", [

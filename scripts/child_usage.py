@@ -20,15 +20,24 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def main(argv: list[str]) -> int:
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+def run_child(src: Path, argv: list[str]) -> tuple[float, int, int]:
+    """Run `python -m stratgrad <argv>` from the package under `src`.
+
+    Returns the child's wall time in seconds, its ru_maxrss in kB and its
+    exit code.
+    """
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     start = time.perf_counter()
     pid = os.posix_spawn(sys.executable, [sys.executable, "-m", "stratgrad", *argv],
                          dict(os.environ, PYTHONPATH=path))
     _, status, usage = os.wait4(pid, 0)
-    print(f"stratgrad {' '.join(argv)}: {time.perf_counter() - start:.2f} s, "
-          f"ru_maxrss {usage.ru_maxrss} kB", flush=True)
-    return os.waitstatus_to_exitcode(status)
+    return time.perf_counter() - start, usage.ru_maxrss, os.waitstatus_to_exitcode(status)
+
+
+def main(argv: list[str]) -> int:
+    seconds, maxrss, code = run_child(SRC, argv)
+    print(f"stratgrad {' '.join(argv)}: {seconds:.2f} s, ru_maxrss {maxrss} kB", flush=True)
+    return code
 
 
 if __name__ == "__main__":

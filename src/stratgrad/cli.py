@@ -369,6 +369,7 @@ def cmd_train(args, run: _Run) -> None:
     params, reports, fallbacks = trainer.train(params, train, config, args.algorithm, test)
     write_csv(run.path(f"accuracy_{args.algorithm}.csv"), _report_rows(reports, args))
     run.finish(args, {"final_test_accuracy": reports[-1].test_accuracy,
+                      "final_train_loss": reports[-1].train_loss,
                       "coefficient_fallbacks": fallbacks})
 
 
@@ -383,17 +384,19 @@ def cmd_gridsearch(args, run: _Run) -> None:
     if len({(c.step_size, c.weight_decay) for c in configs}) < len(configs):
         raise ValueError(f"--alphas {args.alphas} or --lambdas {args.lambdas} repeats a value")
     train, test, shape = _load_split_pair(args)
-    accuracies, fallbacks = [], []
+    finals, fallbacks = [], []
     for config in configs:  # a cell's score is its final checkpoint's test accuracy
         params = mlp.init_params(shape, (args.seed, _INIT_STREAM))
         _, reports, n_fallback = trainer.train(params, train, config, args.algorithm, test)
-        accuracies.append(reports[-1].test_accuracy)
+        finals.append(reports[-1])
         fallbacks.append(n_fallback)
+    accuracies = [r.test_accuracy for r in finals]
     # ties go to the smaller step size, then the smaller decay
     best = min(range(len(configs)), key=lambda i: (-accuracies[i], configs[i].step_size,
                                                    configs[i].weight_decay))
     columns = {"h": [c.step_size for c in configs], "lambda": [c.weight_decay for c in configs],
-               "test_accuracy": accuracies, "algorithm": [args.algorithm] * len(configs)}
+               "test_accuracy": accuracies, "algorithm": [args.algorithm] * len(configs),
+               "test_loss": [r.test_loss for r in finals]}
     write_csv(run.path("grid_results.csv"), columns)
     write_csv(run.path("grid_best.csv"), {k: v[best:best + 1] for k, v in columns.items()})
     # each cell's fallback count, in grid order, shows a moved trajectory

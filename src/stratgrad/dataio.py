@@ -146,7 +146,8 @@ def check_class_sizes(class_index, need: int, what: str) -> None:
 class LabeledDataset:
     """(n, d) uint8 pixels, non-negative integer labels, and per-class row indices.
 
-    ``features(rows)`` decodes the rows a caller uses to float64 in [0, 1].
+    ``features(rows)`` decodes the rows a caller uses to float64 in [0, 1]
+    (``trainer.score`` decodes its blocks to float32 itself).
     ``class_index[c]`` lists the rows labelled c, for c up to the largest
     label, and is always derived from the labels.
     """

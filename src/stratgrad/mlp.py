@@ -2,14 +2,18 @@
 
 Sigmoid hidden layers, softmax output, mean cross-entropy loss plus an L2
 penalty of (weight_decay / 2) * sum(W**2) on the weight matrices only.
-Weights initialize from N(0, 1 / fan_in); biases start at zero. Everything
-runs in float64, and feature arrays must already be floating point: an
-integer array (say undecoded uint8 pixels) is refused rather than read as
-values 0..255. The passes work in place where the bits allow it (the bias
-added into A W, the sigmoid taken over that same array, D W^T scaled by a
-and then by 1 - a where it lies), so a hidden layer holds its output plus
-one temporary, with the bits of A W + b, the two-branch sigmoid and
-(D W^T) * a * (1 - a).
+Weights initialize from N(0, 1 / fan_in); biases start at zero. Training
+runs in float64: ``forward_backward`` and ``gradient`` take any floating
+feature array as float64. Scoring (``score``) runs its layers in float32,
+on a float32 copy of the parameters, and casts each block's logits to
+float64 before the softmax, the argmax and the log-sum-exp, so the loss
+sums in float64 and ties still go to the lowest class. Feature arrays must
+already be floating point: an integer array (say undecoded uint8 pixels) is
+refused rather than read as values 0..255. The passes work in place where
+the bits allow it (the bias added into A W, the sigmoid taken over that
+same array, D W^T scaled by a and then by 1 - a where it lies), so a hidden
+layer holds its output plus one temporary, with the bits of A W + b, the
+two-branch sigmoid and (D W^T) * a * (1 - a).
 
 Row blocking. Passes over a whole batch (``gradient``, which every
 full-batch step of ``trainer.train`` makes) stream it in fixed blocks of
@@ -24,10 +28,11 @@ input go once the layer's product is formed. It is one pass over the rows
 it is given, and takes them over, so features that nothing else holds, as
 in ``score(params, data.features(rows), data.labels[rows])``, are freed
 before layer 1 (on CPython 3.11 and later, where a call keeps no reference
-to its arguments). ``trainer.score`` is the scoring loop: it decodes and
-scores one block of pixels at a time, which at the 784-500-500-200-10
-shape is a 6.4 MB block, let go after its first product, then one layer's
-output and the sigmoid's temporary, two 4.1 MB arrays.
+to its arguments). ``trainer.score`` is the scoring loop: it casts the
+parameters to float32 once (3.0 MB at the 784-500-500-200-10 shape), then
+decodes and scores one block of pixels at a time, straight to float32: a
+3.2 MB block, let go after its first product, then one layer's output and
+the sigmoid's temporary, two 2.0 MB arrays.
 """
 
 from __future__ import annotations
@@ -109,7 +114,8 @@ def _forward_cached(params: MlpParams, x: np.ndarray, keep: bool):
     """The forward pass over one block of features `x`: (acts, logits).
 
     acts lists every layer's input, or without `keep` none, then the class
-    probabilities.
+    probabilities. The layers run in the dtype of `x` and the parameters;
+    the logits, and so the probabilities, are float64 whatever it is.
     """
     acts = [x]
     logits = None
@@ -120,7 +126,7 @@ def _forward_cached(params: MlpParams, x: np.ndarray, keep: bool):
             acts.clear()
         x += b
         if l == last:
-            logits = x
+            logits = x = x.astype(np.float64, copy=False)
             shifted = x - x.max(axis=1, keepdims=True)
             ez = np.exp(shifted)
             x = ez / ez.sum(axis=1, keepdims=True)
@@ -135,12 +141,14 @@ def _row_blocks(n: int) -> list[slice]:
     return [slice(lo, min(lo + BLOCK_ROWS, n)) for lo in range(0, n, BLOCK_ROWS)]
 
 
-def _check_features(params: MlpParams, features: np.ndarray) -> np.ndarray:
+def _check_features(params: MlpParams, features: np.ndarray, dtype=np.float64) -> np.ndarray:
+    """`features` as a (n, fan_in) array of `dtype`: float64 for training, float32
+    for scoring alone."""
     features = np.asarray(features)
     if features.dtype.kind in "biu":  # undecoded pixels would read as values 0..255
         raise TypeError(f"features must be floating point, got {features.dtype}; "
                         "decode pixels with LabeledDataset.features")
-    features = features.astype(np.float64, copy=False)
+    features = features.astype(dtype, copy=False)
     expected = params.weights[0].shape[0]
     if features.ndim != 2 or features.shape[1] != expected:
         raise ValueError(f"features must be (n, {expected}), got {features.shape}")
@@ -180,12 +188,22 @@ def _check_batch(params: MlpParams, features, labels):
     return features, labels
 
 
+def float32_params(params: MlpParams) -> MlpParams:
+    """The parameters as float32, for scoring; arrays already float32 are not copied."""
+    return MlpParams([w.astype(np.float32, copy=False) for w in params.weights],
+                     [b.astype(np.float32, copy=False) for b in params.biases])
+
+
 def score(params: MlpParams, features, labels) -> tuple[int, float]:
-    """One scoring pass over the rows it is given, which it frees as the module
-    docstring says: how many rows' argmax probability hits the label (ties go
-    to the lowest class), and the sum of the rows' cross-entropies, without
-    the decay term."""
-    features = [_check_features(params, features)]  # a list, so the pass can let go of them
+    """One float32 scoring pass over the rows it is given, which it frees as the
+    module docstring says: how many rows' argmax probability hits the label
+    (ties go to the lowest class), and the float64 sum of the rows'
+    cross-entropies, without the decay term. Parameters that are not yet
+    float32 are cast on every call, so a caller that scores many blocks casts
+    them once with ``float32_params``."""
+    params = float32_params(params)
+    # a list, so the pass can let go of them
+    features = [_check_features(params, features, np.float32)]
     labels = _check_labels(params, labels, features[0].shape[0])
     acts, logits = _forward_cached(params, features.pop(), False)
     hits = int(np.count_nonzero(np.argmax(acts[-1], axis=1) == labels))

@@ -3,7 +3,8 @@
 ``train`` runs every algorithm of ``ALGORITHMS`` in its one loop, which owns
 the run's stream, the non-finite check after each step and the checkpoint
 reports, whose accuracy and data loss come from one scoring pass (``score``)
-over each split. An algorithm's per-iteration work is a step generator that
+over each split, in float32 with a float64 loss (training stays float64).
+An algorithm's per-iteration work is a step generator that
 keeps its state across yields and yields the step's mixing-coefficient
 fallbacks (0 for a baseline).
 
@@ -112,16 +113,23 @@ BLOCK_ENTRIES = 4096
 def score(params: mlp.MlpParams, data: LabeledDataset) -> tuple[float, float]:
     """Accuracy and mean cross-entropy (without the decay term) of `params` on `data`.
 
-    Decodes and scores one block of ``mlp.BLOCK_ROWS`` rows at a time, at
-    the memory cost that ``mlp``'s module docstring gives.
+    Training is float64; scoring is float32 with a float64 loss. The
+    parameters are cast to float32 once per call, and each block of
+    ``mlp.BLOCK_ROWS`` rows is decoded straight to float32 and scored by
+    ``mlp.score``, at the memory cost that ``mlp``'s module docstring gives.
     """
     n = data.n_samples
     if n == 0:
         raise ValueError("cannot score an empty dataset")
+    params = mlp.float32_params(params)
     hits, loss_sum = 0, 0.0
     for lo in range(0, n, mlp.BLOCK_ROWS):
         rows = slice(lo, lo + mlp.BLOCK_ROWS)
-        block_hits, block_loss = mlp.score(params, data.features(rows), data.labels[rows])
+        # an explicit dtype: under numpy 1.x's value-based casting, uint8 pixels
+        # divided by np.float32(255) come out float16
+        block_hits, block_loss = mlp.score(
+            params, np.divide(data.pixels[rows], np.float32(255), dtype=np.float32),
+            data.labels[rows])
         hits, loss_sum = hits + block_hits, loss_sum + block_loss
     return hits / n, loss_sum / n
 

@@ -17,6 +17,9 @@ whole-batch passes (`unstreamed_*`) hold every row's activations at once, as `ml
 before it streamed row blocks, on their own forward pass
 (`reference_forward`: `a @ w + b` and the two-branch sigmoid, never
 `mlp`'s in-place one).
+`score_float64` is the float64 scorer that `trainer.score` was before it
+scored in float32, and `assert_scores_agree` holds the float32 scorer to it
+by the margin and loss rule of `SCORE_MARGIN` and `SCORE_LOSS_RTOL`.
 `coefficients_elementwise_reference` is the coefficient kernel with every
 element taken down every branch by mask, and `blend_block_reference` the
 mssg block update as that kernel followed by an out-of-place blend; the
@@ -44,7 +47,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from stratgrad import mlp
+from stratgrad import mlp, trainer
 from stratgrad.dataio import LabeledDataset
 from stratgrad.estimators import ESTIMATOR_NAMES, Race, optimal_coefficients_elementwise
 from stratgrad.population import (DECREASING_MEAN_INTERVALS, N_STRATA, RANDOM_PARAM_RANGE,
@@ -325,7 +328,7 @@ def loss(params, features, labels, weight_decay):
     """Mean cross-entropy plus the L2 weight penalty, from one forward pass over every row.
 
     The log-sum-exp of the shifted logits, as `mlp.score` takes it, so a
-    batch of one scoring block gets `trainer.score`'s loss bit for bit.
+    batch of one scoring block gets `score_float64`'s loss bit for bit.
     """
     labels = np.asarray(labels, dtype=np.int64)
     logits = reference_forward(params, features)[1]
@@ -334,6 +337,65 @@ def loss(params, features, labels, weight_decay):
     data = float(np.mean(log_z - shifted[np.arange(labels.size), labels]))
     reg = 0.5 * weight_decay * sum(float(np.sum(w * w)) for w in params.weights)
     return data + reg
+
+
+# The float32 scorer against the float64 one, a rule fixed before either
+# was compared. float32's unit roundoff is 6e-8; a logit summed over a
+# 784-wide layer may carry a relative error of a few 1e-6, which moves a
+# class probability by at most a quarter of that and a row's cross-entropy
+# by about as much. So:
+# - a row's predicted class may differ only where its top two float64 class
+#   probabilities lie within SCORE_MARGIN of each other;
+# - the mean cross-entropies agree within SCORE_LOSS_RTOL, relative.
+SCORE_MARGIN = 1e-4
+SCORE_LOSS_RTOL = 1e-5
+
+
+def score_float64(params, data: LabeledDataset) -> tuple[float, float]:
+    """(accuracy, mean cross-entropy) of `params` on `data`, all in float64.
+
+    The scorer `trainer.score` was before it scored in float32: one
+    `reference_forward` pass per block of ``mlp.BLOCK_ROWS`` rows decoded to
+    float64, the argmax of the probabilities (ties to the lowest class) and
+    the log-sum-exp of the shifted logits, summed block by block.
+    """
+    hits, loss_sum = 0, 0.0
+    for lo in range(0, data.n_samples, mlp.BLOCK_ROWS):
+        rows = slice(lo, lo + mlp.BLOCK_ROWS)
+        labels = data.labels[rows]
+        acts, logits = reference_forward(params, data.features(rows))
+        hits += int(np.count_nonzero(np.argmax(acts[-1], axis=1) == labels))
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        log_z = np.log(np.exp(shifted).sum(axis=1))
+        loss_sum += float(np.sum(log_z - shifted[np.arange(labels.size), labels]))
+    return hits / data.n_samples, loss_sum / data.n_samples
+
+
+def assert_scores_agree(params, data: LabeledDataset) -> int:
+    """Hold `trainer.score` to `score_float64` by the SCORE_MARGIN / SCORE_LOSS_RTOL rule.
+
+    Every row whose top two float64 probabilities lie at least SCORE_MARGIN
+    apart keeps its float64 class: `mlp.score` over those rows, on the
+    float32 decode `trainer.score` makes, hits each when the float64 class
+    is its label. The hit counts may then differ by at most the rows inside
+    the margin, whose number is returned.
+    """
+    n = data.n_samples
+    accuracy, data_loss = trainer.score(params, data)
+    want_accuracy, want_loss = score_float64(params, data)
+    probs = reference_forward(params, data.features())[0][-1]
+    top_two = np.sort(probs, axis=1)[:, -2:]
+    near = top_two[:, 1] - top_two[:, 0] < SCORE_MARGIN
+    kept = np.flatnonzero(~near)
+    if kept.size:
+        features = np.divide(data.pixels[kept], np.float32(255), dtype=np.float32)
+        hits, _ = mlp.score(params, features, np.argmax(probs[kept], axis=1))
+        assert hits == kept.size, f"{kept.size - hits} rows outside the margin changed class"
+    n_near = int(np.count_nonzero(near))
+    assert abs(round(accuracy * n) - round(want_accuracy * n)) <= n_near
+    assert abs(data_loss - want_loss) <= SCORE_LOSS_RTOL * abs(want_loss), \
+        (data_loss, want_loss)
+    return n_near
 
 
 def unstreamed_gradient(params, features, labels, weight_decay):

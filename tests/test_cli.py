@@ -1,6 +1,8 @@
 import argparse
 import ast
 import io
+import json
+import math
 import os
 import platform
 import subprocess
@@ -20,10 +22,10 @@ from stratgrad.population import (RANDOM_PARAM_RANGE, UNIFORM_TRENDS, Trend,
                                  generate_family, trend_schedules)
 
 from idxtools import pack_idx_images, pack_idx_labels, synthetic_digits, write_mnist_style_dir
-from oracles import (StratumStats, blended_variance_term, family_reference, loss, numpy_stream,
-                     optimal_coefficients, predicted_variance_vsp, read_csv_columns,
-                     subsample_reference, trace_estimators_reference, variance_zscore,
-                     write_csv_reference)
+from oracles import (SCORE_LOSS_RTOL, StratumStats, blended_variance_term, family_reference,
+                     loss, numpy_stream, optimal_coefficients, predicted_variance_vsp,
+                     read_csv_columns, score_float64, subsample_reference,
+                     trace_estimators_reference, variance_zscore, write_csv_reference)
 
 
 def run_cli(*argv) -> int:
@@ -602,9 +604,13 @@ def test_gradmatrix_final_loss_is_the_loss_at_the_parameters_the_descent_returns
     assert algorithm == "fullgrad" and config.checkpoint_every == config.iterations == 3
     assert config.weight_decay > 0  # the penalty is part of the loss recorded
     entries = dict(line.split("=", 1) for line in (out / "manifest.txt").read_text().splitlines())
-    # 200 rows are one scoring block, where the oracle's one pass has the same bits
-    assert float(entries["final_loss"]) == loss(params, train.features(), train.labels,
-                                                config.weight_decay)
+    final_loss = float(entries["final_loss"])
+    penalty = 0.5 * config.weight_decay * sum(float(np.sum(w * w)) for w in params.weights)
+    # the float32 scorer's data loss at those parameters, bit for bit, and the
+    # float64 oracle's loss within the scorers' stated tolerance
+    assert final_loss == cli.trainer.score(params, train)[1] + penalty
+    assert final_loss == pytest.approx(loss(params, train.features(), train.labels,
+                                            config.weight_decay), rel=SCORE_LOSS_RTOL)
 
 
 @pytest.mark.parametrize("desk_flags, iterations", [
@@ -936,12 +942,15 @@ def test_train_csv_appends_each_checkpoints_data_losses(tmp_path, fixture_data_d
     assert header[-2:] == ["train_loss", "test_loss"]
     (data, test_data, params), = runs
     cols = read_csv_columns(out / "accuracy_gst.csv")
-    # the decay term is left out; 200 and 50 rows are one scoring block each,
-    # where the oracle's one pass has the same bits
-    assert float(cols["train_loss"][-1]) == loss(params, data.features(), data.labels, 0.0)
-    assert float(cols["test_loss"][-1]) == loss(params, test_data.features(),
-                                                test_data.labels, 0.0)
+    # the decay term is left out: each split's float32 scorer bit for bit, and
+    # the float64 oracle within the scorers' stated tolerance
+    for column, split in (("train_loss", data), ("test_loss", test_data)):
+        got = float(cols[column][-1])
+        assert got == cli.trainer.score(params, split)[1]
+        assert got == pytest.approx(score_float64(params, split)[1], rel=SCORE_LOSS_RTOL)
     assert float(cols["train_loss"][0]) > 0.0
+    entries = dict(line.split("=", 1) for line in (out / "manifest.txt").read_text().splitlines())
+    assert float(entries["final_train_loss"]) == float(cols["train_loss"][-1])
 
 
 def test_gridsearch_cell_runs_the_stretched_sgd_of_train(tmp_path, fixture_data_dir,
@@ -961,8 +970,10 @@ def test_gridsearch_cell_runs_the_stretched_sgd_of_train(tmp_path, fixture_data_
                    "--weight-decay", 0.01, "--out-dir", tmp_path / "tr") == 0
     assert run_cli("gridsearch", *desk, "--budget-iterations", 6, "--alphas", "0.5",
                    "--lambdas", "0.01", "--out-dir", tmp_path / "gs") == 0
-    final = read_csv_columns(tmp_path / "tr" / "accuracy_sgd.csv")["test_accu"][-1]
-    assert read_csv_columns(tmp_path / "gs" / "grid_results.csv")["test_accuracy"] == [final]
+    final = read_csv_columns(tmp_path / "tr" / "accuracy_sgd.csv")
+    cell = read_csv_columns(tmp_path / "gs" / "grid_results.csv")
+    assert (cell["test_accuracy"], cell["test_loss"]) == ([final["test_accu"][-1]],
+                                                          [final["test_loss"][-1]])
     (train_config, train_params), (cell_config, cell_params) = runs
     assert (cell_config.iterations, cell_config.checkpoint_every) == (6, 6)
     assert (cell_config.step_size, cell_config.weight_decay) == (0.5, 0.01)
@@ -1192,3 +1203,27 @@ def test_child_usage_reports_the_child_and_exits_with_its_status(tmp_path, argv,
     seconds, _, rss = usage.partition(" s, ru_maxrss ")
     assert float(seconds) > 0 and int(rss.removesuffix(" kB")) > 0
     assert (tmp_path / "out" / "manifest.txt").exists() == (status == 0)
+
+
+BENCH_TREES = CHILD_USAGE.with_name("bench_trees.py")
+
+
+def test_bench_trees_records_each_trees_runs_and_the_machine(tmp_path):
+    out = tmp_path / "bench.json"
+    root = CHILD_USAGE.parents[1]
+    subprocess.run([sys.executable, str(BENCH_TREES), "--fast", "--out", str(out), str(root)],
+                   check=True, capture_output=True, timeout=300)
+    result = json.loads(out.read_text())
+    assert set(result) == {"workload", "environment", "trees", "per_phase"}
+    assert result["per_phase"].startswith("missing")
+    assert {"cores", "env.OPENBLAS_NUM_THREADS", "env.OMP_NUM_THREADS", "env.numpy",
+            "env.blas", "env.blas_core", "env.simd"} <= set(result["environment"])
+    (tree,), runs = result["trees"], result["workload"]["runs_per_tree"]
+    assert set(tree) == {"commit", "uncommitted_changes", "wall_s", "peak_rss_mb",
+                         "rounds_faster_than_first_tree"}
+    for metric in ("wall_s", "peak_rss_mb"):
+        spread = tree[metric]
+        assert len(spread["runs"]) == runs == 2
+        values = [*spread["runs"], spread["q1"], spread["median"], spread["q3"]]
+        assert all(math.isfinite(v) and v > 0 for v in values)
+        assert spread["q1"] <= spread["median"] <= spread["q3"]

@@ -9,12 +9,15 @@ from stratgrad.dataio import LabeledDataset
 from stratgrad.rng import spawn_rng
 
 from oracles import (
+    SCORE_LOSS_RTOL,
+    assert_scores_agree,
     copy_params,
     forward_batch,
     loss,
     max_relative_error,
     numeric_gradient,
     per_sample_grads,
+    score_float64,
     two_branch_sigmoid,
     unstreamed_forward,
     unstreamed_full_gradient_train,
@@ -168,7 +171,7 @@ def test_single_sample_loss_is_neg_log_prob():
     x = spawn_rng(7).uniform(0, 1, 5)
     probs = forward_batch(params, x[None])[0]
     value = mlp.score(params, x[None, :], np.array([2]))[1]
-    assert value == pytest.approx(-math.log(probs[2]), abs=1e-12)
+    assert value == pytest.approx(-math.log(probs[2]), rel=SCORE_LOSS_RTOL)
 
 
 
@@ -324,7 +327,9 @@ def _assert_streamed_equal(got, want, n):
 
 
 # A per-sample cross-entropy, -log of the rounded probability of the label,
-# differs from the log-sum-exp of the shifted logits by a few ulps a row.
+# differs from the float64 log-sum-exp of the shifted logits by a few ulps a
+# row. It bounds the float64 oracle; the float32 scorer is held to it by
+# SCORE_LOSS_RTOL.
 CROSS_ENTROPY_RTOL = 1e-12
 
 
@@ -336,7 +341,8 @@ def test_streamed_accuracy_and_probabilities_match_unstreamed_pass(small_blocks,
     want = unstreamed_forward(params, features)
     _assert_streamed_equal([probs], [want], n)
     expected = float(np.mean(np.argmax(want, axis=1) == data.labels))
-    assert trainer.score(params, data)[0] == expected
+    assert score_float64(params, data)[0] == expected
+    assert_scores_agree(params, data)
 
 
 @pytest.mark.parametrize("n", STREAM_ROWS)
@@ -347,11 +353,12 @@ def test_streamed_loss_and_gradient_match_unstreamed_pass(small_blocks, n):
     want_grad = unstreamed_gradient(params, features, data.labels, 0.01)[0]
     _assert_streamed_equal([*grad.weights, *grad.biases],
                            [*want_grad.weights, *want_grad.biases], n)
-    data_loss = trainer.score(params, data)[1]
-    _assert_streamed_equal([data_loss], [loss(params, features, data.labels, 0.0)], n)
+    want_loss = score_float64(params, data)[1]
+    _assert_streamed_equal([want_loss], [loss(params, features, data.labels, 0.0)], n)
     probs = unstreamed_forward(params, features)
     per_sample = -np.log(probs[np.arange(n), data.labels])
-    assert data_loss == pytest.approx(float(per_sample.mean()), rel=CROSS_ENTROPY_RTOL)
+    assert want_loss == pytest.approx(float(per_sample.mean()), rel=CROSS_ENTROPY_RTOL)
+    assert trainer.score(params, data)[1] == pytest.approx(want_loss, rel=SCORE_LOSS_RTOL)
 
 
 @pytest.mark.parametrize("n", STREAM_ROWS)
@@ -361,8 +368,10 @@ def test_streamed_descent_and_tracked_column_match_unstreamed_pass(small_blocks,
     got, final_loss, matrix = fullgrad(copy_params(params), data, 3, 0.3, 0.01)
     want, want_loss, want_matrix = unstreamed_full_gradient_train(
         params, features, data.labels, 3, 0.3, 0.01)
-    _assert_streamed_equal([*got.weights, *got.biases, final_loss, matrix],
-                           [*want.weights, *want.biases, want_loss, want_matrix], n)
+    _assert_streamed_equal([*got.weights, *got.biases, matrix],
+                           [*want.weights, *want.biases, want_matrix], n)
+    # the final loss is scored in float32
+    assert final_loss == pytest.approx(want_loss, rel=SCORE_LOSS_RTOL)
 
 
 def test_whole_batch_passes_never_see_more_than_a_block(small_blocks, monkeypatch):

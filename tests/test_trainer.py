@@ -18,14 +18,16 @@ from stratgrad.trainer import (
     train,
 )
 
+from idxtools import HARD_BLEND_NOISE, blended_digit_splits, synthetic_digit_splits
 from oracles import (
+    assert_scores_agree,
     copy_params,
     blend_block_reference,
     mssg_reference,
     mssg_stored_state,
     numpy_stream,
     per_sample_grads,
-    scaled_features_reference,
+    score_float64,
     unstreamed_forward,
     unstreamed_full_gradient_train,
 )
@@ -116,7 +118,9 @@ def test_accuracy_matches_confusion_matrix_scorer():
     for row, label in zip(probs, data.labels):
         confusion[label, int(np.argmax(row))] += 1
     oracle = confusion.trace() / confusion.sum()
-    assert score(params, data)[0] == oracle
+    # the float64 oracle's accuracy, up to the rows inside the scorers' margin
+    assert score_float64(params, data)[0] == oracle
+    assert_scores_agree(params, data)
 
 
 def test_accuracy_never_holds_a_float_copy_of_the_split():
@@ -135,8 +139,9 @@ def test_accuracy_never_holds_a_float_copy_of_the_split():
         tracemalloc.stop()
     float_copy = images.size * 8
     assert peak < float_copy / 2
-    probs = unstreamed_forward(params, scaled_features_reference(images))
-    assert accuracy == float(np.mean(np.argmax(probs, axis=1) == labels))
+    data = to_dataset(images, labels)
+    assert accuracy == score(params, data)[0]
+    assert_scores_agree(params, data)
 
 
 # Traced bytes beyond the arrays a memory bound names: the probabilities,
@@ -145,14 +150,17 @@ TRACE_SLACK = 2 ** 20
 
 
 def scoring_block_bytes():
-    """At FULL_SHAPE, one decoded block plus two (BLOCK_ROWS, 500) arrays."""
-    return 8 * mlp.BLOCK_ROWS * (FULL_SHAPE[0] + 2 * max(FULL_SHAPE[1:-1]))
+    """At FULL_SHAPE, the float32 parameter copy, one float32 decoded block and
+    two float32 (BLOCK_ROWS, 500) arrays."""
+    param_entries = sum(a * b + b for a, b in zip(FULL_SHAPE, FULL_SHAPE[1:]))
+    return 4 * (param_entries + mlp.BLOCK_ROWS * (FULL_SHAPE[0] + 2 * max(FULL_SHAPE[1:-1])))
 
 
 def test_accuracy_scores_a_block_with_one_layer_output_at_a_time():
-    # A scoring block holds at most its decoded rows, one layer's output and
-    # the sigmoid's temporary (13.9 MiB at FULL_SHAPE); keeping every layer's
-    # output, as a backward pass needs, peaks 4 MiB higher.
+    # A scoring pass holds the float32 copy of the parameters (2.8 MiB at
+    # FULL_SHAPE) and, per block, at most its float32 decoded rows, one
+    # layer's output and the sigmoid's temporary (7.0 MiB); keeping every
+    # layer's output, as a backward pass needs, peaks 4 MiB higher.
     n = 2 * mlp.BLOCK_ROWS + 100
     rng = spawn_rng(80)
     data = LabeledDataset(rng.integers(0, 256, (n, FULL_SHAPE[0]), dtype=np.uint8),
@@ -165,6 +173,110 @@ def test_accuracy_scores_a_block_with_one_layer_output_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < scoring_block_bytes() + TRACE_SLACK
+
+
+# ---------------------------------------------------------------- float32 scoring
+
+def _digits(shape, blend_noise=None):
+    """The suite's 300/60-per-class digit splits, as datasets, with fresh parameters."""
+    splits = (synthetic_digit_splits(300, 60, 2024) if blend_noise is None
+              else blended_digit_splits(300, 60, 2024, *blend_noise))
+    return [to_dataset(*split) for split in splits], mlp.init_params(shape, seed=90)
+
+
+def _random_rows(n, shape, seed):
+    rng = spawn_rng(seed)
+    data = LabeledDataset(rng.integers(0, 256, (n, shape[0]), dtype=np.uint8),
+                          rng.integers(0, shape[-1], n))
+    return [data], mlp.init_params(shape, seed=seed + 1)
+
+
+# Every kind of data set the suite scores: class blobs, random pixels at a
+# small shape and at FULL_SHAPE, and the digit splits (the easy ones at both
+# shapes, the HARD_BLEND_NOISE ones at DESK_SHAPE), with fresh parameters.
+SCORED_FIXTURES = {
+    "blobs": lambda: ([blob_dataset(15, seed=2)], mlp.init_params((6, 5, 3), seed=3)),
+    "random-pixels": lambda: _random_rows(2 * mlp.BLOCK_ROWS + 3, (6, 5, 4, 3), 50),
+    "random-pixels-full": lambda: _random_rows(mlp.BLOCK_ROWS + 100, FULL_SHAPE, 80),
+    "digits-desk": lambda: _digits(DESK_SHAPE),
+    "digits-full": lambda: _digits(FULL_SHAPE),
+    "hard-digits-desk": lambda: _digits(DESK_SHAPE, HARD_BLEND_NOISE),
+}
+
+
+@pytest.mark.parametrize("fixture", SCORED_FIXTURES)
+def test_float32_scoring_agrees_with_the_float64_oracle_on_every_fixture(fixture):
+    splits, params = SCORED_FIXTURES[fixture]()
+    for data in splits:
+        assert_scores_agree(params, data)
+
+
+@pytest.mark.parametrize("shape, per_class", [(DESK_SHAPE, 300), (FULL_SHAPE, 100)],
+                         ids=["desk", "full"])
+def test_float32_scoring_agrees_with_the_float64_oracle_along_a_trajectory(
+        monkeypatch, shape, per_class):
+    # 300 gst steps; every checkpoint's scoring is held to the float64 oracle
+    train_split, test_split = synthetic_digit_splits(per_class, 60, 2024)
+    data, test_data = to_dataset(*train_split), to_dataset(*test_split)
+    config = small_config(iterations=300, checkpoint_every=100, step_size=0.5)
+    scored = []
+
+    def recording_score(params, split):
+        scored.append((copy_params(params), split))
+        return checkpoint_score(params, split)
+
+    checkpoint_score = trainer.score
+    monkeypatch.setattr(trainer, "score", recording_score)
+    _, reports, _ = train(mlp.init_params(shape, seed=91), data, config, "gst", test_data)
+    monkeypatch.undo()
+    assert [r.iterations for r in reports] == [100, 200, 300]
+    assert len(scored) == 6
+    assert all(split is want for (_, split), want in zip(scored, [data, test_data] * 3))
+    for params, split in scored:
+        assert_scores_agree(params, split)
+
+
+def test_scoring_decodes_each_block_straight_to_float32(monkeypatch):
+    # float32 under numpy 1.x's value-based casting too, where pixels divided
+    # by np.float32(255) come out float16, and under numpy 2, where dividing
+    # by 255.0 comes out float64
+    seen = []
+    block_score = mlp.score
+
+    def spy(params, features, labels):
+        seen.append((params, features.dtype, features.copy()))
+        return block_score(params, features, labels)
+
+    monkeypatch.setattr(mlp, "score", spy)
+    n = 2 * mlp.BLOCK_ROWS + 5
+    (data,), params = _random_rows(n, (6, 5, 3), 60)
+    score(params, data)
+    assert len(seen) == 3
+    assert all(p is seen[0][0] for p, _, _ in seen)  # the parameters are cast once a call
+    assert {a.dtype for a in seen[0][0].weights + seen[0][0].biases} == {np.dtype(np.float32)}
+    assert {dtype for _, dtype, _ in seen} == {np.dtype(np.float32)}
+    decoded = np.concatenate([features for _, _, features in seen])
+    assert np.array_equal(decoded, data.pixels.astype(np.float32) / np.float32(255))
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_training_passes_stay_float64_and_scoring_passes_run_float32(monkeypatch, algorithm):
+    seen = set()
+    forward = mlp._forward_cached
+
+    def spy(params, x, keep):
+        seen.add((keep, x.dtype, *{a.dtype for a in params.weights + params.biases}))
+        acts, logits = forward(params, x, keep)
+        assert acts[-1].dtype == logits.dtype == np.float64
+        return acts, logits
+
+    monkeypatch.setattr(mlp, "_forward_cached", spy)
+    data = blob_dataset(12, seed=6)
+    config = small_config(iterations=4, checkpoint_every=2,
+                          batch_size=data.n_samples if algorithm == "batch" else None)
+    train(mlp.init_params((6, 4, 3), seed=7), data, config, algorithm, data)
+    forward_pass = (True, np.dtype(np.float64), np.dtype(np.float64))
+    assert seen == {forward_pass, (False, np.dtype(np.float32), np.dtype(np.float32))}
 
 
 # ---------------------------------------------------------------- mssg

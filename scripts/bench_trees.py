@@ -8,8 +8,9 @@ Every run is a child, started as scripts/child_usage.py starts one, from
 the package under the tree's own src/; this script imports only the
 standard library, so the child's peak RSS is its own. All trees read one
 IDX fixture, which a child writes with this tree's tests/idxtools.py
-(numpy). Round r runs every tree once, in the given order for even r and
-reversed for odd r. Per tree the JSON gives the median and quartiles of
+(numpy). One untimed run per tree warms the file cache first; then round
+r runs every tree once, in the given order for even r and reversed for odd
+r. Per tree the JSON gives the median and quartiles of
 wall time and of peak RSS, every run, and the rounds it beat the first
 tree; it also records the machine: cores, the thread variables, and the
 BLAS, numpy and SIMD entries of the first run's manifest. `--fast` runs a
@@ -72,31 +73,32 @@ def bench(trees: list[Path], runs: int, fast: bool, work: Path) -> dict:
     argv = ["train", "--algorithm", "gst", *flags, "--data-dir", str(data)]
     walls = [[] for _ in trees]
     rss = [[] for _ in trees]
-    env = None
-    for r in range(runs):
-        order = list(range(len(trees)))
+    order = list(range(len(trees)))
+    # the warm-up round, then the timed ones
+    for r in range(-1, runs):
         for t in order if r % 2 == 0 else order[::-1]:
             out = work / f"out{t}"
             seconds, maxrss_kb, code = run_child(trees[t] / "src", [*argv, "--out-dir", str(out)])
             if code != 0:
                 raise RuntimeError(f"{trees[t]}: stratgrad {' '.join(argv)} exited {code}")
-            walls[t].append(seconds)
-            rss[t].append(maxrss_kb / 1024)
-            env = env or _manifest_env(out)
+            if r >= 0:
+                walls[t].append(seconds)
+                rss[t].append(maxrss_kb / 1024)
     return {
         "workload": {
             "argv": ["train", "--algorithm", "gst", *flags],
             "shape": "DESK_SHAPE" if fast else "FULL_SHAPE",
             "rows_per_class": {"train": per_class, "test": test_per_class},
             "runs_per_tree": runs,
-            "order": "round r runs the trees in the given order for even r, reversed for odd r",
+            "order": "one untimed warm-up run per tree, then round r runs the trees in the "
+                     "given order for even r, reversed for odd r",
         },
         "environment": {
             "cores": os.cpu_count(),
             "usable_cores": len(os.sched_getaffinity(0)),
             "python": platform.python_version(),
             **{f"env.{var}": os.environ.get(var, "unset") for var in THREAD_VARIABLES},
-            **env,
+            **_manifest_env(work / "out0"),
         },
         "trees": [{**_commit(tree),
                    "wall_s": _spread(walls[t]),
